@@ -4,6 +4,11 @@
 compatible conditional expectations, ternary-ring detection, left/right
 algebras of an operator space, independence tests, and symbol validation.
 
+TRO detection and closure work through the left span L = span{x y*}, as
+span(V V* V) = span(L V): one SVD of the k^2 products x y* and one
+projection of L V give a certified closure bound, and a TRO's left and
+right algebras are the spans of x y* and x* y, with no closure loop.
+
 All span computations are Hilbert-Schmidt orthonormal with SVD rank
 decisions at relative threshold 1e-9.
 """
@@ -37,19 +42,18 @@ def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> lis
     return [vh[i].reshape(shape) for i in range(len(s)) if keep[i]]
 
 
+def project_span(mat: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
+    """HS-orthogonal projection of mat onto the span of an orthonormal basis."""
+    mat = np.asarray(mat, dtype=complex)
+    if len(basis) == 0:
+        return np.zeros_like(mat)
+    flat = np.stack(basis).reshape(len(basis), -1)
+    return ((flat.conj() @ mat.reshape(-1)) @ flat).reshape(mat.shape)
+
+
 def span_residual(mat: np.ndarray, basis: Sequence[np.ndarray]) -> float:
     """Frobenius distance from mat to the span of an orthonormal basis."""
-    proj = np.zeros_like(mat)
-    for b in basis:
-        proj = proj + mc.hs_inner(b, mat) * b
-    return mc.frobenius(mat - proj)
-
-
-def project_span(mat: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(mat, dtype=complex)
-    for b in basis:
-        out = out + mc.hs_inner(b, mat) * b
-    return out
+    return mc.frobenius(mat - project_span(mat, basis))
 
 
 @dataclass(frozen=True)
@@ -119,41 +123,84 @@ class TroCheck(NamedTuple):
         return self.ok
 
 
+def _left_span(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of span{x y*} over a stacked (k, n, m) basis, and
+    delta, the norm of the singular values the rank cut dropped: every x y*
+    lies within delta of the span.  For a TRO this is its left algebra."""
+    k, n, _ = v.shape
+    outer = (v[:, None] @ v.conj().transpose(0, 2, 1)[None]).reshape(k * k, n * n)
+    _, s, vh = np.linalg.svd(outer, full_matrices=False)
+    keep = s > RANK_RTOL * s[0]
+    return vh[keep].reshape(-1, n, n), float(np.linalg.norm(s[~keep]))
+
+
+def _span_algebra(v: np.ndarray) -> AlgebraBasis:
+    """span{x y*} of a verified TRO's stacked basis as an algebra."""
+    return _make_algebra(v.shape[1], list(_left_span(v)[0]))
+
+
+def _out_of_span(v: np.ndarray, ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parts off span(v) of the products l z, and the products, (k, r, n*m)."""
+    k = v.shape[0]
+    flat = v.reshape(k, -1)
+    prods = (ell[None] @ v[:, None]).reshape(k, len(ell), -1)
+    return prods - (prods @ flat.conj().T) @ flat, prods
+
+
 def is_tro(mats: Sequence[np.ndarray], tol: float = 1e-8) -> TroCheck:
     """Check closure of span(mats) under the triple product x y* z.
 
-    On failure the witness is the (i, j, k) basis triple with the largest
-    out-of-span residual.
+    With l_a an orthonormal basis of L = span{x y*} (cut leaving delta, see
+    _left_span) and P the projection off the span, every basis-triple
+    residual |P(x y* z)| is at most max_z sqrt(sum_a |P(l_a z)|^2) + delta.
+    When that bound is within tol the span is accepted and ``residual`` is
+    the bound.  Otherwise every triple is scanned: on failure the witness is
+    the first (i, j, k) with the largest residual and ``residual`` is that
+    residual; on success it is the exact maximum.
     """
     basis = orthonormal_span(mats)
-    worst = 0.0
-    witness = None
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            xy = x @ mc.dagger(y)
-            for k, z in enumerate(basis):
-                res = span_residual(xy @ z, basis)
-                if res > worst:
-                    worst = res
-                    witness = (i, j, k)
+    if not basis:
+        return TroCheck(True, None, 0.0)
+    v = np.stack(basis)
+    ell, delta = _left_span(v)
+    resid, _ = _out_of_span(v, ell)
+    k = len(v)
+    bound = float(np.max(np.linalg.norm(resid.reshape(k, -1), axis=1))) + delta
+    if bound <= tol:
+        return TroCheck(True, None, bound)
+    flat = v.reshape(k, -1)
+    worst, witness = 0.0, None
+    for i in range(k):  # every x_i x_j* x_l of one i at once: O(k^2 n m) memory
+        xy = v[i] @ v.conj().transpose(0, 2, 1)
+        t = (xy[:, None] @ v[None]).reshape(k * k, -1)
+        res = np.linalg.norm(t - (t @ flat.conj().T) @ flat, axis=1)
+        jl = int(np.argmax(res))
+        if res[jl] > worst:
+            worst, witness = float(res[jl]), (i, *divmod(jl, k))
     if worst > tol:
         return TroCheck(False, witness, worst)
     return TroCheck(True, None, worst)
 
 
 def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Triple-product closure: the smallest TRO whose span contains the input."""
+    """Triple-product closure: the smallest TRO whose span contains the input.
+
+    Iterates V <- span(V + L(V) V) = span(V + V V* V) until the rank is
+    stable; products off the span by at most the rank threshold in all
+    could not raise it, so that span is returned as it is.
+    """
     basis = orthonormal_span(mats)
-    while True:
-        triples = []
-        for x in basis:
-            for y in basis:
-                xy = x @ mc.dagger(y)
-                triples.extend(xy @ z for z in basis)
-        new_basis = orthonormal_span(list(basis) + triples)
+    while basis:
+        v = np.stack(basis)
+        ell, delta = _left_span(v)
+        resid, prods = _out_of_span(v, ell)
+        if np.linalg.norm(resid) + delta <= RANK_RTOL:
+            return basis
+        new_basis = orthonormal_span(basis + list(prods.reshape(-1, *v.shape[1:])))
         if len(new_basis) == len(basis):
             return new_basis
         basis = new_basis
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +233,8 @@ def is_independent(x: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
 def spectral_projections(f: np.ndarray, rtol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
     """Eigenvalue clusters of a hermitian matrix with their projections."""
     w, v = mc.herm_eig(f)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][-1]] <= rtol * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
     out = []
-    for g in groups:
+    for g in _split_at_gaps(w, rtol * max(1.0, float(np.max(np.abs(w))))):
         cols = v[:, g]
         out.append((float(np.mean(w[g])), cols @ mc.dagger(cols)))
     return out
@@ -276,13 +316,18 @@ def _center_basis(basis: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
 def _cluster_eigh(mat: np.ndarray, gap: float = GAP_THRESHOLD):
     """Eigendecompose and split the spectrum at gaps larger than `gap`."""
     w, v = np.linalg.eigh(mc.hermitize(mat))
+    return [(w[g], v[:, g]) for g in _split_at_gaps(w, gap)]
+
+
+def _split_at_gaps(w: np.ndarray, gap: float) -> list[list[int]]:
+    """Indices of ascending eigenvalues, split where neighbours differ by more than gap."""
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[i - 1] <= gap:
             groups[-1].append(i)
         else:
             groups.append([i])
-    return [(w[g], v[:, g]) for g in groups]
+    return groups
 
 
 def _random_hermitian_element(rng: np.random.Generator, herm_basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -408,18 +453,8 @@ def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
     return u
 
 
-def tro_block_decomposition(
-    space, seed: int = 0, tol: float = 1e-8
-) -> TroDecomposition:
-    """Block decomposition of a verified TRO.
-
-    Accepts a StinespringSpace or a sequence of matrices spanning the TRO.
-    Raises NotTro when the span fails the triple-product test.
-    """
-    if isinstance(space, StinespringSpace):
-        mats = list(space.basis)
-    else:
-        mats = [mc.asmatrix(m) for m in space]
+def _verified_tro(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
+    """Stacked orthonormal basis of span(mats); NotTro unless it is a TRO."""
     basis = orthonormal_span(mats)
     check = is_tro(basis, tol=tol)
     if not check.ok:
@@ -427,30 +462,36 @@ def tro_block_decomposition(
             f"triple product leaves the span (witness {check.witness}, "
             f"residual {check.residual:.3e})"
         )
-    rng = np.random.default_rng(seed)
-    dim_out, dim_env = basis[0].shape
+    return np.stack(basis)
 
-    lalg = generate_star_algebra([x @ mc.dagger(y) for x in basis for y in basis])
-    ralg = generate_star_algebra([mc.dagger(x) @ y for x in basis for y in basis])
+
+def _decompose(
+    v: np.ndarray, lalg: AlgebraBasis, ralg: AlgebraBasis, seed: int, tol: float
+) -> TroDecomposition:
+    """Block decomposition of a verified TRO (stacked basis v) from its left
+    and right algebras.  The blocks come in the eigenvalue order of a random
+    central element drawn in lalg's basis: another basis can permute them."""
+    rng = np.random.default_rng(seed)
+    dim_out, dim_env = v.shape[1:]
     lblocks = algebra_blocks(lalg, rng)
     rblocks = algebra_blocks(ralg, rng)
 
-    # Pair left and right central summands through the TRO's mass.
+    # Pair left and right central summands through the TRO's mass: entry
+    # (i, j) is sum_x |P_i x Q_j|^2 = sum_x |F_i* x G_j|^2 over the frames.
+    fl = np.concatenate([b.frame for b in lblocks], axis=1)
+    fr = np.concatenate([b.frame for b in rblocks], axis=1)
+    cross = np.sum(np.abs(mc.dagger(fl) @ v @ fr) ** 2, axis=0)
+    lcuts = np.cumsum([0] + [b.frame.shape[1] for b in lblocks[:-1]])
+    rcuts = np.cumsum([0] + [b.frame.shape[1] for b in rblocks[:-1]])
+    mass = np.add.reduceat(np.add.reduceat(cross, lcuts, axis=0), rcuts, axis=1)
     pairs: list[tuple[_AlgebraBlock, _AlgebraBlock]] = []
-    used: set[int] = set()
-    for lb in lblocks:
-        pl = lb.frame @ mc.dagger(lb.frame)
-        best, best_mass = None, 0.0
-        for j, rb in enumerate(rblocks):
-            if j in used:
-                continue
-            pr = rb.frame @ mc.dagger(rb.frame)
-            mass = sum(mc.frobenius(pl @ x @ pr) ** 2 for x in basis)
-            if mass > best_mass:
-                best, best_mass = j, mass
-        if best is None or best_mass <= tol:
+    free = np.ones(len(rblocks), dtype=bool)
+    for i, lb in enumerate(lblocks):
+        row = np.where(free, mass[i], -np.inf)
+        best = int(np.argmax(row))  # first strict maximum
+        if row[best] <= tol:
             raise NotTro("left summand carries no TRO mass; pairing failed")
-        used.add(best)
+        free[best] = False
         pairs.append((lb, rblocks[best]))
 
     blocks = []
@@ -467,7 +508,7 @@ def tro_block_decomposition(
     # Verify rectangle support of the conjugated basis.
     row_edges = np.cumsum([0] + [n * l for (n, _, l) in blocks])
     col_edges = np.cumsum([0] + [m * l for (_, m, l) in blocks])
-    for x in basis:
+    for x in v:
         y = mc.dagger(u_out) @ x @ u_env
         mask = np.ones_like(y, dtype=bool)
         for i in range(len(blocks)):
@@ -476,12 +517,33 @@ def tro_block_decomposition(
         if off > tol:
             raise NotTro(f"conjugated basis leaks outside declared rectangles ({off:.3e})")
 
-    if sum(n * m for n, m, _ in blocks) != len(basis):
+    if sum(n * m for n, m, _ in blocks) != len(v):
         raise NotTro("block dimensions do not account for the span dimension")
 
     return TroDecomposition(
         blocks=tuple(blocks), basis_change_out=u_out, basis_change_env=u_env
     )
+
+
+def tro_block_decomposition(
+    space, seed: int = 0, tol: float = 1e-8
+) -> TroDecomposition:
+    """Block decomposition of a verified TRO.
+
+    Accepts a StinespringSpace or a sequence of matrices spanning the TRO.
+    Raises NotTro when the span fails the triple-product test.  The right
+    algebra is the span of x* y, which a TRO makes *-closed.
+    """
+    if isinstance(space, StinespringSpace):
+        mats = list(space.basis)
+    else:
+        mats = [mc.asmatrix(m) for m in space]
+    v = _verified_tro(mats, tol)
+    # span{x y*} is already the left algebra, but closing it once more by
+    # generate_star_algebra gives the basis, and so the block order, that
+    # this function has always reported.
+    lalg = generate_star_algebra([x @ mc.dagger(y) for x in v for y in v])
+    return _decompose(v, lalg, _span_algebra(v.conj().transpose(0, 2, 1)), seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +571,8 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
     if abs(tau - 1.0) > 1e-10:
         raise NotNormalized(f"normalized trace is {tau:.6f}, expected 1")
 
-    tro_basis = smallest_containing_tro(space.basis)
-    ralg = generate_star_algebra([mc.dagger(x) @ y for x in tro_basis for y in tro_basis])
+    v = _verified_tro(smallest_containing_tro(space.basis), 1e-8)
+    ralg = _span_algebra(v.conj().transpose(0, 2, 1))
     resids = strong_independence_residuals(f, ralg)
     bad = [k for k, r in enumerate(resids) if r > tol]
     if bad:
@@ -518,13 +580,13 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
             f"spectral projection(s) {bad} of the symbol fail independence "
             f"(worst residual {max(resids):.3e})"
         )
-    decomp = tro_block_decomposition(tro_basis, seed=seed)
+    decomp = _decompose(v, _span_algebra(v), ralg, seed, 1e-8)
     cert = SymbolCertificate(
         blocks=decomp.blocks,
         residuals=tuple(resids),
         right_algebra_dim=ralg.rank,
-        tro_dim=len(tro_basis),
-        space_is_tro=(len(tro_basis) == space.dim),
+        tro_dim=len(v),
+        space_is_tro=(len(v) == space.dim),
     )
     return Symbol(f=f, certificate=cert)
 

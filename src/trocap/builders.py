@@ -43,14 +43,12 @@ class FiniteGroup:
         n = table.shape[0]
         if table.shape != (n, n):
             raise DimMismatch("multiplication table must be square")
-        for row in range(n):
-            if sorted(table[row]) != list(range(n)) or sorted(table[:, row]) != list(range(n)):
-                raise DimMismatch("multiplication table is not a Latin square")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a, b], c] != table[a, table[b, c]]:
-                        raise DimMismatch("multiplication table is not associative")
+        idx = np.arange(n)
+        if not (np.all(np.sort(table, axis=1) == idx) and np.all(np.sort(table, axis=0) == idx[:, None])):
+            raise DimMismatch("multiplication table is not a Latin square")
+        # (ab)c = a(bc), one a at a time: rows [b, c] of both sides
+        if any(np.any(table[table[a]] != table[a, table]) for a in range(n)):
+            raise DimMismatch("multiplication table is not associative")
         cocycle = self.cocycle
         if cocycle is None:
             cocycle = np.ones((n, n), dtype=complex)
@@ -64,24 +62,27 @@ class FiniteGroup:
             np.abs(cocycle[e, :] - 1.0)
         ) > COCYCLE_TOL:
             raise DimMismatch("cocycle must be 1 against the identity element")
+        # c(g, g') c(gg', g'') = c(g, g'g'') c(g', g''), one g at a time
         for g in range(n):
-            for gp in range(n):
-                for gpp in range(n):
-                    lhs = cocycle[g, gp] * cocycle[table[g, gp], gpp]
-                    rhs = cocycle[g, table[gp, gpp]] * cocycle[gp, gpp]
-                    if abs(lhs - rhs) > COCYCLE_TOL:
-                        raise DimMismatch("cocycle fails the 2-cocycle condition")
+            lhs = cocycle[g, :, None] * cocycle[table[g], :]
+            rhs = cocycle[g, table] * cocycle
+            if np.any(np.abs(lhs - rhs) > COCYCLE_TOL):
+                raise DimMismatch("cocycle fails the 2-cocycle condition")
         cocycle = cocycle.copy()
         cocycle.setflags(write=False)
         object.__setattr__(self, "cocycle", cocycle)
+        inverses = np.argmax(table == e, axis=1)
+        inverses.setflags(write=False)
+        object.__setattr__(self, "_identity", e)
+        object.__setattr__(self, "_inverses", inverses)
 
     @staticmethod
     def identity_of(table: np.ndarray) -> int:
-        n = table.shape[0]
-        for e in range(n):
-            if all(table[e, j] == j and table[j, e] == j for j in range(n)):
-                return e
-        raise DimMismatch("multiplication table has no identity element")
+        idx = np.arange(table.shape[0])
+        units = np.flatnonzero(np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1))
+        if units.size == 0:
+            raise DimMismatch("multiplication table has no identity element")
+        return int(units[0])
 
     @property
     def order(self) -> int:
@@ -89,17 +90,18 @@ class FiniteGroup:
 
     @property
     def identity(self) -> int:
-        return self.identity_of(self.table)
+        return self._identity
+
+    @property
+    def inverses(self) -> np.ndarray:
+        """inverses[a] is the element b with ab = identity."""
+        return self._inverses
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
     def inverse(self, a: int) -> int:
-        e = self.identity
-        for b in range(self.order):
-            if self.mul(a, b) == e:
-                return b
-        raise DimMismatch("element without inverse")
+        return int(self._inverses[a])
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -308,10 +310,8 @@ def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: i
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (n,):
         raise DimMismatch("phi must assign one value per group element")
-    kernel = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        for gp in range(n):
-            kernel[g, gp] = phi[group.mul(group.inverse(gp), g)]
+    # kernel[g, g'] = phi(g'^-1 g)
+    kernel = phi[group.table[group.inverses[None, :], np.arange(n)[:, None]]]
     w = np.linalg.eigvalsh(mc.hermitize(kernel))
     if float(np.max(np.abs(kernel - mc.dagger(kernel)))) > 1e-10 or float(np.min(w)) < -1e-10:
         raise NotPositiveDefinite("kernel matrix of phi is not PSD")

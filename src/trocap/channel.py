@@ -188,20 +188,20 @@ def stinespring_space(ch: Channel, tol: float = 1e-10) -> StinespringSpace:
     N^E(|x><y|) = y* x are verified on all basis pairs.
     """
     # kraus[e, i, k] -> basis op for input k has entry [i, e]
-    ops = [ch.kraus[:, :, k].T.copy() for k in range(ch.dim_in)]
-    gram = np.array([[mc.hs_inner(a, b) for b in ops] for a in ops])
+    stack = ch.kraus.transpose(2, 1, 0)  # (in, out, env)
+    flat = stack.reshape(ch.dim_in, -1)
+    gram = flat.conj() @ flat.T
     if float(np.max(np.abs(gram - np.eye(ch.dim_in)))) > tol:
         raise RankDeficient("dilation is not isometric within tolerance")
-    d = ch.dim_in
-    out_blocks = np.einsum("eij,ekl->jlik", ch.kraus, ch.kraus.conj())
-    env_blocks = np.einsum("bij,aik->jkab", ch.kraus, ch.kraus.conj())
-    for x in range(d):
-        for y in range(d):
-            if (
-                float(np.max(np.abs(out_blocks[x, y] - ops[x] @ mc.dagger(ops[y])))) > tol
-                or float(np.max(np.abs(env_blocks[x, y] - mc.dagger(ops[y]) @ ops[x]))) > tol
-            ):
-                raise RankDeficient("dilation violates the partial-trace identities")
+    out_blocks = np.einsum("eij,ekl->jlik", ch.kraus, ch.kraus.conj(), optimize=True)
+    env_blocks = np.einsum("bij,aik->jkab", ch.kraus, ch.kraus.conj(), optimize=True)
+    adj = stack.conj().transpose(0, 2, 1)
+    if (
+        float(np.max(np.abs(out_blocks - stack[:, None] @ adj[None]))) > tol  # x y*
+        or float(np.max(np.abs(env_blocks - adj[None] @ stack[:, None]))) > tol  # y* x
+    ):
+        raise RankDeficient("dilation violates the partial-trace identities")
+    ops = [op.copy() for op in stack]
     for op in ops:
         op.setflags(write=False)
     return StinespringSpace(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trocap import algebra as alg
 from trocap import matcore as mc
-from trocap.builders import phi_alpha, qubit_dephasing
+from trocap.builders import completely_dephasing_channel, phi_alpha, qubit_dephasing
 from trocap.channel import apply, base_channel, modified_channel, stinespring_space
 from trocap.entropy import entropy_defect
 from trocap.errors import NotIndependent, NotNormalized, NotTro
@@ -290,3 +292,205 @@ class TestEntropyDefectOfSymbols:
         f = np.zeros((4, 4))
         f[0, 0] = 4.0
         assert entropy_defect(f) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Loop references: span projections one inner product at a time and the
+# exhaustive triple-product closure.  The vectorized package code must agree
+# with them.
+
+# complex128 round-off of an n*m-term inner product and k-term sum stays
+# far below this, relative to the operand's norm
+VEC_RTOL = 1e3 * np.finfo(np.complex128).eps
+
+
+def ref_project_span(mat, basis):
+    out = np.zeros_like(mat, dtype=complex)
+    for b in basis:
+        out = out + mc.hs_inner(b, mat) * b
+    return out
+
+
+def ref_span_residual(mat, basis):
+    return mc.frobenius(mat - ref_project_span(mat, basis))
+
+
+def ref_triple_residuals(mats):
+    """Out-of-span residual of every basis triple x_i x_j* x_k."""
+    basis = alg.orthonormal_span(mats)
+    k = len(basis)
+    res = np.zeros((k, k, k))
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            xy = x @ mc.dagger(y)
+            for l, z in enumerate(basis):
+                res[i, j, l] = ref_span_residual(xy @ z, basis)
+    return res
+
+
+def ref_is_tro(mats, tol=1e-8):
+    """(ok, witness, worst, residuals); the witness is the first strict
+    maximum in loop order."""
+    res = ref_triple_residuals(mats)
+    worst, witness = 0.0, None
+    for idx in np.ndindex(res.shape):
+        if res[idx] > worst:
+            worst, witness = float(res[idx]), tuple(int(t) for t in idx)
+    return (worst <= tol), (None if worst <= tol else witness), worst, res
+
+
+def ref_smallest_containing_tro(mats):
+    basis = alg.orthonormal_span(mats)
+    while True:
+        triples = [x @ mc.dagger(y) @ z for x in basis for y in basis for z in basis]
+        new_basis = alg.orthonormal_span(list(basis) + triples)
+        if len(new_basis) == len(basis):
+            return new_basis
+        basis = new_basis
+
+
+def block_tro(rng, shapes):
+    """Basis of (+)_i M_{n_i, m_i} disguised by unitaries (U, W)."""
+    rows, cols = sum(n for n, _ in shapes), sum(m for _, m in shapes)
+    u, w = mc.random_unitary(rng, rows), mc.random_unitary(rng, cols)
+    mats, ro, co = [], 0, 0
+    for n, m in shapes:
+        for i in range(n):
+            for j in range(m):
+                x = np.zeros((rows, cols), dtype=complex)
+                x[ro + i, co + j] = 1.0
+                mats.append(u @ x @ mc.dagger(w))
+        ro += n
+        co += m
+    return mats
+
+
+def mix(rng, mats, count=None):
+    """`count` random combinations of mats with random scales (all of them
+    when count is None: a rescaled basis of the same span)."""
+    count = len(mats) if count is None else count
+    coeffs = mc.random_complex(rng, (count, len(mats))) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    return [sum(c * m for c, m in zip(row, mats)) for row in coeffs]
+
+
+SHAPES = st.lists(
+    st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda s: sum(n * m for n, m in s) <= 8)
+
+
+def tro_family(kind, shapes, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tro":
+        return mix(rng, block_tro(rng, shapes))
+    if kind == "tensor_identity":
+        return [mc.tensor(x, np.eye(2)) for x in mix(rng, block_tro(rng, shapes[:2]))]
+    if kind == "subspace":
+        mats = block_tro(rng, shapes)
+        return mix(rng, mats, max(1, len(mats) - 1 - int(rng.integers(0, 3))))
+    if kind == "upper_triangular":
+        u, w = mc.random_unitary(rng, 2), mc.random_unitary(rng, 2)
+        return mix(rng, [u @ e(i, j) @ mc.dagger(w) for i, j in ((0, 0), (0, 1), (1, 1))])
+    # the dilation range of a random isometry C^k -> C^n (x) C^m
+    n, m, k = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    iso = mc.random_unitary(rng, n * m)[:, :k]
+    return [iso[:, c].reshape(n, m) for c in range(k)]
+
+
+FAMILIES = st.sampled_from(["tro", "tensor_identity", "subspace", "upper_triangular", "isometry"])
+
+
+def assert_same_tro_decision(mats, tol=1e-8):
+    got = alg.is_tro(mats, tol=tol)
+    ok, witness, worst, res = ref_is_tro(mats, tol)
+    assert got.ok == ok
+    if ok:
+        # the accepted residual is an upper bound on every triple residual
+        assert worst <= got.residual * (1 + VEC_RTOL) + VEC_RTOL and got.residual <= tol
+    else:
+        # the same witness, unless two triples tie to rounding
+        assert got.witness == witness or res[got.witness] >= worst * (1 - VEC_RTOL)
+        assert got.residual == pytest.approx(worst, rel=VEC_RTOL)
+
+
+class TestVectorizedSpanOps:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        basis = alg.orthonormal_span([mc.random_complex(rng, shape) for _ in range(3)])
+        mat = mc.random_complex(rng, shape) * 10.0 ** rng.uniform(-3, 3)
+        scale = max(1.0, mc.frobenius(mat))
+        got, ref = alg.project_span(mat, basis), ref_project_span(mat, basis)
+        assert np.max(np.abs(got - ref)) <= VEC_RTOL * scale
+        assert abs(alg.span_residual(mat, basis) - ref_span_residual(mat, basis)) <= VEC_RTOL * scale
+
+    def test_empty_basis(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(alg.project_span(x, []), np.zeros((2, 3)))
+        assert alg.span_residual(x, []) == pytest.approx(mc.frobenius(x))
+
+
+class TestTroClosureAgainstLoops:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=FAMILIES, shapes=SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_is_tro(self, kind, shapes, seed):
+        assert_same_tro_decision(tro_family(kind, shapes, seed))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(shapes=SHAPES, seed=st.integers(0, 2**32 - 1), log_target=st.floats(-1.0, 1.0))
+    def test_is_tro_near_tolerance(self, shapes, seed, log_target):
+        # a TRO with one element pushed out of it, scaled so that the worst
+        # triple residual lands within 10x of tol on either side
+        tol = 1e-8
+        rng = np.random.default_rng(seed)
+        # the TRO leaves out the last (1, 1) block, so there is room to push
+        mats = block_tro(rng, shapes + [(1, 1)])[:-1]
+        push = mc.random_complex(rng, mats[0].shape)
+
+        def pushed(eps):
+            return [mats[0] + eps * push] + mats[1:]
+
+        probe = ref_is_tro(pushed(1e-6), tol)[2]
+        eps = 1e-6 * tol * 10.0**log_target / probe
+        worst = ref_is_tro(pushed(eps), tol)[2]
+        assert tol / 20 < worst < 20 * tol
+        assert_same_tro_decision(pushed(eps), tol)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=FAMILIES, shapes=SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_smallest_containing_tro(self, kind, shapes, seed):
+        mats = tro_family(kind, shapes, seed)
+        got = alg.smallest_containing_tro(mats)
+        ref = ref_smallest_containing_tro(mats)
+        assert len(got) == len(ref)
+        for b in got:
+            assert alg.span_residual(b, ref) < 1e-8
+        assert alg.is_tro(got).ok
+
+    def test_upper_triangular_witness_matches_loop(self):
+        mats = [e(0, 0), e(0, 1), e(1, 1)]
+        ok, witness, worst, _ = ref_is_tro(mats)
+        check = alg.is_tro(mats)
+        assert (check.ok, check.witness) == (ok, witness)
+        assert check.residual == pytest.approx(worst, rel=VEC_RTOL)
+
+    def test_validate_symbol_svd_inputs_stay_small(self, monkeypatch):
+        # Schur cyclic(16): every SVD is at most k^2 rows (the left and right
+        # spans) or at most k columns (the tall center-basis system); the
+        # k + k^3 row closure system is gone
+        k = 16
+        p = np.random.default_rng(0).random(k)
+        four = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+        kernel = (four * (p / p.sum())) @ mc.dagger(four)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        sym = alg.validate_symbol(completely_dephasing_channel(k), kernel)
+        assert sym.certificate.blocks == ((1, 1, 1),) * k
+        assert shapes
+        assert all(rows <= k * k or cols <= k for rows, cols in shapes)

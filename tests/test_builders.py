@@ -41,6 +41,64 @@ class TestFiniteGroup:
         # (1, 1) * (1, 2) = (0, 0)
         assert g.mul(1 * 3 + 1, 1 * 3 + 2) == 0
 
+    def test_not_associative(self):
+        # a * b = a - b mod 5 is a Latin square but not associative
+        idx = np.arange(5)
+        with pytest.raises(DimMismatch, match="not associative"):
+            bld.FiniteGroup(table=(idx[:, None] - idx[None, :]) % 5)
+
+    def test_identity_not_first(self):
+        # a * b = a + b + 1 mod 3 is Z_3 relabelled: its identity is 2
+        idx = np.arange(3)
+        g = bld.FiniteGroup(table=(idx[:, None] + idx[None, :] + 1) % 3)
+        assert g.identity == 2 and g.inverse(0) == 1
+
+    def test_cocycle_checks(self):
+        table = bld.cyclic_group(3).table
+        bad_unit = np.ones((3, 3), dtype=complex)
+        bad_unit[0, 1] = -1.0
+        with pytest.raises(DimMismatch, match="against the identity"):
+            bld.FiniteGroup(table=table, cocycle=bad_unit)
+        bad = np.ones((3, 3), dtype=complex)
+        bad[1, 1] = -1.0
+        with pytest.raises(DimMismatch, match="2-cocycle"):
+            bld.FiniteGroup(table=table, cocycle=bad)
+
+    @pytest.mark.parametrize(
+        "group",
+        [bld.cyclic_group(5), bld.dihedral_group(4), bld.pauli_rep().group],
+        ids=["cyclic5", "dihedral4", "pauli"],
+    )
+    def test_identity_inverses_and_conditions_match_loops(self, group):
+        n, t, c = group.order, group.table, group.cocycle
+        e = next(a for a in range(n) if all(t[a, j] == j and t[j, a] == j for j in range(n)))
+        assert group.identity == e
+        assert [group.inverse(a) for a in range(n)] == [
+            next(b for b in range(n) if t[a, b] == e) for a in range(n)
+        ]
+        assert all(
+            t[t[a, b], d] == t[a, t[b, d]] for a in range(n) for b in range(n) for d in range(n)
+        )
+        assert all(
+            abs(c[a, b] * c[t[a, b], d] - c[a, t[b, d]] * c[b, d]) <= bld.COCYCLE_TOL
+            for a in range(n)
+            for b in range(n)
+            for d in range(n)
+        )
+
+    def test_schur_kernel_matches_loop(self):
+        # phi(g) = <psi, u(g) psi> for the regular representation u is
+        # positive definite, and its kernel is not symmetric under g <-> g'
+        group = bld.dihedral_group(3)
+        psi = mc.random_complex(np.random.default_rng(4), 6)
+        psi /= np.linalg.norm(psi)
+        phi = [psi.conj() @ u @ psi for u in bld.regular_representation(group).unitaries]
+        ch = bld.schur_multiplier_channel(group, phi)
+        kernel = np.array(
+            [[phi[group.mul(group.inverse(gp), g)] for gp in range(6)] for g in range(6)]
+        )
+        assert np.allclose(ch.symbol.f, kernel)
+
 
 class TestProjectiveRep:
     def test_pauli_cocycle_read_off(self):

@@ -11,7 +11,7 @@ from trocap.builders import (
     qubit_dephasing,
 )
 from trocap.entropy import von_neumann_entropy
-from trocap.errors import DimMismatch, InvalidSymbol, NotTracePreserving
+from trocap.errors import DimMismatch, InvalidSymbol, NotTracePreserving, RankDeficient
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -127,6 +127,24 @@ class TestChoi:
 
 
 class TestStinespringSpace:
+    def test_non_isometric_dilation_rejected(self):
+        ch = chn.Channel(2.0 * completely_dephasing_channel(2).kraus)
+        with pytest.raises(RankDeficient, match="not isometric"):
+            chn.stinespring_space(ch)
+
+    def test_basis_and_partial_trace_identities(self):
+        ch = random_channel(np.random.default_rng(3), 3, 2, 4)
+        space = chn.stinespring_space(ch)
+        for k, op in enumerate(space.basis):
+            assert np.array_equal(op, ch.kraus[:, :, k].T)
+        for x in range(3):
+            for y in range(3):
+                rho = np.zeros((3, 3), dtype=complex)
+                rho[x, y] = 1.0
+                bx, by = space.basis[x], space.basis[y]
+                assert np.allclose(chn.apply(ch, rho), bx @ mc.dagger(by), atol=1e-12)
+                assert np.allclose(chn.complement_apply(ch, rho), mc.dagger(by) @ bx, atol=1e-12)
+
     def test_complete_dephasing_is_diagonal(self):
         space = chn.stinespring_space(completely_dephasing_channel(2))
         for op in space.basis:
