@@ -4,10 +4,8 @@
 compatible conditional expectations, ternary-ring detection, left/right
 algebras of an operator space, independence tests, and symbol validation.
 
-TRO detection and closure work through the left span L = span{x y*}, as
-span(V V* V) = span(L V): one SVD of the k^2 products x y* and one
-projection of L V give a certified closure bound, and a TRO's left and
-right algebras are the spans of x y* and x* y, with no closure loop.
+TRO tests and closure use span(V V* V) = span(L V) with L = span{x y*},
+which for a TRO is its left algebra (and span{x* y} its right algebra).
 
 All span computations are Hilbert-Schmidt orthonormal with SVD rank
 decisions at relative threshold 1e-9.
@@ -38,8 +36,7 @@ def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> lis
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
-    keep = s > rtol * s[0]
-    return [vh[i].reshape(shape) for i in range(len(s)) if keep[i]]
+    return list(vh[s > rtol * s[0]].reshape(-1, *shape))
 
 
 def project_span(mat: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -72,12 +69,10 @@ class AlgebraBasis:
 def _make_algebra(dim: int, basis: Sequence[np.ndarray]) -> AlgebraBasis:
     eye = np.eye(dim, dtype=complex)
     unital = span_residual(eye, basis) <= 1e-8 * np.sqrt(dim)
-    frozen = []
-    for b in basis:
-        b = b.copy()
+    frozen = tuple(np.array(b) for b in basis)
+    for b in frozen:
         b.setflags(write=False)
-        frozen.append(b)
-    return AlgebraBasis(dim=dim, basis=tuple(frozen), unital=unital)
+    return AlgebraBasis(dim=dim, basis=frozen, unital=unital)
 
 
 def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
@@ -134,19 +129,6 @@ def _left_span(v: np.ndarray) -> tuple[np.ndarray, float]:
     return vh[keep].reshape(-1, n, n), float(np.linalg.norm(s[~keep]))
 
 
-def _span_algebra(v: np.ndarray) -> AlgebraBasis:
-    """span{x y*} of a verified TRO's stacked basis as an algebra."""
-    return _make_algebra(v.shape[1], list(_left_span(v)[0]))
-
-
-def _out_of_span(v: np.ndarray, ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parts off span(v) of the products l z, and the products, (k, r, n*m)."""
-    k = v.shape[0]
-    flat = v.reshape(k, -1)
-    prods = (ell[None] @ v[:, None]).reshape(k, len(ell), -1)
-    return prods - (prods @ flat.conj().T) @ flat, prods
-
-
 def is_tro(mats: Sequence[np.ndarray], tol: float = 1e-8) -> TroCheck:
     """Check closure of span(mats) under the triple product x y* z.
 
@@ -156,30 +138,37 @@ def is_tro(mats: Sequence[np.ndarray], tol: float = 1e-8) -> TroCheck:
     When that bound is within tol the span is accepted and ``residual`` is
     the bound.  Otherwise every triple is scanned: on failure the witness is
     the first (i, j, k) with the largest residual and ``residual`` is that
-    residual; on success it is the exact maximum.
+    residual; on success it is the exact maximum.  Both passes hold
+    O(k^2 n m) numbers at a time.
     """
     basis = orthonormal_span(mats)
-    if not basis:
-        return TroCheck(True, None, 0.0)
-    v = np.stack(basis)
-    ell, delta = _left_span(v)
-    resid, _ = _out_of_span(v, ell)
+    return _tro_check(np.stack(basis), tol)[0] if basis else TroCheck(True, None, 0.0)
+
+
+def _tro_check(v: np.ndarray, tol: float) -> tuple[TroCheck, np.ndarray]:
+    """is_tro on a stacked orthonormal basis, and the left span it used."""
     k = len(v)
-    bound = float(np.max(np.linalg.norm(resid.reshape(k, -1), axis=1))) + delta
-    if bound <= tol:
-        return TroCheck(True, None, bound)
     flat = v.reshape(k, -1)
+    ell, delta = _left_span(v)
+    step = max(1, k * k // len(ell))  # z per chunk: k^2 products l_a z at most
+    bound = delta
+    for z in range(0, k, step):
+        prods = (ell[None] @ v[z : z + step, None]).reshape(-1, len(ell), flat.shape[1])
+        off = prods - (prods @ flat.conj().T) @ flat
+        bound = max(bound, float(np.max(np.linalg.norm(off, axis=(1, 2)))) + delta)
+        if bound > tol:
+            break
+    if bound <= tol:
+        return TroCheck(True, None, bound), ell
     worst, witness = 0.0, None
-    for i in range(k):  # every x_i x_j* x_l of one i at once: O(k^2 n m) memory
+    for i in range(k):  # every x_i x_j* x_l of one i at once
         xy = v[i] @ v.conj().transpose(0, 2, 1)
         t = (xy[:, None] @ v[None]).reshape(k * k, -1)
         res = np.linalg.norm(t - (t @ flat.conj().T) @ flat, axis=1)
         jl = int(np.argmax(res))
         if res[jl] > worst:
             worst, witness = float(res[jl]), (i, *divmod(jl, k))
-    if worst > tol:
-        return TroCheck(False, witness, worst)
-    return TroCheck(True, None, worst)
+    return TroCheck(worst <= tol, None if worst <= tol else witness, worst), ell
 
 
 def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -189,18 +178,25 @@ def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     stable; products off the span by at most the rank threshold in all
     could not raise it, so that span is returned as it is.
     """
+    return _closure(mats)[0]
+
+
+def _closure(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
+    """smallest_containing_tro, with the left span of the returned basis when
+    the closure bound (<= RANK_RTOL) certified it a TRO, else None."""
     basis = orthonormal_span(mats)
     while basis:
         v = np.stack(basis)
+        flat = v.reshape(len(v), -1)
         ell, delta = _left_span(v)
-        resid, prods = _out_of_span(v, ell)
-        if np.linalg.norm(resid) + delta <= RANK_RTOL:
-            return basis
+        prods = (ell[None] @ v[:, None]).reshape(-1, flat.shape[1])
+        if np.linalg.norm(prods - (prods @ flat.conj().T) @ flat) + delta <= RANK_RTOL:
+            return basis, ell
         new_basis = orthonormal_span(basis + list(prods.reshape(-1, *v.shape[1:])))
         if len(new_basis) == len(basis):
-            return new_basis
+            return new_basis, None
         basis = new_basis
-    return basis
+    return basis, None
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +229,8 @@ def is_independent(x: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
 def spectral_projections(f: np.ndarray, rtol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
     """Eigenvalue clusters of a hermitian matrix with their projections."""
     w, v = mc.herm_eig(f)
-    out = []
-    for g in _split_at_gaps(w, rtol * max(1.0, float(np.max(np.abs(w))))):
-        cols = v[:, g]
-        out.append((float(np.mean(w[g])), cols @ mc.dagger(cols)))
-    return out
+    groups = _split_at_gaps(w, rtol * max(1.0, float(np.max(np.abs(w)))))
+    return [(float(np.mean(w[g])), v[:, g] @ mc.dagger(v[:, g])) for g in groups]
 
 
 def strong_independence_residuals(f: np.ndarray, m: AlgebraBasis) -> list[float]:
@@ -247,11 +240,10 @@ def strong_independence_residuals(f: np.ndarray, m: AlgebraBasis) -> list[float]
     of all powers of f, since those projections span the algebra f generates.
     """
     eye = np.eye(m.dim)
-    resids = []
-    for _, proj in spectral_projections(f):
-        tau = np.trace(proj).real / m.dim
-        resids.append(mc.frobenius(conditional_expectation(m, proj) - tau * eye))
-    return resids
+    return [
+        mc.frobenius(conditional_expectation(m, p) - np.trace(p).real / m.dim * eye)
+        for _, p in spectral_projections(f)
+    ]
 
 
 def is_strongly_independent(f: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
@@ -275,42 +267,29 @@ def _hermitian_spanning_set(basis: Sequence[np.ndarray]) -> list[np.ndarray]:
     Works over the reals so that the output matrices are genuinely
     hermitian (a complex SVD would introduce phases that break it).
     """
-    cands = []
-    for b in basis:
-        cands.append(b + mc.dagger(b))
-        cands.append(1j * (b - mc.dagger(b)))
-    shape = cands[0].shape
-    rows = np.stack(
-        [np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)]) for m in cands]
-    )
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    b = np.stack(basis)
+    bd = b.conj().transpose(0, 2, 1)
+    cands = np.stack([b + bd, 1j * (b - bd)], axis=1).reshape(2 * len(b), -1)
+    _, s, vh = np.linalg.svd(np.concatenate([cands.real, cands.imag], axis=1), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
-    keep = s > RANK_RTOL * s[0]
-    half = shape[0] * shape[1]
-    out = []
-    for i in range(len(s)):
-        if keep[i]:
-            out.append((vh[i, :half] + 1j * vh[i, half:]).reshape(shape))
-    return out
+    half = cands.shape[1]
+    out = vh[s > RANK_RTOL * s[0]]
+    return list((out[:, :half] + 1j * out[:, half:]).reshape(-1, *b.shape[1:]))
 
 
 def _center_basis(basis: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     """Orthonormal basis of the center of the algebra spanned by `basis`."""
-    k = len(basis)
+    b = np.stack(basis)
+    k = len(b)
     rows = np.zeros((k * dim * dim, k), dtype=complex)
-    for j, bj in enumerate(basis):
-        col = [(bj @ bk - bk @ bj).reshape(-1) for bk in basis]
-        rows[:, j] = np.concatenate(col)
-    # rows has at least as many rows as columns, so the reduced SVD still
-    # carries every right-singular vector
+    for j, bj in enumerate(b):  # column j stacks the commutators [b_j, b_k]
+        rows[:, j] = (bj @ b - b @ bj).reshape(-1)
+    # rows has at least as many rows as columns, so the reduced SVD carries
+    # all k right-singular vectors
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    null_mask = np.ones(k, dtype=bool)
-    if s.size:
-        null_mask[: len(s)] = s <= RANK_RTOL * max(s[0], 1.0)
-    coeffs = vh.conj().T[:, null_mask]
-    center = [sum(coeffs[j, c] * basis[j] for j in range(k)) for c in range(coeffs.shape[1])]
-    return orthonormal_span(center)
+    coeffs = vh.conj()[s <= RANK_RTOL * max(s[0], 1.0)]
+    return orthonormal_span(list(np.tensordot(coeffs, b, axes=1)))
 
 
 def _cluster_eigh(mat: np.ndarray, gap: float = GAP_THRESHOLD):
@@ -319,23 +298,14 @@ def _cluster_eigh(mat: np.ndarray, gap: float = GAP_THRESHOLD):
     return [(w[g], v[:, g]) for g in _split_at_gaps(w, gap)]
 
 
-def _split_at_gaps(w: np.ndarray, gap: float) -> list[list[int]]:
+def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
     """Indices of ascending eigenvalues, split where neighbours differ by more than gap."""
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > gap) + 1)
 
 
 def _random_hermitian_element(rng: np.random.Generator, herm_basis: Sequence[np.ndarray]) -> np.ndarray:
     coeffs = rng.standard_normal(len(herm_basis))
-    out = np.zeros_like(herm_basis[0])
-    for c, h in zip(coeffs, herm_basis):
-        out = out + c * h
-    return mc.hermitize(out)
+    return mc.hermitize(np.tensordot(coeffs, np.stack(herm_basis), axes=1))
 
 
 def algebra_blocks(
@@ -348,15 +318,13 @@ def algebra_blocks(
     off the factor size from eigenvalue degeneracies.  Degenerate spectra
     are retried with a fresh sample.
     """
-    dim = alg.dim
     # Restrict to the support of the algebra unit (the algebra may act
     # trivially on part of the ambient space).
     t = sum(b @ mc.dagger(b) for b in alg.basis)
     w, v = mc.herm_eig(t)
     sup = w > 1e-10 * max(float(np.max(w)), 1.0)
     v_sup = v[:, sup]
-    comp = [mc.dagger(v_sup) @ b @ v_sup for b in alg.basis]
-    comp = orthonormal_span(comp)
+    comp = orthonormal_span([mc.dagger(v_sup) @ b @ v_sup for b in alg.basis])
     r = v_sup.shape[1]
 
     center = _center_basis(comp, r)
@@ -369,30 +337,24 @@ def algebra_blocks(
         clusters = _cluster_eigh(zeta)
         if len(clusters) != n_blocks:
             continue
-        blocks: list[_AlgebraBlock] = []
-        ok = True
+        out: list[_AlgebraBlock] = []
         for _, cols in clusters:
             blk = _resolve_factor(cols, herm_alg, rng)
             if blk is None:
-                ok = False
                 break
-            blocks.append(blk)
-        if not ok:
-            continue
-        # embed frames back into the ambient space
-        out = [
-            _AlgebraBlock(b.factor_dim, b.multiplicity, v_sup @ b.frame) for b in blocks
-        ]
-        if sum(b.factor_dim**2 for b in out) == len(comp):
-            return out
+            # embed the frame back into the ambient space
+            out.append(_AlgebraBlock(blk.factor_dim, blk.multiplicity, v_sup @ blk.frame))
+        else:
+            if sum(b.factor_dim**2 for b in out) == len(comp):
+                return out
     raise NotTro("block resolution failed to stabilize; spectrum persistently degenerate")
 
 
 def _resolve_factor(
-    cols: np.ndarray, herm_alg: Sequence[np.ndarray], rng: np.random.Generator
+    sub: np.ndarray, herm_alg: Sequence[np.ndarray], rng: np.random.Generator
 ) -> Optional[_AlgebraBlock]:
-    """Resolve one central summand M_n (x) 1_l and build an adapted frame."""
-    sub = cols  # r x d_i, orthonormal columns of the central projection
+    """Resolve one central summand M_n (x) 1_l and build an adapted frame;
+    sub (r x d_i) holds orthonormal columns of the central projection."""
     d_i = sub.shape[1]
     a = mc.dagger(sub) @ _random_hermitian_element(rng, herm_alg) @ sub
     clusters = _cluster_eigh(a)
@@ -441,39 +403,42 @@ class TroDecomposition:
 
 def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
     """Stack column frames and append an orthonormal basis of the complement."""
-    if frames:
-        u = np.concatenate(frames, axis=1)
-    else:
-        u = np.zeros((dim, 0), dtype=complex)
+    u = np.concatenate(frames, axis=1) if frames else np.zeros((dim, 0), dtype=complex)
     if u.shape[1] < dim:
-        proj = np.eye(dim) - u @ mc.dagger(u)
-        w, v = np.linalg.eigh(mc.hermitize(proj))
-        comp = v[:, w > 0.5]
-        u = np.concatenate([u, comp], axis=1)
+        w, v = np.linalg.eigh(mc.hermitize(np.eye(dim) - u @ mc.dagger(u)))
+        u = np.concatenate([u, v[:, w > 0.5]], axis=1)
     return u
 
 
-def _verified_tro(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """Stacked orthonormal basis of span(mats); NotTro unless it is a TRO."""
-    basis = orthonormal_span(mats)
-    check = is_tro(basis, tol=tol)
+def _verified_tro(mats: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked basis and left span of span(mats) as is_tro(orthonormal_span(mats))
+    checks it (so a NotTro names the same witness); NotTro unless a TRO."""
+    v = np.stack(orthonormal_span(orthonormal_span(mats)))
+    check, ell = _tro_check(v, tol)
     if not check.ok:
         raise NotTro(
             f"triple product leaves the span (witness {check.witness}, "
             f"residual {check.residual:.3e})"
         )
-    return np.stack(basis)
+    return v, ell
+
+
+def _right_span_algebra(v: np.ndarray) -> AlgebraBasis:
+    """span{x* y} over a verified TRO's stacked basis: its right algebra."""
+    return _make_algebra(v.shape[2], list(_left_span(v.conj().transpose(0, 2, 1))[0]))
 
 
 def _decompose(
-    v: np.ndarray, lalg: AlgebraBasis, ralg: AlgebraBasis, seed: int, tol: float
+    v: np.ndarray, ell: np.ndarray, ralg: AlgebraBasis, seed: int, tol: float
 ) -> TroDecomposition:
     """Block decomposition of a verified TRO (stacked basis v) from its left
-    and right algebras.  The blocks come in the eigenvalue order of a random
-    central element drawn in lalg's basis: another basis can permute them."""
+    span ell and right algebra.  The blocks are listed in the canonical order
+    of their central projections on the output space, so the list does not
+    depend on the bases the algebras come in: a block-diagonal TRO lists its
+    blocks top to bottom."""
     rng = np.random.default_rng(seed)
     dim_out, dim_env = v.shape[1:]
-    lblocks = algebra_blocks(lalg, rng)
+    lblocks = algebra_blocks(_make_algebra(dim_out, list(ell)), rng)
     rblocks = algebra_blocks(ralg, rng)
 
     # Pair left and right central summands through the TRO's mass: entry
@@ -493,6 +458,11 @@ def _decompose(
             raise NotTro("left summand carries no TRO mass; pairing failed")
         free[best] = False
         pairs.append((lb, rblocks[best]))
+    # Canonical order: by the entries of each summand's central projection
+    # (row-major, real parts first) to 6 decimals, larger first.
+    projs = [lb.frame @ mc.dagger(lb.frame) for lb, _ in pairs]
+    keys = [np.round(np.concatenate([p.real, p.imag], axis=None), 6).tolist() for p in projs]
+    pairs = [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__, reverse=True)]
 
     blocks = []
     for lb, rb in pairs:
@@ -508,14 +478,14 @@ def _decompose(
     # Verify rectangle support of the conjugated basis.
     row_edges = np.cumsum([0] + [n * l for (n, _, l) in blocks])
     col_edges = np.cumsum([0] + [m * l for (_, m, l) in blocks])
-    for x in v:
-        y = mc.dagger(u_out) @ x @ u_env
-        mask = np.ones_like(y, dtype=bool)
-        for i in range(len(blocks)):
-            mask[row_edges[i] : row_edges[i + 1], col_edges[i] : col_edges[i + 1]] = False
-        off = float(np.max(np.abs(y[mask]))) if mask.any() else 0.0
-        if off > tol:
-            raise NotTro(f"conjugated basis leaks outside declared rectangles ({off:.3e})")
+    mask = np.ones((dim_out, dim_env), dtype=bool)
+    for i in range(len(blocks)):
+        mask[row_edges[i] : row_edges[i + 1], col_edges[i] : col_edges[i + 1]] = False
+    if mask.any():
+        off = np.max(np.abs((mc.dagger(u_out) @ v @ u_env)[:, mask]), axis=1)
+        leaks = off[off > tol]
+        if leaks.size:
+            raise NotTro(f"conjugated basis leaks outside declared rectangles ({leaks[0]:.3e})")
 
     if sum(n * m for n, m, _ in blocks) != len(v):
         raise NotTro("block dimensions do not account for the span dimension")
@@ -531,19 +501,16 @@ def tro_block_decomposition(
     """Block decomposition of a verified TRO.
 
     Accepts a StinespringSpace or a sequence of matrices spanning the TRO.
-    Raises NotTro when the span fails the triple-product test.  The right
-    algebra is the span of x* y, which a TRO makes *-closed.
+    Raises NotTro when the span fails the triple-product test.  The left and
+    right algebras are the spans of x y* and x* y, which a TRO makes
+    *-closed.
     """
     if isinstance(space, StinespringSpace):
         mats = list(space.basis)
     else:
         mats = [mc.asmatrix(m) for m in space]
-    v = _verified_tro(mats, tol)
-    # span{x y*} is already the left algebra, but closing it once more by
-    # generate_star_algebra gives the basis, and so the block order, that
-    # this function has always reported.
-    lalg = generate_star_algebra([x @ mc.dagger(y) for x in v for y in v])
-    return _decompose(v, lalg, _span_algebra(v.conj().transpose(0, 2, 1)), seed, tol)
+    v, ell = _verified_tro(mats, tol)
+    return _decompose(v, ell, _right_span_algebra(v), seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +538,12 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
     if abs(tau - 1.0) > 1e-10:
         raise NotNormalized(f"normalized trace is {tau:.6f}, expected 1")
 
-    v = _verified_tro(smallest_containing_tro(space.basis), 1e-8)
-    ralg = _span_algebra(v.conj().transpose(0, 2, 1))
+    basis, ell = _closure(space.basis)
+    if ell is None:  # the rank settled before the closure bound did
+        v, ell = _verified_tro(basis, 1e-8)
+    else:
+        v = np.stack(basis)
+    ralg = _right_span_algebra(v)
     resids = strong_independence_residuals(f, ralg)
     bad = [k for k, r in enumerate(resids) if r > tol]
     if bad:
@@ -580,7 +551,7 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
             f"spectral projection(s) {bad} of the symbol fail independence "
             f"(worst residual {max(resids):.3e})"
         )
-    decomp = _decompose(v, _span_algebra(v), ralg, seed, 1e-8)
+    decomp = _decompose(v, ell, ralg, seed, 1e-8)
     cert = SymbolCertificate(
         blocks=decomp.blocks,
         residuals=tuple(resids),

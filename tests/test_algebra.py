@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 
 from trocap import algebra as alg
 from trocap import matcore as mc
-from trocap.builders import completely_dephasing_channel, phi_alpha, qubit_dephasing
-from trocap.channel import apply, base_channel, modified_channel, stinespring_space
+from trocap.builders import (
+    completely_dephasing_channel,
+    partial_trace_sum_channel,
+    phi_alpha,
+    qubit_dephasing,
+)
+from trocap.channel import apply, base_channel, from_kraus, modified_channel, stinespring_space
 from trocap.entropy import entropy_defect
 from trocap.errors import NotIndependent, NotNormalized, NotTro
 
@@ -350,9 +355,13 @@ def ref_smallest_containing_tro(mats):
 
 
 def block_tro(rng, shapes):
-    """Basis of (+)_i M_{n_i, m_i} disguised by unitaries (U, W)."""
+    """Basis of (+)_i M_{n_i, m_i} disguised by random unitaries (U, W), or
+    block diagonal when rng is None."""
     rows, cols = sum(n for n, _ in shapes), sum(m for _, m in shapes)
-    u, w = mc.random_unitary(rng, rows), mc.random_unitary(rng, cols)
+    if rng is None:  # not disguised
+        u, w = np.eye(rows), np.eye(cols)
+    else:
+        u, w = mc.random_unitary(rng, rows), mc.random_unitary(rng, cols)
     mats, ro, co = [], 0, 0
     for n, m in shapes:
         for i in range(n):
@@ -494,3 +503,56 @@ class TestTroClosureAgainstLoops:
         assert sym.certificate.blocks == ((1, 1, 1),) * k
         assert shapes
         assert all(rows <= k * k or cols <= k for rows, cols in shapes)
+        # the certified closure's left span is reused for the check and the
+        # left algebra: one k^2-row SVD for it and one for the right algebra
+        assert sum(rows == k * k for rows, _ in shapes) == 2
+
+    def test_is_tro_memory_on_generic_kraus_channel(self):
+        # the dilation range of a random isometry C^16 -> C^16 (x) C^16 is no
+        # TRO and its left span fills all of M_16 (r = 256), so holding every
+        # product l_a z at once would take three (16, 256, 256) complex arrays,
+        # 48 MiB; chunks of k^2 products keep each array at 1 MiB
+        import tracemalloc
+
+        n = 16
+        iso = mc.random_unitary(np.random.default_rng(3), n * n)[:, :n]
+        kraus = iso.reshape(n, n, n).transpose(1, 0, 2)  # [env, out, in]
+        space = stinespring_space(from_kraus(list(kraus)))
+        tracemalloc.start()
+        try:
+            check = alg.is_tro(list(space.basis))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not check.ok
+        assert peak < 16 * 2**20
+
+
+class TestCanonicalBlockOrder:
+    SHAPES = [(1, 3), (2, 2), (2, 1)]
+
+    def test_block_diagonal_tro_lists_blocks_top_to_bottom(self):
+        for shapes in (self.SHAPES, [(2, 2), (1, 3)], [(3, 1), (1, 1), (2, 2)]):
+            want = tuple((n, m, 1) for n, m in shapes)
+            for seed in range(3):
+                assert alg.tro_block_decomposition(block_tro(None, shapes), seed=seed).blocks == want
+
+    def test_order_does_not_depend_on_basis_or_seed(self):
+        mats = block_tro(np.random.default_rng(7), self.SHAPES)
+        want = alg.tro_block_decomposition(mats).blocks
+        assert sorted(want) == sorted((n, m, 1) for n, m in self.SHAPES)
+        for seed in range(6):
+            rebased = mix(np.random.default_rng(100 + seed), mats)
+            assert alg.tro_block_decomposition(rebased, seed=seed).blocks == want
+
+    def test_symbol_certificate_and_decomposition_agree(self):
+        ch = partial_trace_sum_channel(self.SHAPES)
+        want = tuple((n, m, 1) for n, m in self.SHAPES)
+        for seed in range(3):
+            assert alg.identity_symbol(ch, seed=seed).certificate.blocks == want
+            assert alg.tro_block_decomposition(stinespring_space(ch), seed=seed).blocks == want
+
+    def test_phi_alpha_certificate_order_is_fixed(self):
+        orders = {phi_alpha(a, seed=s).symbol.certificate.blocks for a in (0.3, -0.5) for s in range(3)}
+        assert len(orders) == 1
+
