@@ -11,17 +11,15 @@ bounds inside those windows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
-from .entropy import entropy_defect, renyi_coherent_information, von_neumann_entropy
+from .entropy import entropy_defect, renyi_coherent_information, spectral_entropy
 from .errors import (
     BadExponent,
     EmptyBlocks,
@@ -160,17 +158,7 @@ def comparison_bounds(space: StinespringSpace, symbol: Symbol) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# gradient ascent over input densities
-
-
-def _clipped_log2(mat: np.ndarray, floor: float = 1e-18) -> np.ndarray:
-    w, v = np.linalg.eigh(mc.hermitize(mat))
-    w = np.clip(w, floor, None)
-    return (v * np.log2(w)) @ v.conj().T
-
-
-def _entropy_bits(mat: np.ndarray) -> float:
-    return von_neumann_entropy(mat, check=False)
+# gradient ascent over input densities, all restarts as one batch
 
 
 class AscentResult(NamedTuple):
@@ -178,69 +166,78 @@ class AscentResult(NamedTuple):
     rho: np.ndarray
 
 
-def _gradient_ascent(g0: np.ndarray, value_and_grad, max_iter: int = 400) -> AscentResult:
-    """Maximize F(rho) over densities rho = G G*/tr(G G*).
+def _entropy_and_log2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and 1e-18-floored log2 of each matrix of a hermitian stack,
+    both from one batched decomposition."""
+    w, v = mc.herm_eig(stack)
+    log = (v * np.log2(np.clip(w, 1e-18, None))[..., None, :]) @ mc.dagger(v)
+    return spectral_entropy(w), log
 
-    ``value_and_grad(rho) -> (F, M)`` with M the hermitian Euclidean
-    gradient of F at rho; the chain rule through G gives the ascent
-    direction (M - tr(M rho) I) G / tr(G G*).  Step halving on rejection.
+
+def _value_and_grad(ch: Channel, rho: np.ndarray, reverse: bool = False):
+    """F and its hermitian Euclidean gradient M at each density of a stack
+    (R, d, d): F = H(N(rho)) - H(N^E(rho)) and
+    M = N^E*(log N^E(rho)) - N*(log N(rho)), or with rho in place of N(rho)
+    when ``reverse``."""
+    out, env = chn.outputs(ch, rho)
+    h_env, log_env = _entropy_and_log2(env)
+    if reverse:
+        h_first, grad_first = _entropy_and_log2(rho)
+    else:
+        h_first, log_out = _entropy_and_log2(out)
+        grad_first = chn.adjoint_apply(ch, log_out)
+    return h_first - h_env, mc.hermitize(chn.complement_adjoint_apply(ch, log_env) - grad_first)
+
+
+def _densities(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gg = g @ mc.dagger(g)
+    t = np.trace(gg, axis1=1, axis2=2).real
+    return t, gg / t[:, None, None]
+
+
+def _ascent(
+    ch: Channel, g0: np.ndarray, reverse: bool, max_iter: int = 400
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize F(rho) over densities rho = G G*/tr(G G*) from each start of
+    a stack G0 (R, d, d); returns the end values (R,) and densities, each
+    restart's best, since F rises at every accepted step.
+
+    The chain rule through G gives the ascent direction
+    (M - tr(M rho) I) G / tr(G G*).  Every restart keeps its own step size:
+    a trial that raises F by more than 1e-14 is accepted and the step grows
+    by 1.3 (at most 10), a rejected one halves it.  A restart stops at a
+    vanishing direction, a step of 1e-13 or less, or after ``max_iter``
+    accepted steps; the others go on, one batched evaluation per round.
     """
     g = g0.astype(complex)
-    t = float(np.trace(g @ mc.dagger(g)).real)
-    rho = (g @ mc.dagger(g)) / t
-    f, m = value_and_grad(rho)
-    best = AscentResult(f, rho)
-    eta = 0.25
-    dim = g.shape[0]
-    eye = np.eye(dim)
-    for _ in range(max_iter):
-        c = float(np.trace(m @ rho).real)
-        direction = ((m - c * eye) @ g) / t
-        gnorm = mc.frobenius(direction)
-        if gnorm < 1e-12:
-            break
-        accepted = False
-        while eta > 1e-13:
-            g_new = g + eta * direction
-            t_new = float(np.trace(g_new @ mc.dagger(g_new)).real)
-            rho_new = (g_new @ mc.dagger(g_new)) / t_new
-            f_new, m_new = value_and_grad(rho_new)
-            if f_new > f + 1e-14:
-                g, t, rho, f, m = g_new, t_new, rho_new, f_new, m_new
-                eta = min(eta * 1.3, 10.0)
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-        if f > best.value:
-            best = AscentResult(f, rho)
-    if f > best.value:
-        best = AscentResult(f, rho)
-    return best
+    t, rho = _densities(g)
+    f, m = _value_and_grad(ch, rho, reverse)
+    r, d = g.shape[:2]
+    eta = np.full(r, 0.25)
+    steps = np.zeros(r, dtype=int)
+    direction = np.empty_like(g)
 
+    def renew_direction(idx: np.ndarray) -> np.ndarray:
+        """Directions at the restarts ``idx``; returns those still moving."""
+        c = np.trace(m[idx] @ rho[idx], axis1=1, axis2=2).real
+        direction[idx] = ((m[idx] - c[:, None, None] * np.eye(d)) @ g[idx]) / t[idx, None, None]
+        return idx[~(np.linalg.norm(direction[idx], axis=(1, 2)) < 1e-12)]
 
-def _coherent_value_and_grad(ch: Channel):
-    def fun(rho: np.ndarray):
-        out = chn.apply(ch, rho)
-        env = chn.complement_apply(ch, rho)
-        f = _entropy_bits(out) - _entropy_bits(env)
-        m = chn.complement_adjoint_apply(ch, _clipped_log2(env)) - chn.adjoint_apply(
-            ch, _clipped_log2(out)
-        )
-        return f, mc.hermitize(m)
-
-    return fun
-
-
-def _reverse_value_and_grad(ch: Channel):
-    def fun(rho: np.ndarray):
-        env = chn.complement_apply(ch, rho)
-        f = _entropy_bits(rho) - _entropy_bits(env)
-        m = chn.complement_adjoint_apply(ch, _clipped_log2(env)) - _clipped_log2(rho)
-        return f, mc.hermitize(m)
-
-    return fun
+    active = renew_direction(np.arange(r))
+    while active.size:
+        g_new = g[active] + eta[active, None, None] * direction[active]
+        t_new, rho_new = _densities(g_new)
+        f_new, m_new = _value_and_grad(ch, rho_new, reverse)
+        up = f_new > f[active] + 1e-14
+        acc, rej = active[up], active[~up]
+        g[acc], t[acc], rho[acc] = g_new[up], t_new[up], rho_new[up]
+        f[acc], m[acc] = f_new[up], m_new[up]
+        eta[acc] = np.minimum(eta[acc] * 1.3, 10.0)
+        steps[acc] += 1
+        eta[rej] *= 0.5
+        moving = renew_direction(acc[steps[acc] < max_iter])
+        active = np.concatenate([moving, rej[eta[rej] > 1e-13]])
+    return f, rho
 
 
 def _init_pool(
@@ -262,25 +259,16 @@ def _init_pool(
 
 def _multi_start(
     ch: Channel,
-    value_and_grad,
+    reverse: bool,
     restarts: int,
     seed: int,
     init_states: Optional[Sequence[np.ndarray]],
-    max_workers: int = 1,
 ) -> AscentResult:
     if restarts < 1:
         raise OutOfRange(f"restarts must be >= 1, got {restarts}")
-    pool = _init_pool(ch, restarts, seed, init_states)
-
-    def run(g0: np.ndarray) -> AscentResult:
-        return _gradient_ascent(g0, value_and_grad)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(ex.map(run, pool))
-    else:
-        results = [run(g0) for g0 in pool]
-    return max(results, key=lambda r: r.value)
+    f, rho = _ascent(ch, np.stack(_init_pool(ch, restarts, seed, init_states)), reverse)
+    best = int(np.argmax(f))  # the first maximum
+    return AscentResult(float(f[best]), rho[best])
 
 
 def one_shot_q(
@@ -294,9 +282,11 @@ def one_shot_q(
 
     A certified lower bound on the one-shot quantum capacity; global
     optimality is not guaranteed.  Deterministic for a given seed; extra
-    ``init_states`` join the restart pool ahead of random draws.
+    ``init_states`` join the restart pool ahead of random draws.  All
+    restarts ascend together as one batch; ``max_workers`` is accepted for
+    compatibility and has no effect.
     """
-    return _multi_start(ch, _coherent_value_and_grad(ch), restarts, seed, init_states, max_workers)
+    return _multi_start(ch, False, restarts, seed, init_states)
 
 
 def negative_cb_entropy(
@@ -311,10 +301,11 @@ def negative_cb_entropy(
     ``formula`` mode uses the closed form log2(|in|/|env|) + tau(f log f),
     which requires channel metadata (a validated symbol over a reference
     space) and a complement that is unital up to the scalar |in|/|env|.
-    ``numeric`` mode is a multi-start lower bound.
+    ``numeric`` mode is a multi-start lower bound from the same batched
+    ascent as :func:`one_shot_q`; ``max_workers`` has no effect.
     """
     if mode == "numeric":
-        return _multi_start(ch, _reverse_value_and_grad(ch), restarts, seed, None, max_workers).value
+        return _multi_start(ch, True, restarts, seed, None).value
     if mode != "formula":
         raise OutOfRange(f"mode must be 'formula' or 'numeric', got {mode!r}")
     if ch.symbol is None or ch.base_space is None:
@@ -355,6 +346,8 @@ def renyi_coherent_channel(
     """
     if not (p > 1.0):
         raise BadExponent(f"needs p > 1, got {p}")
+    from scipy import optimize
+
     d = ch.dim_in
     kraus = ch.kraus
 

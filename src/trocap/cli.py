@@ -358,7 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--csv", default=None, help="also write rows quantity,lower,upper,provenance")
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; no effect (all restarts ascend as one batch)",
+    )
 
     p = sub.add_parser("verify", help="run a randomized inequality suite")
     common(p)

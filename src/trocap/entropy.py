@@ -16,7 +16,6 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize
 
 from . import matcore as mc
 from .errors import BadExponent, NotNormalized, NotState, OptimizerFailed, OutOfRange
@@ -48,11 +47,12 @@ def binary_entropy(lam: float) -> float:
     return out
 
 
-def _entropy_of_eigenvalues(w: np.ndarray) -> float:
-    lam_max = float(np.max(w)) if w.size else 0.0
-    mask = w > mc.SUPPORT_CUTOFF * max(lam_max, 0.0)
-    lam = w[mask]
-    return float(-np.sum(lam * np.log2(lam)))
+def spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum lam log2 lam over the support of each spectrum (last axis of w),
+    negative eigenvalues clipped to zero."""
+    w = np.clip(w, 0.0, None)
+    lam = np.where(mc.support_mask(w), w, 1.0)
+    return -np.sum(lam * np.log2(lam), axis=-1)
 
 
 def von_neumann_entropy(rho: np.ndarray, check: bool = True) -> float:
@@ -60,7 +60,7 @@ def von_neumann_entropy(rho: np.ndarray, check: bool = True) -> float:
     if check:
         rho = check_state(rho)
     w, _ = mc.herm_eig(rho)
-    return _entropy_of_eigenvalues(np.clip(w, 0.0, None))
+    return float(spectral_entropy(w))
 
 
 def _support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -184,7 +184,8 @@ def minimize_renyi_divergence(
     maps each sigma iterate into a restricted domain (e.g. a conditional
     expectation onto a subalgebra).  ``sigma_candidates`` are extra feasible
     points whose values are taken into account (the infimum can only
-    improve).
+    improve).  ``converged`` is True only when the fixed-point iteration met
+    ``tol`` or the returned sigma is an L-BFGS-B polish that reported success.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
@@ -254,7 +255,9 @@ def minimize_renyi_divergence(
         prev = cur
 
     # quasi-Newton fallback on a square-root parametrization
-    def polish(start: np.ndarray) -> tuple[float, np.ndarray]:
+    def polish(start: np.ndarray) -> tuple[float, np.ndarray, bool]:
+        from scipy import optimize
+
         m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
         x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
 
@@ -270,21 +273,21 @@ def minimize_renyi_divergence(
         m = res.x[: rb * rb].reshape(rb, rb) + 1j * res.x[rb * rb :].reshape(rb, rb)
         g = m @ mc.dagger(m)
         g = apply_project(g / np.trace(g).real)
-        return val(g), g
+        return val(g), g, bool(res.success)
 
+    polished = False  # the best point so far is a polish that reported success
     if not converged:
-        pv, ps = polish(best_sigma)
+        pv, ps, ok = polish(best_sigma)
         if pv < best_val - 1e-12:
-            best_val, best_sigma = pv, ps
+            best_val, best_sigma, polished = pv, ps, ok
         rng = np.random.default_rng(seed)
         for _ in range(3):
             g = mc.random_psd(rng, rb)
-            pv, ps = polish(g / np.trace(g).real)
+            pv, ps, ok = polish(g / np.trace(g).real)
             if pv < best_val:
-                best_val, best_sigma = pv, ps
+                best_val, best_sigma, polished = pv, ps, ok
         if not np.isfinite(best_val):
             raise OptimizerFailed("no sigma-minimization strategy converged")
-        converged = True
 
     for cand in sigma_candidates:
         sc = compress(mc.asmatrix(cand))
@@ -294,9 +297,9 @@ def minimize_renyi_divergence(
         sc = apply_project(mc.hermitize(sc / tr))
         cv = val(sc)
         if cv < best_val:
-            best_val, best_sigma = cv, sc
+            best_val, best_sigma, polished = cv, sc, False
 
-    return RenyiOptimum(best_val, expand(best_sigma), converged, iters)
+    return RenyiOptimum(best_val, expand(best_sigma), converged or polished, iters)
 
 
 class ConditionalRenyi(NamedTuple):

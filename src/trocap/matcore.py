@@ -22,8 +22,8 @@ HERMITIAN_TOL = 1e-12
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def asmatrix(a) -> np.ndarray:
@@ -34,13 +34,19 @@ def asmatrix(a) -> np.ndarray:
     return m
 
 
+def _asymmetry(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix max |A - A*| of a stack of square matrices, and whether it
+    is within tol * (1 + max |A|)."""
+    dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
+    return dev, dev <= tol * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
+
+
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """True when max |A - A*| <= tol * (1 + max |A|)."""
     a = asmatrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-    return float(np.max(np.abs(a - dagger(a)))) <= tol * scale
+    return bool(_asymmetry(a, tol)[1])
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -56,23 +62,26 @@ class HermEig(NamedTuple):
 
 
 def herm_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n)
+    of them in one LAPACK call.
 
     The input is symmetrized before LAPACK sees it, so identical input
-    bits give identical output.  Raises NotHermitian when the asymmetry
-    exceeds ``tol * (1 + max|A|)``.
+    bits give identical output.  Raises NotHermitian when the asymmetry of
+    any matrix exceeds ``tol * (1 + max|A|)``.
     """
-    a = asmatrix(a)
-    if not is_hermitian(a, tol):
-        dev = float(np.max(np.abs(a - dagger(a))))
-        raise NotHermitian(f"matrix deviates from its adjoint by {dev:.3e}")
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2:
+        raise DimMismatch(f"expected a matrix, got ndim={a.ndim}")
+    dev, ok = _asymmetry(a, tol)
+    if not ok.all():
+        raise NotHermitian(f"matrix deviates from its adjoint by {float(np.max(dev[~ok])):.3e}")
     w, v = np.linalg.eigh(hermitize(a))
     return HermEig(w, v)
 
 
-def _support_mask(w: np.ndarray) -> np.ndarray:
-    lam_max = float(np.max(w)) if w.size else 0.0
-    return w > SUPPORT_CUTOFF * max(lam_max, 0.0)
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues above the support cutoff of their spectrum (last axis)."""
+    return w > SUPPORT_CUTOFF * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _check_psd(w: np.ndarray) -> None:
@@ -91,7 +100,7 @@ def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
         raise BadExponent(f"exponent must be finite, got {alpha}")
     w, v = herm_eig(a)
     _check_psd(w)
-    mask = _support_mask(w)
+    mask = support_mask(w)
     fw = np.zeros_like(w)
     fw[mask] = w[mask] ** alpha
     return (v * fw) @ dagger(v)
@@ -101,7 +110,7 @@ def matrix_log2(a: np.ndarray) -> np.ndarray:
     """Support-restricted base-2 logarithm of a PSD matrix."""
     w, v = herm_eig(a)
     _check_psd(w)
-    mask = _support_mask(w)
+    mask = support_mask(w)
     fw = np.zeros_like(w)
     fw[mask] = np.log2(w[mask])
     return (v * fw) @ dagger(v)
@@ -111,7 +120,7 @@ def support_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the support of a PSD matrix."""
     w, v = herm_eig(a)
     _check_psd(w)
-    mask = _support_mask(w)
+    mask = support_mask(w)
     return (v * mask.astype(float)) @ dagger(v)
 
 

@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +11,13 @@ import trocap.capacity as cap
 from trocap import matcore as mc
 from trocap.algebra import identity_symbol, validate_symbol
 from trocap.builders import (
+    cyclic_group,
     partial_trace_sum_channel,
     pauli_rep,
     group_random_unitary,
     phi_alpha,
     qubit_dephasing,
+    schur_multiplier_channel,
 )
 from trocap.channel import identity_channel, modified_channel, stinespring_space
 from trocap.entropy import binary_entropy
@@ -20,6 +26,7 @@ from trocap.errors import (
     EmptyBlocks,
     HypothesisFailed,
     InvalidSymbol,
+    NotHermitian,
     OutOfRange,
 )
 
@@ -139,18 +146,182 @@ class TestOneShotQ:
             assert rep.entries["Q"].lower - 1e-6 <= val <= rep.entries["Q"].upper + 1e-6
 
     def test_finite_difference_gradient(self):
-        # analytic gradient of the coherent information at an interior point
+        # analytic gradient of the coherent information (and of the reverse
+        # objective H(rho) - H(N^E(rho))) at an interior point
         ch = qubit_dephasing(0.5)
-        fun = cap._coherent_value_and_grad(ch)
-        rng = np.random.default_rng(4)
-        rho = mc.random_density(rng, 2)
-        f0, m = fun(rho)
-        eps = 1e-6
-        delta = mc.hermitize(mc.random_complex(rng, (2, 2)))
-        delta -= np.trace(delta) / 2 * np.eye(2)  # trace-preserving direction
-        num = (fun(rho + eps * delta)[0] - fun(rho - eps * delta)[0]) / (2 * eps)
-        ana = np.trace(m @ delta).real
-        assert num == pytest.approx(ana, abs=1e-5)
+        for reverse in (False, True):
+
+            def fun(rho):
+                f, m = cap._value_and_grad(ch, rho[None], reverse)
+                return f[0], m[0]
+
+            rng = np.random.default_rng(4)
+            rho = mc.random_density(rng, 2)
+            f0, m = fun(rho)
+            eps = 1e-6
+            delta = mc.hermitize(mc.random_complex(rng, (2, 2)))
+            delta -= np.trace(delta) / 2 * np.eye(2)  # trace-preserving direction
+            num = (fun(rho + eps * delta)[0] - fun(rho - eps * delta)[0]) / (2 * eps)
+            ana = np.trace(m @ delta).real
+            assert num == pytest.approx(ana, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the batched ascent against the sequential one-restart-at-a-time loop
+
+
+def _loop_ascent(g0, value_and_grad, max_iter=400):
+    """Sequential reference: one restart, step halving on rejection."""
+    g = g0.astype(complex)
+    t = float(np.trace(g @ mc.dagger(g)).real)
+    rho = (g @ mc.dagger(g)) / t
+    f, m = value_and_grad(rho)
+    best = cap.AscentResult(f, rho)
+    eta = 0.25
+    eye = np.eye(g.shape[0])
+    for _ in range(max_iter):
+        c = float(np.trace(m @ rho).real)
+        direction = ((m - c * eye) @ g) / t
+        if mc.frobenius(direction) < 1e-12:
+            break
+        accepted = False
+        while eta > 1e-13:
+            g_new = g + eta * direction
+            t_new = float(np.trace(g_new @ mc.dagger(g_new)).real)
+            rho_new = (g_new @ mc.dagger(g_new)) / t_new
+            f_new, m_new = value_and_grad(rho_new)
+            if f_new > f + 1e-14:
+                g, t, rho, f, m = g_new, t_new, rho_new, f_new, m_new
+                eta = min(eta * 1.3, 10.0)
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+        if f > best.value:
+            best = cap.AscentResult(f, rho)
+    return best
+
+
+def _loop_value_and_grad(ch, reverse):
+    """Per-matrix coherent information (or H(rho) - H(N^E(rho))) and gradient."""
+    k, kc = ch.kraus, ch.kraus.conj()
+
+    def entropy_and_log2(mat):
+        w, v = np.linalg.eigh(mc.hermitize(mat))
+        lam = np.clip(w, 0.0, None)
+        lam = lam[lam > mc.SUPPORT_CUTOFF * max(float(np.max(lam)), 0.0)]
+        log = (v * np.log2(np.clip(w, 1e-18, None))) @ v.conj().T
+        return float(-np.sum(lam * np.log2(lam))), log
+
+    def fun(rho):
+        h_env, log_env = entropy_and_log2(np.einsum("bij,jk,aik->ab", k, rho, kc))
+        if reverse:
+            h_first, log_first = entropy_and_log2(rho)
+        else:
+            h_first, log_out = entropy_and_log2(np.einsum("eij,jk,elk->il", k, rho, kc))
+            log_first = np.einsum("eji,jk,ekl->il", kc, log_out, k)
+        m = np.einsum("ab,bjk,aji->ki", log_env, kc, k) - log_first
+        return h_first - h_env, mc.hermitize(m)
+
+    return fun
+
+
+def _schur_cyclic4():
+    return schur_multiplier_channel(cyclic_group(4), np.fft.fft([0.4, 0.3, 0.2, 0.1]))
+
+
+FENCE_CASES = {
+    "phi_alpha": lambda: phi_alpha(0.5),
+    "dephasing": lambda: qubit_dephasing(0.6),
+    "pauli": lambda: group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1]),
+    "partial_trace_sum": lambda: partial_trace_sum_channel([(2, 2), (3, 1)]),
+    "schur_cyclic4": _schur_cyclic4,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fence_case(name, seed, reverse):
+    """Channel, init states and the loop reference's end values of 16 restarts.
+
+    Restart pools are nested (the first R of 16 are the pool of R), so one
+    reference run serves every R <= 16."""
+    built = FENCE_CASES[name]()
+    ch = getattr(built, "channel", built)
+    inits = None if reverse else getattr(built, "block_inputs", None)
+    pool = cap._init_pool(ch, 16, seed, inits)
+    fun = _loop_value_and_grad(ch, reverse)
+    return ch, inits, np.array([_loop_ascent(g0, fun).value for g0 in pool])
+
+
+class TestBatchedAscentFence:
+    @pytest.mark.parametrize("restarts", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["one_shot_q", "negative_cb"])
+    @pytest.mark.parametrize("name", sorted(FENCE_CASES))
+    def test_matches_sequential_loop(self, monkeypatch, name, reverse, seed, restarts):
+        ch, inits, ref = _fence_case(name, seed, reverse)
+        ref = ref[:restarts]
+        ends, real_ascent = [], cap._ascent
+
+        def recording_ascent(*args, **kwargs):
+            ends.append(real_ascent(*args, **kwargs))
+            return ends[-1]
+
+        monkeypatch.setattr(cap, "_ascent", recording_ascent)
+        if reverse:
+            best = cap.negative_cb_entropy(ch, "numeric", restarts=restarts, seed=seed)
+        else:
+            best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits).value
+        values = ends[0][0]
+        assert np.max(np.abs(values - ref)) <= 1e-9
+        assert int(np.argmax(values)) == int(np.argmax(ref))  # same winning restart
+        assert best == pytest.approx(float(np.max(ref)), abs=1e-9)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_batched_eigh_per_evaluation(self, monkeypatch, reverse):
+        ch = _schur_cyclic4()
+        evals, eighs = [], []
+        real_eigh, real_vg = np.linalg.eigh, cap._value_and_grad
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        def counting_vg(ch, rho, reverse=False):
+            evals.append(len(rho))
+            return real_vg(ch, rho, reverse)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(cap, "_value_and_grad", counting_vg)
+        if reverse:
+            cap.negative_cb_entropy(ch, "numeric", restarts=8, seed=0)
+        else:
+            cap.one_shot_q(ch, restarts=8, seed=0)
+        assert evals and len(eighs) == 2 * len(evals)
+        assert evals[0] == 8 and all(len(shape) == 3 for shape in eighs)
+
+    def test_not_hermitian_guard(self):
+        ch = _schur_cyclic4()
+        rho = np.stack([np.eye(4) / 4] * 3).astype(complex)
+        rho[1, 0, 1] = 1e-3  # one input of the stack is not hermitian
+        with pytest.raises(NotHermitian):
+            cap._value_and_grad(ch, rho, reverse=True)
+        cap._value_and_grad(ch, rho[[0, 2]], reverse=True)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # only the two L-BFGS-B call sites need scipy.optimize; they import it
+    src = os.path.dirname(os.path.dirname(cap.__file__))
+    code = "import sys, trocap; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestNegativeCbEntropy:

@@ -104,6 +104,30 @@ class TestComplement:
         rhs = mc.hs_inner(chn.complement_adjoint_apply(ch, z), rho)
         assert lhs == pytest.approx(rhs)
 
+    def test_stacks_match_kraus_sums(self):
+        # every map takes a stack (R, d, d) and acts on each matrix as the
+        # Kraus-sum definitions in its docstring
+        rng = np.random.default_rng(5)
+        ch = random_channel(rng, 3, 4, 2)
+        k = ch.kraus
+        rho = mc.random_complex(rng, (5, 3, 3))
+        y = mc.random_complex(rng, (5, 4, 4))
+        z = mc.random_complex(rng, (5, 2, 2))
+        out, env = chn.outputs(ch, rho)
+        for i in range(5):
+            ref_out = sum(k[e] @ rho[i] @ mc.dagger(k[e]) for e in range(2))
+            ref_env = [[np.trace(k[b] @ rho[i] @ mc.dagger(k[a])) for b in range(2)] for a in range(2)]
+            ref_adj = sum(mc.dagger(k[e]) @ y[i] @ k[e] for e in range(2))
+            ref_cadj = sum(z[i, a, b] * mc.dagger(k[b]) @ k[a] for a in range(2) for b in range(2))
+            assert np.allclose(out[i], ref_out, atol=1e-12)
+            assert np.allclose(env[i], ref_env, atol=1e-12)
+            assert np.allclose(chn.apply(ch, rho[i]), ref_out, atol=1e-12)
+            assert np.allclose(chn.complement_apply(ch, rho[i]), ref_env, atol=1e-12)
+            assert np.allclose(chn.adjoint_apply(ch, y)[i], ref_adj, atol=1e-12)
+            assert np.allclose(chn.complement_adjoint_apply(ch, z)[i], ref_cadj, atol=1e-12)
+        with pytest.raises(DimMismatch):
+            chn.outputs(ch, rho[:, :2, :2])
+
 
 class TestChoi:
     def test_identity_qubit(self):

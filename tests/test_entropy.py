@@ -218,6 +218,67 @@ class TestConditionalRenyi:
         assert restricted == pytest.approx(free, abs=1e-7)
 
 
+def thin_marginal_state():
+    """Seeded 2x3 state whose B marginal has one eigenvalue of about 2e-3: the
+    Renyi minimizer's fixed point is still moving after its 400 iterations and
+    hands over to the L-BFGS-B fallback."""
+    rng = np.random.default_rng(0)
+    g = mc.random_complex(rng, (6, 6))
+    g = g @ mc.dagger(g)
+    g /= np.trace(g).real
+    keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+    rho0 = keep @ g @ keep
+    return (1 - 2e-3) * rho0 / np.trace(rho0).real + 2e-3 * g
+
+
+class TestRenyiConvergedFlag:
+    def _run(self, monkeypatch, patch=None):
+        import scipy.optimize
+
+        real, results = scipy.optimize.minimize, []
+
+        def recording_minimize(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if patch is not None:
+                patch(res, args)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+        rho = thin_marginal_state()
+        assert np.min(np.linalg.eigvalsh(mc.partial_trace(rho, (2, 3), "B"))) < 3e-3
+        return ent.minimize_renyi_divergence(rho, (2, 3), 2.0), results
+
+    def test_fixed_point_met_tol(self):
+        opt = ent.minimize_renyi_divergence(np.eye(6) / 6, (2, 3), 2.0)
+        assert opt.converged and opt.iterations < 400
+
+    def test_fallback_reports_the_returned_polish(self, monkeypatch):
+        opt, results = self._run(monkeypatch)
+        assert opt.iterations == 400 and len(results) == 4  # the fallback ran
+        winner = [r for r in results if r.fun == opt.value]
+        assert len(winner) == 1 and opt.converged == bool(winner[0].success)
+
+    def test_failed_polish_is_not_converged(self, monkeypatch):
+        reference, _ = self._run(monkeypatch)
+
+        def fail(res, args):
+            res.success = False
+
+        opt, _ = self._run(monkeypatch, fail)
+        assert opt.value == reference.value and not opt.converged
+
+    def test_fallback_that_improves_nothing_is_not_converged(self, monkeypatch):
+        # every polish stays at its start, so the fixed point's best iterate
+        # is returned although each "polish" reports success
+        def stay(res, args):
+            res.x, res.success = args[1], True
+
+        opt, results = self._run(monkeypatch, stay)
+        assert opt.iterations == 400 and len(results) == 4
+        assert not opt.converged
+
+
 class TestS1SpNorm:
     def test_pure_product_is_one(self):
         rng = np.random.default_rng(12)

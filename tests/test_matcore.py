@@ -41,6 +41,25 @@ class TestHermEig:
         w2, v2 = mc.herm_eig(a.copy())
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(2)
+        stack = mc.hermitize(mc.random_complex(rng, (3, 4, 4)))
+        w, v = mc.herm_eig(stack)
+        for i, a in enumerate(stack):
+            wi, vi = mc.herm_eig(a)
+            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+
+    def test_stack_not_hermitian(self):
+        # the guard checks every matrix of a stack by the rule of is_hermitian
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        assert not mc.is_hermitian(stack[1])
+        with pytest.raises(NotHermitian, match="1.000e"):
+            mc.herm_eig(stack)
+        tiny = stack.copy()
+        tiny[1] = np.array([[1.0, 1e-13], [0.0, 1.0]])
+        assert mc.is_hermitian(tiny[1])
+        mc.herm_eig(tiny)
+
 
 class TestMatrixFunctions:
     def test_log2_diagonal(self):
