@@ -179,12 +179,11 @@ def _value_and_grad(ch: Channel, rho: np.ndarray, reverse: bool = False):
     (R, d, d): F = H(N(rho)) - H(N^E(rho)) and
     M = N^E*(log N^E(rho)) - N*(log N(rho)), or with rho in place of N(rho)
     when ``reverse``."""
-    out, env = chn.outputs(ch, rho)
-    h_env, log_env = _entropy_and_log2(env)
+    h_env, log_env = _entropy_and_log2(chn.complement_apply(ch, rho))
     if reverse:
         h_first, grad_first = _entropy_and_log2(rho)
     else:
-        h_first, log_out = _entropy_and_log2(out)
+        h_first, log_out = _entropy_and_log2(chn.apply(ch, rho))
         grad_first = chn.adjoint_apply(ch, log_out)
     return h_first - h_env, mc.hermitize(chn.complement_adjoint_apply(ch, log_env) - grad_first)
 

@@ -137,49 +137,42 @@ def from_kraus(kraus) -> Channel:
     return Channel(stack)
 
 
+def _operand(x, dim: int, what: str) -> np.ndarray:
+    """``x`` as a complex dim x dim matrix or a stack (..., dim, dim) of them."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-2:] != (dim, dim):
+        raise DimMismatch(f"{what} shape {x.shape}, channel expects {dim}")
+    return x
+
+
+def _products(ch: Channel, rho) -> np.ndarray:
+    """The products K_e rho, shape (..., env, out, in)."""
+    return ch.kraus @ _operand(rho, ch.dim_in, "input")[..., None, :, :]
+
+
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_e K_e rho K_e*."""
-    rho = mc.asmatrix(rho)
-    if rho.shape != (ch.dim_in, ch.dim_in):
-        raise DimMismatch(f"input shape {rho.shape}, channel expects {ch.dim_in}")
-    return np.einsum("eij,jk,elk->il", ch.kraus, rho, ch.kraus.conj())
+    """Channel action sum_e K_e rho K_e* (on each matrix of a stack)."""
+    return (_products(ch, rho) @ mc.dagger(ch.kraus)).sum(axis=-3)
 
 
 def complement_apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Complementary channel on the environment.
+    """Complementary channel on the environment (on each matrix of a stack).
 
     Entry (a, b) is tr(K_b rho K_a*), so rank-one inputs |x><y| map to
-    y* x on operator representatives.
+    y* x on operator representatives.  The trace runs as one product over
+    the input index per output row, summed row after row: a single
+    contraction over both indices moves the last bits, which show in the
+    near-zero values of Pauli channels that ``trocap bounds`` prints.
     """
-    rho = mc.asmatrix(rho)
-    if rho.shape != (ch.dim_in, ch.dim_in):
-        raise DimMismatch(f"input shape {rho.shape}, channel expects {ch.dim_in}")
-    return np.einsum("bij,jk,aik->ab", ch.kraus, rho, ch.kraus.conj())
-
-
-def outputs(ch: Channel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Channel and complementary outputs (N(rho), N^E(rho)) of each density
-    of a stack (R, d, d), from the products A_e = K_e rho:
-    N(rho) = sum_e A_e K_e* and N^E(rho)[a, b] = sum_i (A_b K_a*)[i, i].
-
-    The sums over e and i run in order after the inner products, as in
-    :func:`apply` and :func:`complement_apply`, the single-matrix forms;
-    the last bits can still differ from theirs.  Those keep their einsums
-    because verify reports print values computed through them in full.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 3 or rho.shape[1:] != (ch.dim_in, ch.dim_in):
-        raise DimMismatch(f"input shape {rho.shape}, channel expects a stack of {ch.dim_in}")
-    k = ch.kraus
-    a = k[None] @ rho[:, None]  # (R, env, out, in)
-    out = (a @ mc.dagger(k)).sum(axis=1)
-    env = (a.transpose(0, 2, 1, 3) @ k.conj().transpose(1, 2, 0)).sum(axis=1)
-    return out, env.swapaxes(1, 2)
+    a = _products(ch, rho)
+    kc = ch.kraus.conj()
+    env = sum(a[..., i, :] @ kc[:, i, :].T for i in range(ch.dim_out))
+    return env.swapaxes(-1, -2)
 
 
 def adjoint_apply(ch: Channel, y: np.ndarray) -> np.ndarray:
     """Heisenberg-picture adjoint sum_e K_e* Y K_e (of each matrix of a stack)."""
-    y = np.asarray(y, dtype=complex)
+    y = _operand(y, ch.dim_out, "output")
     return (mc.dagger(ch.kraus) @ y[..., None, :, :] @ ch.kraus).sum(axis=-3)
 
 
@@ -192,7 +185,7 @@ def complement_adjoint_apply(ch: Channel, z: np.ndarray) -> np.ndarray:
     coherent-information ascent's path, which show in the near-zero values
     of Pauli channels that ``trocap bounds`` prints to 12 digits.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _operand(z, ch.dim_env, "environment")
     return np.einsum("...ab,bjk,aji->...ki", z, ch.kraus.conj(), ch.kraus)
 
 

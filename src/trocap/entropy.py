@@ -370,7 +370,4 @@ def entropy_defect(f) -> float:
     if abs(tau - 1.0) > 1e-10:
         raise NotNormalized(f"normalized trace is {tau:.8f}, expected 1")
     w, _ = mc.herm_eig(arr)
-    w = np.clip(w, 0.0, None)
-    mask = w > mc.SUPPORT_CUTOFF * max(float(np.max(w)), 0.0)
-    lam = w[mask]
-    return float(np.sum(lam * np.log2(lam)) / d)
+    return -float(spectral_entropy(w)) / d

@@ -105,15 +105,16 @@ class TestComplement:
         assert lhs == pytest.approx(rhs)
 
     def test_stacks_match_kraus_sums(self):
-        # every map takes a stack (R, d, d) and acts on each matrix as the
-        # Kraus-sum definitions in its docstring
+        # every map takes a single matrix or a stack (R, d, d) and acts on
+        # each matrix as the Kraus-sum definitions in its docstring
         rng = np.random.default_rng(5)
         ch = random_channel(rng, 3, 4, 2)
         k = ch.kraus
         rho = mc.random_complex(rng, (5, 3, 3))
         y = mc.random_complex(rng, (5, 4, 4))
         z = mc.random_complex(rng, (5, 2, 2))
-        out, env = chn.outputs(ch, rho)
+        out, env = chn.apply(ch, rho), chn.complement_apply(ch, rho)
+        assert out.shape == (5, 4, 4) and env.shape == (5, 2, 2)
         for i in range(5):
             ref_out = sum(k[e] @ rho[i] @ mc.dagger(k[e]) for e in range(2))
             ref_env = [[np.trace(k[b] @ rho[i] @ mc.dagger(k[a])) for b in range(2)] for a in range(2)]
@@ -121,12 +122,19 @@ class TestComplement:
             ref_cadj = sum(z[i, a, b] * mc.dagger(k[b]) @ k[a] for a in range(2) for b in range(2))
             assert np.allclose(out[i], ref_out, atol=1e-12)
             assert np.allclose(env[i], ref_env, atol=1e-12)
-            assert np.allclose(chn.apply(ch, rho[i]), ref_out, atol=1e-12)
-            assert np.allclose(chn.complement_apply(ch, rho[i]), ref_env, atol=1e-12)
+            assert np.array_equal(chn.apply(ch, rho[i]), out[i])
+            assert np.array_equal(chn.complement_apply(ch, rho[i]), env[i])
             assert np.allclose(chn.adjoint_apply(ch, y)[i], ref_adj, atol=1e-12)
+            assert np.allclose(chn.adjoint_apply(ch, y[i]), ref_adj, atol=1e-12)
             assert np.allclose(chn.complement_adjoint_apply(ch, z)[i], ref_cadj, atol=1e-12)
-        with pytest.raises(DimMismatch):
-            chn.outputs(ch, rho[:, :2, :2])
+            assert np.allclose(chn.complement_adjoint_apply(ch, z[i]), ref_cadj, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.eye(5), np.ones((5, 3, 2))])
+    def test_stack_maps_check_shapes(self, bad):
+        ch = random_channel(np.random.default_rng(5), 3, 4, 2)
+        for fn in (chn.apply, chn.complement_apply, chn.adjoint_apply, chn.complement_adjoint_apply):
+            with pytest.raises(DimMismatch):
+                fn(ch, bad)
 
 
 class TestChoi:

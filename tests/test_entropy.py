@@ -60,6 +60,33 @@ class TestVonNeumann:
         with pytest.raises(NotState):
             ent.von_neumann_entropy(np.eye(2))
 
+    def test_rank_deficient_matches_support_sum(self):
+        # the off-support eigenvalues enter the sum as zeros, which may move
+        # the last bits against a sum over the support alone (numpy sums
+        # spectra of length 8 or more pairwise), never more
+        rng = np.random.default_rng(7)
+        for rank in (1, 3, 6):
+            g = mc.random_complex(rng, (8, rank))
+            rho = g @ mc.dagger(g)
+            rho /= np.trace(rho).real
+            w = np.linalg.eigvalsh(mc.hermitize(rho))
+            lam = w[w > mc.SUPPORT_CUTOFF * w.max()]
+            assert lam.size == rank
+            ref = float(-np.sum(lam * np.log2(lam)))
+            assert ent.von_neumann_entropy(rho) == pytest.approx(ref, rel=1e-14, abs=1e-15)
+
+    def test_spectral_entropy_of_a_stack(self):
+        rng = np.random.default_rng(8)
+        w = np.sort(rng.random((4, 6)), axis=-1)
+        w[1, :3] = 0.0  # rank deficient
+        w[2, 0] = -1e-17  # roundoff below zero is clipped
+        w /= w.sum(axis=-1, keepdims=True)
+        stack = ent.spectral_entropy(w)
+        for i in range(4):
+            assert stack[i] == ent.spectral_entropy(w[i])
+            lam = w[i][w[i] > 0]
+            assert stack[i] == pytest.approx(-np.sum(lam * np.log2(lam)), rel=1e-14)
+
 
 class TestRelativeEntropy:
     def test_self_is_zero(self):
@@ -371,3 +398,13 @@ class TestEntropyDefect:
             f = 4.0 * f / np.trace(f).real
             val = ent.entropy_defect(f)
             assert -1e-10 <= val <= 2.0 + 1e-10
+
+    def test_rank_deficient_is_log_d_minus_entropy(self):
+        # tau(f log f) = log2 d - H(f / d), the support taken by the same rule
+        rng = np.random.default_rng(18)
+        g = mc.random_complex(rng, (8, 3))
+        f = g @ mc.dagger(g)
+        f = 8.0 * f / np.trace(f).real
+        assert ent.entropy_defect(f) == pytest.approx(
+            3.0 - ent.von_neumann_entropy(f / 8.0), abs=1e-12
+        )
