@@ -125,34 +125,23 @@ def comparison_bounds(space: StinespringSpace, symbol: Symbol) -> BoundReport:
             f"symbol dim {symbol.dim} does not match environment {space.dim_env}"
         )
     cert = symbol.certificate
-    ns = _block_ns(cert.blocks)
+    base = tro_capacities(cert.blocks)
     defect = entropy_defect(symbol)
-    q = math.log2(max(ns))
-    c = math.log2(sum(ns))
-    cea = math.log2(sum(n * n for n in ns))
-    exact_base = cert.space_is_tro
     window = "block value to block value + entropy defect of the symbol"
-    if not exact_base:
+    if not cert.space_is_tro:
         window += " (dilation range strictly inside the block space; lower edge relaxed to 0)"
     sc = window + "; valid for strong converse rates"
-
-    def lo(v: float) -> float:
-        return v if exact_base else 0.0
+    provenance = {
+        "Q1": window + "; valid for the one-shot and potential variants",
+        "C_dagger": sc,
+        "Q_dagger": sc,
+        "P_dagger": sc + "; also bounded by the relative entropy of entanglement (not computed)",
+    }
 
     report = BoundReport()
-    report.set("C", lo(c), c + defect, window)
-    report.set("Q", lo(q), q + defect, window)
-    report.set("P", lo(q), q + defect, window)
-    report.set("C_EA", lo(cea), cea + defect, window)
-    report.set("Q1", lo(q), q + defect, window + "; valid for the one-shot and potential variants")
-    report.set("C_dagger", lo(c), c + defect, sc)
-    report.set("Q_dagger", lo(q), q + defect, sc)
-    report.set(
-        "P_dagger",
-        lo(q),
-        q + defect,
-        sc + "; also bounded by the relative entropy of entanglement (not computed)",
-    )
+    for name, e in base.entries.items():
+        lower = e.lower if cert.space_is_tro else 0.0
+        report.set(name, lower, e.upper + defect, provenance.get(name, window))
     report.check()
     return report
 
@@ -348,21 +337,15 @@ def renyi_coherent_channel(
     from scipy import optimize
 
     d = ch.dim_in
-    kraus = ch.kraus
-
-    def omega_from_g(g: np.ndarray) -> np.ndarray:
-        psi = g.reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        rho_aa = np.outer(psi, psi.conj())
-        eye = np.eye(d, dtype=complex)
-        ops = [np.kron(eye, kraus[e]) for e in range(ch.dim_env)]
-        return sum(op @ rho_aa @ mc.dagger(op) for op in ops)
+    extended = chn.tensor_channels(chn.identity_channel(d), ch)  # id_A (x) N
 
     def objective(x: np.ndarray) -> float:
         g = x[: d * d].reshape(d, d) + 1j * x[d * d :].reshape(d, d)
         if np.linalg.norm(g) < 1e-9:
             return 1e6
-        omega = omega_from_g(g)
+        psi = g.reshape(-1)
+        psi = psi / np.linalg.norm(psi)
+        omega = chn.apply(extended, np.outer(psi, psi.conj()))
         omega = mc.hermitize(omega) / np.trace(omega).real
         return -renyi_coherent_information(omega, (d, ch.dim_out), p, seed=seed)
 

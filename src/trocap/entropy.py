@@ -5,9 +5,10 @@ and mutual information, the conditional Renyi entropy obtained by minimizing
 over marginal densities, the derived S_1(S_p) vector-valued norm, and the
 normalized entropy defect of an environment density.
 
-The minimization over sigma uses a damped fixed-point iteration (the
-stationarity condition sigma ~ tr_A[(sandwich)^p]) followed by a quasi-Newton
-polish; a dense multi-start fallback covers the rare non-convergent cases.
+The minimization over sigma runs a damped fixed-point iteration (the
+stationarity condition sigma ~ tr_A[(sandwich)^p]) on a whole stack of states
+at once; a multi-start quasi-Newton fallback covers the rare items that do
+not converge.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ STATE_TOL = 1e-8
 
 
 def check_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate a density operator (PSD, unit trace)."""
-    rho = mc.asmatrix(rho)
-    w, _ = mc.herm_eig(rho)
-    if float(np.min(w)) < -1e-8:
-        raise NotState(f"negative eigenvalue {float(np.min(w)):.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise NotState(f"trace is {tr:.8f}, expected 1")
+    """Validate a density operator (PSD, unit trace), or each of a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    low = np.min(mc.herm_eig(rho).eigenvalues, axis=-1)
+    if (low < -1e-8).any():
+        raise NotState(f"negative eigenvalue {float(low[low < -1e-8].flat[0]):.3e}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if (np.abs(tr - 1.0) > tol).any():
+        raise NotState(f"trace is {float(tr[np.abs(tr - 1.0) > tol].flat[0]):.8f}, expected 1")
     return rho
 
 
@@ -79,14 +80,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.trace(rho @ (log_r - log_s)).real)
 
 
-def _psd_p_norm(s: np.ndarray, p: float) -> float:
-    """Schatten p-norm of a PSD matrix via its eigenvalues."""
-    w = np.clip(np.linalg.eigvalsh(mc.hermitize(s)), 0.0, None)
-    if np.isinf(p):
-        return float(np.max(w)) if w.size else 0.0
-    return float(np.sum(w**p) ** (1.0 / p))
-
-
 def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """Sandwiched Renyi divergence D_p = p' log2 || s^(-1/2p') rho s^(-1/2p') ||_p.
 
@@ -100,33 +93,31 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
         return math.inf
     p_conj = 1.0 if np.isinf(p) else p / (p - 1.0)
     a = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
-    s = mc.hermitize(a @ rho @ a)
-    return float(p_conj * np.log2(_psd_p_norm(s, p)))
+    w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ rho @ a)), 0.0, None)
+    norm = float(np.max(w)) if np.isinf(p) else float(np.sum(w**p) ** (1.0 / p))  # Schatten p-norm
+    return float(p_conj * np.log2(norm))
 
 
 # ---------------------------------------------------------------------------
 # bipartite helpers (factor order A (x) B throughout)
 
 
-def marginal(rho_ab: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:
-    return mc.partial_trace(rho_ab, dims, keep=which)
+def bipartite_entropies(rho_ab: np.ndarray, dims: tuple[int, int]) -> list[np.ndarray]:
+    """H(AB), H(A) and H(B) of a state, or of each state of a stack."""
+    mats = (check_state(rho_ab), *(mc.partial_trace(rho_ab, dims, k) for k in "AB"))
+    return [spectral_entropy(mc.herm_eig(m).eigenvalues) for m in mats]
 
 
 def coherent_information(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
     """I_c(A>B) = H(B) - H(AB)."""
-    rho_ab = check_state(rho_ab)
-    hb = von_neumann_entropy(marginal(rho_ab, dims, "B"), check=False)
-    hab = von_neumann_entropy(rho_ab, check=False)
-    return hb - hab
+    hab, _, hb = bipartite_entropies(rho_ab, dims)
+    return float(hb - hab)
 
 
 def mutual_information(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
     """I(A:B) = H(A) + H(B) - H(AB)."""
-    rho_ab = check_state(rho_ab)
-    ha = von_neumann_entropy(marginal(rho_ab, dims, "A"), check=False)
-    hb = von_neumann_entropy(marginal(rho_ab, dims, "B"), check=False)
-    hab = von_neumann_entropy(rho_ab, check=False)
-    return ha + hb - hab
+    hab, ha, hb = bipartite_entropies(rho_ab, dims)
+    return float(ha + hb - hab)
 
 
 # ---------------------------------------------------------------------------
@@ -140,30 +131,162 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
-def _divergence_vs_product(
-    rho: np.ndarray,
-    dims: tuple[int, int],
-    k_pow: np.ndarray,
-    sigma: np.ndarray,
-    p: float,
-    p_conj: float,
-) -> float:
-    """D_p(rho || K (x) sigma) given K^(-1/2p') precomputed; large finite
-    penalty instead of +inf so the optimizer sees a usable landscape."""
-    da = dims[0]
-    w, v = np.linalg.eigh(mc.hermitize(sigma))
-    lam_max = max(float(np.max(w)), 0.0)
-    mask = w > mc.SUPPORT_CUTOFF * lam_max
-    if not mask.all():
-        # mass of rho outside the support of 1 (x) sigma
-        proj = (v * (~mask).astype(float)) @ v.conj().T
-        leak = float(np.trace(np.kron(np.eye(da), proj) @ rho).real)
-        if leak > 1e-12:
-            return 1e3 + 1e6 * leak
-    s_pow = (v * np.where(mask, w ** (-1.0 / (2.0 * p_conj)), 0.0)) @ v.conj().T
-    a = np.kron(k_pow, s_pow)
-    s = mc.hermitize(a @ rho @ a)
-    return float(p_conj * np.log2(_psd_p_norm(s, p)))
+class _RenyiStack:
+    """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a
+    stack of states rho_i on A (x) B, all items advancing together.  B is
+    compressed onto the support of each item's B marginal; the items of one
+    support rank form a group (their stack positions, support frames
+    (n, dB, rb), compressed states and K^(-1/2p')).  :meth:`minimize` fills
+    the per-item arrays ``value``, ``sigma``, ``converged``, ``fixed`` (the
+    fixed point met its tolerance) and ``iterations``."""
+
+    def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
+        if not (np.isfinite(p) and p > 1.0):
+            raise BadExponent(f"optimizer needs finite p > 1, got {p}")
+        rhos = np.asarray(rhos, dtype=complex)
+        (da, db), n = dims, len(rhos)
+        self.p, self.p_conj, self.project = p, p / (p - 1.0), project
+        k = np.eye(da, dtype=complex) if k_as is None else k_as
+        k_pow = np.broadcast_to(mc.matrix_power(k, -1.0 / (2.0 * self.p_conj)), (n, da, da))
+        self.rho_b = mc.partial_trace(rhos, dims, "B")
+        wb, vb = mc.herm_eig(self.rho_b)
+        ranks = mc.support_mask(wb).sum(axis=-1)
+        self.groups = []
+        for rb in np.unique(ranks):
+            idx = np.flatnonzero(ranks == rb)
+            frame = vb[idx][..., db - rb :]  # eigenvalues ascend: the support comes last
+            embed = mc.tensor(np.eye(da), frame)
+            self.groups.append((idx, frame, mc.dagger(embed) @ rhos[idx] @ embed, k_pow[idx]))
+
+    def _step(self, rho, k_pow, sigma: np.ndarray, target: bool = True):
+        """D_p(rho || K (x) sigma) for each item and, with ``target``, the
+        fixed-point target tr_A[s^p], s = a rho a with a = K^(-1/2p') (x)
+        sigma^(-1/2p'): one eigh of sigma, one of s (an eigvalsh without
+        ``target``).  A large finite penalty replaces +inf when rho has mass
+        outside the support of 1 (x) sigma."""
+        pc, da = self.p_conj, k_pow.shape[-1]
+        w, v = np.linalg.eigh(mc.hermitize(sigma))
+        mask = mc.support_mask(w)
+        s_pow = (v * (np.where(mask, w, 1.0) ** (-0.5 / pc) * mask)[..., None, :]) @ mc.dagger(v)
+        a = mc.tensor(k_pow, s_pow)
+        s = mc.hermitize(a @ rho @ a)
+        ws, vs = np.linalg.eigh(s) if target else (np.linalg.eigvalsh(s), None)
+        ws = np.clip(ws, 0.0, None) ** self.p
+        # root and log2 item by item: vector loops may round them differently
+        value = np.array([pc * np.log2(t ** (1 / self.p)) for t in np.sum(ws, axis=-1).tolist()])
+        thin = np.flatnonzero(~mask.all(axis=-1))
+        if thin.size:  # mass of rho outside the support of 1 (x) sigma
+            off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
+            leak = np.trace(mc.tensor(np.eye(da), off) @ rho[thin], axis1=1, axis2=2).real
+            value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
+        if not target:
+            return value, None
+        s_p = mc.hermitize((vs * ws[..., None, :]) @ mc.dagger(vs))
+        return value, mc.partial_trace(s_p, (da, sigma.shape[-1]), "B")
+
+    def _project(self, frame: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """``project`` (a map on B) item by item, renormalized; an item whose
+        projection has no trace keeps its sigma."""
+        out = sigma.copy()
+        for j, f in enumerate(frame if self.project is not None else ()):
+            s = mc.hermitize(mc.dagger(f) @ self.project(f @ sigma[j] @ mc.dagger(f)) @ f)
+            tr = float(np.trace(s).real)
+            if tr > 0:
+                out[j] = s / tr
+        return out
+
+    def minimize(self, seed: int = 0, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
+        """Damped fixed point sigma <- (1-beta) sigma + beta tr_A[s^p]/tr, one
+        step per round giving the value at sigma_j and sigma_(j+1); an item
+        stops when two successive values differ by less than ``tol``, when its
+        target has no trace, or after ``max_iter`` updates, and falls back to
+        L-BFGS-B unless the first."""
+        n, db = self.rho_b.shape[:2]
+        self.value, self.sigma = np.empty(n), np.empty((n, db, db), dtype=complex)
+        self.converged, self.fixed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.iterations, beta = np.full(n, max_iter), min(0.5, 0.9 / self.p)
+        for idx, frame, rho, k_pow in self.groups:
+            sigma = mc.dagger(frame) @ self.rho_b[idx] @ frame
+            tr = np.trace(sigma, axis1=1, axis2=2).real
+            sigma = self._project(frame, sigma / tr[:, None, None])
+            m, active = len(idx), np.arange(len(idx))
+            best, best_val, prev = sigma.copy(), np.full(m, np.inf), np.full(m, np.nan)
+            fixed, iters = np.zeros(m, dtype=bool), np.full(m, max_iter)
+            for j in range(max_iter + 1):
+                value, target = self._step(rho[active], k_pow[active], sigma[active])
+                up = value < best_val[active]
+                best_val[active[up]], best[active[up]] = value[up], sigma[active[up]]
+                met = np.abs(value - prev[active]) < tol
+                fixed[active[met]], iters[active[met]] = True, j
+                active, value, target = active[~met], value[~met], target[~met]
+                if j == max_iter:
+                    break
+                tr = np.trace(target, axis1=1, axis2=2).real
+                ok = np.isfinite(tr) & (tr > 0)
+                iters[active[~ok]] = j + 1
+                active, value, target, tr = active[ok], value[ok], target[ok], tr[ok]
+                if not active.size:
+                    break
+                new = (1.0 - beta) * sigma[active] + beta * (target / tr[:, None, None])
+                sigma[active] = self._project(frame[active], mc.hermitize(new))
+                prev[active] = value
+            polished = np.zeros(m, dtype=bool)
+            for i in np.flatnonzero(~fixed):
+                one = (rho[i : i + 1], k_pow[i : i + 1], frame[i : i + 1])
+                best_val[i], best[i], polished[i] = self._fallback(*one, best_val[i], best[i], seed)
+            self.value[idx], self.sigma[idx] = best_val, frame @ best @ mc.dagger(frame)
+            self.converged[idx], self.fixed[idx] = fixed | polished, fixed
+            self.iterations[idx] = iters
+        return self
+
+    def _fallback(self, rho, k_pow, frame, best_val: float, best: np.ndarray, seed: int):
+        """L-BFGS-B on a square-root parametrization of one item, from its
+        best iterate and three seeded random starts; returns the best value
+        and sigma, and whether that is a polish that reported success."""
+        from scipy import optimize
+
+        rb = len(best)
+
+        def density(x: np.ndarray) -> np.ndarray:
+            m = x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
+            s = m @ mc.dagger(m)
+            tr = float(np.trace(s).real)
+            return self._project(frame, (s / tr)[None]) if tr > 0 and np.isfinite(tr) else None
+
+        def fun(x: np.ndarray) -> float:
+            s = density(x)
+            return 1e9 if s is None else float(self._step(rho, k_pow, s, target=False)[0][0])
+
+        polished = False  # the best point so far is a polish that reported success
+        rng = np.random.default_rng(seed)
+        starts = [best] + [(s := mc.random_psd(rng, rb)) / np.trace(s).real for _ in range(3)]
+        for k, start in enumerate(starts):
+            m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
+            x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
+            res = optimize.minimize(fun, x0, method="L-BFGS-B", options={"maxiter": 120})
+            pv = fun(res.x)
+            if pv < best_val - (1e-12 if k == 0 else 0.0):
+                best_val, best, polished = pv, density(res.x)[0], bool(res.success)
+        if not np.isfinite(best_val):
+            raise OptimizerFailed("no sigma-minimization strategy converged")
+        return best_val, best, polished
+
+    def improve(self, items: np.ndarray, sigmas: np.ndarray) -> None:
+        """One candidate sigma on B per listed item, compressed, normalized and
+        projected, replaces the item's optimum where its value is lower."""
+        for idx, frame, rho, k_pow in self.groups:
+            sel = np.flatnonzero(np.isin(items, idx))
+            pos = np.searchsorted(idx, items[sel])  # positions within the group
+            sc = mc.dagger(frame[pos]) @ sigmas[sel] @ frame[pos]
+            tr = np.trace(sc, axis1=1, axis2=2).real
+            it, pos, sc, tr = items[sel[tr > 0]], pos[tr > 0], sc[tr > 0], tr[tr > 0]
+            f = frame[pos]
+            sc = self._project(f, mc.hermitize(sc / tr[:, None, None]))
+            cv = self._step(rho[pos], k_pow[pos], sc, target=False)[0]
+            win = cv < self.value[it]
+            it = it[win]
+            self.value[it], self.sigma[it] = cv[win], (f @ sc @ mc.dagger(f))[win]
+            self.converged[it] = self.fixed[it]
 
 
 def minimize_renyi_divergence(
@@ -187,119 +310,12 @@ def minimize_renyi_divergence(
     improve).  ``converged`` is True only when the fixed-point iteration met
     ``tol`` or the returned sigma is an L-BFGS-B polish that reported success.
     """
-    if not (np.isfinite(p) and p > 1.0):
-        raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    rho_ab = mc.asmatrix(rho_ab)
-    da = dims[0]
-    p_conj = p / (p - 1.0)
-    k_a = np.eye(da, dtype=complex) if k_a is None else mc.asmatrix(k_a)
-    k_pow = mc.matrix_power(k_a, -1.0 / (2.0 * p_conj))
-
-    # compress B onto the support of the B marginal
-    rho_b = marginal(rho_ab, dims, "B")
-    wb, vb = mc.herm_eig(rho_b)
-    sup = wb > mc.SUPPORT_CUTOFF * max(float(np.max(wb)), 0.0)
-    frame = vb[:, sup]
-    rb = frame.shape[1]
-    embed = np.kron(np.eye(da), frame)
-    rho_c = mc.dagger(embed) @ rho_ab @ embed
-    cdims = (da, rb)
-
-    def val(sigma_c: np.ndarray) -> float:
-        return _divergence_vs_product(rho_c, cdims, k_pow, sigma_c, p, p_conj)
-
-    def expand(sigma_c: np.ndarray) -> np.ndarray:
-        return frame @ sigma_c @ mc.dagger(frame)
-
-    def compress(sigma: np.ndarray) -> np.ndarray:
-        return mc.dagger(frame) @ sigma @ frame
-
-    def apply_project(sigma_c: np.ndarray) -> np.ndarray:
-        if project is None:
-            return sigma_c
-        out = compress(project(expand(sigma_c)))
-        out = mc.hermitize(out)
-        tr = float(np.trace(out).real)
-        return out / tr if tr > 0 else sigma_c
-
-    sigma = compress(rho_b)
-    sigma = sigma / np.trace(sigma).real
-    sigma = apply_project(sigma)
-    beta = min(0.5, 0.9 / p)
-    best_val, best_sigma = val(sigma), sigma
-    prev = best_val
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        wv, vv = np.linalg.eigh(mc.hermitize(sigma))
-        mask = wv > mc.SUPPORT_CUTOFF * max(float(np.max(wv)), 0.0)
-        s_pow = (vv * np.where(mask, wv ** (-1.0 / (2.0 * p_conj)), 0.0)) @ vv.conj().T
-        a = np.kron(k_pow, s_pow)
-        s = mc.hermitize(a @ rho_c @ a)
-        ws, vs = np.linalg.eigh(s)
-        ws = np.clip(ws, 0.0, None)
-        s_p = (vs * ws**p) @ vs.conj().T
-        update = mc.partial_trace(mc.hermitize(s_p), cdims, keep="B")
-        tr = float(np.trace(update).real)
-        if not np.isfinite(tr) or tr <= 0:
-            break
-        sigma_new = (1.0 - beta) * sigma + beta * (update / tr)
-        sigma_new = apply_project(mc.hermitize(sigma_new))
-        cur = val(sigma_new)
-        sigma = sigma_new
-        if cur < best_val:
-            best_val, best_sigma = cur, sigma_new
-        if abs(cur - prev) < tol:
-            converged = True
-            break
-        prev = cur
-
-    # quasi-Newton fallback on a square-root parametrization
-    def polish(start: np.ndarray) -> tuple[float, np.ndarray, bool]:
-        from scipy import optimize
-
-        m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
-        x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-
-        def fun(x: np.ndarray) -> float:
-            m = x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
-            g = m @ mc.dagger(m)
-            tr = float(np.trace(g).real)
-            if tr <= 0 or not np.isfinite(tr):
-                return 1e9
-            return val(apply_project(g / tr))
-
-        res = optimize.minimize(fun, x0, method="L-BFGS-B", options={"maxiter": 120})
-        m = res.x[: rb * rb].reshape(rb, rb) + 1j * res.x[rb * rb :].reshape(rb, rb)
-        g = m @ mc.dagger(m)
-        g = apply_project(g / np.trace(g).real)
-        return val(g), g, bool(res.success)
-
-    polished = False  # the best point so far is a polish that reported success
-    if not converged:
-        pv, ps, ok = polish(best_sigma)
-        if pv < best_val - 1e-12:
-            best_val, best_sigma, polished = pv, ps, ok
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            g = mc.random_psd(rng, rb)
-            pv, ps, ok = polish(g / np.trace(g).real)
-            if pv < best_val:
-                best_val, best_sigma, polished = pv, ps, ok
-        if not np.isfinite(best_val):
-            raise OptimizerFailed("no sigma-minimization strategy converged")
-
+    k = None if k_a is None else mc.asmatrix(k_a)[None]
+    opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project).minimize(seed, tol, max_iter)
     for cand in sigma_candidates:
-        sc = compress(mc.asmatrix(cand))
-        tr = float(np.trace(sc).real)
-        if tr <= 0:
-            continue
-        sc = apply_project(mc.hermitize(sc / tr))
-        cv = val(sc)
-        if cv < best_val:
-            best_val, best_sigma, polished = cv, sc, False
-
-    return RenyiOptimum(best_val, expand(best_sigma), converged or polished, iters)
+        opt.improve(np.arange(1), mc.asmatrix(cand)[None])
+    value, sigma, converged, iters = opt.value[0], opt.sigma[0], opt.converged[0], opt.iterations[0]
+    return RenyiOptimum(float(value), sigma, bool(converged), int(iters))
 
 
 class ConditionalRenyi(NamedTuple):
@@ -343,11 +359,10 @@ def renyi_mutual_information(
 ) -> float:
     """I_p(A:B) = inf_sigma D_p(rho_AB || rho_A (x) sigma_B)."""
     rho_ab = check_state(rho_ab)
-    k_a = marginal(rho_ab, dims, "A")
-    opt = minimize_renyi_divergence(
+    k_a = mc.partial_trace(rho_ab, dims, "A")
+    return minimize_renyi_divergence(
         rho_ab, dims, p, k_a=k_a, seed=seed, sigma_candidates=sigma_candidates
-    )
-    return opt.value
+    ).value
 
 
 def s1_sp_norm(rho_ab: np.ndarray, dims: tuple[int, int], p: float, seed: int = 0) -> float:
@@ -363,8 +378,7 @@ def entropy_defect(f) -> float:
     ``f`` is a normalized density (unit normalized trace); the value lies
     in [0, log2 d] and is the width of every comparison window downstream.
     """
-    arr = getattr(f, "f", f)
-    arr = mc.asmatrix(arr)
+    arr = mc.asmatrix(getattr(f, "f", f))
     d = arr.shape[0]
     tau = float(np.trace(arr).real) / d
     if abs(tau - 1.0) > 1e-10:

@@ -85,13 +85,16 @@ def support_mask(w: np.ndarray) -> np.ndarray:
 
 
 def _check_psd(w: np.ndarray) -> None:
-    lam_max = float(np.max(w)) if w.size else 0.0
-    if w.size and float(np.min(w)) < -1e-10 * max(1.0, lam_max):
-        raise NotPSD(f"eigenvalue {float(np.min(w)):.3e} is significantly negative")
+    if not w.size:
+        return
+    low = np.min(w, axis=-1)
+    bad = low < -1e-10 * np.maximum(1.0, np.max(w, axis=-1))
+    if bad.any():
+        raise NotPSD(f"eigenvalue {float(low[bad].flat[0]):.3e} is significantly negative")
 
 
 def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
-    """Support-restricted power of a PSD matrix.
+    """Support-restricted power of a PSD matrix (or of each of a stack).
 
     Eigenvalues below the support cutoff map to zero, so negative
     exponents act as pseudo-inverse powers.
@@ -103,7 +106,7 @@ def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
     mask = support_mask(w)
     fw = np.zeros_like(w)
     fw[mask] = w[mask] ** alpha
-    return (v * fw) @ dagger(v)
+    return (v * fw[..., None, :]) @ dagger(v)
 
 
 def matrix_log2(a: np.ndarray) -> np.ndarray:
@@ -160,25 +163,33 @@ def normalized_p_norm(f: np.ndarray, p: float) -> float:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the row-major convention (i, j) -> i*|B| + j."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with the row-major convention (i, j) -> i*|B| + j,
+    of two matrices or matrix by matrix along stacks (..., n, m).
+
+    A broadcast product, so its entries carry the bits of np.kron's."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    shape = (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return out.reshape(out.shape[:-4] + shape)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one tensor factor of an operator on H_A (x) H_B.
+    """Trace out one tensor factor of an operator on H_A (x) H_B (or of each
+    of a stack).
 
     ``keep`` is "A" or "B".  The row-major Kronecker convention of
     :func:`tensor` is assumed.
     """
-    m = asmatrix(m)
+    m = np.asarray(m, dtype=complex)
     da, db = dims
-    if m.shape != (da * db, da * db):
+    if m.shape[-2:] != (da * db, da * db) or m.ndim < 2:
         raise DimMismatch(f"matrix shape {m.shape} does not match dims {dims}")
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if keep == "A":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if keep == "B":
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     raise DimMismatch(f"keep must be 'A' or 'B', got {keep!r}")
 
 

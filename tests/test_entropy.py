@@ -408,3 +408,210 @@ class TestEntropyDefect:
         assert ent.entropy_defect(f) == pytest.approx(
             3.0 - ent.von_neumann_entropy(f / 8.0), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# the stacked Renyi minimizer against the sequential one-state-at-a-time loop
+
+
+def _loop_value(rho, da, k_pow, sigma, p, p_conj):
+    """D_p(rho || K (x) sigma), with the leak penalty, one state at a time."""
+    w, v = np.linalg.eigh(mc.hermitize(sigma))
+    mask = w > mc.SUPPORT_CUTOFF * max(float(np.max(w)), 0.0)
+    if not mask.all():
+        proj = (v * (~mask).astype(float)) @ v.conj().T
+        leak = float(np.trace(np.kron(np.eye(da), proj) @ rho).real)
+        if leak > 1e-12:
+            return 1e3 + 1e6 * leak
+    s_pow = (v * np.where(mask, w ** (-1.0 / (2.0 * p_conj)), 0.0)) @ v.conj().T
+    a = np.kron(k_pow, s_pow)
+    w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ rho @ a)), 0.0, None)
+    return float(p_conj * np.log2(np.sum(w**p) ** (1.0 / p)))
+
+
+def loop_minimize(rho_ab, dims, p, k_a=None, seed=0, sigma_candidates=()):
+    """Sequential reference: fixed point, L-BFGS-B fallback and candidates for
+    one state, with two eigh of sigma, two np.kron and an eigvalsh per
+    iteration; returns (value, sigma, converged, iterations)."""
+    from scipy import optimize
+
+    da, tol, max_iter = dims[0], 1e-9, 400
+    p_conj = p / (p - 1.0)
+    k_a = np.eye(da, dtype=complex) if k_a is None else k_a
+    k_pow = mc.matrix_power(k_a, -1.0 / (2.0 * p_conj))
+    rho_b = mc.partial_trace(rho_ab, dims, "B")
+    wb, vb = mc.herm_eig(rho_b)
+    frame = vb[:, wb > mc.SUPPORT_CUTOFF * max(float(np.max(wb)), 0.0)]
+    rb = frame.shape[1]
+    embed = np.kron(np.eye(da), frame)
+    rho_c = mc.dagger(embed) @ rho_ab @ embed
+
+    def val(sigma_c):
+        return _loop_value(rho_c, da, k_pow, sigma_c, p, p_conj)
+
+    sigma = mc.dagger(frame) @ rho_b @ frame
+    sigma = sigma / np.trace(sigma).real
+    beta = min(0.5, 0.9 / p)
+    best_val, best_sigma = val(sigma), sigma
+    prev, converged, iters = best_val, False, 0
+    for iters in range(1, max_iter + 1):
+        wv, vv = np.linalg.eigh(mc.hermitize(sigma))
+        mask = wv > mc.SUPPORT_CUTOFF * max(float(np.max(wv)), 0.0)
+        s_pow = (vv * np.where(mask, wv ** (-1.0 / (2.0 * p_conj)), 0.0)) @ vv.conj().T
+        a = np.kron(k_pow, s_pow)
+        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho_c @ a))
+        s_p = (vs * np.clip(ws, 0.0, None) ** p) @ vs.conj().T
+        update = mc.partial_trace(mc.hermitize(s_p), (da, rb), "B")
+        tr = float(np.trace(update).real)
+        if not np.isfinite(tr) or tr <= 0:
+            break
+        sigma = mc.hermitize((1.0 - beta) * sigma + beta * (update / tr))
+        cur = val(sigma)
+        if cur < best_val:
+            best_val, best_sigma = cur, sigma
+        if abs(cur - prev) < tol:
+            converged = True
+            break
+        prev = cur
+
+    def polish(start):
+        m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
+
+        def sig(x):
+            m = x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
+            return m @ mc.dagger(m)
+
+        def fun(x):
+            g = sig(x)
+            tr = float(np.trace(g).real)
+            return 1e9 if tr <= 0 or not np.isfinite(tr) else val(g / tr)
+
+        x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
+        res = optimize.minimize(fun, x0, method="L-BFGS-B", options={"maxiter": 120})
+        g = sig(res.x)
+        g = g / np.trace(g).real
+        return val(g), g, bool(res.success)
+
+    polished = False
+    if not converged:
+        pv, ps, ok = polish(best_sigma)
+        if pv < best_val - 1e-12:
+            best_val, best_sigma, polished = pv, ps, ok
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            g = mc.random_psd(rng, rb)
+            pv, ps, ok = polish(g / np.trace(g).real)
+            if pv < best_val:
+                best_val, best_sigma, polished = pv, ps, ok
+    for cand in sigma_candidates:
+        sc = mc.dagger(frame) @ cand @ frame
+        tr = float(np.trace(sc).real)
+        if tr > 0:
+            sc = mc.hermitize(sc / tr)
+            cv = val(sc)
+            if cv < best_val:
+                best_val, best_sigma, polished = cv, sc, False
+    return best_val, frame @ best_sigma @ mc.dagger(frame), converged or polished, iters
+
+
+def _qubit_outputs():
+    """(id (x) N)(rho) for dephasing and Pauli channels on seeded inputs, and
+    one state whose B marginal has rank 1."""
+    from trocap.builders import group_random_unitary, pauli_rep
+    from trocap.verify import _apply_ancilla
+
+    rng = np.random.default_rng(21)
+    chans = [qubit_dephasing(0.3), qubit_dephasing(0.8)]
+    weights = ([0.4, 0.3, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1])
+    chans += [group_random_unitary(pauli_rep(), w) for w in weights]
+    out = [_apply_ancilla(ch, mc.random_density(rng, 4), 2) for ch in chans]
+    out.append(mc.tensor(mc.random_density(rng, 2), E00))
+    return np.stack(out)
+
+
+def _phi_alpha_outputs():
+    from trocap.builders import phi_alpha
+    from trocap.verify import _apply_ancilla
+
+    rng = np.random.default_rng(22)
+    return np.stack(
+        [_apply_ancilla(phi_alpha(a).channel, mc.random_density(rng, 16), 4) for a in (0.5, -0.3)]
+    )
+
+
+def _thin_outputs():
+    """One state whose B marginal has rank 2 of 3 and one of full rank."""
+    rng = np.random.default_rng(23)
+    keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+    g = keep @ mc.random_density(rng, 6) @ keep
+    return np.stack([g / np.trace(g).real, mc.random_density(rng, 6)])
+
+
+STACKS = {
+    "qubit": (_qubit_outputs, (2, 2)),
+    "phi_alpha": (_phi_alpha_outputs, (4, 3)),
+    "rank2of3": (_thin_outputs, (2, 3)),
+}
+
+
+def assert_matches_loop(rhos, dims, p, k_as, seed=3):
+    opt = ent._RenyiStack(rhos, dims, p, k_as).minimize(seed=seed)
+    for i, rho in enumerate(rhos):
+        value, sigma, converged, iters = loop_minimize(
+            rho, dims, p, None if k_as is None else k_as[i], seed=seed
+        )
+        assert opt.value[i] == pytest.approx(value, abs=1e-12)
+        assert bool(opt.converged[i]) == converged
+        assert opt.iterations[i] == iters
+        if opt.fixed[i]:  # a polish's sigma is only as sharp as its value
+            assert np.allclose(opt.sigma[i], sigma, atol=1e-9)
+    return opt
+
+
+class TestRenyiStack:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("form", ["I_cp", "I_p"])
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_matches_sequential_loop(self, name, form, p):
+        make, dims = STACKS[name]
+        rhos = make()
+        k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
+        opt = assert_matches_loop(rhos, dims, p, k_as)
+        if name == "rank2of3":
+            assert len(opt.groups) == 2  # B supports of rank 2 and 3 in one call
+
+    def test_fallback_inside_a_stack_matches_loop(self):
+        rhos = np.concatenate([thin_marginal_state()[None], _thin_outputs()])
+        opt = assert_matches_loop(rhos, (2, 3), 2.0, None)
+        assert opt.iterations[0] == 400 and not opt.fixed[0] and opt.fixed[1:].all()
+
+    @pytest.mark.parametrize("name", ["qubit", "rank2of3"])
+    def test_candidates_match_sequential_loop(self, name):
+        # minimizers found to a tighter tolerance beat the fixed point's, so
+        # they replace some items' optima; on rank2of3 half their weight is
+        # put outside the first item's B support, which the compression drops
+        make, dims = STACKS[name]
+        rhos = make()
+        items = np.arange(len(rhos))
+        tight = ent._RenyiStack(rhos, dims, 2.0).minimize(tol=1e-14).sigma
+        if name == "rank2of3":
+            tight = (tight + np.diag([0.0, 0.0, 1.0])) / 2
+        opt = ent._RenyiStack(rhos, dims, 2.0).minimize()
+        loose = opt.value.copy()
+        opt.improve(items, tight)
+        opt.improve(items, tight[::-1])
+        assert (opt.value < loose).any()
+        for i, rho in enumerate(rhos):
+            value, sigma, converged, _ = loop_minimize(
+                rho, dims, 2.0, sigma_candidates=(tight[i], tight[::-1][i])
+            )
+            assert opt.value[i] == pytest.approx(value, abs=1e-12)
+            assert bool(opt.converged[i]) == converged
+            assert np.allclose(opt.sigma[i], sigma, atol=1e-9)
+
+    def test_single_state_is_a_stack_of_one(self):
+        rhos = _qubit_outputs()
+        opt = ent._RenyiStack(rhos, (2, 2), 2.0).minimize()
+        for i, rho in enumerate(rhos):
+            single = ent.minimize_renyi_divergence(rho, (2, 2), 2.0)
+            assert single.value == opt.value[i] and single.iterations == opt.iterations[i]

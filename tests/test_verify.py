@@ -124,3 +124,102 @@ class TestAggregate:
         for space, sym in cases:
             rep = verify.verify_local_comparison(space, sym, samples=25, seed=3)
             assert rep.passed, rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the stacked entropic suite against the sample-by-sample loop
+
+
+def loop_entropic_slacks(space, symbol, samples, seed, ps=(1.5, 2.0)):
+    """(name, slack) of every record of verify_entropic, one sample at a
+    time, with three sequential Renyi minimizations per (p, form)."""
+    from tests.test_entropy import loop_minimize
+    from trocap import matcore as mc
+    from trocap.channel import base_channel, modified_channel
+    from trocap.entropy import (
+        coherent_information,
+        entropy_defect,
+        mutual_information,
+        von_neumann_entropy,
+    )
+
+    chans = (base_channel(space), modified_channel(space, symbol))
+    defect = entropy_defect(symbol)
+    da = space.dim
+    dims = (da, space.dim_out)
+    out = []
+    for i in range(samples):
+        rho = mc.random_density(np.random.default_rng((seed, i)), da * da)
+        omega, omega_f = (
+            sum(np.kron(np.eye(da), k) @ rho @ np.kron(np.eye(da), k).conj().T for k in ch.kraus)
+            for ch in chans
+        )
+        h, hf = von_neumann_entropy(omega), von_neumann_entropy(omega_f)
+        ic, icf = coherent_information(omega, dims), coherent_information(omega_f, dims)
+        mi, mif = mutual_information(omega, dims), mutual_information(omega_f, dims)
+        out += [
+            ("H_AB_lower", hf - (h - defect)),
+            ("H_AB_upper", h - hf),
+            ("I_c_lower", icf - ic),
+            ("I_c_upper", ic + defect - icf),
+            ("I_lower", mif - mi),
+            ("I_upper", mi + defect - mif),
+        ]
+        k_a = mc.partial_trace(omega, dims, keep="A")
+        for p in ps:
+            gap = (p / (p - 1.0)) * np.log2(mc.normalized_p_norm(symbol.f, p))
+            for name, k in (("I_cp", None), ("I_p", k_a)):
+                _, sigma, _, _ = loop_minimize(omega, dims, p, k, seed=seed)
+                vf, sigma_f, _, _ = loop_minimize(omega_f, dims, p, k, seed, (sigma,))
+                v, _, _, _ = loop_minimize(omega, dims, p, k, seed, (sigma_f,))
+                out += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
+    return out
+
+
+def recorded_slacks(monkeypatch):
+    seen = []
+    record = verify.VerificationReport.record
+
+    def spy(self, digest, name, slack):
+        seen.append((name, slack))
+        record(self, digest, name, slack)
+
+    monkeypatch.setattr(verify.VerificationReport, "record", spy)
+    return seen
+
+
+class TestEntropicStack:
+    @pytest.mark.parametrize(
+        "case, samples", [("dephasing", 3), ("pauli", 3), ("phi_alpha", 2)]
+    )
+    def test_matches_sample_loop(self, monkeypatch, case, samples):
+        if case == "phi_alpha":
+            bundle = phi_alpha(0.5)
+            space, sym = bundle.space, bundle.symbol
+        elif case == "pauli":
+            ch = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+            space, sym = ch.base_space, ch.symbol
+        else:
+            space, sym = dephasing_pair(0.7)
+        seen = recorded_slacks(monkeypatch)
+        verify.verify_entropic(space, sym, samples=samples, seed=4)
+        ref = loop_entropic_slacks(space, sym, samples, seed=4)
+        assert [n for n, _ in seen] == [n for n, _ in ref]
+        for (name, slack), (_, expected) in zip(seen, ref):
+            assert slack == pytest.approx(expected, abs=1e-12), name
+
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_one_minimizer_call_per_exponent_and_form(self, monkeypatch, samples):
+        import trocap.entropy as ent
+
+        calls = []
+        minimize = ent._RenyiStack.minimize
+
+        def counted(self, *args, **kwargs):
+            calls.append(len(self.rho_b))
+            return minimize(self, *args, **kwargs)
+
+        monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
+        space, sym = dephasing_pair(0.7)
+        verify.verify_entropic(space, sym, samples=samples, seed=0, ps=(1.5, 2.0, 4.0))
+        assert calls == [2 * samples] * 6  # omega and omega_f of every sample at once
