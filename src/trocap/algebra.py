@@ -6,6 +6,10 @@ algebras of an operator space, independence tests, and symbol validation.
 
 TRO tests and closure use span(V V* V) = span(L V) with L = span{x y*},
 which for a TRO is its left algebra (and span{x* y} its right algebra).
+A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and its whole structure is
+read off L: the summands of L give U, n_i and l_i, the TRO's elements give
+each summand's right frame in W and m_i, and the conditional expectation
+onto the right algebra is a compression to W's blocks and a partial trace.
 
 All span computations are Hilbert-Schmidt orthonormal with SVD rank
 decisions at relative threshold 1e-9.
@@ -23,7 +27,9 @@ from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, stine
 from .errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 
 RANK_RTOL = 1e-9
-GAP_THRESHOLD = 1e-6
+GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this are one cluster
+LINK_RTOL = 1e-8  # eigenspaces a random element joins by less than this (relative) are unlinked
+BLOCK_TRIES = 12  # random samples algebra_blocks draws before it gives up
 
 
 def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> list[np.ndarray]:
@@ -96,15 +102,19 @@ def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
 
 
 def left_algebra(space: StinespringSpace) -> AlgebraBasis:
-    """C*-algebra spanned by x y* over the space basis (acts on the output)."""
-    ops = [x @ mc.dagger(y) for x in space.basis for y in space.basis]
-    return generate_star_algebra(ops)
+    """C*-algebra generated by x y* over the space basis (acts on the output):
+    span{t s*} over the smallest TRO containing the space."""
+    basis, ell = _closure(space.basis)
+    if ell is None:  # the rank settled before the closure bound did
+        ell = _left_span(np.stack(basis))[0]
+    return _make_algebra(space.dim_out, list(ell))
 
 
 def right_algebra(space: StinespringSpace) -> AlgebraBasis:
-    """C*-algebra spanned by x* y over the space basis (acts on the environment)."""
-    ops = [mc.dagger(x) @ y for x in space.basis for y in space.basis]
-    return generate_star_algebra(ops)
+    """C*-algebra generated by x* y over the space basis (acts on the
+    environment): span{t* s} over the smallest TRO containing the space."""
+    v = np.stack(smallest_containing_tro(space.basis))
+    return _make_algebra(space.dim_env, list(_left_span(mc.dagger(v))[0]))
 
 
 class TroCheck(NamedTuple):
@@ -258,44 +268,14 @@ def is_strongly_independent(f: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -
 class _AlgebraBlock:
     factor_dim: int  # n: size of the full matrix factor
     multiplicity: int  # l: copies of each irreducible summand
-    frame: np.ndarray  # ambient-dim x (n*l), orthonormal columns
+    frame: np.ndarray  # ambient-dim x (n*l), orthonormal columns ordered (a, s)
 
 
-def _hermitian_spanning_set(basis: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of the hermitian part of an adjoint-closed span.
-
-    Works over the reals so that the output matrices are genuinely
-    hermitian (a complex SVD would introduce phases that break it).
-    """
-    b = np.stack(basis)
-    bd = b.conj().transpose(0, 2, 1)
-    cands = np.stack([b + bd, 1j * (b - bd)], axis=1).reshape(2 * len(b), -1)
-    _, s, vh = np.linalg.svd(np.concatenate([cands.real, cands.imag], axis=1), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    half = cands.shape[1]
-    out = vh[s > RANK_RTOL * s[0]]
-    return list((out[:, :half] + 1j * out[:, half:]).reshape(-1, *b.shape[1:]))
-
-
-def _center_basis(basis: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Orthonormal basis of the center of the algebra spanned by `basis`."""
-    b = np.stack(basis)
-    k = len(b)
-    rows = np.zeros((k * dim * dim, k), dtype=complex)
-    for j, bj in enumerate(b):  # column j stacks the commutators [b_j, b_k]
-        rows[:, j] = (bj @ b - b @ bj).reshape(-1)
-    # rows has at least as many rows as columns, so the reduced SVD carries
-    # all k right-singular vectors
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    coeffs = vh.conj()[s <= RANK_RTOL * max(s[0], 1.0)]
-    return orthonormal_span(list(np.tensordot(coeffs, b, axes=1)))
-
-
-def _cluster_eigh(mat: np.ndarray, gap: float = GAP_THRESHOLD):
-    """Eigendecompose and split the spectrum at gaps larger than `gap`."""
+def _cluster_eigh(mat: np.ndarray) -> list[np.ndarray]:
+    """Eigenvector frames of a hermitian matrix, one per cluster of
+    eigenvalues split at gaps larger than GAP_THRESHOLD."""
     w, v = np.linalg.eigh(mc.hermitize(mat))
-    return [(w[g], v[:, g]) for g in _split_at_gaps(w, gap)]
+    return [v[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)]
 
 
 def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -303,84 +283,65 @@ def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
     return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > gap) + 1)
 
 
-def _random_hermitian_element(rng: np.random.Generator, herm_basis: Sequence[np.ndarray]) -> np.ndarray:
-    coeffs = rng.standard_normal(len(herm_basis))
-    return mc.hermitize(np.tensordot(coeffs, np.stack(herm_basis), axes=1))
+def _random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """Hermitian part of a complex-Gaussian combination of a *-closed basis."""
+    return mc.hermitize(np.tensordot(mc.random_complex(rng, len(basis)), basis, axes=1))
 
 
-def algebra_blocks(
-    alg: AlgebraBasis, rng: np.random.Generator, max_tries: int = 12
-) -> list[_AlgebraBlock]:
+def algebra_blocks(alg: AlgebraBasis, rng: np.random.Generator) -> list[_AlgebraBlock]:
     """Block structure of a C*-algebra: factors M_n with multiplicity l.
 
-    Samples a random hermitian element of the center to split the central
-    summands, then a random hermitian element inside each summand to read
-    off the factor size from eigenvalue degeneracies.  Degenerate spectra
-    are retried with a fresh sample.
+    A random hermitian element a = (+)_i a_i (x) 1_{l_i} has the eigenspaces
+    e (x) C^{l_i}, one for each eigenvector e of each a_i; a second random
+    element links two of them exactly when they lie in one summand (Murota,
+    Kanno, Kojima & Kojima 2010).  See _linked_summands.  Degenerate samples
+    are retried with fresh ones.
     """
     # Restrict to the support of the algebra unit (the algebra may act
     # trivially on part of the ambient space).
-    t = sum(b @ mc.dagger(b) for b in alg.basis)
-    w, v = mc.herm_eig(t)
-    sup = w > 1e-10 * max(float(np.max(w)), 1.0)
-    v_sup = v[:, sup]
-    comp = orthonormal_span([mc.dagger(v_sup) @ b @ v_sup for b in alg.basis])
-    r = v_sup.shape[1]
-
-    center = _center_basis(comp, r)
-    herm_center = _hermitian_spanning_set(center)
-    herm_alg = _hermitian_spanning_set(comp)
-    n_blocks = len(center)
-
-    for _ in range(max_tries):
-        zeta = _random_hermitian_element(rng, herm_center)
-        clusters = _cluster_eigh(zeta)
-        if len(clusters) != n_blocks:
-            continue
-        out: list[_AlgebraBlock] = []
-        for _, cols in clusters:
-            blk = _resolve_factor(cols, herm_alg, rng)
-            if blk is None:
-                break
-            # embed the frame back into the ambient space
-            out.append(_AlgebraBlock(blk.factor_dim, blk.multiplicity, v_sup @ blk.frame))
-        else:
-            if sum(b.factor_dim**2 for b in out) == len(comp):
-                return out
+    w, v = mc.herm_eig(sum(b @ mc.dagger(b) for b in alg.basis))
+    v_sup = v[:, w > 1e-10 * max(float(np.max(w)), 1.0)]
+    comp = mc.dagger(v_sup) @ np.stack(alg.basis) @ v_sup
+    for _ in range(BLOCK_TRIES):
+        qs = _cluster_eigh(_random_element(rng, comp))
+        blocks = _linked_summands(qs, _random_element(rng, comp))
+        if blocks is not None and sum(k.factor_dim**2 for k in blocks) == alg.rank:
+            return [_AlgebraBlock(k.factor_dim, k.multiplicity, v_sup @ k.frame) for k in blocks]
     raise NotTro("block resolution failed to stabilize; spectrum persistently degenerate")
 
 
-def _resolve_factor(
-    sub: np.ndarray, herm_alg: Sequence[np.ndarray], rng: np.random.Generator
-) -> Optional[_AlgebraBlock]:
-    """Resolve one central summand M_n (x) 1_l and build an adapted frame;
-    sub (r x d_i) holds orthonormal columns of the central projection."""
-    d_i = sub.shape[1]
-    a = mc.dagger(sub) @ _random_hermitian_element(rng, herm_alg) @ sub
-    clusters = _cluster_eigh(a)
-    sizes = {len(c[0]) for c in clusters}
-    if len(sizes) != 1:
-        return None
-    mult = sizes.pop()
-    n = len(clusters)
-    if n * mult != d_i:
-        return None
-    if n == 1:
-        return _AlgebraBlock(1, mult, sub @ clusters[0][1])
-    # Align multiplicity spaces across eigenvalue clusters with a second
-    # random element: the polar part of Q_a* b Q_1 carries cluster 1's
-    # multiplicity basis onto cluster a's.
-    b = mc.dagger(sub) @ _random_hermitian_element(rng, herm_alg) @ sub
-    q1 = clusters[0][1]
-    frames = [q1]
-    for _, qa in clusters[1:]:
-        c = mc.dagger(qa) @ b @ q1
-        u, s, vh = np.linalg.svd(c)
-        if s.size == 0 or s[-1] <= 1e-8 * max(s[0], 1.0):
-            return None
-        frames.append(qa @ (u @ vh))
-    frame = np.concatenate(frames, axis=1)  # columns ordered (a, s)
-    return _AlgebraBlock(n, mult, sub @ frame)
+def _linked_summands(qs: list[np.ndarray], b: np.ndarray) -> Optional[list[_AlgebraBlock]]:
+    """Summands from the eigenspace frames qs of a random element.
+
+    Eigenspaces p and q are linked when |Q_p* b Q_q| exceeds LINK_RTOL times
+    the largest such norm.  Each summand is a connected component of the
+    links, walked breadth first: a frame Q_q reached from an aligned frame F
+    is aligned with it by the polar part of Q_q* b F, which carries F's
+    multiplicity basis onto Q_q.  None when linked eigenspaces differ in size.
+    """
+    cuts = np.cumsum([0] + [q.shape[1] for q in qs[:-1]])
+    q_all = np.concatenate(qs, axis=1)
+    mass = np.abs(mc.dagger(q_all) @ b @ q_all) ** 2
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(mass, cuts, axis=0), cuts, axis=1))
+    linked = norms > LINK_RTOL * np.max(norms)
+    seen = np.zeros(len(qs), dtype=bool)
+    out = []
+    for root in range(len(qs)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order, frames = [root], {root: qs[root]}
+        for p in order:  # order grows while it is walked
+            for q in np.flatnonzero(linked[p] & ~seen):
+                if qs[q].shape != qs[p].shape:
+                    return None
+                seen[q] = True
+                u, _, vh = np.linalg.svd(mc.dagger(qs[q]) @ b @ frames[p])
+                frames[q] = qs[q] @ (u @ vh)
+                order.append(q)
+        frame = np.concatenate([frames[p] for p in order], axis=1)
+        out.append(_AlgebraBlock(len(order), qs[root].shape[1], frame))
+    return out
 
 
 @dataclass(frozen=True)
@@ -423,57 +384,41 @@ def _verified_tro(mats: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, n
     return v, ell
 
 
-def _right_span_algebra(v: np.ndarray) -> AlgebraBasis:
-    """span{x* y} over a verified TRO's stacked basis: its right algebra."""
-    return _make_algebra(v.shape[2], list(_left_span(v.conj().transpose(0, 2, 1))[0]))
+def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
+    """m and the right frame G, columns ordered (b, s), of the summand with
+    left frame F.  Rows (a, s) of F* x are sum_b X[a, b] g_(b,s)*, so an SVD
+    of the rows of copy s = 0 over the stacked basis v gives m and g_(., 0),
+    and g_(., s)* = X^+ rows_s."""
+    n, l = blk.factor_dim, blk.multiplicity
+    rows = (mc.dagger(blk.frame) @ v).reshape(len(v) * n, l, -1)
+    u, s, _ = np.linalg.svd(rows[:, 0], full_matrices=False)
+    m = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    g = (mc.dagger(u[:, :m]) / s[:m, None]) @ rows.transpose(1, 0, 2)  # (s, b, env)
+    return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
 
 
-def _decompose(
-    v: np.ndarray, ell: np.ndarray, ralg: AlgebraBasis, seed: int, tol: float
-) -> TroDecomposition:
+def _decompose(v: np.ndarray, ell: np.ndarray, seed: int, tol: float) -> TroDecomposition:
     """Block decomposition of a verified TRO (stacked basis v) from its left
-    span ell and right algebra.  The blocks are listed in the canonical order
-    of their central projections on the output space, so the list does not
-    depend on the bases the algebras come in: a block-diagonal TRO lists its
-    blocks top to bottom."""
-    rng = np.random.default_rng(seed)
+    span ell: the left summands give n, l and the output frames, and each
+    summand's right frame is read off the TRO (_right_frame).  The blocks are
+    listed in the canonical order of their central projections on the output
+    space, so the list does not depend on the basis the left span comes in:
+    a block-diagonal TRO lists its blocks top to bottom."""
     dim_out, dim_env = v.shape[1:]
-    lblocks = algebra_blocks(_make_algebra(dim_out, list(ell)), rng)
-    rblocks = algebra_blocks(ralg, rng)
-
-    # Pair left and right central summands through the TRO's mass: entry
-    # (i, j) is sum_x |P_i x Q_j|^2 = sum_x |F_i* x G_j|^2 over the frames.
-    fl = np.concatenate([b.frame for b in lblocks], axis=1)
-    fr = np.concatenate([b.frame for b in rblocks], axis=1)
-    cross = np.sum(np.abs(mc.dagger(fl) @ v @ fr) ** 2, axis=0)
-    lcuts = np.cumsum([0] + [b.frame.shape[1] for b in lblocks[:-1]])
-    rcuts = np.cumsum([0] + [b.frame.shape[1] for b in rblocks[:-1]])
-    mass = np.add.reduceat(np.add.reduceat(cross, lcuts, axis=0), rcuts, axis=1)
-    pairs: list[tuple[_AlgebraBlock, _AlgebraBlock]] = []
-    free = np.ones(len(rblocks), dtype=bool)
-    for i, lb in enumerate(lblocks):
-        row = np.where(free, mass[i], -np.inf)
-        best = int(np.argmax(row))  # first strict maximum
-        if row[best] <= tol:
-            raise NotTro("left summand carries no TRO mass; pairing failed")
-        free[best] = False
-        pairs.append((lb, rblocks[best]))
+    lblocks = algebra_blocks(_make_algebra(dim_out, list(ell)), np.random.default_rng(seed))
     # Canonical order: by the entries of each summand's central projection
     # (row-major, real parts first) to 6 decimals, larger first.
-    projs = [lb.frame @ mc.dagger(lb.frame) for lb, _ in pairs]
+    projs = [lb.frame @ mc.dagger(lb.frame) for lb in lblocks]
     keys = [np.round(np.concatenate([p.real, p.imag], axis=None), 6).tolist() for p in projs]
-    pairs = [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__, reverse=True)]
+    lblocks = [lblocks[i] for i in sorted(range(len(lblocks)), key=keys.__getitem__, reverse=True)]
 
-    blocks = []
-    for lb, rb in pairs:
-        if lb.multiplicity != rb.multiplicity:
-            raise NotTro(
-                f"left/right multiplicities disagree ({lb.multiplicity} vs {rb.multiplicity})"
-            )
-        blocks.append((lb.factor_dim, rb.factor_dim, lb.multiplicity))
-
-    u_out = _complete_frame([lb.frame for lb, _ in pairs], dim_out)
-    u_env = _complete_frame([rb.frame for _, rb in pairs], dim_env)
+    blocks, rframes = [], []
+    for lb in lblocks:
+        m, frame = _right_frame(v, lb)
+        blocks.append((lb.factor_dim, m, lb.multiplicity))
+        rframes.append(frame)
+    u_out = _complete_frame([lb.frame for lb in lblocks], dim_out)
+    u_env = _complete_frame(rframes, dim_env)
 
     # Verify rectangle support of the conjugated basis.
     row_edges = np.cumsum([0] + [n * l for (n, _, l) in blocks])
@@ -490,40 +435,56 @@ def _decompose(
     if sum(n * m for n, m, _ in blocks) != len(v):
         raise NotTro("block dimensions do not account for the span dimension")
 
-    return TroDecomposition(
-        blocks=tuple(blocks), basis_change_out=u_out, basis_change_env=u_env
-    )
+    return TroDecomposition(blocks=tuple(blocks), basis_change_out=u_out, basis_change_env=u_env)
 
 
-def tro_block_decomposition(
-    space, seed: int = 0, tol: float = 1e-8
-) -> TroDecomposition:
+def tro_block_decomposition(space, seed: int = 0, tol: float = 1e-8) -> TroDecomposition:
     """Block decomposition of a verified TRO.
 
     Accepts a StinespringSpace or a sequence of matrices spanning the TRO.
-    Raises NotTro when the span fails the triple-product test.  The left and
-    right algebras are the spans of x y* and x* y, which a TRO makes
+    Raises NotTro when the span fails the triple-product test.  The whole
+    structure comes from the left algebra span{x y*}, which a TRO makes
     *-closed.
     """
     if isinstance(space, StinespringSpace):
         mats = list(space.basis)
     else:
         mats = [mc.asmatrix(m) for m in space]
-    v, ell = _verified_tro(mats, tol)
-    return _decompose(v, ell, _right_span_algebra(v), seed, tol)
+    return _decompose(*_verified_tro(mats, tol), seed, tol)
 
 
 # ---------------------------------------------------------------------------
 # symbol validation
 
 
+def _block_residuals(f: np.ndarray, decomp: TroDecomposition) -> list[float]:
+    """strong_independence_residuals of f against the TRO's right algebra
+    R = (+) M_{m_i} (x) 1_{l_i}, taken in the block basis W: the HS projection
+    onto span(R + {1}) maps W* P W to its normalized partial trace over each
+    summand's multiplicity, and to its normalized trace on the complement."""
+    w = decomp.basis_change_env
+    dim = len(w)
+    resids = []
+    for _, p in spectral_projections(f):
+        y, tau = mc.dagger(w) @ p @ w, np.trace(p).real / dim
+        edge, sq = 0, 0.0
+        for _, m, l in decomp.blocks:
+            sub = y[edge : edge + m * l, edge : edge + m * l].reshape(m, l, m, l)
+            sq += l * mc.frobenius(np.einsum("asbs->ab", sub) / l - tau * np.eye(m)) ** 2
+            edge += m * l
+        if edge < dim:
+            sq += (dim - edge) * (np.trace(y[edge:, edge:]).real / (dim - edge) - tau) ** 2
+        resids.append(float(np.sqrt(sq)))
+    return resids
+
+
 def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9) -> Symbol:
     """Certify an environment density as a symbol of the channel.
 
-    Computes the smallest TRO containing the channel's dilation range and
-    checks strong independence of f from that TRO's right algebra.  The
-    certificate records the TRO's block structure and the independence
-    residuals.
+    Computes the smallest TRO containing the channel's dilation range, its
+    block decomposition, and checks strong independence of f from that TRO's
+    right algebra in the block basis.  The certificate records the TRO's
+    block structure and the independence residuals.
     """
     f = mc.asmatrix(f)
     space = stinespring_space(ch)
@@ -543,19 +504,18 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
         v, ell = _verified_tro(basis, 1e-8)
     else:
         v = np.stack(basis)
-    ralg = _right_span_algebra(v)
-    resids = strong_independence_residuals(f, ralg)
+    decomp = _decompose(v, ell, seed, 1e-8)
+    resids = _block_residuals(f, decomp)
     bad = [k for k, r in enumerate(resids) if r > tol]
     if bad:
         raise NotIndependent(
             f"spectral projection(s) {bad} of the symbol fail independence "
             f"(worst residual {max(resids):.3e})"
         )
-    decomp = _decompose(v, ell, ralg, seed, 1e-8)
     cert = SymbolCertificate(
         blocks=decomp.blocks,
         residuals=tuple(resids),
-        right_algebra_dim=ralg.rank,
+        right_algebra_dim=sum(m * m for _, m, _ in decomp.blocks),
         tro_dim=len(v),
         space_is_tro=(len(v) == space.dim),
     )

@@ -90,7 +90,8 @@ class SymbolCertificate:
     ``blocks`` is the rectangular block structure (n_i, m_i, l_i) of the
     smallest triple-product-closed space containing the channel's dilation
     range; ``residuals`` are the conditional-expectation residuals of the
-    density's spectral projections against that space's right algebra.
+    density's spectral projections against that space's right algebra
+    (+)_i M_{m_i} (x) 1_{l_i}, whose dimension ``right_algebra_dim`` is sum_i m_i^2.
     """
 
     blocks: tuple[tuple[int, int, int], ...]

@@ -7,13 +7,24 @@ from trocap import algebra as alg
 from trocap import matcore as mc
 from trocap.builders import (
     completely_dephasing_channel,
+    cyclic_group,
+    group_random_unitary,
     partial_trace_sum_channel,
     phi_alpha,
     qubit_dephasing,
+    regular_representation,
 )
-from trocap.channel import apply, base_channel, from_kraus, modified_channel, stinespring_space
+from trocap.channel import (
+    StinespringSpace,
+    apply,
+    base_channel,
+    from_kraus,
+    modified_channel,
+    stinespring_space,
+)
 from trocap.entropy import entropy_defect
 from trocap.errors import NotIndependent, NotNormalized, NotTro
+from trocap.verify import verify_local_comparison
 
 
 def e(i, j, d=2):
@@ -354,23 +365,26 @@ def ref_smallest_containing_tro(mats):
         basis = new_basis
 
 
-def block_tro(rng, shapes):
-    """Basis of (+)_i M_{n_i, m_i} disguised by random unitaries (U, W), or
-    block diagonal when rng is None."""
-    rows, cols = sum(n for n, _ in shapes), sum(m for _, m in shapes)
+def block_tro(rng, shapes, pad=(0, 0)):
+    """Basis of (+)_i M_{n_i, m_i} (x) 1_{l_i} (shapes (n, m), where l = 1,
+    or (n, m, l)) with pad = (rows, columns) of zeros appended, disguised by
+    random unitaries (U, W), or block diagonal when rng is None."""
+    shapes = [(tuple(s) + (1,))[:3] for s in shapes]
+    rows = sum(n * l for n, _, l in shapes) + pad[0]
+    cols = sum(m * l for _, m, l in shapes) + pad[1]
     if rng is None:  # not disguised
         u, w = np.eye(rows), np.eye(cols)
     else:
         u, w = mc.random_unitary(rng, rows), mc.random_unitary(rng, cols)
     mats, ro, co = [], 0, 0
-    for n, m in shapes:
+    for n, m, l in shapes:
         for i in range(n):
             for j in range(m):
                 x = np.zeros((rows, cols), dtype=complex)
-                x[ro + i, co + j] = 1.0
+                x[ro : ro + n * l, co : co + m * l] = np.kron(e(i, j, max(n, m))[:n, :m], np.eye(l))
                 mats.append(u @ x @ mc.dagger(w))
-        ro += n
-        co += m
+        ro += n * l
+        co += m * l
     return mats
 
 
@@ -484,9 +498,9 @@ class TestTroClosureAgainstLoops:
         assert check.residual == pytest.approx(worst, rel=VEC_RTOL)
 
     def test_validate_symbol_svd_inputs_stay_small(self, monkeypatch):
-        # Schur cyclic(16): every SVD is at most k^2 rows (the left and right
-        # spans) or at most k columns (the tall center-basis system); the
-        # k + k^3 row closure system is gone
+        # Schur cyclic(16): every SVD has at most k^2 rows, and the only one
+        # with k^2 rows is the left span; the k + k^3 row closure system and
+        # the right span are gone
         k = 16
         p = np.random.default_rng(0).random(k)
         four = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
@@ -502,10 +516,10 @@ class TestTroClosureAgainstLoops:
         sym = alg.validate_symbol(completely_dephasing_channel(k), kernel)
         assert sym.certificate.blocks == ((1, 1, 1),) * k
         assert shapes
-        assert all(rows <= k * k or cols <= k for rows, cols in shapes)
+        assert all(rows <= k * k for rows, _ in shapes)
         # the certified closure's left span is reused for the check and the
-        # left algebra: one k^2-row SVD for it and one for the right algebra
-        assert sum(rows == k * k for rows, _ in shapes) == 2
+        # whole block structure: one k^2-row SVD in all
+        assert sum(rows == k * k for rows, _ in shapes) == 1
 
     def test_is_tro_memory_on_generic_kraus_channel(self):
         # the dilation range of a random isometry C^16 -> C^16 (x) C^16 is no
@@ -556,3 +570,139 @@ class TestCanonicalBlockOrder:
         orders = {phi_alpha(a, seed=s).symbol.certificate.blocks for a in (0.3, -0.5) for s in range(3)}
         assert len(orders) == 1
 
+
+def span_space(mats):
+    """StinespringSpace with an orthonormal basis of span(mats)."""
+    basis = alg.orthonormal_span(mats)
+    return StinespringSpace(tuple(basis), *basis[0].shape)
+
+
+MULT_SHAPES = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda s: sum(n * m for n, m, _ in s) <= 10)
+
+
+class TestMultiplicityAlignment:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shapes=MULT_SHAPES,
+        pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_and_rectangles_match_construction(self, shapes, pad, seed):
+        # on each rectangle the conjugated element is X (x) 1_l: the copies of
+        # every summand are aligned on both sides, and nothing leaks outside
+        rng = np.random.default_rng(seed)
+        mats = block_tro(rng, shapes, pad)
+        decomp = alg.tro_block_decomposition(mix(rng, mats), seed=seed % 5)
+        assert sorted(decomp.blocks) == sorted(shapes)
+        u, w = decomp.basis_change_out, decomp.basis_change_env
+        assert np.allclose(mc.dagger(u) @ u, np.eye(len(u)), atol=1e-10)
+        assert np.allclose(mc.dagger(w) @ w, np.eye(len(w)), atol=1e-10)
+        for x in mats:
+            y = mc.dagger(u) @ x @ w
+            ro = co = 0
+            for n, m, l in decomp.blocks:
+                rect = y[ro : ro + n * l, co : co + m * l].copy()
+                big_x = np.einsum("asbs->ab", rect.reshape(n, l, m, l)) / l
+                assert np.max(np.abs(rect - np.kron(big_x, np.eye(l)))) < 1e-8
+                y[ro : ro + n * l, co : co + m * l] = 0.0
+                ro, co = ro + n * l, co + m * l
+            assert np.max(np.abs(y), initial=0.0) < 1e-8
+
+
+def density(kind, dim, seed=0):
+    """An environment density of normalized trace 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        return np.eye(dim, dtype=complex)
+    g = mc.random_psd(rng, dim)
+    if kind == "kernel":  # unit diagonal
+        d = 1.0 / np.sqrt(np.diagonal(g).real)
+        return d[:, None] * g * d[None, :]
+    return g * dim / np.trace(g).real
+
+
+def reference_channel(name):
+    rng = np.random.default_rng(4)
+    if name == "dephasing":
+        return completely_dephasing_channel(4)
+    if name == "phi_zero":
+        return phi_alpha(0.0).space.source
+    if name == "partial_traces":
+        return partial_trace_sum_channel([(1, 3), (2, 2), (2, 1)])
+    if name == "multiplicity":  # (M_{1,2} (x) 1_2) + M_{2,1}, padded and disguised
+        return base_channel(span_space(block_tro(rng, [(1, 2, 2), (2, 1, 1)], (1, 2))))
+    if name == "regular_rep":  # the closure is larger than the space
+        return group_random_unitary(regular_representation(cyclic_group(3)), [0.5, 0.3, 0.2])
+    if name == "modified":
+        base = qubit_dephasing(0.0)
+        sym = alg.validate_symbol(base, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        return modified_channel(stinespring_space(base), sym)
+    iso = mc.random_unitary(rng, 9)[:, :3]  # a random isometry C^3 -> C^3 (x) C^3
+    return from_kraus(list(iso.reshape(3, 3, 3).transpose(1, 0, 2)))
+
+
+REFERENCE_CHANNELS = [
+    "dephasing", "phi_zero", "partial_traces", "multiplicity", "regular_rep", "modified", "isometry"
+]
+
+
+class TestBlockBasisAgainstHsReference:
+    """The block-basis structure against the public Hilbert-Schmidt paths:
+    right_algebra, strong_independence_residuals and generate_star_algebra."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
+    @pytest.mark.parametrize("kind", ["identity", "kernel", "random"])
+    def test_certificate_matches_hs_residuals(self, name, kind):
+        ch = reference_channel(name)
+        space = stinespring_space(ch)
+        f = density(kind, space.dim_env)
+        ralg = alg.right_algebra(space)
+        ref = alg.strong_independence_residuals(f, ralg)
+        decomp = alg.tro_block_decomposition(alg.smallest_containing_tro(space.basis))
+        assert np.max(np.abs(np.subtract(alg._block_residuals(f, decomp), ref))) <= 1e-12
+        if max(ref) > 1e-9:
+            with pytest.raises(NotIndependent):
+                alg.validate_symbol(ch, f)
+        else:
+            cert = alg.validate_symbol(ch, f).certificate
+            assert len(cert.residuals) == len(ref)
+            assert np.max(np.abs(np.subtract(cert.residuals, ref))) <= 1e-12
+            assert cert.right_algebra_dim == ralg.rank
+
+    @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
+    def test_right_algebra_dim_is_right_algebra_rank(self, name):
+        ch = reference_channel(name)
+        cert = alg.identity_symbol(ch).certificate
+        assert cert.right_algebra_dim == alg.right_algebra(stinespring_space(ch)).rank
+        assert cert.right_algebra_dim == sum(m * m for _, m, _ in cert.blocks)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=FAMILIES, shapes=SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_left_and_right_algebras_match_closure_loop(self, kind, shapes, seed):
+        space = span_space(tro_family(kind, shapes, seed))
+        basis = space.basis
+        for got, ops in (
+            (alg.left_algebra(space), [x @ mc.dagger(y) for x in basis for y in basis]),
+            (alg.right_algebra(space), [mc.dagger(x) @ y for x in basis for y in basis]),
+        ):
+            ref = alg.generate_star_algebra(ops)
+            assert (got.rank, got.unital) == (ref.rank, ref.unital)
+            for b in got.basis:
+                assert alg.span_residual(b, ref.basis) < 1e-8
+
+    def test_no_closure_loop_inside_symbol_decomposition_or_verify(self, monkeypatch):
+        bundle = phi_alpha(0.5)
+        calls = []
+        real = alg.generate_star_algebra
+
+        def counting(generators):
+            calls.append(len(generators))
+            return real(generators)
+
+        monkeypatch.setattr(alg, "generate_star_algebra", counting)
+        alg.validate_symbol(bundle.space.source, bundle.symbol.f)
+        alg.tro_block_decomposition(bundle.space)
+        assert verify_local_comparison(bundle.space, bundle.symbol, samples=2).passed
+        assert calls == []
