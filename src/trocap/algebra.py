@@ -274,7 +274,7 @@ class _AlgebraBlock:
 def _cluster_eigh(mat: np.ndarray) -> list[np.ndarray]:
     """Eigenvector frames of a hermitian matrix, one per cluster of
     eigenvalues split at gaps larger than GAP_THRESHOLD."""
-    w, v = np.linalg.eigh(mc.hermitize(mat))
+    w, v = np.linalg.eigh(mat)
     return [v[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)]
 
 
