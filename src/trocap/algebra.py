@@ -6,10 +6,13 @@ algebras of an operator space, independence tests, and symbol validation.
 
 TRO tests and closure use span(V V* V) = span(L V) with L = span{x y*},
 which for a TRO is its left algebra (and span{x* y} its right algebra).
-A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and its whole structure is
-read off L: the summands of L give U, n_i and l_i, the TRO's elements give
-each summand's right frame in W and m_i, and the conditional expectation
-onto the right algebra is a compression to W's blocks and a partial trace.
+A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and _closed_structure reads
+its whole structure off L: the summands of L give U, n_i and l_i, the TRO's
+elements give each summand's right frame in W and m_i.  The conditional
+expectation onto either side's algebra is a compression to the blocks of U
+or W and a partial trace (_block_expectation).  The Hilbert-Schmidt paths
+(conditional_expectation, and all that builds an AlgebraBasis) are public
+references that no internal path uses.
 
 All span computations are Hilbert-Schmidt orthonormal with SVD rank
 decisions at relative threshold 1e-9.
@@ -27,6 +30,7 @@ from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, stine
 from .errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 
 RANK_RTOL = 1e-9
+TRO_TOL = 1e-8  # triple-product residual up to which a span is accepted as a TRO
 GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this are one cluster
 LINK_RTOL = 1e-8  # eigenspaces a random element joins by less than this (relative) are unlinked
 BLOCK_TRIES = 12  # random samples algebra_blocks draws before it gives up
@@ -104,10 +108,8 @@ def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
 def left_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x y* over the space basis (acts on the output):
     span{t s*} over the smallest TRO containing the space."""
-    basis, ell = _closure(space.basis)
-    if ell is None:  # the rank settled before the closure bound did
-        ell = _left_span(np.stack(basis))[0]
-    return _make_algebra(space.dim_out, list(ell))
+    v = np.stack(smallest_containing_tro(space.basis))
+    return _make_algebra(space.dim_out, list(_left_span(v)[0]))
 
 
 def right_algebra(space: StinespringSpace) -> AlgebraBasis:
@@ -139,7 +141,7 @@ def _left_span(v: np.ndarray) -> tuple[np.ndarray, float]:
     return vh[keep].reshape(-1, n, n), float(np.linalg.norm(s[~keep]))
 
 
-def is_tro(mats: Sequence[np.ndarray], tol: float = 1e-8) -> TroCheck:
+def is_tro(mats: Sequence[np.ndarray], tol: float = TRO_TOL) -> TroCheck:
     """Check closure of span(mats) under the triple product x y* z.
 
     With l_a an orthonormal basis of L = span{x y*} (cut leaving delta, see
@@ -238,7 +240,12 @@ def is_independent(x: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
 
 def spectral_projections(f: np.ndarray, rtol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
     """Eigenvalue clusters of a hermitian matrix with their projections."""
-    w, v = mc.herm_eig(f)
+    return _eig_projections(mc.herm_eig(f), rtol)
+
+
+def _eig_projections(eig: mc.HermEig, rtol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
+    """spectral_projections from an eigendecomposition already taken."""
+    w, v = eig
     groups = _split_at_gaps(w, rtol * max(1.0, float(np.max(np.abs(w)))))
     return [(float(np.mean(w[g])), v[:, g] @ mc.dagger(v[:, g])) for g in groups]
 
@@ -271,13 +278,6 @@ class _AlgebraBlock:
     frame: np.ndarray  # ambient-dim x (n*l), orthonormal columns ordered (a, s)
 
 
-def _cluster_eigh(mat: np.ndarray) -> list[np.ndarray]:
-    """Eigenvector frames of a hermitian matrix, one per cluster of
-    eigenvalues split at gaps larger than GAP_THRESHOLD."""
-    w, v = np.linalg.eigh(mat)
-    return [v[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)]
-
-
 def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
     """Indices of ascending eigenvalues, split where neighbours differ by more than gap."""
     return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > gap) + 1)
@@ -288,8 +288,8 @@ def _random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
     return mc.hermitize(np.tensordot(mc.random_complex(rng, len(basis)), basis, axes=1))
 
 
-def algebra_blocks(alg: AlgebraBasis, rng: np.random.Generator) -> list[_AlgebraBlock]:
-    """Block structure of a C*-algebra: factors M_n with multiplicity l.
+def algebra_blocks(basis: np.ndarray, rng: np.random.Generator) -> list[_AlgebraBlock]:
+    """Factors M_n, with multiplicity l, of the C*-algebra with a stacked orthonormal basis.
 
     A random hermitian element a = (+)_i a_i (x) 1_{l_i} has the eigenspaces
     e (x) C^{l_i}, one for each eigenvector e of each a_i; a second random
@@ -299,13 +299,14 @@ def algebra_blocks(alg: AlgebraBasis, rng: np.random.Generator) -> list[_Algebra
     """
     # Restrict to the support of the algebra unit (the algebra may act
     # trivially on part of the ambient space).
-    w, v = mc.herm_eig(sum(b @ mc.dagger(b) for b in alg.basis))
+    w, v = mc.herm_eig(sum(b @ mc.dagger(b) for b in basis))
     v_sup = v[:, w > 1e-10 * max(float(np.max(w)), 1.0)]
-    comp = mc.dagger(v_sup) @ np.stack(alg.basis) @ v_sup
+    comp = mc.dagger(v_sup) @ basis @ v_sup
     for _ in range(BLOCK_TRIES):
-        qs = _cluster_eigh(_random_element(rng, comp))
+        w, v = np.linalg.eigh(_random_element(rng, comp))
+        qs = [v[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)]
         blocks = _linked_summands(qs, _random_element(rng, comp))
-        if blocks is not None and sum(k.factor_dim**2 for k in blocks) == alg.rank:
+        if blocks is not None and sum(k.factor_dim**2 for k in blocks) == len(basis):
             return [_AlgebraBlock(k.factor_dim, k.multiplicity, v_sup @ k.frame) for k in blocks]
     raise NotTro("block resolution failed to stabilize; spectrum persistently degenerate")
 
@@ -372,9 +373,9 @@ def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
 
 
 def _verified_tro(mats: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked basis and left span of span(mats) as is_tro(orthonormal_span(mats))
-    checks it (so a NotTro names the same witness); NotTro unless a TRO."""
-    v = np.stack(orthonormal_span(orthonormal_span(mats)))
+    """Stacked basis and left span of span(mats) as is_tro(mats) checks it
+    (so a NotTro names the same witness); NotTro unless a TRO."""
+    v = np.stack(orthonormal_span(mats))
     check, ell = _tro_check(v, tol)
     if not check.ok:
         raise NotTro(
@@ -405,32 +406,26 @@ def _decompose(v: np.ndarray, ell: np.ndarray, seed: int, tol: float) -> TroDeco
     space, so the list does not depend on the basis the left span comes in:
     a block-diagonal TRO lists its blocks top to bottom."""
     dim_out, dim_env = v.shape[1:]
-    lblocks = algebra_blocks(_make_algebra(dim_out, list(ell)), np.random.default_rng(seed))
+    lblocks = algebra_blocks(ell, np.random.default_rng(seed))
     # Canonical order: by the entries of each summand's central projection
     # (row-major, real parts first) to 6 decimals, larger first.
     projs = [lb.frame @ mc.dagger(lb.frame) for lb in lblocks]
     keys = [np.round(np.concatenate([p.real, p.imag], axis=None), 6).tolist() for p in projs]
     lblocks = [lblocks[i] for i in sorted(range(len(lblocks)), key=keys.__getitem__, reverse=True)]
 
-    blocks, rframes = [], []
-    for lb in lblocks:
-        m, frame = _right_frame(v, lb)
-        blocks.append((lb.factor_dim, m, lb.multiplicity))
-        rframes.append(frame)
+    ms, rframes = zip(*[_right_frame(v, lb) for lb in lblocks])
+    blocks = [(lb.factor_dim, m, lb.multiplicity) for lb, m in zip(lblocks, ms)]
     u_out = _complete_frame([lb.frame for lb in lblocks], dim_out)
     u_env = _complete_frame(rframes, dim_env)
 
     # Verify rectangle support of the conjugated basis.
-    row_edges = np.cumsum([0] + [n * l for (n, _, l) in blocks])
-    col_edges = np.cumsum([0] + [m * l for (_, m, l) in blocks])
-    mask = np.ones((dim_out, dim_env), dtype=bool)
-    for i in range(len(blocks)):
-        mask[row_edges[i] : row_edges[i + 1], col_edges[i] : col_edges[i + 1]] = False
-    if mask.any():
-        off = np.max(np.abs((mc.dagger(u_out) @ v @ u_env)[:, mask]), axis=1)
-        leaks = off[off > tol]
-        if leaks.size:
-            raise NotTro(f"conjugated basis leaks outside declared rectangles ({leaks[0]:.3e})")
+    y, ro, co = mc.dagger(u_out) @ v @ u_env, 0, 0
+    for n, m, l in blocks:
+        y[:, ro : ro + n * l, co : co + m * l] = 0.0
+        ro, co = ro + n * l, co + m * l
+    leak = float(np.max(np.abs(y), initial=0.0))
+    if leak > tol:
+        raise NotTro(f"conjugated basis leaks outside declared rectangles ({leak:.3e})")
 
     if sum(n * m for n, m, _ in blocks) != len(v):
         raise NotTro("block dimensions do not account for the span dimension")
@@ -438,44 +433,54 @@ def _decompose(v: np.ndarray, ell: np.ndarray, seed: int, tol: float) -> TroDeco
     return TroDecomposition(blocks=tuple(blocks), basis_change_out=u_out, basis_change_env=u_env)
 
 
-def tro_block_decomposition(space, seed: int = 0, tol: float = 1e-8) -> TroDecomposition:
-    """Block decomposition of a verified TRO.
-
-    Accepts a StinespringSpace or a sequence of matrices spanning the TRO.
-    Raises NotTro when the span fails the triple-product test.  The whole
-    structure comes from the left algebra span{x y*}, which a TRO makes
-    *-closed.
-    """
-    if isinstance(space, StinespringSpace):
-        mats = list(space.basis)
-    else:
-        mats = [mc.asmatrix(m) for m in space]
+def tro_block_decomposition(space, seed: int = 0, tol: float = TRO_TOL) -> TroDecomposition:
+    """Block decomposition of a verified TRO, given as a StinespringSpace or as
+    matrices spanning it, read off its left algebra span{x y*}.  Raises NotTro,
+    naming the witness of is_tro(mats), when the span is not a TRO."""
+    mats = space.basis if isinstance(space, StinespringSpace) else [mc.asmatrix(m) for m in space]
     return _decompose(*_verified_tro(mats, tol), seed, tol)
+
+
+def _closed_structure(mats: Sequence[np.ndarray], seed: int) -> tuple[np.ndarray, TroDecomposition]:
+    """Stacked basis of the smallest TRO containing span(mats) and its block
+    decomposition: the closure, the triple-product check when the closure
+    bound did not certify the result, then the decomposition."""
+    basis, ell = _closure(mats)
+    v, ell = _verified_tro(basis, TRO_TOL) if ell is None else (np.stack(basis), ell)
+    return v, _decompose(v, ell, seed, TRO_TOL)
+
+
+def _block_expectation(q: np.ndarray, shapes: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
+    """q* E(x) q for E the conditional_expectation onto q ((+)_i M_{d_i} (x) 1_{l_i}) q*
+    (+ scalars on the rest); q unitary, shapes (d_i, l_i) in its column order, x a
+    matrix or a stack.  Each summand's block of q* x q goes to its normalized partial
+    trace over the multiplicity, (x) 1_{l_i}, and the rest to its normalized trace."""
+    y = mc.dagger(q) @ x @ q
+    out, edge, lead = np.zeros_like(y), 0, y.shape[:-2]
+    for d, l in shapes:
+        s = slice(edge, edge + d * l)
+        pt = np.trace(y[..., s, s].reshape(*lead, d, l, d, l), axis1=-3, axis2=-1) / l
+        out[..., s, s] = (pt[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, d * l, d * l)
+        edge += d * l
+    rest = len(q) - edge
+    if rest:
+        tr = np.trace(y[..., edge:, edge:], axis1=-2, axis2=-1) / rest
+        out[..., edge:, edge:] = tr[..., None, None] * np.eye(rest)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # symbol validation
 
 
-def _block_residuals(f: np.ndarray, decomp: TroDecomposition) -> list[float]:
-    """strong_independence_residuals of f against the TRO's right algebra
-    R = (+) M_{m_i} (x) 1_{l_i}, taken in the block basis W: the HS projection
-    onto span(R + {1}) maps W* P W to its normalized partial trace over each
-    summand's multiplicity, and to its normalized trace on the complement."""
-    w = decomp.basis_change_env
-    dim = len(w)
-    resids = []
-    for _, p in spectral_projections(f):
-        y, tau = mc.dagger(w) @ p @ w, np.trace(p).real / dim
-        edge, sq = 0, 0.0
-        for _, m, l in decomp.blocks:
-            sub = y[edge : edge + m * l, edge : edge + m * l].reshape(m, l, m, l)
-            sq += l * mc.frobenius(np.einsum("asbs->ab", sub) / l - tau * np.eye(m)) ** 2
-            edge += m * l
-        if edge < dim:
-            sq += (dim - edge) * (np.trace(y[edge:, edge:]).real / (dim - edge) - tau) ** 2
-        resids.append(float(np.sqrt(sq)))
-    return resids
+def _block_residuals(eig: mc.HermEig, decomp: TroDecomposition) -> list[float]:
+    """strong_independence_residuals of f, given as its eigendecomposition,
+    against the TRO's right algebra, taken in its block basis W: |W* E(P) W - tau(P) 1|."""
+    w, shapes = decomp.basis_change_env, [(m, l) for _, m, l in decomp.blocks]
+    p = np.stack([p for _, p in _eig_projections(eig)])
+    tau = np.trace(p, axis1=1, axis2=2).real / len(w)
+    e = _block_expectation(w, shapes, p) - tau[:, None, None] * np.eye(len(w))
+    return [mc.frobenius(r) for r in e]
 
 
 def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9) -> Symbol:
@@ -492,20 +497,15 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
         raise DimMismatch(
             f"symbol dim {f.shape[0]} does not match environment {space.dim_env}"
         )
-    w, _ = mc.herm_eig(f)
-    if float(np.min(w)) < -1e-10 * max(1.0, float(np.max(w))):
+    eig = mc.herm_eig(f)
+    if float(np.min(eig.eigenvalues)) < -1e-10 * max(1.0, float(np.max(eig.eigenvalues))):
         raise NotNormalized("symbol must be positive semidefinite")
     tau = np.trace(f).real / space.dim_env
     if abs(tau - 1.0) > 1e-10:
         raise NotNormalized(f"normalized trace is {tau:.6f}, expected 1")
 
-    basis, ell = _closure(space.basis)
-    if ell is None:  # the rank settled before the closure bound did
-        v, ell = _verified_tro(basis, 1e-8)
-    else:
-        v = np.stack(basis)
-    decomp = _decompose(v, ell, seed, 1e-8)
-    resids = _block_residuals(f, decomp)
+    v, decomp = _closed_structure(space.basis, seed)
+    resids = _block_residuals(eig, decomp)
     bad = [k for k, r in enumerate(resids) if r > tol]
     if bad:
         raise NotIndependent(

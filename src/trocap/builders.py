@@ -292,10 +292,7 @@ def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]
     null_mask[: len(s)] = s <= 1e-9 * max(float(s[0]), 1.0)
     null_mask[len(s) :] = True
     mats = [vh[i].conj().reshape(m, m) for i in range(vh.shape[0]) if null_mask[i]]
-    basis = alg.orthonormal_span(mats)
-    algebra = alg._make_algebra(m, basis)
-    rng = np.random.default_rng(seed)
-    blocks = alg.algebra_blocks(algebra, rng)
+    blocks = alg.algebra_blocks(np.stack(alg.orthonormal_span(mats)), np.random.default_rng(seed))
     return sorted((b.factor_dim, b.multiplicity) for b in blocks)
 
 

@@ -92,7 +92,8 @@ def verify_local_comparison(
 ) -> VerificationReport:
     """Norm comparison on random inputs.
 
-    For random PSD rho, random sigma in the range of the reference channel,
+    For random PSD rho, random sigma in the range of the reference channel
+    (a random PSD matrix's conditional expectation onto the left algebra),
     and each exponent p, checks the log-scale sandwich
     ||N(rho)||_p <= ||N_f(rho)||_p <= ||f||_{p,tau} ||N(rho)||_p
     and its version conjugated by sigma^(-1/2p').
@@ -100,12 +101,13 @@ def verify_local_comparison(
     report = VerificationReport("local_comparison", samples, seed, tolerance)
     n = base_channel(space)
     nf = modified_channel(space, symbol)
-    lalg = alg.left_algebra(space)
+    decomp = alg._closed_structure(space.basis, seed)[1]
+    u, shapes = decomp.basis_change_out, [(n_i, l) for n_i, _, l in decomp.blocks]
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
         rho = mc.random_density(rng, space.dim)
-        sigma = alg.conditional_expectation(lalg, mc.random_psd(rng, space.dim_out))
-        sigma = mc.hermitize(sigma) / np.trace(sigma).real
+        e = alg._block_expectation(u, shapes, mc.random_psd(rng, space.dim_out))
+        sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e).real
         out = apply(n, rho)
         out_f = apply(nf, rho)
         dig = _digest(rho, sigma)

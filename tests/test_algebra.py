@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from trocap import algebra as alg
 from trocap import matcore as mc
 from trocap.builders import (
+    commutant_blocks,
     completely_dephasing_channel,
     cyclic_group,
     group_random_unitary,
@@ -169,6 +172,15 @@ class TestTroBlockDecomposition:
     def test_not_tro_raises(self):
         with pytest.raises(NotTro):
             alg.tro_block_decomposition([e(0, 0), e(0, 1), e(1, 1)], seed=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_not_tro_names_the_is_tro_witness(self, seed):
+        # both check the same orthonormal basis of span(mats)
+        mats = tro_family("upper_triangular", None, seed)
+        check = alg.is_tro(mats)
+        assert not check.ok
+        with pytest.raises(NotTro, match=re.escape(f"witness {check.witness},")):
+            alg.tro_block_decomposition(mats, seed=seed)
 
     def test_multiplicity_two(self):
         # M_{1,2} (x) 1_2, disguised: one block of shape (1, 2) with multiplicity 2
@@ -661,7 +673,8 @@ class TestBlockBasisAgainstHsReference:
         ralg = alg.right_algebra(space)
         ref = alg.strong_independence_residuals(f, ralg)
         decomp = alg.tro_block_decomposition(alg.smallest_containing_tro(space.basis))
-        assert np.max(np.abs(np.subtract(alg._block_residuals(f, decomp), ref))) <= 1e-12
+        got = alg._block_residuals(mc.herm_eig(f), decomp)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
         if max(ref) > 1e-9:
             with pytest.raises(NotIndependent):
                 alg.validate_symbol(ch, f)
@@ -692,17 +705,41 @@ class TestBlockBasisAgainstHsReference:
             for b in got.basis:
                 assert alg.span_residual(b, ref.basis) < 1e-8
 
+    @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
+    def test_block_expectation_matches_hs_conditional_expectation(self, name):
+        space = stinespring_space(reference_channel(name))
+        decomp = alg._closed_structure(space.basis, 0)[1]
+        u, w = decomp.basis_change_out, decomp.basis_change_env
+        sides = (
+            (u, [(n, l) for n, _, l in decomp.blocks], alg.left_algebra(space)),
+            (w, [(m, l) for _, m, l in decomp.blocks], alg.right_algebra(space)),
+        )
+        rng = np.random.default_rng(7)
+        for q, shapes, ref in sides:
+            xs = mc.random_complex(rng, (3, ref.dim, ref.dim))
+            for x, stacked in zip(xs, alg._block_expectation(q, shapes, xs)):
+                single = alg._block_expectation(q, shapes, x)
+                diff = q @ single @ mc.dagger(q) - alg.conditional_expectation(ref, x)
+                assert mc.frobenius(diff) <= 1e-12 * mc.frobenius(x)
+                assert mc.frobenius(stacked - single) <= 1e-14 * mc.frobenius(x)
+
     def test_no_closure_loop_inside_symbol_decomposition_or_verify(self, monkeypatch):
+        # nor any other Hilbert-Schmidt algebra path
         bundle = phi_alpha(0.5)
         calls = []
-        real = alg.generate_star_algebra
+        hs_paths = ("generate_star_algebra", "left_algebra", "conditional_expectation")
+        for name in hs_paths + ("_make_algebra", "project_span"):
+            def counting(*args, _name=name, _real=getattr(alg, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        def counting(generators):
-            calls.append(len(generators))
-            return real(generators)
-
-        monkeypatch.setattr(alg, "generate_star_algebra", counting)
+            monkeypatch.setattr(alg, name, counting)
         alg.validate_symbol(bundle.space.source, bundle.symbol.f)
+        for name in ("regular_rep", "multiplicity"):
+            alg.identity_symbol(reference_channel(name))
         alg.tro_block_decomposition(bundle.space)
         assert verify_local_comparison(bundle.space, bundle.symbol, samples=2).passed
+        assert commutant_blocks(regular_representation(cyclic_group(3))) == [(1, 1)] * 3
         assert calls == []
+        alg.left_algebra(bundle.space)  # the counters do count
+        assert calls[0] == "left_algebra" and "_make_algebra" in calls
