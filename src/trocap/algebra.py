@@ -199,6 +199,8 @@ def _closure(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], Optional[np.
     basis = orthonormal_span(mats)
     while basis:
         v = np.stack(basis)
+        if len(v) == v.shape[1] * v.shape[2]:  # all of M_{n,m}: a TRO with left span M_n
+            return basis, np.eye(v.shape[1] ** 2).reshape(-1, v.shape[1], v.shape[1])
         flat = v.reshape(len(v), -1)
         ell, delta = _left_span(v)
         prods = (ell[None] @ v[:, None]).reshape(-1, flat.shape[1])

@@ -39,6 +39,7 @@ QUANTITIES = (
     "Q1",
     "neg_S_cb",
 )
+CEILING_RTOL = 1e-12  # relative gap below a proven ceiling that counts as reaching it
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def _densities(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ascent(
-    ch: Channel, g0: np.ndarray, reverse: bool, max_iter: int = 400
+    ch: Channel, g0: np.ndarray, reverse: bool, max_iter: int = 400, ceiling: float = math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize F(rho) over densities rho = G G*/tr(G G*) from each start of
     a stack G0 (R, d, d); returns the end values (R,) and densities, each
@@ -196,7 +197,11 @@ def _ascent(
     by 1.3 (at most 10), a rejected one halves it.  A restart stops at a
     vanishing direction, a step of 1e-13 or less, or after ``max_iter``
     accepted steps; the others go on, one batched evaluation per round.
+    ``ceiling`` must be a proven upper bound on max F: before every round,
+    the first included, all restarts stop once the best value reaches
+    ceiling - CEILING_RTOL * max(1, |ceiling|), since no restart can beat it.
     """
+    stop = ceiling - CEILING_RTOL * max(1.0, abs(ceiling)) if ceiling < math.inf else math.inf
     g = g0.astype(complex)
     t, rho = _densities(g)
     f, m = _value_and_grad(ch, rho, reverse)
@@ -212,7 +217,7 @@ def _ascent(
         return idx[~(np.linalg.norm(direction[idx], axis=(1, 2)) < 1e-12)]
 
     active = renew_direction(np.arange(r))
-    while active.size:
+    while active.size and not f.max() >= stop:
         g_new = g[active] + eta[active, None, None] * direction[active]
         t_new, rho_new = _densities(g_new)
         f_new, m_new = _value_and_grad(ch, rho_new, reverse)
@@ -251,10 +256,14 @@ def _multi_start(
     restarts: int,
     seed: int,
     init_states: Optional[Sequence[np.ndarray]],
+    ceiling: Optional[float] = None,
 ) -> AscentResult:
     if restarts < 1:
         raise OutOfRange(f"restarts must be >= 1, got {restarts}")
-    f, rho = _ascent(ch, np.stack(_init_pool(ch, restarts, seed, init_states)), reverse)
+    if ceiling is not None and math.isnan(ceiling):
+        raise OutOfRange("ceiling must be a proven upper bound, got nan")
+    pool = np.stack(_init_pool(ch, restarts, seed, init_states))
+    f, rho = _ascent(ch, pool, reverse, ceiling=math.inf if ceiling is None else ceiling)
     best = int(np.argmax(f))  # the first maximum
     return AscentResult(float(f[best]), rho[best])
 
@@ -265,6 +274,7 @@ def one_shot_q(
     seed: int = 0,
     init_states: Optional[Sequence[np.ndarray]] = None,
     max_workers: int = 1,
+    ceiling: Optional[float] = None,
 ) -> AscentResult:
     """Best found coherent information max_rho H(N(rho)) - H(N^E(rho)).
 
@@ -272,9 +282,11 @@ def one_shot_q(
     optimality is not guaranteed.  Deterministic for a given seed; extra
     ``init_states`` join the restart pool ahead of random draws.  All
     restarts ascend together as one batch; ``max_workers`` is accepted for
-    compatibility and has no effect.
+    compatibility and has no effect.  ``ceiling`` must be a proven upper
+    bound on Q1, such as the Q1 upper edge of :func:`comparison_bounds`: the
+    batch stops once its best value reaches it (see _ascent); None ascends to the end.
     """
-    return _multi_start(ch, False, restarts, seed, init_states)
+    return _multi_start(ch, False, restarts, seed, init_states, ceiling)
 
 
 def negative_cb_entropy(

@@ -16,6 +16,7 @@ from trocap.builders import (
     phi_alpha,
     qubit_dephasing,
     regular_representation,
+    schur_multiplier_channel,
 )
 from trocap.channel import (
     StinespringSpace,
@@ -532,6 +533,30 @@ class TestTroClosureAgainstLoops:
         # the certified closure's left span is reused for the check and the
         # whole block structure: one k^2-row SVD in all
         assert sum(rows == k * k for rows, _ in shapes) == 1
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_full_matrix_space_closure_takes_no_left_span(self, monkeypatch, k):
+        # the identity symbol of a modified Schur cyclic(k) channel: the
+        # closure of its k-dimensional range is all of M_{k,k}, a TRO with
+        # left span M_k, so only the first, k-dimensional span needs an SVD
+        p = np.random.default_rng(0).random(k)
+        ch = schur_multiplier_channel(cyclic_group(k), np.fft.fft(p / p.sum()))
+        spans, real_left_span = [], alg._left_span
+
+        def counting_left_span(v):
+            spans.append(len(v))
+            return real_left_span(v)
+
+        monkeypatch.setattr(alg, "_left_span", counting_left_span)
+        cert = alg.identity_symbol(ch).certificate
+        assert spans == [k]
+        assert cert.blocks == ((k, k, 1),) and cert.tro_dim == k * k
+        assert max(cert.residuals) <= 1e-13
+        # a span that is all of M_{n,m} from the start takes no SVD at all
+        spans.clear()
+        mats = list(mc.random_complex(np.random.default_rng(1), (6, 3, 2)))
+        v, decomp = alg._closed_structure(mats, 0)
+        assert spans == [] and len(v) == 6 and decomp.blocks == ((3, 2, 1),)
 
     def test_is_tro_memory_on_generic_kraus_channel(self):
         # the dilation range of a random isometry C^16 -> C^16 (x) C^16 is no

@@ -310,6 +310,63 @@ class TestBatchedAscentFence:
         cap._value_and_grad(ch, rho[[0, 2]], reverse=True)
 
 
+class TestCeiling:
+    """one_shot_q stopped at a proven upper bound on Q1."""
+
+    @staticmethod
+    def counted_evaluations(monkeypatch):
+        calls, real_vg = [], cap._value_and_grad
+
+        def counting_vg(ch, rho, reverse=False):
+            calls.append(len(rho))
+            return real_vg(ch, rho, reverse)
+
+        monkeypatch.setattr(cap, "_value_and_grad", counting_vg)
+        return calls
+
+    def test_block_inputs_reach_the_window_edge_at_once(self, monkeypatch):
+        bundle = phi_alpha(0.3)
+        upper = cap.comparison_bounds(bundle.space, bundle.channel.symbol).entries["Q1"].upper
+        calls = self.counted_evaluations(monkeypatch)
+        best = cap.one_shot_q(bundle.channel, ceiling=upper, init_states=bundle.block_inputs)
+        assert len(calls) <= 2
+        assert best.value >= upper - cap.CEILING_RTOL * max(1.0, abs(upper))
+
+    def test_stop_within_a_relative_1e12_of_the_ceiling(self, monkeypatch):
+        # the partial-trace sum takes a few rounds to reach Q1 = log2(3); the
+        # stopped batch is a prefix of the full one, so it cannot end higher
+        ch = partial_trace_sum_channel([(2, 2), (3, 1)])
+        calls = self.counted_evaluations(monkeypatch)
+        full = cap.one_shot_q(ch, restarts=8)
+        n_full = len(calls)
+        best = cap.one_shot_q(ch, restarts=8, ceiling=LOG3)
+        assert 1 < len(calls) - n_full < n_full
+        assert LOG3 * (1 - 1e-12) <= best.value <= full.value
+
+    def test_ceiling_below_every_start_returns_the_first_maximum(self, monkeypatch):
+        ch = _schur_cyclic4()
+        rho = cap._densities(np.stack(cap._init_pool(ch, 8, 0, None)).astype(complex))[1]
+        f = cap._value_and_grad(ch, rho)[0]
+        calls = self.counted_evaluations(monkeypatch)
+        best = cap.one_shot_q(ch, restarts=8, seed=0, ceiling=float(f.min()) - 1.0)
+        assert calls == [8]  # the initial evaluation only
+        first = int(np.argmax(f))
+        assert best.value == f[first]
+        np.testing.assert_array_equal(best.rho, rho[first])
+
+    def test_no_ceiling_is_the_full_ascent(self):
+        ch = _schur_cyclic4()
+        plain = cap.one_shot_q(ch, restarts=4, seed=1)
+        for ceiling in (None, math.inf):
+            again = cap.one_shot_q(ch, restarts=4, seed=1, ceiling=ceiling)
+            assert again.value == plain.value
+            np.testing.assert_array_equal(again.rho, plain.rho)
+
+    def test_nan_ceiling_raises(self):
+        with pytest.raises(OutOfRange):
+            cap.one_shot_q(qubit_dephasing(0.3), restarts=2, ceiling=float("nan"))
+
+
 def test_import_leaves_scipy_optimize_out():
     # only the two L-BFGS-B call sites need scipy.optimize; they import it
     src = os.path.dirname(os.path.dirname(cap.__file__))

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from trocap import capacity
 from trocap.cli import main
 from trocap.entropy import binary_entropy
 
@@ -124,6 +126,68 @@ class TestBounds:
         assert main(["bounds", spec, "--restarts", "4", "--threads", "4"]) == 0
         threaded = capsys.readouterr().out
         assert serial == threaded
+
+
+def schur_cyclic_spec(weights):
+    phi = np.fft.fft(np.asarray(weights) / np.sum(weights))
+    return {
+        "kind": "schur_multiplier",
+        "params": {
+            "group": {"kind": "cyclic", "order": len(phi)},
+            "phi": [[z.real, z.imag] for z in phi],
+        },
+        "seed": 0,
+    }
+
+
+CEILING_SPECS = {
+    "phi_alpha": {"kind": "phi_alpha", "params": {"alpha": 0.3}, "seed": 0},
+    "dephasing": {
+        "kind": "schur_multiplier",
+        "params": {"group": {"kind": "cyclic", "order": 2}, "phi": [1.0, 0.7]},
+        "seed": 0,
+    },
+    "pauli": {
+        "kind": "group_random_unitary",
+        "params": {"rep": "pauli", "distribution": [0.4, 0.3, 0.2, 0.1]},
+        "seed": 0,
+    },
+    "partial_trace_sum": BLOCKS_SPEC,
+    "schur_cyclic4": schur_cyclic_spec([0.4, 0.3, 0.2, 0.1]),
+    "schur_cyclic8": schur_cyclic_spec([8, 7, 6, 5, 4, 3, 2, 1]),
+}
+
+
+class TestBoundsCeiling:
+    """`bounds` stops the ascent at the Q1 upper edge; the table is the one
+    the full ascent gives."""
+
+    @pytest.mark.parametrize(
+        ("name", "restarts"),
+        [(name, 8) for name in sorted(CEILING_SPECS) if name != "schur_cyclic8"]
+        + [("schur_cyclic8", None)],  # the default 32 restarts
+    )
+    def test_table_matches_the_full_ascent(self, tmp_path, capsys, monkeypatch, name, restarts):
+        spec = write_spec(tmp_path, CEILING_SPECS[name])
+        argv = ["bounds", spec] + ([] if restarts is None else ["--restarts", str(restarts)])
+        ceilings, real_one_shot_q = [], capacity.one_shot_q
+
+        def recording(*args, ceiling=None, **kwargs):
+            ceilings.append(ceiling)
+            return real_one_shot_q(*args, ceiling=ceiling, **kwargs)
+
+        monkeypatch.setattr(capacity, "one_shot_q", recording)
+        assert main(argv) == 0
+        stopped = capsys.readouterr().out
+        row = next(l for l in stopped.splitlines() if l.startswith("Q1 "))
+        assert ceilings == [pytest.approx(float(row.split()[2]), abs=1e-11)]
+
+        def without_ceiling(*args, ceiling=None, **kwargs):
+            return real_one_shot_q(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "one_shot_q", without_ceiling)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stopped
 
 
 class TestVerify:
