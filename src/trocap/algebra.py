@@ -194,8 +194,8 @@ def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _closure(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
-    """smallest_containing_tro, with the left span of the returned basis when
-    the closure bound (<= RANK_RTOL) certified it a TRO, else None."""
+    """smallest_containing_tro, with the left span of the returned basis when it
+    is certified a TRO (closure bound <= RANK_RTOL, or all of M_{n,m}), else None."""
     basis = orthonormal_span(mats)
     while basis:
         v = np.stack(basis)

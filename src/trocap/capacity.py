@@ -39,7 +39,7 @@ QUANTITIES = (
     "Q1",
     "neg_S_cb",
 )
-CEILING_RTOL = 1e-12  # relative gap below a proven ceiling that counts as reaching it
+CEILING_RTOL = 1e-13  # relative gap to a proven ceiling that counts as reaching it
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,12 @@ def _ascent(
     accepted steps; the others go on, one batched evaluation per round.
     ``ceiling`` must be a proven upper bound on max F: before every round,
     the first included, all restarts stop once the best value reaches
-    ceiling - CEILING_RTOL * max(1, |ceiling|), since no restart can beat it.
+    ceiling - CEILING_RTOL * |ceiling| (less than the last digit of a 12-digit
+    print), since no restart can beat it.
     """
-    stop = ceiling - CEILING_RTOL * max(1.0, abs(ceiling)) if ceiling < math.inf else math.inf
+    if math.isnan(ceiling):
+        raise OutOfRange("ceiling must be a proven upper bound, got nan")
+    stop = ceiling - CEILING_RTOL * abs(ceiling) if math.isfinite(ceiling) else ceiling
     g = g0.astype(complex)
     t, rho = _densities(g)
     f, m = _value_and_grad(ch, rho, reverse)
@@ -256,14 +259,12 @@ def _multi_start(
     restarts: int,
     seed: int,
     init_states: Optional[Sequence[np.ndarray]],
-    ceiling: Optional[float] = None,
+    ceiling: float = math.inf,
 ) -> AscentResult:
     if restarts < 1:
         raise OutOfRange(f"restarts must be >= 1, got {restarts}")
-    if ceiling is not None and math.isnan(ceiling):
-        raise OutOfRange("ceiling must be a proven upper bound, got nan")
     pool = np.stack(_init_pool(ch, restarts, seed, init_states))
-    f, rho = _ascent(ch, pool, reverse, ceiling=math.inf if ceiling is None else ceiling)
+    f, rho = _ascent(ch, pool, reverse, ceiling=ceiling)
     best = int(np.argmax(f))  # the first maximum
     return AscentResult(float(f[best]), rho[best])
 
@@ -274,7 +275,7 @@ def one_shot_q(
     seed: int = 0,
     init_states: Optional[Sequence[np.ndarray]] = None,
     max_workers: int = 1,
-    ceiling: Optional[float] = None,
+    ceiling: float = math.inf,
 ) -> AscentResult:
     """Best found coherent information max_rho H(N(rho)) - H(N^E(rho)).
 
@@ -282,9 +283,9 @@ def one_shot_q(
     optimality is not guaranteed.  Deterministic for a given seed; extra
     ``init_states`` join the restart pool ahead of random draws.  All
     restarts ascend together as one batch; ``max_workers`` is accepted for
-    compatibility and has no effect.  ``ceiling`` must be a proven upper
-    bound on Q1, such as the Q1 upper edge of :func:`comparison_bounds`: the
-    batch stops once its best value reaches it (see _ascent); None ascends to the end.
+    compatibility and has no effect.  A ``ceiling``, a proven upper bound on
+    Q1 such as the Q1 upper edge of :func:`comparison_bounds`, stops the
+    batch once its best value reaches it (see _ascent).
     """
     return _multi_start(ch, False, restarts, seed, init_states, ceiling)
 

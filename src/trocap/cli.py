@@ -203,26 +203,25 @@ def cmd_bounds(args) -> int:
     bundle = load_spec(args.spec, args.seed)
     symbol = _ensure_symbol(bundle)
     report = capacity.comparison_bounds(bundle.space, symbol)
-    best = capacity.one_shot_q(
-        bundle.channel,
-        restarts=args.restarts,
-        seed=bundle.seed,
-        init_states=bundle.init_states or None,
-        max_workers=args.threads,
-        ceiling=report.entries["Q1"].upper,
-    )
-    for name in ("Q1", "Q", "P"):
-        entry = report.entries[name]
-        # cap spectral-cutoff noise at the proven edge: on benchmark seeds 1-2 the value
-        # passed it in 28 of 130 tables by <= 2.6e-15 (57, by <= 3.3e-9, with no ceiling)
-        value = best.value
-        if entry.upper < value <= entry.upper + 1e-6:
-            value = entry.upper
-        report.raise_lower(
-            name,
-            value,
-            f"lower: one-shot coherent-information ascent; upper: {entry.provenance}",
+    window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
+    if window.lower < window.upper:
+        best = capacity.one_shot_q(
+            bundle.channel,
+            restarts=args.restarts,
+            seed=bundle.seed,
+            init_states=bundle.init_states or None,
+            max_workers=args.threads,
+            ceiling=window.upper,
         )
+        for name in ("Q1", "Q", "P"):
+            entry = report.entries[name]
+            # cap spectral-cutoff noise at the edge: on benchmark seeds 1-2 the value passed it
+            # in 28 of 110 open windows by <= 2.6e-15 (57 of 130, by <= 3.3e-9, with no ceiling)
+            value = best.value
+            if entry.upper < value <= entry.upper + 1e-6:
+                value = entry.upper
+            prov = f"lower: one-shot coherent-information ascent; upper: {entry.provenance}"
+            report.raise_lower(name, value, prov)
     if bundle.channel.symbol is not None:
         try:
             neg = capacity.negative_cb_entropy(bundle.channel, "formula")

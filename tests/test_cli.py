@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trocap import capacity
-from trocap.cli import main
+from trocap.cli import load_spec, main
 from trocap.entropy import binary_entropy
 
 
@@ -140,7 +140,7 @@ def schur_cyclic_spec(weights):
     }
 
 
-CEILING_SPECS = {
+OPEN_WINDOW_SPECS = {
     "phi_alpha": {"kind": "phi_alpha", "params": {"alpha": 0.3}, "seed": 0},
     "dephasing": {
         "kind": "schur_multiplier",
@@ -152,42 +152,72 @@ CEILING_SPECS = {
         "params": {"rep": "pauli", "distribution": [0.4, 0.3, 0.2, 0.1]},
         "seed": 0,
     },
-    "partial_trace_sum": BLOCKS_SPEC,
     "schur_cyclic4": schur_cyclic_spec([0.4, 0.3, 0.2, 0.1]),
     "schur_cyclic8": schur_cyclic_spec([8, 7, 6, 5, 4, 3, 2, 1]),
 }
 
 
 class TestBoundsCeiling:
-    """`bounds` stops the ascent at the Q1 upper edge; the table is the one
-    the full ascent gives."""
+    """`bounds` stops the ascent at the Q1 upper edge and skips it when the
+    window is closed; the table is the one the full ascent gives."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Record the Q1 window of each comparison and the ceiling of each
+        ascent; returns the record and the unwrapped one_shot_q."""
+        seen = {"windows": [], "ceilings": []}
+        real_bounds, real_one_shot_q = capacity.comparison_bounds, capacity.one_shot_q
+
+        def bounds(*args, **kwargs):
+            report = real_bounds(*args, **kwargs)
+            seen["windows"].append((report.entries["Q1"].lower, report.entries["Q1"].upper))
+            return report
+
+        def one_shot_q(*args, ceiling=math.inf, **kwargs):
+            seen["ceilings"].append(ceiling)
+            return real_one_shot_q(*args, ceiling=ceiling, **kwargs)
+
+        monkeypatch.setattr(capacity, "comparison_bounds", bounds)
+        monkeypatch.setattr(capacity, "one_shot_q", one_shot_q)
+        return seen, real_one_shot_q
 
     @pytest.mark.parametrize(
         ("name", "restarts"),
-        [(name, 8) for name in sorted(CEILING_SPECS) if name != "schur_cyclic8"]
+        [(name, 8) for name in sorted(OPEN_WINDOW_SPECS) if name != "schur_cyclic8"]
         + [("schur_cyclic8", None)],  # the default 32 restarts
     )
-    def test_table_matches_the_full_ascent(self, tmp_path, capsys, monkeypatch, name, restarts):
-        spec = write_spec(tmp_path, CEILING_SPECS[name])
+    def test_open_window_matches_the_full_ascent(self, tmp_path, capsys, monkeypatch, name, restarts):
+        spec = write_spec(tmp_path, OPEN_WINDOW_SPECS[name])
         argv = ["bounds", spec] + ([] if restarts is None else ["--restarts", str(restarts)])
-        ceilings, real_one_shot_q = [], capacity.one_shot_q
-
-        def recording(*args, ceiling=None, **kwargs):
-            ceilings.append(ceiling)
-            return real_one_shot_q(*args, ceiling=ceiling, **kwargs)
-
-        monkeypatch.setattr(capacity, "one_shot_q", recording)
+        seen, real_one_shot_q = self.record(monkeypatch)
         assert main(argv) == 0
         stopped = capsys.readouterr().out
-        row = next(l for l in stopped.splitlines() if l.startswith("Q1 "))
-        assert ceilings == [pytest.approx(float(row.split()[2]), abs=1e-11)]
+        [(lower, upper)] = seen["windows"]
+        assert lower < upper and seen["ceilings"] == [upper]
+        # the ascent closes every window but Pauli's, and those are where it stops
+        q1 = next(l for l in stopped.splitlines() if l.startswith("Q1 ")).split()
+        assert (q1[1] == q1[2]) == (name != "pauli")
 
-        def without_ceiling(*args, ceiling=None, **kwargs):
+        def without_ceiling(*args, ceiling=math.inf, **kwargs):
             return real_one_shot_q(*args, **kwargs)
 
         monkeypatch.setattr(capacity, "one_shot_q", without_ceiling)
         assert main(argv) == 0
         assert capsys.readouterr().out == stopped
+
+    def test_closed_window_skips_the_ascent(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, BLOCKS_SPEC)
+        seen, real_one_shot_q = self.record(monkeypatch)
+        assert main(["bounds", spec, "--restarts", "8"]) == 0
+        [(lower, upper)] = seen["windows"]
+        assert lower == upper == pytest.approx(math.log2(3)) and seen["ceilings"] == []
+        q1 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q1 "))
+        assert "ascent" not in q1
+        # the full ascent stays within the clamp above the edge, so it could
+        # not have raised the lower edge: the table is the same
+        bundle = load_spec(spec, None)
+        full = real_one_shot_q(bundle.channel, restarts=8, seed=bundle.seed)
+        assert lower - 1e-6 < full.value <= upper + 1e-6
 
 
 class TestVerify:
