@@ -432,6 +432,8 @@ def _decompose(v: np.ndarray, ell: np.ndarray, seed: int, tol: float) -> TroDeco
     if sum(n * m for n, m, _ in blocks) != len(v):
         raise NotTro("block dimensions do not account for the span dimension")
 
+    for u in (u_out, u_env):
+        u.setflags(write=False)
     return TroDecomposition(blocks=tuple(blocks), basis_change_out=u_out, basis_change_env=u_env)
 
 
@@ -491,7 +493,7 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
     Computes the smallest TRO containing the channel's dilation range, its
     block decomposition, and checks strong independence of f from that TRO's
     right algebra in the block basis.  The certificate records the TRO's
-    block structure and the independence residuals.
+    block structure, the independence residuals and the decomposition itself.
     """
     f = mc.asmatrix(f)
     space = stinespring_space(ch)
@@ -520,6 +522,7 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
         right_algebra_dim=sum(m * m for _, m, _ in decomp.blocks),
         tro_dim=len(v),
         space_is_tro=(len(v) == space.dim),
+        decomposition=decomp,
     )
     return Symbol(f=f, certificate=cert)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -136,6 +137,8 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
             seed = int(os.environ["TROCAP_SEED"])
         except ValueError as exc:
             raise SpecError(f"TROCAP_SEED must be an integer: {exc}") from exc
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SpecError(f"seed must be a non-negative integer, got {seed!r}")
 
     init_states: tuple[np.ndarray, ...] = ()
     if kind == "kraus":
@@ -146,8 +149,10 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         space = stinespring_space(ch)
     elif kind == "partial_trace_sum":
         blocks = params.get("blocks")
-        if not isinstance(blocks, list):
-            raise SpecError("params.blocks must be a list of [n, m] pairs")
+        if not isinstance(blocks, list) or not all(
+            isinstance(b, list) and len(b) == 2 and all(type(v) is int for v in b) for b in blocks
+        ):
+            raise SpecError("params.blocks must be a list of [n, m] integer pairs")
         ch = builders.partial_trace_sum_channel([tuple(b) for b in blocks])
         space = stinespring_space(ch)
     elif kind == "group_random_unitary":
@@ -189,19 +194,12 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         symbol = alg.validate_symbol(base, f, seed=seed)
         ch = modified_channel(space, symbol)
         init_states = ()
-    return SpecBundle(kind, ch, space, symbol, init_states, int(seed))
-
-
-def _ensure_symbol(bundle: SpecBundle) -> Symbol:
-    if bundle.symbol is not None:
-        return bundle.symbol
-    base = bundle.space.source
-    return alg.validate_symbol(base, np.eye(bundle.space.dim_env), seed=bundle.seed)
+    return SpecBundle(kind, ch, space, symbol, init_states, seed)
 
 
 def cmd_bounds(args) -> int:
     bundle = load_spec(args.spec, args.seed)
-    symbol = _ensure_symbol(bundle)
+    symbol = bundle.symbol or alg.identity_symbol(bundle.space.source, seed=bundle.seed)
     report = capacity.comparison_bounds(bundle.space, symbol)
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
     if window.lower < window.upper:
@@ -251,29 +249,13 @@ def cmd_verify(args) -> int:
     bundle = load_spec(args.spec, args.seed)
     if bundle.symbol is None:
         raise SpecError(f"suite {args.suite!r} needs a symbol block in the spec")
-    symbol = bundle.symbol
-    reports = []
-    if args.suite in ("local_comparison", "all"):
-        reports.append(
-            verify.verify_local_comparison(
-                bundle.space, symbol, samples=args.samples, seed=bundle.seed
-            )
-        )
-    if args.suite in ("entropic", "all"):
-        reports.append(
-            verify.verify_entropic(bundle.space, symbol, samples=args.samples, seed=bundle.seed)
-        )
-    if args.suite in ("tensor_symbol", "all"):
-        reports.append(
-            verify.verify_tensor_symbol(
-                bundle.space,
-                symbol,
-                bundle.space,
-                symbol,
-                samples=args.samples,
-                seed=bundle.seed,
-            )
-        )
+    space, symbol, kw = bundle.space, bundle.symbol, {"samples": args.samples, "seed": bundle.seed}
+    suites = {  # in report order
+        "local_comparison": lambda: verify.verify_local_comparison(space, symbol, **kw),
+        "entropic": lambda: verify.verify_entropic(space, symbol, **kw),
+        "tensor_symbol": lambda: verify.verify_tensor_symbol(space, symbol, space, symbol, **kw),
+    }
+    reports = [run() for name, run in suites.items() if args.suite in (name, "all")]
     payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -291,14 +273,11 @@ def _parse_grid(text: str, where: str) -> list[float]:
         a, b, step = (float(v) for v in parts)
     except ValueError as exc:
         raise SpecError(f"{where}: non-numeric grid bounds") from exc
-    if step <= 0 or b < a:
-        raise SpecError(f"{where}: need step > 0 and b >= a")
-    out = []
-    v = a
-    while v <= b + 1e-12:
-        out.append(round(v, 12))
-        v += step
-    return out
+    if not (step > 0 and b >= a and math.isfinite(b - a)):
+        raise SpecError(f"{where}: need step > 0 and finite b >= a")
+    # each point from its index, so rounding does not pile up along the grid
+    count = math.floor((b - a) / step + 1e-9) + 1
+    return [round(a + i * step, 12) for i in range(count)]
 
 
 def cmd_region(args) -> int:
@@ -327,12 +306,15 @@ def cmd_describe(args) -> int:
     ch = bundle.channel
     print(f"kind: {bundle.kind}")
     print(f"dim_in: {ch.dim_in}  dim_out: {ch.dim_out}  dim_env: {ch.dim_env}")
-    check = alg.is_tro(list(bundle.space.basis))
+    cert = bundle.symbol.certificate if bundle.symbol is not None else None
+    if cert is not None and cert.space_is_tro:  # validate_symbol checked it as its own closure
+        check = alg.TroCheck(True, None, 0.0)
+    else:  # is_tro, for the witness
+        check = alg.is_tro(bundle.space.basis)
     print(f"dilation range is a TRO: {check.ok}")
     if not check.ok:
         print(f"  witness triple: {check.witness}  residual: {_fmt(check.residual)}")
-    if bundle.symbol is not None:
-        cert = bundle.symbol.certificate
+    if cert is not None:
         print(f"blocks (n, m, multiplicity): {list(cert.blocks)}")
         print(f"symbol independence residuals: {[_fmt(r) for r in cert.residuals]}")
         print(f"right algebra dimension: {cert.right_algebra_dim}")
@@ -341,6 +323,13 @@ def cmd_describe(args) -> int:
         decomp = alg.tro_block_decomposition(bundle.space, seed=bundle.seed)
         print(f"blocks (n, m, multiplicity): {list(decomp.blocks)}")
     return 0
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized inequality suite")
     common(p)
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("region", help="write capacity-region vertex constraints as CSV")

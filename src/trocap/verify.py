@@ -30,6 +30,7 @@ from .channel import (
     tensor_channels,
 )
 from .entropy import _RenyiStack, bipartite_entropies, entropy_defect
+from .errors import DimMismatch
 
 
 @dataclass
@@ -96,13 +97,18 @@ def verify_local_comparison(
     (a random PSD matrix's conditional expectation onto the left algebra),
     and each exponent p, checks the log-scale sandwich
     ||N(rho)||_p <= ||N_f(rho)||_p <= ||f||_{p,tau} ||N(rho)||_p
-    and its version conjugated by sigma^(-1/2p').
+    and its version conjugated by sigma^(-1/2p').  The symbol must belong to
+    the space's channel: the left algebra's block basis U is read from its
+    certificate, and DimMismatch is raised when it does not fit the space.
     """
     report = VerificationReport("local_comparison", samples, seed, tolerance)
     n = base_channel(space)
-    nf = modified_channel(space, symbol)
-    decomp = alg._closed_structure(space.basis, seed)[1]
+    nf = modified_channel(space, symbol)  # InvalidSymbol unless f acts on the environment
+    decomp = symbol.certificate.decomposition
     u, shapes = decomp.basis_change_out, [(n_i, l) for n_i, _, l in decomp.blocks]
+    if len(u) != space.dim_out:
+        raise DimMismatch(f"symbol's structure has output dim {len(u)}, space {space.dim_out}")
+    fnorms = {p: math.log2(mc.normalized_p_norm(symbol.f, p)) for p in ps}
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
         rho = mc.random_density(rng, space.dim)
@@ -113,16 +119,15 @@ def verify_local_comparison(
         dig = _digest(rho, sigma)
         for p in ps:
             p_conj = 1.0 if math.isinf(p) else p / (p - 1.0)
-            fnorm = math.log2(mc.normalized_p_norm(symbol.f, p))
             a = math.log2(mc.schatten_norm(out, p))
             b = math.log2(mc.schatten_norm(out_f, p))
             report.record(dig, f"norm_lower@p={p}", b - a)
-            report.record(dig, f"norm_upper@p={p}", fnorm + a - b)
+            report.record(dig, f"norm_upper@p={p}", fnorms[p] + a - b)
             w = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
             c = math.log2(mc.schatten_norm(w @ out @ w, p))
             d = math.log2(mc.schatten_norm(w @ out_f @ w, p))
             report.record(dig, f"sandwich_lower@p={p}", d - c)
-            report.record(dig, f"sandwich_upper@p={p}", fnorm + c - d)
+            report.record(dig, f"sandwich_upper@p={p}", fnorms[p] + c - d)
     return report
 
 

@@ -22,9 +22,11 @@ from trocap.channel import (
     StinespringSpace,
     apply,
     base_channel,
+    complement_apply,
     from_kraus,
     modified_channel,
     stinespring_space,
+    tensor_channels,
 )
 from trocap.entropy import entropy_defect
 from trocap.errors import NotIndependent, NotNormalized, NotTro
@@ -768,3 +770,41 @@ class TestBlockBasisAgainstHsReference:
         assert calls == []
         alg.left_algebra(bundle.space)  # the counters do count
         assert calls[0] == "left_algebra" and "_make_algebra" in calls
+
+
+class TestStructureCarriedOnTheSymbol:
+    """stinespring_space checks only isometry, and the certificate carries the
+    block decomposition that later code reads instead of rebuilding it."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CHANNELS + ["tensor"])
+    def test_basis_and_partial_trace_identities(self, name):
+        if name == "tensor":
+            ch = tensor_channels(reference_channel("phi_zero"), qubit_dephasing(0.3))
+        else:
+            ch = reference_channel(name)
+        v = stinespring_space(ch).stacked()
+        assert np.array_equal(v, ch.kraus.transpose(2, 1, 0))
+        d = ch.dim_in
+        units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[x, y] = |x><y|
+        assert np.allclose(apply(ch, units), v[:, None] @ mc.dagger(v)[None], atol=1e-12)
+        assert np.allclose(complement_apply(ch, units), mc.dagger(v)[None] @ v[:, None], atol=1e-12)
+
+    @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
+    def test_carried_block_expectation_matches_fresh_structure(self, name):
+        ch = reference_channel(name)
+        carried = alg.identity_symbol(ch, seed=3).certificate.decomposition
+        fresh = alg._closed_structure(stinespring_space(ch).basis, 0)[1]
+        assert carried.blocks == fresh.blocks
+        u, w = carried.basis_change_out, carried.basis_change_env
+        assert not (u.flags.writeable or w.flags.writeable)
+        rng = np.random.default_rng(9)
+        for side in (0, 1):  # output (U and the n_i), environment (W and the m_i)
+            dim = (ch.dim_out, ch.dim_env)[side]
+            x = mc.random_complex(rng, (3, dim, dim))
+            e = []
+            for dec in (carried, fresh):
+                q = (dec.basis_change_out, dec.basis_change_env)[side]
+                shapes = [(blk[side], blk[2]) for blk in dec.blocks]
+                e.append(q @ alg._block_expectation(q, shapes, x) @ mc.dagger(q))
+            for xi, a, b in zip(x, *e):
+                assert mc.frobenius(a - b) <= 1e-12 * mc.frobenius(xi)

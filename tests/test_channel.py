@@ -39,6 +39,10 @@ class TestFromKraus:
         with pytest.raises(NotTracePreserving):
             chn.from_kraus([np.eye(2), np.eye(2)])
 
+    def test_non_finite_entry_not_trace_preserving(self):
+        with pytest.raises(NotTracePreserving):
+            chn.from_kraus([np.array([[1.0, 0.0], [0.0, np.nan]])])
+
 
 class TestApply:
     def test_identity_channel(self):
@@ -176,6 +180,21 @@ class TestStinespringSpace:
                 bx, by = space.basis[x], space.basis[y]
                 assert np.allclose(chn.apply(ch, rho), bx @ mc.dagger(by), atol=1e-12)
                 assert np.allclose(chn.complement_apply(ch, rho), mc.dagger(by) @ bx, atol=1e-12)
+
+    def test_non_finite_dilation_rejected(self):
+        kraus = completely_dephasing_channel(2).kraus.copy()
+        kraus[1, 1, 1] = np.nan
+        with pytest.raises(RankDeficient, match="not isometric"):
+            chn.stinespring_space(chn.Channel(kraus))
+
+    def test_no_einsum(self, monkeypatch):
+        # the partial-trace identities hold by construction; only the Gram check runs
+        def einsum(*args, **kwargs):
+            raise AssertionError("stinespring_space called np.einsum")
+
+        ch = random_channel(np.random.default_rng(5), 3, 2, 4)
+        monkeypatch.setattr(np, "einsum", einsum)
+        assert chn.stinespring_space(ch).dim == 3
 
     def test_complete_dephasing_is_diagonal(self):
         space = chn.stinespring_space(completely_dephasing_channel(2))

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from trocap import algebra as alg
 from trocap import capacity
-from trocap.cli import load_spec, main
+from trocap.cli import _parse_grid, load_spec, main
 from trocap.entropy import binary_entropy
 
 
@@ -332,3 +333,89 @@ class TestSeeds:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["seed"] == 4
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 (spec error) or 3 (semantic error), never 1."""
+
+    @pytest.mark.parametrize(
+        ("doc", "flags", "env"),
+        [
+            ({**PHI_SPEC, "seed": "x"}, [], None),
+            ({**PHI_SPEC, "seed": None}, [], None),
+            ({**PHI_SPEC, "seed": 1.5}, [], None),
+            ({**PHI_SPEC, "seed": -1}, [], None),
+            ({**PHI_SPEC, "seed": True}, [], None),
+            (PHI_SPEC, ["--seed", "-1"], None),
+            ({"kind": "phi_alpha", "params": {"alpha": 0.5}}, [], "-1"),
+            ({**BLOCKS_SPEC, "params": {"blocks": [[2]]}}, [], None),
+            ({**BLOCKS_SPEC, "params": {"blocks": [[2, "a"]]}}, [], None),
+            ({**BLOCKS_SPEC, "params": {"blocks": [2, 2]}}, [], None),
+        ],
+        ids=[
+            "seed-str", "seed-null", "seed-float", "seed-negative", "seed-bool", "flag-negative",
+            "env-negative", "block-short", "block-str", "block-not-list",
+        ],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, monkeypatch, doc, flags, env):
+        if env is None:
+            monkeypatch.delenv("TROCAP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TROCAP_SEED", env)
+        spec = write_spec(tmp_path, doc)
+        assert main(["describe", spec] + flags) == 2
+        assert capsys.readouterr().err.startswith("spec error:")
+
+    def test_nan_kraus_entry_not_trace_preserving(self, tmp_path, capsys):
+        doc = {"kind": "kraus", "params": {"kraus": [[[1.0, 0.0], [0.0, math.nan]]]}}
+        spec = write_spec(tmp_path, doc)
+        assert main(["describe", spec]) == 3
+        assert "NotTracePreserving" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_rejected(self, tmp_path, capsys, samples):
+        spec = write_spec(tmp_path, PHI_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", spec, "--samples", samples])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_grid_points_from_their_index(self):
+        grid = _parse_grid("0:100:0.01", "--lambda-grid")
+        assert len(grid) == 10001 and grid[-1] == 100.0 and grid[4321] == 43.21
+        assert _parse_grid("0:1:0.25", "--mu-grid") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert _parse_grid("0:0.3:0.1", "--mu-grid") == [0.0, 0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:nan", "1:0:0.5"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
+        spec = write_spec(tmp_path, BLOCKS_SPEC)
+        argv = ["region", spec, "--lambda-grid", grid, "--csv", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+
+
+class TestOneStructurePerCommand:
+    """Each command builds a channel's structure once and reads it from the symbol."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls, real = [], getattr(alg, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alg, name, counting)
+        return calls
+
+    def test_verify_all_builds_two_structures(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, PHI_SPEC)
+        calls = self.count(monkeypatch, "_closed_structure")
+        assert main(["verify", spec, "--suite", "all", "--samples", "2"]) == 0
+        assert len(calls) == 2  # the spec's symbol and the tensor symbol
+
+    def test_describe_takes_one_left_span(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, schur_cyclic_spec(np.arange(12, 0, -1)))
+        calls = self.count(monkeypatch, "_left_span")
+        assert main(["describe", spec]) == 0
+        assert "dilation range is a TRO: True" in capsys.readouterr().out
+        assert len(calls) == 1  # the closure's, inside validate_symbol

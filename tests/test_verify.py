@@ -3,8 +3,15 @@ import pytest
 
 from trocap import algebra as alg
 from trocap import verify
-from trocap.builders import pauli_rep, group_random_unitary, phi_alpha, qubit_dephasing
-from trocap.errors import NotIndependent
+from trocap.builders import (
+    group_random_unitary,
+    partial_trace_sum_channel,
+    pauli_rep,
+    phi_alpha,
+    qubit_dephasing,
+)
+from trocap.channel import stinespring_space
+from trocap.errors import DimMismatch, NotIndependent
 
 
 def dephasing_pair(q):
@@ -45,6 +52,13 @@ class TestLocalComparison:
         assert a.to_dict() == b.to_dict()
         c = verify.verify_local_comparison(space, sym, samples=10, seed=6)
         assert c.worst_slack != a.worst_slack
+
+    def test_symbol_of_another_space_rejected(self):
+        # same environment (2), output 3 against the symbol's 2
+        _, sym = dephasing_pair(0.6)
+        space = stinespring_space(partial_trace_sum_channel([(3, 2)]))
+        with pytest.raises(DimMismatch):
+            verify.verify_local_comparison(space, sym, samples=1)
 
 
 class TestEntropic:
