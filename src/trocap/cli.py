@@ -309,8 +309,9 @@ def cmd_describe(args) -> int:
     cert = bundle.symbol.certificate if bundle.symbol is not None else None
     if cert is not None and cert.space_is_tro:  # validate_symbol checked it as its own closure
         check = alg.TroCheck(True, None, 0.0)
-    else:  # is_tro, for the witness
-        check = alg.is_tro(bundle.space.basis)
+    else:  # is_tro, for the witness; its left span also gives the blocks below
+        v = np.stack(alg.orthonormal_span(bundle.space.basis))
+        check, ell = alg._tro_check(v, alg.TRO_TOL)
     print(f"dilation range is a TRO: {check.ok}")
     if not check.ok:
         print(f"  witness triple: {check.witness}  residual: {_fmt(check.residual)}")
@@ -320,7 +321,7 @@ def cmd_describe(args) -> int:
         print(f"right algebra dimension: {cert.right_algebra_dim}")
         print(f"dilation range spans the block space: {cert.space_is_tro}")
     elif check.ok:
-        decomp = alg.tro_block_decomposition(bundle.space, seed=bundle.seed)
+        decomp = alg._decompose(v, ell, bundle.seed, alg.TRO_TOL)
         print(f"blocks (n, m, multiplicity): {list(decomp.blocks)}")
     return 0
 

@@ -7,8 +7,10 @@ normalized entropy defect of an environment density.
 
 The minimization over sigma runs a damped fixed-point iteration (the
 stationarity condition sigma ~ tr_A[(sandwich)^p]) on a whole stack of states
-at once; a multi-start quasi-Newton fallback covers the rare items that do
-not converge.
+at once; a multi-start L-BFGS-B fallback with the exact gradient in sigma
+covers the rare items that do not converge.  The same gradient code gives
+the derivative of the divergence in the state, which the quasi-Newton search
+of ``capacity.renyi_coherent_channel`` uses.
 """
 
 from __future__ import annotations
@@ -172,25 +174,34 @@ class _RenyiStack:
         s = mc.hermitize(a @ rho @ a)
         ws, vs = np.linalg.eigh(s) if target else (np.linalg.eigvalsh(s), None)
         ws = np.clip(ws, 0.0, None) ** self.p
-        # root and log2 item by item: vector loops may round them differently
-        value = np.array([pc * np.log2(t ** (1 / self.p)) for t in np.sum(ws, axis=-1).tolist()])
-        thin = np.flatnonzero(~mask.all(axis=-1))
-        if thin.size:  # mass of rho outside the support of 1 (x) sigma
-            off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
-            leak = np.trace(mc.tensor(np.eye(da), off) @ rho[thin], axis1=1, axis2=2).real
-            value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
+        value = self._value(np.sum(ws, axis=-1), rho, v, mask)
         if not target:
             return value, None
         s_p = mc.hermitize((vs * ws[..., None, :]) @ mc.dagger(vs))
         return value, mc.partial_trace(s_p, (da, sigma.shape[-1]), "B")
 
-    def _project(self, frame: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """``project`` (a map on B) item by item, renormalized; an item whose
-        projection has no trace keeps its sigma."""
+    def _value(self, q: np.ndarray, rho, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """log2(Q) / (p - 1) for each item's Q = tr s^p, with a large finite
+        penalty in place of +inf where rho has mass outside the support of
+        1 (x) sigma (eigenvectors v, support ``mask``)."""
+        # root and log2 item by item: vector loops may round them differently
+        value = np.array([self.p_conj * np.log2(t ** (1 / self.p)) for t in q.tolist()])
+        thin = np.flatnonzero(~mask.all(axis=-1))
+        if thin.size:
+            off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
+            eye_a = np.eye(rho.shape[-1] // v.shape[-1])
+            leak = np.trace(mc.tensor(eye_a, off) @ rho[thin], axis1=1, axis2=2).real
+            value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
+        return value
+
+    def _project(self, frame: np.ndarray, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
+        """``project`` (a map on B) item by item, renormalized unless not
+        ``normalize``; an item whose renormalized projection has no trace
+        keeps its sigma."""
         out = sigma.copy()
         for j, f in enumerate(frame if self.project is not None else ()):
             s = mc.hermitize(mc.dagger(f) @ self.project(f @ sigma[j] @ mc.dagger(f)) @ f)
-            tr = float(np.trace(s).real)
+            tr = float(np.trace(s).real) if normalize else 1.0
             if tr > 0:
                 out[j] = s / tr
         return out
@@ -239,23 +250,61 @@ class _RenyiStack:
             self.iterations[idx] = iters
         return self
 
+    def _gradient(self, rho, k_pow, sigma: np.ndarray):
+        """D_p(rho || K (x) sigma) for each item, penalized as in :meth:`_step`,
+        and its gradients G in rho and in sigma (hermitian, dD = tr(G d.)).
+        With s = a rho a, a = K^(-1/2p') (x) sigma^(-1/2p') and Q = tr s^p:
+        the rho-gradient is p' a s^(p-1) a / (Q ln 2); the sigma-gradient is
+        p' V (Gamma o V* Y V) V* / (Q ln 2) with Y = tr_A[(K^(-1/2p') (x) 1) Z],
+        Z = rho a s^(p-1) + h.c., sigma = V diag(w) V* and Gamma the divided
+        differences of w -> w^(-1/2p') (zero off the support of sigma)."""
+        c, da, db = -0.5 / self.p_conj, k_pow.shape[-1], sigma.shape[-1]
+        w, v = np.linalg.eigh(mc.hermitize(sigma))
+        mask = mc.support_mask(w)
+        w = np.where(mask, w, 1.0)
+        a = mc.tensor(k_pow, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
+        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
+        ws = np.clip(ws, 0.0, None)
+        q = np.sum(ws**self.p, axis=-1)
+        scale = self.p_conj / (q * math.log(2.0))
+        x = a @ (vs * (scale[:, None] * ws ** (self.p - 1))[..., None, :]) @ mc.dagger(vs)
+        z = rho @ x
+        y = mc.partial_trace(mc.tensor(k_pow, np.eye(db)) @ (z + mc.dagger(z)), (da, db), "B")
+        # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
+        log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
+        den = np.expm1(log_ratio)
+        gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
+        gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
+        grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
+        return self._value(q, rho, v, mask), mc.hermitize(x @ a), mc.hermitize(grad_sigma)
+
     def _fallback(self, rho, k_pow, frame, best_val: float, best: np.ndarray, seed: int):
-        """L-BFGS-B on a square-root parametrization of one item, from its
-        best iterate and three seeded random starts; returns the best value
-        and sigma, and whether that is a polish that reported success."""
+        """L-BFGS-B with the exact gradient (:meth:`_gradient`, taken back
+        through ``project`` and through sigma = m m* / tr(m m*)) on one item,
+        from its best iterate and three seeded random starts; returns the best
+        value and sigma, and whether that is a polish that reported success."""
         from scipy import optimize
 
         rb = len(best)
 
-        def density(x: np.ndarray) -> np.ndarray:
-            m = x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
+        def split(x: np.ndarray) -> np.ndarray:
+            return x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
+
+        def density(m: np.ndarray) -> Optional[np.ndarray]:
             s = m @ mc.dagger(m)
             tr = float(np.trace(s).real)
             return self._project(frame, (s / tr)[None]) if tr > 0 and np.isfinite(tr) else None
 
-        def fun(x: np.ndarray) -> float:
-            s = density(x)
-            return 1e9 if s is None else float(self._step(rho, k_pow, s, target=False)[0][0])
+        def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+            m = split(x)
+            sigma = density(m)
+            if sigma is None:
+                return 1e9, np.zeros_like(x)
+            value, _, grad = self._gradient(rho, k_pow, sigma)
+            grad = self._project(frame, grad, normalize=False)[0]
+            gm, t = grad @ m, float(np.vdot(m, m).real)
+            h = 2.0 * (gm - (np.vdot(m, gm).real / t) * m) / t
+            return float(value[0]), np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
 
         polished = False  # the best point so far is a polish that reported success
         rng = np.random.default_rng(seed)
@@ -263,10 +312,12 @@ class _RenyiStack:
         for k, start in enumerate(starts):
             m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
             x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-            res = optimize.minimize(fun, x0, method="L-BFGS-B", options={"maxiter": 120})
-            pv = fun(res.x)
+            res = optimize.minimize(
+                fun, x0, method="L-BFGS-B", jac=True, options={"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
+            )
+            pv = fun(res.x)[0]
             if pv < best_val - (1e-12 if k == 0 else 0.0):
-                best_val, best, polished = pv, density(res.x)[0], bool(res.success)
+                best_val, best, polished = pv, density(split(res.x))[0], bool(res.success)
         if not np.isfinite(best_val):
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return best_val, best, polished
@@ -305,7 +356,12 @@ def minimize_renyi_divergence(
     K_A defaults to the identity (conditional-entropy form); passing the A
     marginal gives the Renyi mutual information.  ``project`` optionally
     maps each sigma iterate into a restricted domain (e.g. a conditional
-    expectation onto a subalgebra).  ``sigma_candidates`` are extra feasible
+    expectation onto a subalgebra).  The L-BFGS-B fallback takes its exact
+    gradient back through ``project`` as through its own adjoint, so the
+    polish gradient is exact when ``project`` is linear and HS-self-adjoint
+    and preserves the trace, as a conditional expectation does; any other
+    map still gives feasible values, with a weaker polish.
+    ``sigma_candidates`` are extra feasible
     points whose values are taken into account (the infimum can only
     improve).  ``converged`` is True only when the fixed-point iteration met
     ``tol`` or the returned sigma is an L-BFGS-B polish that reported success.

@@ -19,8 +19,9 @@ from trocap.builders import (
     qubit_dephasing,
     schur_multiplier_channel,
 )
-from trocap.channel import identity_channel, modified_channel, stinespring_space
-from trocap.entropy import binary_entropy
+import trocap.entropy as ent
+from trocap.channel import apply, identity_channel, modified_channel, stinespring_space, tensor_channels
+from trocap.entropy import binary_entropy, renyi_coherent_information
 from trocap.errors import (
     BadExponent,
     EmptyBlocks,
@@ -467,6 +468,19 @@ class TestRenyiCoherentChannel:
         val = cap.renyi_coherent_channel(ch, 2.0, restarts=2, seed=0, init_states=[best])
         assert val == pytest.approx(1.0, abs=1e-3)
 
+    def test_restarts_below_one_raise(self):
+        with pytest.raises(OutOfRange):
+            cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=0)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
+    def test_bad_exponent_raises_at_entry(self, monkeypatch, p):
+        def never(self, *args, **kwargs):
+            raise AssertionError("the inner minimizer ran")
+
+        monkeypatch.setattr(ent._RenyiStack, "minimize", never)
+        with pytest.raises(BadExponent, match="optimizer needs finite p > 1"):
+            cap.renyi_coherent_channel(qubit_dephasing(0.3), p)
+
     def test_nondecreasing_in_p(self):
         # D_p grows with p, so the optimized coherent value does too and the
         # p -> 1 limit is the smallest member of the family
@@ -475,6 +489,151 @@ class TestRenyiCoherentChannel:
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
         low = cap.one_shot_q(ch, restarts=8, seed=0).value
         assert low <= vals[0] + 1e-6
+
+
+def renyi_channels(seed=0):
+    """The channels the Renyi searches are timed on: a dephasing qubit,
+    phi_alpha and a Schur multiplier on Z_4, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, size=4)
+    return {
+        "dephasing": qubit_dephasing(float(rng.uniform(0.05, 0.95)), seed=seed),
+        "phi_alpha": phi_alpha(float(rng.choice([-0.5, 0.4, 0.5, 0.6, 0.8]))).channel,
+        "schur_k4": schur_multiplier_channel(cyclic_group(4), np.fft.fft(weights / weights.sum()), seed=seed),
+    }
+
+
+def fd_renyi_coherent_channel(ch, p, restarts, seed):
+    """renyi_coherent_channel as it was with scipy's finite-difference
+    gradient: the reference the exact gradient must match or beat."""
+    from scipy import optimize
+
+    d = ch.dim_in
+    extended = tensor_channels(identity_channel(d), ch)
+
+    def objective(x):
+        g = x[: d * d] + 1j * x[d * d :]
+        if np.linalg.norm(g) < 1e-9:
+            return 1e6
+        psi = g / np.linalg.norm(g)
+        omega = apply(extended, np.outer(psi, psi.conj()))
+        omega = mc.hermitize(omega) / np.trace(omega).real
+        return -renyi_coherent_information(omega, (d, ch.dim_out), p, seed=seed)
+
+    starts = [np.eye(d, dtype=complex)]
+    starts += [mc.random_complex(np.random.default_rng((seed, i)), (d, d)) for i in range(1, restarts)]
+    best = -math.inf
+    for g0 in starts:
+        x0 = np.concatenate([g0.real.reshape(-1), g0.imag.reshape(-1)])
+        res = optimize.minimize(objective, x0, method="L-BFGS-B", options={"maxiter": 60})
+        best = max(best, -res.fun, -objective(x0))
+    return best
+
+
+class TestRenyiExactGradient:
+    @staticmethod
+    def _difference_errors(name, p, hs):
+        """|central difference - exact directional derivative| of the
+        objective at a seeded point, for each step in ``hs``."""
+        ch = renyi_channels()[name]
+        d = ch.dim_in
+        extended = tensor_channels(identity_channel(d), ch)
+        f = functools.partial(cap._renyi_objective, extended, (d, ch.dim_out), p, 0)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=2 * d * d)
+        e = rng.normal(size=x.size)
+        e /= np.linalg.norm(e)
+        slope = f(x)[1] @ e
+        return [abs((f(x + h * e)[0] - f(x - h * e)[0]) / (2 * h) - slope) for h in hs]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("name", ["dephasing", "phi_alpha", "schur_k4"])
+    def test_objective_gradient_is_exact_at_the_minimizer(self, monkeypatch, name, p):
+        # Danskin: with the inner minimization run to its floor, the partial
+        # gradient at the minimizer is the gradient of the minimum, so
+        # central differences approach it as O(h^2)
+        real_inner = ent._RenyiStack.minimize
+
+        def tight(self, seed=0, tol=1e-9, max_iter=400):
+            return real_inner(self, seed, 1e-15, 5000)
+
+        monkeypatch.setattr(ent._RenyiStack, "minimize", tight)
+        coarse, fine = self._difference_errors(name, p, (1e-2, 1e-3))
+        assert fine < coarse / 20
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("name", ["dephasing", "phi_alpha", "schur_k4"])
+    def test_objective_gradient_at_the_inner_tolerance(self, name, p):
+        # the default inner tolerance (1e-9 in value) leaves a small bias
+        assert self._difference_errors(name, p, (1e-4,))[0] < 1e-5
+
+    def test_inner_minimizations_fenced_by_evaluations(self, monkeypatch):
+        # one inner minimization per L-BFGS-B evaluation and at most one
+        # more per restart: no finite-difference evaluations
+        import scipy.optimize
+
+        real_minimize, real_inner = scipy.optimize.minimize, ent._RenyiStack.minimize
+        nfev, inner = [], []
+
+        def recording(fun, x0, *args, **kwargs):
+            res = real_minimize(fun, x0, *args, **kwargs)
+            if x0.size == 2 * d * d:  # a search over inputs, not a fallback polish
+                nfev.append(res.nfev)
+            return res
+
+        def counted(self, *args, **kwargs):
+            inner.append(1)
+            return real_inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
+        for ch, restarts in ((renyi_channels()["dephasing"], 2), (renyi_channels()["phi_alpha"], 1)):
+            d = ch.dim_in
+            nfev.clear()
+            inner.clear()
+            cap.renyi_coherent_channel(ch, 2.0, restarts=restarts, seed=0)
+            assert len(nfev) == restarts and len(inner) <= sum(nfev) + restarts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_or_beats_finite_differences(self, seed):
+        for name, ch in renyi_channels(seed).items():
+            ps, restarts = ((1.5, 2.0, 4.0), 2) if name == "dephasing" else ((2.0,), 1)
+            for p in ps:
+                exact = cap.renyi_coherent_channel(ch, p, restarts=restarts, seed=seed)
+                reference = fd_renyi_coherent_channel(ch, p, restarts, seed)
+                assert exact >= reference - 1e-9, (name, p)
+
+    def test_leaves_the_symmetric_saddle(self):
+        # from the maximally entangled input (real, diagonal) the search stays
+        # on matrices of that form and ends on a saddle unless nudged off it;
+        # on phi_alpha(0.5) the finite-difference search stays there too
+        ch = phi_alpha(0.5).channel
+        value = cap.renyi_coherent_channel(ch, 2.0, restarts=1)
+        assert value > fd_renyi_coherent_channel(ch, 2.0, 1, 0) + 0.2
+
+    # renyi_coherent_channel(phi_alpha(alpha), 2.0, restarts=1) of the
+    # finite-difference search, which took 26-758 s on these alphas
+    SLOW_ALPHAS = {
+        0.05: 0.00360151012864497,
+        0.1: 0.014355270027638409,
+        0.2: 0.056583503284436905,
+        0.3: 0.12430443859262545,
+        0.37: 0.18499268643735017,
+        0.7: 0.5748988650653847,
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(SLOW_ALPHAS))
+    def test_slow_alphas_take_few_inner_minimizations(self, monkeypatch, alpha):
+        real_inner, inner = ent._RenyiStack.minimize, []
+
+        def counted(self, *args, **kwargs):
+            inner.append(1)
+            return real_inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
+        value = cap.renyi_coherent_channel(phi_alpha(alpha).channel, 2.0, restarts=1)
+        assert value >= self.SLOW_ALPHAS[alpha] - 1e-9
+        assert len(inner) <= 80  # finite differences: 1189 at alpha = 0.2
 
 
 class TestRegions:

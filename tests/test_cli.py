@@ -419,3 +419,13 @@ class TestOneStructurePerCommand:
         assert main(["describe", spec]) == 0
         assert "dilation range is a TRO: True" in capsys.readouterr().out
         assert len(calls) == 1  # the closure's, inside validate_symbol
+
+    def test_describe_without_symbol_takes_one_left_span(self, tmp_path, capsys, monkeypatch):
+        # the triple-product check's left span also gives the blocks
+        spec = write_spec(tmp_path, BLOCKS_SPEC)
+        calls = self.count(monkeypatch, "_left_span")
+        assert main(["describe", spec]) == 0
+        out = capsys.readouterr().out
+        assert "dilation range is a TRO: True" in out
+        assert "blocks (n, m, multiplicity): [(2, 2, 1), (3, 1, 1)]" in out
+        assert len(calls) == 1

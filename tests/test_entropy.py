@@ -429,10 +429,32 @@ def _loop_value(rho, da, k_pow, sigma, p, p_conj):
     return float(p_conj * np.log2(np.sum(w**p) ** (1.0 / p)))
 
 
+def _loop_grad(rho, da, k_pow, sigma, p, p_conj):
+    """Gradient in a full-rank sigma of D_p(rho || K (x) sigma), one state at
+    a time: D = log2 Q / (p - 1), Q = tr s^p, s = a rho a with a = K' (x)
+    sigma^c, c = -1/2p', and dQ = p tr(ds Y), Y = tr_A[(K' (x) 1) Z],
+    Z = rho a s^(p-1) + h.c.; ds = V (Gamma o V* d.sigma V) V* (Daleckii-Krein),
+    Gamma the divided differences of w^c, its derivative on near-ties."""
+    c, rb = -1.0 / (2.0 * p_conj), len(sigma)
+    w, v = np.linalg.eigh(mc.hermitize(sigma))
+    a = np.kron(k_pow, (v * w**c) @ v.conj().T)
+    ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
+    ws = np.clip(ws, 0.0, None)
+    z = rho @ a @ (vs * ws ** (p - 1)) @ vs.conj().T
+    y = mc.partial_trace(np.kron(k_pow, np.eye(rb)) @ (z + z.conj().T), (da, rb), "B")
+    den = w[:, None] - w[None, :]
+    tie = np.abs(den) < 1e-6 * w[None, :]
+    mid = (w[:, None] + w[None, :]) / 2
+    gamma = np.where(tie, c * mid ** (c - 1), (w[:, None] ** c - w[None, :] ** c) / np.where(tie, 1.0, den))
+    ds = v @ (gamma * (v.conj().T @ y @ v)) @ v.conj().T
+    return p_conj * ds / (np.sum(ws**p) * math.log(2.0))
+
+
 def loop_minimize(rho_ab, dims, p, k_a=None, seed=0, sigma_candidates=()):
-    """Sequential reference: fixed point, L-BFGS-B fallback and candidates for
-    one state, with two eigh of sigma, two np.kron and an eigvalsh per
-    iteration; returns (value, sigma, converged, iterations)."""
+    """Sequential reference: fixed point, L-BFGS-B fallback (exact gradient,
+    _loop_grad) and candidates for one state, with two eigh of sigma, two
+    np.kron and an eigvalsh per iteration; returns (value, sigma, converged,
+    iterations)."""
     from scipy import optimize
 
     da, tol, max_iter = dims[0], 1e-9, 400
@@ -477,18 +499,25 @@ def loop_minimize(rho_ab, dims, p, k_a=None, seed=0, sigma_candidates=()):
     def polish(start):
         m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
 
-        def sig(x):
-            m = x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
-            return m @ mc.dagger(m)
+        def root(x):
+            return x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
 
         def fun(x):
-            g = sig(x)
+            m = root(x)
+            g = m @ mc.dagger(m)
             tr = float(np.trace(g).real)
-            return 1e9 if tr <= 0 or not np.isfinite(tr) else val(g / tr)
+            if tr <= 0 or not np.isfinite(tr):
+                return 1e9, np.zeros_like(x)
+            grad = _loop_grad(rho_c, da, k_pow, g / tr, p, p_conj)
+            # chain rule through sigma = m m* / tr(m m*)
+            h = 2.0 * (grad - np.trace(grad @ g).real / tr * np.eye(rb)) @ m / tr
+            return val(g / tr), np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
 
         x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-        res = optimize.minimize(fun, x0, method="L-BFGS-B", options={"maxiter": 120})
-        g = sig(res.x)
+        res = optimize.minimize(
+            fun, x0, method="L-BFGS-B", jac=True, options={"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
+        )
+        g = root(res.x) @ mc.dagger(root(res.x))
         g = g / np.trace(g).real
         return val(g), g, bool(res.success)
 
@@ -615,3 +644,83 @@ class TestRenyiStack:
         for i, rho in enumerate(rhos):
             single = ent.minimize_renyi_divergence(rho, (2, 2), 2.0)
             assert single.value == opt.value[i] and single.iterations == opt.iterations[i]
+
+
+# ---------------------------------------------------------------------------
+# the exact gradients of the Renyi searches against central differences
+
+
+def _gradient_states():
+    """(id (x) N)(rho) on seeded inputs for a dephasing qubit, phi_alpha and
+    a Schur multiplier on Z_4, with their dims."""
+    from trocap.builders import cyclic_group, phi_alpha, schur_multiplier_channel
+    from trocap.verify import _apply_ancilla
+
+    rng = np.random.default_rng(24)
+    weights = np.array([0.4, 0.3, 0.2, 0.1])
+    chans = {
+        "dephasing": qubit_dephasing(0.3),
+        "phi_alpha": phi_alpha(0.5).channel,
+        "schur_k4": schur_multiplier_channel(cyclic_group(4), np.fft.fft(weights)),
+    }
+    return {
+        name: (_apply_ancilla(ch, mc.random_density(rng, ch.dim_in**2), ch.dim_in), (ch.dim_in, ch.dim_out))
+        for name, ch in chans.items()
+    }
+
+
+def _central_errors(f, x, grad, direction, hs=(1e-3, 1e-4)):
+    slope = float(np.vdot(direction, grad).real)  # tr(G E) for hermitian E
+    return [abs((f(x + h * direction) - f(x - h * direction)) / (2 * h) - slope) for h in hs]
+
+
+class TestRenyiGradient:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("form", ["I_cp", "I_p"])
+    @pytest.mark.parametrize("name", ["dephasing", "phi_alpha", "schur_k4"])
+    def test_gradients_match_central_differences(self, name, form, p):
+        rho, dims = _gradient_states()[name]
+        k = None if form == "I_cp" else mc.partial_trace(rho, dims, "A")[None]
+        stack = ent._RenyiStack(rho[None], dims, p, k)
+        ((_, frame, rho_c, k_pow),) = stack.groups
+        rng = np.random.default_rng(25)
+        rb = frame.shape[-1]
+        sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
+        value, grad_rho, grad_sigma = stack._gradient(rho_c, k_pow, sigma)
+        assert value[0] == pytest.approx(stack._step(rho_c, k_pow, sigma, target=False)[0][0], abs=1e-14)
+
+        def in_sigma(s):
+            return stack._step(rho_c, k_pow, s, target=False)[0][0]
+
+        def in_rho(r):
+            return stack._step(r, k_pow, sigma, target=False)[0][0]
+
+        for f, x, grad in ((in_sigma, sigma, grad_sigma), (in_rho, rho_c, grad_rho)):
+            e = mc.hermitize(mc.random_complex(rng, x.shape[1:]))[None]
+            coarse, fine = _central_errors(f, x, grad, e / mc.frobenius(e[0]))
+            assert fine < max(coarse / 20, 1e-9)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("pinch", [False, True])
+    def test_fallback_objective_gradient(self, monkeypatch, pinch, p):
+        # the polish's gradient through sigma = m m*/tr(m m*) and, for a
+        # linear HS-self-adjoint trace-preserving project, through project
+        import scipy.optimize
+
+        real, seen = scipy.optimize.minimize, []
+
+        def recording(fun, x0, *args, **kwargs):
+            seen.append((fun, x0))
+            return real(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        project = (lambda s: np.diag(np.diag(s))) if pinch else None
+        ent.minimize_renyi_divergence(thin_marginal_state(), (2, 3), p, project=project, max_iter=3)
+        assert len(seen) == 4  # the fixed point stopped short: the fallback ran
+        rng = np.random.default_rng(26)
+        for fun, x0 in seen:
+            e = rng.normal(size=x0.size)
+            e /= np.linalg.norm(e)
+            slope = fun(x0)[1] @ e
+            coarse, fine = [abs((fun(x0 + h * e)[0] - fun(x0 - h * e)[0]) / (2 * h) - slope) for h in (1e-3, 1e-4)]
+            assert fine < max(coarse / 20, 1e-9)
