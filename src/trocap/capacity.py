@@ -373,11 +373,12 @@ def renyi_coherent_channel(
     Lower bound on the one-shot Renyi quantum value at exponent p (finite,
     > 1); optimizes the purification amplitude matrix by L-BFGS-B with the
     exact gradient (_renyi_objective), one search per restart, so each
-    evaluation costs one inner minimization over sigma.  Restarts are the
-    ``init_states``, then the maximally entangled input, then seeded random
-    amplitudes; fewer than one raises OutOfRange.  Each search runs from its
-    start nudged by a seeded relative step of 1e-3, and the value at the
-    start itself counts too.
+    evaluation costs one inner minimization over sigma.  Each inner value is
+    D_p at a feasible sigma: an upper estimate of inf_sigma, within the stop
+    rule of ``_RenyiStack.minimize``.  Restarts are the ``init_states``, then
+    the maximally entangled input, then seeded random amplitudes; fewer than
+    one raises OutOfRange.  Each search runs from its start nudged by a
+    seeded relative step of 1e-3, and the value at the start itself counts.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")

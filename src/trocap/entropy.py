@@ -6,11 +6,11 @@ over marginal densities, the derived S_1(S_p) vector-valued norm, and the
 normalized entropy defect of an environment density.
 
 The minimization over sigma runs a damped fixed-point iteration (the
-stationarity condition sigma ~ tr_A[(sandwich)^p]) on a whole stack of states
-at once; a multi-start L-BFGS-B fallback with the exact gradient in sigma
-covers the rare items that do not converge.  The same gradient code gives
-the derivative of the divergence in the state, which the quasi-Newton search
-of ``capacity.renyi_coherent_channel`` uses.
+stationarity condition sigma ~ tr_A[(sandwich)^p]) on a stack of states at
+once, each item with its own step, halved whenever an update would raise the
+value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
+with no 2-cycle.  The exact gradient drives an L-BFGS-B fallback for the rare
+items that do not settle, and ``capacity.renyi_coherent_channel``.
 """
 
 from __future__ import annotations
@@ -164,8 +164,7 @@ class _RenyiStack:
         """D_p(rho || K (x) sigma) for each item and, with ``target``, the
         fixed-point target tr_A[s^p], s = a rho a with a = K^(-1/2p') (x)
         sigma^(-1/2p'): one eigh of sigma, one of s (an eigvalsh without
-        ``target``).  A large finite penalty replaces +inf when rho has mass
-        outside the support of 1 (x) sigma."""
+        ``target``); the value is penalized as in :meth:`_value`."""
         pc, da = self.p_conj, k_pow.shape[-1]
         w, v = np.linalg.eigh(mc.hermitize(sigma))
         mask = mc.support_mask(w)
@@ -207,47 +206,53 @@ class _RenyiStack:
         return out
 
     def minimize(self, seed: int = 0, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
-        """Damped fixed point sigma <- (1-beta) sigma + beta tr_A[s^p]/tr, one
-        step per round giving the value at sigma_j and sigma_(j+1); an item
-        stops when two successive values differ by less than ``tol``, when its
-        target has no trace, or after ``max_iter`` updates, and falls back to
-        L-BFGS-B unless the first."""
+        """Monotone damped fixed point: each round every active item tries
+        project((1-b) sigma + b T/tr T), T = tr_A[s^p] at its sigma, and keeps
+        it unless the value rises, which halves b (from b0 = min(1/2, 0.9/p)).
+        Two rounds in a row that move the value by less than tol b/b0 fix an
+        item when the second is a rise or a decrease d with d/(1-r) < tol, r =
+        d over the decrease before (the tail of a geometric series).  An item
+        whose T has no trace, whose b falls below 1e-10 or that is not fixed
+        after ``max_iter`` rounds (``iterations`` counts rounds) falls back to L-BFGS-B."""
         n, db = self.rho_b.shape[:2]
         self.value, self.sigma = np.empty(n), np.empty((n, db, db), dtype=complex)
         self.converged, self.fixed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.iterations, beta = np.full(n, max_iter), min(0.5, 0.9 / self.p)
+        self.iterations, beta0 = np.full(n, max_iter), min(0.5, 0.9 / self.p)
         for idx, frame, rho, k_pow in self.groups:
             sigma = mc.dagger(frame) @ self.rho_b[idx] @ frame
             tr = np.trace(sigma, axis1=1, axis2=2).real
             sigma = self._project(frame, sigma / tr[:, None, None])
+            value, target = self._step(rho, k_pow, sigma)
             m, active = len(idx), np.arange(len(idx))
-            best, best_val, prev = sigma.copy(), np.full(m, np.inf), np.full(m, np.nan)
-            fixed, iters = np.zeros(m, dtype=bool), np.full(m, max_iter)
-            for j in range(max_iter + 1):
-                value, target = self._step(rho[active], k_pow[active], sigma[active])
-                up = value < best_val[active]
-                best_val[active[up]], best[active[up]] = value[up], sigma[active[up]]
-                met = np.abs(value - prev[active]) < tol
-                fixed[active[met]], iters[active[met]] = True, j
-                active, value, target = active[~met], value[~met], target[~met]
-                if j == max_iter:
-                    break
-                tr = np.trace(target, axis1=1, axis2=2).real
-                ok = np.isfinite(tr) & (tr > 0)
-                iters[active[~ok]] = j + 1
-                active, value, target, tr = active[ok], value[ok], target[ok], tr[ok]
+            beta, last, iters = np.full(m, beta0), np.full(m, np.inf), np.full(m, max_iter)
+            fixed, was_flat, polished = np.zeros((3, m), dtype=bool)
+            for j in range(max_iter):
+                tr = np.trace(target[active], axis1=1, axis2=2).real
+                ok = np.isfinite(tr) & (tr > 0) & (beta[active] >= 1e-10)
+                iters[active[~ok]] = j
+                active, tr = active[ok], tr[ok]
                 if not active.size:
                     break
-                new = (1.0 - beta) * sigma[active] + beta * (target / tr[:, None, None])
-                sigma[active] = self._project(frame[active], mc.hermitize(new))
-                prev[active] = value
-            polished = np.zeros(m, dtype=bool)
+                b = beta[active][:, None, None]
+                new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
+                cand = self._project(frame[active], mc.hermitize(new))
+                cand_val, cand_target = self._step(rho[active], k_pow[active], cand)
+                rise = cand_val - value[active]
+                up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
+                drop, prev = np.maximum(-rise, 0.0), last[active]
+                rate = np.divide(drop, prev, out=np.zeros_like(drop), where=prev > 0)
+                met = flat & was_flat[active] & (up | (drop < tol * (1.0 - rate)))
+                was_flat[active], last[active] = flat, np.where(up, np.inf, drop)
+                win = active[~up]
+                value[win], sigma[win], target[win] = cand_val[~up], cand[~up], cand_target[~up]
+                beta[active[up]] /= 2
+                fixed[active[met]], iters[active[met]] = True, j + 1
+                active = active[~met]
             for i in np.flatnonzero(~fixed):
                 one = (rho[i : i + 1], k_pow[i : i + 1], frame[i : i + 1])
-                best_val[i], best[i], polished[i] = self._fallback(*one, best_val[i], best[i], seed)
-            self.value[idx], self.sigma[idx] = best_val, frame @ best @ mc.dagger(frame)
-            self.converged[idx], self.fixed[idx] = fixed | polished, fixed
-            self.iterations[idx] = iters
+                value[i], sigma[i], polished[i] = self._fallback(*one, value[i], sigma[i], seed)
+            self.value[idx], self.sigma[idx] = value, frame @ sigma @ mc.dagger(frame)
+            self.converged[idx], self.fixed[idx], self.iterations[idx] = fixed | polished, fixed, iters
         return self
 
     def _gradient(self, rho, k_pow, sigma: np.ndarray):
@@ -281,8 +286,8 @@ class _RenyiStack:
     def _fallback(self, rho, k_pow, frame, best_val: float, best: np.ndarray, seed: int):
         """L-BFGS-B with the exact gradient (:meth:`_gradient`, taken back
         through ``project`` and through sigma = m m* / tr(m m*)) on one item,
-        from its best iterate and three seeded random starts; returns the best
-        value and sigma, and whether that is a polish that reported success."""
+        from its accepted iterate and three seeded random starts; returns the
+        best value and sigma, and whether that is a polish that reported success."""
         from scipy import optimize
 
         rb = len(best)
@@ -296,8 +301,7 @@ class _RenyiStack:
             return self._project(frame, (s / tr)[None]) if tr > 0 and np.isfinite(tr) else None
 
         def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-            m = split(x)
-            sigma = density(m)
+            sigma = density(m := split(x))
             if sigma is None:
                 return 1e9, np.zeros_like(x)
             value, _, grad = self._gradient(rho, k_pow, sigma)
@@ -312,9 +316,8 @@ class _RenyiStack:
         for k, start in enumerate(starts):
             m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
             x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-            res = optimize.minimize(
-                fun, x0, method="L-BFGS-B", jac=True, options={"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
-            )
+            opts = {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
+            res = optimize.minimize(fun, x0, method="L-BFGS-B", jac=True, options=opts)
             pv = fun(res.x)[0]
             if pv < best_val - (1e-12 if k == 0 else 0.0):
                 best_val, best, polished = pv, density(split(res.x))[0], bool(res.success)
@@ -322,22 +325,19 @@ class _RenyiStack:
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return best_val, best, polished
 
-    def improve(self, items: np.ndarray, sigmas: np.ndarray) -> None:
-        """One candidate sigma on B per listed item, compressed, normalized and
+    def improve(self, sigmas: np.ndarray) -> None:
+        """One candidate sigma on B per item, compressed, normalized and
         projected, replaces the item's optimum where its value is lower."""
         for idx, frame, rho, k_pow in self.groups:
-            sel = np.flatnonzero(np.isin(items, idx))
-            pos = np.searchsorted(idx, items[sel])  # positions within the group
-            sc = mc.dagger(frame[pos]) @ sigmas[sel] @ frame[pos]
+            sc = mc.dagger(frame) @ sigmas[idx] @ frame
             tr = np.trace(sc, axis1=1, axis2=2).real
-            it, pos, sc, tr = items[sel[tr > 0]], pos[tr > 0], sc[tr > 0], tr[tr > 0]
-            f = frame[pos]
-            sc = self._project(f, mc.hermitize(sc / tr[:, None, None]))
-            cv = self._step(rho[pos], k_pow[pos], sc, target=False)[0]
+            ok = tr > 0
+            it, f = idx[ok], frame[ok]
+            sc = self._project(f, mc.hermitize(sc[ok] / tr[ok, None, None]))
+            cv = self._step(rho[ok], k_pow[ok], sc, target=False)[0]
             win = cv < self.value[it]
-            it = it[win]
-            self.value[it], self.sigma[it] = cv[win], (f @ sc @ mc.dagger(f))[win]
-            self.converged[it] = self.fixed[it]
+            self.value[it[win]], self.sigma[it[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
+            self.converged[it[win]] = self.fixed[it[win]]
 
 
 def minimize_renyi_divergence(
@@ -361,17 +361,17 @@ def minimize_renyi_divergence(
     polish gradient is exact when ``project`` is linear and HS-self-adjoint
     and preserves the trace, as a conditional expectation does; any other
     map still gives feasible values, with a weaker polish.
-    ``sigma_candidates`` are extra feasible
-    points whose values are taken into account (the infimum can only
-    improve).  ``converged`` is True only when the fixed-point iteration met
-    ``tol`` or the returned sigma is an L-BFGS-B polish that reported success.
+    ``sigma_candidates`` are extra feasible points whose values are taken
+    into account (the infimum can only improve).  ``converged`` is True only
+    when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
+    the returned sigma is an L-BFGS-B polish that reported success;
+    ``iterations`` counts the fixed-point rounds.
     """
     k = None if k_a is None else mc.asmatrix(k_a)[None]
     opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project).minimize(seed, tol, max_iter)
     for cand in sigma_candidates:
-        opt.improve(np.arange(1), mc.asmatrix(cand)[None])
-    value, sigma, converged, iters = opt.value[0], opt.sigma[0], opt.converged[0], opt.iterations[0]
-    return RenyiOptimum(float(value), sigma, bool(converged), int(iters))
+        opt.improve(mc.asmatrix(cand)[None])
+    return RenyiOptimum(float(opt.value[0]), opt.sigma[0], bool(opt.converged[0]), int(opt.iterations[0]))
 
 
 class ConditionalRenyi(NamedTuple):
