@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -20,9 +19,10 @@ import numpy as np
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
-from .entropy import _RenyiStack, entropy_defect, spectral_entropy
+from .entropy import _RenyiStack, _density_search, entropy_defect, spectral_entropy
 from .errors import (
     BadExponent,
+    DimMismatch,
     EmptyBlocks,
     HypothesisFailed,
     InvalidSymbol,
@@ -240,12 +240,17 @@ def _ascent(
 def _init_pool(
     ch: Channel, restarts: int, seed: int, init_states: Optional[Sequence[np.ndarray]]
 ) -> list[np.ndarray]:
-    """Square roots of the restart densities: structured inits first, then the
-    maximally mixed state, then seeded random fills."""
+    """Square roots of the restart densities (at least one; init states are
+    d_in x d_in): structured inits first, then the maximally mixed state,
+    then seeded random fills."""
+    if restarts < 1:
+        raise OutOfRange(f"restarts must be >= 1, got {restarts}")
     d = ch.dim_in
     pool: list[np.ndarray] = []
-    for s in list(init_states or [])[:restarts]:
-        pool.append(mc.matrix_power(mc.asmatrix(s), 0.5))
+    for s in map(mc.asmatrix, list(init_states or [])[:restarts]):
+        if s.shape != (d, d):
+            raise DimMismatch(f"init state is {s.shape[0]} x {s.shape[1]}, expected {d} x {d}")
+        pool.append(mc.matrix_power(s, 0.5))
     if len(pool) < restarts:
         pool.append(np.eye(d, dtype=complex) / math.sqrt(d))
     while len(pool) < restarts:
@@ -262,8 +267,6 @@ def _multi_start(
     init_states: Optional[Sequence[np.ndarray]],
     ceiling: float = math.inf,
 ) -> AscentResult:
-    if restarts < 1:
-        raise OutOfRange(f"restarts must be >= 1, got {restarts}")
     pool = np.stack(_init_pool(ch, restarts, seed, init_states))
     f, rho = _ascent(ch, pool, reverse, ceiling=ceiling)
     best = int(np.argmax(f))  # the first maximum
@@ -334,31 +337,18 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
     return float(m ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
 
 
-def _renyi_objective(extended: Channel, dims: tuple[int, int], p: float, seed: int, x: np.ndarray):
-    """Minus inf_sigma D_p(omega || 1 (x) sigma), the Renyi coherent
-    information of omega = (id (x) N)(psi psi*), psi = g / |g| for the
-    row-major amplitude vector g = x[:d^2] + i x[d^2:], and its gradient in x.
-    By Danskin's envelope theorem the gradient W in omega is the partial one
-    at the inner minimizer (_RenyiStack._gradient), with no derivative
-    through sigma; (id (x) N)* takes it to M on the input (id (x) N preserves
-    the trace, so omega's renormalization adds nothing), and the
-    normalization of psi to (M - <psi|M|psi>) g / |g|^2 per real and
-    imaginary part, times 2."""
-    n = x.size // 2
-    g = x[:n] + 1j * x[n:]
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-9:
-        return 1e6, np.zeros_like(x)
-    psi = g / norm
-    omega = chn.apply(extended, np.outer(psi, psi.conj()))
-    omega = mc.hermitize(omega) / np.trace(omega).real
-    stack = _RenyiStack(omega[None], dims, p).minimize(seed)
-    ((_, frame, rho, k_pow),) = stack.groups
-    w = stack._gradient(rho, k_pow, mc.dagger(frame) @ stack.sigma @ frame)[1]
+def _renyi_value_and_grad(extended: Channel, dims: tuple[int, int], p: float, rho: np.ndarray):
+    """Minus the Renyi coherent information, -inf_sigma D_p(omega || 1 (x)
+    sigma) with omega = (id (x) N)(rho), at input densities rho (1, d^2, d^2),
+    and its gradient: by Danskin's envelope theorem (id (x) N)* of the partial
+    one in omega at the inner minimizer (_RenyiStack._gradient); id (x) N
+    preserves the trace, so omega's renormalization adds nothing."""
+    omega = mc.hermitize(chn.apply(extended, rho[0]))
+    stack = _RenyiStack((omega / np.trace(omega).real)[None], dims, p).minimize()
+    ((_, frame, rho_c, k_pow),) = stack.groups
+    w = stack._gradient(rho_c, k_pow, mc.dagger(frame) @ stack.sigma @ frame)[1]
     embed = mc.tensor(np.eye(dims[0]), frame)
-    m = chn.adjoint_apply(extended, embed @ w @ mc.dagger(embed))[0]
-    h = (m @ psi - np.vdot(psi, m @ psi).real * psi) / norm
-    return -float(stack.value[0]), -2.0 * np.concatenate([h.real, h.imag])
+    return -float(stack.value[0]), -chn.adjoint_apply(extended, embed @ w @ mc.dagger(embed))
 
 
 def renyi_coherent_channel(
@@ -371,45 +361,32 @@ def renyi_coherent_channel(
     """Best found Renyi coherent information over purified channel inputs.
 
     Lower bound on the one-shot Renyi quantum value at exponent p (finite,
-    > 1); optimizes the purification amplitude matrix by L-BFGS-B with the
-    exact gradient (_renyi_objective), one search per restart, so each
-    evaluation costs one inner minimization over sigma.  Each inner value is
-    D_p at a feasible sigma: an upper estimate of inf_sigma, within the stop
-    rule of ``_RenyiStack.minimize``.  Restarts are the ``init_states``, then
-    the maximally entangled input, then seeded random amplitudes; fewer than
-    one raises OutOfRange.  Each search runs from its start nudged by a
-    seeded relative step of 1e-3, and the value at the start itself counts.
+    > 1): one L-BFGS-B search (entropy._density_search) per restart over the
+    amplitudes g of psi = vec g / |g|, each evaluation one inner minimization
+    over sigma (_renyi_value_and_grad).  Each inner value is D_p at a feasible
+    sigma: an upper estimate of inf_sigma, within the stop rule of
+    ``_RenyiStack.minimize``.  The starts are sqrt(d) times :func:`one_shot_q`'s;
+    fewer than one raises OutOfRange.  Each search runs from its start nudged
+    by a seeded relative step of 1e-3, and the value at the start counts.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    if restarts < 1:
-        raise OutOfRange(f"restarts must be >= 1, got {restarts}")
-    from scipy import optimize
-
     d = ch.dim_in
     extended = chn.tensor_channels(chn.identity_channel(d), ch)  # id_A (x) N
-    objective = partial(_renyi_objective, extended, (d, ch.dim_out), p, seed)
 
-    starts: list[np.ndarray] = []
-    for s in list(init_states or [])[:restarts]:
-        starts.append(mc.matrix_power(mc.asmatrix(s), 0.5) * math.sqrt(d))
-    if len(starts) < restarts:
-        starts.append(np.eye(d, dtype=complex))
-    while len(starts) < restarts:
-        rng = np.random.default_rng((seed, len(starts)))
-        starts.append(mc.random_complex(rng, (d, d)))
+    def fun(rho: np.ndarray) -> tuple[float, np.ndarray]:
+        return _renyi_value_and_grad(extended, (d, ch.dim_out), p, rho)
 
     best = -math.inf
-    for k, g0 in enumerate(starts[:restarts]):
-        x0 = np.concatenate([g0.real.reshape(-1), g0.imag.reshape(-1)])
-        best = max(best, -objective(x0)[0])
+    for k, g0 in enumerate(_init_pool(ch, restarts, seed, init_states)):
+        g = (g0 * math.sqrt(d)).reshape(-1, 1)
+        best = max(best, -fun(_densities(g[None])[1])[0])
         # The exact gradient keeps a symmetric start (the maximally entangled
         # input is real and diagonal) in its symmetric subspace, where the
         # search can end on a saddle; a seeded nudge of 1e-3 leaves it.
-        nudge = np.random.default_rng((seed, k, 1)).standard_normal(x0.size)
-        x0 = x0 + 1e-3 * np.linalg.norm(x0) / math.sqrt(x0.size) * nudge
-        res = optimize.minimize(objective, x0, method="L-BFGS-B", jac=True, options={"maxiter": 60})
-        best = max(best, -res.fun)
+        nudge = np.random.default_rng((seed, k, 1)).standard_normal((2, *g.shape))
+        g = g + 1e-3 * np.linalg.norm(g) / math.sqrt(2 * g.size) * (nudge[0] + 1j * nudge[1])
+        best = max(best, -_density_search(fun, g, {"maxiter": 60})[0])
     return best
 
 

@@ -9,8 +9,8 @@ The minimization over sigma runs a damped fixed-point iteration (the
 stationarity condition sigma ~ tr_A[(sandwich)^p]) on a stack of states at
 once, each item with its own step, halved whenever an update would raise the
 value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
-with no 2-cycle.  The exact gradient drives an L-BFGS-B fallback for the rare
-items that do not settle, and ``capacity.renyi_coherent_channel``.
+with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
+polish from their last iterate (``_density_search``), none from random starts.
 """
 
 from __future__ import annotations
@@ -133,6 +133,30 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
+def _density_search(fun, m0: np.ndarray, options: dict) -> tuple[float, np.ndarray, bool]:
+    """L-BFGS-B from m0 over the densities rho = m m*/t, t = tr(m m*), m complex
+    of any shape (n x n for a sigma, d^2 x 1 for the amplitudes of a pure rho).
+    ``fun`` maps a (1, n, n) density to its value and hermitian gradient G; the
+    chain rule gives 2 (G m - tr(m* G m)/t m)/t, packed as real then imaginary
+    parts.  Returns the end value and density, and scipy's success flag."""
+    from scipy import optimize
+
+    def packed(x: np.ndarray) -> tuple[float, np.ndarray]:
+        m = (x[: m0.size] + 1j * x[m0.size :]).reshape(m0.shape)
+        t = float(np.vdot(m, m).real)
+        if not (t > 0 and np.isfinite(t)):
+            return 1e9, np.zeros_like(x)
+        value, grad = fun((m @ mc.dagger(m) / t)[None])
+        gm = grad[0] @ m
+        h = 2.0 * (gm - (np.vdot(m, gm).real / t) * m) / t
+        return value, np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
+
+    x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
+    res = optimize.minimize(packed, x0, method="L-BFGS-B", jac=True, options=options)
+    m = (res.x[: m0.size] + 1j * res.x[m0.size :]).reshape(m0.shape)
+    return float(res.fun), (m @ mc.dagger(m) / np.vdot(m, m).real)[None], bool(res.success)
+
+
 class _RenyiStack:
     """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a
     stack of states rho_i on A (x) B, all items advancing together.  B is
@@ -161,23 +185,26 @@ class _RenyiStack:
             self.groups.append((idx, frame, mc.dagger(embed) @ rhos[idx] @ embed, k_pow[idx]))
 
     def _step(self, rho, k_pow, sigma: np.ndarray, target: bool = True):
-        """D_p(rho || K (x) sigma) for each item and, with ``target``, the
-        fixed-point target tr_A[s^p], s = a rho a with a = K^(-1/2p') (x)
-        sigma^(-1/2p'): one eigh of sigma, one of s (an eigvalsh without
-        ``target``); the value is penalized as in :meth:`_value`."""
-        pc, da = self.p_conj, k_pow.shape[-1]
-        w, v = np.linalg.eigh(mc.hermitize(sigma))
-        mask = mc.support_mask(w)
-        s_pow = (v * (np.where(mask, w, 1.0) ** (-0.5 / pc) * mask)[..., None, :]) @ mc.dagger(v)
-        a = mc.tensor(k_pow, s_pow)
-        s = mc.hermitize(a @ rho @ a)
+        """D_p(rho || K (x) sigma) for each item (penalized as in :meth:`_value`)
+        and, with ``target``, the fixed-point target tr_A[s^p] of the sandwich
+        s (:meth:`_sandwich`): one eigh of s, an eigvalsh without ``target``."""
+        _, v, mask, _, s = self._sandwich(rho, k_pow, sigma)
         ws, vs = np.linalg.eigh(s) if target else (np.linalg.eigvalsh(s), None)
         ws = np.clip(ws, 0.0, None) ** self.p
         value = self._value(np.sum(ws, axis=-1), rho, v, mask)
         if not target:
             return value, None
         s_p = mc.hermitize((vs * ws[..., None, :]) @ mc.dagger(vs))
-        return value, mc.partial_trace(s_p, (da, sigma.shape[-1]), "B")
+        return value, mc.partial_trace(s_p, (k_pow.shape[-1], sigma.shape[-1]), "B")
+
+    def _sandwich(self, rho, k_pow, sigma: np.ndarray):
+        """Eigenvalues w (1 off the support mask) and vectors v of each sigma,
+        a = K^(-1/2p') (x) sigma^(-1/2p') and the sandwich s = a rho a."""
+        w, v = np.linalg.eigh(mc.hermitize(sigma))
+        mask = mc.support_mask(w)
+        w = np.where(mask, w, 1.0)
+        a = mc.tensor(k_pow, (v * (w ** (-0.5 / self.p_conj) * mask)[..., None, :]) @ mc.dagger(v))
+        return w, v, mask, a, mc.hermitize(a @ rho @ a)
 
     def _value(self, q: np.ndarray, rho, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """log2(Q) / (p - 1) for each item's Q = tr s^p, with a large finite
@@ -205,7 +232,7 @@ class _RenyiStack:
                 out[j] = s / tr
         return out
 
-    def minimize(self, seed: int = 0, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
+    def minimize(self, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
         """Monotone damped fixed point: each round every active item tries
         project((1-b) sigma + b T/tr T), T = tr_A[s^p] at its sigma, and keeps
         it unless the value rises, which halves b (from b0 = min(1/2, 0.9/p)).
@@ -213,7 +240,7 @@ class _RenyiStack:
         item when the second is a rise or a decrease d with d/(1-r) < tol, r =
         d over the decrease before (the tail of a geometric series).  An item
         whose T has no trace, whose b falls below 1e-10 or that is not fixed
-        after ``max_iter`` rounds (``iterations`` counts rounds) falls back to L-BFGS-B."""
+        after ``max_iter`` rounds (``iterations`` counts rounds) gets one L-BFGS-B polish."""
         n, db = self.rho_b.shape[:2]
         self.value, self.sigma = np.empty(n), np.empty((n, db, db), dtype=complex)
         self.converged, self.fixed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -250,7 +277,7 @@ class _RenyiStack:
                 active = active[~met]
             for i in np.flatnonzero(~fixed):
                 one = (rho[i : i + 1], k_pow[i : i + 1], frame[i : i + 1])
-                value[i], sigma[i], polished[i] = self._fallback(*one, value[i], sigma[i], seed)
+                value[i], sigma[i], polished[i] = self._fallback(*one, value[i], sigma[i])
             self.value[idx], self.sigma[idx] = value, frame @ sigma @ mc.dagger(frame)
             self.converged[idx], self.fixed[idx], self.iterations[idx] = fixed | polished, fixed, iters
         return self
@@ -264,11 +291,8 @@ class _RenyiStack:
         Z = rho a s^(p-1) + h.c., sigma = V diag(w) V* and Gamma the divided
         differences of w -> w^(-1/2p') (zero off the support of sigma)."""
         c, da, db = -0.5 / self.p_conj, k_pow.shape[-1], sigma.shape[-1]
-        w, v = np.linalg.eigh(mc.hermitize(sigma))
-        mask = mc.support_mask(w)
-        w = np.where(mask, w, 1.0)
-        a = mc.tensor(k_pow, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
-        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
+        w, v, mask, a, s = self._sandwich(rho, k_pow, sigma)
+        ws, vs = np.linalg.eigh(s)
         ws = np.clip(ws, 0.0, None)
         q = np.sum(ws**self.p, axis=-1)
         scale = self.p_conj / (q * math.log(2.0))
@@ -283,47 +307,25 @@ class _RenyiStack:
         grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
         return self._value(q, rho, v, mask), mc.hermitize(x @ a), mc.hermitize(grad_sigma)
 
-    def _fallback(self, rho, k_pow, frame, best_val: float, best: np.ndarray, seed: int):
-        """L-BFGS-B with the exact gradient (:meth:`_gradient`, taken back
-        through ``project`` and through sigma = m m* / tr(m m*)) on one item,
-        from its accepted iterate and three seeded random starts; returns the
-        best value and sigma, and whether that is a polish that reported success."""
-        from scipy import optimize
+    def _fallback(self, rho, k_pow, frame, value: float, sigma: np.ndarray):
+        """One L-BFGS-B polish of one item from its accepted iterate, with the
+        exact gradient (:meth:`_gradient`, taken back through ``project``);
+        returns it where it is lower by more than 1e-12, else the iterate, and
+        whether the returned point is a polish that reported success."""
 
-        rb = len(best)
+        def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
+            v, _, grad = self._gradient(rho, k_pow, self._project(frame, s))
+            return float(v[0]), self._project(frame, grad, normalize=False)
 
-        def split(x: np.ndarray) -> np.ndarray:
-            return x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
-
-        def density(m: np.ndarray) -> Optional[np.ndarray]:
-            s = m @ mc.dagger(m)
-            tr = float(np.trace(s).real)
-            return self._project(frame, (s / tr)[None]) if tr > 0 and np.isfinite(tr) else None
-
-        def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-            sigma = density(m := split(x))
-            if sigma is None:
-                return 1e9, np.zeros_like(x)
-            value, _, grad = self._gradient(rho, k_pow, sigma)
-            grad = self._project(frame, grad, normalize=False)[0]
-            gm, t = grad @ m, float(np.vdot(m, m).real)
-            h = 2.0 * (gm - (np.vdot(m, gm).real / t) * m) / t
-            return float(value[0]), np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
-
-        polished = False  # the best point so far is a polish that reported success
-        rng = np.random.default_rng(seed)
-        starts = [best] + [(s := mc.random_psd(rng, rb)) / np.trace(s).real for _ in range(3)]
-        for k, start in enumerate(starts):
-            m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
-            x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-            opts = {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
-            res = optimize.minimize(fun, x0, method="L-BFGS-B", jac=True, options=opts)
-            pv = fun(res.x)[0]
-            if pv < best_val - (1e-12 if k == 0 else 0.0):
-                best_val, best, polished = pv, density(split(res.x))[0], bool(res.success)
-        if not np.isfinite(best_val):
+        m0 = mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5)
+        opts = {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
+        _, polish, success = _density_search(fun, m0, opts)
+        polish_val = fun(polish)[0]  # the value of the returned sigma itself
+        if polish_val < value - 1e-12:
+            return polish_val, self._project(frame, polish)[0], success
+        if not np.isfinite(value):
             raise OptimizerFailed("no sigma-minimization strategy converged")
-        return best_val, best, polished
+        return value, sigma, False
 
     def improve(self, sigmas: np.ndarray) -> None:
         """One candidate sigma on B per item, compressed, normalized and
@@ -365,10 +367,11 @@ def minimize_renyi_divergence(
     into account (the infimum can only improve).  ``converged`` is True only
     when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
     the returned sigma is an L-BFGS-B polish that reported success;
-    ``iterations`` counts the fixed-point rounds.
+    ``iterations`` counts the fixed-point rounds.  ``seed`` is accepted for
+    compatibility; the minimization is deterministic.
     """
     k = None if k_a is None else mc.asmatrix(k_a)[None]
-    opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project).minimize(seed, tol, max_iter)
+    opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project).minimize(tol, max_iter)
     for cand in sigma_candidates:
         opt.improve(mc.asmatrix(cand)[None])
     return RenyiOptimum(float(opt.value[0]), opt.sigma[0], bool(opt.converged[0]), int(opt.iterations[0]))
@@ -387,7 +390,8 @@ def conditional_renyi(
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     sigma_candidates: tuple[np.ndarray, ...] = (),
 ) -> ConditionalRenyi:
-    """H_p(A|B) = -inf_sigma D_p(rho_AB || 1_A (x) sigma_B), with minimizer."""
+    """H_p(A|B) = -inf_sigma D_p(rho_AB || 1_A (x) sigma_B), with minimizer;
+    ``seed`` is accepted for compatibility; the minimization is deterministic."""
     rho_ab = check_state(rho_ab)
     opt = minimize_renyi_divergence(
         rho_ab, dims, p, seed=seed, project=project, sigma_candidates=sigma_candidates
@@ -402,7 +406,8 @@ def renyi_coherent_information(
     seed: int = 0,
     sigma_candidates: tuple[np.ndarray, ...] = (),
 ) -> float:
-    """I_cp(A>B) = -H_p(A|B); tends to the coherent information as p -> 1."""
+    """I_cp(A>B) = -H_p(A|B); tends to the coherent information as p -> 1.
+    ``seed`` is accepted for compatibility; the minimization is deterministic."""
     return -conditional_renyi(rho_ab, dims, p, seed=seed, sigma_candidates=sigma_candidates).value
 
 
@@ -413,7 +418,8 @@ def renyi_mutual_information(
     seed: int = 0,
     sigma_candidates: tuple[np.ndarray, ...] = (),
 ) -> float:
-    """I_p(A:B) = inf_sigma D_p(rho_AB || rho_A (x) sigma_B)."""
+    """I_p(A:B) = inf_sigma D_p(rho_AB || rho_A (x) sigma_B); ``seed`` is
+    accepted for compatibility; the minimization is deterministic."""
     rho_ab = check_state(rho_ab)
     k_a = mc.partial_trace(rho_ab, dims, "A")
     return minimize_renyi_divergence(
@@ -422,7 +428,8 @@ def renyi_mutual_information(
 
 
 def s1_sp_norm(rho_ab: np.ndarray, dims: tuple[int, int], p: float, seed: int = 0) -> float:
-    """||rho||_{S_1(B, S_p(A))} for positive rho, via -p' log2 ||.|| = H_p(A|B)."""
+    """||rho||_{S_1(B, S_p(A))} for positive rho, via -p' log2 ||.|| = H_p(A|B).
+    ``seed`` is accepted for compatibility; the minimization is deterministic."""
     hp = conditional_renyi(rho_ab, dims, p, seed=seed).value
     p_conj = p / (p - 1.0)
     return float(2.0 ** (-hp / p_conj))

@@ -168,7 +168,7 @@ def verify_entropic(
             gap = (p / (p - 1.0)) * math.log2(mc.normalized_p_norm(symbol.f, p))
             for name, k in (("I_cp", None), ("I_p", np.concatenate([k_a, k_a]))):
                 # omega and omega_f in one stack
-                opt = _RenyiStack(both, dims, p, k).minimize(seed=seed)
+                opt = _RenyiStack(both, dims, p, k).minimize()
                 v, vf = opt.value[:samples], opt.value[samples:]
                 slacks += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
     for i in range(samples):

@@ -24,6 +24,7 @@ from trocap.channel import apply, identity_channel, modified_channel, stinesprin
 from trocap.entropy import binary_entropy, renyi_coherent_information
 from trocap.errors import (
     BadExponent,
+    DimMismatch,
     EmptyBlocks,
     HypothesisFailed,
     InvalidSymbol,
@@ -374,7 +375,8 @@ class TestCeiling:
 
 
 def test_import_leaves_scipy_optimize_out():
-    # only the two L-BFGS-B call sites need scipy.optimize; they import it
+    # only the L-BFGS-B call site (entropy._density_search) needs
+    # scipy.optimize; it imports it
     src = os.path.dirname(os.path.dirname(cap.__file__))
     code = "import sys, trocap; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
@@ -468,6 +470,12 @@ class TestRenyiCoherentChannel:
         val = cap.renyi_coherent_channel(ch, 2.0, restarts=2, seed=0, init_states=[best])
         assert val == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("run", [cap.one_shot_q, cap.renyi_coherent_channel])
+    def test_init_state_of_the_wrong_size_raises(self, run):
+        args = () if run is cap.one_shot_q else (2.0,)
+        with pytest.raises(DimMismatch, match="init state is 3 x 3, expected 2 x 2"):
+            run(qubit_dephasing(0.3), *args, restarts=2, init_states=[np.eye(3) / 3])
+
     def test_restarts_below_one_raise(self):
         with pytest.raises(OutOfRange):
             cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=0)
@@ -533,18 +541,23 @@ def fd_renyi_coherent_channel(ch, p, restarts, seed):
 class TestRenyiExactGradient:
     @staticmethod
     def _difference_errors(name, p, hs):
-        """|central difference - exact directional derivative| of the
-        objective at a seeded point, for each step in ``hs``."""
+        """|central difference - exact directional derivative| of
+        _renyi_value_and_grad at a seeded full-rank input density, along a
+        seeded hermitian traceless direction, for each step in ``hs``."""
         ch = renyi_channels()[name]
         d = ch.dim_in
         extended = tensor_channels(identity_channel(d), ch)
-        f = functools.partial(cap._renyi_objective, extended, (d, ch.dim_out), p, 0)
         rng = np.random.default_rng(7)
-        x = rng.normal(size=2 * d * d)
-        e = rng.normal(size=x.size)
-        e /= np.linalg.norm(e)
-        slope = f(x)[1] @ e
-        return [abs((f(x + h * e)[0] - f(x - h * e)[0]) / (2 * h) - slope) for h in hs]
+        rho = ((mc.random_density(rng, d * d) + np.eye(d * d) / (d * d)) / 2)[None]
+        e = mc.hermitize(mc.random_complex(rng, (d * d, d * d)))
+        e = e - np.trace(e).real / (d * d) * np.eye(d * d)
+        e = (e / mc.frobenius(e))[None]
+
+        def f(r):
+            return cap._renyi_value_and_grad(extended, (d, ch.dim_out), p, r)
+
+        slope = float(np.vdot(e, f(rho)[1]).real)  # tr(G E) for hermitian E
+        return [abs((f(rho + h * e)[0] - f(rho - h * e)[0]) / (2 * h) - slope) for h in hs]
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("name", ["dephasing", "phi_alpha", "schur_k4"])
@@ -554,8 +567,8 @@ class TestRenyiExactGradient:
         # central differences approach it as O(h^2)
         real_inner = ent._RenyiStack.minimize
 
-        def tight(self, seed=0, tol=1e-9, max_iter=400):
-            return real_inner(self, seed, 1e-15, 5000)
+        def tight(self, tol=1e-9, max_iter=400):
+            return real_inner(self, 1e-15, 5000)
 
         monkeypatch.setattr(ent._RenyiStack, "minimize", tight)
         coarse, fine = self._difference_errors(name, p, (1e-2, 1e-3))

@@ -308,7 +308,7 @@ class TestRenyiConvergedFlag:
 
     def test_fallback_reports_the_returned_polish(self, monkeypatch):
         opt, results = self._run(monkeypatch)
-        assert opt.iterations == 400 and len(results) == 4  # the fallback ran
+        assert opt.iterations == 400 and len(results) == 1  # the fallback ran
         winner = [r for r in results if r.fun == opt.value]
         assert len(winner) == 1 and opt.converged == bool(winner[0].success)
 
@@ -322,13 +322,13 @@ class TestRenyiConvergedFlag:
         assert opt.value == reference.value and not opt.converged
 
     def test_fallback_that_improves_nothing_is_not_converged(self, monkeypatch):
-        # every polish stays at its start, so the fixed point's best iterate
-        # is returned although each "polish" reports success
+        # the polish stays at its start, so the fixed point's iterate is
+        # returned although the "polish" reports success
         def stay(res, args):
             res.x, res.success = args[1], True
 
         opt, results = self._run(monkeypatch, stay)
-        assert opt.iterations == 400 and len(results) == 4
+        assert opt.iterations == 400 and len(results) == 1
         assert not opt.converged
 
 
@@ -358,7 +358,7 @@ class TestMonotoneStepControl:
         assert opt.value[0] == accepted[-1] == min(values)
         ((_, frame, rho_c, k_pow),) = opt.groups
         start = mc.dagger(frame[0]) @ opt.sigma[0] @ frame[0]
-        polish = opt._fallback(rho_c, k_pow, frame, np.inf, start, 0)[0]
+        polish = opt._fallback(rho_c, k_pow, frame, np.inf, start)[0]
         assert opt.value[0] - polish < 1e-9
 
     def test_state_at_its_optimum_is_fixed_after_two_flat_rounds(self, monkeypatch):
@@ -537,12 +537,13 @@ def _loop_grad(rho, da, k_pow, sigma, p, p_conj):
     return p_conj * ds / (np.sum(ws**p) * math.log(2.0))
 
 
-def loop_minimize(rho_ab, dims, p, k_a=None, seed=0, sigma_candidates=()):
+def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
     """Sequential reference: monotone fixed point (a candidate is kept when
     its value does not rise, else the step halves; fixed after two flat
-    rounds whose last decrease also passes the geometric-tail test),
-    L-BFGS-B fallback (exact gradient, _loop_grad) and candidates for one
-    state, with two eigh of sigma, two np.kron and an eigvalsh per round;
+    rounds whose last decrease also passes the geometric-tail test), one
+    L-BFGS-B polish from the last iterate as the fallback (exact gradient,
+    _loop_grad) and candidates for one state, with two eigh of sigma, two
+    np.kron and an eigvalsh per round;
     returns (value, sigma, converged, iterations)."""
     from scipy import optimize
 
@@ -622,12 +623,6 @@ def loop_minimize(rho_ab, dims, p, k_a=None, seed=0, sigma_candidates=()):
         pv, ps, ok = polish(best_sigma)
         if pv < best_val - 1e-12:
             best_val, best_sigma, polished = pv, ps, ok
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            g = mc.random_psd(rng, rb)
-            pv, ps, ok = polish(g / np.trace(g).real)
-            if pv < best_val:
-                best_val, best_sigma, polished = pv, ps, ok
     for cand in sigma_candidates:
         sc = mc.dagger(frame) @ cand @ frame
         tr = float(np.trace(sc).real)
@@ -679,12 +674,10 @@ STACKS = {
 }
 
 
-def assert_matches_loop(rhos, dims, p, k_as, seed=3):
-    opt = ent._RenyiStack(rhos, dims, p, k_as).minimize(seed=seed)
+def assert_matches_loop(rhos, dims, p, k_as):
+    opt = ent._RenyiStack(rhos, dims, p, k_as).minimize()
     for i, rho in enumerate(rhos):
-        value, sigma, converged, iters = loop_minimize(
-            rho, dims, p, None if k_as is None else k_as[i], seed=seed
-        )
+        value, sigma, converged, iters = loop_minimize(rho, dims, p, None if k_as is None else k_as[i])
         assert opt.value[i] == pytest.approx(value, abs=1e-12)
         assert bool(opt.converged[i]) == converged
         assert opt.iterations[i] == iters
@@ -811,7 +804,7 @@ class TestRenyiGradient:
         monkeypatch.setattr(scipy.optimize, "minimize", recording)
         project = (lambda s: np.diag(np.diag(s))) if pinch else None
         ent.minimize_renyi_divergence(thin_marginal_state(), (2, 3), p, project=project, max_iter=3)
-        assert len(seen) == 4  # the fixed point stopped short: the fallback ran
+        assert len(seen) == 1  # the fixed point stopped short: the fallback ran
         rng = np.random.default_rng(26)
         for fun, x0 in seen:
             e = rng.normal(size=x0.size)
@@ -819,3 +812,79 @@ class TestRenyiGradient:
             slope = fun(x0)[1] @ e
             coarse, fine = [abs((fun(x0 + h * e)[0] - fun(x0 - h * e)[0]) / (2 * h) - slope) for h in (1e-3, 1e-4)]
             assert fine < max(coarse / 20, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the one L-BFGS-B search over densities m m*/tr(m m*) both Renyi optimizers use
+
+
+class TestDensitySearch:
+    @staticmethod
+    def _objective(shape):
+        """fun for _density_search and m0: D_p(rho || 1 (x) sigma) in a pure
+        rho = psi psi* at a fixed full-rank sigma (m is d^2 x 1), or as the
+        fallback's function of sigma through a pinching ``project`` (m is
+        n x n)."""
+        rho, dims = _gradient_states()["dephasing"]
+        rng = np.random.default_rng(27)
+        if shape == "purification":
+            stack = ent._RenyiStack(rho[None], dims, 2.0)
+            ((_, _, _, k_pow),) = stack.groups
+            sigma = (mc.random_density(rng, dims[1]) + np.eye(dims[1]) / dims[1])[None] / 2
+
+            def fun(r):
+                value, grad, _ = stack._gradient(r, k_pow, sigma)
+                return float(value[0]), grad
+
+            return fun, mc.random_complex(rng, (dims[0] * dims[1], 1))
+        stack = ent._RenyiStack(rho[None], dims, 4.0, project=lambda s: np.diag(np.diag(s)))
+        ((_, frame, rho_c, k_pow),) = stack.groups
+
+        def fun(s):
+            value, _, grad = stack._gradient(rho_c, k_pow, stack._project(frame, s))
+            return float(value[0]), stack._project(frame, grad, normalize=False)
+
+        return fun, mc.random_complex(rng, (frame.shape[-1],) * 2)
+
+    @pytest.mark.parametrize("shape", ["purification", "pinched_sigma"])
+    def test_packed_gradient_matches_central_differences(self, monkeypatch, shape):
+        # the chain rule 2 (G m - tr(m* G m)/t m)/t through rho = m m*/t
+        import scipy.optimize
+
+        real, seen = scipy.optimize.minimize, []
+
+        def recording(packed, x0, *args, **kwargs):
+            seen.append((packed, x0))
+            return real(packed, x0, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        fun, m0 = self._objective(shape)
+        value, rho, _ = ent._density_search(fun, m0, {"maxiter": 5})
+        ((packed, x0),) = seen
+        assert value == pytest.approx(fun(rho)[0], abs=1e-14)
+        rng = np.random.default_rng(28)
+        for x in (x0, x0 + 0.3 * rng.normal(size=x0.size)):
+            e = rng.normal(size=x.size)
+            e /= np.linalg.norm(e)
+            slope = packed(x)[1] @ e
+            coarse, fine = [abs((packed(x + h * e)[0] - packed(x - h * e)[0]) / (2 * h) - slope) for h in (1e-3, 1e-4)]
+            assert fine < max(coarse / 20, 1e-9)
+
+    def test_one_search_per_restart_and_per_fallen_back_item(self, monkeypatch):
+        import trocap.capacity as cap
+
+        real, shapes = ent._density_search, []
+
+        def counted(fun, m0, options):
+            shapes.append(m0.shape)
+            return real(fun, m0, options)
+
+        monkeypatch.setattr(ent, "_density_search", counted)
+        monkeypatch.setattr(cap, "_density_search", counted)
+        cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=3)
+        assert shapes.count((4, 1)) == 3
+        shapes.clear()
+        # the maximally mixed state is fixed after two rounds, the others not
+        rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])
+        opt = ent._RenyiStack(rhos, (2, 3), 2.0).minimize(max_iter=3)
+        assert opt.fixed.tolist() == [False, False, True] and len(shapes) == 2

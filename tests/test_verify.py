@@ -183,8 +183,8 @@ def loop_entropic_slacks(space, symbol, samples, seed, ps=(1.5, 2.0)):
         for p in ps:
             gap = (p / (p - 1.0)) * np.log2(mc.normalized_p_norm(symbol.f, p))
             for name, k in (("I_cp", None), ("I_p", k_a)):
-                v = loop_minimize(omega, dims, p, k, seed=seed)[0]
-                vf = loop_minimize(omega_f, dims, p, k, seed=seed)[0]
+                v = loop_minimize(omega, dims, p, k)[0]
+                vf = loop_minimize(omega_f, dims, p, k)[0]
                 out += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
     return out
 
