@@ -15,7 +15,7 @@ or W and a partial trace (_block_expectation).  The Hilbert-Schmidt paths
 references that no internal path uses.
 
 All span computations are Hilbert-Schmidt orthonormal with SVD rank
-decisions at relative threshold 1e-9.
+decisions at the relative threshold mc.RANK_RTOL.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, stinespring_space
 from .errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 
-RANK_RTOL = 1e-9
 TRO_TOL = 1e-8  # triple-product residual up to which a span is accepted as a TRO
 GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this are one cluster
 LINK_RTOL = 1e-8  # eigenspaces a random element joins by less than this (relative) are unlinked
 BLOCK_TRIES = 12  # random samples algebra_blocks draws before it gives up
 
 
-def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> list[np.ndarray]:
+def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = mc.RANK_RTOL) -> list[np.ndarray]:
     """Orthonormal basis (HS inner product) of the span of the given matrices."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -44,9 +43,7 @@ def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> lis
     shape = mats[0].shape
     rows = np.stack([m.reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    return list(vh[s > rtol * s[0]].reshape(-1, *shape))
+    return list(vh[mc._rank_mask(s, rtol)].reshape(-1, *shape)) if s.size else []
 
 
 def project_span(mat: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -137,7 +134,7 @@ def _left_span(v: np.ndarray) -> tuple[np.ndarray, float]:
     k, n, _ = v.shape
     outer = (v[:, None] @ v.conj().transpose(0, 2, 1)[None]).reshape(k * k, n * n)
     _, s, vh = np.linalg.svd(outer, full_matrices=False)
-    keep = s > RANK_RTOL * s[0]
+    keep = mc._rank_mask(s)
     return vh[keep].reshape(-1, n, n), float(np.linalg.norm(s[~keep]))
 
 
@@ -195,7 +192,7 @@ def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _closure(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
     """smallest_containing_tro, with the left span of the returned basis when it
-    is certified a TRO (closure bound <= RANK_RTOL, or all of M_{n,m}), else None."""
+    is certified a TRO (closure bound <= mc.RANK_RTOL, or all of M_{n,m}), else None."""
     basis = orthonormal_span(mats)
     while basis:
         v = np.stack(basis)
@@ -204,7 +201,7 @@ def _closure(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], Optional[np.
         flat = v.reshape(len(v), -1)
         ell, delta = _left_span(v)
         prods = (ell[None] @ v[:, None]).reshape(-1, flat.shape[1])
-        if np.linalg.norm(prods - (prods @ flat.conj().T) @ flat) + delta <= RANK_RTOL:
+        if np.linalg.norm(prods - (prods @ flat.conj().T) @ flat) + delta <= mc.RANK_RTOL:
             return basis, ell
         new_basis = orthonormal_span(basis + list(prods.reshape(-1, *v.shape[1:])))
         if len(new_basis) == len(basis):
@@ -302,7 +299,7 @@ def algebra_blocks(basis: np.ndarray, rng: np.random.Generator) -> list[_Algebra
     # Restrict to the support of the algebra unit (the algebra may act
     # trivially on part of the ambient space).
     w, v = mc.herm_eig(sum(b @ mc.dagger(b) for b in basis))
-    v_sup = v[:, w > 1e-10 * max(float(np.max(w)), 1.0)]
+    v_sup = v[:, mc.support_mask(w)]
     comp = mc.dagger(v_sup) @ basis @ v_sup
     for _ in range(BLOCK_TRIES):
         w, v = np.linalg.eigh(_random_element(rng, comp))
@@ -395,7 +392,7 @@ def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
     n, l = blk.factor_dim, blk.multiplicity
     rows = (mc.dagger(blk.frame) @ v).reshape(len(v) * n, l, -1)
     u, s, _ = np.linalg.svd(rows[:, 0], full_matrices=False)
-    m = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    m = int(np.count_nonzero(mc._rank_mask(s)))
     g = (mc.dagger(u[:, :m]) / s[:m, None]) @ rows.transpose(1, 0, 2)  # (s, b, env)
     return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
 
@@ -502,11 +499,8 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
             f"symbol dim {f.shape[0]} does not match environment {space.dim_env}"
         )
     eig = mc.herm_eig(f)
-    if float(np.min(eig.eigenvalues)) < -1e-10 * max(1.0, float(np.max(eig.eigenvalues))):
-        raise NotNormalized("symbol must be positive semidefinite")
-    tau = np.trace(f).real / space.dim_env
-    if abs(tau - 1.0) > 1e-10:
-        raise NotNormalized(f"normalized trace is {tau:.6f}, expected 1")
+    mc._require_psd(eig.eigenvalues, NotNormalized, "symbol must be positive semidefinite")
+    mc._require_unit_trace(f, NotNormalized, "normalized trace is {:.6f}, expected 1")
 
     v, decomp = _closed_structure(space.basis, seed)
     resids = _block_residuals(eig, decomp)

@@ -150,10 +150,10 @@ class ProjectiveRep:
         if len(mats) != self.group.order:
             raise DimMismatch("one unitary per group element required")
         m = mats[0].shape[0]
-        eye = np.eye(m)
         for u in mats:
-            if u.shape != (m, m) or float(np.max(np.abs(mc.dagger(u) @ u - eye))) > 1e-10:
+            if u.shape != (m, m):
                 raise DimMismatch("representation matrices must be unitary")
+            mc._require_identity(mc.dagger(u) @ u, DimMismatch, "representation matrices must be unitary")
         table, cocycle = self.group.table, self.group.cocycle
         for g in range(self.group.order):
             for h in range(self.group.order):
@@ -283,15 +283,10 @@ def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]
     mixture follow from the multiplicities.
     """
     m = rep.dim
-    rows = []
-    for u in rep.unitaries:
-        rows.append(np.kron(u, np.eye(m)) - np.kron(np.eye(m), u.T))
-    stacked = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    null_mask = np.zeros(vh.shape[0], dtype=bool)
-    null_mask[: len(s)] = s <= 1e-9 * max(float(s[0]), 1.0)
-    null_mask[len(s) :] = True
-    mats = [vh[i].conj().reshape(m, m) for i in range(vh.shape[0]) if null_mask[i]]
+    rows = [np.kron(u, np.eye(m)) - np.kron(np.eye(m), u.T) for u in rep.unitaries]
+    # |G| m^2 rows and m^2 columns: one singular value per right singular vector
+    _, s, vh = np.linalg.svd(np.concatenate(rows, axis=0), full_matrices=False)
+    mats = list(vh[~mc._rank_mask(s)].conj().reshape(-1, m, m))
     blocks = alg.algebra_blocks(np.stack(alg.orthonormal_span(mats)), np.random.default_rng(seed))
     return sorted((b.factor_dim, b.multiplicity) for b in blocks)
 
@@ -309,11 +304,12 @@ def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: i
         raise DimMismatch("phi must assign one value per group element")
     # kernel[g, g'] = phi(g'^-1 g)
     kernel = phi[group.table[group.inverses[None, :], np.arange(n)[:, None]]]
-    w = np.linalg.eigvalsh(mc.hermitize(kernel))
-    if float(np.max(np.abs(kernel - mc.dagger(kernel)))) > 1e-10 or float(np.min(w)) < -1e-10:
+    if float(np.max(np.abs(kernel - mc.dagger(kernel)))) > 1e-10:
         raise NotPositiveDefinite("kernel matrix of phi is not PSD")
-    if float(np.max(np.abs(np.diagonal(kernel) - 1.0))) > 1e-10:
-        raise NotPositiveDefinite("phi(identity) must be 1 (unit kernel diagonal)")
+    w = np.linalg.eigvalsh(mc.hermitize(kernel))
+    mc._require_psd(w, NotPositiveDefinite, "kernel matrix of phi is not PSD")
+    unit = "phi(identity) must be 1 (unit kernel diagonal)"
+    mc._require_identity(np.diag(np.diagonal(kernel)), NotPositiveDefinite, unit)
     base = completely_dephasing_channel(n)
     space = stinespring_space(base)
     symbol = alg.validate_symbol(base, kernel, seed=seed)
@@ -322,10 +318,7 @@ def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: i
 
 def completely_dephasing_channel(dim: int) -> Channel:
     """Pinching onto the diagonal in the computational basis."""
-    kraus = np.zeros((dim, dim, dim), dtype=complex)
-    for g in range(dim):
-        kraus[g, g, g] = 1.0
-    return Channel(kraus)
+    return partial_trace_sum_channel([(1, 1)] * dim)
 
 
 def qubit_dephasing(q: float, seed: int = 0) -> Channel:

@@ -19,7 +19,7 @@ import numpy as np
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
-from .entropy import _RenyiStack, _density_search, entropy_defect, spectral_entropy
+from .entropy import _RenyiStack, _density_search, entropy_defect
 from .errors import (
     BadExponent,
     DimMismatch,
@@ -158,11 +158,13 @@ class AscentResult(NamedTuple):
 
 
 def _entropy_and_log2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and 1e-18-floored log2 of each matrix of a hermitian stack,
-    both from one batched decomposition."""
+    """Entropy -sum w+ log2 max(w, 1e-18) and log2 max(., 1e-18) of each matrix
+    of a hermitian stack, from one batched decomposition.  No support cut: the
+    value is the objective whose gradient the ascent follows (a cut raises it
+    near the rank-deficient states the ascent climbs toward)."""
     w, v = mc.herm_eig(stack)
-    log = (v * np.log2(np.clip(w, 1e-18, None))[..., None, :]) @ mc.dagger(v)
-    return spectral_entropy(w), log
+    log = np.log2(np.clip(w, 1e-18, None))
+    return -np.sum(np.clip(w, 0.0, None) * log, axis=-1), (v * log[..., None, :]) @ mc.dagger(v)
 
 
 def _value_and_grad(ch: Channel, rho: np.ndarray, reverse: bool = False):
@@ -399,14 +401,17 @@ class RegionVertex(NamedTuple):
     constraints: dict[str, float]
 
 
-def _tilted_distribution(ns: list[int], beta: float) -> np.ndarray:
+def _tilted_vertex(blocks: Sequence, lam: float, mu: float, offset: float):
+    """p ~ n^((offset + lam + mu)/(1 + mu)) over the block sizes n, its Shannon entropy
+    (every p > 0: a support cut would drop terms at large lam) and its mean log2 n."""
+    if lam < 0 or mu < 0:
+        raise OutOfRange("lam and mu must be nonnegative")
+    ns = _block_ns(blocks)
+    beta = (offset + lam + mu) / (1.0 + mu)
     weights = np.array([float(n) ** beta for n in ns])
-    return weights / weights.sum()
-
-
-def _shannon_bits(p: np.ndarray) -> float:
+    p = weights / weights.sum()
     mask = p > 0
-    return float(-np.sum(p[mask] * np.log2(p[mask])))
+    return p, float(-np.sum(p[mask] * np.log2(p[mask]))), float(np.sum(p * np.log2(ns)))
 
 
 def cqe_region_vertices(blocks: Sequence, lam: float, mu: float) -> RegionVertex:
@@ -415,12 +420,7 @@ def cqe_region_vertices(blocks: Sequence, lam: float, mu: float) -> RegionVertex
     The tilt exponent (2 + lam + mu)/(1 + mu) weights blocks by size; the
     right-hand sides bound C+2Q, Q+E, and C+Q+E at that vertex.
     """
-    if lam < 0 or mu < 0:
-        raise OutOfRange("lam and mu must be nonnegative")
-    ns = _block_ns(blocks)
-    p = _tilted_distribution(ns, (2.0 + lam + mu) / (1.0 + mu))
-    h = _shannon_bits(p)
-    tbar = float(np.sum(p * np.log2(ns)))
+    p, h, tbar = _tilted_vertex(blocks, lam, mu, 2.0)
     return RegionVertex(p, {"C+2Q": h + 2 * tbar, "Q+E": tbar, "C+Q+E": h + tbar})
 
 
@@ -430,10 +430,5 @@ def rps_region_vertices(blocks: Sequence, lam: float, mu: float) -> RegionVertex
     Tilt exponent (1 + lam + mu)/(1 + mu); right-hand sides bound R+P, P+S,
     and R+P+S.
     """
-    if lam < 0 or mu < 0:
-        raise OutOfRange("lam and mu must be nonnegative")
-    ns = _block_ns(blocks)
-    q = _tilted_distribution(ns, (1.0 + lam + mu) / (1.0 + mu))
-    h = _shannon_bits(q)
-    tbar = float(np.sum(q * np.log2(ns)))
+    q, h, tbar = _tilted_vertex(blocks, lam, mu, 1.0)
     return RegionVertex(q, {"R+P": h + tbar, "P+S": tbar, "R+P+S": h + tbar})

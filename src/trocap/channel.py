@@ -27,8 +27,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .algebra import TroDecomposition
 
-TP_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -138,9 +136,7 @@ def from_kraus(kraus) -> Channel:
         raise DimMismatch("Kraus operators must share a common shape")
     stack = np.stack(ops)
     gram = np.einsum("eji,ejk->ik", stack.conj(), stack)
-    dev = float(np.max(np.abs(gram - np.eye(shape[1]))))
-    if not dev <= TP_TOL:  # NaN entries fail too
-        raise NotTracePreserving(f"sum K*K deviates from identity by {dev:.3e}")
+    mc._require_identity(gram, NotTracePreserving, "sum K*K deviates from identity by {:.3e}")
     return Channel(stack)
 
 
@@ -205,7 +201,7 @@ def choi(ch: Channel) -> np.ndarray:
     return out
 
 
-def stinespring_space(ch: Channel, tol: float = 1e-10) -> StinespringSpace:
+def stinespring_space(ch: Channel, tol: float = mc.IDENTITY_TOL) -> StinespringSpace:
     """Operator basis of the dilation range.
 
     For input basis vector |k> the representative is the dim_out x dim_env
@@ -220,8 +216,7 @@ def stinespring_space(ch: Channel, tol: float = 1e-10) -> StinespringSpace:
     stack = ch.kraus.transpose(2, 1, 0)  # (in, out, env)
     flat = stack.reshape(ch.dim_in, -1)
     gram = flat.conj() @ flat.T
-    if not float(np.max(np.abs(gram - np.eye(ch.dim_in)))) <= tol:
-        raise RankDeficient("dilation is not isometric within tolerance")
+    mc._require_identity(gram, RankDeficient, "dilation is not isometric within tolerance", tol)
     ops = [op.copy() for op in stack]
     for op in ops:
         op.setflags(write=False)
@@ -243,9 +238,7 @@ def modified_channel(space: StinespringSpace, symbol: Symbol) -> Channel:
         raise InvalidSymbol(
             f"symbol dimension {f.shape[0]} does not match environment {space.dim_env}"
         )
-    tau = np.trace(f).real / space.dim_env
-    if abs(tau - 1.0) > 1e-10:
-        raise InvalidSymbol(f"symbol has normalized trace {tau:.6f}, expected 1")
+    mc._require_unit_trace(f, InvalidSymbol, "symbol has normalized trace {:.6f}, expected 1")
     sqrt_f = mc.matrix_power(f, 0.5)
     stacked = np.stack([op @ sqrt_f for op in space.basis])  # (in, out, env)
     kraus = stacked.transpose(2, 1, 0)

@@ -213,13 +213,8 @@ def cmd_bounds(args) -> int:
         )
         for name in ("Q1", "Q", "P"):
             entry = report.entries[name]
-            # cap spectral-cutoff noise at the edge: on benchmark seeds 1-2 the value passed it
-            # in 28 of 110 open windows by <= 2.6e-15 (57 of 130, by <= 3.3e-9, with no ceiling)
-            value = best.value
-            if entry.upper < value <= entry.upper + 1e-6:
-                value = entry.upper
             prov = f"lower: one-shot coherent-information ascent; upper: {entry.provenance}"
-            report.raise_lower(name, value, prov)
+            report.raise_lower(name, best.value, prov)
     if bundle.channel.symbol is not None:
         try:
             neg = capacity.negative_cb_entropy(bundle.channel, "formula")

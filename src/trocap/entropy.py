@@ -29,9 +29,7 @@ STATE_TOL = 1e-8
 def check_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     """Validate a density operator (PSD, unit trace), or each of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    low = np.min(mc.herm_eig(rho).eigenvalues, axis=-1)
-    if (low < -1e-8).any():
-        raise NotState(f"negative eigenvalue {float(low[low < -1e-8].flat[0]):.3e}")
+    mc._require_psd(mc.herm_eig(rho).eigenvalues, NotState, "negative eigenvalue {:.3e}", STATE_TOL)
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     if (np.abs(tr - 1.0) > tol).any():
         raise NotState(f"trace is {float(tr[np.abs(tr - 1.0) > tol].flat[0]):.8f}, expected 1")
@@ -66,16 +64,17 @@ def von_neumann_entropy(rho: np.ndarray, check: bool = True) -> float:
     return float(spectral_entropy(w))
 
 
-def _support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
+def _leaves_support(rho: np.ndarray, sigma: np.ndarray) -> bool:
+    """Whether |rho - P rho P| > 1e-8 max(1, |rho|), P the support projection of sigma."""
     proj = mc.support_projector(sigma)
-    return mc.frobenius(rho - proj @ rho @ proj)
+    return mc.frobenius(rho - proj @ rho @ proj) > 1e-8 * max(1.0, mc.frobenius(rho))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D(rho || sigma) in bits; +inf when supp(rho) leaves supp(sigma)."""
     rho = check_state(rho)
     sigma = mc.asmatrix(sigma)
-    if _support_violation(rho, sigma) > 1e-8 * max(1.0, mc.frobenius(rho)):
+    if _leaves_support(rho, sigma):
         return math.inf
     log_r = mc.matrix_log2(rho)
     log_s = mc.matrix_log2(sigma)
@@ -91,7 +90,7 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
         raise BadExponent(f"sandwiched divergence needs p > 1, got {p}")
     rho = check_state(rho)
     sigma = mc.asmatrix(sigma)
-    if _support_violation(rho, sigma) > 1e-8 * max(1.0, mc.frobenius(rho)):
+    if _leaves_support(rho, sigma):
         return math.inf
     p_conj = 1.0 if np.isinf(p) else p / (p - 1.0)
     a = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
@@ -442,9 +441,6 @@ def entropy_defect(f) -> float:
     in [0, log2 d] and is the width of every comparison window downstream.
     """
     arr = mc.asmatrix(getattr(f, "f", f))
-    d = arr.shape[0]
-    tau = float(np.trace(arr).real) / d
-    if abs(tau - 1.0) > 1e-10:
-        raise NotNormalized(f"normalized trace is {tau:.8f}, expected 1")
+    mc._require_unit_trace(arr, NotNormalized, "normalized trace is {:.8f}, expected 1")
     w, _ = mc.herm_eig(arr)
-    return -float(spectral_entropy(w)) / d
+    return -float(spectral_entropy(w)) / arr.shape[0]

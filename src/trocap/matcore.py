@@ -1,9 +1,16 @@
-"""Dense complex-matrix kernels.
+"""Dense complex-matrix kernels, and the package's shared tolerances.
 
 Everything downstream funnels through this module: Hermitian
 eigendecomposition, support-restricted matrix functions, Schatten and
 normalized p-norms, Kronecker products with a fixed row-major index
 convention, and partial traces.  All logarithms are base 2.
+
+Tolerance policy: a threshold that more than one module applies is named
+here, and each such decision is made by one helper here (support_mask,
+_rank_mask, _require_psd, _require_unit_trace, _require_identity), to which
+callers pass their own exception type and message.  Cuts are relative to the
+largest value, the PSD test to max(1, lambda_max).  A threshold that one
+function applies (step rules, CEILING_RTOL, TRO_TOL, ...) stays beside the code it tunes.
 """
 
 from __future__ import annotations
@@ -14,11 +21,12 @@ import numpy as np
 
 from .errors import BadExponent, DimMismatch, NotHermitian, NotPSD
 
-# Relative support cutoff: eigenvalues below SUPPORT_CUTOFF * lambda_max are
-# treated as zero by matrix functions and pseudo-inverse powers.
-SUPPORT_CUTOFF = 1e-10
-
-HERMITIAN_TOL = 1e-12
+SUPPORT_CUTOFF = 1e-10  # eigenvalues below this times lambda_max are off the support
+HERMITIAN_TOL = 1e-12  # A is hermitian when max |A - A*| <= HERMITIAN_TOL * (1 + max |A|)
+PSD_RTOL = 1e-10  # eigenvalues below -PSD_RTOL * max(1, lambda_max) are significantly negative
+TRACE_TOL = 1e-10  # a normalized density's tr f / dim lies within this of 1
+RANK_RTOL = 1e-9  # singular values above RANK_RTOL * s_max count toward a numerical rank
+IDENTITY_TOL = 1e-10  # max entrywise deviation from 1 of an isometry's Gram matrix or a unit diagonal
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -84,13 +92,42 @@ def support_mask(w: np.ndarray) -> np.ndarray:
     return w > SUPPORT_CUTOFF * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _check_psd(w: np.ndarray) -> None:
-    if not w.size:
-        return
-    low = np.min(w, axis=-1)
-    bad = low < -1e-10 * np.maximum(1.0, np.max(w, axis=-1))
+def _rank_mask(s: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Singular values (last axis) above rtol times the largest: the numerical rank."""
+    return s > rtol * s.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def _require_psd(w: np.ndarray, error: type, message: str, rtol: float = PSD_RTOL) -> None:
+    """Raise error(message.format(low)) for the first spectrum (last axis) of a
+    stack whose lowest eigenvalue low is below -rtol * max(1, lambda_max)."""
+    low = np.min(w, axis=-1, initial=np.inf)
+    bad = low < -rtol * np.maximum(1.0, np.max(w, axis=-1, initial=0.0))
     if bad.any():
-        raise NotPSD(f"eigenvalue {float(low[bad].flat[0]):.3e} is significantly negative")
+        raise error(message.format(float(low[bad].flat[0])))
+
+
+def _require_unit_trace(f: np.ndarray, error: type, message: str) -> None:
+    """Raise error(message.format(tau)) when tau = tr f / dim differs from 1 by more than TRACE_TOL."""
+    tau = float(np.trace(f).real) / f.shape[0]
+    if abs(tau - 1.0) > TRACE_TOL:
+        raise error(message.format(tau))
+
+
+def _require_identity(gram: np.ndarray, error: type, message: str, tol: float = IDENTITY_TOL) -> None:
+    """Raise error(message.format(dev)) unless dev = max |G - 1| is within tol (NaN is not)."""
+    dev = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    if not dev <= tol:
+        raise error(message.format(dev))
+
+
+def _on_support(a: np.ndarray, fun) -> np.ndarray:
+    """V diag(fun(w)) V* for PSD A = V diag(w) V* (or each of a stack), zero off the support."""
+    w, v = herm_eig(a)
+    _require_psd(w, NotPSD, "eigenvalue {:.3e} is significantly negative")
+    mask = support_mask(w)
+    fw = np.zeros_like(w)
+    fw[mask] = fun(w[mask])
+    return (v * fw[..., None, :]) @ dagger(v)
 
 
 def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -101,30 +138,17 @@ def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
     """
     if not np.isfinite(alpha):
         raise BadExponent(f"exponent must be finite, got {alpha}")
-    w, v = herm_eig(a)
-    _check_psd(w)
-    mask = support_mask(w)
-    fw = np.zeros_like(w)
-    fw[mask] = w[mask] ** alpha
-    return (v * fw[..., None, :]) @ dagger(v)
+    return _on_support(a, lambda w: w**alpha)
 
 
 def matrix_log2(a: np.ndarray) -> np.ndarray:
     """Support-restricted base-2 logarithm of a PSD matrix."""
-    w, v = herm_eig(a)
-    _check_psd(w)
-    mask = support_mask(w)
-    fw = np.zeros_like(w)
-    fw[mask] = np.log2(w[mask])
-    return (v * fw) @ dagger(v)
+    return _on_support(a, np.log2)
 
 
 def support_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the support of a PSD matrix."""
-    w, v = herm_eig(a)
-    _check_psd(w)
-    mask = support_mask(w)
-    return (v * mask.astype(float)) @ dagger(v)
+    return _on_support(a, np.ones_like)
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:

@@ -300,6 +300,11 @@ class TestValidateSymbol:
         with pytest.raises(NotNormalized):
             alg.validate_symbol(base.space.source, np.eye(4) * 2.0)
 
+    def test_unit_trace_with_a_negative_eigenvalue_is_not_a_symbol(self):
+        base = phi_alpha(0.0)
+        with pytest.raises(NotNormalized, match="positive semidefinite"):
+            alg.validate_symbol(base.space.source, np.diag([2.5, 1.5, 0.5, -0.5]))
+
     def test_modified_channel_lifting_identity(self):
         # E_L o N_f = tau(f) N on 50 random inputs
         rng = np.random.default_rng(10)

@@ -244,6 +244,11 @@ class TestSchurMultiplier:
         with pytest.raises(NotPositiveDefinite):
             bld.schur_multiplier_channel(bld.cyclic_group(2), [1.0, 1.5])
 
+    def test_slightly_negative_kernel_is_rejected(self):
+        # kernel [[1, phi], [phi, 1]] has eigenvalues 1 - phi = -1e-6 and 1 + phi
+        with pytest.raises(NotPositiveDefinite, match="not PSD"):
+            bld.schur_multiplier_channel(bld.cyclic_group(2), [1.0, 1.0 + 1e-6])
+
     def test_dephasing_absorbs_multipliers(self):
         g = bld.cyclic_group(3)
         delta = bld.schur_multiplier_channel(g, [1.0, 0.0, 0.0])

@@ -20,7 +20,7 @@ from trocap.builders import (
     schur_multiplier_channel,
 )
 import trocap.entropy as ent
-from trocap.channel import apply, identity_channel, modified_channel, stinespring_space, tensor_channels
+from trocap.channel import apply, complement_apply, identity_channel, modified_channel, stinespring_space, tensor_channels
 from trocap.entropy import binary_entropy, renyi_coherent_information
 from trocap.errors import (
     BadExponent,
@@ -210,11 +210,10 @@ def _loop_value_and_grad(ch, reverse):
     k, kc = ch.kraus, ch.kraus.conj()
 
     def entropy_and_log2(mat):
+        # the entropy from the floored log the gradient uses: -sum w+ log2 max(w, 1e-18)
         w, v = np.linalg.eigh(mc.hermitize(mat))
-        lam = np.clip(w, 0.0, None)
-        lam = lam[lam > mc.SUPPORT_CUTOFF * max(float(np.max(lam)), 0.0)]
-        log = (v * np.log2(np.clip(w, 1e-18, None))) @ v.conj().T
-        return float(-np.sum(lam * np.log2(lam))), log
+        log2 = np.log2(np.clip(w, 1e-18, None))
+        return float(-np.sum(np.clip(w, 0.0, None) * log2)), (v * log2) @ v.conj().T
 
     def fun(rho):
         h_env, log_env = entropy_and_log2(np.einsum("bij,jk,aik->ab", k, rho, kc))
@@ -310,6 +309,36 @@ class TestBatchedAscentFence:
         with pytest.raises(NotHermitian):
             cap._value_and_grad(ch, rho, reverse=True)
         cap._value_and_grad(ch, rho[[0, 2]], reverse=True)
+
+
+def _full_entropy(mat):
+    """-sum lam log2 lam over the whole clipped spectrum: no support cut."""
+    lam = np.clip(np.linalg.eigvalsh(mc.hermitize(mat)), 0.0, None)
+    lam = lam[lam > 0]
+    return float(-np.sum(lam * np.log2(lam)))
+
+
+class TestAscentHonesty:
+    """The ascent's value is the objective of the state it returns."""
+
+    @pytest.mark.parametrize("restarts", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["one_shot_q", "negative_cb"])
+    @pytest.mark.parametrize("name", sorted(FENCE_CASES))
+    def test_value_is_the_returned_states_objective(self, name, reverse, seed, restarts):
+        built = FENCE_CASES[name]()
+        ch = getattr(built, "channel", built)
+        inits = None if reverse else getattr(built, "block_inputs", None)
+        best = cap._multi_start(ch, reverse, restarts, seed, inits)
+        first = best.rho if reverse else apply(ch, best.rho)
+        assert best.value <= _full_entropy(first) - _full_entropy(complement_apply(ch, best.rho)) + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_trace_sum_stays_at_its_exact_q1(self, seed):
+        # Q1 = log2 max n = log2 3 exactly (tro_capacities); the ascent may
+        # only reach it from below
+        ch = partial_trace_sum_channel([(2, 2), (3, 1)])
+        assert cap.one_shot_q(ch, restarts=16, seed=seed).value <= LOG3 + 1e-12
 
 
 class TestCeiling:

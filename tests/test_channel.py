@@ -243,6 +243,14 @@ class TestModifiedChannel:
         with pytest.raises(InvalidSymbol):
             chn.modified_channel(space, np.eye(2))
 
+    def test_rejects_symbol_of_normalized_trace_two(self):
+        from trocap.algebra import identity_symbol
+
+        base = completely_dephasing_channel(2)
+        sym = chn.Symbol(f=2.0 * np.eye(2), certificate=identity_symbol(base).certificate)
+        with pytest.raises(InvalidSymbol, match="normalized trace 2.000000"):
+            chn.modified_channel(chn.stinespring_space(base), sym)
+
 
 class TestTensorChannels:
     def test_identity_tensor_identity(self):

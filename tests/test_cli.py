@@ -214,8 +214,8 @@ class TestBoundsCeiling:
         assert lower == upper == pytest.approx(math.log2(3)) and seen["ceilings"] == []
         q1 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q1 "))
         assert "ascent" not in q1
-        # the full ascent stays within the clamp above the edge, so it could
-        # not have raised the lower edge: the table is the same
+        # the full ascent ends at the edge: its value is the coherent information
+        # of a state, at most Q1, so it could not have raised the lower edge
         bundle = load_spec(spec, None)
         full = real_one_shot_q(bundle.channel, restarts=8, seed=bundle.seed)
         assert lower - 1e-6 < full.value <= upper + 1e-6
@@ -256,6 +256,21 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload[0]["check"] == "tensor_symbol"
+
+
+    def test_failing_suite_exits_1(self, tmp_path, capsys, monkeypatch):
+        from trocap import cli, verify
+
+        def failing(space, symbol, samples, seed):
+            report = verify.VerificationReport("local_comparison", samples, seed, 1e-9)
+            report.record("digest", "norm_lower@p=2.0", -1.0)
+            return report
+
+        monkeypatch.setattr(cli.verify, "verify_local_comparison", failing)
+        spec = write_spec(tmp_path, PHI_SPEC)
+        assert main(["verify", spec, "--suite", "local_comparison", "--samples", "2"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload[0]["passed"] is False and payload[0]["failures"][0]["slack"] == -1.0
 
 
 class TestRegion:
@@ -312,6 +327,39 @@ class TestDescribe:
         out = capsys.readouterr().out
         assert "TRO: False" in out
         assert "witness" in out
+
+
+    @staticmethod
+    def describe(tmp_path, capsys, doc):
+        assert main(["describe", write_spec(tmp_path, doc)]) == 0
+        return capsys.readouterr().out
+
+    def test_group_table_with_cocycle_matches_cyclic(self, tmp_path, capsys):
+        table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        phi = [1.0, 0.3, 0.1, 0.3]
+        cyclic = {"kind": "schur_multiplier", "params": {"group": {"kind": "cyclic", "order": 4}, "phi": phi}}
+        explicit = {"kind": "schur_multiplier", "params": {"group": {"table": table, "cocycle": [[1.0] * 4] * 4}, "phi": phi}}
+        assert self.describe(tmp_path, capsys, explicit) == self.describe(tmp_path, capsys, cyclic)
+
+    def test_explicit_unitaries_match_pauli(self, tmp_path, capsys):
+        klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+        paulis = [
+            [[1, 0], [0, 1]],
+            [[1, 0], [0, -1]],
+            [[0, 1], [1, 0]],
+            [[0, [0, -1]], [[0, 1], 0]],
+        ]
+        dist = [0.4, 0.3, 0.2, 0.1]
+        named = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": dist}}
+        rep = {"group": {"table": klein}, "unitaries": paulis}
+        explicit = {"kind": "group_random_unitary", "params": {"rep": rep, "distribution": dist}}
+        out = self.describe(tmp_path, capsys, explicit)
+        assert out == self.describe(tmp_path, capsys, named) and "TRO: True" in out
+
+    def test_missing_distribution_is_uniform(self, tmp_path, capsys):
+        uniform = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.25] * 4}}
+        bare = {"kind": "group_random_unitary", "params": {"rep": "pauli"}}
+        assert self.describe(tmp_path, capsys, bare) == self.describe(tmp_path, capsys, uniform)
 
 
 class TestSeeds:

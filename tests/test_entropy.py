@@ -62,6 +62,10 @@ class TestVonNeumann:
         with pytest.raises(NotState):
             ent.von_neumann_entropy(np.eye(2))
 
+    def test_unit_trace_with_a_negative_eigenvalue_is_not_a_state(self):
+        with pytest.raises(NotState, match="negative eigenvalue"):
+            ent.check_state(np.diag([1.0 + 1e-6, -1e-6]))
+
     def test_rank_deficient_matches_support_sum(self):
         # the off-support eigenvalues enter the sum as zeros, which may move
         # the last bits against a sum over the support alone (numpy sums
@@ -443,6 +447,38 @@ class TestRenyiCoherentInformation:
         assert ent.renyi_coherent_information(rho, (2, 2), 1.001) == pytest.approx(
             ic, abs=2e-3
         )
+
+
+class TestRenyiMutualInformation:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_product_state_has_none(self, p):
+        rng = np.random.default_rng(16)
+        rho = mc.tensor(mc.random_density(rng, 2), mc.random_density(rng, 3))
+        assert ent.renyi_mutual_information(rho, (2, 3), p) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maximally_entangled_has_twice_log_d(self, d, p):
+        psi = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+        rho = np.outer(psi, psi.conj())
+        assert ent.renyi_mutual_information(rho, (d, d), p) == pytest.approx(2 * math.log2(d), abs=1e-8)
+
+
+class TestSigmaCandidates:
+    def test_candidate_reaches_improve_after_one_round(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        rho = mc.random_density(rng, 6)
+        full = ent.minimize_renyi_divergence(rho, (2, 3), 2.0)
+        calls, real_improve = [], ent._RenyiStack.improve
+
+        def spy(self, sigmas):
+            calls.append(sigmas)
+            return real_improve(self, sigmas)
+
+        monkeypatch.setattr(ent._RenyiStack, "improve", spy)
+        one = ent.minimize_renyi_divergence(rho, (2, 3), 2.0, max_iter=1, sigma_candidates=(full.sigma,))
+        assert len(calls) == 1 and np.array_equal(calls[0][0], full.sigma)
+        assert one.value <= full.value + 1e-12
 
 
 class TestNormSandwichPattern:

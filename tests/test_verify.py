@@ -140,6 +140,19 @@ class TestAggregate:
             assert rep.passed, rep.to_dict()
 
 
+class TestReportRecord:
+    def test_slack_below_the_tolerance_is_a_failure(self):
+        report = verify.VerificationReport("check", samples=2, seed=0, tolerance=1e-9)
+        report.record("aaa", "within", -5e-10)
+        assert report.passed and report.worst_slack == -5e-10
+        report.record("bbb", "beyond", -1e-6)
+        assert not report.passed and report.worst_slack == -1e-6
+        assert report.failures == [("bbb", "beyond", -1e-6)]
+        failures = report.to_dict()["failures"]
+        assert report.to_dict()["passed"] is False
+        assert failures == [{"digest": "bbb", "inequality": "beyond", "slack": -1e-6}]
+
+
 # ---------------------------------------------------------------------------
 # the stacked entropic suite against the sample-by-sample loop
 
