@@ -58,15 +58,15 @@ class FiniteGroup:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         e = self.identity_of(table)
-        if np.max(np.abs(cocycle[:, e] - 1.0)) > COCYCLE_TOL or np.max(
+        if not np.max(np.abs(cocycle[:, e] - 1.0)) <= COCYCLE_TOL or not np.max(
             np.abs(cocycle[e, :] - 1.0)
-        ) > COCYCLE_TOL:
+        ) <= COCYCLE_TOL:
             raise DimMismatch("cocycle must be 1 against the identity element")
         # c(g, g') c(gg', g'') = c(g, g'g'') c(g', g''), one g at a time
         for g in range(n):
             lhs = cocycle[g, :, None] * cocycle[table[g], :]
             rhs = cocycle[g, table] * cocycle
-            if np.any(np.abs(lhs - rhs) > COCYCLE_TOL):
+            if not np.max(np.abs(lhs - rhs)) <= COCYCLE_TOL:
                 raise DimMismatch("cocycle fails the 2-cocycle condition")
         cocycle = cocycle.copy()
         cocycle.setflags(write=False)
@@ -158,7 +158,7 @@ class ProjectiveRep:
         for g in range(self.group.order):
             for h in range(self.group.order):
                 dev = mats[g] @ mats[h] - cocycle[g, h] * mats[table[g, h]]
-                if float(np.max(np.abs(dev))) > 1e-10:
+                if not float(np.max(np.abs(dev))) <= 1e-10:
                     raise DimMismatch(f"u({g}) u({h}) != cocycle * u({g}{h})")
         frozen = []
         for u in mats:
@@ -186,7 +186,7 @@ class ProjectiveRep:
         for g in range(n):
             for h in range(n):
                 phase = np.trace(mc.dagger(mats[group.mul(g, h)]) @ mats[g] @ mats[h]) / m
-                if abs(abs(phase) - 1.0) > 1e-9:
+                if not abs(abs(phase) - 1.0) <= 1e-9:
                     raise DimMismatch(
                         f"products of u({g}), u({h}) do not project onto u({group.mul(g, h)})"
                     )
@@ -263,9 +263,9 @@ def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int =
     """
     p = np.asarray(probs, dtype=float)
     n = rep.group.order
-    if p.shape != (n,) or np.any(p < -1e-12):
+    if p.shape != (n,) or not np.all(p >= -1e-12):
         raise BadDistribution("probs must be a nonnegative vector over group elements")
-    if abs(float(p.sum()) - 1.0) > 1e-10:
+    if not abs(float(p.sum()) - 1.0) <= 1e-10:
         raise BadDistribution(f"probs sum to {float(p.sum()):.8f}, expected 1")
     p = np.clip(p, 0.0, None)
     base = Channel(np.stack([u / math.sqrt(n) for u in rep.unitaries]))

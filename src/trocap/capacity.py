@@ -41,6 +41,7 @@ QUANTITIES = (
     "neg_S_cb",
 )
 CEILING_RTOL = 1e-13  # relative gap to a proven ceiling that counts as reaching it
+ASCENT_MAX_STEPS = 400  # accepted ascent steps after which a restart stops
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _densities(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ascent(
-    ch: Channel, g0: np.ndarray, reverse: bool, max_iter: int = 400, ceiling: float = math.inf
+    ch: Channel, g0: np.ndarray, reverse: bool, ceiling: float = math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize F(rho) over densities rho = G G*/tr(G G*) from each start of
     a stack G0 (R, d, d); returns the end values (R,) and densities, each
@@ -198,7 +199,7 @@ def _ascent(
     (M - tr(M rho) I) G / tr(G G*).  Every restart keeps its own step size:
     a trial that raises F by more than 1e-14 is accepted and the step grows
     by 1.3 (at most 10), a rejected one halves it.  A restart stops at a
-    vanishing direction, a step of 1e-13 or less, or after ``max_iter``
+    vanishing direction, a step of 1e-13 or less, or after ASCENT_MAX_STEPS
     accepted steps; the others go on, one batched evaluation per round.
     ``ceiling`` must be a proven upper bound on max F: before every round,
     the first included, all restarts stop once the best value reaches
@@ -234,7 +235,7 @@ def _ascent(
         eta[acc] = np.minimum(eta[acc] * 1.3, 10.0)
         steps[acc] += 1
         eta[rej] *= 0.5
-        moving = renew_direction(acc[steps[acc] < max_iter])
+        moving = renew_direction(acc[steps[acc] < ASCENT_MAX_STEPS])
         active = np.concatenate([moving, rej[eta[rej] > 1e-13]])
     return f, rho
 

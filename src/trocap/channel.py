@@ -5,7 +5,10 @@ input index ``k`` to output index ``i`` through environment index ``e``.
 The Stinespring dilation is ``V|h> = sum_e (K_e |h>) (x) |e>``; its range,
 read as operators from the environment to the output, is the channel's
 Stinespring space.  Operator representatives ``h`` of input vectors
-satisfy ``N(|x><y|) = x y*`` and ``N^E(|x><y|) = y* x``.
+satisfy ``N(|x><y|) = x y*`` and ``N^E(|x><y|) = y* x``.  All four maps run
+through two kernels over a stacked family A, ``S(A, x) = sum_j A_j x A_j*`` and
+``D(A, y) = sum_j A_j* y A_j``: N = S(K, .) and N* = D(K, .), and over the rows
+``A_i[e, k] = K_e[i, k]``, N^E(rho) = S(rows, rho)^T and N^E*(Z) = D(rows, Z^T).
 """
 
 from __future__ import annotations
@@ -148,48 +151,41 @@ def _operand(x, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def _products(ch: Channel, rho) -> np.ndarray:
-    """The products K_e rho, shape (..., env, out, in)."""
-    return ch.kraus @ _operand(rho, ch.dim_in, "input")[..., None, :, :]
+def _sandwich(fam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S(A, x) = sum_j A_j x A_j* for a stacked family A (j, m, n), on each matrix of a stack x."""
+    return (fam @ x[..., None, :, :] @ mc.dagger(fam)).sum(axis=-3)
+
+
+def _adjoint(fam: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """D(A, y) = sum_j A_j* y A_j for a stacked family A (j, m, n), on each matrix of a stack y."""
+    return (mc.dagger(fam) @ y[..., None, :, :] @ fam).sum(axis=-3)
 
 
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_e K_e rho K_e* (on each matrix of a stack)."""
-    return (_products(ch, rho) @ mc.dagger(ch.kraus)).sum(axis=-3)
+    return _sandwich(ch.kraus, _operand(rho, ch.dim_in, "input"))
 
 
 def complement_apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Complementary channel on the environment (on each matrix of a stack).
 
     Entry (a, b) is tr(K_b rho K_a*), so rank-one inputs |x><y| map to
-    y* x on operator representatives.  The trace runs as one product over
-    the input index per output row, summed row after row: a single
-    contraction over both indices moves the last bits, which show in the
-    near-zero values of Pauli channels that ``trocap bounds`` prints.
+    y* x on operator representatives; it is S(rows, rho)^T, A_i[e, k] = K_e[i, k].
     """
-    a = _products(ch, rho)
-    kc = ch.kraus.conj()
-    env = sum(a[..., i, :] @ kc[:, i, :].T for i in range(ch.dim_out))
-    return env.swapaxes(-1, -2)
+    rows = ch.kraus.swapaxes(0, 1)
+    return _sandwich(rows, _operand(rho, ch.dim_in, "input")).swapaxes(-1, -2)
 
 
 def adjoint_apply(ch: Channel, y: np.ndarray) -> np.ndarray:
     """Heisenberg-picture adjoint sum_e K_e* Y K_e (of each matrix of a stack)."""
-    y = _operand(y, ch.dim_out, "output")
-    return (mc.dagger(ch.kraus) @ y[..., None, :, :] @ ch.kraus).sum(axis=-3)
+    return _adjoint(ch.kraus, _operand(y, ch.dim_out, "output"))
 
 
 def complement_adjoint_apply(ch: Channel, z: np.ndarray) -> np.ndarray:
-    """Adjoint of the complementary channel: sum_ab z[a,b] K_b* K_a (of each
-    matrix of a stack).
-
-    One einsum, which gives the same bits per matrix for a stack as for a
-    single matrix.  Its summation order sets the last bits of the
-    coherent-information ascent's path, which show in the near-zero values
-    of Pauli channels that ``trocap bounds`` prints to 12 digits.
-    """
-    z = _operand(z, ch.dim_env, "environment")
-    return np.einsum("...ab,bjk,aji->...ki", z, ch.kraus.conj(), ch.kraus)
+    """Adjoint of the complementary channel, sum_ab z[a,b] K_b* K_a =
+    D(rows, z^T) with A_i[e, k] = K_e[i, k] (of each matrix of a stack)."""
+    rows = ch.kraus.swapaxes(0, 1)
+    return _adjoint(rows, _operand(z, ch.dim_env, "environment").swapaxes(-1, -2))
 
 
 def choi(ch: Channel) -> np.ndarray:

@@ -183,17 +183,14 @@ class _RenyiStack:
             embed = mc.tensor(np.eye(da), frame)
             self.groups.append((idx, frame, mc.dagger(embed) @ rhos[idx] @ embed, k_pow[idx]))
 
-    def _step(self, rho, k_pow, sigma: np.ndarray, target: bool = True):
+    def _step(self, rho, k_pow, sigma: np.ndarray):
         """D_p(rho || K (x) sigma) for each item (penalized as in :meth:`_value`)
-        and, with ``target``, the fixed-point target tr_A[s^p] of the sandwich
-        s (:meth:`_sandwich`): one eigh of s, an eigvalsh without ``target``."""
+        and the fixed-point target tr_A[s^p], from one eigh of s (:meth:`_sandwich`)."""
         _, v, mask, _, s = self._sandwich(rho, k_pow, sigma)
-        ws, vs = np.linalg.eigh(s) if target else (np.linalg.eigvalsh(s), None)
+        ws, vs = np.linalg.eigh(s)
         ws = np.clip(ws, 0.0, None) ** self.p
-        value = self._value(np.sum(ws, axis=-1), rho, v, mask)
-        if not target:
-            return value, None
         s_p = mc.hermitize((vs * ws[..., None, :]) @ mc.dagger(vs))
+        value = self._value(np.sum(ws, axis=-1), rho, v, mask)
         return value, mc.partial_trace(s_p, (k_pow.shape[-1], sigma.shape[-1]), "B")
 
     def _sandwich(self, rho, k_pow, sigma: np.ndarray):
@@ -209,8 +206,7 @@ class _RenyiStack:
         """log2(Q) / (p - 1) for each item's Q = tr s^p, with a large finite
         penalty in place of +inf where rho has mass outside the support of
         1 (x) sigma (eigenvectors v, support ``mask``)."""
-        # root and log2 item by item: vector loops may round them differently
-        value = np.array([self.p_conj * np.log2(t ** (1 / self.p)) for t in q.tolist()])
+        value = self.p_conj * np.log2(q ** (1 / self.p))
         thin = np.flatnonzero(~mask.all(axis=-1))
         if thin.size:
             off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
@@ -335,7 +331,7 @@ class _RenyiStack:
             ok = tr > 0
             it, f = idx[ok], frame[ok]
             sc = self._project(f, mc.hermitize(sc[ok] / tr[ok, None, None]))
-            cv = self._step(rho[ok], k_pow[ok], sc, target=False)[0]
+            cv = self._step(rho[ok], k_pow[ok], sc)[0]
             win = cv < self.value[it]
             self.value[it[win]], self.sigma[it[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
             self.converged[it[win]] = self.fixed[it[win]]

@@ -64,6 +64,12 @@ class TestFiniteGroup:
         with pytest.raises(DimMismatch, match="2-cocycle"):
             bld.FiniteGroup(table=table, cocycle=bad)
 
+    def test_nan_cocycle_rejected(self):
+        bad = np.ones((2, 2), dtype=complex)
+        bad[1, 1] = np.nan
+        with pytest.raises(DimMismatch, match="2-cocycle"):
+            bld.FiniteGroup(table=bld.cyclic_group(2).table, cocycle=bad)
+
     @pytest.mark.parametrize(
         "group",
         [bld.cyclic_group(5), bld.dihedral_group(4), bld.pauli_rep().group],
@@ -118,6 +124,10 @@ class TestProjectiveRep:
         g = bld.cyclic_group(2)
         with pytest.raises(DimMismatch):
             bld.ProjectiveRep.from_unitaries(g, [I2, np.diag([1.0, 1.0j])])
+
+    def test_nan_entry_rejected_by_phase_check(self):
+        with pytest.raises(DimMismatch, match="do not project"):
+            bld.ProjectiveRep.from_unitaries(bld.cyclic_group(2), [I2, np.diag([1.0, np.nan])])
 
 
 class TestPartialTraceSum:
@@ -180,6 +190,10 @@ class TestGroupRandomUnitary:
     def test_bad_distribution(self):
         with pytest.raises(BadDistribution):
             bld.group_random_unitary(bld.pauli_rep(), [0.5, 0.5, 0.5, 0.5])
+
+    def test_nan_distribution_is_bad(self):
+        with pytest.raises(BadDistribution):
+            bld.group_random_unitary(bld.pauli_rep(), [0.25, 0.25, 0.25, np.nan])
 
     def test_uniform_channel_idempotent(self):
         # the uniform mixture is the conditional expectation onto the commutant

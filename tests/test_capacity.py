@@ -208,6 +208,7 @@ def _loop_ascent(g0, value_and_grad, max_iter=400):
 def _loop_value_and_grad(ch, reverse):
     """Per-matrix coherent information (or H(rho) - H(N^E(rho))) and gradient."""
     k, kc = ch.kraus, ch.kraus.conj()
+    rows = k.swapaxes(0, 1)  # rows[i, e, k] = K_e[i, k]
 
     def entropy_and_log2(mat):
         # the entropy from the floored log the gradient uses: -sum w+ log2 max(w, 1e-18)
@@ -222,7 +223,7 @@ def _loop_value_and_grad(ch, reverse):
         else:
             h_first, log_out = entropy_and_log2(np.einsum("eij,jk,elk->il", k, rho, kc))
             log_first = np.einsum("eji,jk,ekl->il", kc, log_out, k)
-        m = np.einsum("ab,bjk,aji->ki", log_env, kc, k) - log_first
+        m = (mc.dagger(rows) @ log_env.T @ rows).sum(axis=0) - log_first
         return h_first - h_env, mc.hermitize(m)
 
     return fun

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trocap.channel as chn
 from trocap import matcore as mc
@@ -139,6 +141,77 @@ class TestComplement:
         for fn in (chn.apply, chn.complement_apply, chn.adjoint_apply, chn.complement_adjoint_apply):
             with pytest.raises(DimMismatch):
                 fn(ch, bad)
+
+
+MAPS = (chn.apply, chn.complement_apply, chn.adjoint_apply, chn.complement_adjoint_apply)
+
+
+@st.composite
+def isometries(draw):
+    """A Haar-random channel with (env, out, in) in 1..4 and out * env >= in,
+    and a generator seeded for its operands."""
+    e, o = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    i = draw(st.integers(1, min(4, o * e)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_channel(rng, i, o, e), rng
+
+
+def _operands(ch, rng, count):
+    """Stacks of `count` random operands for apply, complement_apply,
+    adjoint_apply and complement_adjoint_apply, in that order."""
+    dims = (ch.dim_in, ch.dim_in, ch.dim_out, ch.dim_env)
+    return [mc.random_complex(rng, (count, d, d)) for d in dims]
+
+
+class TestKernelPair:
+    """The four maps share the sandwich and adjoint kernels over the Kraus
+    operators and over the rows A_i[e, k] = K_e[i, k]."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drawn=isometries(), count=st.integers(1, 3))
+    def test_mixing_the_environment(self, drawn, count):
+        # K'_e = sum_f U_ef K_f leaves N alone and rotates N^E to conj(U) C U^T
+        ch, rng = drawn
+        u = mc.random_unitary(rng, ch.dim_env)
+        mixed = chn.Channel(np.tensordot(u, ch.kraus, axes=1))
+        rho = np.stack([mc.random_density(rng, ch.dim_in) for _ in range(count)])
+        env = chn.complement_apply(ch, rho)
+        assert np.max(np.abs(chn.apply(mixed, rho) - chn.apply(ch, rho))) <= 1e-12
+        assert np.max(np.abs(chn.complement_apply(mixed, rho) - u.conj() @ env @ u.T)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drawn=isometries(), count=st.integers(1, 3))
+    def test_adjoint_identities_on_stacks(self, drawn, count):
+        ch, rng = drawn
+        rho, _, y, z = _operands(ch, rng, count)
+        for fwd, adj, w in ((chn.apply, chn.adjoint_apply, y), (chn.complement_apply, chn.complement_adjoint_apply, z)):
+            lhs = np.sum(w.conj() * fwd(ch, rho), axis=(-2, -1))
+            rhs = np.sum(adj(ch, w).conj() * rho, axis=(-2, -1))
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drawn=isometries(), count=st.integers(1, 4))
+    def test_single_matrix_gives_the_bits_of_its_row(self, drawn, count):
+        ch, rng = drawn
+        for fn, x in zip(MAPS, _operands(ch, rng, count)):
+            stacked = fn(ch, x)
+            for j in range(count):
+                assert np.array_equal(fn(ch, x[j]), stacked[j])
+
+    def test_no_einsum(self, monkeypatch):
+        calls, real = [], np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        ch = random_channel(np.random.default_rng(7), 3, 4, 2)
+        operands = _operands(ch, np.random.default_rng(8), 2)
+        monkeypatch.setattr(np, "einsum", counting)
+        for fn, x in zip(MAPS, operands):
+            fn(ch, x)
+            fn(ch, x[0])
+        assert calls == []
 
 
 class TestChoi:

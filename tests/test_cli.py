@@ -420,6 +420,17 @@ class TestMalformedInput:
         assert main(["describe", spec]) == 3
         assert "NotTracePreserving" in capsys.readouterr().err
 
+    def test_nan_cocycle_entry_rejected(self, tmp_path, capsys):
+        group = {"table": [[0, 1], [1, 0]], "cocycle": [[1, 1], [1, math.nan]]}
+        doc = {"kind": "schur_multiplier", "params": {"group": group, "phi": [1.0, 0.5]}}
+        assert main(["describe", write_spec(tmp_path, doc)]) == 3
+        assert "DimMismatch" in capsys.readouterr().err
+
+    def test_nan_distribution_entry_rejected(self, tmp_path, capsys):
+        doc = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.25, 0.25, 0.25, math.nan]}}
+        assert main(["describe", write_spec(tmp_path, doc)]) == 3
+        assert "BadDistribution" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_samples_below_one_rejected(self, tmp_path, capsys, samples):
         spec = write_spec(tmp_path, PHI_SPEC)

@@ -340,8 +340,8 @@ class TestMonotoneStepControl:
     def _run(self, monkeypatch, rho, p):
         real, values = ent._RenyiStack._step, []
 
-        def recording(self, rho, k_pow, sigma, target=True):
-            out = real(self, rho, k_pow, sigma, target)
+        def recording(self, rho, k_pow, sigma):
+            out = real(self, rho, k_pow, sigma)
             values.append(float(out[0][0]))
             return out
 
@@ -811,13 +811,13 @@ class TestRenyiGradient:
         rb = frame.shape[-1]
         sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
         value, grad_rho, grad_sigma = stack._gradient(rho_c, k_pow, sigma)
-        assert value[0] == pytest.approx(stack._step(rho_c, k_pow, sigma, target=False)[0][0], abs=1e-14)
+        assert value[0] == pytest.approx(stack._step(rho_c, k_pow, sigma)[0][0], abs=1e-14)
 
         def in_sigma(s):
-            return stack._step(rho_c, k_pow, s, target=False)[0][0]
+            return stack._step(rho_c, k_pow, s)[0][0]
 
         def in_rho(r):
-            return stack._step(r, k_pow, sigma, target=False)[0][0]
+            return stack._step(r, k_pow, sigma)[0][0]
 
         for f, x, grad in ((in_sigma, sigma, grad_sigma), (in_rho, rho_c, grad_rho)):
             e = mc.hermitize(mc.random_complex(rng, x.shape[1:]))[None]

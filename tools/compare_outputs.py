@@ -8,8 +8,9 @@ runs every job of all four workloads, for each seed, at the pass counts of an
 18 s benchmark run, through that tree's ``perfbench/worker.py`` Runner and
 checks each output with that tree's ``perfbench/workloads.py``.  Each pass
 gets a fresh Runner and work directory, so no spec file is keyed by the id of
-a job of an earlier pass.  Prints the ids whose outputs differ; exits 1 when
-any output fails its check, else 0.
+a job of an earlier pass.  Prints the ids whose outputs differ, each with the
+first line where the two trees' outputs part; exits 1 when any output fails
+its check, else 0.
 """
 
 from __future__ import annotations
@@ -57,6 +58,26 @@ def emit(seeds: list[int], out_path: str) -> None:
         json.dump(results, fh)
 
 
+def output_lines(output) -> list[str]:
+    """An output as lines: each string field of a dict split at its newlines
+    and prefixed by its key, any other value as one JSON line."""
+    if not isinstance(output, dict):
+        return [json.dumps(output, sort_keys=True)]
+    lines = []
+    for key in sorted(output):
+        value = output[key]
+        parts = value.splitlines() if isinstance(value, str) else [json.dumps(value, sort_keys=True)]
+        lines += [f"{key}: {part}" for part in parts]
+    return lines
+
+
+def first_difference(before, after) -> tuple[str, str]:
+    """The first line at which two outputs part, from each side."""
+    a, b = output_lines(before), output_lines(after)
+    n = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return tuple(lines[n] if n < len(lines) else "<end of output>" for lines in (a, b))
+
+
 def run_tree(tree: str, seeds: list[int], out_path: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("TROCAP_")}
     cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_path, "--seeds", *map(str, seeds)]
@@ -91,7 +112,10 @@ def main(argv=None) -> int:
     differ = [k for k in after if k not in before or json.dumps(before[k][0], sort_keys=True) != json.dumps(after[k][0], sort_keys=True)]
     differ += [k for k in before if k not in after]
     for key in differ:
+        parent_line, change_line = first_difference(before.get(key, [None])[0], after.get(key, [None])[0])
         print(f"differs: {key}")
+        print(f"  parent: {parent_line}")
+        print(f"  change: {change_line}")
     print(f"{len(after)} jobs; {len(differ)} outputs differ; {failed} check failures")
     return 1 if failed else 0
 
