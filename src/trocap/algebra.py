@@ -6,7 +6,9 @@ algebras of an operator space, independence tests, and symbol validation.
 
 TRO tests and closure use span(V V* V) = span(L V) with L = span{x y*},
 which for a TRO is its left algebra (and span{x* y} its right algebra).
-A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and _closed_structure reads
+One routine, _structure, holds the left span, the off-span bound, the closure
+extension and the witness scan; every TRO test, closure and decomposition calls it.
+A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and _decompose reads
 its whole structure off L: the summands of L give U, n_i and l_i, the TRO's
 elements give each summand's right frame in W and m_i.  The conditional
 expectation onto either side's algebra is a compression to the blocks of U
@@ -105,14 +107,13 @@ def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
 def left_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x y* over the space basis (acts on the output):
     span{t s*} over the smallest TRO containing the space."""
-    v = np.stack(smallest_containing_tro(space.basis))
-    return _make_algebra(space.dim_out, list(_left_span(v)[0]))
+    return _make_algebra(space.dim_out, list(_structure(space.basis, TRO_TOL, close=True)[1]))
 
 
 def right_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x* y over the space basis (acts on the
     environment): span{t* s} over the smallest TRO containing the space."""
-    v = np.stack(smallest_containing_tro(space.basis))
+    v = _structure(space.basis, TRO_TOL, close=True)[0]
     return _make_algebra(space.dim_env, list(_left_span(mc.dagger(v))[0]))
 
 
@@ -150,64 +151,61 @@ def is_tro(mats: Sequence[np.ndarray], tol: float = TRO_TOL) -> TroCheck:
     residual; on success it is the exact maximum.  Both passes hold
     O(k^2 n m) numbers at a time.
     """
-    basis = orthonormal_span(mats)
-    return _tro_check(np.stack(basis), tol)[0] if basis else TroCheck(True, None, 0.0)
-
-
-def _tro_check(v: np.ndarray, tol: float) -> tuple[TroCheck, np.ndarray]:
-    """is_tro on a stacked orthonormal basis, and the left span it used."""
-    k = len(v)
-    flat = v.reshape(k, -1)
-    ell, delta = _left_span(v)
-    step = max(1, k * k // len(ell))  # z per chunk: k^2 products l_a z at most
-    bound = delta
-    for z in range(0, k, step):
-        prods = (ell[None] @ v[z : z + step, None]).reshape(-1, len(ell), flat.shape[1])
-        off = prods - (prods @ flat.conj().T) @ flat
-        bound = max(bound, float(np.max(np.linalg.norm(off, axis=(1, 2)))) + delta)
-        if bound > tol:
-            break
-    if bound <= tol:
-        return TroCheck(True, None, bound), ell
-    worst, witness = 0.0, None
-    for i in range(k):  # every x_i x_j* x_l of one i at once
-        xy = v[i] @ v.conj().transpose(0, 2, 1)
-        t = (xy[:, None] @ v[None]).reshape(k * k, -1)
-        res = np.linalg.norm(t - (t @ flat.conj().T) @ flat, axis=1)
-        jl = int(np.argmax(res))
-        if res[jl] > worst:
-            worst, witness = float(res[jl]), (i, *divmod(jl, k))
-    return TroCheck(worst <= tol, None if worst <= tol else witness, worst), ell
+    return _structure(mats, tol)[2]
 
 
 def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Triple-product closure: the smallest TRO whose span contains the input.
-
-    Iterates V <- span(V + L(V) V) = span(V + V V* V) until the rank is
-    stable; products off the span by at most the rank threshold in all
-    could not raise it, so that span is returned as it is.
-    """
-    return _closure(mats)[0]
+    """Triple-product closure: the smallest TRO whose span contains the input,
+    from V <- span(V + L(V) V) = span(V + V V* V) until the rank is stable."""
+    return list(_structure(mats, TRO_TOL, close=True)[0])
 
 
-def _closure(mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
-    """smallest_containing_tro, with the left span of the returned basis when it
-    is certified a TRO (closure bound <= mc.RANK_RTOL, or all of M_{n,m}), else None."""
-    basis = orthonormal_span(mats)
-    while basis:
-        v = np.stack(basis)
-        if len(v) == v.shape[1] * v.shape[2]:  # all of M_{n,m}: a TRO with left span M_n
-            return basis, np.eye(v.shape[1] ** 2).reshape(-1, v.shape[1], v.shape[1])
-        flat = v.reshape(len(v), -1)
+def _structure(
+    mats: Sequence[np.ndarray], tol: float, close: bool = False
+) -> tuple[np.ndarray, np.ndarray, TroCheck]:
+    """Stacked orthonormal basis v of span(mats) (with close, of the smallest
+    TRO containing it), the left span of v, and is_tro of v at tol.
+
+    Each round bounds P(l_a z) over a for each z, k^2 products at a time,
+    stopping once past tol unless closing.  A closing round whose products
+    leave the span by more than mc.RANK_RTOL in all (Frobenius, plus delta)
+    extends v <- span(v + L v); once that leaves the rank as it was, the
+    extension is spanned again and checked as it is.  All of M_{n,m} is a
+    TRO with left span M_n, so closing it takes no round."""
+    v = np.array(orthonormal_span(mats))
+    while len(v):
+        k, n, m = v.shape
+        if close and k == n * m:
+            return v, np.eye(n * n).reshape(-1, n, n), TroCheck(True, None, 0.0)
+        flat = v.reshape(k, -1)
         ell, delta = _left_span(v)
-        prods = (ell[None] @ v[:, None]).reshape(-1, flat.shape[1])
-        if np.linalg.norm(prods - (prods @ flat.conj().T) @ flat) + delta <= mc.RANK_RTOL:
-            return basis, ell
-        new_basis = orthonormal_span(basis + list(prods.reshape(-1, *v.shape[1:])))
-        if len(new_basis) == len(basis):
-            return new_basis, None
-        basis = new_basis
-    return basis, None
+        step = max(1, k * k // len(ell))  # z per chunk: k^2 products l_a z at most
+        prods, norms = [], []
+        for z in range(0, k, step):
+            p = (ell[None] @ v[z : z + step, None]).reshape(-1, len(ell), n * m)
+            norms.extend(np.linalg.norm(p - (p @ flat.conj().T) @ flat, axis=(1, 2)))
+            if close:
+                prods.append(p)
+            elif max(norms) + delta > tol:
+                break
+        if close and np.linalg.norm(norms) + delta > mc.RANK_RTOL:
+            wider = orthonormal_span([*v, *(x for p in prods for x in p.reshape(-1, n, m))])
+            close = len(wider) != k
+            v = np.array(wider if close else orthonormal_span(wider))
+            continue
+        bound = max(norms) + delta
+        if bound <= tol:
+            return v, ell, TroCheck(True, None, bound)
+        worst, witness = 0.0, None
+        for i in range(k):  # every x_i x_j* x_l of one i at once
+            xy = v[i] @ v.conj().transpose(0, 2, 1)
+            t = (xy[:, None] @ v[None]).reshape(k * k, -1)
+            res = np.linalg.norm(t - (t @ flat.conj().T) @ flat, axis=1)
+            jl = int(np.argmax(res))
+            if res[jl] > worst:
+                worst, witness = float(res[jl]), (i, *divmod(jl, k))
+        return v, ell, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
+    return v, v, TroCheck(True, None, 0.0)  # the empty span
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +369,6 @@ def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
     return u
 
 
-def _verified_tro(mats: Sequence[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked basis and left span of span(mats) as is_tro(mats) checks it
-    (so a NotTro names the same witness); NotTro unless a TRO."""
-    v = np.stack(orthonormal_span(mats))
-    check, ell = _tro_check(v, tol)
-    if not check.ok:
-        raise NotTro(
-            f"triple product leaves the span (witness {check.witness}, "
-            f"residual {check.residual:.3e})"
-        )
-    return v, ell
-
-
 def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
     """m and the right frame G, columns ordered (b, s), of the summand with
     left frame F.  Rows (a, s) of F* x are sum_b X[a, b] g_(b,s)*, so an SVD
@@ -397,13 +382,16 @@ def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
     return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
 
 
-def _decompose(v: np.ndarray, ell: np.ndarray, seed: int, tol: float) -> TroDecomposition:
-    """Block decomposition of a verified TRO (stacked basis v) from its left
-    span ell: the left summands give n, l and the output frames, and each
-    summand's right frame is read off the TRO (_right_frame).  The blocks are
-    listed in the canonical order of their central projections on the output
-    space, so the list does not depend on the basis the left span comes in:
-    a block-diagonal TRO lists its blocks top to bottom."""
+def _decompose(v: np.ndarray, ell: np.ndarray, check: TroCheck, seed: int, tol: float) -> TroDecomposition:
+    """Block decomposition of the span of a stacked basis v from its left span
+    ell, or NotTro naming the witness of its triple-product check: the left
+    summands give n, l and the output frames, and each summand's right frame
+    is read off the TRO (_right_frame).  The blocks are listed in the
+    canonical order of their central projections on the output space, so the
+    list does not depend on the basis the left span comes in: a
+    block-diagonal TRO lists its blocks top to bottom."""
+    if not check.ok:
+        raise NotTro(f"triple product leaves the span (witness {check.witness}, residual {check.residual:.3e})")
     dim_out, dim_env = v.shape[1:]
     lblocks = algebra_blocks(ell, np.random.default_rng(seed))
     # Canonical order: by the entries of each summand's central projection
@@ -439,16 +427,14 @@ def tro_block_decomposition(space, seed: int = 0, tol: float = TRO_TOL) -> TroDe
     matrices spanning it, read off its left algebra span{x y*}.  Raises NotTro,
     naming the witness of is_tro(mats), when the span is not a TRO."""
     mats = space.basis if isinstance(space, StinespringSpace) else [mc.asmatrix(m) for m in space]
-    return _decompose(*_verified_tro(mats, tol), seed, tol)
+    return _decompose(*_structure(mats, tol), seed, tol)
 
 
 def _closed_structure(mats: Sequence[np.ndarray], seed: int) -> tuple[np.ndarray, TroDecomposition]:
     """Stacked basis of the smallest TRO containing span(mats) and its block
-    decomposition: the closure, the triple-product check when the closure
-    bound did not certify the result, then the decomposition."""
-    basis, ell = _closure(mats)
-    v, ell = _verified_tro(basis, TRO_TOL) if ell is None else (np.stack(basis), ell)
-    return v, _decompose(v, ell, seed, TRO_TOL)
+    decomposition, both from one _structure."""
+    v, ell, check = _structure(mats, TRO_TOL, close=True)
+    return v, _decompose(v, ell, check, seed, TRO_TOL)
 
 
 def _block_expectation(q: np.ndarray, shapes: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:

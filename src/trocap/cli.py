@@ -71,18 +71,18 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
 
 def _parse_group(obj, where: str) -> builders.FiniteGroup:
     if isinstance(obj, dict) and obj.get("kind") == "cyclic":
-        try:
-            return builders.cyclic_group(int(obj["order"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"{where}: cyclic group needs an integer 'order' field") from exc
+        order = obj.get("order")
+        if type(order) is not int or order < 1:
+            raise SpecError(f"{where}: cyclic group needs an integer 'order' of at least 1, got {order!r}")
+        return builders.cyclic_group(order)
     if isinstance(obj, dict) and "table" in obj:
-        try:
-            table = np.asarray(obj["table"], dtype=int)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"{where}.table: entries must be integer indices") from exc
-        cocycle = obj.get("cocycle")
+        rows, cocycle = obj["table"], obj.get("cocycle")
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == len(rows) and all(type(v) is int for v in r) for r in rows
+        ):
+            raise SpecError(f"{where}.table: expected a square array of integer indices")
         coc = _parse_matrix(cocycle, f"{where}.cocycle") if cocycle is not None else None
-        return builders.FiniteGroup(table=table, cocycle=coc)
+        return builders.FiniteGroup(table=np.array(rows, dtype=int), cocycle=coc)
     raise SpecError(f"{where}: expected {{'kind': 'cyclic', 'order': n}} or {{'table': ...}}")
 
 
@@ -305,8 +305,7 @@ def cmd_describe(args) -> int:
     if cert is not None and cert.space_is_tro:  # validate_symbol checked it as its own closure
         check = alg.TroCheck(True, None, 0.0)
     else:  # is_tro, for the witness; its left span also gives the blocks below
-        v = np.stack(alg.orthonormal_span(bundle.space.basis))
-        check, ell = alg._tro_check(v, alg.TRO_TOL)
+        v, ell, check = alg._structure(bundle.space.basis, alg.TRO_TOL)
     print(f"dilation range is a TRO: {check.ok}")
     if not check.ok:
         print(f"  witness triple: {check.witness}  residual: {_fmt(check.residual)}")
@@ -316,7 +315,7 @@ def cmd_describe(args) -> int:
         print(f"right algebra dimension: {cert.right_algebra_dim}")
         print(f"dilation range spans the block space: {cert.space_is_tro}")
     elif check.ok:
-        decomp = alg._decompose(v, ell, bundle.seed, alg.TRO_TOL)
+        decomp = alg._decompose(v, ell, check, bundle.seed, alg.TRO_TOL)
         print(f"blocks (n, m, multiplicity): {list(decomp.blocks)}")
     return 0
 
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="print a capacity bounds table")
     common(p)
     p.add_argument("--csv", default=None, help="also write rows quantity,lower,upper,provenance")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_count, default=32)
     p.add_argument(
         "--threads",
         type=int,

@@ -26,13 +26,13 @@ from .errors import BadExponent, NotNormalized, NotState, OptimizerFailed, OutOf
 STATE_TOL = 1e-8
 
 
-def check_state(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate a density operator (PSD, unit trace), or each of a stack."""
+def check_state(rho: np.ndarray) -> np.ndarray:
+    """Validate a density operator (PSD, unit trace), or each of a stack, at STATE_TOL."""
     rho = np.asarray(rho, dtype=complex)
     mc._require_psd(mc.herm_eig(rho).eigenvalues, NotState, "negative eigenvalue {:.3e}", STATE_TOL)
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    if (np.abs(tr - 1.0) > tol).any():
-        raise NotState(f"trace is {float(tr[np.abs(tr - 1.0) > tol].flat[0]):.8f}, expected 1")
+    if (np.abs(tr - 1.0) > STATE_TOL).any():
+        raise NotState(f"trace is {float(tr[np.abs(tr - 1.0) > STATE_TOL].flat[0]):.8f}, expected 1")
     return rho
 
 

@@ -68,7 +68,26 @@ class TestGenerateStarAlgebra:
             assert alg.span_residual(x, a.basis) < 1e-9
 
 
+def count_left_spans(monkeypatch):
+    """List that grows by one entry, the span dimension, per _left_span call."""
+    spans, real_left_span = [], alg._left_span
+
+    def counting_left_span(v):
+        spans.append(len(v))
+        return real_left_span(v)
+
+    monkeypatch.setattr(alg, "_left_span", counting_left_span)
+    return spans
+
+
 class TestLeftRightAlgebras:
+    def test_left_algebra_of_a_tro_takes_one_left_span(self, monkeypatch):
+        # the closure's certified left span is the left algebra
+        space = phi_alpha(0.0).space
+        spans = count_left_spans(monkeypatch)
+        assert alg.left_algebra(space).rank == 3
+        assert spans == [4]
+
     def test_dephasing_space_both_diagonal(self):
         space = stinespring_space(qubit_dephasing(0.0))
         left = alg.left_algebra(space)
@@ -471,6 +490,10 @@ class TestVectorizedSpanOps:
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(alg.project_span(x, []), np.zeros((2, 3)))
         assert alg.span_residual(x, []) == pytest.approx(mc.frobenius(x))
+        # an empty span and the span of a zero matrix: a TRO with no basis
+        for mats in ([], [np.zeros((2, 3))]):
+            assert alg.is_tro(mats) == alg.TroCheck(True, None, 0.0)
+            assert alg.smallest_containing_tro(mats) == []
 
 
 class TestTroClosureAgainstLoops:
@@ -548,13 +571,7 @@ class TestTroClosureAgainstLoops:
         # left span M_k, so only the first, k-dimensional span needs an SVD
         p = np.random.default_rng(0).random(k)
         ch = schur_multiplier_channel(cyclic_group(k), np.fft.fft(p / p.sum()))
-        spans, real_left_span = [], alg._left_span
-
-        def counting_left_span(v):
-            spans.append(len(v))
-            return real_left_span(v)
-
-        monkeypatch.setattr(alg, "_left_span", counting_left_span)
+        spans = count_left_spans(monkeypatch)
         cert = alg.identity_symbol(ch).certificate
         assert spans == [k]
         assert cert.blocks == ((k, k, 1),) and cert.tro_dim == k * k
@@ -564,6 +581,22 @@ class TestTroClosureAgainstLoops:
         mats = list(mc.random_complex(np.random.default_rng(1), (6, 3, 2)))
         v, decomp = alg._closed_structure(mats, 0)
         assert spans == [] and len(v) == 6 and decomp.blocks == ((3, 2, 1),)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_stable_closure_is_checked_as_spanned(self, monkeypatch, seed):
+        # the (2,2)+(1,1) partial-trace isometry, perturbed by 1e-10 and made
+        # an isometry again: its products leave the span by more than the rank
+        # threshold, yet adding them leaves the rank at 5, so the closure ends
+        # there and the span of that extension is checked at TRO_TOL (a second
+        # left span), not the basis the round started from
+        kraus = partial_trace_sum_channel([(2, 2), (1, 1)]).kraus  # [env, out, in]
+        iso = kraus.transpose(1, 0, 2).reshape(9, 5)  # rows (out, env)
+        iso = iso + 1e-10 * mc.random_complex(np.random.default_rng(seed), iso.shape)
+        u, _, vh = np.linalg.svd(iso, full_matrices=False)
+        ch = from_kraus(list((u @ vh).reshape(3, 3, 5).transpose(1, 0, 2)))
+        spans = count_left_spans(monkeypatch)
+        assert alg.identity_symbol(ch).certificate.blocks == ((2, 2, 1), (1, 1, 1))
+        assert spans == [5, 5]
 
     def test_is_tro_memory_on_generic_kraus_channel(self):
         # the dilation range of a random isometry C^16 -> C^16 (x) C^16 is no

@@ -24,6 +24,7 @@ DEPHASING_Q1 = {
     "seed": 0,
 }
 BLOCKS_SPEC = {"kind": "partial_trace_sum", "params": {"blocks": [[2, 2], [3, 1]]}, "seed": 0}
+CLOSED_SPEC = {"kind": "partial_trace_sum", "params": {"blocks": [[2, 2], [1, 3]]}, "seed": 0}
 # amplitude damping: the dilation range is not triple-product closed
 GAMMA = 0.5
 AMP_DAMP = {
@@ -383,8 +384,17 @@ class TestSeeds:
         assert payload[0]["seed"] == 4
 
 
+def schur3(group):
+    """A Schur multiplier spec over a group of order 3 (cyclic when well formed)."""
+    return {"kind": "schur_multiplier", "params": {"group": group, "phi": [1.0, 0.5, 0.5]}}
+
+
 class TestMalformedInput:
     """Malformed input exits 2 (spec error) or 3 (semantic error), never 1."""
+
+    def test_well_formed_group_specs_load(self, tmp_path, capsys):
+        for group in ({"kind": "cyclic", "order": 3}, {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}):
+            assert main(["describe", write_spec(tmp_path, schur3(group))]) == 0
 
     @pytest.mark.parametrize(
         ("doc", "flags", "env"),
@@ -399,10 +409,18 @@ class TestMalformedInput:
             ({**BLOCKS_SPEC, "params": {"blocks": [[2]]}}, [], None),
             ({**BLOCKS_SPEC, "params": {"blocks": [[2, "a"]]}}, [], None),
             ({**BLOCKS_SPEC, "params": {"blocks": [2, 2]}}, [], None),
+            (schur3({"kind": "cyclic", "order": 3.9}), [], None),
+            (schur3({"kind": "cyclic", "order": "3"}), [], None),
+            (schur3({"kind": "cyclic", "order": True}), [], None),
+            (schur3({"kind": "cyclic", "order": 0}), [], None),
+            (schur3({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1.7]]}), [], None),
+            (schur3({"table": [[0, 1, 2], [1, 2, 0], [2, 0, True]]}), [], None),
+            (schur3({"table": [[0, 1, 2], [1, 2, 0], [2, 0]]}), [], None),
         ],
         ids=[
             "seed-str", "seed-null", "seed-float", "seed-negative", "seed-bool", "flag-negative",
-            "env-negative", "block-short", "block-str", "block-not-list",
+            "env-negative", "block-short", "block-str", "block-not-list", "order-float", "order-str",
+            "order-bool", "order-zero", "table-float", "table-bool", "table-ragged",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, monkeypatch, doc, flags, env):
@@ -436,6 +454,15 @@ class TestMalformedInput:
         spec = write_spec(tmp_path, PHI_SPEC)
         with pytest.raises(SystemExit) as exc:
             main(["verify", spec, "--samples", samples])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("doc", [CLOSED_SPEC, PHI_SPEC], ids=["closed-window", "open-window"])
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_rejected(self, tmp_path, capsys, doc, restarts):
+        spec = write_spec(tmp_path, doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", spec, "--restarts", restarts])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 

@@ -66,6 +66,11 @@ class TestVonNeumann:
         with pytest.raises(NotState, match="negative eigenvalue"):
             ent.check_state(np.diag([1.0 + 1e-6, -1e-6]))
 
+    def test_trace_off_by_more_than_state_tol_is_not_a_state(self):
+        ent.check_state(np.diag([0.5, 0.5 + ent.STATE_TOL / 2]))
+        with pytest.raises(NotState, match="trace"):
+            ent.check_state(np.diag([0.5, 0.5 + 2 * ent.STATE_TOL]))
+
     def test_rank_deficient_matches_support_sum(self):
         # the off-support eigenvalues enter the sum as zeros, which may move
         # the last bits against a sum over the support alone (numpy sums
