@@ -6,8 +6,9 @@ algebras of an operator space, independence tests, and symbol validation.
 
 TRO tests and closure use span(V V* V) = span(L V) with L = span{x y*},
 which for a TRO is its left algebra (and span{x* y} its right algebra).
-One routine, _structure, holds the left span, the off-span bound, the closure
-extension and the witness scan; every TRO test, closure and decomposition calls it.
+One routine, _structure, holds the left span, the off-span bound, the witness
+scan and the closure, whose rounds extend a span exactly when is_tro at tol
+rejects it; every TRO test, closure and decomposition calls it.
 A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and _decompose reads
 its whole structure off L: the summands of L give U, n_i and l_i, the TRO's
 elements give each summand's right frame in W and m_i.  The conditional
@@ -16,8 +17,8 @@ or W and a partial trace (_block_expectation).  The Hilbert-Schmidt paths
 (conditional_expectation, and all that builds an AlgebraBasis) are public
 references that no internal path uses.
 
-All span computations are Hilbert-Schmidt orthonormal with SVD rank
-decisions at the relative threshold mc.RANK_RTOL.
+All spans are Hilbert-Schmidt orthonormal, cut at mc.RANK_RTOL, but left spans
+and right frames at STRUCTURE_RTOL, above the noise of a span accepted as a TRO.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, stine
 from .errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 
 TRO_TOL = 1e-8  # triple-product residual up to which a span is accepted as a TRO
+STRUCTURE_RTOL = np.sqrt(TRO_TOL)  # rank cut of left spans and right frames, above TRO_TOL noise
 GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this are one cluster
 LINK_RTOL = 1e-8  # eigenspaces a random element joins by less than this (relative) are unlinked
 BLOCK_TRIES = 12  # random samples algebra_blocks draws before it gives up
@@ -129,13 +131,13 @@ class TroCheck(NamedTuple):
 
 
 def _left_span(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of span{x y*} over a stacked (k, n, m) basis, and
-    delta, the norm of the singular values the rank cut dropped: every x y*
-    lies within delta of the span.  For a TRO this is its left algebra."""
+    """Orthonormal basis of span{x y*} over a stacked (k, n, m) basis, cut at
+    STRUCTURE_RTOL, and delta, the norm of the singular values dropped: every
+    x y* lies within delta of the span.  For a TRO this is its left algebra."""
     k, n, _ = v.shape
     outer = (v[:, None] @ v.conj().transpose(0, 2, 1)[None]).reshape(k * k, n * n)
     _, s, vh = np.linalg.svd(outer, full_matrices=False)
-    keep = mc._rank_mask(s)
+    keep = mc._rank_mask(s, STRUCTURE_RTOL)
     return vh[keep].reshape(-1, n, n), float(np.linalg.norm(s[~keep]))
 
 
@@ -156,7 +158,7 @@ def is_tro(mats: Sequence[np.ndarray], tol: float = TRO_TOL) -> TroCheck:
 
 def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Triple-product closure: the smallest TRO whose span contains the input,
-    from V <- span(V + L(V) V) = span(V + V V* V) until the rank is stable."""
+    from V <- span(V + V V* V) until is_tro accepts V (see _structure)."""
     return list(_structure(mats, TRO_TOL, close=True)[0])
 
 
@@ -167,11 +169,11 @@ def _structure(
     TRO containing it), the left span of v, and is_tro of v at tol.
 
     Each round bounds P(l_a z) over a for each z, k^2 products at a time,
-    stopping once past tol unless closing.  A closing round whose products
-    leave the span by more than mc.RANK_RTOL in all (Frobenius, plus delta)
-    extends v <- span(v + L v); once that leaves the rank as it was, the
-    extension is spanned again and checked as it is.  All of M_{n,m} is a
-    TRO with left span M_n, so closing it takes no round."""
+    stopping once past tol; past the bound every triple is scanned.  A closing
+    round extends v exactly when that decision rejects it, by the scan's
+    residuals above tol, each normalized: every extension adds a dimension,
+    so closing ends within n m - k rounds.  All of M_{n,m} is a TRO with left
+    span M_n, so closing it takes no round."""
     v = np.array(orthonormal_span(mats))
     while len(v):
         k, n, m = v.shape
@@ -180,31 +182,29 @@ def _structure(
         flat = v.reshape(k, -1)
         ell, delta = _left_span(v)
         step = max(1, k * k // len(ell))  # z per chunk: k^2 products l_a z at most
-        prods, norms = [], []
+        bound = delta
         for z in range(0, k, step):
             p = (ell[None] @ v[z : z + step, None]).reshape(-1, len(ell), n * m)
-            norms.extend(np.linalg.norm(p - (p @ flat.conj().T) @ flat, axis=(1, 2)))
-            if close:
-                prods.append(p)
-            elif max(norms) + delta > tol:
+            off = p - (p @ flat.conj().T) @ flat
+            bound = max(bound, np.linalg.norm(off, axis=(1, 2)).max() + delta)
+            if bound > tol:
                 break
-        if close and np.linalg.norm(norms) + delta > mc.RANK_RTOL:
-            wider = orthonormal_span([*v, *(x for p in prods for x in p.reshape(-1, n, m))])
-            close = len(wider) != k
-            v = np.array(wider if close else orthonormal_span(wider))
-            continue
-        bound = max(norms) + delta
         if bound <= tol:
             return v, ell, TroCheck(True, None, bound)
-        worst, witness = 0.0, None
+        worst, witness, out = 0.0, None, []
         for i in range(k):  # every x_i x_j* x_l of one i at once
             xy = v[i] @ v.conj().transpose(0, 2, 1)
             t = (xy[:, None] @ v[None]).reshape(k * k, -1)
-            res = np.linalg.norm(t - (t @ flat.conj().T) @ flat, axis=1)
+            r = t - (t @ flat.conj().T) @ flat
+            res = np.linalg.norm(r, axis=1)
             jl = int(np.argmax(res))
             if res[jl] > worst:
                 worst, witness = float(res[jl]), (i, *divmod(jl, k))
-        return v, ell, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
+            if close:
+                out.extend(r[res > tol] / res[res > tol, None])
+        if worst <= tol or not close:
+            return v, ell, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
+        v = np.array(orthonormal_span([*v, *np.reshape(out, (-1, n, m))]))
     return v, v, TroCheck(True, None, 0.0)  # the empty span
 
 
@@ -377,7 +377,7 @@ def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
     n, l = blk.factor_dim, blk.multiplicity
     rows = (mc.dagger(blk.frame) @ v).reshape(len(v) * n, l, -1)
     u, s, _ = np.linalg.svd(rows[:, 0], full_matrices=False)
-    m = int(np.count_nonzero(mc._rank_mask(s)))
+    m = int(np.count_nonzero(mc._rank_mask(s, STRUCTURE_RTOL)))
     g = (mc.dagger(u[:, :m]) / s[:m, None]) @ rows.transpose(1, 0, 2)  # (s, b, env)
     return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
 

@@ -49,10 +49,14 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT.format(x)
 
 
+def _is_number(obj) -> bool:  # a JSON number: neither a bool nor a numeric string
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _parse_scalar(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(isinstance(v, (int, float)) for v in obj):
+    if isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
         return complex(obj[0], obj[1])
     raise SpecError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
 
@@ -160,11 +164,9 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         dist = params.get("distribution")
         if dist is None:
             dist = [1.0 / rep.group.order] * rep.group.order
-        try:
-            dist = [float(v) for v in dist]
-        except (TypeError, ValueError) as exc:
-            raise SpecError("params.distribution must be a list of numbers") from exc
-        ch = builders.group_random_unitary(rep, dist, seed=seed)
+        if not isinstance(dist, list) or not all(map(_is_number, dist)):
+            raise SpecError("params.distribution must be a list of numbers")
+        ch = builders.group_random_unitary(rep, [float(v) for v in dist], seed=seed)
         space = ch.base_space
     elif kind == "schur_multiplier":
         group = _parse_group(params.get("group"), "params.group")
@@ -177,11 +179,9 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
     else:  # phi_alpha
         if "alpha" not in params:
             raise SpecError("params.alpha is required for kind 'phi_alpha'")
-        try:
-            alpha = float(params["alpha"])
-        except (TypeError, ValueError) as exc:
-            raise SpecError("params.alpha must be a number") from exc
-        bundle = builders.phi_alpha(alpha, seed=seed)
+        if not _is_number(params["alpha"]):
+            raise SpecError("params.alpha must be a number")
+        bundle = builders.phi_alpha(float(params["alpha"]), seed=seed)
         ch, space = bundle.channel, bundle.space
         init_states = bundle.block_inputs
 

@@ -416,11 +416,18 @@ class TestMalformedInput:
             (schur3({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1.7]]}), [], None),
             (schur3({"table": [[0, 1, 2], [1, 2, 0], [2, 0, True]]}), [], None),
             (schur3({"table": [[0, 1, 2], [1, 2, 0], [2, 0]]}), [], None),
+            ({"kind": "kraus", "params": {"kraus": [[[True, 0], [0, True]]]}}, [], None),
+            ({**PHI_SPEC, "params": {"alpha": True}}, [], None),
+            ({**PHI_SPEC, "params": {"alpha": "0.5"}}, [], None),
+            ({"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [True, 0, 0, 0]}}, [], None),
+            ({"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": ["0.25"] * 4}}, [], None),
+            ({"kind": "schur_multiplier", "params": {"group": {"kind": "cyclic", "order": 2}, "phi": [1, True]}}, [], None),
         ],
         ids=[
             "seed-str", "seed-null", "seed-float", "seed-negative", "seed-bool", "flag-negative",
             "env-negative", "block-short", "block-str", "block-not-list", "order-float", "order-str",
-            "order-bool", "order-zero", "table-float", "table-bool", "table-ragged",
+            "order-bool", "order-zero", "table-float", "table-bool", "table-ragged", "kraus-bool",
+            "alpha-bool", "alpha-str", "distribution-bool", "distribution-str", "phi-bool",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, monkeypatch, doc, flags, env):
