@@ -4,21 +4,17 @@
 compatible conditional expectations, ternary-ring detection, left/right
 algebras of an operator space, independence tests, and symbol validation.
 
-TRO tests and closure use span(V V* V) = span(L V) with L = span{x y*},
-which for a TRO is its left algebra (and span{x* y} its right algebra).
-One routine, _structure, holds the left span, the off-span bound, the witness
-scan and the closure, whose rounds extend a span exactly when is_tro at tol
-rejects it; every TRO test, closure and decomposition calls it.
-A TRO is U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, and _decompose reads
-its whole structure off L: the summands of L give U, n_i and l_i, the TRO's
-elements give each summand's right frame in W and m_i.  The conditional
-expectation onto either side's algebra is a compression to the blocks of U
-or W and a partial trace (_block_expectation).  The Hilbert-Schmidt paths
-(conditional_expectation, and all that builds an AlgebraBasis) are public
-references that no internal path uses.
-
-All spans are Hilbert-Schmidt orthonormal, cut at mc.RANK_RTOL, but left spans
-and right frames at STRUCTURE_RTOL, above the noise of a span accepted as a TRO.
+A TRO is exactly U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, so blocks that account
+for a whole span prove it a TRO.  One routine, _structure, serves every TRO
+test, closure and decomposition: a seeded attempt (_attempt) reads U, n_i and
+l_i off random elements sum_s x_s y_s* of the left algebra and W, m_i off the
+span, and a span close enough to its blocks is certified by that distance;
+otherwise a witness scan decides, and closing extends a span exactly when the
+scan rejects it.  Both sides' algebras and conditional expectations are block
+compressions and partial traces in U and W.  The Hilbert-Schmidt paths
+(conditional_expectation, generate_star_algebra) are public references that
+no internal path uses.  Spans are Hilbert-Schmidt orthonormal, cut at
+mc.RANK_RTOL; every cut of a block structure is at STRUCTURE_RTOL.
 """
 
 from __future__ import annotations
@@ -33,10 +29,9 @@ from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, stine
 from .errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 
 TRO_TOL = 1e-8  # triple-product residual up to which a span is accepted as a TRO
-STRUCTURE_RTOL = np.sqrt(TRO_TOL)  # rank cut of left spans and right frames, above TRO_TOL noise
+STRUCTURE_RTOL = np.sqrt(TRO_TOL)  # every block-structure cut, above the noise of an accepted TRO
 GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this are one cluster
-LINK_RTOL = 1e-8  # eigenspaces a random element joins by less than this (relative) are unlinked
-BLOCK_TRIES = 12  # random samples algebra_blocks draws before it gives up
+BLOCK_TRIES = 12  # random samples a block decomposition draws before it gives up
 
 
 def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = mc.RANK_RTOL) -> list[np.ndarray]:
@@ -109,14 +104,13 @@ def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
 def left_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x y* over the space basis (acts on the output):
     span{t s*} over the smallest TRO containing the space."""
-    return _make_algebra(space.dim_out, list(_structure(space.basis, TRO_TOL, close=True)[1]))
+    return _side_algebra(_closed_structure(space.basis, 0)[1], 0)
 
 
 def right_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x* y over the space basis (acts on the
     environment): span{t* s} over the smallest TRO containing the space."""
-    v = _structure(space.basis, TRO_TOL, close=True)[0]
-    return _make_algebra(space.dim_env, list(_left_span(mc.dagger(v))[0]))
+    return _side_algebra(_closed_structure(space.basis, 0)[1], 1)
 
 
 class TroCheck(NamedTuple):
@@ -130,29 +124,16 @@ class TroCheck(NamedTuple):
         return self.ok
 
 
-def _left_span(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of span{x y*} over a stacked (k, n, m) basis, cut at
-    STRUCTURE_RTOL, and delta, the norm of the singular values dropped: every
-    x y* lies within delta of the span.  For a TRO this is its left algebra."""
-    k, n, _ = v.shape
-    outer = (v[:, None] @ v.conj().transpose(0, 2, 1)[None]).reshape(k * k, n * n)
-    _, s, vh = np.linalg.svd(outer, full_matrices=False)
-    keep = mc._rank_mask(s, STRUCTURE_RTOL)
-    return vh[keep].reshape(-1, n, n), float(np.linalg.norm(s[~keep]))
-
-
 def is_tro(mats: Sequence[np.ndarray], tol: float = TRO_TOL) -> TroCheck:
     """Check closure of span(mats) under the triple product x y* z.
 
-    With l_a an orthonormal basis of L = span{x y*} (cut leaving delta, see
-    _left_span) and P the projection off the span, every basis-triple
-    residual |P(x y* z)| is at most max_z sqrt(sum_a |P(l_a z)|^2) + delta.
-    When that bound is within tol the span is accepted and ``residual`` is
-    the bound.  Otherwise every triple is scanned: on failure the witness is
-    the first (i, j, k) with the largest residual and ``residual`` is that
-    residual; on success it is the exact maximum.  Both passes hold
-    O(k^2 n m) numbers at a time.
-    """
+    When a block attempt (_attempt) declares a TRO T of the span's dimension k
+    within eps of each orthonormal basis element, every basis triple lies
+    within 3 eps of T and T within sqrt(k) eps of the span: if that block-form
+    bound (3 + sqrt(k)) eps is within tol, the span is accepted and
+    ``residual`` is the bound.  Otherwise every triple is scanned, O(k^2 n m)
+    numbers at a time: the witness of a failure is the first (i, j, k) with the
+    largest residual, and ``residual`` is the exact maximum."""
     return _structure(mats, tol)[2]
 
 
@@ -163,34 +144,24 @@ def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _structure(
-    mats: Sequence[np.ndarray], tol: float, close: bool = False
-) -> tuple[np.ndarray, np.ndarray, TroCheck]:
+    mats: Sequence[np.ndarray], tol: float, close: bool = False, seed: int = 0
+) -> tuple[np.ndarray, Optional[tuple[TroDecomposition, float]], TroCheck]:
     """Stacked orthonormal basis v of span(mats) (with close, of the smallest
-    TRO containing it), the left span of v, and is_tro of v at tol.
-
-    Each round bounds P(l_a z) over a for each z, k^2 products at a time,
-    stopping once past tol; past the bound every triple is scanned.  A closing
-    round extends v exactly when that decision rejects it, by the scan's
-    residuals above tol, each normalized: every extension adds a dimension,
-    so closing ends within n m - k rounds.  All of M_{n,m} is a TRO with left
-    span M_n, so closing it takes no round."""
+    TRO containing it), the block attempt on v seeded (seed, 0), and is_tro of
+    v at tol.  A closing round extends v exactly when is_tro rejects it, by the
+    scan's residuals above tol, each normalized, so each adds a dimension.
+    All of M_{n,m} is a TRO, so closing it takes no round and no attempt."""
     v = np.array(orthonormal_span(mats))
     while len(v):
         k, n, m = v.shape
         if close and k == n * m:
-            return v, np.eye(n * n).reshape(-1, n, n), TroCheck(True, None, 0.0)
-        flat = v.reshape(k, -1)
-        ell, delta = _left_span(v)
-        step = max(1, k * k // len(ell))  # z per chunk: k^2 products l_a z at most
-        bound = delta
-        for z in range(0, k, step):
-            p = (ell[None] @ v[z : z + step, None]).reshape(-1, len(ell), n * m)
-            off = p - (p @ flat.conj().T) @ flat
-            bound = max(bound, np.linalg.norm(off, axis=(1, 2)).max() + delta)
-            if bound > tol:
-                break
+            full = TroDecomposition(((n, m, 1),), np.eye(n, dtype=complex), np.eye(m, dtype=complex))
+            return v, (full, 0.0), TroCheck(True, None, 0.0)
+        found = _attempt(v, (seed, 0))
+        bound = np.inf if found is None else float((3 + np.sqrt(k)) * found[1])
         if bound <= tol:
-            return v, ell, TroCheck(True, None, bound)
+            return v, found, TroCheck(True, None, bound)
+        flat = v.reshape(k, -1)
         worst, witness, out = 0.0, None, []
         for i in range(k):  # every x_i x_j* x_l of one i at once
             xy = v[i] @ v.conj().transpose(0, 2, 1)
@@ -203,9 +174,9 @@ def _structure(
             if close:
                 out.extend(r[res > tol] / res[res > tol, None])
         if worst <= tol or not close:
-            return v, ell, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
+            return v, found, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
         v = np.array(orthonormal_span([*v, *np.reshape(out, (-1, n, m))]))
-    return v, v, TroCheck(True, None, 0.0)  # the empty span
+    return v, None, TroCheck(True, None, 0.0)  # the empty span
 
 
 # ---------------------------------------------------------------------------
@@ -280,48 +251,27 @@ def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
     return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > gap) + 1)
 
 
-def _random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """Hermitian part of a complex-Gaussian combination of a *-closed basis."""
-    return mc.hermitize(np.tensordot(mc.random_complex(rng, len(basis)), basis, axes=1))
-
-
-def algebra_blocks(basis: np.ndarray, rng: np.random.Generator) -> list[_AlgebraBlock]:
-    """Factors M_n, with multiplicity l, of the C*-algebra with a stacked orthonormal basis.
-
-    A random hermitian element a = (+)_i a_i (x) 1_{l_i} has the eigenspaces
-    e (x) C^{l_i}, one for each eigenvector e of each a_i; a second random
-    element links two of them exactly when they lie in one summand (Murota,
-    Kanno, Kojima & Kojima 2010).  See _linked_summands.  Degenerate samples
-    are retried with fresh ones.
-    """
-    # Restrict to the support of the algebra unit (the algebra may act
-    # trivially on part of the ambient space).
-    w, v = mc.herm_eig(sum(b @ mc.dagger(b) for b in basis))
-    v_sup = v[:, mc.support_mask(w)]
-    comp = mc.dagger(v_sup) @ basis @ v_sup
-    for _ in range(BLOCK_TRIES):
-        w, v = np.linalg.eigh(_random_element(rng, comp))
-        qs = [v[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)]
-        blocks = _linked_summands(qs, _random_element(rng, comp))
-        if blocks is not None and sum(k.factor_dim**2 for k in blocks) == len(basis):
-            return [_AlgebraBlock(k.factor_dim, k.multiplicity, v_sup @ k.frame) for k in blocks]
-    raise NotTro("block resolution failed to stabilize; spectrum persistently degenerate")
+def algebra_blocks(basis: np.ndarray, seed: int = 0) -> list[_AlgebraBlock]:
+    """Factors M_n, with multiplicity l, of the C*-algebra with a stacked
+    orthonormal basis, each with its frame: a *-algebra is a TRO, whose blocks
+    are (n, n, l) and whose output frames these are (tro_block_decomposition)."""
+    decomp = tro_block_decomposition(list(basis), seed=seed)
+    frames = np.split(decomp.basis_change_out, np.cumsum([n * l for n, _, l in decomp.blocks]), axis=1)
+    return [_AlgebraBlock(n, l, f) for (n, _, l), f in zip(decomp.blocks, frames)]
 
 
 def _linked_summands(qs: list[np.ndarray], b: np.ndarray) -> Optional[list[_AlgebraBlock]]:
-    """Summands from the eigenspace frames qs of a random element.
-
-    Eigenspaces p and q are linked when |Q_p* b Q_q| exceeds LINK_RTOL times
-    the largest such norm.  Each summand is a connected component of the
-    links, walked breadth first: a frame Q_q reached from an aligned frame F
-    is aligned with it by the polar part of Q_q* b F, which carries F's
-    multiplicity basis onto Q_q.  None when linked eigenspaces differ in size.
-    """
+    """Summands from the eigenspace frames qs of a random element: p and q are
+    linked when |Q_p* b Q_q| exceeds STRUCTURE_RTOL times the largest such norm,
+    and each summand is a connected component of the links, walked breadth
+    first.  A frame Q_q reached from an aligned frame F is aligned with it by the
+    polar part of Q_q* b F, which carries F's multiplicity basis onto Q_q.  None
+    when linked eigenspaces differ in size."""
     cuts = np.cumsum([0] + [q.shape[1] for q in qs[:-1]])
     q_all = np.concatenate(qs, axis=1)
     mass = np.abs(mc.dagger(q_all) @ b @ q_all) ** 2
     norms = np.sqrt(np.add.reduceat(np.add.reduceat(mass, cuts, axis=0), cuts, axis=1))
-    linked = norms > LINK_RTOL * np.max(norms)
+    linked = norms > STRUCTURE_RTOL * np.max(norms)
     seen = np.zeros(len(qs), dtype=bool)
     out = []
     for root in range(len(qs)):
@@ -334,8 +284,7 @@ def _linked_summands(qs: list[np.ndarray], b: np.ndarray) -> Optional[list[_Alge
                 if qs[q].shape != qs[p].shape:
                     return None
                 seen[q] = True
-                u, _, vh = np.linalg.svd(mc.dagger(qs[q]) @ b @ frames[p])
-                frames[q] = qs[q] @ (u @ vh)
+                frames[q] = qs[q] @ _polar(mc.dagger(qs[q]) @ b @ frames[p])
                 order.append(q)
         frame = np.concatenate([frames[p] for p in order], axis=1)
         out.append(_AlgebraBlock(len(order), qs[root].shape[1], frame))
@@ -347,22 +296,34 @@ class TroDecomposition:
     """Rectangular block structure of a TRO with realizing unitaries.
 
     ``blocks[i] = (n_i, m_i, l_i)``: output size, environment size,
-    multiplicity.  Conjugating the TRO basis by the two unitaries supports
-    every element on the declared diagonal rectangles.
+    multiplicity.  Conjugating the TRO basis by the two (read-only) unitaries
+    gives, on the i-th diagonal rectangle, X (x) 1_{l_i} with X of size
+    n_i x m_i, and nothing outside the rectangles.
     """
 
     blocks: tuple[tuple[int, int, int], ...]
     basis_change_out: np.ndarray
     basis_change_env: np.ndarray
 
+    def __post_init__(self) -> None:
+        for u in (self.basis_change_out, self.basis_change_env):
+            u.setflags(write=False)
+
     @property
     def rect_blocks(self) -> tuple[tuple[int, int], ...]:
         return tuple((n, m) for n, m, _ in self.blocks)
 
 
+def _polar(a: np.ndarray) -> np.ndarray:
+    """The isometric factor u vh of a matrix's SVD."""
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    return u @ vh
+
+
 def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
-    """Stack column frames and append an orthonormal basis of the complement."""
-    u = np.concatenate(frames, axis=1) if frames else np.zeros((dim, 0), dtype=complex)
+    """The polar factor of the stacked column frames, completed to a unitary
+    by an orthonormal basis of its complement."""
+    u = _polar(np.concatenate(frames, axis=1))
     if u.shape[1] < dim:
         w, v = np.linalg.eigh(mc.hermitize(np.eye(dim) - u @ mc.dagger(u)))
         u = np.concatenate([u, v[:, w > 0.5]], axis=1)
@@ -370,10 +331,9 @@ def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
 
 
 def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
-    """m and the right frame G, columns ordered (b, s), of the summand with
-    left frame F.  Rows (a, s) of F* x are sum_b X[a, b] g_(b,s)*, so an SVD
-    of the rows of copy s = 0 over the stacked basis v gives m and g_(., 0),
-    and g_(., s)* = X^+ rows_s."""
+    """m and the right frame G, columns (b, s), of the summand with left frame F.
+    Rows (a, s) of F* x are sum_b X[a, b] g_(b,s)*, so an SVD of the rows of copy
+    s = 0 over the stacked basis v gives m and g_(., 0), and g_(., s)* = X^+ rows_s."""
     n, l = blk.factor_dim, blk.multiplicity
     rows = (mc.dagger(blk.frame) @ v).reshape(len(v) * n, l, -1)
     u, s, _ = np.linalg.svd(rows[:, 0], full_matrices=False)
@@ -382,77 +342,118 @@ def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
     return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
 
 
-def _decompose(v: np.ndarray, ell: np.ndarray, check: TroCheck, seed: int, tol: float) -> TroDecomposition:
-    """Block decomposition of the span of a stacked basis v from its left span
-    ell, or NotTro naming the witness of its triple-product check: the left
-    summands give n, l and the output frames, and each summand's right frame
-    is read off the TRO (_right_frame).  The blocks are listed in the
-    canonical order of their central projections on the output space, so the
-    list does not depend on the basis the left span comes in: a
-    block-diagonal TRO lists its blocks top to bottom."""
-    if not check.ok:
-        raise NotTro(f"triple product leaves the span (witness {check.witness}, residual {check.residual:.3e})")
-    dim_out, dim_env = v.shape[1:]
-    lblocks = algebra_blocks(ell, np.random.default_rng(seed))
+def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecomposition, float]]:
+    """One seeded try at the blocks of the span of an orthonormal stack v
+    (k, n, m), and eps, the largest distance of a basis element from the TRO
+    they declare; None when they do not account for k.  For a TRO,
+    herm(sum_{s<n} x_s y_s*), x_s and y_s Gaussian combinations of v, is a
+    generic element of the left algebra: two such samples, on the unit's
+    support at unit norm, give the summands, and v their right frames.  The
+    blocks come in a canonical order that does not depend on the basis of v
+    or the seed: a block-diagonal TRO lists its blocks top to bottom."""
+    k, n, m = v.shape
+    rng = np.random.default_rng(seed)
+    w, q = mc.herm_eig(np.tensordot(v, v.conj(), axes=([0, 2], [0, 2])))
+    sup = q[:, mc.support_mask(w)]
+
+    def sample():
+        x, y = np.tensordot(mc.random_complex(rng, (2, n, k)), v, axes=1)
+        a = mc.hermitize(mc.dagger(sup) @ np.tensordot(x, y.conj(), axes=([0, 2], [0, 2])) @ sup)
+        return a / mc.frobenius(a)
+
+    w, q = np.linalg.eigh(sample())
+    b = sup @ sample() @ mc.dagger(sup)
+    lblocks = _linked_summands([sup @ q[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)], b)
+    if lblocks is None:
+        return None
+    # For a TRO, sum_k v_k G G* v_k* is m/l times the summand's output projection
+    # and feels the error of the right frame G only to second order: it carries
+    # the left frames, whose noise a sample's small gaps amplify, onto the summands.
+    for i, lb in enumerate(lblocks):
+        vg = v @ _right_frame(v, lb)[1]
+        frame = _polar(np.tensordot(vg, mc.dagger(vg) @ lb.frame, axes=([0, 2], [0, 1])))
+        lblocks[i] = _AlgebraBlock(lb.factor_dim, lb.multiplicity, frame)
     # Canonical order: by the entries of each summand's central projection
     # (row-major, real parts first) to 6 decimals, larger first.
-    projs = [lb.frame @ mc.dagger(lb.frame) for lb in lblocks]
+    projs = (lb.frame @ mc.dagger(lb.frame) for lb in lblocks)
     keys = [np.round(np.concatenate([p.real, p.imag], axis=None), 6).tolist() for p in projs]
     lblocks = [lblocks[i] for i in sorted(range(len(lblocks)), key=keys.__getitem__, reverse=True)]
-
     ms, rframes = zip(*[_right_frame(v, lb) for lb in lblocks])
-    blocks = [(lb.factor_dim, m, lb.multiplicity) for lb, m in zip(lblocks, ms)]
-    u_out = _complete_frame([lb.frame for lb in lblocks], dim_out)
-    u_env = _complete_frame(rframes, dim_env)
+    blocks = tuple((lb.factor_dim, mi, lb.multiplicity) for lb, mi in zip(lblocks, ms))
+    dims = np.array(blocks)
+    if dims[:, 0] @ dims[:, 1] != k or dims[:, 1] @ dims[:, 2] > m:
+        return None
+    u_out, u_env = _complete_frame([lb.frame for lb in lblocks], n), _complete_frame(list(rframes), m)
+    y = mc.dagger(u_out) @ v @ u_env
+    eps = float(np.max(np.linalg.norm(y - _block_form(y, blocks), axis=(1, 2))))
+    return TroDecomposition(blocks, u_out, u_env), eps
 
-    # Verify rectangle support of the conjugated basis.
-    y, ro, co = mc.dagger(u_out) @ v @ u_env, 0, 0
-    for n, m, l in blocks:
-        y[:, ro : ro + n * l, co : co + m * l] = 0.0
-        ro, co = ro + n * l, co + m * l
-    leak = float(np.max(np.abs(y), initial=0.0))
-    if leak > tol:
-        raise NotTro(f"conjugated basis leaks outside declared rectangles ({leak:.3e})")
 
-    if sum(n * m for n, m, _ in blocks) != len(v):
-        raise NotTro("block dimensions do not account for the span dimension")
-
-    for u in (u_out, u_env):
-        u.setflags(write=False)
-    return TroDecomposition(blocks=tuple(blocks), basis_change_out=u_out, basis_change_env=u_env)
+def _decompose(v: np.ndarray, found, check: TroCheck, seed: int) -> TroDecomposition:
+    """Blocks of a span v that check accepted: of the attempt found by _structure or
+    the first fresh one seeded (seed, t) that lies within STRUCTURE_RTOL of v.
+    NotTro naming the witness of a rejected span, or when BLOCK_TRIES find none."""
+    if not check.ok:
+        raise NotTro(f"triple product leaves the span (witness {check.witness}, residual {check.residual:.3e})")
+    for t in range(BLOCK_TRIES):
+        if t:
+            found = _attempt(v, (seed, t))
+        if found is not None and found[1] <= STRUCTURE_RTOL:
+            return found[0]
+    raise NotTro(f"no block decomposition within {STRUCTURE_RTOL:.0e} of the span in {BLOCK_TRIES} attempts")
 
 
 def tro_block_decomposition(space, seed: int = 0, tol: float = TRO_TOL) -> TroDecomposition:
     """Block decomposition of a verified TRO, given as a StinespringSpace or as
-    matrices spanning it, read off its left algebra span{x y*}.  Raises NotTro,
-    naming the witness of is_tro(mats), when the span is not a TRO."""
+    matrices spanning it: the seeded block attempt of is_tro(mats, tol), whose
+    block-form bound is the accepted ``residual`` when within tol (_decompose).
+    Raises NotTro, naming the witness of is_tro(mats), when it is not a TRO."""
     mats = space.basis if isinstance(space, StinespringSpace) else [mc.asmatrix(m) for m in space]
-    return _decompose(*_structure(mats, tol), seed, tol)
+    return _decompose(*_structure(mats, tol, seed=seed), seed)
 
 
 def _closed_structure(mats: Sequence[np.ndarray], seed: int) -> tuple[np.ndarray, TroDecomposition]:
     """Stacked basis of the smallest TRO containing span(mats) and its block
     decomposition, both from one _structure."""
-    v, ell, check = _structure(mats, TRO_TOL, close=True)
-    return v, _decompose(v, ell, check, seed, TRO_TOL)
+    v, found, check = _structure(mats, TRO_TOL, close=True, seed=seed)
+    return v, _decompose(v, found, check, seed)
+
+
+def _side_algebra(decomp: TroDecomposition, side: int) -> AlgebraBasis:
+    """Orthonormal basis F (e_ab (x) 1_l) F* / sqrt(l), F each summand's columns of
+    the basis change, of a decomposed TRO's output (side 0) or environment algebra."""
+    q, basis, edge = (decomp.basis_change_out, decomp.basis_change_env)[side], [], 0
+    for blk in decomp.blocks:
+        d, l = blk[side], blk[2]
+        f = q[:, edge : edge + d * l].reshape(len(q), d, l)
+        basis += [f[:, a] @ mc.dagger(f[:, b]) / np.sqrt(l) for a in range(d) for b in range(d)]
+        edge += d * l
+    return _make_algebra(len(q), basis)
+
+
+def _block_form(y: np.ndarray, blocks: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """Projection of a matrix or a stack y onto (+)_i M_{n_i,m_i} (x) 1_{l_i}
+    on the diagonal rectangles from the top left: each rectangle goes to X (x)
+    1_l, X the mean over its copies, and the rest to zero."""
+    out, ro, co, lead = np.zeros_like(y), 0, 0, y.shape[:-2]
+    for n, m, l in blocks:
+        r, c = slice(ro, ro + n * l), slice(co, co + m * l)
+        x = np.trace(y[..., r, c].reshape(*lead, n, l, m, l), axis1=-3, axis2=-1) / l
+        out[..., r, c] = (x[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, n * l, m * l)
+        ro, co = ro + n * l, co + m * l
+    return out
 
 
 def _block_expectation(q: np.ndarray, shapes: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
     """q* E(x) q for E the conditional_expectation onto q ((+)_i M_{d_i} (x) 1_{l_i}) q*
     (+ scalars on the rest); q unitary, shapes (d_i, l_i) in its column order, x a
     matrix or a stack.  Each summand's block of q* x q goes to its normalized partial
-    trace over the multiplicity, (x) 1_{l_i}, and the rest to its normalized trace."""
+    trace over the multiplicity, (x) 1_{l_i} (_block_form), and the rest to its normalized trace."""
     y = mc.dagger(q) @ x @ q
-    out, edge, lead = np.zeros_like(y), 0, y.shape[:-2]
-    for d, l in shapes:
-        s = slice(edge, edge + d * l)
-        pt = np.trace(y[..., s, s].reshape(*lead, d, l, d, l), axis1=-3, axis2=-1) / l
-        out[..., s, s] = (pt[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, d * l, d * l)
-        edge += d * l
-    rest = len(q) - edge
-    if rest:
-        tr = np.trace(y[..., edge:, edge:], axis1=-2, axis2=-1) / rest
-        out[..., edge:, edge:] = tr[..., None, None] * np.eye(rest)
+    out, edge = _block_form(y, [(d, d, l) for d, l in shapes]), sum(d * l for d, l in shapes)
+    if edge < len(q):
+        tr = np.trace(y[..., edge:, edge:], axis1=-2, axis2=-1) / (len(q) - edge)
+        out[..., edge:, edge:] = tr[..., None, None] * np.eye(len(q) - edge)
     return out
 
 
@@ -481,9 +482,7 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
     f = mc.asmatrix(f)
     space = stinespring_space(ch)
     if f.shape != (space.dim_env, space.dim_env):
-        raise DimMismatch(
-            f"symbol dim {f.shape[0]} does not match environment {space.dim_env}"
-        )
+        raise DimMismatch(f"symbol dim {f.shape[0]} does not match environment {space.dim_env}")
     eig = mc.herm_eig(f)
     mc._require_psd(eig.eigenvalues, NotNormalized, "symbol must be positive semidefinite")
     mc._require_unit_trace(f, NotNormalized, "normalized trace is {:.6f}, expected 1")

@@ -284,10 +284,10 @@ def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]
     """
     m = rep.dim
     rows = [np.kron(u, np.eye(m)) - np.kron(np.eye(m), u.T) for u in rep.unitaries]
-    # |G| m^2 rows and m^2 columns: one singular value per right singular vector
+    # |G| m^2 rows and m^2 columns: one singular value per right singular vector,
+    # so the rows of vh past the rank are an orthonormal basis of the nullspace
     _, s, vh = np.linalg.svd(np.concatenate(rows, axis=0), full_matrices=False)
-    mats = list(vh[~mc._rank_mask(s)].conj().reshape(-1, m, m))
-    blocks = alg.algebra_blocks(np.stack(alg.orthonormal_span(mats)), np.random.default_rng(seed))
+    blocks = alg.algebra_blocks(vh[~mc._rank_mask(s)].conj().reshape(-1, m, m), seed)
     return sorted((b.factor_dim, b.multiplicity) for b in blocks)
 
 

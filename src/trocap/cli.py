@@ -304,8 +304,8 @@ def cmd_describe(args) -> int:
     cert = bundle.symbol.certificate if bundle.symbol is not None else None
     if cert is not None and cert.space_is_tro:  # validate_symbol checked it as its own closure
         check = alg.TroCheck(True, None, 0.0)
-    else:  # is_tro, for the witness; its left span also gives the blocks below
-        v, ell, check = alg._structure(bundle.space.basis, alg.TRO_TOL)
+    else:  # is_tro, for the witness; its block attempt also gives the blocks below
+        v, found, check = alg._structure(bundle.space.basis, alg.TRO_TOL, seed=bundle.seed)
     print(f"dilation range is a TRO: {check.ok}")
     if not check.ok:
         print(f"  witness triple: {check.witness}  residual: {_fmt(check.residual)}")
@@ -315,7 +315,7 @@ def cmd_describe(args) -> int:
         print(f"right algebra dimension: {cert.right_algebra_dim}")
         print(f"dilation range spans the block space: {cert.space_is_tro}")
     elif check.ok:
-        decomp = alg._decompose(v, ell, check, bundle.seed, alg.TRO_TOL)
+        decomp = alg._decompose(v, found, check, bundle.seed)
         print(f"blocks (n, m, multiplicity): {list(decomp.blocks)}")
     return 0
 

@@ -49,14 +49,6 @@ def _asymmetry(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return dev, dev <= tol * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True when max |A - A*| <= tol * (1 + max |A|)."""
-    a = asmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(_asymmetry(a, tol)[1])
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*) / 2; removes round-off asymmetry."""
     return (a + dagger(a)) / 2.0
@@ -235,11 +227,6 @@ def permute_systems(m: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...])
     return t.transpose(axes).reshape(int(np.prod(new_dims)), -1)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A* B)."""
-    return complex(np.sum(a.conj() * b))
-
-
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -261,15 +248,3 @@ def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     rho = random_psd(rng, dim)
     return rho / np.trace(rho).real
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase fixing."""
-    q, r = np.linalg.qr(random_complex(rng, (dim, dim)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = random_complex(rng, dim)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())

@@ -32,6 +32,8 @@ from trocap.entropy import entropy_defect
 from trocap.errors import NotIndependent, NotNormalized, NotTro
 from trocap.verify import verify_local_comparison
 
+from helpers import hs_inner, random_unitary
+
 
 def e(i, j, d=2):
     out = np.zeros((d, d), dtype=complex)
@@ -68,23 +70,23 @@ class TestGenerateStarAlgebra:
             assert alg.span_residual(x, a.basis) < 1e-9
 
 
-def count_left_spans(monkeypatch):
-    """List that grows by one entry, the span dimension, per _left_span call."""
-    spans, real_left_span = [], alg._left_span
+def count_attempts(monkeypatch):
+    """List that grows by one entry, the span dimension, per block attempt."""
+    spans, real_attempt = [], alg._attempt
 
-    def counting_left_span(v):
+    def counting_attempt(v, seed):
         spans.append(len(v))
-        return real_left_span(v)
+        return real_attempt(v, seed)
 
-    monkeypatch.setattr(alg, "_left_span", counting_left_span)
+    monkeypatch.setattr(alg, "_attempt", counting_attempt)
     return spans
 
 
 class TestLeftRightAlgebras:
-    def test_left_algebra_of_a_tro_takes_one_left_span(self, monkeypatch):
-        # the closure's certified left span is the left algebra
+    def test_left_algebra_of_a_tro_takes_one_attempt(self, monkeypatch):
+        # the closure's certified block attempt gives the left algebra
         space = phi_alpha(0.0).space
-        spans = count_left_spans(monkeypatch)
+        spans = count_attempts(monkeypatch)
         assert alg.left_algebra(space).rank == 3
         assert spans == [4]
 
@@ -172,8 +174,8 @@ class TestTroBlockDecomposition:
                     mats.append(x)
             ro += n
             co += m
-        u = mc.random_unitary(rng, rows)
-        w = mc.random_unitary(rng, cols)
+        u = random_unitary(rng, rows)
+        w = random_unitary(rng, cols)
         disguised = [u @ x @ mc.dagger(w) for x in mats]
         decomp = alg.tro_block_decomposition(disguised, seed=2)
         assert sorted(decomp.rect_blocks) == sorted(shape_list)
@@ -212,8 +214,8 @@ class TestTroBlockDecomposition:
             x = np.zeros((1, 2), dtype=complex)
             x[0, j] = 1.0
             mats.append(mc.tensor(x, np.eye(2)))
-        u = mc.random_unitary(rng, 2)
-        w = mc.random_unitary(rng, 4)
+        u = random_unitary(rng, 2)
+        w = random_unitary(rng, 4)
         decomp = alg.tro_block_decomposition([u @ x @ mc.dagger(w) for x in mats], seed=0)
         assert decomp.blocks == ((1, 2, 2),)
 
@@ -362,7 +364,7 @@ VEC_RTOL = 1e3 * np.finfo(np.complex128).eps
 def ref_project_span(mat, basis):
     out = np.zeros_like(mat, dtype=complex)
     for b in basis:
-        out = out + mc.hs_inner(b, mat) * b
+        out = out + hs_inner(b, mat) * b
     return out
 
 
@@ -414,7 +416,7 @@ def block_tro(rng, shapes, pad=(0, 0)):
     if rng is None:  # not disguised
         u, w = np.eye(rows), np.eye(cols)
     else:
-        u, w = mc.random_unitary(rng, rows), mc.random_unitary(rng, cols)
+        u, w = random_unitary(rng, rows), random_unitary(rng, cols)
     mats, ro, co = [], 0, 0
     for n, m, l in shapes:
         for i in range(n):
@@ -457,6 +459,11 @@ SHAPES = st.lists(
 ).filter(lambda s: sum(n * m for n, m in s) <= 8)
 
 
+MULT_SHAPES = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda s: sum(n * m for n, m, _ in s) <= 10)
+
+
 def tro_family(kind, shapes, seed):
     rng = np.random.default_rng(seed)
     if kind == "tro":
@@ -467,11 +474,11 @@ def tro_family(kind, shapes, seed):
         mats = block_tro(rng, shapes)
         return mix(rng, mats, max(1, len(mats) - 1 - int(rng.integers(0, 3))))
     if kind == "upper_triangular":
-        u, w = mc.random_unitary(rng, 2), mc.random_unitary(rng, 2)
+        u, w = random_unitary(rng, 2), random_unitary(rng, 2)
         return mix(rng, [u @ e(i, j) @ mc.dagger(w) for i, j in ((0, 0), (0, 1), (1, 1))])
     # the dilation range of a random isometry C^k -> C^n (x) C^m
     n, m, k = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(2, 5))
-    iso = mc.random_unitary(rng, n * m)[:, :k]
+    iso = random_unitary(rng, n * m)[:, :k]
     return [iso[:, c].reshape(n, m) for c in range(k)]
 
 
@@ -558,9 +565,8 @@ class TestTroClosureAgainstLoops:
         assert check.residual == pytest.approx(worst, rel=VEC_RTOL)
 
     def test_validate_symbol_svd_inputs_stay_small(self, monkeypatch):
-        # Schur cyclic(16): every SVD has at most k^2 rows, and the only one
-        # with k^2 rows is the left span; the k + k^3 row closure system and
-        # the right span are gone
+        # Schur cyclic(16): no SVD input is larger than the k x nm span
+        # itself; the k^2 x n^2 products x y* of a left span are gone
         k = 16
         p = np.random.default_rng(0).random(k)
         four = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
@@ -576,24 +582,21 @@ class TestTroClosureAgainstLoops:
         sym = alg.validate_symbol(completely_dephasing_channel(k), kernel)
         assert sym.certificate.blocks == ((1, 1, 1),) * k
         assert shapes
-        assert all(rows <= k * k for rows, _ in shapes)
-        # the certified closure's left span is reused for the check and the
-        # whole block structure: one k^2-row SVD in all
-        assert sum(rows == k * k for rows, _ in shapes) == 1
+        assert all(rows <= k and cols <= k * k for rows, cols in shapes)
 
     @pytest.mark.parametrize("k", [6, 12])
-    def test_full_matrix_space_closure_takes_no_left_span(self, monkeypatch, k):
+    def test_full_matrix_space_closure_takes_no_attempt(self, monkeypatch, k):
         # the identity symbol of a modified Schur cyclic(k) channel: the
-        # closure of its k-dimensional range is all of M_{k,k}, a TRO with
-        # left span M_k, so only the first, k-dimensional span needs an SVD
+        # closure of its k-dimensional range is all of M_{k,k}, a TRO whose
+        # blocks need no attempt, so only the first, k-dimensional span takes one
         p = np.random.default_rng(0).random(k)
         ch = schur_multiplier_channel(cyclic_group(k), np.fft.fft(p / p.sum()))
-        spans = count_left_spans(monkeypatch)
+        spans = count_attempts(monkeypatch)
         cert = alg.identity_symbol(ch).certificate
         assert spans == [k]
         assert cert.blocks == ((k, k, 1),) and cert.tro_dim == k * k
         assert max(cert.residuals) <= 1e-13
-        # a span that is all of M_{n,m} from the start takes no SVD at all
+        # a span that is all of M_{n,m} from the start takes no attempt at all
         spans.clear()
         mats = list(mc.random_complex(np.random.default_rng(1), (6, 3, 2)))
         v, decomp = alg._closed_structure(mats, 0)
@@ -603,22 +606,22 @@ class TestTroClosureAgainstLoops:
     def test_perturbed_isometry_is_accepted_without_extending(self, monkeypatch, seed):
         # the (2,2)+(1,1) partial-trace isometry perturbed by 1e-10: its
         # products leave the span by more than the rank threshold but by less
-        # than TRO_TOL, so the closure accepts the span as it is, on one left
-        # span, and decomposes it into the unperturbed blocks
+        # than TRO_TOL, so the closure accepts the span as it is, on one block
+        # attempt, and decomposes it into the unperturbed blocks
         ch = near_tro_channel([(2, 2), (1, 1)], 1e-10, seed)
-        spans = count_left_spans(monkeypatch)
+        spans = count_attempts(monkeypatch)
         assert alg.identity_symbol(ch).certificate.blocks == ((2, 2, 1), (1, 1, 1))
         assert spans == [5]
 
     def test_is_tro_memory_on_generic_kraus_channel(self):
         # the dilation range of a random isometry C^16 -> C^16 (x) C^16 is no
-        # TRO and its left span fills all of M_16 (r = 256), so holding every
-        # product l_a z at once would take three (16, 256, 256) complex arrays,
-        # 48 MiB; chunks of k^2 products keep each array at 1 MiB
+        # TRO, so every triple is scanned: holding all k^3 of them at once
+        # would take (4096, 256) complex arrays, 16 MiB each; the scan holds
+        # the k^2 triples of one x_i at a time, 1 MiB per array
         import tracemalloc
 
         n = 16
-        iso = mc.random_unitary(np.random.default_rng(3), n * n)[:, :n]
+        iso = random_unitary(np.random.default_rng(3), n * n)[:, :n]
         kraus = iso.reshape(n, n, n).transpose(1, 0, 2)  # [env, out, in]
         space = stinespring_space(from_kraus(list(kraus)))
         tracemalloc.start()
@@ -632,10 +635,6 @@ class TestTroClosureAgainstLoops:
 
 
 NEAR_SHAPES = [[(2, 2), (1, 1)], [(2, 3), (3, 1), (1, 1)]]
-# near-TRO cases is_tro accepts that still fail to decompose: the leak check
-# at TRO_TOL rejects noise of about TRO_TOL (1.28e-8, 1.04e-8, 1.01e-8) on a
-# span accepted with a smaller residual (3.2e-9, 5.7e-9, 6.5e-9)
-LEAKS = [(0, 1e-9, 25), (1, 1e-9, 2), (1, 1e-9, 14)]
 
 
 class TestOneAcceptanceDecision:
@@ -659,6 +658,36 @@ class TestOneAcceptanceDecision:
             assert alg.is_tro(mats).ok == (len(closure) == len(alg.orthonormal_span(mats)))
             assert alg.is_tro(closure).ok
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=FAMILIES,
+        shapes=MULT_SHAPES,
+        pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, 2**32 - 1),
+        log_eps=st.one_of(st.none(), st.floats(-11.0, -6.0)),
+        log_c=st.floats(-3.0, 3.0),
+    )
+    def test_block_form_bound_is_sound(self, family, shapes, pad, seed, log_eps, log_c):
+        # rotated, padded TROs with multiplicity and the other families, each
+        # optionally pushed off by eps noise, rescaled by c: whenever the
+        # block-form bound accepts, no basis triple leaves the span by more
+        # than the bound, and for every seed the decision is the exact scan's
+        rng = np.random.default_rng(seed)
+        mats = np.stack(mix(rng, block_tro(rng, shapes, pad)) if family == "tro" else tro_family(family, shapes, seed))
+        if log_eps is not None:
+            flat = polar(mats.reshape(len(mats), -1))
+            mats = polar(flat + 10.0**log_eps * mc.random_complex(rng, flat.shape)).reshape(mats.shape)
+        mats = list(10.0**log_c * mats)
+        ok, _, worst, _ = ref_is_tro(mats)
+        assert alg.is_tro(mats).ok == ok
+        for attempt_seed in range(3):
+            v, found, check = alg._structure(mats, alg.TRO_TOL, seed=attempt_seed)
+            assert check.ok == ok
+            bound = np.inf if found is None else (3 + np.sqrt(len(v))) * found[1]
+            if bound <= alg.TRO_TOL:
+                assert check.residual == bound
+                assert worst <= bound * (1 + VEC_RTOL) + VEC_RTOL
+
     @pytest.mark.parametrize("shapes", NEAR_SHAPES, ids=str)
     def test_near_tro_recipe_decision(self, shapes):
         for eps in (1e-6, 1e-7, 1e-8, 5e-9, 3e-9, 2e-9, 1e-9, 1e-10):
@@ -673,32 +702,59 @@ class TestOneAcceptanceDecision:
         shapes = NEAR_SHAPES[shape]
         blocks = tuple((n, m, 1) for n, m in shapes)
         for seed in range(30):
-            if (shape, eps, seed) in LEAKS:
-                continue  # test_near_tro_leak_band
             ch = near_tro_channel(shapes, eps, seed)
             space = stinespring_space(ch)
             assert alg.tro_block_decomposition(space).blocks == blocks, seed
             assert alg.identity_symbol(ch).certificate.blocks == blocks, seed
             assert len(alg.smallest_containing_tro(space.basis)) == space.dim, seed
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NotTro,
-        reason="leak check at TRO_TOL rejects a span is_tro accepted with a smaller residual",
-    )
-    @pytest.mark.parametrize(("shape", "eps", "seed"), LEAKS)
-    def test_near_tro_leak_band(self, shape, eps, seed):
+    @pytest.mark.parametrize("eps", [3e-9, 2e-9, 1e-9, 5e-10])
+    @pytest.mark.parametrize("shape", range(len(NEAR_SHAPES)))
+    def test_near_tro_band_decomposes_every_accepted_span(self, shape, eps):
+        # just below the acceptance edge: every span is_tro accepts decomposes
+        # into the unperturbed blocks
         shapes = NEAR_SHAPES[shape]
-        space = stinespring_space(near_tro_channel(shapes, eps, seed))
-        assert alg.is_tro(space.basis).ok
-        assert alg.tro_block_decomposition(space).blocks == tuple((n, m, 1) for n, m in shapes)
+        blocks = tuple((n, m, 1) for n, m in shapes)
+        for seed in range(30):
+            space = stinespring_space(near_tro_channel(shapes, eps, seed))
+            if alg.is_tro(space.basis).ok:
+                assert alg.tro_block_decomposition(space).blocks == blocks, seed
+
+    @pytest.mark.parametrize("push", [10, 100])
+    def test_basis_outside_its_rectangles_raises(self, push):
+        # (2,2)+(1,1) with one element pushed into the padding by push *
+        # STRUCTURE_RTOL: is_tro rejects it, and no attempt finds blocks within
+        # STRUCTURE_RTOL of it even when its triple-product check is bypassed
+        mats = block_tro(None, [(2, 2), (1, 1)], pad=(1, 1))
+        mats[0] = mats[0] + push * alg.STRUCTURE_RTOL * e(3, 3, 4)
+        with pytest.raises(NotTro, match="witness"):
+            alg.tro_block_decomposition(mats)
+        v = np.array(alg.orthonormal_span(mats))
+        with pytest.raises(NotTro, match="no block decomposition"):
+            alg._decompose(v, None, alg.TroCheck(True, None, 0.0), 0)
+
+    def test_decompose_retries_until_an_attempt_lies_within_the_cut(self, monkeypatch):
+        # fresh attempts seeded (seed, 1), (seed, 2), ... until one lies within
+        # STRUCTURE_RTOL of the span; none for a rejected span, BLOCK_TRIES at most
+        seeds, results = [], iter([None, ("far", 2 * alg.STRUCTURE_RTOL), ("near", alg.STRUCTURE_RTOL)])
+        monkeypatch.setattr(alg, "_attempt", lambda v, seed: seeds.append(seed) or next(results))
+        accepted = alg.TroCheck(True, None, 0.0)
+        assert alg._decompose(None, ("first", 3 * alg.STRUCTURE_RTOL), accepted, 7) == "near"
+        assert seeds == [(7, 1), (7, 2), (7, 3)]
+        with pytest.raises(NotTro, match="witness"):
+            alg._decompose(None, None, alg.TroCheck(False, (0, 1, 0), 1.0), 7)
+        monkeypatch.setattr(alg, "_attempt", lambda v, seed: seeds.append(seed))
+        seeds.clear()
+        with pytest.raises(NotTro, match="no block decomposition"):
+            alg._decompose(None, None, accepted, 7)
+        assert seeds == [(7, t) for t in range(1, alg.BLOCK_TRIES)]
 
     def test_each_closing_round_adds_a_dimension(self, monkeypatch):
         # a TRO with one element pushed out of it closes in more than one round
         rng = np.random.default_rng(0)
         mats = block_tro(rng, [(2, 2), (1, 1)], pad=(2, 2))[:-1]
         mats[0] = mats[0] + 1e-3 * mc.random_complex(rng, mats[0].shape)
-        spans = count_left_spans(monkeypatch)
+        spans = count_attempts(monkeypatch)
         closure = alg.smallest_containing_tro(mats)
         assert len(spans) >= 2 and spans[0] == len(mats)
         assert all(a < b for a, b in zip(spans, spans[1:]))
@@ -738,11 +794,6 @@ def span_space(mats):
     """StinespringSpace with an orthonormal basis of span(mats)."""
     basis = alg.orthonormal_span(mats)
     return StinespringSpace(tuple(basis), *basis[0].shape)
-
-
-MULT_SHAPES = st.lists(
-    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
-).filter(lambda s: sum(n * m for n, m, _ in s) <= 10)
 
 
 class TestMultiplicityAlignment:
@@ -802,7 +853,7 @@ def reference_channel(name):
         base = qubit_dephasing(0.0)
         sym = alg.validate_symbol(base, np.array([[1.0, 0.5], [0.5, 1.0]]))
         return modified_channel(stinespring_space(base), sym)
-    iso = mc.random_unitary(rng, 9)[:, :3]  # a random isometry C^3 -> C^3 (x) C^3
+    iso = random_unitary(rng, 9)[:, :3]  # a random isometry C^3 -> C^3 (x) C^3
     return from_kraus(list(iso.reshape(3, 3, 3).transpose(1, 0, 2)))
 
 

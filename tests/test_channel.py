@@ -15,12 +15,14 @@ from trocap.builders import (
 from trocap.entropy import von_neumann_entropy
 from trocap.errors import DimMismatch, InvalidSymbol, NotTracePreserving, RankDeficient
 
+from helpers import hs_inner, random_pure_state, random_unitary
+
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def random_channel(rng, dim_in, dim_out, dim_env):
     """Haar-random isometry V: C^in -> C^out (x) C^env sliced into Kraus ops."""
-    u = mc.random_unitary(rng, dim_out * dim_env)
+    u = random_unitary(rng, dim_out * dim_env)
     iso = u[:, :dim_in]
     kraus = iso.reshape(dim_out, dim_env, dim_in).transpose(1, 0, 2)
     return chn.Channel(kraus)
@@ -92,7 +94,7 @@ class TestComplement:
         ]
         for ch in channels:
             for _ in range(50):
-                rho = mc.random_pure_state(rng, ch.dim_in)
+                rho = random_pure_state(rng, ch.dim_in)
                 hb = von_neumann_entropy(chn.apply(ch, rho))
                 he = von_neumann_entropy(chn.complement_apply(ch, rho))
                 assert abs(hb - he) < 1e-8
@@ -103,11 +105,11 @@ class TestComplement:
         rho = mc.random_complex(rng, (3, 3))
         y = mc.random_complex(rng, (4, 4))
         z = mc.random_complex(rng, (2, 2))
-        lhs = mc.hs_inner(y, chn.apply(ch, rho))
-        rhs = mc.hs_inner(chn.adjoint_apply(ch, y), rho)
+        lhs = hs_inner(y, chn.apply(ch, rho))
+        rhs = hs_inner(chn.adjoint_apply(ch, y), rho)
         assert lhs == pytest.approx(rhs)
-        lhs = mc.hs_inner(z, chn.complement_apply(ch, rho))
-        rhs = mc.hs_inner(chn.complement_adjoint_apply(ch, z), rho)
+        lhs = hs_inner(z, chn.complement_apply(ch, rho))
+        rhs = hs_inner(chn.complement_adjoint_apply(ch, z), rho)
         assert lhs == pytest.approx(rhs)
 
     def test_stacks_match_kraus_sums(self):
@@ -172,7 +174,7 @@ class TestKernelPair:
     def test_mixing_the_environment(self, drawn, count):
         # K'_e = sum_f U_ef K_f leaves N alone and rotates N^E to conj(U) C U^T
         ch, rng = drawn
-        u = mc.random_unitary(rng, ch.dim_env)
+        u = random_unitary(rng, ch.dim_env)
         mixed = chn.Channel(np.tensordot(u, ch.kraus, axes=1))
         rho = np.stack([mc.random_density(rng, ch.dim_in) for _ in range(count)])
         env = chn.complement_apply(ch, rho)

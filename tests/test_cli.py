@@ -506,19 +506,19 @@ class TestOneStructurePerCommand:
         assert main(["verify", spec, "--suite", "all", "--samples", "2"]) == 0
         assert len(calls) == 2  # the spec's symbol and the tensor symbol
 
-    def test_describe_takes_one_left_span(self, tmp_path, capsys, monkeypatch):
+    def test_describe_makes_one_structure_attempt(self, tmp_path, capsys, monkeypatch):
         spec = write_spec(tmp_path, schur_cyclic_spec(np.arange(12, 0, -1)))
-        calls = self.count(monkeypatch, "_left_span")
+        structures, calls = self.count(monkeypatch, "_structure"), self.count(monkeypatch, "_attempt")
         assert main(["describe", spec]) == 0
         assert "dilation range is a TRO: True" in capsys.readouterr().out
-        assert len(calls) == 1  # the closure's, inside validate_symbol
+        assert len(structures) == len(calls) == 1  # the closure's, inside validate_symbol
 
-    def test_describe_without_symbol_takes_one_left_span(self, tmp_path, capsys, monkeypatch):
-        # the triple-product check's left span also gives the blocks
+    def test_describe_without_symbol_makes_one_structure_attempt(self, tmp_path, capsys, monkeypatch):
+        # the triple-product check's block attempt also gives the blocks
         spec = write_spec(tmp_path, BLOCKS_SPEC)
-        calls = self.count(monkeypatch, "_left_span")
+        structures, calls = self.count(monkeypatch, "_structure"), self.count(monkeypatch, "_attempt")
         assert main(["describe", spec]) == 0
         out = capsys.readouterr().out
         assert "dilation range is a TRO: True" in out
         assert "blocks (n, m, multiplicity): [(2, 2, 1), (3, 1, 1)]" in out
-        assert len(calls) == 1
+        assert len(structures) == len(calls) == 1

@@ -10,6 +10,8 @@ from trocap import matcore as mc
 from trocap.builders import qubit_dephasing
 from trocap.errors import BadExponent, NotNormalized, NotState, OutOfRange
 
+from helpers import random_pure_state, random_unitary
+
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -49,7 +51,7 @@ class TestVonNeumann:
 
     def test_pure_state(self):
         rng = np.random.default_rng(0)
-        assert ent.von_neumann_entropy(mc.random_pure_state(rng, 5)) == pytest.approx(
+        assert ent.von_neumann_entropy(random_pure_state(rng, 5)) == pytest.approx(
             0.0, abs=1e-10
         )
 
@@ -391,7 +393,7 @@ class TestConditionalRenyiInvariance:
         rng = np.random.default_rng(seed)
         dims = (2, 3)
         rho = thin_draw(rng, dims, eps) if thin else mc.random_density(rng, 6)
-        u = mc.tensor(mc.random_unitary(rng, 2), mc.random_unitary(rng, 3))
+        u = mc.tensor(random_unitary(rng, 2), random_unitary(rng, 3))
         h = ent.conditional_renyi(rho, dims, p).value
         rotated = ent.conditional_renyi(mc.hermitize(u @ rho @ mc.dagger(u)), dims, p).value
         assert rotated == pytest.approx(h, abs=1e-9)
@@ -405,7 +407,7 @@ class TestConditionalRenyiInvariance:
 class TestS1SpNorm:
     def test_pure_product_is_one(self):
         rng = np.random.default_rng(12)
-        rho = mc.tensor(mc.random_pure_state(rng, 2), mc.random_pure_state(rng, 2))
+        rho = mc.tensor(random_pure_state(rng, 2), random_pure_state(rng, 2))
         assert ent.s1_sp_norm(rho, (2, 2), 2.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_product_of_maximally_mixed(self):

@@ -4,6 +4,8 @@ import pytest
 from trocap import matcore as mc
 from trocap.errors import BadExponent, DimMismatch, NotHermitian, NotPSD
 
+from helpers import is_hermitian, random_unitary
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -52,12 +54,12 @@ class TestHermEig:
     def test_stack_not_hermitian(self):
         # the guard checks every matrix of a stack by the rule of is_hermitian
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
-        assert not mc.is_hermitian(stack[1])
+        assert not is_hermitian(stack[1])
         with pytest.raises(NotHermitian, match="1.000e"):
             mc.herm_eig(stack)
         tiny = stack.copy()
         tiny[1] = np.array([[1.0, 1e-13], [0.0, 1.0]])
-        assert mc.is_hermitian(tiny[1])
+        assert is_hermitian(tiny[1])
         mc.herm_eig(tiny)
 
 
@@ -110,8 +112,8 @@ class TestSchattenNorm:
     def test_unitary_invariance(self, p):
         rng = np.random.default_rng(5)
         a = mc.random_complex(rng, (5, 5))
-        u = mc.random_unitary(rng, 5)
-        w = mc.random_unitary(rng, 5)
+        u = random_unitary(rng, 5)
+        w = random_unitary(rng, 5)
         assert mc.schatten_norm(u @ a @ w, p) == pytest.approx(
             mc.schatten_norm(a, p), rel=1e-9
         )
