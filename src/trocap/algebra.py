@@ -34,7 +34,7 @@ GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this
 BLOCK_TRIES = 12  # random samples a block decomposition draws before it gives up
 
 
-def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = mc.RANK_RTOL) -> list[np.ndarray]:
+def orthonormal_span(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis (HS inner product) of the span of the given matrices."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -42,7 +42,7 @@ def orthonormal_span(mats: Sequence[np.ndarray], rtol: float = mc.RANK_RTOL) -> 
     shape = mats[0].shape
     rows = np.stack([m.reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return list(vh[mc._rank_mask(s, rtol)].reshape(-1, *shape)) if s.size else []
+    return list(vh[mc._rank_mask(s)].reshape(-1, *shape)) if s.size else []
 
 
 def project_span(mat: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,15 +206,16 @@ def is_independent(x: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
     return resid <= tol * max(1.0, mc.frobenius(x))
 
 
-def spectral_projections(f: np.ndarray, rtol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
+def spectral_projections(f: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenvalue clusters of a hermitian matrix with their projections."""
-    return _eig_projections(mc.herm_eig(f), rtol)
+    return _eig_projections(mc.herm_eig(f))
 
 
-def _eig_projections(eig: mc.HermEig, rtol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
-    """spectral_projections from an eigendecomposition already taken."""
+def _eig_projections(eig: mc.HermEig) -> list[tuple[float, np.ndarray]]:
+    """spectral_projections from an eigendecomposition already taken; a cluster
+    breaks where neighbours differ by more than 1e-8 * max(1, max |eigenvalue|)."""
     w, v = eig
-    groups = _split_at_gaps(w, rtol * max(1.0, float(np.max(np.abs(w)))))
+    groups = _split_at_gaps(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
     return [(float(np.mean(w[g])), v[:, g] @ mc.dagger(v[:, g])) for g in groups]
 
 

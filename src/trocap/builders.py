@@ -111,31 +111,17 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Product group on index pairs (i, j) -> i * |b| + j, cocycles multiplied."""
-    na, nb = a.order, b.order
-    table = np.zeros((na * nb, na * nb), dtype=int)
-    cocycle = np.ones((na * nb, na * nb), dtype=complex)
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    g, h = i1 * nb + j1, i2 * nb + j2
-                    table[g, h] = a.mul(i1, i2) * nb + b.mul(j1, j2)
-                    cocycle[g, h] = a.cocycle[i1, i2] * b.cocycle[j1, j2]
-    return FiniteGroup(table=table, cocycle=cocycle)
+    n, nb = a.order * b.order, b.order
+    table = (nb * a.table[:, None, :, None] + b.table[None, :, None, :]).reshape(n, n)
+    return FiniteGroup(table=table, cocycle=mc.tensor(a.cocycle, b.cocycle))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Order 2n: index j*n + i encodes r^i s^j with s r^i = r^(-i) s."""
-    table = np.zeros((2 * n, 2 * n), dtype=int)
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + (-1)^j1 i2) s^(j1+j2)
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                    j = (j1 + j2) % 2
-                    table[j1 * n + i1, j2 * n + i2] = j * n + i
-    return FiniteGroup(table=table)
+    j, i = np.divmod(np.arange(2 * n), n)
+    # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + (-1)^j1 i2) s^(j1+j2)
+    rot = (i[:, None] + (1 - 2 * j)[:, None] * i[None, :]) % n
+    return FiniteGroup(table=(j[:, None] + j[None, :]) % 2 * n + rot)
 
 
 @dataclass(frozen=True)
@@ -146,26 +132,17 @@ class ProjectiveRep:
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(mc.asmatrix(u) for u in self.unitaries)
-        if len(mats) != self.group.order:
-            raise DimMismatch("one unitary per group element required")
-        m = mats[0].shape[0]
-        for u in mats:
-            if u.shape != (m, m):
-                raise DimMismatch("representation matrices must be unitary")
-            mc._require_identity(mc.dagger(u) @ u, DimMismatch, "representation matrices must be unitary")
+        u = _stack(self.unitaries, self.group.order)
         table, cocycle = self.group.table, self.group.cocycle
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                dev = mats[g] @ mats[h] - cocycle[g, h] * mats[table[g, h]]
-                if not float(np.max(np.abs(dev))) <= 1e-10:
-                    raise DimMismatch(f"u({g}) u({h}) != cocycle * u({g}{h})")
-        frozen = []
-        for u in mats:
-            u = u.copy()
-            u.setflags(write=False)
-            frozen.append(u)
-        object.__setattr__(self, "unitaries", tuple(frozen))
+        for x in u:
+            mc._require_identity(mc.dagger(x) @ x, DimMismatch, "representation matrices must be unitary")
+        for g in range(self.group.order):  # u(g) u(h) over all h at once
+            dev = np.abs(u[g] @ u - cocycle[g, :, None, None] * u[table[g]]).max(axis=(1, 2))
+            bad = np.flatnonzero(~(dev <= 1e-10))
+            if bad.size:
+                raise DimMismatch(f"u({g}) u({bad[0]}) != cocycle * u({g}{bad[0]})")
+        u.setflags(write=False)
+        object.__setattr__(self, "unitaries", tuple(u))
 
     @property
     def dim(self) -> int:
@@ -179,31 +156,35 @@ class ProjectiveRep:
         checked to be unimodular, and verified to satisfy the cocycle
         conditions by the constructors.
         """
-        mats = [mc.asmatrix(u) for u in mats]
-        n = group.order
-        m = mats[0].shape[0]
-        cocycle = np.ones((n, n), dtype=complex)
-        for g in range(n):
-            for h in range(n):
-                phase = np.trace(mc.dagger(mats[group.mul(g, h)]) @ mats[g] @ mats[h]) / m
-                if not abs(abs(phase) - 1.0) <= 1e-9:
-                    raise DimMismatch(
-                        f"products of u({g}), u({h}) do not project onto u({group.mul(g, h)})"
-                    )
-                cocycle[g, h] = phase / abs(phase)
+        u, table = _stack(mats, group.order), group.table
+        cocycle = np.ones(table.shape, dtype=complex)
+        for g in range(group.order):  # the phases of u(g) u(h) over all h at once
+            phase = np.trace(mc.dagger(u[table[g]]) @ u[g] @ u, axis1=1, axis2=2) / len(u[0])
+            bad = np.flatnonzero(~(np.abs(np.abs(phase) - 1.0) <= 1e-9))
+            if bad.size:
+                h = bad[0]
+                raise DimMismatch(f"products of u({g}), u({h}) do not project onto u({table[g, h]})")
+            cocycle[g] = phase / np.abs(phase)
         twisted = FiniteGroup(table=group.table, cocycle=cocycle)
-        return cls(group=twisted, unitaries=tuple(mats))
+        return cls(group=twisted, unitaries=tuple(u))
+
+
+def _stack(mats: Sequence[np.ndarray], order: int) -> np.ndarray:
+    """One square matrix of a common size per group element, as an (order, m, m) stack."""
+    mats = [mc.asmatrix(u) for u in mats]
+    if len(mats) != order:
+        raise DimMismatch("one unitary per group element required")
+    if any(u.shape != (len(mats[0]),) * 2 for u in mats):
+        raise DimMismatch("representation matrices must be unitary")
+    return np.stack(mats)
 
 
 def regular_representation(group: FiniteGroup) -> ProjectiveRep:
     """Left regular representation u(g)|h> = |gh> (trivial cocycle)."""
     n = group.order
-    mats = []
-    for g in range(n):
-        u = np.zeros((n, n), dtype=complex)
-        for h in range(n):
-            u[group.mul(g, h), h] = 1.0
-        mats.append(u)
+    g, h = np.indices((n, n))
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[g, group.table, h] = 1.0
     return ProjectiveRep(group=group, unitaries=tuple(mats))
 
 
@@ -238,18 +219,14 @@ def partial_trace_sum_channel(blocks: Sequence[tuple[int, int]]) -> Channel:
         raise EmptyBlocks("at least one block required")
     if any(n < 1 or m < 1 for n, m in blocks):
         raise EmptyBlocks("block dimensions must be >= 1")
-    d_in = sum(n * m for n, m in blocks)
-    d_out = sum(n for n, _ in blocks)
-    d_env = sum(m for _, m in blocks)
-    kraus = np.zeros((d_env, d_out, d_in), dtype=complex)
-    off_in = off_out = off_env = 0
-    for n, m in blocks:
-        for s in range(m):
-            for a in range(n):
-                kraus[off_env + s, off_out + a, off_in + a * m + s] = 1.0
-        off_in += n * m
-        off_out += n
-        off_env += m
+    ns, ms = np.array(blocks).T
+    sizes = ns * ms
+    k = np.arange(sizes.sum())
+    blk = np.repeat(np.arange(len(blocks)), sizes)  # the block of input index k
+    # k = off_in + a * m + s goes to output off_out + a through environment off_env + s
+    a, s = np.divmod(k - (np.cumsum(sizes) - sizes)[blk], ms[blk])
+    kraus = np.zeros((ms.sum(), ns.sum(), len(k)), dtype=complex)
+    kraus[(np.cumsum(ms) - ms)[blk] + s, (np.cumsum(ns) - ns)[blk] + a, k] = 1.0
     return Channel(kraus)
 
 

@@ -408,8 +408,8 @@ def _tilted_vertex(blocks: Sequence, lam: float, mu: float, offset: float):
     if lam < 0 or mu < 0:
         raise OutOfRange("lam and mu must be nonnegative")
     ns = _block_ns(blocks)
-    beta = (offset + lam + mu) / (1.0 + mu)
-    weights = np.array([float(n) ** beta for n in ns])
+    beta, top = (offset + lam + mu) / (1.0 + mu), max(ns)
+    weights = np.array([(n / top) ** beta for n in ns])  # relative sizes: n ** beta overflows at large lam
     p = weights / weights.sum()
     mask = p > 0
     return p, float(-np.sum(p[mask] * np.log2(p[mask]))), float(np.sum(p * np.log2(ns)))

@@ -266,17 +266,10 @@ def heralded_channel(a: Channel, b: Channel, lam: float) -> Channel:
         raise DimMismatch("heralded channels need a common input dimension")
     if not (0.0 <= lam <= 1.0):
         raise OutOfRange(f"herald probability must lie in [0, 1], got {lam}")
-    d_out = a.dim_out + b.dim_out
-    ops = []
-    for e in range(a.dim_env):
-        k = np.zeros((d_out, a.dim_in), dtype=complex)
-        k[: a.dim_out] = np.sqrt(lam) * a.kraus[e]
-        ops.append(k)
-    for e in range(b.dim_env):
-        k = np.zeros((d_out, b.dim_in), dtype=complex)
-        k[a.dim_out :] = np.sqrt(1.0 - lam) * b.kraus[e]
-        ops.append(k)
-    return Channel(np.stack(ops))
+    # N's Kraus operators padded below with M's output rows, M's padded above with N's
+    top = np.pad(np.sqrt(lam) * a.kraus, ((0, 0), (0, b.dim_out), (0, 0)))
+    bottom = np.pad(np.sqrt(1.0 - lam) * b.kraus, ((0, 0), (a.dim_out, 0), (0, 0)))
+    return Channel(np.concatenate([top, bottom]))
 
 
 def identity_channel(dim: int) -> Channel:

@@ -284,15 +284,16 @@ def cmd_region(args) -> int:
         blocks = decomp.blocks
     lams = _parse_grid(args.lambda_grid, "--lambda-grid")
     mus = _parse_grid(args.mu_grid, "--mu-grid")
+    rows = [["lambda", "mu", "constraint", "rhs"]]
+    for lam in lams:
+        for mu in mus:
+            cqe = capacity.cqe_region_vertices(blocks, lam, mu)
+            rps = capacity.rps_region_vertices(blocks, lam, mu)
+            for name, rhs in list(cqe.constraints.items()) + list(rps.constraints.items()):
+                rows.append([_fmt(lam), _fmt(mu), name, _fmt(rhs)])
+    # every row before the file opens: a failing vertex leaves no partial CSV
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "mu", "constraint", "rhs"])
-        for lam in lams:
-            for mu in mus:
-                cqe = capacity.cqe_region_vertices(blocks, lam, mu)
-                rps = capacity.rps_region_vertices(blocks, lam, mu)
-                for name, rhs in list(cqe.constraints.items()) + list(rps.constraints.items()):
-                    writer.writerow([_fmt(lam), _fmt(mu), name, _fmt(rhs)])
+        csv.writer(fh).writerows(rows)
     return 0
 
 

@@ -177,7 +177,7 @@ class _RenyiStack:
         wb, vb = mc.herm_eig(self.rho_b)
         ranks = mc.support_mask(wb).sum(axis=-1)
         self.groups = []
-        for rb in np.unique(ranks):
+        for rb in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
             idx = np.flatnonzero(ranks == rb)
             frame = vb[idx][..., db - rb :]  # eigenvalues ascend: the support comes last
             embed = mc.tensor(np.eye(da), frame)

@@ -143,8 +143,9 @@ def support_projector(a: np.ndarray) -> np.ndarray:
     return _on_support(a, np.ones_like)
 
 
-def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm (sum of singular values to the p, to the 1/p).
+def schatten_norm(a: np.ndarray, p: float) -> float | np.ndarray:
+    """Schatten p-norm (sum of singular values to the p, to the 1/p) of a
+    matrix as a float, or of each matrix of a stack (..., n, m) as an array.
 
     ``p = inf`` returns the operator norm.
     """
@@ -153,12 +154,12 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
         raise BadExponent(f"Schatten exponent must satisfy p >= 1, got {p}")
     s = np.linalg.svd(a, compute_uv=False)
     if np.isinf(p):
-        return float(np.max(s)) if s.size else 0.0
-    if p == 1.0:
-        return float(np.sum(s))
-    if p == 2.0:
-        return float(np.sqrt(np.sum(s**2)))
-    return float(np.sum(s**p) ** (1.0 / p))
+        v = np.max(s, axis=-1, initial=0.0)
+    elif p == 2.0:
+        v = np.sqrt(np.sum(s**2, axis=-1))
+    else:
+        v = np.sum(s**p, axis=-1) ** (1.0 / p)
+    return float(v) if a.ndim == 2 else v
 
 
 def normalized_p_norm(f: np.ndarray, p: float) -> float:

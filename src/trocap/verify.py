@@ -80,6 +80,13 @@ def _apply_ancilla(ch: Channel, rho_aa: np.ndarray, dim_a: int) -> np.ndarray:
     return apply(tensor_channels(identity_channel(dim_a), ch), rho_aa)
 
 
+def _record(report: VerificationReport, digests: list[str], named_slacks) -> None:
+    """Record sample i's slack[i] of each (name, slack) pair, sample by sample."""
+    for i, digest in enumerate(digests):
+        for name, slack in named_slacks:
+            report.record(digest, name, float(slack[i]))
+
+
 DEFAULT_PS = (1.3, 2.0, 4.0, math.inf)
 
 
@@ -109,25 +116,20 @@ def verify_local_comparison(
     if len(u) != space.dim_out:
         raise DimMismatch(f"symbol's structure has output dim {len(u)}, space {space.dim_out}")
     fnorms = {p: math.log2(mc.normalized_p_norm(symbol.f, p)) for p in ps}
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        rho = mc.random_density(rng, space.dim)
-        e = alg._block_expectation(u, shapes, mc.random_psd(rng, space.dim_out))
-        sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e).real
-        out = apply(n, rho)
-        out_f = apply(nf, rho)
-        dig = _digest(rho, sigma)
-        for p in ps:
-            p_conj = 1.0 if math.isinf(p) else p / (p - 1.0)
-            a = math.log2(mc.schatten_norm(out, p))
-            b = math.log2(mc.schatten_norm(out_f, p))
-            report.record(dig, f"norm_lower@p={p}", b - a)
-            report.record(dig, f"norm_upper@p={p}", fnorms[p] + a - b)
-            w = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
-            c = math.log2(mc.schatten_norm(w @ out @ w, p))
-            d = math.log2(mc.schatten_norm(w @ out_f @ w, p))
-            report.record(dig, f"sandwich_lower@p={p}", d - c)
-            report.record(dig, f"sandwich_upper@p={p}", fnorms[p] + c - d)
+    rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
+    draws = [(mc.random_density(rng, space.dim), mc.random_psd(rng, space.dim_out)) for rng in rngs]
+    rho = np.array([r for r, _ in draws]).reshape(samples, space.dim, space.dim)
+    e = alg._block_expectation(u, shapes, np.array([x for _, x in draws]).reshape(samples, len(u), len(u)))
+    sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e, axis1=-2, axis2=-1).real[:, None, None]
+    out, out_f = apply(n, rho), apply(nf, rho)
+    named = []
+    for p in ps:
+        p_conj = 1.0 if math.isinf(p) else p / (p - 1.0)
+        w = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
+        a, b, c, d = (np.log2(mc.schatten_norm(y, p)) for y in (out, out_f, w @ out @ w, w @ out_f @ w))
+        named += [(f"norm_lower@p={p}", b - a), (f"norm_upper@p={p}", fnorms[p] + a - b)]
+        named += [(f"sandwich_lower@p={p}", d - c), (f"sandwich_upper@p={p}", fnorms[p] + c - d)]
+    _record(report, [_digest(r, sg) for r, sg in zip(rho, sigma)], named)
     return report
 
 
@@ -171,10 +173,7 @@ def verify_entropic(
                 opt = _RenyiStack(both, dims, p, k).minimize()
                 v, vf = opt.value[:samples], opt.value[samples:]
                 slacks += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
-    for i in range(samples):
-        dig = _digest(rho[i])
-        for name, slack in slacks:
-            report.record(dig, name, float(slack[i]))
+    _record(report, [_digest(r) for r in rho], slacks)
     return report
 
 
@@ -206,16 +205,12 @@ def verify_tensor_symbol(
         modified_channel(space_a, symbol_a), modified_channel(space_b, symbol_b)
     )
     choi_gap = float(np.max(np.abs(choi(joint) - choi(split))))
-    report.record(_digest(f_tensor), "choi_equality", -choi_gap)
-
     add_gap = abs(
         entropy_defect(sym_tensor) - entropy_defect(symbol_a) - entropy_defect(symbol_b)
     )
-    report.record(_digest(f_tensor), "defect_additivity", -add_gap)
-
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        rho = mc.random_density(rng, nm.dim_in)
-        gap = float(np.max(np.abs(apply(joint, rho) - apply(split, rho))))
-        report.record(_digest(rho), "apply_equality", -gap)
+    _record(report, [_digest(f_tensor)], [("choi_equality", [-choi_gap]), ("defect_additivity", [-add_gap])])
+    # one sample at a time: a stacked apply would hold samples x env^2 x out^4 entries
+    rhos = [mc.random_density(np.random.default_rng((seed, i)), nm.dim_in) for i in range(samples)]
+    slacks = [-float(np.max(np.abs(apply(joint, r) - apply(split, r)))) for r in rhos]
+    _record(report, [_digest(r) for r in rhos], [("apply_equality", slacks)])
     return report

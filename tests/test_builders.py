@@ -351,3 +351,119 @@ class TestChannelInvariants:
             out = apply(ch, rho)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
             assert float(np.min(np.linalg.eigvalsh(mc.hermitize(out)))) >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# the table-built constructions against element-by-element loops
+
+
+def loop_direct_product(a, b):
+    na, nb = a.order, b.order
+    table = np.zeros((na * nb, na * nb), dtype=int)
+    cocycle = np.ones((na * nb, na * nb), dtype=complex)
+    for i1 in range(na):
+        for j1 in range(nb):
+            for i2 in range(na):
+                for j2 in range(nb):
+                    g, h = i1 * nb + j1, i2 * nb + j2
+                    table[g, h] = a.mul(i1, i2) * nb + b.mul(j1, j2)
+                    cocycle[g, h] = a.cocycle[i1, i2] * b.cocycle[j1, j2]
+    return table, cocycle
+
+
+def loop_dihedral_table(n):
+    table = np.zeros((2 * n, 2 * n), dtype=int)
+    for i1 in range(n):
+        for j1 in range(2):
+            for i2 in range(n):
+                for j2 in range(2):
+                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
+                    table[j1 * n + i1, j2 * n + i2] = (j1 + j2) % 2 * n + i
+    return table
+
+
+def loop_regular_unitaries(group):
+    n = group.order
+    mats = []
+    for g in range(n):
+        u = np.zeros((n, n), dtype=complex)
+        for h in range(n):
+            u[group.mul(g, h), h] = 1.0
+        mats.append(u)
+    return np.array(mats)
+
+
+def loop_partial_trace_kraus(blocks):
+    d_in, d_out, d_env = sum(n * m for n, m in blocks), sum(n for n, _ in blocks), sum(m for _, m in blocks)
+    kraus = np.zeros((d_env, d_out, d_in), dtype=complex)
+    off_in = off_out = off_env = 0
+    for n, m in blocks:
+        for s in range(m):
+            for a in range(n):
+                kraus[off_env + s, off_out + a, off_in + a * m + s] = 1.0
+        off_in, off_out, off_env = off_in + n * m, off_out + n, off_env + m
+    return kraus
+
+
+def loop_first_failure(group, mats):
+    """First (g, h), row-major, with u(g) u(h) != cocycle(g, h) u(gh)."""
+    t, c = group.table, group.cocycle
+    for g in range(group.order):
+        for h in range(group.order):
+            if not np.max(np.abs(mats[g] @ mats[h] - c[g, h] * mats[t[g, h]])) <= 1e-10:
+                return g, h
+    return None
+
+
+class TestTableConstructionsMatchLoops:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (bld.cyclic_group(2), bld.cyclic_group(3)),
+            (bld.pauli_rep().group, bld.cyclic_group(2)),
+            (bld.dihedral_group(3), bld.pauli_rep().group),
+        ],
+        ids=["c2xc3", "klein_cocycle_x_c2", "d3xklein_cocycle"],
+    )
+    def test_direct_product(self, a, b):
+        table, cocycle = loop_direct_product(a, b)
+        g = bld.direct_product(a, b)
+        assert np.array_equal(g.table, table) and np.array_equal(g.cocycle, cocycle)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dihedral(self, n):
+        assert np.array_equal(bld.dihedral_group(n).table, loop_dihedral_table(n))
+
+    @pytest.mark.parametrize("group", [bld.cyclic_group(5), bld.dihedral_group(3)], ids=["c5", "d3"])
+    def test_regular_representation(self, group):
+        assert np.array_equal(bld.regular_representation(group).unitaries, loop_regular_unitaries(group))
+
+    @pytest.mark.parametrize("blocks", [[(1, 1)], [(2, 3)], [(2, 2), (3, 1)], [(1, 2), (1, 1), (1, 1)]])
+    def test_partial_trace_sum(self, blocks):
+        kraus = bld.partial_trace_sum_channel(blocks).kraus
+        assert np.array_equal(kraus, loop_partial_trace_kraus(blocks))
+
+    @pytest.mark.parametrize("corrupt", [(1, 1.0j), (2, -1.0), (3, 1.0j)])
+    def test_corrupted_rep_names_first_failing_pair(self, corrupt):
+        # one unitary of the regular representation of D3 scaled by a phase
+        group = bld.dihedral_group(3)
+        mats = list(loop_regular_unitaries(group))
+        k, phase = corrupt
+        mats[k] = phase * mats[k]
+        g, h = loop_first_failure(group, mats)
+        with pytest.raises(DimMismatch) as err:
+            bld.ProjectiveRep(group=group, unitaries=tuple(mats))
+        assert str(err.value) == f"u({g}) u({h}) != cocycle * u({g}{h})"
+
+    def test_phase_failure_names_first_pair(self):
+        # u(1) of a Z3 representation that does not close: the first bad product is u(1) u(1)
+        u1 = np.diag([1.0, 1.0j, 1.0]).astype(complex)
+        u2 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
+        with pytest.raises(DimMismatch, match=r"products of u\(1\), u\(1\) do not project onto u\(2\)"):
+            bld.ProjectiveRep.from_unitaries(bld.cyclic_group(3), [np.eye(3), u1, u2])
+
+    def test_wrong_count_or_shape_is_a_dim_mismatch(self):
+        with pytest.raises(DimMismatch, match="one unitary per group element"):
+            bld.ProjectiveRep.from_unitaries(bld.cyclic_group(2), [I2, Z, I2])
+        with pytest.raises(DimMismatch, match="must be unitary"):
+            bld.ProjectiveRep.from_unitaries(bld.cyclic_group(2), [I2, np.eye(3)])

@@ -735,6 +735,14 @@ class TestRegions:
             c, abs=1e-12
         )
 
+    def test_large_tilt_sits_on_the_largest_blocks(self):
+        # n ** beta overflows a float at beta ~ 1000; the weights are relative to the largest n
+        for fn, mean_log in ((cap.cqe_region_vertices, "Q+E"), (cap.rps_region_vertices, "P+S")):
+            vert = fn([(2, 2), (3, 1), (3, 4), (1, 1)], 1000.0, 0.0)
+            assert np.allclose(vert.distribution, [0.0, 0.5, 0.5, 0.0], atol=1e-150)
+            assert all(math.isfinite(v) for v in vert.constraints.values())
+            assert vert.constraints[mean_log] == pytest.approx(math.log2(3.0), abs=1e-12)
+
     def test_negative_tilt_rejected(self):
         with pytest.raises(OutOfRange):
             cap.cqe_region_vertices([(2, 2)], -0.1, 0.0)

@@ -388,3 +388,15 @@ class TestHeralded:
     def test_input_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             chn.heralded_channel(chn.identity_channel(2), chn.identity_channel(3), 0.5)
+
+    def test_matches_operator_loop(self):
+        rng = np.random.default_rng(12)
+        a, b = random_channel(rng, 3, 2, 2), random_channel(rng, 3, 4, 3)
+        ops = []
+        for k in a.kraus:
+            ops.append(np.zeros((6, 3), dtype=complex))
+            ops[-1][:2] = np.sqrt(0.3) * k
+        for k in b.kraus:
+            ops.append(np.zeros((6, 3), dtype=complex))
+            ops[-1][2:] = np.sqrt(0.7) * k
+        assert np.array_equal(chn.heralded_channel(a, b, 0.3).kraus, np.stack(ops))

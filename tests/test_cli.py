@@ -312,6 +312,23 @@ class TestRegion:
         out = tmp_path / "region.csv"
         assert main(["region", spec, "--csv", str(out)]) == 3
 
+    def test_out_of_range_grid_writes_no_file(self, tmp_path):
+        # the vertex at mu = -1 raises OutOfRange after the header would have been written
+        spec = write_spec(tmp_path, BLOCKS_SPEC)
+        out = tmp_path / "region.csv"
+        assert main(["region", spec, "--mu-grid=-1:0:1", "--csv", str(out)]) == 3
+        assert not out.exists()
+
+    def test_large_lambda_rows_are_finite(self, tmp_path):
+        spec = write_spec(tmp_path, BLOCKS_SPEC)
+        out = tmp_path / "region.csv"
+        assert main(["region", spec, "--lambda-grid", "0:2000:1000", "--csv", str(out)]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert len(rows) == 3 * 5 * 6 and all(math.isfinite(float(r["rhs"])) for r in rows)
+        # at lambda = 1000 the tilt sits on the block of size 3: Q+E = log2 3
+        top = {r["rhs"] for r in rows if r["lambda"] == "1000" and r["constraint"] == "Q+E"}
+        assert top == {f"{math.log2(3.0):.12g}"}
+
 
 class TestDescribe:
     def test_phi_alpha(self, tmp_path, capsys):
@@ -356,6 +373,15 @@ class TestDescribe:
         explicit = {"kind": "group_random_unitary", "params": {"rep": rep, "distribution": dist}}
         out = self.describe(tmp_path, capsys, explicit)
         assert out == self.describe(tmp_path, capsys, named) and "TRO: True" in out
+
+    @pytest.mark.parametrize(
+        "unitaries", [[[[1, 0], [0, 1]]], [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]], ids=["count", "shape"]
+    )
+    def test_unitaries_of_wrong_count_or_shape_exit_3(self, tmp_path, capsys, unitaries):
+        rep = {"group": {"kind": "cyclic", "order": 2}, "unitaries": unitaries}
+        spec = write_spec(tmp_path, {"kind": "group_random_unitary", "params": {"rep": rep}})
+        assert main(["describe", spec]) == 3
+        assert "DimMismatch" in capsys.readouterr().err
 
     def test_missing_distribution_is_uniform(self, tmp_path, capsys):
         uniform = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.25] * 4}}
@@ -522,3 +548,29 @@ class TestOneStructurePerCommand:
         assert "dilation range is a TRO: True" in out
         assert "blocks (n, m, multiplicity): [(2, 2, 1), (3, 1, 1)]" in out
         assert len(structures) == len(calls) == 1
+
+
+class TestColdProcess:
+    def test_verify_and_bounds_do_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 15 ms of import time in a fresh process, and no command needs it
+        import os
+        import subprocess
+        import sys
+
+        import trocap
+
+        names = ("dephasing", "phi_alpha", "pauli")
+        specs = [write_spec(tmp_path, OPEN_WINDOW_SPECS[k], f"{k}.json") for k in names]
+        script = (
+            "import contextlib, io, sys\n"
+            "from trocap.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main([cmd, spec, '--samples', '4'] if cmd == 'verify' else [cmd, spec])\n"
+            "             for spec in sys.argv[1:] for cmd in ('verify', 'bounds')]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trocap.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-c", script, *specs], capture_output=True, text=True, env=env, check=True
+        )
+        assert run.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "False"]

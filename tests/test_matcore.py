@@ -108,6 +108,16 @@ class TestSchattenNorm:
         with pytest.raises(BadExponent):
             mc.schatten_norm(np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 4.0, np.inf])
+    def test_stack_is_one_value_per_matrix(self, p):
+        a = mc.random_complex(np.random.default_rng(6), (2, 3, 4, 5))
+        norms = mc.schatten_norm(a, p)
+        assert norms.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            single = mc.schatten_norm(a[idx], p)
+            assert isinstance(single, float) and norms[idx] == pytest.approx(single, rel=1e-14)
+        assert mc.schatten_norm(a[:0], p).shape == (0, 3)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
     def test_unitary_invariance(self, p):
         rng = np.random.default_rng(5)

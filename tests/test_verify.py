@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,66 @@ class TestEntropicStack:
         space, sym = dephasing_pair(0.7)
         verify.verify_entropic(space, sym, samples=samples, seed=0, ps=(1.5, 2.0, 4.0))
         assert calls == [2 * samples] * 6  # omega and omega_f of every sample at once
+
+
+# ---------------------------------------------------------------------------
+# the stacked local-comparison suite against the sample-by-sample loop
+
+
+def loop_local_records(space, symbol, samples, seed, ps=verify.DEFAULT_PS):
+    """(digest, name, slack) of every record of verify_local_comparison, one
+    sample and one exponent at a time, each norm a single-matrix SVD."""
+    from trocap import matcore as mc
+    from trocap.channel import apply, base_channel, modified_channel
+
+    n, nf = base_channel(space), modified_channel(space, symbol)
+    decomp = symbol.certificate.decomposition
+    u, shapes = decomp.basis_change_out, [(n_i, l) for n_i, _, l in decomp.blocks]
+
+    def log_norm(x, p):
+        return math.log2(float(np.linalg.norm(np.linalg.svd(x, compute_uv=False), ord=p)))
+
+    fnorms = {p: math.log2(mc.normalized_p_norm(symbol.f, p)) for p in ps}
+    out = []
+    for i in range(samples):
+        rng = np.random.default_rng((seed, i))
+        rho = mc.random_density(rng, space.dim)
+        e = alg._block_expectation(u, shapes, mc.random_psd(rng, space.dim_out))
+        sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e).real
+        dig = verify._digest(rho, sigma)
+        for p in ps:
+            p_conj = 1.0 if math.isinf(p) else p / (p - 1.0)
+            a, b = log_norm(apply(n, rho), p), log_norm(apply(nf, rho), p)
+            w = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
+            c, d = log_norm(w @ apply(n, rho) @ w, p), log_norm(w @ apply(nf, rho) @ w, p)
+            out += [
+                (dig, f"norm_lower@p={p}", b - a),
+                (dig, f"norm_upper@p={p}", fnorms[p] + a - b),
+                (dig, f"sandwich_lower@p={p}", d - c),
+                (dig, f"sandwich_upper@p={p}", fnorms[p] + c - d),
+            ]
+    return out
+
+
+class TestLocalComparisonStack:
+    @pytest.mark.parametrize("case", ["phi_alpha", "dephasing", "pauli"])
+    def test_matches_sample_loop(self, case):
+        if case == "phi_alpha":
+            bundle = phi_alpha(0.4)
+            space, sym = bundle.space, bundle.symbol
+        elif case == "pauli":
+            ch = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+            space, sym = ch.base_space, ch.symbol
+        else:
+            space, sym = dephasing_pair(0.3)
+        # tolerance -1 lists every record, in order, as a failure
+        rep = verify.verify_local_comparison(space, sym, samples=5, seed=3, tolerance=-1.0)
+        ref = loop_local_records(space, sym, samples=5, seed=3)
+        assert [(d, n) for d, n, _ in rep.failures] == [(d, n) for d, n, _ in ref]
+        for (_, name, slack), (_, _, expected) in zip(rep.failures, ref):
+            assert slack == pytest.approx(expected, abs=1e-12), name
+
+    def test_no_samples(self):
+        space, sym = dephasing_pair(0.3)
+        rep = verify.verify_local_comparison(space, sym, samples=0)
+        assert rep.passed and rep.failures == []
