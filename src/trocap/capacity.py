@@ -344,14 +344,11 @@ def _renyi_value_and_grad(extended: Channel, dims: tuple[int, int], p: float, rh
     """Minus the Renyi coherent information, -inf_sigma D_p(omega || 1 (x)
     sigma) with omega = (id (x) N)(rho), at input densities rho (1, d^2, d^2),
     and its gradient: by Danskin's envelope theorem (id (x) N)* of the partial
-    one in omega at the inner minimizer (_RenyiStack._gradient); id (x) N
+    one in omega at the inner minimizer (_RenyiStack.rho_gradients); id (x) N
     preserves the trace, so omega's renormalization adds nothing."""
     omega = mc.hermitize(chn.apply(extended, rho[0]))
     stack = _RenyiStack((omega / np.trace(omega).real)[None], dims, p).minimize()
-    ((_, frame, rho_c, k_pow),) = stack.groups
-    w = stack._gradient(rho_c, k_pow, mc.dagger(frame) @ stack.sigma @ frame)[1]
-    embed = mc.tensor(np.eye(dims[0]), frame)
-    return -float(stack.value[0]), -chn.adjoint_apply(extended, embed @ w @ mc.dagger(embed))
+    return -float(stack.value[0]), -chn.adjoint_apply(extended, stack.rho_gradients())
 
 
 def renyi_coherent_channel(
@@ -405,8 +402,8 @@ class RegionVertex(NamedTuple):
 def _tilted_vertex(blocks: Sequence, lam: float, mu: float, offset: float):
     """p ~ n^((offset + lam + mu)/(1 + mu)) over the block sizes n, its Shannon entropy
     (every p > 0: a support cut would drop terms at large lam) and its mean log2 n."""
-    if lam < 0 or mu < 0:
-        raise OutOfRange("lam and mu must be nonnegative")
+    if not (lam >= 0 and 0 <= mu < math.inf):  # NaN fails both; mu = inf gives the tilt inf/inf
+        raise OutOfRange(f"lam must be nonnegative and mu finite and nonnegative, got {lam}, {mu}")
     ns = _block_ns(blocks)
     beta, top = (offset + lam + mu) / (1.0 + mu), max(ns)
     weights = np.array([(n / top) ** beta for n in ns])  # relative sizes: n ** beta overflows at large lam

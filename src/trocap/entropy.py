@@ -11,6 +11,7 @@ once, each item with its own step, halved whenever an update would raise the
 value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
 with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
 polish from their last iterate (``_density_search``), none from random starts.
+Every value, fixed-point target and gradient comes from one kernel, ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -161,16 +162,17 @@ class _RenyiStack:
     stack of states rho_i on A (x) B, all items advancing together.  B is
     compressed onto the support of each item's B marginal; the items of one
     support rank form a group (their stack positions, support frames
-    (n, dB, rb), compressed states and K^(-1/2p')).  :meth:`minimize` fills
-    the per-item arrays ``value``, ``sigma``, ``converged``, ``fixed`` (the
-    fixed point met its tolerance) and ``iterations``."""
+    (n, dB, rb), compressed states and K^(-1/2p')).  :meth:`_evaluate` is
+    the one kernel.  :meth:`minimize` fills the per-item arrays ``value``,
+    ``sigma``, ``converged``, ``fixed`` (the fixed point met its tolerance)
+    and ``iterations``; :meth:`rho_gradients` gives the gradients in rho."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
             raise BadExponent(f"optimizer needs finite p > 1, got {p}")
         rhos = np.asarray(rhos, dtype=complex)
         (da, db), n = dims, len(rhos)
-        self.p, self.p_conj, self.project = p, p / (p - 1.0), project
+        self.p, self.p_conj, self.project, self.dims = p, p / (p - 1.0), project, dims
         k = np.eye(da, dtype=complex) if k_as is None else k_as
         k_pow = np.broadcast_to(mc.matrix_power(k, -1.0 / (2.0 * self.p_conj)), (n, da, da))
         self.rho_b = mc.partial_trace(rhos, dims, "B")
@@ -183,37 +185,43 @@ class _RenyiStack:
             embed = mc.tensor(np.eye(da), frame)
             self.groups.append((idx, frame, mc.dagger(embed) @ rhos[idx] @ embed, k_pow[idx]))
 
-    def _step(self, rho, k_pow, sigma: np.ndarray):
-        """D_p(rho || K (x) sigma) for each item (penalized as in :meth:`_value`)
-        and the fixed-point target tr_A[s^p], from one eigh of s (:meth:`_sandwich`)."""
-        _, v, mask, _, s = self._sandwich(rho, k_pow, sigma)
-        ws, vs = np.linalg.eigh(s)
-        ws = np.clip(ws, 0.0, None) ** self.p
-        s_p = mc.hermitize((vs * ws[..., None, :]) @ mc.dagger(vs))
-        value = self._value(np.sum(ws, axis=-1), rho, v, mask)
-        return value, mc.partial_trace(s_p, (k_pow.shape[-1], sigma.shape[-1]), "B")
-
-    def _sandwich(self, rho, k_pow, sigma: np.ndarray):
-        """Eigenvalues w (1 off the support mask) and vectors v of each sigma,
-        a = K^(-1/2p') (x) sigma^(-1/2p') and the sandwich s = a rho a."""
+    def _evaluate(self, rho, k_pow, sigma: np.ndarray, grads: bool = False):
+        """D_p(rho || K (x) sigma) of each item, a large finite penalty in place
+        of +inf where rho has mass off the support of 1 (x) sigma, from one eigh
+        of sigma and one of s = a rho a, a = K^(-1/2p') (x) sigma^(-1/2p'); then
+        the fixed-point target tr_A[s^p] or, with ``grads``, the gradients G in
+        rho and in sigma (hermitian, dD = tr(G d.)): with Q = tr s^p, p' a
+        s^(p-1) a / (Q ln 2) and p' V (Gamma o V* Y V) V* / (Q ln 2), where
+        Y = tr_A[(K^(-1/2p') (x) 1) Z], Z = rho a s^(p-1) + h.c., sigma = V
+        diag(w) V* and Gamma the divided differences of w^(-1/2p') on the support."""
+        c, da, db = -0.5 / self.p_conj, k_pow.shape[-1], sigma.shape[-1]
         w, v = np.linalg.eigh(mc.hermitize(sigma))
         mask = mc.support_mask(w)
         w = np.where(mask, w, 1.0)
-        a = mc.tensor(k_pow, (v * (w ** (-0.5 / self.p_conj) * mask)[..., None, :]) @ mc.dagger(v))
-        return w, v, mask, a, mc.hermitize(a @ rho @ a)
-
-    def _value(self, q: np.ndarray, rho, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """log2(Q) / (p - 1) for each item's Q = tr s^p, with a large finite
-        penalty in place of +inf where rho has mass outside the support of
-        1 (x) sigma (eigenvectors v, support ``mask``)."""
+        a = mc.tensor(k_pow, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
+        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
+        ws = np.clip(ws, 0.0, None)
+        q = np.sum(ws**self.p, axis=-1)
         value = self.p_conj * np.log2(q ** (1 / self.p))
         thin = np.flatnonzero(~mask.all(axis=-1))
         if thin.size:
             off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
-            eye_a = np.eye(rho.shape[-1] // v.shape[-1])
-            leak = np.trace(mc.tensor(eye_a, off) @ rho[thin], axis1=1, axis2=2).real
+            leak = np.trace(mc.tensor(np.eye(da), off) @ rho[thin], axis1=1, axis2=2).real
             value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
-        return value
+        if not grads:
+            s_p = mc.hermitize((vs * (ws**self.p)[..., None, :]) @ mc.dagger(vs))
+            return value, mc.partial_trace(s_p, (da, db), "B")
+        scale = self.p_conj / (q * math.log(2.0))
+        x = a @ (vs * (scale[:, None] * ws ** (self.p - 1))[..., None, :]) @ mc.dagger(vs)
+        z = rho @ x
+        y = mc.partial_trace(mc.tensor(k_pow, np.eye(db)) @ (z + mc.dagger(z)), (da, db), "B")
+        # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
+        log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
+        den = np.expm1(log_ratio)
+        gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
+        gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
+        grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
+        return value, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
 
     def _project(self, frame: np.ndarray, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
         """``project`` (a map on B) item by item, renormalized unless not
@@ -244,7 +252,7 @@ class _RenyiStack:
             sigma = mc.dagger(frame) @ self.rho_b[idx] @ frame
             tr = np.trace(sigma, axis1=1, axis2=2).real
             sigma = self._project(frame, sigma / tr[:, None, None])
-            value, target = self._step(rho, k_pow, sigma)
+            value, target = self._evaluate(rho, k_pow, sigma)
             m, active = len(idx), np.arange(len(idx))
             beta, last, iters = np.full(m, beta0), np.full(m, np.inf), np.full(m, max_iter)
             fixed, was_flat, polished = np.zeros((3, m), dtype=bool)
@@ -258,7 +266,7 @@ class _RenyiStack:
                 b = beta[active][:, None, None]
                 new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
                 cand = self._project(frame[active], mc.hermitize(new))
-                cand_val, cand_target = self._step(rho[active], k_pow[active], cand)
+                cand_val, cand_target = self._evaluate(rho[active], k_pow[active], cand)
                 rise = cand_val - value[active]
                 up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
                 drop, prev = np.maximum(-rise, 0.0), last[active]
@@ -277,39 +285,14 @@ class _RenyiStack:
             self.converged[idx], self.fixed[idx], self.iterations[idx] = fixed | polished, fixed, iters
         return self
 
-    def _gradient(self, rho, k_pow, sigma: np.ndarray):
-        """D_p(rho || K (x) sigma) for each item, penalized as in :meth:`_step`,
-        and its gradients G in rho and in sigma (hermitian, dD = tr(G d.)).
-        With s = a rho a, a = K^(-1/2p') (x) sigma^(-1/2p') and Q = tr s^p:
-        the rho-gradient is p' a s^(p-1) a / (Q ln 2); the sigma-gradient is
-        p' V (Gamma o V* Y V) V* / (Q ln 2) with Y = tr_A[(K^(-1/2p') (x) 1) Z],
-        Z = rho a s^(p-1) + h.c., sigma = V diag(w) V* and Gamma the divided
-        differences of w -> w^(-1/2p') (zero off the support of sigma)."""
-        c, da, db = -0.5 / self.p_conj, k_pow.shape[-1], sigma.shape[-1]
-        w, v, mask, a, s = self._sandwich(rho, k_pow, sigma)
-        ws, vs = np.linalg.eigh(s)
-        ws = np.clip(ws, 0.0, None)
-        q = np.sum(ws**self.p, axis=-1)
-        scale = self.p_conj / (q * math.log(2.0))
-        x = a @ (vs * (scale[:, None] * ws ** (self.p - 1))[..., None, :]) @ mc.dagger(vs)
-        z = rho @ x
-        y = mc.partial_trace(mc.tensor(k_pow, np.eye(db)) @ (z + mc.dagger(z)), (da, db), "B")
-        # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
-        log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
-        den = np.expm1(log_ratio)
-        gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
-        gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
-        grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
-        return self._value(q, rho, v, mask), mc.hermitize(x @ a), mc.hermitize(grad_sigma)
-
     def _fallback(self, rho, k_pow, frame, value: float, sigma: np.ndarray):
         """One L-BFGS-B polish of one item from its accepted iterate, with the
-        exact gradient (:meth:`_gradient`, taken back through ``project``);
+        exact gradient (:meth:`_evaluate`, taken back through ``project``);
         returns it where it is lower by more than 1e-12, else the iterate, and
         whether the returned point is a polish that reported success."""
 
         def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
-            v, _, grad = self._gradient(rho, k_pow, self._project(frame, s))
+            v, _, grad = self._evaluate(rho, k_pow, self._project(frame, s), grads=True)
             return float(v[0]), self._project(frame, grad, normalize=False)
 
         m0 = mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5)
@@ -322,6 +305,17 @@ class _RenyiStack:
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return value, sigma, False
 
+    def rho_gradients(self) -> np.ndarray:
+        """Each item's gradient in rho of D_p(rho || K (x) sigma) at its
+        ``sigma`` (set by :meth:`minimize`), embedded back on A (x) B."""
+        da, db = self.dims
+        out = np.zeros((len(self.rho_b), da * db, da * db), dtype=complex)
+        for idx, frame, rho, k_pow in self.groups:
+            grad = self._evaluate(rho, k_pow, mc.dagger(frame) @ self.sigma[idx] @ frame, grads=True)[1]
+            embed = mc.tensor(np.eye(da), frame)
+            out[idx] = embed @ grad @ mc.dagger(embed)
+        return out
+
     def improve(self, sigmas: np.ndarray) -> None:
         """One candidate sigma on B per item, compressed, normalized and
         projected, replaces the item's optimum where its value is lower."""
@@ -331,7 +325,7 @@ class _RenyiStack:
             ok = tr > 0
             it, f = idx[ok], frame[ok]
             sc = self._project(f, mc.hermitize(sc[ok] / tr[ok, None, None]))
-            cv = self._step(rho[ok], k_pow[ok], sc)[0]
+            cv = self._evaluate(rho[ok], k_pow[ok], sc)[0]
             win = cv < self.value[it]
             self.value[it[win]], self.sigma[it[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
             self.converged[it[win]] = self.fixed[it[win]]
@@ -351,22 +345,26 @@ def minimize_renyi_divergence(
     """inf over densities sigma of D_p(rho_AB || K_A (x) sigma_B).
 
     K_A defaults to the identity (conditional-entropy form); passing the A
-    marginal gives the Renyi mutual information.  ``project`` optionally
-    maps each sigma iterate into a restricted domain (e.g. a conditional
-    expectation onto a subalgebra).  The L-BFGS-B fallback takes its exact
-    gradient back through ``project`` as through its own adjoint, so the
-    polish gradient is exact when ``project`` is linear and HS-self-adjoint
-    and preserves the trace, as a conditional expectation does; any other
-    map still gives feasible values, with a weaker polish.
-    ``sigma_candidates`` are extra feasible points whose values are taken
-    into account (the infimum can only improve).  ``converged`` is True only
-    when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
-    the returned sigma is an L-BFGS-B polish that reported success;
-    ``iterations`` counts the fixed-point rounds.  ``seed`` is accepted for
-    compatibility; the minimization is deterministic.
+    marginal gives the Renyi mutual information.  When supp rho_A leaves
+    supp K_A the infimum is +inf (sigma = rho_B, converged, no iterations).
+    ``project`` optionally maps each sigma iterate into a restricted domain
+    (e.g. a conditional expectation onto a subalgebra).  The L-BFGS-B
+    fallback takes its exact gradient back through ``project`` as through
+    its own adjoint, so the polish gradient is exact when ``project`` is
+    linear and HS-self-adjoint and preserves the trace, as a conditional
+    expectation does; any other map still gives feasible values, with a
+    weaker polish.  ``sigma_candidates`` are extra feasible points whose
+    values are taken into account (the infimum can only improve).
+    ``converged`` is True only when the monotone fixed point met ``tol``
+    (``_RenyiStack.minimize``) or the returned sigma is an L-BFGS-B polish
+    that reported success; ``iterations`` counts the fixed-point rounds.
+    ``seed`` is accepted for compatibility; the minimization is deterministic.
     """
     k = None if k_a is None else mc.asmatrix(k_a)[None]
-    opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project).minimize(tol, max_iter)
+    opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project)
+    if k is not None and _leaves_support(mc.partial_trace(rho_ab, dims, "A"), k[0]):
+        return RenyiOptimum(math.inf, opt.rho_b[0], True, 0)
+    opt.minimize(tol, max_iter)
     for cand in sigma_candidates:
         opt.improve(mc.asmatrix(cand)[None])
     return RenyiOptimum(float(opt.value[0]), opt.sigma[0], bool(opt.converged[0]), int(opt.iterations[0]))
@@ -423,7 +421,7 @@ def renyi_mutual_information(
 
 
 def s1_sp_norm(rho_ab: np.ndarray, dims: tuple[int, int], p: float, seed: int = 0) -> float:
-    """||rho||_{S_1(B, S_p(A))} for positive rho, via -p' log2 ||.|| = H_p(A|B).
+    """||rho||_{S_1(B, S_p(A))} for a density rho, via -p' log2 ||.|| = H_p(A|B).
     ``seed`` is accepted for compatibility; the minimization is deterministic."""
     hp = conditional_renyi(rho_ab, dims, p, seed=seed).value
     p_conj = p / (p - 1.0)

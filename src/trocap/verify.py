@@ -163,15 +163,13 @@ def verify_entropic(
     slacks = [("H_AB_lower", hf - (h - defect)), ("H_AB_upper", h - hf)]
     slacks += [("I_c_lower", icf - ic), ("I_c_upper", ic + defect - icf)]
     slacks += [("I_lower", mif - mi), ("I_upper", mi + defect - mif)]
-    if renyi:
-        both = np.concatenate([omega, omega_f])
+    if renyi:  # omega and omega_f under K = 1 (I_cp) and under K = omega_A (I_p), in one stack
         k_a = mc.partial_trace(omega, dims, keep="A")
+        ks = np.concatenate([np.broadcast_to(np.eye(da, dtype=complex), (2 * samples, da, da)), k_a, k_a])
         for p in ps:
             gap = (p / (p - 1.0)) * math.log2(mc.normalized_p_norm(symbol.f, p))
-            for name, k in (("I_cp", None), ("I_p", np.concatenate([k_a, k_a]))):
-                # omega and omega_f in one stack
-                opt = _RenyiStack(both, dims, p, k).minimize()
-                v, vf = opt.value[:samples], opt.value[samples:]
+            values = _RenyiStack(np.concatenate([omega, omega_f] * 2), dims, p, ks).minimize().value
+            for name, (v, vf) in zip(("I_cp", "I_p"), values.reshape(2, 2, samples)):
                 slacks += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
     _record(report, [_digest(r) for r in rho], slacks)
     return report

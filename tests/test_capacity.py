@@ -747,6 +747,19 @@ class TestRegions:
         with pytest.raises(OutOfRange):
             cap.cqe_region_vertices([(2, 2)], -0.1, 0.0)
 
+    @pytest.mark.parametrize("lam, mu", [(math.nan, 0.0), (0.0, math.nan), (0.0, math.inf), (math.inf, math.inf)])
+    @pytest.mark.parametrize("fn", [cap.cqe_region_vertices, cap.rps_region_vertices])
+    def test_nan_and_infinite_mu_rejected(self, fn, lam, mu):
+        # each gave a NaN distribution and NaN right-hand sides
+        with pytest.raises(OutOfRange):
+            fn([(2, 2), (1, 1)], lam, mu)
+
+    @pytest.mark.parametrize("fn", [cap.cqe_region_vertices, cap.rps_region_vertices])
+    def test_infinite_lambda_is_the_limit_distribution(self, fn):
+        vert = fn([(2, 2), (1, 1)], math.inf, 0.0)
+        assert vert.distribution.tolist() == [1.0, 0.0]
+        assert all(math.isfinite(v) for v in vert.constraints.values())
+
 
 class TestBoundReport:
     def test_lower_cannot_exceed_upper(self):

@@ -345,14 +345,14 @@ class TestRenyiConvergedFlag:
 
 class TestMonotoneStepControl:
     def _run(self, monkeypatch, rho, p):
-        real, values = ent._RenyiStack._step, []
+        real, values = ent._RenyiStack._evaluate, []
 
-        def recording(self, rho, k_pow, sigma):
-            out = real(self, rho, k_pow, sigma)
+        def recording(self, rho, k_pow, sigma, grads=False):
+            out = real(self, rho, k_pow, sigma, grads)
             values.append(float(out[0][0]))
             return out
 
-        monkeypatch.setattr(ent._RenyiStack, "_step", recording)
+        monkeypatch.setattr(ent._RenyiStack, "_evaluate", recording)
         opt = ent._RenyiStack(rho[None], (2, 3), p).minimize()
         monkeypatch.undo()
         return opt, values
@@ -469,6 +469,20 @@ class TestRenyiMutualInformation:
         psi = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
         rho = np.outer(psi, psi.conj())
         assert ent.renyi_mutual_information(rho, (d, d), p) == pytest.approx(2 * math.log2(d), abs=1e-8)
+
+
+class TestKernelSupport:
+    def test_k_missing_the_a_marginal_is_infinite(self):
+        # Q = 0 gave -inf, then NaN, then a LinAlgError from eigh
+        rho = np.kron(E00, np.eye(2) / 2)
+        opt = ent.minimize_renyi_divergence(rho, (2, 2), 2.0, k_a=E11)
+        assert opt.value == math.inf and opt.converged and opt.iterations == 0
+        assert np.array_equal(opt.sigma, np.eye(2) / 2)
+
+    def test_k_covering_the_a_marginal_is_finite(self):
+        rho = np.kron(E00, np.eye(2) / 2)
+        opt = ent.minimize_renyi_divergence(rho, (2, 2), 2.0, k_a=E00)
+        assert opt.value == pytest.approx(0.0, abs=1e-9) and opt.converged
 
 
 class TestSigmaCandidates:
@@ -817,18 +831,43 @@ class TestRenyiGradient:
         rng = np.random.default_rng(25)
         rb = frame.shape[-1]
         sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
-        value, grad_rho, grad_sigma = stack._gradient(rho_c, k_pow, sigma)
-        assert value[0] == pytest.approx(stack._step(rho_c, k_pow, sigma)[0][0], abs=1e-14)
+        value, grad_rho, grad_sigma = stack._evaluate(rho_c, k_pow, sigma, grads=True)
+        assert value[0] == pytest.approx(stack._evaluate(rho_c, k_pow, sigma)[0][0], abs=1e-14)
 
         def in_sigma(s):
-            return stack._step(rho_c, k_pow, s)[0][0]
+            return stack._evaluate(rho_c, k_pow, s)[0][0]
 
         def in_rho(r):
-            return stack._step(r, k_pow, sigma)[0][0]
+            return stack._evaluate(r, k_pow, sigma)[0][0]
 
         for f, x, grad in ((in_sigma, sigma, grad_sigma), (in_rho, rho_c, grad_rho)):
             e = mc.hermitize(mc.random_complex(rng, x.shape[1:]))[None]
             coarse, fine = _central_errors(f, x, grad, e / mc.frobenius(e[0]))
+            assert fine < max(coarse / 20, 1e-9)
+
+    @pytest.mark.parametrize("form", ["I_cp", "I_p"])
+    def test_rho_gradients_of_a_two_group_stack(self, form):
+        # B supports of rank 2 and 3: each item's gradient on A (x) B against
+        # central differences of D_p(rho || K (x) sigma) at its sigma, along
+        # directions inside the support of 1 (x) sigma (off it D_p is +inf)
+        rng, dims, p, c = np.random.default_rng(29), (2, 3), 2.0, -1 / 4  # c = -1/2p'
+        rhos = np.concatenate([_thin_outputs(), [mc.random_density(rng, 6) for _ in range(2)]])
+        k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
+        stack = ent._RenyiStack(rhos, dims, p, k_as).minimize()
+        assert len(stack.groups) == 2
+        grads = stack.rho_gradients()
+        for i, rho in enumerate(rhos):
+            k = np.eye(2) if k_as is None else k_as[i]
+            a = np.kron(mc.matrix_power(k, c), mc.matrix_power(stack.sigma[i], c))
+            proj = np.kron(np.eye(2), mc.support_projector(stack.sigma[i]))
+
+            def value(r):
+                w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ r @ a)), 0.0, None)
+                return math.log2(np.sum(w**p)) / (p - 1)
+
+            assert value(rho) == pytest.approx(stack.value[i], abs=1e-12)
+            e = proj @ mc.hermitize(mc.random_complex(rng, (6, 6))) @ proj
+            coarse, fine = _central_errors(value, rho, grads[i], e / mc.frobenius(e))
             assert fine < max(coarse / 20, 1e-9)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -876,7 +915,7 @@ class TestDensitySearch:
             sigma = (mc.random_density(rng, dims[1]) + np.eye(dims[1]) / dims[1])[None] / 2
 
             def fun(r):
-                value, grad, _ = stack._gradient(r, k_pow, sigma)
+                value, grad, _ = stack._evaluate(r, k_pow, sigma, grads=True)
                 return float(value[0]), grad
 
             return fun, mc.random_complex(rng, (dims[0] * dims[1], 1))
@@ -884,7 +923,7 @@ class TestDensitySearch:
         ((_, frame, rho_c, k_pow),) = stack.groups
 
         def fun(s):
-            value, _, grad = stack._gradient(rho_c, k_pow, stack._project(frame, s))
+            value, _, grad = stack._evaluate(rho_c, k_pow, stack._project(frame, s), grads=True)
             return float(value[0]), stack._project(frame, grad, normalize=False)
 
         return fun, mc.random_complex(rng, (frame.shape[-1],) * 2)

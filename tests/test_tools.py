@@ -1,0 +1,23 @@
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scaling_runs_the_smallest_case_of_each_curve():
+    # every curve of every section, so a renamed or removed call (the
+    # structure section reaches the private algebra._closed_structure) fails here
+    scaling = load_tool("scaling")
+    curves = {}
+    for section, name, size, setup in scaling.CASES:
+        curves.setdefault((section, name), []).append((size, setup))
+    assert {section for section, _ in curves} == {"structure", "verify", "optimizers"}
+    for cases in curves.values():
+        min(cases, key=lambda case: case[0])[1]()()

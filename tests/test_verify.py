@@ -237,7 +237,7 @@ class TestEntropicStack:
             assert slack == pytest.approx(expected, abs=1e-12), name
 
     @pytest.mark.parametrize("samples", [1, 5])
-    def test_one_minimizer_call_per_exponent_and_form(self, monkeypatch, samples):
+    def test_one_minimizer_call_per_exponent(self, monkeypatch, samples):
         import trocap.entropy as ent
 
         calls = []
@@ -250,7 +250,7 @@ class TestEntropicStack:
         monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
         space, sym = dephasing_pair(0.7)
         verify.verify_entropic(space, sym, samples=samples, seed=0, ps=(1.5, 2.0, 4.0))
-        assert calls == [2 * samples] * 6  # omega and omega_f of every sample at once
+        assert calls == [4 * samples] * 3  # omega and omega_f of every sample, under both K, at once
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,142 @@
+"""Print the scaling curves of the checkout holding this file.
+
+    python3 tools/scaling.py
+
+Run as a script, it sets one BLAS thread (the thread variables are set before
+numpy loads) and prints, for each case of CASES, the minimum wall time of 3
+runs.  The size column is the variable of the case's curve:
+  - structure: validate_symbol on the completely dephasing channel of
+    dimension k with the kernel of a seeded Schur multiplier of cyclic(k) (a
+    Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48; the
+    triple-product closure and block decomposition of the dilation range of
+    the tensor square of the completely dephasing channel of dimension k, a
+    span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
+  - verify: each of the three suites with the arguments `trocap verify`
+    passes (the channel's own space and symbol, that pair twice for the
+    tensor suite) on phi_alpha(0.4) and the Pauli mixture (0.4, 0.3, 0.2,
+    0.1), at 16, 64 and 256 samples;
+  - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
+    and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
+    the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
+    and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2; and
+    renyi_coherent_channel at p = 2, one restart, on the qubit dephasing
+    channel of parameter 0.3 and on phi_alpha(0.4) (size: input dimension).
+
+Each case is (section, name, size, setup); setup() builds the inputs and
+returns the call to time.
+"""
+
+import os
+import sys
+import time
+from functools import partial
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import numpy as np  # noqa: E402
+
+from trocap import algebra, builders, capacity, channel, entropy, matcore, verify  # noqa: E402
+
+REPEAT = 3
+
+
+def schur_kernel(k: int) -> np.ndarray:
+    """Kernel matrix of phi = the Fourier transform of a seeded probability vector on cyclic(k)."""
+    p = np.random.default_rng(0).random(k)
+    four = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+    return (four * (p / p.sum())) @ four.conj().T
+
+
+def validate_case(k: int):
+    ch, f = builders.completely_dephasing_channel(k), schur_kernel(k)
+    return lambda: algebra.validate_symbol(ch, f)
+
+
+def closure_case(k: int):
+    d = builders.completely_dephasing_channel(k)
+    basis = channel.stinespring_space(channel.tensor_channels(d, d)).basis
+    return lambda: algebra._closed_structure(basis, 0)
+
+
+def verify_pair(name: str):
+    if name == "phi_alpha(0.4)":
+        bundle = builders.phi_alpha(0.4)
+        return bundle.space, bundle.symbol
+    pauli = builders.group_random_unitary(builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    return pauli.base_space, pauli.symbol
+
+
+SUITES = {
+    "local_comparison": lambda sp, sy, n: verify.verify_local_comparison(sp, sy, samples=n),
+    "entropic": lambda sp, sy, n: verify.verify_entropic(sp, sy, samples=n),
+    "tensor_symbol": lambda sp, sy, n: verify.verify_tensor_symbol(sp, sy, sp, sy, samples=n),
+}
+
+
+def verify_case(name: str, suite: str, n: int):
+    space, symbol = verify_pair(name)
+    return lambda: SUITES[suite](space, symbol, n)
+
+
+def renyi_stack_case(n: int):
+    ch = builders.phi_alpha(0.4).channel
+    d = ch.dim_in
+    rhos = np.array([matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
+    omegas = verify._apply_ancilla(ch, rhos, d)
+    return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), 2.0).minimize()
+
+
+def one_shot_case(restarts: int):
+    ch = builders.partial_trace_sum_channel([(2, 2), (3, 1)])
+    return lambda: capacity.one_shot_q(ch, restarts=restarts)
+
+
+def negative_cb_case(restarts: int):
+    ch = builders.phi_alpha(0.4).channel
+    return lambda: capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
+
+
+def renyi_channel_case(name: str):
+    ch = builders.qubit_dephasing(0.3) if name == "dephasing(0.3)" else builders.phi_alpha(0.4).channel
+    return lambda: capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
+
+
+VERIFY_CHANNELS = ("phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)")
+CASES = [
+    *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k))
+      for k in (8, 16, 24, 32, 48)),
+    *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k))
+      for k in (4, 6, 8)),
+    *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
+      for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
+    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n))
+      for n in (16, 64, 256)),
+    ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
+    ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 16)),
+    ("optimizers", "renyi_coherent_channel dephasing(0.3) p 2 (input dim)", 2,
+     partial(renyi_channel_case, "dephasing(0.3)")),
+    ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
+     partial(renyi_channel_case, "phi_alpha(0.4)")),
+]
+
+
+def best_of(fn) -> float:
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def main() -> None:
+    print(f"{'section':<12}{'case':<60}{'size':>6}{'min s':>10}")
+    for section, name, size, setup in CASES:
+        print(f"{section:<12}{name:<60}{size:>6}{best_of(setup()):>10.4f}")
+
+
+if __name__ == "__main__":
+    main()
