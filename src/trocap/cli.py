@@ -268,8 +268,8 @@ def _parse_grid(text: str, where: str) -> list[float]:
         a, b, step = (float(v) for v in parts)
     except ValueError as exc:
         raise SpecError(f"{where}: non-numeric grid bounds") from exc
-    if not (step > 0 and b >= a and math.isfinite(b - a)):
-        raise SpecError(f"{where}: need step > 0 and finite b >= a")
+    if not (step > 0 and b >= a and math.isfinite((b - a) / step)):
+        raise SpecError(f"{where}: need step > 0, finite b >= a and finitely many points")
     # each point from its index, so rounding does not pile up along the grid
     count = math.floor((b - a) / step + 1e-9) + 1
     return [round(a + i * step, 12) for i in range(count)]

@@ -11,7 +11,8 @@ once, each item with its own step, halved whenever an update would raise the
 value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
 with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
 polish from their last iterate (``_density_search``), none from random starts.
-Every value, fixed-point target and gradient comes from one kernel, ``_evaluate``.
+Every value, fixed-point target and gradient comes from one kernel, ``_evaluate``,
+on all of B; an optional ``project`` acts on all of B, after the cut to B's support.
 """
 
 from __future__ import annotations
@@ -159,31 +160,29 @@ def _density_search(fun, m0: np.ndarray, options: dict) -> tuple[float, np.ndarr
 
 class _RenyiStack:
     """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a
-    stack of states rho_i on A (x) B, all items advancing together.  B is
-    compressed onto the support of each item's B marginal; the items of one
-    support rank form a group (their stack positions, support frames
-    (n, dB, rb), compressed states and K^(-1/2p')).  :meth:`_evaluate` is
-    the one kernel.  :meth:`minimize` fills the per-item arrays ``value``,
-    ``sigma``, ``converged``, ``fixed`` (the fixed point met its tolerance)
-    and ``iterations``; :meth:`rho_gradients` gives the gradients in rho."""
+    stack of states rho_i on A (x) B, all items advancing together in one
+    frame each, the full eigenbasis (n, dB, dB) of the item's B marginal:
+    ``rho`` holds the states in it with the B rows and columns off the
+    marginal's support set to zero (``keep`` marks the entries on it), and
+    ``k_pow`` the K^(-1/2p').  :meth:`_evaluate` is the one kernel.
+    :meth:`minimize` fills the per-item arrays ``value``, ``sigma``,
+    ``converged``, ``fixed`` (the fixed point met its tolerance) and
+    ``iterations``; :meth:`rho_gradients` gives the gradients in rho."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
             raise BadExponent(f"optimizer needs finite p > 1, got {p}")
         rhos = np.asarray(rhos, dtype=complex)
-        (da, db), n = dims, len(rhos)
+        da, n = dims[0], len(rhos)
         self.p, self.p_conj, self.project, self.dims = p, p / (p - 1.0), project, dims
         k = np.eye(da, dtype=complex) if k_as is None else k_as
-        k_pow = np.broadcast_to(mc.matrix_power(k, -1.0 / (2.0 * self.p_conj)), (n, da, da))
+        self.k_pow = np.broadcast_to(mc.matrix_power(k, -1.0 / (2.0 * self.p_conj)), (n, da, da))
         self.rho_b = mc.partial_trace(rhos, dims, "B")
-        wb, vb = mc.herm_eig(self.rho_b)
-        ranks = mc.support_mask(wb).sum(axis=-1)
-        self.groups = []
-        for rb in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
-            idx = np.flatnonzero(ranks == rb)
-            frame = vb[idx][..., db - rb :]  # eigenvalues ascend: the support comes last
-            embed = mc.tensor(np.eye(da), frame)
-            self.groups.append((idx, frame, mc.dagger(embed) @ rhos[idx] @ embed, k_pow[idx]))
+        wb, self.frame = mc.herm_eig(self.rho_b)
+        on = mc.support_mask(wb)
+        self.keep = on[:, :, None] & on[:, None, :]  # entries of sigma on the support
+        embed = mc.tensor(np.eye(da), self.frame)
+        self.rho = np.where(np.tile(self.keep, (da, da)), mc.dagger(embed) @ rhos @ embed, 0)
 
     def _evaluate(self, rho, k_pow, sigma: np.ndarray, grads: bool = False):
         """D_p(rho || K (x) sigma) of each item, a large finite penalty in place
@@ -223,84 +222,79 @@ class _RenyiStack:
         grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
         return value, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
 
-    def _project(self, frame: np.ndarray, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
-        """``project`` (a map on B) item by item, renormalized unless not
-        ``normalize``; an item whose renormalized projection has no trace
-        keeps its sigma."""
-        out = sigma.copy()
-        for j, f in enumerate(frame if self.project is not None else ()):
-            s = mc.hermitize(mc.dagger(f) @ self.project(f @ sigma[j] @ mc.dagger(f)) @ f)
-            tr = float(np.trace(s).real) if normalize else 1.0
-            if tr > 0:
-                out[j] = s / tr
-        return out
+    def _project(self, idx, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
+        """``project`` on all of B for the items ``idx`` (f* project(f s f*) f, f
+        the item's frame), renormalized unless not ``normalize``; sigma as is without one."""
+        if self.project is None or not len(sigma):
+            return sigma
+        f = self.frame[idx]
+        s = mc.hermitize(mc.dagger(f) @ np.array([self.project(x) for x in f @ sigma @ mc.dagger(f)]) @ f)
+        return s / np.trace(s, axis1=1, axis2=2).real[:, None, None] if normalize else s
+
+    def _feasible(self, idx, sigma: np.ndarray) -> np.ndarray:
+        """A start or candidate sigma of the items ``idx`` (in their frames) cut
+        to each item's B support, then :meth:`_project`: no cut follows ``project``."""
+        return self._project(idx, np.where(self.keep[idx], sigma, 0))
 
     def minimize(self, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
         """Monotone damped fixed point: each round every active item tries
-        project((1-b) sigma + b T/tr T), T = tr_A[s^p] at its sigma, and keeps
-        it unless the value rises, which halves b (from b0 = min(1/2, 0.9/p)).
-        Two rounds in a row that move the value by less than tol b/b0 fix an
-        item when the second is a rise or a decrease d with d/(1-r) < tol, r =
-        d over the decrease before (the tail of a geometric series).  An item
-        whose T has no trace, whose b falls below 1e-10 or that is not fixed
-        after ``max_iter`` rounds (``iterations`` counts rounds) gets one L-BFGS-B polish."""
-        n, db = self.rho_b.shape[:2]
-        self.value, self.sigma = np.empty(n), np.empty((n, db, db), dtype=complex)
-        self.converged, self.fixed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.iterations, beta0 = np.full(n, max_iter), min(0.5, 0.9 / self.p)
-        for idx, frame, rho, k_pow in self.groups:
-            sigma = mc.dagger(frame) @ self.rho_b[idx] @ frame
-            tr = np.trace(sigma, axis1=1, axis2=2).real
-            sigma = self._project(frame, sigma / tr[:, None, None])
-            value, target = self._evaluate(rho, k_pow, sigma)
-            m, active = len(idx), np.arange(len(idx))
-            beta, last, iters = np.full(m, beta0), np.full(m, np.inf), np.full(m, max_iter)
-            fixed, was_flat, polished = np.zeros((3, m), dtype=bool)
-            for j in range(max_iter):
-                tr = np.trace(target[active], axis1=1, axis2=2).real
-                ok = np.isfinite(tr) & (tr > 0) & (beta[active] >= 1e-10)
-                iters[active[~ok]] = j
-                active, tr = active[ok], tr[ok]
-                if not active.size:
-                    break
-                b = beta[active][:, None, None]
-                new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
-                cand = self._project(frame[active], mc.hermitize(new))
-                cand_val, cand_target = self._evaluate(rho[active], k_pow[active], cand)
-                rise = cand_val - value[active]
-                up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
-                drop, prev = np.maximum(-rise, 0.0), last[active]
-                rate = np.divide(drop, prev, out=np.zeros_like(drop), where=prev > 0)
-                met = flat & was_flat[active] & (up | (drop < tol * (1.0 - rate)))
-                was_flat[active], last[active] = flat, np.where(up, np.inf, drop)
-                win = active[~up]
-                value[win], sigma[win], target[win] = cand_val[~up], cand[~up], cand_target[~up]
-                beta[active[up]] /= 2
-                fixed[active[met]], iters[active[met]] = True, j + 1
-                active = active[~met]
-            for i in np.flatnonzero(~fixed):
-                one = (rho[i : i + 1], k_pow[i : i + 1], frame[i : i + 1])
-                value[i], sigma[i], polished[i] = self._fallback(*one, value[i], sigma[i])
-            self.value[idx], self.sigma[idx] = value, frame @ sigma @ mc.dagger(frame)
-            self.converged[idx], self.fixed[idx], self.iterations[idx] = fixed | polished, fixed, iters
+        the :meth:`_feasible` (1-b) sigma + b T/tr T, T = tr_A[s^p] at its
+        sigma, and keeps it unless the value rises, which halves b (from b0 =
+        min(1/2, 0.9/p)).  Two rounds in a row that move the value by less
+        than tol b/b0 fix an item when the second is a rise or a decrease d
+        with d/(1-r) < tol, r = d over the decrease before (the tail of a
+        geometric series).  An item whose T has no trace, whose b falls below
+        1e-10 or that is not fixed after ``max_iter`` rounds (``iterations``
+        counts rounds) gets one L-BFGS-B polish."""
+        rho, k_pow, frame, n = self.rho, self.k_pow, self.frame, len(self.rho)
+        sigma = self._feasible(slice(None), mc.dagger(frame) @ self.rho_b @ frame)
+        sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
+        value, target = self._evaluate(rho, k_pow, sigma)
+        active, beta0 = np.arange(n), min(0.5, 0.9 / self.p)
+        beta, last, self.iterations = np.full(n, beta0), np.full(n, np.inf), np.full(n, max_iter)
+        self.fixed, was_flat, polished = np.zeros((3, n), dtype=bool)
+        for j in range(max_iter):
+            tr = np.trace(target[active], axis1=1, axis2=2).real
+            ok = np.isfinite(tr) & (tr > 0) & (beta[active] >= 1e-10)
+            self.iterations[active[~ok]] = j
+            active, tr = active[ok], tr[ok]
+            if not active.size:
+                break
+            b = beta[active][:, None, None]
+            new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
+            cand = self._feasible(active, mc.hermitize(new))
+            cand_val, cand_target = self._evaluate(rho[active], k_pow[active], cand)
+            rise = cand_val - value[active]
+            up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
+            drop, prev = np.maximum(-rise, 0.0), last[active]
+            rate = np.divide(drop, prev, out=np.zeros_like(drop), where=prev > 0)
+            met = flat & was_flat[active] & (up | (drop < tol * (1.0 - rate)))
+            was_flat[active], last[active] = flat, np.where(up, np.inf, drop)
+            win = active[~up]
+            value[win], sigma[win], target[win] = cand_val[~up], cand[~up], cand_target[~up]
+            beta[active[up]] /= 2
+            self.fixed[active[met]], self.iterations[active[met]] = True, j + 1
+            active = active[~met]
+        for i in np.flatnonzero(~self.fixed):
+            value[i], sigma[i], polished[i] = self._fallback(slice(i, i + 1), value[i], sigma[i])
+        self.value, self.sigma, self.converged = value, frame @ sigma @ mc.dagger(frame), self.fixed | polished
         return self
 
-    def _fallback(self, rho, k_pow, frame, value: float, sigma: np.ndarray):
+    def _fallback(self, item: slice, value: float, sigma: np.ndarray):
         """One L-BFGS-B polish of one item from its accepted iterate, with the
         exact gradient (:meth:`_evaluate`, taken back through ``project``);
         returns it where it is lower by more than 1e-12, else the iterate, and
         whether the returned point is a polish that reported success."""
 
         def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
-            v, _, grad = self._evaluate(rho, k_pow, self._project(frame, s), grads=True)
-            return float(v[0]), self._project(frame, grad, normalize=False)
+            v, _, grad = self._evaluate(self.rho[item], self.k_pow[item], self._project(item, s), grads=True)
+            return float(v[0]), self._project(item, grad, normalize=False)
 
         m0 = mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5)
-        opts = {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
-        _, polish, success = _density_search(fun, m0, opts)
+        _, polish, success = _density_search(fun, m0, {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
         polish_val = fun(polish)[0]  # the value of the returned sigma itself
         if polish_val < value - 1e-12:
-            return polish_val, self._project(frame, polish)[0], success
+            return polish_val, self._project(item, polish)[0], success
         if not np.isfinite(value):
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return value, sigma, False
@@ -308,27 +302,23 @@ class _RenyiStack:
     def rho_gradients(self) -> np.ndarray:
         """Each item's gradient in rho of D_p(rho || K (x) sigma) at its
         ``sigma`` (set by :meth:`minimize`), embedded back on A (x) B."""
-        da, db = self.dims
-        out = np.zeros((len(self.rho_b), da * db, da * db), dtype=complex)
-        for idx, frame, rho, k_pow in self.groups:
-            grad = self._evaluate(rho, k_pow, mc.dagger(frame) @ self.sigma[idx] @ frame, grads=True)[1]
-            embed = mc.tensor(np.eye(da), frame)
-            out[idx] = embed @ grad @ mc.dagger(embed)
-        return out
+        frame = self.frame
+        grad = self._evaluate(self.rho, self.k_pow, mc.dagger(frame) @ self.sigma @ frame, grads=True)[1]
+        embed = mc.tensor(np.eye(self.dims[0]), frame)
+        return embed @ grad @ mc.dagger(embed)
 
     def improve(self, sigmas: np.ndarray) -> None:
-        """One candidate sigma on B per item, compressed, normalized and
-        projected, replaces the item's optimum where its value is lower."""
-        for idx, frame, rho, k_pow in self.groups:
-            sc = mc.dagger(frame) @ sigmas[idx] @ frame
-            tr = np.trace(sc, axis1=1, axis2=2).real
-            ok = tr > 0
-            it, f = idx[ok], frame[ok]
-            sc = self._project(f, mc.hermitize(sc[ok] / tr[ok, None, None]))
-            cv = self._evaluate(rho[ok], k_pow[ok], sc)[0]
-            win = cv < self.value[it]
-            self.value[it[win]], self.sigma[it[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
-            self.converged[it[win]] = self.fixed[it[win]]
+        """One candidate sigma on B per item with trace on the item's B
+        support, normalized there and made :meth:`_feasible`, replaces the
+        item's optimum where its value is lower."""
+        sc = mc.dagger(self.frame) @ sigmas @ self.frame
+        tr = np.trace(np.where(self.keep, sc, 0), axis1=1, axis2=2).real  # on the B support
+        idx = np.flatnonzero(tr > 0)
+        f, sc = self.frame[idx], self._feasible(idx, mc.hermitize(sc[idx] / tr[idx, None, None]))
+        cv = self._evaluate(self.rho[idx], self.k_pow[idx], sc)[0]
+        win = cv < self.value[idx]
+        self.value[idx[win]], self.sigma[idx[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
+        self.converged[idx[win]] = self.fixed[idx[win]]
 
 
 def minimize_renyi_divergence(
@@ -347,24 +337,25 @@ def minimize_renyi_divergence(
     K_A defaults to the identity (conditional-entropy form); passing the A
     marginal gives the Renyi mutual information.  When supp rho_A leaves
     supp K_A the infimum is +inf (sigma = rho_B, converged, no iterations).
-    ``project`` optionally maps each sigma iterate into a restricted domain
-    (e.g. a conditional expectation onto a subalgebra).  The L-BFGS-B
-    fallback takes its exact gradient back through ``project`` as through
-    its own adjoint, so the polish gradient is exact when ``project`` is
-    linear and HS-self-adjoint and preserves the trace, as a conditional
-    expectation does; any other map still gives feasible values, with a
-    weaker polish.  ``sigma_candidates`` are extra feasible points whose
-    values are taken into account (the infimum can only improve).
-    ``converged`` is True only when the monotone fixed point met ``tol``
-    (``_RenyiStack.minimize``) or the returned sigma is an L-BFGS-B polish
-    that reported success; ``iterations`` counts the fixed-point rounds.
+    ``project`` optionally maps sigma into a restricted domain (e.g. a
+    conditional expectation onto a subalgebra) and acts on all of B; the cut
+    to the support of rho_B applies only to the start and to candidates,
+    before it, so every sigma returned is its output.  The L-BFGS-B fallback
+    takes its exact gradient back through ``project`` as through its own
+    adjoint, so the polish gradient is exact when ``project`` is linear and
+    HS-self-adjoint and preserves the trace, as a conditional expectation
+    does; any other map still gives feasible values, with a weaker polish.
+    ``sigma_candidates`` are extra feasible points whose values are taken
+    into account (the infimum can only improve).  ``converged`` is True only
+    when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
+    the returned sigma is an L-BFGS-B polish that reported success;
+    ``iterations`` counts the fixed-point rounds.
     ``seed`` is accepted for compatibility; the minimization is deterministic.
     """
-    k = None if k_a is None else mc.asmatrix(k_a)[None]
-    opt = _RenyiStack(mc.asmatrix(rho_ab)[None], dims, p, k, project)
-    if k is not None and _leaves_support(mc.partial_trace(rho_ab, dims, "A"), k[0]):
-        return RenyiOptimum(math.inf, opt.rho_b[0], True, 0)
-    opt.minimize(tol, max_iter)
+    rho, k = mc.asmatrix(rho_ab)[None], None if k_a is None else mc.asmatrix(k_a)[None]
+    if k is not None and _leaves_support(mc.partial_trace(rho[0], dims, "A"), k[0]):
+        return RenyiOptimum(math.inf, mc.partial_trace(rho, dims, "B")[0], True, 0)
+    opt = _RenyiStack(rho, dims, p, k, project).minimize(tol, max_iter)
     for cand in sigma_candidates:
         opt.improve(mc.asmatrix(cand)[None])
     return RenyiOptimum(float(opt.value[0]), opt.sigma[0], bool(opt.converged[0]), int(opt.iterations[0]))
@@ -384,7 +375,8 @@ def conditional_renyi(
     sigma_candidates: tuple[np.ndarray, ...] = (),
 ) -> ConditionalRenyi:
     """H_p(A|B) = -inf_sigma D_p(rho_AB || 1_A (x) sigma_B), with minimizer;
-    ``seed`` is accepted for compatibility; the minimization is deterministic."""
+    ``project`` (on all of B) as in :func:`minimize_renyi_divergence`; ``seed``
+    is accepted for compatibility; the minimization is deterministic."""
     rho_ab = check_state(rho_ab)
     opt = minimize_renyi_divergence(
         rho_ab, dims, p, seed=seed, project=project, sigma_candidates=sigma_candidates

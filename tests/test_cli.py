@@ -505,7 +505,9 @@ class TestMalformedInput:
         assert _parse_grid("0:1:0.25", "--mu-grid") == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert _parse_grid("0:0.3:0.1", "--mu-grid") == [0.0, 0.1, 0.2, 0.3]
 
-    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:nan", "1:0:0.5"])
+    @pytest.mark.parametrize(
+        "grid", ["0:inf:1", "nan:1:0.5", "0:1:nan", "1:0:0.5", "0:1e308:1e-308", "0:1:1e-320"]
+    )
     def test_bad_grid_exits_2(self, tmp_path, capsys, grid):
         spec = write_spec(tmp_path, BLOCKS_SPEC)
         argv = ["region", spec, "--lambda-grid", grid, "--csv", str(tmp_path / "r.csv")]

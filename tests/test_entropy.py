@@ -367,9 +367,8 @@ class TestMonotoneStepControl:
             if v <= accepted[-1]:
                 accepted.append(v)
         assert opt.value[0] == accepted[-1] == min(values)
-        ((_, frame, rho_c, k_pow),) = opt.groups
-        start = mc.dagger(frame[0]) @ opt.sigma[0] @ frame[0]
-        polish = opt._fallback(rho_c, k_pow, frame, np.inf, start)[0]
+        start = mc.dagger(opt.frame[0]) @ opt.sigma[0] @ opt.frame[0]
+        polish = opt._fallback(slice(0, 1), np.inf, start)[0]
         assert opt.value[0] - polish < 1e-9
 
     def test_state_at_its_optimum_is_fixed_after_two_flat_rounds(self, monkeypatch):
@@ -479,10 +478,42 @@ class TestKernelSupport:
         assert opt.value == math.inf and opt.converged and opt.iterations == 0
         assert np.array_equal(opt.sigma, np.eye(2) / 2)
 
+    def test_k_missing_the_a_marginal_builds_no_stack(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built a stack for an infinite divergence")
+
+        monkeypatch.setattr(ent, "_RenyiStack", never)
+        opt = ent.minimize_renyi_divergence(np.kron(E00, np.eye(2) / 2), (2, 2), 2.0, k_a=E11)
+        assert opt.value == math.inf and np.array_equal(opt.sigma, np.eye(2) / 2)
+
     def test_k_covering_the_a_marginal_is_finite(self):
         rho = np.kron(E00, np.eye(2) / 2)
         opt = ent.minimize_renyi_divergence(rho, (2, 2), 2.0, k_a=E00)
         assert opt.value == pytest.approx(0.0, abs=1e-9) and opt.converged
+
+
+class TestProjectOnAllOfB:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_thin_marginal_stays_in_the_projected_domain(self, p):
+        # rho = rho_A (x) |0><0| and E onto span{1, X}: the feasible sigma are
+        # (1 + x X)/2, conjugation by Z fixes rho and flips x, so by convexity
+        # the restricted infimum sits at x = 0.  A support cut after E would
+        # return sigma = |0><0|, outside E's range and 1 bit below it
+        x_op = np.array([[0, 1], [1, 0]], dtype=complex)
+
+        def expect(s):
+            return (np.trace(s) * np.eye(2) + np.trace(x_op @ s) * x_op) / 2
+
+        rho = np.kron(mc.random_density(np.random.default_rng(0), 2), E00)
+        sigmas = [(np.eye(2) + x * x_op) / 2 for x in np.arange(-9, 10) / 10]
+        grid = [ent.sandwiched_renyi(rho, np.kron(np.eye(2), s), p) for s in sigmas]
+        infimum = grid[9]
+        assert infimum == min(grid)
+        if p == 2.0:
+            assert infimum == pytest.approx(0.6913656991598746, abs=1e-12)
+        opt = ent.minimize_renyi_divergence(rho, (2, 2), p, project=expect)
+        assert mc.frobenius(opt.sigma - expect(opt.sigma)) <= 1e-12
+        assert opt.value == pytest.approx(infimum, abs=1e-9)
 
 
 class TestSigmaCandidates:
@@ -751,9 +782,7 @@ class TestRenyiStack:
         make, dims = STACKS[name]
         rhos = make()
         k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
-        opt = assert_matches_loop(rhos, dims, p, k_as)
-        if name == "rank2of3":
-            assert len(opt.groups) == 2  # B supports of rank 2 and 3 in one call
+        assert_matches_loop(rhos, dims, p, k_as)
 
     def test_fallback_inside_a_stack_matches_loop(self):
         rhos = np.concatenate([crawling_state()[None], _thin_outputs()])
@@ -764,7 +793,7 @@ class TestRenyiStack:
     def test_candidates_match_sequential_loop(self, name):
         # minimizers found to a tighter tolerance beat the fixed point's, so
         # they replace some items' optima; on rank2of3 half their weight is
-        # put outside the first item's B support, which the compression drops
+        # put outside the first item's B support, which the cut to it drops
         make, dims = STACKS[name]
         rhos = make()
         tight = ent._RenyiStack(rhos, dims, 2.0).minimize(tol=1e-14).sigma
@@ -782,6 +811,18 @@ class TestRenyiStack:
             assert opt.value[i] == pytest.approx(value, abs=1e-12)
             assert bool(opt.converged[i]) == converged
             assert np.allclose(opt.sigma[i], sigma, atol=1e-9)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_mixed_rank_stack_under_a_pinching(self, p):
+        # B rank 2 of 3 and full rank: each item as its one-item call, and
+        # each sigma in the range of the pinching
+        rhos, pinch = _thin_outputs(), lambda s: np.diag(np.diag(s))
+        opt = ent._RenyiStack(rhos, (2, 3), p, project=pinch).minimize()
+        for i, rho in enumerate(rhos):
+            single = ent.minimize_renyi_divergence(rho, (2, 3), p, project=pinch)
+            assert single.value == opt.value[i] and single.iterations == opt.iterations[i]
+            assert np.array_equal(single.sigma, opt.sigma[i])
+            assert np.abs(opt.sigma[i] - pinch(opt.sigma[i])).max() <= 1e-12
 
     def test_single_state_is_a_stack_of_one(self):
         rhos = _qubit_outputs()
@@ -827,9 +868,9 @@ class TestRenyiGradient:
         rho, dims = _gradient_states()[name]
         k = None if form == "I_cp" else mc.partial_trace(rho, dims, "A")[None]
         stack = ent._RenyiStack(rho[None], dims, p, k)
-        ((_, frame, rho_c, k_pow),) = stack.groups
+        rho_c, k_pow = stack.rho, stack.k_pow
         rng = np.random.default_rng(25)
-        rb = frame.shape[-1]
+        rb = dims[1]
         sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
         value, grad_rho, grad_sigma = stack._evaluate(rho_c, k_pow, sigma, grads=True)
         assert value[0] == pytest.approx(stack._evaluate(rho_c, k_pow, sigma)[0][0], abs=1e-14)
@@ -846,15 +887,14 @@ class TestRenyiGradient:
             assert fine < max(coarse / 20, 1e-9)
 
     @pytest.mark.parametrize("form", ["I_cp", "I_p"])
-    def test_rho_gradients_of_a_two_group_stack(self, form):
-        # B supports of rank 2 and 3: each item's gradient on A (x) B against
+    def test_rho_gradients_of_a_mixed_rank_stack(self, form):
+        # B marginals of rank 2 and 3 of 3: each item's gradient on A (x) B against
         # central differences of D_p(rho || K (x) sigma) at its sigma, along
         # directions inside the support of 1 (x) sigma (off it D_p is +inf)
         rng, dims, p, c = np.random.default_rng(29), (2, 3), 2.0, -1 / 4  # c = -1/2p'
         rhos = np.concatenate([_thin_outputs(), [mc.random_density(rng, 6) for _ in range(2)]])
         k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
         stack = ent._RenyiStack(rhos, dims, p, k_as).minimize()
-        assert len(stack.groups) == 2
         grads = stack.rho_gradients()
         for i, rho in enumerate(rhos):
             k = np.eye(2) if k_as is None else k_as[i]
@@ -911,7 +951,7 @@ class TestDensitySearch:
         rng = np.random.default_rng(27)
         if shape == "purification":
             stack = ent._RenyiStack(rho[None], dims, 2.0)
-            ((_, _, _, k_pow),) = stack.groups
+            k_pow = stack.k_pow
             sigma = (mc.random_density(rng, dims[1]) + np.eye(dims[1]) / dims[1])[None] / 2
 
             def fun(r):
@@ -920,13 +960,13 @@ class TestDensitySearch:
 
             return fun, mc.random_complex(rng, (dims[0] * dims[1], 1))
         stack = ent._RenyiStack(rho[None], dims, 4.0, project=lambda s: np.diag(np.diag(s)))
-        ((_, frame, rho_c, k_pow),) = stack.groups
+        every = slice(None)
 
         def fun(s):
-            value, _, grad = stack._evaluate(rho_c, k_pow, stack._project(frame, s), grads=True)
-            return float(value[0]), stack._project(frame, grad, normalize=False)
+            value, _, grad = stack._evaluate(stack.rho, stack.k_pow, stack._project(every, s), grads=True)
+            return float(value[0]), stack._project(every, grad, normalize=False)
 
-        return fun, mc.random_complex(rng, (frame.shape[-1],) * 2)
+        return fun, mc.random_complex(rng, (dims[1],) * 2)
 
     @pytest.mark.parametrize("shape", ["purification", "pinched_sigma"])
     def test_packed_gradient_matches_central_differences(self, monkeypatch, shape):

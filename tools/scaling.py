@@ -18,8 +18,9 @@ runs.  The size column is the variable of the case's curve:
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
     the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
-    and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2; and
-    renyi_coherent_channel at p = 2, one restart, on the qubit dephasing
+    and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2, and on 16,
+    64 and 256 seeded states on 2 x 3 whose B marginal has rank 2 at p = 2;
+    and renyi_coherent_channel at p = 2, one restart, on the qubit dephasing
     channel of parameter 0.3 and on phi_alpha(0.4) (size: input dimension).
 
 Each case is (section, name, size, setup); setup() builds the inputs and
@@ -89,6 +90,13 @@ def renyi_stack_case(n: int):
     return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), 2.0).minimize()
 
 
+def thin_stack_case(n: int):
+    keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+    rhos = np.array([keep @ matcore.random_density(np.random.default_rng((1, i)), 6) @ keep for i in range(n)])
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return lambda: entropy._RenyiStack(rhos, (2, 3), 2.0).minimize()
+
+
 def one_shot_case(restarts: int):
     ch = builders.partial_trace_sum_channel([(2, 2), (3, 1)])
     return lambda: capacity.one_shot_q(ch, restarts=restarts)
@@ -113,6 +121,8 @@ CASES = [
     *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n))
+      for n in (16, 64, 256)),
+    *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
       for n in (16, 64, 256)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
     ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 16)),
