@@ -11,10 +11,11 @@ l_i off random elements sum_s x_s y_s* of the left algebra and W, m_i off the
 span, and a span close enough to its blocks is certified by that distance;
 otherwise a witness scan decides, and closing extends a span exactly when the
 scan rejects it.  Both sides' algebras and conditional expectations are block
-compressions and partial traces in U and W.  The Hilbert-Schmidt paths
-(conditional_expectation, generate_star_algebra) are public references that
-no internal path uses.  Spans are Hilbert-Schmidt orthonormal, cut at
-mc.RANK_RTOL; every cut of a block structure is at STRUCTURE_RTOL.
+compressions and partial traces in U and W, and a *-algebra is the closure
+of its generators' words of length one and two (generate_star_algebra).  The
+Hilbert-Schmidt conditional_expectation is a public reference that no internal
+path uses.  Spans are Hilbert-Schmidt orthonormal, cut at mc.RANK_RTOL; every
+cut of a block structure is at STRUCTURE_RTOL.
 """
 
 from __future__ import annotations
@@ -82,23 +83,19 @@ def _make_algebra(dim: int, basis: Sequence[np.ndarray]) -> AlgebraBasis:
 
 
 def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
-    """Smallest adjoint- and product-closed span containing the generators.
-
-    Iterates span <- span + span*span until the rank stabilizes.
-    """
+    """Smallest adjoint- and product-closed span containing the generators:
+    the smallest TRO containing S + S S, S = span(G + G*).  A *-algebra is a
+    TRO, and every word is a triple product, s_1 s_2 ... s_n = s_1 (s_2*)*
+    (s_3 ... s_n), so that TRO holds every word of S (see _structure)."""
     gens = [mc.asmatrix(g) for g in generators]
     if not gens:
         raise DimMismatch("at least one generator required")
     dim = gens[0].shape[0]
     if any(g.shape != (dim, dim) for g in gens):
         raise DimMismatch("generators must be square with a common dimension")
-    basis = orthonormal_span(gens + [mc.dagger(g) for g in gens])
-    while True:
-        products = [a @ b for a in basis for b in basis]
-        new_basis = orthonormal_span(list(basis) + products)
-        if len(new_basis) == len(basis):
-            return _make_algebra(dim, new_basis)
-        basis = new_basis
+    s = np.reshape(orthonormal_span(gens + [mc.dagger(g) for g in gens]), (-1, dim, dim))
+    words = _structure([*s, *(s[:, None] @ s[None]).reshape(-1, dim, dim)], TRO_TOL, close=True)[0]
+    return _make_algebra(dim, words)
 
 
 def left_algebra(space: StinespringSpace) -> AlgebraBasis:
@@ -148,8 +145,9 @@ def _structure(
 ) -> tuple[np.ndarray, Optional[tuple[TroDecomposition, float]], TroCheck]:
     """Stacked orthonormal basis v of span(mats) (with close, of the smallest
     TRO containing it), the block attempt on v seeded (seed, 0), and is_tro of
-    v at tol.  A closing round extends v exactly when is_tro rejects it, by the
-    scan's residuals above tol, each normalized, so each adds a dimension.
+    v at tol.  A closing round extends v exactly when is_tro rejects it: each
+    i's residuals (j = 0 first), off what the round added, that stay above tol
+    are normalized and their span added, so the round adds a dimension.
     All of M_{n,m} is a TRO, so closing it takes no round and no attempt."""
     v = np.array(orthonormal_span(mats))
     while len(v):
@@ -161,8 +159,7 @@ def _structure(
         bound = np.inf if found is None else float((3 + np.sqrt(k)) * found[1])
         if bound <= tol:
             return v, found, TroCheck(True, None, bound)
-        flat = v.reshape(k, -1)
-        worst, witness, out = 0.0, None, []
+        flat, worst, witness, added = v.reshape(k, -1), 0.0, None, np.zeros((0, n * m), complex)
         for i in range(k):  # every x_i x_j* x_l of one i at once
             xy = v[i] @ v.conj().transpose(0, 2, 1)
             t = (xy[:, None] @ v[None]).reshape(k * k, -1)
@@ -171,11 +168,13 @@ def _structure(
             jl = int(np.argmax(res))
             if res[jl] > worst:
                 worst, witness = float(res[jl]), (i, *divmod(jl, k))
-            if close:
-                out.extend(r[res > tol] / res[res > tol, None])
+            for rows in (r[:k], r[k:]) if close else ():  # j = 0 often spans them all
+                rows = rows - (rows @ added.conj().T) @ added
+                res = np.linalg.norm(rows, axis=1)
+                added = np.vstack([added, *orthonormal_span(rows[res > tol] / res[res > tol, None])])
         if worst <= tol or not close:
             return v, found, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
-        v = np.array(orthonormal_span([*v, *np.reshape(out, (-1, n, m))]))
+        v = np.array(orthonormal_span([*v, *added.reshape(-1, n, m)]))
     return v, None, TroCheck(True, None, 0.0)  # the empty span
 
 

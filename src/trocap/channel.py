@@ -189,12 +189,10 @@ def complement_adjoint_apply(ch: Channel, z: np.ndarray) -> np.ndarray:
 
 
 def choi(ch: Channel) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij e_ij (x) N(e_ij) on H_in (x) H_out."""
-    d = ch.dim_in
-    blocks = np.einsum("eij,ekl->jlik", ch.kraus, ch.kraus.conj())
-    # blocks[j, l] = N(e_jl); assemble sum e_jl (x) N(e_jl)
-    out = blocks.transpose(0, 2, 1, 3).reshape(d * ch.dim_out, d * ch.dim_out)
-    return out
+    """Unnormalized Choi matrix sum_ij e_ij (x) N(e_ij) on H_in (x) H_out: V V*,
+    V the Kraus operators stacked with rows (in, out), the Stinespring space."""
+    v = ch.kraus.transpose(2, 1, 0).reshape(-1, ch.dim_env)
+    return v @ v.conj().T
 
 
 def stinespring_space(ch: Channel, tol: float = mc.IDENTITY_TOL) -> StinespringSpace:

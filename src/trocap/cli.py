@@ -39,6 +39,7 @@ from .channel import (
 from .errors import TrocapError
 
 FLOAT_FMT = "{:.12g}"
+MAX_GRID_POINTS = 100_000  # points of one region grid axis
 
 
 class SpecError(Exception):
@@ -272,6 +273,8 @@ def _parse_grid(text: str, where: str) -> list[float]:
         raise SpecError(f"{where}: need step > 0, finite b >= a and finitely many points")
     # each point from its index, so rounding does not pile up along the grid
     count = math.floor((b - a) / step + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
+        raise SpecError(f"{where}: {count} points, above the cap of {MAX_GRID_POINTS}")
     return [round(a + i * step, 12) for i in range(count)]
 
 

@@ -205,7 +205,7 @@ class _RenyiStack:
         thin = np.flatnonzero(~mask.all(axis=-1))
         if thin.size:
             off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
-            leak = np.trace(mc.tensor(np.eye(da), off) @ rho[thin], axis1=1, axis2=2).real
+            leak = np.trace(off @ mc.partial_trace(rho[thin], (da, db), "B"), axis1=1, axis2=2).real
             value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
         if not grads:
             s_p = mc.hermitize((vs * (ws**self.p)[..., None, :]) @ mc.dagger(vs))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from trocap import algebra as alg
 from trocap import matcore as mc
 
 
@@ -28,3 +29,16 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = mc.random_complex(rng, dim)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def star_algebra_loop(generators) -> alg.AlgebraBasis:
+    """The *-algebra of the generators by span <- span + span span from
+    span(G + G*) until the rank stabilizes: the reference for
+    alg.generate_star_algebra."""
+    gens = [mc.asmatrix(g) for g in generators]
+    basis = alg.orthonormal_span(gens + [mc.dagger(g) for g in gens])
+    while True:
+        new_basis = alg.orthonormal_span(basis + [a @ b for a in basis for b in basis])
+        if len(new_basis) == len(basis):
+            return alg._make_algebra(gens[0].shape[0], new_basis)
+        basis = new_basis

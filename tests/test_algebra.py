@@ -32,7 +32,7 @@ from trocap.entropy import entropy_defect
 from trocap.errors import NotIndependent, NotNormalized, NotTro
 from trocap.verify import verify_local_comparison
 
-from helpers import hs_inner, random_unitary
+from helpers import hs_inner, random_unitary, star_algebra_loop
 
 
 def e(i, j, d=2):
@@ -68,6 +68,68 @@ class TestGenerateStarAlgebra:
         assert b.rank == a.rank
         for x in b.basis:
             assert alg.span_residual(x, a.basis) < 1e-9
+
+
+def shift(k):
+    """The cyclic shift |i> -> |i + 1 mod k>."""
+    return np.roll(np.eye(k, dtype=complex), 1, axis=0)
+
+
+def block_algebra_elements(rng, shapes, count=2):
+    """`count` random elements of U ((+)_i M_{n_i} (x) 1_{l_i}) U*, shapes
+    (n_i, l_i) and U Haar-random."""
+    u = random_unitary(rng, sum(n * l for n, l in shapes))
+    out = []
+    for _ in range(count):
+        x = np.zeros((len(u), len(u)), dtype=complex)
+        edge = 0
+        for n, l in shapes:
+            x[edge : edge + n * l, edge : edge + n * l] = np.kron(mc.random_complex(rng, (n, n)), np.eye(l))
+            edge += n * l
+        out.append(u @ x @ mc.dagger(u))
+    return out
+
+
+STAR_FAMILIES = {
+    "M3": (lambda: [mc.random_complex(np.random.default_rng(3), (3, 3))], 9, True),
+    "M6": (lambda: [mc.random_complex(np.random.default_rng(6), (6, 6))], 36, True),
+    "M2x1_2+M3": (lambda: block_algebra_elements(np.random.default_rng(1), [(2, 2), (3, 1)]), 13, True),
+    "M3x1_2+M2x1_3+M1": (
+        lambda: block_algebra_elements(np.random.default_rng(2), [(3, 2), (2, 3), (1, 1)]), 14, True
+    ),
+    "shift4": (lambda: [shift(4)], 4, True),
+    "shift8": (lambda: [shift(8)], 8, True),
+    "shift16": (lambda: [shift(16)], 16, True),
+    "e11+0": (lambda: [e(0, 0, 3)], 1, False),
+    "M2+0": (
+        lambda: [np.pad(mc.random_complex(np.random.default_rng(5), (2, 2)), ((0, 1), (0, 1)))], 4, False
+    ),
+    "zero": (lambda: [np.zeros((3, 3))], 0, False),
+}
+
+
+def assert_matches_star_loop(got, gens):
+    """Same rank and unital flag as the closure loop, and the same span."""
+    ref = star_algebra_loop(gens)
+    assert (got.rank, got.unital) == (ref.rank, ref.unital)
+    for b in got.basis:
+        assert alg.span_residual(b, ref.basis) < 1e-8
+
+
+class TestGenerateStarAlgebraAgainstLoop:
+    @pytest.mark.parametrize("name", sorted(STAR_FAMILIES))
+    def test_matches_closure_loop(self, name):
+        make, rank, unital = STAR_FAMILIES[name]
+        gens = make()
+        got = alg.generate_star_algebra(gens)
+        assert (got.rank, got.unital) == (rank, unital)
+        assert_matches_star_loop(got, gens)
+
+    def test_closes_through_the_triple_closure(self, monkeypatch):
+        calls, real = [], alg._structure
+        monkeypatch.setattr(alg, "_structure", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        assert alg.generate_star_algebra([shift(4)]).rank == 4
+        assert calls == [{"close": True}]
 
 
 def count_attempts(monkeypatch):
@@ -760,6 +822,14 @@ class TestOneAcceptanceDecision:
         assert all(a < b for a, b in zip(spans, spans[1:]))
         assert len(closure) > spans[-1] and alg.is_tro(closure).ok
 
+    def test_cyclic_words_close_in_growing_rounds(self, monkeypatch):
+        # S + S S of the cyclic(16) shift spans P^-2..P^2; each round's
+        # triples P^(a - b + c) reach P^-6..P^6, then all sixteen powers
+        s = alg.orthonormal_span([shift(16), shift(16).T])
+        spans = count_attempts(monkeypatch)
+        closure = alg.smallest_containing_tro(s + [a @ b for a in s for b in s])
+        assert len(closure) == 16 and spans == [5, 13, 16]
+
 
 class TestCanonicalBlockOrder:
     SHAPES = [(1, 3), (2, 2), (2, 1)]
@@ -864,7 +934,8 @@ REFERENCE_CHANNELS = [
 
 class TestBlockBasisAgainstHsReference:
     """The block-basis structure against the public Hilbert-Schmidt paths:
-    right_algebra, strong_independence_residuals and generate_star_algebra."""
+    right_algebra and strong_independence_residuals, and the closure loop
+    (star_algebra_loop) for left_algebra, right_algebra and generate_star_algebra."""
 
     @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
     @pytest.mark.parametrize("kind", ["identity", "kernel", "random"])
@@ -902,10 +973,8 @@ class TestBlockBasisAgainstHsReference:
             (alg.left_algebra(space), [x @ mc.dagger(y) for x in basis for y in basis]),
             (alg.right_algebra(space), [mc.dagger(x) @ y for x in basis for y in basis]),
         ):
-            ref = alg.generate_star_algebra(ops)
-            assert (got.rank, got.unital) == (ref.rank, ref.unital)
-            for b in got.basis:
-                assert alg.span_residual(b, ref.basis) < 1e-8
+            assert_matches_star_loop(got, ops)
+            assert_matches_star_loop(alg.generate_star_algebra(ops), ops)
 
     @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
     def test_block_expectation_matches_hs_conditional_expectation(self, name):

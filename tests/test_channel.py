@@ -236,6 +236,15 @@ class TestChoi:
         assert np.allclose(mc.partial_trace(j, (3, 2), "A"), np.eye(3), atol=1e-10)
         assert np.min(np.linalg.eigvalsh(mc.hermitize(j))) > -1e-10
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2, 3, 5), (4, 4, 1)])
+    def test_matches_einsum_formula(self, dims):
+        # the reference: blocks[j, l] = N(e_jl), assembled as sum e_jl (x) N(e_jl)
+        ch = random_channel(np.random.default_rng(sum(dims)), *dims)
+        n = ch.dim_in * ch.dim_out
+        blocks = np.einsum("eij,ekl->jlik", ch.kraus, ch.kraus.conj())
+        ref = blocks.transpose(0, 2, 1, 3).reshape(n, n)
+        assert np.max(np.abs(chn.choi(ch) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
 
 class TestStinespringSpace:
     def test_non_isometric_dilation_rejected(self):

@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from trocap import algebra as alg
 from trocap import capacity
-from trocap.cli import _parse_grid, load_spec, main
+from trocap.cli import MAX_GRID_POINTS, _parse_grid, load_spec, main
 from trocap.entropy import binary_entropy
 
 
@@ -512,6 +513,16 @@ class TestMalformedInput:
         spec = write_spec(tmp_path, BLOCKS_SPEC)
         argv = ["region", spec, "--lambda-grid", grid, "--csv", str(tmp_path / "r.csv")]
         assert main(argv) == 2
+
+    def test_grid_above_the_point_cap_exits_2_at_once(self, tmp_path, capsys):
+        # the count is checked before any point is built
+        spec = write_spec(tmp_path, BLOCKS_SPEC)
+        argv = ["region", spec, "--lambda-grid", "0:1e9:1", "--csv", str(tmp_path / "r.csv")]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"cap of {MAX_GRID_POINTS}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestOneStructurePerCommand:

@@ -492,6 +492,26 @@ class TestKernelSupport:
         assert opt.value == pytest.approx(0.0, abs=1e-9) and opt.converged
 
 
+class TestLeakPenalty:
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_leak_from_the_b_marginal_is_the_a_b_formula(self, p):
+        # a thin stack: sigma of rank 2 of 3 against full-rank states, and
+        # one state inside its support; the reference is tr((1 (x) off) rho)
+        rng = np.random.default_rng(11)
+        rhos = np.array([mc.random_density(rng, 6) for _ in range(4)] + [third_thin_draw(0.0)])
+        stack = ent._RenyiStack(rhos, (2, 3), p)
+        sigma = np.array([mc.random_density(rng, 3) for _ in range(5)])
+        w, v = np.linalg.eigh(sigma)
+        sigma, off = (v[..., 1:] * w[:, None, 1:]) @ mc.dagger(v[..., 1:]), v[..., :1] @ mc.dagger(v[..., :1])
+        on = np.diagonal(stack.keep[4])  # in its frame, the last state's B support
+        sigma[4], off[4] = np.diag(on / 2), np.diag(~on)
+        value = stack._evaluate(stack.rho, stack.k_pow, sigma)[0]
+        leak = np.trace(mc.tensor(np.eye(2), off) @ stack.rho, axis1=1, axis2=2).real
+        assert leak[4] == 0 and leak[:4].min() > 1e-3
+        assert np.allclose(value[:4], 1e3 + 1e6 * leak[:4], rtol=1e-12, atol=0)
+        assert abs(value[4]) < 1e3
+
+
 class TestProjectOnAllOfB:
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_thin_marginal_stays_in_the_projected_domain(self, p):

@@ -18,6 +18,6 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     curves = {}
     for section, name, size, setup in scaling.CASES:
         curves.setdefault((section, name), []).append((size, setup))
-    assert {section for section, _ in curves} == {"structure", "verify", "optimizers"}
+    assert {section for section, _ in curves} == {"structure", "closure", "verify", "optimizers"}
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()

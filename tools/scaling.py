@@ -11,6 +11,8 @@ runs.  The size column is the variable of the case's curve:
     triple-product closure and block decomposition of the dilation range of
     the tensor square of the completely dephasing channel of dimension k, a
     span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
+  - closure: generate_star_algebra of the cyclic shift of order k in 8, 16,
+    32, and of one seeded random generator of M_d, d in 4, 6, 10;
   - verify: each of the three suites with the arguments `trocap verify`
     passes (the channel's own space and symbol, that pair twice for the
     tensor suite) on phi_alpha(0.4) and the Pauli mixture (0.4, 0.3, 0.2,
@@ -60,6 +62,14 @@ def closure_case(k: int):
     d = builders.completely_dephasing_channel(k)
     basis = channel.stinespring_space(channel.tensor_channels(d, d)).basis
     return lambda: algebra._closed_structure(basis, 0)
+
+
+def star_case(name: str, d: int):
+    if name == "shift":
+        gen = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    else:
+        gen = matcore.random_complex(np.random.default_rng(d), (d, d))
+    return lambda: algebra.generate_star_algebra([gen])
 
 
 def verify_pair(name: str):
@@ -118,6 +128,10 @@ CASES = [
       for k in (8, 16, 24, 32, 48)),
     *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k))
       for k in (4, 6, 8)),
+    *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, "shift", k))
+      for k in (8, 16, 32)),
+    *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, "random", d))
+      for d in (4, 6, 10)),
     *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n))
