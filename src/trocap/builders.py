@@ -249,7 +249,7 @@ def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int =
     space = stinespring_space(base)
     symbol = alg.validate_symbol(base, np.diag(n * p).astype(complex), seed=seed)
     kraus = np.stack([math.sqrt(p[g]) * rep.unitaries[g] for g in range(n)])
-    return Channel(kraus).with_metadata(base_space=space, symbol=symbol)
+    return Channel(kraus, base_space=space, symbol=symbol)
 
 
 def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]:

@@ -399,24 +399,26 @@ class RegionVertex(NamedTuple):
     constraints: dict[str, float]
 
 
-def _tilted_vertex(blocks: Sequence, lam: float, mu: float, offset: float):
+def _tilted_vertex(blocks: Sequence, lam, mu, offset: float):
     """p ~ n^((offset + lam + mu)/(1 + mu)) over the block sizes n, its Shannon entropy
-    (every p > 0: a support cut would drop terms at large lam) and its mean log2 n."""
-    if not (lam >= 0 and 0 <= mu < math.inf):  # NaN fails both; mu = inf gives the tilt inf/inf
+    (every p > 0: a support cut would drop terms at large lam) and its mean log2 n, at
+    each point of broadcast lam and mu (scalars or arrays; p on the last axis)."""
+    if not (np.all(lam >= 0) and np.all((0 <= mu) & (mu < math.inf))):  # NaN fails; mu = inf: inf/inf
         raise OutOfRange(f"lam must be nonnegative and mu finite and nonnegative, got {lam}, {mu}")
-    ns = _block_ns(blocks)
-    beta, top = (offset + lam + mu) / (1.0 + mu), max(ns)
-    weights = np.array([(n / top) ** beta for n in ns])  # relative sizes: n ** beta overflows at large lam
-    p = weights / weights.sum()
-    mask = p > 0
-    return p, float(-np.sum(p[mask] * np.log2(p[mask]))), float(np.sum(p * np.log2(ns)))
+    ns = np.array(_block_ns(blocks), dtype=float)
+    beta = np.asarray((offset + lam + mu) / (1.0 + mu))[..., None]
+    weights = (ns / ns.max()) ** beta  # relative sizes: n ** beta overflows at large lam
+    p = weights / weights.sum(axis=-1, keepdims=True)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return p, -np.sum(p * log_p, axis=-1), np.sum(p * np.log2(ns), axis=-1)
 
 
 def cqe_region_vertices(blocks: Sequence, lam: float, mu: float) -> RegionVertex:
     """Supporting constraints of the classical/quantum/entanglement region.
 
     The tilt exponent (2 + lam + mu)/(1 + mu) weights blocks by size; the
-    right-hand sides bound C+2Q, Q+E, and C+Q+E at that vertex.
+    right-hand sides bound C+2Q, Q+E, and C+Q+E at that vertex.  Arrays lam
+    and mu broadcast, and each right-hand side then takes their shape.
     """
     p, h, tbar = _tilted_vertex(blocks, lam, mu, 2.0)
     return RegionVertex(p, {"C+2Q": h + 2 * tbar, "Q+E": tbar, "C+Q+E": h + tbar})
@@ -426,7 +428,7 @@ def rps_region_vertices(blocks: Sequence, lam: float, mu: float) -> RegionVertex
     """Supporting constraints of the public/private/secret-key region.
 
     Tilt exponent (1 + lam + mu)/(1 + mu); right-hand sides bound R+P, P+S,
-    and R+P+S.
+    and R+P+S.  Arrays lam and mu broadcast as in ``cqe_region_vertices``.
     """
     q, h, tbar = _tilted_vertex(blocks, lam, mu, 1.0)
     return RegionVertex(q, {"R+P": h + tbar, "P+S": tbar, "R+P+S": h + tbar})

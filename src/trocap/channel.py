@@ -6,9 +6,9 @@ The Stinespring dilation is ``V|h> = sum_e (K_e |h>) (x) |e>``; its range,
 read as operators from the environment to the output, is the channel's
 Stinespring space.  Operator representatives ``h`` of input vectors
 satisfy ``N(|x><y|) = x y*`` and ``N^E(|x><y|) = y* x``.  All four maps run
-through two kernels over a stacked family A, ``S(A, x) = sum_j A_j x A_j*`` and
-``D(A, y) = sum_j A_j* y A_j``: N = S(K, .) and N* = D(K, .), and over the rows
-``A_i[e, k] = K_e[i, k]``, N^E(rho) = S(rows, rho)^T and N^E*(Z) = D(rows, Z^T).
+through one kernel over a stacked family A, ``S(A, x) = sum_j A_j x A_j*``:
+N = S(K, .) and N* = S(K*, .), and over the rows ``A_i[e, k] = K_e[i, k]``,
+N^E(rho) = S(rows, rho)^T and N^E*(Z) = S(rows*, Z^T).
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class Channel:
     @property
     def dim_env(self) -> int:
         return self.kraus.shape[0]
-
-    def with_metadata(self, base_space=None, symbol=None) -> "Channel":
-        return Channel(self.kraus, base_space=base_space, symbol=symbol)
 
 
 @dataclass(frozen=True)
@@ -156,11 +153,6 @@ def _sandwich(fam: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (fam @ x[..., None, :, :] @ mc.dagger(fam)).sum(axis=-3)
 
 
-def _adjoint(fam: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """D(A, y) = sum_j A_j* y A_j for a stacked family A (j, m, n), on each matrix of a stack y."""
-    return (mc.dagger(fam) @ y[..., None, :, :] @ fam).sum(axis=-3)
-
-
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_e K_e rho K_e* (on each matrix of a stack)."""
     return _sandwich(ch.kraus, _operand(rho, ch.dim_in, "input"))
@@ -178,21 +170,32 @@ def complement_apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 def adjoint_apply(ch: Channel, y: np.ndarray) -> np.ndarray:
     """Heisenberg-picture adjoint sum_e K_e* Y K_e (of each matrix of a stack)."""
-    return _adjoint(ch.kraus, _operand(y, ch.dim_out, "output"))
+    return _sandwich(mc.dagger(ch.kraus), _operand(y, ch.dim_out, "output"))
 
 
 def complement_adjoint_apply(ch: Channel, z: np.ndarray) -> np.ndarray:
     """Adjoint of the complementary channel, sum_ab z[a,b] K_b* K_a =
-    D(rows, z^T) with A_i[e, k] = K_e[i, k] (of each matrix of a stack)."""
+    S(rows*, z^T) with A_i[e, k] = K_e[i, k] (of each matrix of a stack)."""
     rows = ch.kraus.swapaxes(0, 1)
-    return _adjoint(rows, _operand(z, ch.dim_env, "environment").swapaxes(-1, -2))
+    return _sandwich(mc.dagger(rows), _operand(z, ch.dim_env, "environment").swapaxes(-1, -2))
+
+
+def _columns(ch: Channel) -> np.ndarray:
+    """V, the Kraus operators stacked with rows (in, out): the Stinespring columns."""
+    return ch.kraus.transpose(2, 1, 0).reshape(-1, ch.dim_env)
 
 
 def choi(ch: Channel) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij e_ij (x) N(e_ij) on H_in (x) H_out: V V*,
-    V the Kraus operators stacked with rows (in, out), the Stinespring space."""
-    v = ch.kraus.transpose(2, 1, 0).reshape(-1, ch.dim_env)
+    """Unnormalized Choi matrix sum_ij e_ij (x) N(e_ij) on H_in (x) H_out: V V*."""
+    v = _columns(ch)
     return v @ v.conj().T
+
+
+def _choi_gap(a: Channel, b: Channel) -> float:
+    """||choi(a) - choi(b)||_F with no Choi matrix: [V_a V_b] = Q R makes the difference
+    Q R J R* Q*, J = 1 on a's columns and -1 on b's, so R J R* has side dim_env(a) + dim_env(b)."""
+    r = np.linalg.qr(np.hstack([_columns(a), _columns(b)]), mode="r")
+    return float(np.linalg.norm(r * np.repeat([1.0, -1.0], [a.dim_env, b.dim_env]) @ mc.dagger(r)))
 
 
 def stinespring_space(ch: Channel, tol: float = mc.IDENTITY_TOL) -> StinespringSpace:
@@ -235,15 +238,12 @@ def modified_channel(space: StinespringSpace, symbol: Symbol) -> Channel:
     mc._require_unit_trace(f, InvalidSymbol, "symbol has normalized trace {:.6f}, expected 1")
     sqrt_f = mc.matrix_power(f, 0.5)
     stacked = np.stack([op @ sqrt_f for op in space.basis])  # (in, out, env)
-    kraus = stacked.transpose(2, 1, 0)
-    ch = Channel(kraus)
-    return ch.with_metadata(base_space=space, symbol=symbol)
+    return Channel(stacked.transpose(2, 1, 0), base_space=space, symbol=symbol)
 
 
 def base_channel(space: StinespringSpace) -> Channel:
     """Channel whose dilation range is exactly the given space basis."""
-    stacked = np.stack(space.basis)  # (in, out, env)
-    return Channel(stacked.transpose(2, 1, 0))
+    return Channel(space.stacked().transpose(2, 1, 0))  # basis stacked (in, out, env)
 
 
 def tensor_channels(a: Channel, b: Channel) -> Channel:

@@ -287,13 +287,13 @@ def cmd_region(args) -> int:
         blocks = decomp.blocks
     lams = _parse_grid(args.lambda_grid, "--lambda-grid")
     mus = _parse_grid(args.mu_grid, "--mu-grid")
+    grid = np.meshgrid(lams, mus, indexing="ij")
+    vertices = (capacity.cqe_region_vertices(blocks, *grid), capacity.rps_region_vertices(blocks, *grid))
+    rhs = {name: v for vertex in vertices for name, v in vertex.constraints.items()}
     rows = [["lambda", "mu", "constraint", "rhs"]]
-    for lam in lams:
-        for mu in mus:
-            cqe = capacity.cqe_region_vertices(blocks, lam, mu)
-            rps = capacity.rps_region_vertices(blocks, lam, mu)
-            for name, rhs in list(cqe.constraints.items()) + list(rps.constraints.items()):
-                rows.append([_fmt(lam), _fmt(mu), name, _fmt(rhs)])
+    for i, lam in enumerate(lams):
+        for j, mu in enumerate(mus):
+            rows += [[_fmt(lam), _fmt(mu), name, _fmt(v[i, j])] for name, v in rhs.items()]
     # every row before the file opens: a failing vertex leaves no partial CSV
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)

@@ -20,7 +20,7 @@ from trocap.builders import (
     schur_multiplier_channel,
 )
 import trocap.entropy as ent
-from trocap.channel import apply, complement_apply, identity_channel, modified_channel, stinespring_space, tensor_channels
+from trocap.channel import Channel, apply, complement_apply, identity_channel, modified_channel, stinespring_space, tensor_channels
 from trocap.entropy import binary_entropy, renyi_coherent_information
 from trocap.errors import (
     BadExponent,
@@ -464,7 +464,7 @@ class TestNegativeCbEntropy:
         # sum_k h_k* h_k is not proportional to the identity
         ch = partial_trace_sum_channel([(2, 2), (3, 1)])
         sym = identity_symbol(ch)
-        tagged = ch.with_metadata(base_space=stinespring_space(ch), symbol=sym)
+        tagged = Channel(ch.kraus, base_space=stinespring_space(ch), symbol=sym)
         with pytest.raises(HypothesisFailed):
             cap.negative_cb_entropy(tagged, "formula")
 
@@ -759,6 +759,25 @@ class TestRegions:
         vert = fn([(2, 2), (1, 1)], math.inf, 0.0)
         assert vert.distribution.tolist() == [1.0, 0.0]
         assert all(math.isfinite(v) for v in vert.constraints.values())
+
+    @pytest.mark.parametrize("blocks", [[(2, 2), (3, 1), (5, 2)], [1] * 6, [(3, 1), (1, 1), (3, 2), (2, 1)]])
+    @pytest.mark.parametrize("fn", [cap.cqe_region_vertices, cap.rps_region_vertices])
+    def test_grid_matches_per_point_calls(self, fn, blocks):
+        lams, mus = [0.0, 0.25, 1.0, 7.5, 1000.0, math.inf], [0.0, 0.5, 1.0, 3.0]
+        grid = fn(blocks, *np.meshgrid(lams, mus, indexing="ij"))
+        assert grid.distribution.shape == (len(lams), len(mus), len(blocks))
+        for i, lam in enumerate(lams):
+            for j, mu in enumerate(mus):
+                point = fn(blocks, lam, mu)
+                assert np.max(np.abs(grid.distribution[i, j] - point.distribution)) <= 1e-15
+                for name, rhs in point.constraints.items():
+                    assert isinstance(rhs, float) and abs(grid.constraints[name][i, j] - rhs) <= 1e-15
+
+    @pytest.mark.parametrize("lam, mu", [([0.0, -1.0], 0.0), ([0.0, math.nan], 0.0), (0.0, [0.5, math.inf])])
+    @pytest.mark.parametrize("fn", [cap.cqe_region_vertices, cap.rps_region_vertices])
+    def test_grid_with_one_bad_point_rejected(self, fn, lam, mu):
+        with pytest.raises(OutOfRange):
+            fn([(2, 2), (1, 1)], np.array(lam), np.array(mu))
 
 
 class TestBoundReport:

@@ -166,8 +166,8 @@ def _operands(ch, rng, count):
 
 
 class TestKernelPair:
-    """The four maps share the sandwich and adjoint kernels over the Kraus
-    operators and over the rows A_i[e, k] = K_e[i, k]."""
+    """The four maps share one sandwich kernel over the Kraus operators, the
+    rows A_i[e, k] = K_e[i, k] and the daggers of both."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(drawn=isometries(), count=st.integers(1, 3))
@@ -215,6 +215,17 @@ class TestKernelPair:
             fn(ch, x[0])
         assert calls == []
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 5, 2)])
+    def test_adjoints_give_the_bits_of_the_daggered_formula(self, dims):
+        # S(A*, y) multiplies the same operands as sum_j A_j* y A_j, so the bits agree
+        ch = random_channel(np.random.default_rng(sum(dims)), *dims)
+        _, _, y, z = _operands(ch, np.random.default_rng(9), 3)
+        rows, z_t = ch.kraus.swapaxes(0, 1), z.swapaxes(-1, -2)
+        old = [(mc.dagger(fam) @ w[..., None, :, :] @ fam).sum(-3) for fam, w in ((ch.kraus, y), (rows, z_t))]
+        assert np.array_equal(chn.adjoint_apply(ch, y), old[0])
+        assert np.array_equal(chn.complement_adjoint_apply(ch, z), old[1])
+
+
 
 class TestChoi:
     def test_identity_qubit(self):
@@ -244,6 +255,45 @@ class TestChoi:
         blocks = np.einsum("eij,ekl->jlik", ch.kraus, ch.kraus.conj())
         ref = blocks.transpose(0, 2, 1, 3).reshape(n, n)
         assert np.max(np.abs(chn.choi(ch) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+class TestChoiGap:
+    """_choi_gap is the Frobenius norm of the Choi difference, from the Kraus families."""
+
+    @staticmethod
+    def dense_gap(a, b):
+        return np.linalg.norm(chn.choi(a) - chn.choi(b))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 1, 4), (3, 2, 4, 2), (2, 2, 2, 3), (4, 3, 3, 5), (1, 2, 2, 1)])
+    def test_matches_the_dense_norm(self, dims):
+        # random channels on the same (in, out) with different environments
+        d_in, d_out, e_a, e_b = dims
+        rng = np.random.default_rng(sum(dims))
+        a, b = random_channel(rng, d_in, d_out, e_a), random_channel(rng, d_in, d_out, e_b)
+        ref = self.dense_gap(a, b)
+        assert ref > 0.1
+        assert abs(chn._choi_gap(a, b) - ref) <= 1e-12 * ref
+        assert abs(chn._choi_gap(b, a) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4, 3), (4, 2, 5)])
+    def test_environment_unitary_leaves_no_gap(self, dims):
+        # K'_e = sum_f U_ef K_f is another Kraus family of the same channel
+        ch = random_channel(np.random.default_rng(len(dims) + sum(dims)), *dims)
+        u = random_unitary(np.random.default_rng(1), ch.dim_env)
+        mixed = chn.Channel(np.tensordot(u, ch.kraus, axes=1))
+        assert chn._choi_gap(ch, mixed) <= 1e-13
+        assert self.dense_gap(ch, mixed) <= 1e-13
+
+    def test_padded_environment_leaves_no_gap(self):
+        ch = random_channel(np.random.default_rng(3), 3, 2, 3)
+        padded = chn.Channel(np.concatenate([ch.kraus, np.zeros((2, 2, 3))]))
+        assert chn._choi_gap(ch, padded) <= 1e-13
+
+    def test_forms_no_choi_matrix(self, monkeypatch):
+        a, b = (random_channel(np.random.default_rng(s), 3, 3, 2) for s in (4, 5))
+        ref = self.dense_gap(a, b)
+        monkeypatch.setattr(chn, "choi", None)
+        assert chn._choi_gap(a, b) == pytest.approx(ref, rel=1e-12)
 
 
 class TestStinespringSpace:

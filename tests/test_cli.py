@@ -308,6 +308,22 @@ class TestRegion:
         qe = {r["rhs"] for r in rows if r["constraint"] == "Q+E"}
         assert qe == {f"{math.log2(3.0):.12g}"}
 
+    @pytest.mark.parametrize("grid", ["0:1:0.25", "0:1000:125"])
+    @pytest.mark.parametrize("blocks", [[[2, 1], [2, 1], [1, 1]], [[2, 1], [3, 1]], [[1, 1]] * 4])
+    def test_csv_matches_per_point_vertices(self, tmp_path, blocks, grid):
+        # block sizes n = [2, 2, 1], [2, 3] and [1] * 4; the rows of one vertex call per grid point
+        spec = write_spec(tmp_path, {"kind": "partial_trace_sum", "params": {"blocks": blocks}, "seed": 0})
+        out = tmp_path / "region.csv"
+        assert main(["region", spec, "--lambda-grid", grid, "--mu-grid", "0:2:0.5", "--csv", str(out)]) == 0
+        fmt, ns = "{:.12g}".format, [n for n, _ in blocks]
+        expected = [["lambda", "mu", "constraint", "rhs"]]
+        for lam in _parse_grid(grid, "lambda"):
+            for mu in _parse_grid("0:2:0.5", "mu"):
+                for fn in (capacity.cqe_region_vertices, capacity.rps_region_vertices):
+                    expected += [[fmt(lam), fmt(mu), k, fmt(v)] for k, v in fn(ns, lam, mu).constraints.items()]
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == expected
+
     def test_non_tro_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path, AMP_DAMP)
         out = tmp_path / "region.csv"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import trocap
 from trocap import algebra as alg
+from trocap import channel as chn
 from trocap import verify
 from trocap.builders import (
     group_random_unitary,
@@ -120,6 +122,35 @@ class TestTensorSymbol:
         chp = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         rep = verify.verify_tensor_symbol(sa, fa, chp.base_space, chp.symbol, samples=5, seed=2)
         assert rep.passed
+
+    def test_perturbed_split_fails_choi_equality(self, monkeypatch):
+        # N_f (x) M_g, the tensor product of channels that carry a symbol, with one Kraus entry moved by 1e-6
+        real = verify.tensor_channels
+
+        def perturbed(a, b):
+            ch = real(a, b)
+            if a.symbol is None:
+                return ch
+            kraus = ch.kraus.copy()
+            kraus[0, 0, 0] += 1e-6
+            return chn.Channel(kraus)
+
+        monkeypatch.setattr(verify, "tensor_channels", perturbed)
+        sa, fa = dephasing_pair(0.3)
+        rep = verify.verify_tensor_symbol(sa, fa, sa, fa, samples=2, seed=0)
+        assert "choi_equality" in {name for _, name, _ in rep.failures}
+        assert rep.worst_slack < -1e-7
+
+    def test_forms_no_choi_matrix(self, monkeypatch):
+        def dense(ch):
+            raise AssertionError("the tensor suite formed a Choi matrix")
+
+        for module in (trocap, chn, verify):
+            monkeypatch.setattr(module, "choi", dense, raising=False)
+        sa, fa = dephasing_pair(0.5)
+        chp = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        rep = verify.verify_tensor_symbol(sa, fa, chp.base_space, chp.symbol, samples=3, seed=1)
+        assert rep.passed and rep.worst_slack >= -1e-12
 
 
 class TestAggregate:

@@ -16,7 +16,9 @@ runs.  The size column is the variable of the case's curve:
   - verify: each of the three suites with the arguments `trocap verify`
     passes (the channel's own space and symbol, that pair twice for the
     tensor suite) on phi_alpha(0.4) and the Pauli mixture (0.4, 0.3, 0.2,
-    0.1), at 16, 64 and 256 samples;
+    0.1), at 16, 64 and 256 samples; and the tensor suite, at 20 samples, on
+    the tensor square of the Schur cyclic(k) channel of the seeded kernel
+    above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
     the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
@@ -92,6 +94,12 @@ def verify_case(name: str, suite: str, n: int):
     return lambda: SUITES[suite](space, symbol, n)
 
 
+def schur_tensor_case(k: int):
+    phi = schur_kernel(k)[:, 0]  # kernel[g, g'] = phi(g - g')
+    ch = builders.schur_multiplier_channel(builders.cyclic_group(k), phi)
+    return lambda: verify.verify_tensor_symbol(ch.base_space, ch.symbol, ch.base_space, ch.symbol, samples=20)
+
+
 def renyi_stack_case(n: int):
     ch = builders.phi_alpha(0.4).channel
     d = ch.dim_in
@@ -134,6 +142,8 @@ CASES = [
       for d in (4, 6, 10)),
     *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
+    *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself, 20 samples", k, partial(schur_tensor_case, k))
+      for k in (4, 6, 8)),
     *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n))
       for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
