@@ -205,14 +205,10 @@ def is_independent(x: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
     return resid <= tol * max(1.0, mc.frobenius(x))
 
 
-def spectral_projections(f: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue clusters of a hermitian matrix with their projections."""
-    return _eig_projections(mc.herm_eig(f))
-
-
 def _eig_projections(eig: mc.HermEig) -> list[tuple[float, np.ndarray]]:
-    """spectral_projections from an eigendecomposition already taken; a cluster
-    breaks where neighbours differ by more than 1e-8 * max(1, max |eigenvalue|)."""
+    """Eigenvalue clusters of a hermitian matrix, given as its eigendecomposition,
+    with their projections; a cluster breaks where neighbours differ by more
+    than 1e-8 * max(1, max |eigenvalue|)."""
     w, v = eig
     groups = _split_at_gaps(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
     return [(float(np.mean(w[g])), v[:, g] @ mc.dagger(v[:, g])) for g in groups]
@@ -227,7 +223,7 @@ def strong_independence_residuals(f: np.ndarray, m: AlgebraBasis) -> list[float]
     eye = np.eye(m.dim)
     return [
         mc.frobenius(conditional_expectation(m, p) - np.trace(p).real / m.dim * eye)
-        for _, p in spectral_projections(f)
+        for _, p in _eig_projections(mc.herm_eig(f))
     ]
 
 
@@ -239,34 +235,26 @@ def is_strongly_independent(f: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -
 # block structure of algebras and TROs
 
 
-@dataclass(frozen=True)
-class _AlgebraBlock:
-    factor_dim: int  # n: size of the full matrix factor
-    multiplicity: int  # l: copies of each irreducible summand
-    frame: np.ndarray  # ambient-dim x (n*l), orthonormal columns ordered (a, s)
-
-
 def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
     """Indices of ascending eigenvalues, split where neighbours differ by more than gap."""
     return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > gap) + 1)
 
 
-def algebra_blocks(basis: np.ndarray, seed: int = 0) -> list[_AlgebraBlock]:
-    """Factors M_n, with multiplicity l, of the C*-algebra with a stacked
-    orthonormal basis, each with its frame: a *-algebra is a TRO, whose blocks
-    are (n, n, l) and whose output frames these are (tro_block_decomposition)."""
-    decomp = tro_block_decomposition(list(basis), seed=seed)
-    frames = np.split(decomp.basis_change_out, np.cumsum([n * l for n, _, l in decomp.blocks]), axis=1)
-    return [_AlgebraBlock(n, l, f) for (n, _, l), f in zip(decomp.blocks, frames)]
+def algebra_blocks(basis: Sequence[np.ndarray], seed: int = 0) -> list[tuple[int, int]]:
+    """Factors (n, l), M_n with multiplicity l, of the C*-algebra spanned by the
+    matrices: a *-algebra is a TRO whose blocks are (n, n, l), and these are the
+    blocks of tro_block_decomposition in its order."""
+    return [(n, l) for n, _, l in tro_block_decomposition(basis, seed=seed).blocks]
 
 
-def _linked_summands(qs: list[np.ndarray], b: np.ndarray) -> Optional[list[_AlgebraBlock]]:
-    """Summands from the eigenspace frames qs of a random element: p and q are
-    linked when |Q_p* b Q_q| exceeds STRUCTURE_RTOL times the largest such norm,
-    and each summand is a connected component of the links, walked breadth
+def _linked_summands(qs: list[np.ndarray], b: np.ndarray) -> Optional[list[tuple[np.ndarray, int]]]:
+    """Summands (F, l) from the eigenspace frames qs of a random element: p and q
+    are linked when |Q_p* b Q_q| exceeds STRUCTURE_RTOL times the largest such
+    norm, and each summand is a connected component of the links, walked breadth
     first.  A frame Q_q reached from an aligned frame F is aligned with it by the
-    polar part of Q_q* b F, which carries F's multiplicity basis onto Q_q.  None
-    when linked eigenspaces differ in size."""
+    polar part of Q_q* b F, which carries F's multiplicity basis onto Q_q.  F
+    stacks the n aligned frames of a component, columns (a, s), and l is their
+    common width.  None when linked eigenspaces differ in size."""
     cuts = np.cumsum([0] + [q.shape[1] for q in qs[:-1]])
     q_all = np.concatenate(qs, axis=1)
     mass = np.abs(mc.dagger(q_all) @ b @ q_all) ** 2
@@ -287,7 +275,7 @@ def _linked_summands(qs: list[np.ndarray], b: np.ndarray) -> Optional[list[_Alge
                 frames[q] = qs[q] @ _polar(mc.dagger(qs[q]) @ b @ frames[p])
                 order.append(q)
         frame = np.concatenate([frames[p] for p in order], axis=1)
-        out.append(_AlgebraBlock(len(order), qs[root].shape[1], frame))
+        out.append((frame, qs[root].shape[1]))
     return out
 
 
@@ -330,12 +318,13 @@ def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
     return u
 
 
-def _right_frame(v: np.ndarray, blk: _AlgebraBlock) -> tuple[int, np.ndarray]:
-    """m and the right frame G, columns (b, s), of the summand with left frame F.
-    Rows (a, s) of F* x are sum_b X[a, b] g_(b,s)*, so an SVD of the rows of copy
-    s = 0 over the stacked basis v gives m and g_(., 0), and g_(., s)* = X^+ rows_s."""
-    n, l = blk.factor_dim, blk.multiplicity
-    rows = (mc.dagger(blk.frame) @ v).reshape(len(v) * n, l, -1)
+def _right_frame(v: np.ndarray, frame: np.ndarray, l: int) -> tuple[int, np.ndarray]:
+    """m and the right frame G, columns (b, s), of the summand with left frame F,
+    columns (a, s), and multiplicity l, so n is F's width over l.  Rows (a, s)
+    of F* x are sum_b X[a, b] g_(b,s)*, so an SVD of the rows of copy s = 0 over
+    the stacked basis v gives m and g_(., 0), and g_(., s)* = X^+ rows_s."""
+    n = frame.shape[1] // l
+    rows = (mc.dagger(frame) @ v).reshape(len(v) * n, l, -1)
     u, s, _ = np.linalg.svd(rows[:, 0], full_matrices=False)
     m = int(np.count_nonzero(mc._rank_mask(s, STRUCTURE_RTOL)))
     g = (mc.dagger(u[:, :m]) / s[:m, None]) @ rows.transpose(1, 0, 2)  # (s, b, env)
@@ -363,27 +352,26 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
 
     w, q = np.linalg.eigh(sample())
     b = sup @ sample() @ mc.dagger(sup)
-    lblocks = _linked_summands([sup @ q[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)], b)
-    if lblocks is None:
+    summands = _linked_summands([sup @ q[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)], b)
+    if summands is None:
         return None
     # For a TRO, sum_k v_k G G* v_k* is m/l times the summand's output projection
     # and feels the error of the right frame G only to second order: it carries
     # the left frames, whose noise a sample's small gaps amplify, onto the summands.
-    for i, lb in enumerate(lblocks):
-        vg = v @ _right_frame(v, lb)[1]
-        frame = _polar(np.tensordot(vg, mc.dagger(vg) @ lb.frame, axes=([0, 2], [0, 1])))
-        lblocks[i] = _AlgebraBlock(lb.factor_dim, lb.multiplicity, frame)
+    for i, (frame, l) in enumerate(summands):
+        vg = v @ _right_frame(v, frame, l)[1]
+        summands[i] = _polar(np.tensordot(vg, mc.dagger(vg) @ frame, axes=([0, 2], [0, 1]))), l
     # Canonical order: by the entries of each summand's central projection
     # (row-major, real parts first) to 6 decimals, larger first.
-    projs = (lb.frame @ mc.dagger(lb.frame) for lb in lblocks)
+    projs = (frame @ mc.dagger(frame) for frame, _ in summands)
     keys = [np.round(np.concatenate([p.real, p.imag], axis=None), 6).tolist() for p in projs]
-    lblocks = [lblocks[i] for i in sorted(range(len(lblocks)), key=keys.__getitem__, reverse=True)]
-    ms, rframes = zip(*[_right_frame(v, lb) for lb in lblocks])
-    blocks = tuple((lb.factor_dim, mi, lb.multiplicity) for lb, mi in zip(lblocks, ms))
+    summands = [summands[i] for i in sorted(range(len(summands)), key=keys.__getitem__, reverse=True)]
+    ms, rframes = zip(*[_right_frame(v, frame, l) for frame, l in summands])
+    blocks = tuple((frame.shape[1] // l, mi, l) for (frame, l), mi in zip(summands, ms))
     dims = np.array(blocks)
     if dims[:, 0] @ dims[:, 1] != k or dims[:, 1] @ dims[:, 2] > m:
         return None
-    u_out, u_env = _complete_frame([lb.frame for lb in lblocks], n), _complete_frame(list(rframes), m)
+    u_out, u_env = _complete_frame([frame for frame, _ in summands], n), _complete_frame(list(rframes), m)
     y = mc.dagger(u_out) @ v @ u_env
     eps = float(np.max(np.linalg.norm(y - _block_form(y, blocks), axis=(1, 2))))
     return TroDecomposition(blocks, u_out, u_env), eps

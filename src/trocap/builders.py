@@ -255,17 +255,12 @@ def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int =
 def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]:
     """Block structure (multiplicity, irrep dimension) of the commutant u(G)'.
 
-    The commutant is computed as the nullspace of the stacked commutators
-    and block-decomposed numerically; the channel capacities of the uniform
-    mixture follow from the multiplicities.
+    span u(G) is a *-algebra, (+)_i M_{d_i} (x) 1_{l_i} up to a unitary, whose
+    commutant is (+)_i M_{l_i} (x) 1_{d_i}: the commutant is read off the blocks
+    of the span (algebra_blocks) with d and l swapped.  The channel capacities
+    of the uniform mixture follow from the multiplicities.
     """
-    m = rep.dim
-    rows = [np.kron(u, np.eye(m)) - np.kron(np.eye(m), u.T) for u in rep.unitaries]
-    # |G| m^2 rows and m^2 columns: one singular value per right singular vector,
-    # so the rows of vh past the rank are an orthonormal basis of the nullspace
-    _, s, vh = np.linalg.svd(np.concatenate(rows, axis=0), full_matrices=False)
-    blocks = alg.algebra_blocks(vh[~mc._rank_mask(s)].conj().reshape(-1, m, m), seed)
-    return sorted((b.factor_dim, b.multiplicity) for b in blocks)
+    return sorted((l, d) for d, l in alg.algebra_blocks(alg.orthonormal_span(rep.unitaries), seed))
 
 
 def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: int = 0) -> Channel:

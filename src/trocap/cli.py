@@ -39,7 +39,7 @@ from .channel import (
 from .errors import TrocapError
 
 FLOAT_FMT = "{:.12g}"
-MAX_GRID_POINTS = 100_000  # points of one region grid axis
+MAX_GRID_POINTS = 100_000  # points of a region grid, and so of each of its axes
 
 
 class SpecError(Exception):
@@ -287,6 +287,8 @@ def cmd_region(args) -> int:
         blocks = decomp.blocks
     lams = _parse_grid(args.lambda_grid, "--lambda-grid")
     mus = _parse_grid(args.mu_grid, "--mu-grid")
+    if len(lams) * len(mus) > MAX_GRID_POINTS:
+        raise SpecError(f"grid of {len(lams) * len(mus)} points, above the cap of {MAX_GRID_POINTS}")
     grid = np.meshgrid(lams, mus, indexing="ij")
     vertices = (capacity.cqe_region_vertices(blocks, *grid), capacity.rps_region_vertices(blocks, *grid))
     rhs = {name: v for vertex in vertices for name, v in vertex.constraints.items()}

@@ -42,3 +42,16 @@ def star_algebra_loop(generators) -> alg.AlgebraBasis:
         if len(new_basis) == len(basis):
             return alg._make_algebra(gens[0].shape[0], new_basis)
         basis = new_basis
+
+
+def commutant_nullspace_blocks(rep, seed: int = 0) -> list[tuple[int, int]]:
+    """(multiplicity, irrep dimension) of the commutant u(G)', sorted: the
+    blocks of the nullspace of the stacked commutators u (x) 1 - 1 (x) u^T, an
+    SVD |G| m^2 rows tall and m^2 wide.  The reference for
+    builders.commutant_blocks."""
+    m = rep.dim
+    rows = [np.kron(u, np.eye(m)) - np.kron(np.eye(m), u.T) for u in rep.unitaries]
+    # one singular value per right singular vector, so the rows of vh past
+    # the rank are an orthonormal basis of the nullspace
+    _, s, vh = np.linalg.svd(np.concatenate(rows, axis=0), full_matrices=False)
+    return sorted(alg.algebra_blocks(vh[~mc._rank_mask(s)].conj().reshape(-1, m, m), seed))

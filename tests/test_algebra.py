@@ -132,6 +132,35 @@ class TestGenerateStarAlgebraAgainstLoop:
         assert calls == [{"close": True}]
 
 
+class TestAlgebraBlocks:
+    """algebra_blocks reads the factors (n, l) off tro_block_decomposition's
+    blocks (n, n, l) of the algebra's span."""
+
+    @pytest.mark.parametrize(
+        "make, factors",
+        [
+            (
+                lambda: alg.orthonormal_span(
+                    block_algebra_elements(np.random.default_rng(7), [(2, 2), (3, 1)], count=13)
+                ),
+                [(2, 2), (3, 1)],
+            ),
+            (
+                lambda: alg.generate_star_algebra(STAR_FAMILIES["M3x1_2+M2x1_3+M1"][0]()).basis,
+                [(1, 1), (2, 3), (3, 2)],
+            ),
+            (lambda: alg.generate_star_algebra([shift(8)]).basis, [(1, 1)] * 8),
+        ],
+        ids=["rotated M2x1_2+M3", "star M3x1_2+M2x1_3+M1", "star shift8"],
+    )
+    def test_factor_pairs_are_the_tro_blocks(self, make, factors):
+        basis = make()
+        blocks = alg.tro_block_decomposition(basis).blocks
+        assert all(n == m for n, m, _ in blocks)
+        assert alg.algebra_blocks(basis) == [(n, l) for n, _, l in blocks]
+        assert sorted(alg.algebra_blocks(basis)) == factors
+
+
 def count_attempts(monkeypatch):
     """List that grows by one entry, the span dimension, per block attempt."""
     spans, real_attempt = [], alg._attempt

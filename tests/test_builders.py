@@ -14,6 +14,8 @@ from trocap.errors import (
     OutOfRange,
 )
 
+from helpers import commutant_nullspace_blocks, random_unitary
+
 I2 = np.eye(2, dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -211,6 +213,46 @@ class TestGroupRandomUnitary:
         assert alg.is_tro(list(ch.base_space.basis)).ok
 
 
+def _klein():
+    return bld.direct_product(bld.cyclic_group(2), bld.cyclic_group(2))
+
+
+def _rotated_regular_d4():
+    rep = bld.regular_representation(bld.dihedral_group(4))
+    w = random_unitary(np.random.default_rng(4), rep.dim)
+    return bld.ProjectiveRep(group=rep.group, unitaries=tuple(w @ u @ mc.dagger(w) for u in rep.unitaries))
+
+
+def _two_qubit_pauli(ancilla: int = 1):
+    paulis = bld.pauli_rep().unitaries
+    mats = [np.kron(np.kron(a, b), np.eye(ancilla)) for a in paulis for b in paulis]
+    return bld.ProjectiveRep.from_unitaries(bld.direct_product(_klein(), _klein()), mats)
+
+
+def _pauli_plus_pauli():
+    mats = [np.kron(I2, u) for u in bld.pauli_rep().unitaries]  # u (+) u
+    return bld.ProjectiveRep.from_unitaries(_klein(), mats)
+
+
+COMMUTANT_REPS = {
+    "pauli": bld.pauli_rep,
+    "trivial4 Z3": lambda: bld.ProjectiveRep(
+        group=bld.cyclic_group(3), unitaries=tuple(np.eye(4, dtype=complex) for _ in range(3))
+    ),
+    "regular Z2": lambda: bld.regular_representation(bld.cyclic_group(2)),
+    "regular Z3": lambda: bld.regular_representation(bld.cyclic_group(3)),
+    "regular Z8": lambda: bld.regular_representation(bld.cyclic_group(8)),
+    "regular D3": lambda: bld.regular_representation(bld.dihedral_group(3)),
+    "regular D4": lambda: bld.regular_representation(bld.dihedral_group(4)),
+    "regular D5": lambda: bld.regular_representation(bld.dihedral_group(5)),
+    "regular Z2xZ3": lambda: bld.regular_representation(bld.direct_product(bld.cyclic_group(2), bld.cyclic_group(3))),
+    "rotated regular D4": _rotated_regular_d4,
+    "two-qubit pauli": _two_qubit_pauli,
+    "two-qubit pauli (x) 1_2": lambda: _two_qubit_pauli(2),
+    "pauli (+) pauli": _pauli_plus_pauli,
+}
+
+
 class TestCommutantBlocks:
     def test_pauli_irreducible(self):
         assert bld.commutant_blocks(bld.pauli_rep()) == [(1, 2)]
@@ -223,6 +265,36 @@ class TestCommutantBlocks:
     def test_regular_rep_z2(self):
         rep = bld.regular_representation(bld.cyclic_group(2))
         assert bld.commutant_blocks(rep) == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_REPS))
+    def test_matches_the_nullspace_of_the_commutators(self, name):
+        rep = COMMUTANT_REPS[name]()
+        assert bld.commutant_blocks(rep) == commutant_nullspace_blocks(rep)
+
+    @pytest.mark.parametrize(
+        "group, blocks",
+        [
+            (lambda: bld.dihedral_group(8), [(1, 1)] * 4 + [(2, 2)] * 3),
+            (
+                lambda: bld.direct_product(bld.dihedral_group(6), bld.cyclic_group(2)),
+                [(1, 1)] * 8 + [(2, 2)] * 4,
+            ),
+        ],
+        ids=["D8", "D6xZ2"],
+    )
+    def test_regular_rep_without_the_commutator_matrix(self, monkeypatch, group, blocks):
+        # each irrep of dimension d appears d times in the regular representation,
+        # and no SVD input is as tall as the |G| m^2 rows of the stacked commutators
+        rep = bld.regular_representation(group())
+        shapes, real_svd = [], np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert bld.commutant_blocks(rep) == blocks
+        assert shapes and max(shape[-2] for shape in shapes) <= rep.dim**2
 
     def test_capacities_from_commutant(self):
         import trocap.capacity as cap

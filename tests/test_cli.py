@@ -530,10 +530,16 @@ class TestMalformedInput:
         argv = ["region", spec, "--lambda-grid", grid, "--csv", str(tmp_path / "r.csv")]
         assert main(argv) == 2
 
-    def test_grid_above_the_point_cap_exits_2_at_once(self, tmp_path, capsys):
-        # the count is checked before any point is built
+    @pytest.mark.parametrize(
+        "grids",
+        [["--lambda-grid", "0:1e9:1"], ["--lambda-grid", "0:999:1", "--mu-grid", "0:1:0.01"]],
+        ids=["axis", "product"],
+    )
+    def test_grid_above_the_point_cap_exits_2_at_once(self, tmp_path, capsys, grids):
+        # an axis is checked before any point is built, and the product of the
+        # axes (1000 x 101 points, each under the cap) before the mesh
         spec = write_spec(tmp_path, BLOCKS_SPEC)
-        argv = ["region", spec, "--lambda-grid", "0:1e9:1", "--csv", str(tmp_path / "r.csv")]
+        argv = ["region", spec, *grids, "--csv", str(tmp_path / "r.csv")]
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1.0

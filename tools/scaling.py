@@ -12,7 +12,9 @@ runs.  The size column is the variable of the case's curve:
     the tensor square of the completely dephasing channel of dimension k, a
     span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
   - closure: generate_star_algebra of the cyclic shift of order k in 8, 16,
-    32, and of one seeded random generator of M_d, d in 4, 6, 10;
+    32, and of one seeded random generator of M_d, d in 4, 6, 10; and
+    commutant_blocks of the regular representation of the dihedral group of
+    order 2k, k in 4, 6, 8 (size: the order, the representation's dimension);
   - verify: each of the three suites with the arguments `trocap verify`
     passes (the channel's own space and symbol, that pair twice for the
     tensor suite) on phi_alpha(0.4) and the Pauli mixture (0.4, 0.3, 0.2,
@@ -72,6 +74,11 @@ def star_case(name: str, d: int):
     else:
         gen = matcore.random_complex(np.random.default_rng(d), (d, d))
     return lambda: algebra.generate_star_algebra([gen])
+
+
+def commutant_case(k: int):
+    rep = builders.regular_representation(builders.dihedral_group(k))
+    return lambda: builders.commutant_blocks(rep)
 
 
 def verify_pair(name: str):
@@ -140,6 +147,8 @@ CASES = [
       for k in (8, 16, 32)),
     *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, "random", d))
       for d in (4, 6, 10)),
+    *(("closure", "commutant_blocks regular representation of dihedral(k)", 2 * k, partial(commutant_case, k))
+      for k in (4, 6, 8)),
     *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
     *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself, 20 samples", k, partial(schur_tensor_case, k))
