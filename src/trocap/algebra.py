@@ -205,13 +205,13 @@ def is_independent(x: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -> bool:
     return resid <= tol * max(1.0, mc.frobenius(x))
 
 
-def _eig_projections(eig: mc.HermEig) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue clusters of a hermitian matrix, given as its eigendecomposition,
-    with their projections; a cluster breaks where neighbours differ by more
-    than 1e-8 * max(1, max |eigenvalue|)."""
+def _eig_projections(eig: mc.HermEig) -> list[np.ndarray]:
+    """Projections onto the eigenvalue clusters of a hermitian matrix, given as its
+    eigendecomposition; a cluster breaks where neighbours differ by more than
+    1e-8 * max(1, max |eigenvalue|)."""
     w, v = eig
     groups = _split_at_gaps(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
-    return [(float(np.mean(w[g])), v[:, g] @ mc.dagger(v[:, g])) for g in groups]
+    return [v[:, g] @ mc.dagger(v[:, g]) for g in groups]
 
 
 def strong_independence_residuals(f: np.ndarray, m: AlgebraBasis) -> list[float]:
@@ -223,7 +223,7 @@ def strong_independence_residuals(f: np.ndarray, m: AlgebraBasis) -> list[float]
     eye = np.eye(m.dim)
     return [
         mc.frobenius(conditional_expectation(m, p) - np.trace(p).real / m.dim * eye)
-        for _, p in _eig_projections(mc.herm_eig(f))
+        for p in _eig_projections(mc.herm_eig(f))
     ]
 
 
@@ -453,7 +453,7 @@ def _block_residuals(eig: mc.HermEig, decomp: TroDecomposition) -> list[float]:
     """strong_independence_residuals of f, given as its eigendecomposition,
     against the TRO's right algebra, taken in its block basis W: |W* E(P) W - tau(P) 1|."""
     w, shapes = decomp.basis_change_env, [(m, l) for _, m, l in decomp.blocks]
-    p = np.stack([p for _, p in _eig_projections(eig)])
+    p = np.stack(_eig_projections(eig))
     tau = np.trace(p, axis1=1, axis2=2).real / len(w)
     e = _block_expectation(w, shapes, p) - tau[:, None, None] * np.eye(len(w))
     return [mc.frobenius(r) for r in e]

@@ -6,7 +6,9 @@ of positive-definite functions), and the one-parameter 4-to-3 family
 ``phi_alpha`` whose capacity window is tight.
 
 Groups are index tables: elements are 0..n-1, multiplication is an n x n
-Latin square, and an optional cocycle of unit scalars twists products.
+Latin square, and an optional cocycle of unit scalars twists products.  A
+group is its table and cocycle; the identity and the inverses are read off
+the table where they are used.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class FiniteGroup:
     def __post_init__(self):
         table = np.asarray(self.table, dtype=int)
         n = table.shape[0]
-        if table.shape != (n, n):
-            raise DimMismatch("multiplication table must be square")
+        if n == 0 or table.shape != (n, n):
+            raise DimMismatch("multiplication table must be square and nonempty")
         idx = np.arange(n)
         if not (np.all(np.sort(table, axis=1) == idx) and np.all(np.sort(table, axis=0) == idx[:, None])):
             raise DimMismatch("multiplication table is not a Latin square")
@@ -57,7 +59,7 @@ class FiniteGroup:
             raise DimMismatch("cocycle must match the group order")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-        e = self.identity_of(table)
+        e = self.identity
         if not np.max(np.abs(cocycle[:, e] - 1.0)) <= COCYCLE_TOL or not np.max(
             np.abs(cocycle[e, :] - 1.0)
         ) <= COCYCLE_TOL:
@@ -71,18 +73,6 @@ class FiniteGroup:
         cocycle = cocycle.copy()
         cocycle.setflags(write=False)
         object.__setattr__(self, "cocycle", cocycle)
-        inverses = np.argmax(table == e, axis=1)
-        inverses.setflags(write=False)
-        object.__setattr__(self, "_identity", e)
-        object.__setattr__(self, "_inverses", inverses)
-
-    @staticmethod
-    def identity_of(table: np.ndarray) -> int:
-        idx = np.arange(table.shape[0])
-        units = np.flatnonzero(np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1))
-        if units.size == 0:
-            raise DimMismatch("multiplication table has no identity element")
-        return int(units[0])
 
     @property
     def order(self) -> int:
@@ -90,18 +80,19 @@ class FiniteGroup:
 
     @property
     def identity(self) -> int:
-        return self._identity
+        """The table's one idempotent e, ee = e: a group's only idempotent is its identity."""
+        return int(np.flatnonzero(np.diagonal(self.table) == np.arange(self.order))[0])
 
     @property
     def inverses(self) -> np.ndarray:
         """inverses[a] is the element b with ab = identity."""
-        return self._inverses
+        return np.argmax(self.table == self.identity, axis=1)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
     def inverse(self, a: int) -> int:
-        return int(self._inverses[a])
+        return int(self.inverses[a])
 
 
 def cyclic_group(n: int) -> FiniteGroup:

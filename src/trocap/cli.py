@@ -31,7 +31,6 @@ from . import builders, capacity, verify
 from .channel import (
     Channel,
     StinespringSpace,
-    Symbol,
     from_kraus,
     modified_channel,
     stinespring_space,
@@ -110,7 +109,6 @@ class SpecBundle:
     kind: str
     channel: Channel
     space: StinespringSpace
-    symbol: Optional[Symbol]
     init_states: tuple[np.ndarray, ...]
     seed: int
 
@@ -151,7 +149,6 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
             raise SpecError("params.kraus is required for kind 'kraus'")
         mats = [_parse_matrix(k, f"params.kraus[{i}]") for i, k in enumerate(params["kraus"])]
         ch = from_kraus(mats)
-        space = stinespring_space(ch)
     elif kind == "partial_trace_sum":
         blocks = params.get("blocks")
         if not isinstance(blocks, list) or not all(
@@ -159,7 +156,6 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         ):
             raise SpecError("params.blocks must be a list of [n, m] integer pairs")
         ch = builders.partial_trace_sum_channel([tuple(b) for b in blocks])
-        space = stinespring_space(ch)
     elif kind == "group_random_unitary":
         rep = _parse_rep(params.get("rep"), "params.rep")
         dist = params.get("distribution")
@@ -168,7 +164,6 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         if not isinstance(dist, list) or not all(map(_is_number, dist)):
             raise SpecError("params.distribution must be a list of numbers")
         ch = builders.group_random_unitary(rep, [float(v) for v in dist], seed=seed)
-        space = ch.base_space
     elif kind == "schur_multiplier":
         group = _parse_group(params.get("group"), "params.group")
         phi = params.get("phi")
@@ -176,36 +171,32 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
             raise SpecError("params.phi must be a list of values over group elements")
         values = [_parse_scalar(v, f"params.phi[{i}]") for i, v in enumerate(phi)]
         ch = builders.schur_multiplier_channel(group, values, seed=seed)
-        space = ch.base_space
     else:  # phi_alpha
         if "alpha" not in params:
             raise SpecError("params.alpha is required for kind 'phi_alpha'")
         if not _is_number(params["alpha"]):
             raise SpecError("params.alpha must be a number")
         bundle = builders.phi_alpha(float(params["alpha"]), seed=seed)
-        ch, space = bundle.channel, bundle.space
-        init_states = bundle.block_inputs
+        ch, init_states = bundle.channel, bundle.block_inputs
 
-    symbol = ch.symbol
+    space = ch.base_space or stinespring_space(ch)
     if "symbol" in doc:
         # an explicit symbol re-modifies the kind's base channel, so the
         # channel under study is always the f-modification of that base
         f = _parse_matrix(doc["symbol"], "symbol")
-        base = space.source if space.source is not None else ch
-        symbol = alg.validate_symbol(base, f, seed=seed)
-        ch = modified_channel(space, symbol)
+        ch = modified_channel(space, alg.validate_symbol(space.source, f, seed=seed))
         init_states = ()
-    return SpecBundle(kind, ch, space, symbol, init_states, seed)
+    return SpecBundle(kind, ch, space, init_states, seed)
 
 
 def cmd_bounds(args) -> int:
     bundle = load_spec(args.spec, args.seed)
-    symbol = bundle.symbol or alg.identity_symbol(bundle.space.source, seed=bundle.seed)
-    report = capacity.comparison_bounds(bundle.space, symbol)
+    ch, space = bundle.channel, bundle.space
+    report = capacity.comparison_bounds(space, ch.symbol or alg.identity_symbol(space.source, seed=bundle.seed))
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
     if window.lower < window.upper:
         best = capacity.one_shot_q(
-            bundle.channel,
+            ch,
             restarts=args.restarts,
             seed=bundle.seed,
             init_states=bundle.init_states or None,
@@ -216,25 +207,22 @@ def cmd_bounds(args) -> int:
             entry = report.entries[name]
             prov = f"lower: one-shot coherent-information ascent; upper: {entry.provenance}"
             report.raise_lower(name, best.value, prov)
-    if bundle.channel.symbol is not None:
+    if ch.symbol is not None:
         try:
-            neg = capacity.negative_cb_entropy(bundle.channel, "formula")
+            neg = capacity.negative_cb_entropy(ch, "formula")
             report.set("neg_S_cb", neg, neg, "closed form (proportionally unital complement)")
         except TrocapError:
             pass  # hypothesis fails for this channel; quantity omitted
     report.check()
 
-    rows = [(name, report.entries[name]) for name in capacity.QUANTITIES if name in report.entries]
-    header = f"{'quantity':<10} {'lower':>16} {'upper':>16}  provenance"
-    print(header)
-    for name, entry in rows:
-        print(f"{name:<10} {_fmt(entry.lower):>16} {_fmt(entry.upper):>16}  {entry.provenance}")
+    entries = [(q, report.entries[q]) for q in capacity.QUANTITIES if q in report.entries]
+    rows = [[q, _fmt(e.lower), _fmt(e.upper), e.provenance] for q, e in entries]  # for the table and the CSV
+    print(f"{'quantity':<10} {'lower':>16} {'upper':>16}  provenance")
+    for name, lower, upper, prov in rows:
+        print(f"{name:<10} {lower:>16} {upper:>16}  {prov}")
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "lower", "upper", "provenance"])
-            for name, entry in rows:
-                writer.writerow([name, _fmt(entry.lower), _fmt(entry.upper), entry.provenance])
+            csv.writer(fh).writerows([["quantity", "lower", "upper", "provenance"], *rows])
     return 0
 
 
@@ -243,9 +231,9 @@ SUITES = ("local_comparison", "entropic", "tensor_symbol", "all")
 
 def cmd_verify(args) -> int:
     bundle = load_spec(args.spec, args.seed)
-    if bundle.symbol is None:
+    space, symbol, kw = bundle.space, bundle.channel.symbol, {"samples": args.samples, "seed": bundle.seed}
+    if symbol is None:
         raise SpecError(f"suite {args.suite!r} needs a symbol block in the spec")
-    space, symbol, kw = bundle.space, bundle.symbol, {"samples": args.samples, "seed": bundle.seed}
     suites = {  # in report order
         "local_comparison": lambda: verify.verify_local_comparison(space, symbol, **kw),
         "entropic": lambda: verify.verify_entropic(space, symbol, **kw),
@@ -280,11 +268,10 @@ def _parse_grid(text: str, where: str) -> list[float]:
 
 def cmd_region(args) -> int:
     bundle = load_spec(args.spec, args.seed)
-    if bundle.symbol is not None:
-        blocks = bundle.symbol.certificate.blocks
+    if bundle.channel.symbol is not None:
+        blocks = bundle.channel.symbol.certificate.blocks
     else:
-        decomp = alg.tro_block_decomposition(bundle.space, seed=bundle.seed)
-        blocks = decomp.blocks
+        blocks = alg.tro_block_decomposition(bundle.space, seed=bundle.seed).blocks
     lams = _parse_grid(args.lambda_grid, "--lambda-grid")
     mus = _parse_grid(args.mu_grid, "--mu-grid")
     if len(lams) * len(mus) > MAX_GRID_POINTS:
@@ -307,7 +294,7 @@ def cmd_describe(args) -> int:
     ch = bundle.channel
     print(f"kind: {bundle.kind}")
     print(f"dim_in: {ch.dim_in}  dim_out: {ch.dim_out}  dim_env: {ch.dim_env}")
-    cert = bundle.symbol.certificate if bundle.symbol is not None else None
+    cert = ch.symbol.certificate if ch.symbol is not None else None
     if cert is not None and cert.space_is_tro:  # validate_symbol checked it as its own closure
         check = alg.TroCheck(True, None, 0.0)
     else:  # is_tro, for the witness; its block attempt also gives the blocks below
@@ -372,9 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "bounds": cmd_bounds,
         "verify": cmd_verify,

@@ -326,7 +326,6 @@ def minimize_renyi_divergence(
     dims: tuple[int, int],
     p: float,
     k_a: Optional[np.ndarray] = None,
-    seed: int = 0,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tol: float = 1e-9,
     max_iter: int = 400,
@@ -350,7 +349,6 @@ def minimize_renyi_divergence(
     when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
     the returned sigma is an L-BFGS-B polish that reported success;
     ``iterations`` counts the fixed-point rounds.
-    ``seed`` is accepted for compatibility; the minimization is deterministic.
     """
     rho, k = mc.asmatrix(rho_ab)[None], None if k_a is None else mc.asmatrix(k_a)[None]
     if k is not None and _leaves_support(mc.partial_trace(rho[0], dims, "A"), k[0]):
@@ -378,9 +376,7 @@ def conditional_renyi(
     ``project`` (on all of B) as in :func:`minimize_renyi_divergence`; ``seed``
     is accepted for compatibility; the minimization is deterministic."""
     rho_ab = check_state(rho_ab)
-    opt = minimize_renyi_divergence(
-        rho_ab, dims, p, seed=seed, project=project, sigma_candidates=sigma_candidates
-    )
+    opt = minimize_renyi_divergence(rho_ab, dims, p, project=project, sigma_candidates=sigma_candidates)
     return ConditionalRenyi(-opt.value, opt.sigma)
 
 
@@ -407,9 +403,7 @@ def renyi_mutual_information(
     accepted for compatibility; the minimization is deterministic."""
     rho_ab = check_state(rho_ab)
     k_a = mc.partial_trace(rho_ab, dims, "A")
-    return minimize_renyi_divergence(
-        rho_ab, dims, p, k_a=k_a, seed=seed, sigma_candidates=sigma_candidates
-    ).value
+    return minimize_renyi_divergence(rho_ab, dims, p, k_a=k_a, sigma_candidates=sigma_candidates).value
 
 
 def s1_sp_norm(rho_ab: np.ndarray, dims: tuple[int, int], p: float, seed: int = 0) -> float:

@@ -47,7 +47,7 @@ class VerificationReport:
     def record(self, digest: str, name: str, slack: float) -> None:
         if slack < self.worst_slack:
             self.worst_slack = slack
-        if slack < -self.tolerance:
+        if not slack >= -self.tolerance:  # NaN fails too
             self.failures.append((digest, name, slack))
 
     @property

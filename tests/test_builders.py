@@ -20,6 +20,29 @@ I2 = np.eye(2, dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def relabeled(group, perm):
+    """The same group with element a called perm[a]."""
+    table, cocycle = np.empty_like(group.table), np.empty_like(group.cocycle)
+    table[perm[:, None], perm[None, :]] = perm[group.table]
+    cocycle[perm[:, None], perm[None, :]] = group.cocycle
+    return bld.FiniteGroup(table=table, cocycle=cocycle)
+
+
+# every kind of table the builders make, and relabelings a -> a - 1 mod n, whose identity is n - 1
+BUILT = {
+    **{f"cyclic{n}": bld.cyclic_group(n) for n in (1, 2, 5, 8)},
+    **{f"dihedral{n}": bld.dihedral_group(n) for n in (1, 3, 4)},
+    "cyclic2xcyclic3": bld.direct_product(bld.cyclic_group(2), bld.cyclic_group(3)),
+    "pauli": bld.pauli_rep().group,
+}
+RELABELED = {
+    f"{name}-relabeled": relabeled(g, np.roll(np.arange(g.order), 1))
+    for name, g in BUILT.items()
+    if g.order > 1
+}
+GROUP_IDS, GROUPS = zip(*{**BUILT, **RELABELED}.items())
+
+
 class TestFiniteGroup:
     def test_cyclic(self):
         g = bld.cyclic_group(4)
@@ -72,18 +95,15 @@ class TestFiniteGroup:
         with pytest.raises(DimMismatch, match="2-cocycle"):
             bld.FiniteGroup(table=bld.cyclic_group(2).table, cocycle=bad)
 
-    @pytest.mark.parametrize(
-        "group",
-        [bld.cyclic_group(5), bld.dihedral_group(4), bld.pauli_rep().group],
-        ids=["cyclic5", "dihedral4", "pauli"],
-    )
+    @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
     def test_identity_inverses_and_conditions_match_loops(self, group):
         n, t, c = group.order, group.table, group.cocycle
-        e = next(a for a in range(n) if all(t[a, j] == j and t[j, a] == j for j in range(n)))
-        assert group.identity == e
-        assert [group.inverse(a) for a in range(n)] == [
+        assert [a for a in range(n) if all(t[a, j] == j and t[j, a] == j for j in range(n))] == [group.identity]
+        e = group.identity
+        assert group.inverses.tolist() == [group.inverse(a) for a in range(n)] == [
             next(b for b in range(n) if t[a, b] == e) for a in range(n)
         ]
+        assert vars(group).keys() == {"table", "cocycle"}  # identity and inverses are read off the table
         assert all(
             t[t[a, b], d] == t[a, t[b, d]] for a in range(n) for b in range(n) for d in range(n)
         )
@@ -93,6 +113,10 @@ class TestFiniteGroup:
             for b in range(n)
             for d in range(n)
         )
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(DimMismatch):  # the square check, now that no identity search runs
+            bld.FiniteGroup(table=np.zeros((0, 0), dtype=int))
 
     def test_schur_kernel_matches_loop(self):
         # phi(g) = <psi, u(g) psi> for the regular representation u is

@@ -60,6 +60,50 @@ class TestTroCapacities:
         with pytest.raises(EmptyBlocks):
             cap.tro_capacities([])
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [[2.9, 1], [(True, 1)], [True], ["3"], [("3", 1)], [math.nan], [(math.nan, 1)], [()], [np.float64(2.0)]],
+        ids=["float", "bool-row", "bool", "str", "str-row", "nan", "nan-row", "empty-row", "numpy-float"],
+    )
+    def test_non_integer_block_sizes_rejected(self, blocks):
+        # each was truncated (2.9 -> 2, True -> 1, "3" -> 3) or raised a bare ValueError
+        for fn in (cap.tro_capacities, functools.partial(cap.cqe_region_vertices, lam=0.5, mu=0.5)):
+            with pytest.raises(DimMismatch, match="must be integers"):
+                fn(blocks)
+
+    @pytest.mark.parametrize("blocks", [[0], [(0, 2)], [np.int64(-1)], np.zeros((1, 3), dtype=int)])
+    def test_sizes_below_one_rejected(self, blocks):
+        with pytest.raises(EmptyBlocks):
+            cap.tro_capacities(blocks)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            np.array([[2, 2, 1], [1, 3, 1], [3, 1, 2]]),
+            [np.array([2, 2]), np.array([1, 3]), np.array([3, 1])],
+            [(np.int64(2), 2), (np.int32(1), 3), (3, np.uint8(1))],
+            [2, np.int64(1), 3],
+            np.array([2, 1, 3]),
+        ],
+        ids=["2d-array", "array-rows", "numpy-int-rows", "bare-ints", "1d-array"],
+    )
+    def test_integer_sizes_in_any_row_form(self, blocks):
+        # a 2-d array used to raise TypeError; every form reads n = 2, 1, 3
+        want = cap.tro_capacities([(2, 2), (1, 3), (3, 1)])
+        assert cap.tro_capacities(blocks).entries == want.entries
+        for fn in (cap.cqe_region_vertices, cap.rps_region_vertices):
+            got, ref = fn(blocks, 0.7, 0.2), fn([(2, 2), (1, 3), (3, 1)], 0.7, 0.2)
+            assert np.array_equal(got.distribution, ref.distribution) and got.constraints == ref.constraints
+
+    def test_certificate_blocks_give_the_block_formulas(self):
+        # the CLI passes a certificate's (n, m, multiplicity) rows of Python ints
+        for blocks in (phi_alpha(0.3).symbol.certificate.blocks, qubit_dephasing(0.4).symbol.certificate.blocks):
+            ns = [n for n, _, _ in blocks]
+            rep = cap.tro_capacities(blocks)
+            assert rep.entries["Q"].lower == math.log2(max(ns))
+            assert rep.entries["C"].lower == math.log2(sum(ns))
+            assert rep.entries["C_EA"].lower == math.log2(sum(n * n for n in ns))
+
     def test_additive_under_block_tensoring(self):
         a = [(2, 2), (3, 1)]
         b = [(2, 1), (1, 3)]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from trocap import algebra as alg
 from trocap import capacity
-from trocap.cli import MAX_GRID_POINTS, _parse_grid, load_spec, main
+from trocap.cli import MAX_GRID_POINTS, SpecBundle, _parse_grid, load_spec, main
 from trocap.entropy import binary_entropy
 
 
@@ -274,6 +275,22 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["passed"] is False and payload[0]["failures"][0]["slack"] == -1.0
 
+    def test_nan_slack_exits_1(self, tmp_path, capsys, monkeypatch):
+        # NaN < -tolerance is False: a suite whose slacks were all NaN used to pass
+        from trocap import verify
+
+        real_record = verify.VerificationReport.record
+
+        def record_nan(self, digest, name, slack):
+            real_record(self, digest, name, math.nan)
+
+        monkeypatch.setattr(verify.VerificationReport, "record", record_nan)
+        spec = write_spec(tmp_path, PHI_SPEC)
+        assert main(["verify", spec, "--suite", "local_comparison", "--samples", "2"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False and report["failures"]
+        assert all(math.isnan(f["slack"]) for f in report["failures"])
+
 
 class TestRegion:
     def test_blocks_csv(self, tmp_path):
@@ -404,6 +421,40 @@ class TestDescribe:
         uniform = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.25] * 4}}
         bare = {"kind": "group_random_unitary", "params": {"rep": "pauli"}}
         assert self.describe(tmp_path, capsys, bare) == self.describe(tmp_path, capsys, uniform)
+
+
+KIND_SPECS = [
+    AMP_DAMP,
+    BLOCKS_SPEC,
+    {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.4, 0.3, 0.2, 0.1]}},
+    {**DEPHASING_Q1, "params": {**DEPHASING_Q1["params"], "phi": [1.0, 0.4]}},
+    PHI_SPEC,
+]
+
+
+class TestSpecBundle:
+    """load_spec reads the space and the symbol off the channel it builds."""
+
+    def test_no_symbol_field(self):
+        assert [f.name for f in dataclasses.fields(SpecBundle)] == ["kind", "channel", "space", "init_states", "seed"]
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["kind-symbol", "explicit-symbol"])
+    @pytest.mark.parametrize("doc", KIND_SPECS, ids=[doc["kind"] for doc in KIND_SPECS])
+    def test_space_is_the_channels_base_or_its_own(self, tmp_path, doc, explicit):
+        if explicit:
+            dim_env = load_spec(write_spec(tmp_path, doc), None).space.dim_env
+            doc = {**doc, "symbol": np.eye(dim_env).tolist()}
+        bundle = load_spec(write_spec(tmp_path, doc), None)
+        ch = bundle.channel
+        if ch.base_space is not None:
+            assert bundle.space is ch.base_space
+        else:
+            assert bundle.space.source is ch
+        if explicit:  # the explicit symbol modifies the kind's base channel
+            assert ch.base_space is bundle.space and np.allclose(ch.symbol.f, np.eye(bundle.space.dim_env))
+            assert bundle.init_states == ()
+        else:
+            assert (ch.symbol is None) == (doc["kind"] in ("kraus", "partial_trace_sum"))
 
 
 class TestSeeds:

@@ -19,5 +19,7 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     for section, name, size, setup in scaling.CASES:
         curves.setdefault((section, name), []).append((size, setup))
     assert {section for section, _ in curves} == {"structure", "closure", "verify", "optimizers"}
+    small = curves[("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls")]
+    assert sorted(size for size, _ in small) == [2, 4, 6, 8]
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()

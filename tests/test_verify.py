@@ -185,6 +185,14 @@ class TestReportRecord:
         assert report.to_dict()["passed"] is False
         assert failures == [{"digest": "bbb", "inequality": "beyond", "slack": -1e-6}]
 
+    def test_nan_slack_is_a_failure(self):
+        # NaN compares False both ways: it was neither a new worst nor a failure
+        report = verify.VerificationReport("check", samples=1, seed=0, tolerance=1e-9)
+        report.record("aaa", "undefined", math.nan)
+        assert not report.passed and report.to_dict()["passed"] is False
+        [(digest, name, slack)] = report.failures
+        assert (digest, name) == ("aaa", "undefined") and math.isnan(slack)
+
 
 # ---------------------------------------------------------------------------
 # the stacked entropic suite against the sample-by-sample loop

@@ -7,7 +7,9 @@ numpy loads) and prints, for each case of CASES, the minimum wall time of 3
 runs.  The size column is the variable of the case's curve:
   - structure: validate_symbol on the completely dephasing channel of
     dimension k with the kernel of a seeded Schur multiplier of cyclic(k) (a
-    Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48; the
+    Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48, and at
+    small spans, k in 2, 4, 6, 8, the same call 100 times per run (one call
+    takes about a millisecond, too short to time alone); the
     triple-product closure and block decomposition of the dilation range of
     the tensor square of the completely dephasing channel of dimension k, a
     span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
@@ -57,9 +59,9 @@ def schur_kernel(k: int) -> np.ndarray:
     return (four * (p / p.sum())) @ four.conj().T
 
 
-def validate_case(k: int):
+def validate_case(k: int, calls: int = 1):
     ch, f = builders.completely_dephasing_channel(k), schur_kernel(k)
-    return lambda: algebra.validate_symbol(ch, f)
+    return lambda: [algebra.validate_symbol(ch, f) for _ in range(calls)]
 
 
 def closure_case(k: int):
@@ -141,6 +143,8 @@ VERIFY_CHANNELS = ("phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)")
 CASES = [
     *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k))
       for k in (8, 16, 24, 32, 48)),
+    *(("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls", k, partial(validate_case, k, 100))
+      for k in (2, 4, 6, 8)),
     *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k))
       for k in (4, 6, 8)),
     *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, "shift", k))
