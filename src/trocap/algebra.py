@@ -15,7 +15,9 @@ compressions and partial traces in U and W, and a *-algebra is the closure
 of its generators' words of length one and two (generate_star_algebra).  The
 Hilbert-Schmidt conditional_expectation is a public reference that no internal
 path uses.  Spans are Hilbert-Schmidt orthonormal, cut at mc.RANK_RTOL; every
-cut of a block structure is at STRUCTURE_RTOL.
+cut of a block structure is at STRUCTURE_RTOL.  Every modified channel N_f
+comes from _modified, which certifies f as a symbol of the base channel
+before it modifies the base's Stinespring space.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import matcore as mc
-from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, stinespring_space
+from .channel import Channel, StinespringSpace, Symbol, SymbolCertificate, modified_channel, stinespring_space
 from .errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 
 TRO_TOL = 1e-8  # triple-product residual up to which a span is accepted as a TRO
@@ -436,13 +438,10 @@ def _block_expectation(q: np.ndarray, shapes: list[tuple[int, int]], x: np.ndarr
     """q* E(x) q for E the conditional_expectation onto q ((+)_i M_{d_i} (x) 1_{l_i}) q*
     (+ scalars on the rest); q unitary, shapes (d_i, l_i) in its column order, x a
     matrix or a stack.  Each summand's block of q* x q goes to its normalized partial
-    trace over the multiplicity, (x) 1_{l_i} (_block_form), and the rest to its normalized trace."""
-    y = mc.dagger(q) @ x @ q
-    out, edge = _block_form(y, [(d, d, l) for d, l in shapes]), sum(d * l for d, l in shapes)
-    if edge < len(q):
-        tr = np.trace(y[..., edge:, edge:], axis1=-2, axis2=-1) / (len(q) - edge)
-        out[..., edge:, edge:] = tr[..., None, None] * np.eye(len(q) - edge)
-    return out
+    trace over the multiplicity, (x) 1_{l_i}, and the rest, one more block (1, 1, rest),
+    to its normalized trace (_block_form)."""
+    rest = len(q) - sum(d * l for d, l in shapes)
+    return _block_form(mc.dagger(q) @ x @ q, [(d, d, l) for d, l in shapes] + [(1, 1, rest)] * (rest > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -497,3 +496,9 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
 def identity_symbol(ch: Channel, seed: int = 0) -> Symbol:
     """The identity density, always a valid symbol."""
     return validate_symbol(ch, np.eye(ch.dim_env, dtype=complex), seed=seed)
+
+
+def _modified(base: Channel, f: np.ndarray, seed: int) -> Channel:
+    """N_f: the base channel's Stinespring space modified by f, once f is
+    certified as a symbol of the base (validate_symbol)."""
+    return modified_channel(stinespring_space(base), validate_symbol(base, f, seed=seed))

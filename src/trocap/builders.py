@@ -3,7 +3,9 @@
 Direct sums of partial traces, random-unitary channels from projective
 group representations, generalized dephasing channels (Schur multipliers
 of positive-definite functions), and the one-parameter 4-to-3 family
-``phi_alpha`` whose capacity window is tight.
+``phi_alpha`` whose capacity window is tight.  Each modified family is a
+base channel modified by its environment density f, built by algebra's one
+constructor of N_f, which certifies f as a symbol of the base first.
 
 Groups are index tables: elements are 0..n-1, multiplication is an n x n
 Latin square, and an optional cocycle of unit scalars twists products.  A
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import matcore as mc
-from .channel import Channel, StinespringSpace, Symbol, modified_channel, stinespring_space
+from .channel import Channel, StinespringSpace, Symbol
 from .errors import (
     BadDistribution,
     DimMismatch,
@@ -203,13 +205,16 @@ def partial_trace_sum_channel(blocks: Sequence[tuple[int, int]]) -> Channel:
 
     Block i holds an n_i x m_i input register; the channel keeps the n_i
     factor and traces out the m_i factor.  Input dim is sum n_i m_i, output
-    dim is sum n_i, environment dim is sum m_i.
+    dim is sum n_i, environment dim is sum m_i.  Each block is a pair (a
+    tuple, list or 1-d array) of sizes that pass mc._block_size.
     """
-    blocks = [(int(n), int(m)) for n, m in blocks]
+    blocks = list(blocks)
     if not blocks:
         raise EmptyBlocks("at least one block required")
-    if any(n < 1 or m < 1 for n, m in blocks):
-        raise EmptyBlocks("block dimensions must be >= 1")
+    for b in blocks:
+        if not (isinstance(b, (tuple, list)) or (isinstance(b, np.ndarray) and b.ndim == 1)) or len(b) != 2:
+            raise DimMismatch(f"each block must be a pair (n, m), got {b!r}")
+    blocks = [(mc._block_size(n), mc._block_size(m)) for n, m in blocks]
     ns, ms = np.array(blocks).T
     sizes = ns * ms
     k = np.arange(sizes.sum())
@@ -224,10 +229,10 @@ def partial_trace_sum_channel(blocks: Sequence[tuple[int, int]]) -> Channel:
 def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int = 0) -> Channel:
     """Random-unitary channel sum_g p(g) u(g) rho u(g)*.
 
-    ``probs`` is a probability distribution over group elements; internally
-    the environment density is |G| * diag(p), a normalized density.  The
-    channel carries the uniform-mixture reference space and that density's
-    certificate as metadata.
+    ``probs`` is a probability distribution over group elements.  The channel
+    is the uniform mixture, Kraus u(g) / sqrt|G|, modified by the environment
+    density f = |G| * diag(p), so its Kraus operators are sqrt(p(g)) u(g) and
+    it carries the mixture's space and f's certificate as metadata.
     """
     p = np.asarray(probs, dtype=float)
     n = rep.group.order
@@ -235,12 +240,8 @@ def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int =
         raise BadDistribution("probs must be a nonnegative vector over group elements")
     if not abs(float(p.sum()) - 1.0) <= 1e-10:
         raise BadDistribution(f"probs sum to {float(p.sum()):.8f}, expected 1")
-    p = np.clip(p, 0.0, None)
     base = Channel(np.stack([u / math.sqrt(n) for u in rep.unitaries]))
-    space = stinespring_space(base)
-    symbol = alg.validate_symbol(base, np.diag(n * p).astype(complex), seed=seed)
-    kraus = np.stack([math.sqrt(p[g]) * rep.unitaries[g] for g in range(n)])
-    return Channel(kraus, base_space=space, symbol=symbol)
+    return alg._modified(base, np.diag(n * np.clip(p, 0.0, None)), seed)
 
 
 def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]:
@@ -273,10 +274,7 @@ def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: i
     mc._require_psd(w, NotPositiveDefinite, "kernel matrix of phi is not PSD")
     unit = "phi(identity) must be 1 (unit kernel diagonal)"
     mc._require_identity(np.diag(np.diagonal(kernel)), NotPositiveDefinite, unit)
-    base = completely_dephasing_channel(n)
-    space = stinespring_space(base)
-    symbol = alg.validate_symbol(base, kernel, seed=seed)
-    return modified_channel(space, symbol)
+    return alg._modified(completely_dephasing_channel(n), kernel, seed)
 
 
 def completely_dephasing_channel(dim: int) -> Channel:
@@ -311,15 +309,11 @@ def phi_alpha(alpha: float, seed: int = 0) -> PhiAlphaBundle:
     """
     if not (-1.0 <= alpha <= 1.0):
         raise OutOfRange(f"alpha must lie in [-1, 1], got {alpha}")
-    base = partial_trace_sum_channel([(1, 2), (1, 1), (1, 1)])
-    space = stinespring_space(base)
     swap = np.zeros((4, 4), dtype=complex)
     swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
-    f = np.eye(4, dtype=complex) + alpha * swap
-    symbol = alg.validate_symbol(base, f, seed=seed)
-    ch = modified_channel(space, symbol)
+    ch = alg._modified(partial_trace_sum_channel([(1, 2), (1, 1), (1, 1)]), np.eye(4) + alpha * swap, seed)
     rho_a = np.zeros((4, 4), dtype=complex)
     rho_a[0, 0] = rho_a[2, 2] = 0.5
     rho_b = np.zeros((4, 4), dtype=complex)
     rho_b[1, 1] = rho_b[3, 3] = 0.5
-    return PhiAlphaBundle(ch, space, symbol, (rho_a, rho_b))
+    return PhiAlphaBundle(ch, ch.base_space, ch.symbol, (rho_a, rho_b))

@@ -78,16 +78,11 @@ class BoundReport:
 
 
 def _block_ns(blocks) -> list[int]:
-    """The sizes n_i: integers (not bools), alone or first in each tuple, list or 1-d array row."""
+    """The sizes n_i (mc._block_size), alone or first in each tuple, list or 1-d array row."""
     ns = []
     for b in blocks:
         row = isinstance(b, (tuple, list)) or (isinstance(b, np.ndarray) and b.ndim == 1)
-        n = b[0] if row and len(b) else b
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise DimMismatch(f"block sizes must be integers, got {n!r}")
-        if n < 1:
-            raise EmptyBlocks(f"block sizes must be >= 1, got {n}")
-        ns.append(int(n))
+        ns.append(mc._block_size(b[0] if row and len(b) else b))
     if not ns:
         raise EmptyBlocks("at least one block required")
     return ns

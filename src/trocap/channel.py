@@ -207,19 +207,16 @@ def stinespring_space(ch: Channel, tol: float = mc.IDENTITY_TOL) -> StinespringS
     entry) raises RankDeficient.  The partial-trace identities
     N(|x><y|) = x y* and N^E(|x><y|) = y* x hold by construction, since both
     sides are the same sums over the Kraus entries; the tests check them
-    against ``apply`` and ``complement_apply``.
+    against ``apply`` and ``complement_apply``.  The basis operators are
+    read-only views of one copied stack.
     """
     # kraus[e, i, k] -> basis op for input k has entry [i, e]
-    stack = ch.kraus.transpose(2, 1, 0)  # (in, out, env)
+    stack = ch.kraus.transpose(2, 1, 0).copy()  # (in, out, env)
     flat = stack.reshape(ch.dim_in, -1)
     gram = flat.conj() @ flat.T
     mc._require_identity(gram, RankDeficient, "dilation is not isometric within tolerance", tol)
-    ops = [op.copy() for op in stack]
-    for op in ops:
-        op.setflags(write=False)
-    return StinespringSpace(
-        basis=tuple(ops), dim_out=ch.dim_out, dim_env=ch.dim_env, source=ch
-    )
+    stack.setflags(write=False)
+    return StinespringSpace(basis=tuple(stack), dim_out=ch.dim_out, dim_env=ch.dim_env, source=ch)
 
 
 def modified_channel(space: StinespringSpace, symbol: Symbol) -> Channel:
@@ -236,8 +233,7 @@ def modified_channel(space: StinespringSpace, symbol: Symbol) -> Channel:
             f"symbol dimension {f.shape[0]} does not match environment {space.dim_env}"
         )
     mc._require_unit_trace(f, InvalidSymbol, "symbol has normalized trace {:.6f}, expected 1")
-    sqrt_f = mc.matrix_power(f, 0.5)
-    stacked = np.stack([op @ sqrt_f for op in space.basis])  # (in, out, env)
+    stacked = space.stacked() @ mc.matrix_power(f, 0.5)  # (in, out, env)
     return Channel(stacked.transpose(2, 1, 0), base_space=space, symbol=symbol)
 
 

@@ -28,13 +28,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import builders, capacity, verify
-from .channel import (
-    Channel,
-    StinespringSpace,
-    from_kraus,
-    modified_channel,
-    stinespring_space,
-)
+from .channel import Channel, StinespringSpace, from_kraus, stinespring_space
 from .errors import TrocapError
 
 FLOAT_FMT = "{:.12g}"
@@ -179,18 +173,16 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         bundle = builders.phi_alpha(float(params["alpha"]), seed=seed)
         ch, init_states = bundle.channel, bundle.block_inputs
 
-    space = ch.base_space or stinespring_space(ch)
     if "symbol" in doc:
         # an explicit symbol re-modifies the kind's base channel, so the
         # channel under study is always the f-modification of that base
         f = _parse_matrix(doc["symbol"], "symbol")
-        ch = modified_channel(space, alg.validate_symbol(space.source, f, seed=seed))
+        ch = alg._modified(ch.base_space.source if ch.base_space else ch, f, seed)
         init_states = ()
-    return SpecBundle(kind, ch, space, init_states, seed)
+    return SpecBundle(kind, ch, ch.base_space or stinespring_space(ch), init_states, seed)
 
 
-def cmd_bounds(args) -> int:
-    bundle = load_spec(args.spec, args.seed)
+def cmd_bounds(args, bundle: SpecBundle) -> int:
     ch, space = bundle.channel, bundle.space
     report = capacity.comparison_bounds(space, ch.symbol or alg.identity_symbol(space.source, seed=bundle.seed))
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
@@ -229,8 +221,7 @@ def cmd_bounds(args) -> int:
 SUITES = ("local_comparison", "entropic", "tensor_symbol", "all")
 
 
-def cmd_verify(args) -> int:
-    bundle = load_spec(args.spec, args.seed)
+def cmd_verify(args, bundle: SpecBundle) -> int:
     space, symbol, kw = bundle.space, bundle.channel.symbol, {"samples": args.samples, "seed": bundle.seed}
     if symbol is None:
         raise SpecError(f"suite {args.suite!r} needs a symbol block in the spec")
@@ -266,8 +257,7 @@ def _parse_grid(text: str, where: str) -> list[float]:
     return [round(a + i * step, 12) for i in range(count)]
 
 
-def cmd_region(args) -> int:
-    bundle = load_spec(args.spec, args.seed)
+def cmd_region(args, bundle: SpecBundle) -> int:
     if bundle.channel.symbol is not None:
         blocks = bundle.channel.symbol.certificate.blocks
     else:
@@ -289,8 +279,7 @@ def cmd_region(args) -> int:
     return 0
 
 
-def cmd_describe(args) -> int:
-    bundle = load_spec(args.spec, args.seed)
+def cmd_describe(args, bundle: SpecBundle) -> int:
     ch = bundle.channel
     print(f"kind: {bundle.kind}")
     print(f"dim_in: {ch.dim_in}  dim_out: {ch.dim_out}  dim_env: {ch.dim_env}")
@@ -327,12 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, about):  # every subcommand reads one spec, which main loads for run
+        p = sub.add_parser(name, help=about)
         p.add_argument("spec", help="path to a JSON channel spec")
         p.add_argument("--seed", type=int, default=None, help="override the spec/TROCAP_SEED seed")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("bounds", help="print a capacity bounds table")
-    common(p)
+    p = command("bounds", cmd_bounds, "print a capacity bounds table")
     p.add_argument("--csv", default=None, help="also write rows quantity,lower,upper,provenance")
     p.add_argument("--restarts", type=_count, default=32)
     p.add_argument(
@@ -342,20 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; no effect (all restarts ascend as one batch)",
     )
 
-    p = sub.add_parser("verify", help="run a randomized inequality suite")
-    common(p)
+    p = command("verify", cmd_verify, "run a randomized inequality suite")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("region", help="write capacity-region vertex constraints as CSV")
-    common(p)
+    p = command("region", cmd_region, "write capacity-region vertex constraints as CSV")
     p.add_argument("--lambda-grid", default="0:1:0.25")
     p.add_argument("--mu-grid", default="0:1:0.25")
     p.add_argument("--csv", required=True)
 
-    p = sub.add_parser("describe", help="print dimensions, block structure, certificate")
-    common(p)
+    command("describe", cmd_describe, "print dimensions, block structure, certificate")
     return parser
 
 
@@ -364,14 +352,8 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    handlers = {
-        "bounds": cmd_bounds,
-        "verify": cmd_verify,
-        "region": cmd_region,
-        "describe": cmd_describe,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args, load_spec(args.spec, args.seed))
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

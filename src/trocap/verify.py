@@ -26,7 +26,6 @@ from .channel import (
     base_channel,
     identity_channel,
     modified_channel,
-    stinespring_space,
     tensor_channels,
 )
 from .entropy import _RenyiStack, bipartite_entropies, entropy_defect
@@ -45,7 +44,7 @@ class VerificationReport:
     failures: list[tuple[str, str, float]] = field(default_factory=list)
 
     def record(self, digest: str, name: str, slack: float) -> None:
-        if slack < self.worst_slack:
+        if not (math.isnan(self.worst_slack) or slack >= self.worst_slack):  # a NaN is the worst, for good
             self.worst_slack = slack
         if not slack >= -self.tolerance:  # NaN fails too
             self.failures.append((digest, name, slack))
@@ -195,10 +194,9 @@ def verify_tensor_symbol(
     report = VerificationReport("tensor_symbol", samples, seed, tolerance)
     nm = tensor_channels(base_channel(space_a), base_channel(space_b))
     f_tensor = mc.tensor(symbol_a.f, symbol_b.f)
-    sym_tensor = alg.validate_symbol(nm, f_tensor, seed=seed)
-    joint = modified_channel(stinespring_space(nm), sym_tensor)
+    joint = alg._modified(nm, f_tensor, seed)
     split = tensor_channels(modified_channel(space_a, symbol_a), modified_channel(space_b, symbol_b))
-    add_gap = abs(entropy_defect(sym_tensor) - entropy_defect(symbol_a) - entropy_defect(symbol_b))
+    add_gap = abs(entropy_defect(joint.symbol) - entropy_defect(symbol_a) - entropy_defect(symbol_b))
     named = [("choi_equality", [-_choi_gap(joint, split)]), ("defect_additivity", [-add_gap])]
     _record(report, [_digest(f_tensor)], named)
     # one sample at a time: a stacked apply would hold samples x env^2 x out^4 entries

@@ -190,6 +190,37 @@ class TestPartialTraceSum:
         with pytest.raises(EmptyBlocks):
             bld.partial_trace_sum_channel([])
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [[(2.9, 1), (True, 2)], [(True, 2)], [("3", 1)], [(1, np.float64(2.0))], [(1, None)]],
+        ids=["float-and-bool", "bool", "str", "numpy-float", "none"],
+    )
+    def test_non_integer_block_sizes_rejected(self, blocks):
+        # (2.9, 1), (True, 2) were truncated to (2, 1), (1, 2) and "3" read as 3
+        with pytest.raises(DimMismatch, match="must be integers"):
+            bld.partial_trace_sum_channel(blocks)
+
+    @pytest.mark.parametrize("blocks", [[(0, 1)], [(2, 2), (1, np.int64(-1))]])
+    def test_sizes_below_one_rejected(self, blocks):
+        with pytest.raises(EmptyBlocks, match=">= 1"):
+            bld.partial_trace_sum_channel(blocks)
+
+    @pytest.mark.parametrize(
+        "blocks", [[(1, 2, 3)], [(2,)], [3], [np.array([[1, 2]])]], ids=["triple", "single", "bare", "2d-row"]
+    )
+    def test_rows_that_are_not_pairs_rejected(self, blocks):
+        with pytest.raises(DimMismatch, match="pair"):
+            bld.partial_trace_sum_channel(blocks)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [np.array([[2, 2], [3, 1]]), [(np.int64(2), np.int32(2)), [3, np.uint8(1)]], iter([(2, 2), (3, 1)])],
+        ids=["2d-array", "numpy-ints", "iterator"],
+    )
+    def test_integer_sizes_in_any_row_form(self, blocks):
+        expected = bld.partial_trace_sum_channel([(2, 2), (3, 1)]).kraus
+        assert np.array_equal(bld.partial_trace_sum_channel(blocks).kraus, expected)
+
 
 class TestGroupRandomUnitary:
     def test_z2_uniform_is_complete_dephasing(self):
@@ -235,6 +266,22 @@ class TestGroupRandomUnitary:
         rep = bld.pauli_rep()
         ch = bld.group_random_unitary(rep, [0.25] * 4)
         assert alg.is_tro(list(ch.base_space.basis)).ok
+
+    @pytest.mark.parametrize(
+        "rep",
+        [bld.pauli_rep(), bld.regular_representation(bld.cyclic_group(6)), bld.regular_representation(bld.dihedral_group(3))],
+        ids=["pauli", "regular-cyclic6", "regular-dihedral3"],
+    )
+    def test_kraus_family_is_the_modified_uniform_mixture(self, rep):
+        # the channel is V sqrt(f) of the uniform mixture, f = |G| diag(p): Kraus sqrt(p(g)) u(g)
+        n, u = rep.group.order, np.stack(rep.unitaries)
+        p = np.random.default_rng(n).random(n)
+        p[1] = 0.0
+        p /= p.sum()
+        ch = bld.group_random_unitary(rep, p)
+        assert np.max(np.abs(ch.kraus - np.sqrt(p)[:, None, None] * u)) <= 2.3e-16
+        assert np.array_equal(ch.base_space.source.kraus, u / np.sqrt(n))
+        assert np.array_equal(ch.symbol.f, np.diag(n * p))
 
 
 def _klein():

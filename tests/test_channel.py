@@ -330,6 +330,12 @@ class TestStinespringSpace:
         monkeypatch.setattr(np, "einsum", einsum)
         assert chn.stinespring_space(ch).dim == 3
 
+    def test_basis_is_read_only(self):
+        space = chn.stinespring_space(random_channel(np.random.default_rng(6), 3, 2, 4))
+        for op in space.basis:
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 1.0
+
     def test_complete_dephasing_is_diagonal(self):
         space = chn.stinespring_space(completely_dephasing_channel(2))
         for op in space.basis:

@@ -288,7 +288,7 @@ class TestVerify:
         spec = write_spec(tmp_path, PHI_SPEC)
         assert main(["verify", spec, "--suite", "local_comparison", "--samples", "2"]) == 1
         [report] = json.loads(capsys.readouterr().out)
-        assert report["passed"] is False and report["failures"]
+        assert report["passed"] is False and report["failures"] and math.isnan(report["worst_slack"])
         assert all(math.isnan(f["slack"]) for f in report["failures"])
 
 
@@ -442,8 +442,9 @@ class TestSpecBundle:
     @pytest.mark.parametrize("doc", KIND_SPECS, ids=[doc["kind"] for doc in KIND_SPECS])
     def test_space_is_the_channels_base_or_its_own(self, tmp_path, doc, explicit):
         if explicit:
-            dim_env = load_spec(write_spec(tmp_path, doc), None).space.dim_env
-            doc = {**doc, "symbol": np.eye(dim_env).tolist()}
+            plain = load_spec(write_spec(tmp_path, doc), None).channel
+            base = plain.base_space.source if plain.base_space else plain  # the kind's base channel
+            doc = {**doc, "symbol": np.eye(base.dim_env).tolist()}
         bundle = load_spec(write_spec(tmp_path, doc), None)
         ch = bundle.channel
         if ch.base_space is not None:
@@ -451,8 +452,8 @@ class TestSpecBundle:
         else:
             assert bundle.space.source is ch
         if explicit:  # the explicit symbol modifies the kind's base channel
-            assert ch.base_space is bundle.space and np.allclose(ch.symbol.f, np.eye(bundle.space.dim_env))
-            assert bundle.init_states == ()
+            assert ch.base_space is bundle.space and np.array_equal(bundle.space.source.kraus, base.kraus)
+            assert np.allclose(ch.symbol.f, np.eye(bundle.space.dim_env)) and bundle.init_states == ()
         else:
             assert (ch.symbol is None) == (doc["kind"] in ("kraus", "partial_trace_sum"))
 

@@ -21,5 +21,7 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert {section for section, _ in curves} == {"structure", "closure", "verify", "optimizers"}
     small = curves[("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls")]
     assert sorted(size for size, _ in small) == [2, 4, 6, 8]
+    built = curves[("structure", "group_random_unitary regular rep of cyclic(k), 100 calls")]
+    assert sorted(size for size, _ in built) == [4, 8, 16]
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()

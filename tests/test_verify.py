@@ -185,13 +185,17 @@ class TestReportRecord:
         assert report.to_dict()["passed"] is False
         assert failures == [{"digest": "bbb", "inequality": "beyond", "slack": -1e-6}]
 
-    def test_nan_slack_is_a_failure(self):
-        # NaN compares False both ways: it was neither a new worst nor a failure
+    @pytest.mark.parametrize("slacks", [[math.nan], [0.5, math.nan, 0.3]], ids=["nan", "nan-between"])
+    def test_nan_slack_is_a_failure(self, slacks):
+        # NaN compares False both ways: it was neither a new worst nor a failure,
+        # then a failure whose worst slack read Infinity alone or 0.5 after 0.5
         report = verify.VerificationReport("check", samples=1, seed=0, tolerance=1e-9)
-        report.record("aaa", "undefined", math.nan)
+        for slack in slacks:
+            report.record("aaa", "undefined", slack)
         assert not report.passed and report.to_dict()["passed"] is False
         [(digest, name, slack)] = report.failures
         assert (digest, name) == ("aaa", "undefined") and math.isnan(slack)
+        assert math.isnan(report.worst_slack) and math.isnan(report.to_dict()["worst_slack"])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ runs.  The size column is the variable of the case's curve:
     triple-product closure and block decomposition of the dilation range of
     the tensor square of the completely dephasing channel of dimension k, a
     span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
+    and the construction of N_f, group_random_unitary of the regular
+    representation of cyclic(k) with a seeded distribution, k in 4, 8, 16,
+    100 calls per run;
   - closure: generate_star_algebra of the cyclic shift of order k in 8, 16,
     32, and of one seeded random generator of M_d, d in 4, 6, 10; and
     commutant_blocks of the regular representation of the dihedral group of
@@ -62,6 +65,12 @@ def schur_kernel(k: int) -> np.ndarray:
 def validate_case(k: int, calls: int = 1):
     ch, f = builders.completely_dephasing_channel(k), schur_kernel(k)
     return lambda: [algebra.validate_symbol(ch, f) for _ in range(calls)]
+
+
+def construction_case(k: int, calls: int = 100):
+    rep = builders.regular_representation(builders.cyclic_group(k))
+    p = np.random.default_rng(k).random(k)
+    return lambda: [builders.group_random_unitary(rep, p / p.sum()) for _ in range(calls)]
 
 
 def closure_case(k: int):
@@ -147,6 +156,8 @@ CASES = [
       for k in (2, 4, 6, 8)),
     *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k))
       for k in (4, 6, 8)),
+    *(("structure", "group_random_unitary regular rep of cyclic(k), 100 calls", k, partial(construction_case, k))
+      for k in (4, 8, 16)),
     *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, "shift", k))
       for k in (8, 16, 32)),
     *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, "random", d))
