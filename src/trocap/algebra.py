@@ -6,18 +6,17 @@ algebras of an operator space, independence tests, and symbol validation.
 
 A TRO is exactly U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, so blocks that account
 for a whole span prove it a TRO.  One routine, _structure, serves every TRO
-test, closure and decomposition: a seeded attempt (_attempt) reads U, n_i and
-l_i off random elements sum_s x_s y_s* of the left algebra and W, m_i off the
-span, and a span close enough to its blocks is certified by that distance;
-otherwise a witness scan decides, and closing extends a span exactly when the
-scan rejects it.  Both sides' algebras and conditional expectations are block
-compressions and partial traces in U and W, and a *-algebra is the closure
-of its generators' words of length one and two (generate_star_algebra).  The
-Hilbert-Schmidt conditional_expectation is a public reference that no internal
-path uses.  Spans are Hilbert-Schmidt orthonormal, cut at mc.RANK_RTOL; every
-cut of a block structure is at STRUCTURE_RTOL.  Every modified channel N_f
-comes from _modified, which certifies f as a symbol of the base channel
-before it modifies the base's Stinespring space.
+test, closure and decomposition: a block attempt (_attempt) reads a span in
+coordinates off its support, and any other span's U, n_i, l_i off seeded
+elements sum_s x_s y_s* of the left algebra and W, m_i off the span; a span
+close enough to its blocks is certified by that distance, else a witness scan
+decides, and closing extends a span exactly when the scan rejects it.  Both
+sides' algebras and conditional expectations are block compressions and
+partial traces in U and W; a *-algebra is the closure of its generators' words
+of length one and two (generate_star_algebra).  The HS conditional_expectation
+is a public reference no internal path uses.  Spans are HS orthonormal, cut at
+mc.RANK_RTOL; every block-structure cut is at STRUCTURE_RTOL.  Every N_f comes
+from _modified, which certifies f on the Stinespring space that it modifies.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ TRO_TOL = 1e-8  # triple-product residual up to which a span is accepted as a TR
 STRUCTURE_RTOL = np.sqrt(TRO_TOL)  # every block-structure cut, above the noise of an accepted TRO
 GAP_THRESHOLD = 1e-6  # eigenvalues of a random algebra element closer than this are one cluster
 BLOCK_TRIES = 12  # random samples a block decomposition draws before it gives up
+SYMBOL_TOL = 1e-9  # independence residual up to which a density is certified as a symbol
 
 
 def orthonormal_span(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -151,8 +151,10 @@ def _structure(
     i's residuals (j = 0 first), off what the round added, that stay above tol
     are normalized and their span added, so the round adds a dimension.
     All of M_{n,m} is a TRO, so closing it takes no round and no attempt."""
-    v = np.array(orthonormal_span(mats))
-    while len(v):
+    if not len(mats):  # no shape, so no stack: accepted as a TRO, never decomposed
+        return np.zeros((0, 0, 0), complex), None, TroCheck(True, None, 0.0)
+    v = np.reshape(orthonormal_span(mats), (-1, *np.shape(mats[0])))
+    while True:
         k, n, m = v.shape
         if close and k == n * m:
             full = TroDecomposition(((n, m, 1),), np.eye(n, dtype=complex), np.eye(m, dtype=complex))
@@ -177,7 +179,6 @@ def _structure(
         if worst <= tol or not close:
             return v, found, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
         v = np.array(orthonormal_span([*v, *added.reshape(-1, n, m)]))
-    return v, None, TroCheck(True, None, 0.0)  # the empty span
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +334,41 @@ def _right_frame(v: np.ndarray, frame: np.ndarray, l: int) -> tuple[int, np.ndar
     return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
 
 
+def _support_blocks(v: np.ndarray) -> Optional[TroDecomposition]:
+    """Blocks of a span in coordinates, or None: when the exact union support S
+    (entries not 0.0) of its stack v (k, n, m) has k entries and S S^T S stays in
+    S, S is a disjoint union of full rectangles and the span all of them: blocks
+    (|rows|, |columns|, 1) by first row, with permutations as unitaries."""
+    s = v.any(axis=0)
+    t = s.astype(float)  # |S| = k is tested first, so that a dense span falls through at once
+    if np.count_nonzero(s) != len(v) or not np.array_equal(t @ t.T @ t > 0, s):
+        return None
+    lead = s.argmax(axis=1)  # a row's first column, whose first row is its rectangle's
+    tops = np.flatnonzero(s.any(axis=1) & (s.argmax(axis=0)[lead] == np.arange(len(s))))
+    rows, cols = [np.flatnonzero(s[:, lead[i]]) for i in tops], [np.flatnonzero(s[i]) for i in tops]
+    u_out = np.eye(len(s), dtype=complex)[:, np.concatenate([*rows, np.flatnonzero(~s.any(axis=1))])]
+    u_env = np.eye(s.shape[1], dtype=complex)[:, np.concatenate([*cols, np.flatnonzero(~s.any(axis=0))])]
+    return TroDecomposition(tuple((len(r), len(c), 1) for r, c in zip(rows, cols)), u_out, u_env)
+
+
+def _distance(v: np.ndarray, decomp: TroDecomposition) -> float:
+    """eps: the largest distance of an element of the stack v from the TRO of decomp."""
+    y = mc.dagger(decomp.basis_change_out) @ v @ decomp.basis_change_env
+    return float(np.max(np.linalg.norm(y - _block_form(y, decomp.blocks), axis=(1, 2)), initial=0.0))
+
+
 def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecomposition, float]]:
-    """One seeded try at the blocks of the span of an orthonormal stack v
-    (k, n, m), and eps, the largest distance of a basis element from the TRO
-    they declare; None when they do not account for k.  For a TRO,
-    herm(sum_{s<n} x_s y_s*), x_s and y_s Gaussian combinations of v, is a
-    generic element of the left algebra: two such samples, on the unit's
-    support at unit norm, give the summands, and v their right frames.  The
-    blocks come in a canonical order that does not depend on the basis of v
-    or the seed: a block-diagonal TRO lists its blocks top to bottom."""
+    """One try at the blocks of the span of an orthonormal stack v (k, n, m), and
+    eps, the largest distance of a basis element from the TRO they declare; None
+    when they do not account for k.  A span in coordinates is certified from its
+    support (_support_blocks).  For any other TRO, herm(sum_{s<n} x_s y_s*), x_s
+    and y_s seeded Gaussian combinations of v, is a generic element of the left
+    algebra: two such samples, on the unit's support at unit norm, give the
+    summands, and v their right frames.  The blocks come in a canonical order,
+    whatever the basis of v or the seed: a block-diagonal TRO's top to bottom."""
+    found = _support_blocks(v)
+    if found is not None:
+        return found, _distance(v, found)
     k, n, m = v.shape
     rng = np.random.default_rng(seed)
     w, q = mc.herm_eig(np.tensordot(v, v.conj(), axes=([0, 2], [0, 2])))
@@ -374,9 +401,8 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     if dims[:, 0] @ dims[:, 1] != k or dims[:, 1] @ dims[:, 2] > m:
         return None
     u_out, u_env = _complete_frame([frame for frame, _ in summands], n), _complete_frame(list(rframes), m)
-    y = mc.dagger(u_out) @ v @ u_env
-    eps = float(np.max(np.linalg.norm(y - _block_form(y, blocks), axis=(1, 2))))
-    return TroDecomposition(blocks, u_out, u_env), eps
+    found = TroDecomposition(blocks, u_out, u_env)
+    return found, _distance(v, found)
 
 
 def _decompose(v: np.ndarray, found, check: TroCheck, seed: int) -> TroDecomposition:
@@ -399,6 +425,8 @@ def tro_block_decomposition(space, seed: int = 0, tol: float = TRO_TOL) -> TroDe
     block-form bound is the accepted ``residual`` when within tol (_decompose).
     Raises NotTro, naming the witness of is_tro(mats), when it is not a TRO."""
     mats = space.basis if isinstance(space, StinespringSpace) else [mc.asmatrix(m) for m in space]
+    if not len(mats):
+        raise DimMismatch("no matrices: an empty list has no shape to decompose")
     return _decompose(*_structure(mats, tol, seed=seed), seed)
 
 
@@ -458,7 +486,7 @@ def _block_residuals(eig: mc.HermEig, decomp: TroDecomposition) -> list[float]:
     return [mc.frobenius(r) for r in e]
 
 
-def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9) -> Symbol:
+def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = SYMBOL_TOL) -> Symbol:
     """Certify an environment density as a symbol of the channel.
 
     Computes the smallest TRO containing the channel's dilation range, its
@@ -466,8 +494,12 @@ def validate_symbol(ch: Channel, f: np.ndarray, seed: int = 0, tol: float = 1e-9
     right algebra in the block basis.  The certificate records the TRO's
     block structure, the independence residuals and the decomposition itself.
     """
+    return _certify(stinespring_space(ch), f, seed, tol)
+
+
+def _certify(space: StinespringSpace, f: np.ndarray, seed: int, tol: float = SYMBOL_TOL) -> Symbol:
+    """validate_symbol on the channel's Stinespring space itself."""
     f = mc.asmatrix(f)
-    space = stinespring_space(ch)
     if f.shape != (space.dim_env, space.dim_env):
         raise DimMismatch(f"symbol dim {f.shape[0]} does not match environment {space.dim_env}")
     eig = mc.herm_eig(f)
@@ -500,5 +532,6 @@ def identity_symbol(ch: Channel, seed: int = 0) -> Symbol:
 
 def _modified(base: Channel, f: np.ndarray, seed: int) -> Channel:
     """N_f: the base channel's Stinespring space modified by f, once f is
-    certified as a symbol of the base (validate_symbol)."""
-    return modified_channel(stinespring_space(base), validate_symbol(base, f, seed=seed))
+    certified as a symbol of the base on that same space (validate_symbol)."""
+    space = stinespring_space(base)
+    return modified_channel(space, _certify(space, f, seed))

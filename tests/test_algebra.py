@@ -29,7 +29,7 @@ from trocap.channel import (
     tensor_channels,
 )
 from trocap.entropy import entropy_defect
-from trocap.errors import NotIndependent, NotNormalized, NotTro
+from trocap.errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 from trocap.verify import verify_local_comparison
 
 from helpers import hs_inner, random_unitary, star_algebra_loop
@@ -609,6 +609,15 @@ class TestVectorizedSpanOps:
         for mats in ([], [np.zeros((2, 3))]):
             assert alg.is_tro(mats) == alg.TroCheck(True, None, 0.0)
             assert alg.smallest_containing_tro(mats) == []
+        # the zero span decomposes to no blocks with identity unitaries; an
+        # empty list has no shape to decompose in
+        decomp = alg.tro_block_decomposition([np.zeros((2, 3))])
+        assert decomp.blocks == ()
+        assert np.array_equal(decomp.basis_change_out, np.eye(2))
+        assert np.array_equal(decomp.basis_change_env, np.eye(3))
+        assert alg.algebra_blocks([np.zeros((2, 2))]) == []
+        with pytest.raises(DimMismatch):
+            alg.tro_block_decomposition([])
 
 
 class TestTroClosureAgainstLoops:
@@ -887,6 +896,115 @@ class TestCanonicalBlockOrder:
     def test_phi_alpha_certificate_order_is_fixed(self):
         orders = {phi_alpha(a, seed=s).symbol.certificate.blocks for a in (0.3, -0.5) for s in range(3)}
         assert len(orders) == 1
+
+
+def coordinate_tro(shapes, pad, seed, transpose):
+    """Stinespring basis (k, out, env) of the partial-trace sum of shapes,
+    zero-padded by pad = (rows, columns), its rows and columns shuffled by
+    permutations from default_rng(seed) and transposed when asked, with its
+    rectangles (rows, columns), each a pair of index arrays."""
+    basis = np.array(stinespring_space(partial_trace_sum_channel(shapes)).basis)
+    basis = np.pad(basis, ((0, 0), (0, pad[0]), (0, pad[1])))
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(basis.shape[1]), rng.permutation(basis.shape[2])
+    basis = basis[:, rows][:, :, cols]
+    ro, co, rects = np.cumsum([0] + [n for n, _ in shapes]), np.cumsum([0] + [m for _, m in shapes]), []
+    for i in range(len(shapes)):  # old row r is new row argsort(rows)[r]
+        rects.append((np.argsort(rows)[ro[i] : ro[i + 1]], np.argsort(cols)[co[i] : co[i + 1]]))
+    if transpose:
+        return basis.transpose(0, 2, 1), [(c, r) for r, c in rects]
+    return basis, rects
+
+
+def tensor_coordinate_tro(a, b):
+    """The span of x (x) y over two coordinate TROs (basis, rectangles)."""
+    (xa, ra), (xb, rb) = a, b
+    basis = np.einsum("iab,jcd->ijacbd", xa, xb).reshape(len(xa) * len(xb), *np.multiply(xa.shape[1:], xb.shape[1:]))
+    rects = [
+        tuple((p[:, None] * q_dim + q[None]).ravel() for p, q, q_dim in zip(pa, pb, xb.shape[1:]))
+        for pa in ra for pb in rb
+    ]
+    return basis, rects
+
+
+def no_random_draw(*args, **kwargs):
+    raise AssertionError("a span in coordinates drew a random sample")
+
+
+def one_entry_outside():
+    """The (2, 2) + (1, 1) partial-trace sum's basis with one 1e-17 entry outside its rectangles."""
+    mats = list(np.array(stinespring_space(partial_trace_sum_channel([(2, 2), (1, 1)])).basis))
+    mats[0][0, 2] = 1e-17
+    return mats
+
+
+COORDINATE = st.tuples(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3).filter(
+        lambda s: sum(n * m for n, m in s) <= 9
+    ),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+
+
+class TestCoordinateSpans:
+    """A span whose union support is a disjoint union of full rectangles is
+    certified from that support, with no random draw."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(first=COORDINATE, second=st.none() | COORDINATE, seed=st.integers(0, 2**32 - 1))
+    def test_blocks_from_the_support(self, first, second, seed):
+        basis, rects = coordinate_tro(*first)
+        if second is not None:
+            basis, rects = tensor_coordinate_tro((basis, rects), coordinate_tro(*second))
+        want = tuple((len(r), len(c), 1) for r, c in sorted(rects, key=lambda rc: rc[0].min()))
+        rng = np.random.default_rng(seed)
+        u, w = random_unitary(rng, basis.shape[1]), random_unitary(rng, basis.shape[2])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "random_complex", no_random_draw)
+            v = np.array(alg.orthonormal_span(list(basis)))
+            decomp, eps = alg._attempt(v, (seed, 0))
+            assert eps == 0.0 and decomp.blocks == want
+            assert alg.is_tro(list(basis)) == alg.TroCheck(True, None, 0.0)
+            assert alg.tro_block_decomposition(list(basis), seed=seed).blocks == want
+        # a rotation U v W* of the same span takes the seeded path to the same
+        # blocks, unless the span is all of M_{n,m}: its rotations are in coordinates too
+        draws, real_random = [], mc.random_complex
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "random_complex", lambda *a: draws.append(a) or real_random(*a))
+            rotated = alg.tro_block_decomposition(list(u @ basis @ mc.dagger(w)), seed=seed % 5)
+        assert bool(draws) == (len(basis) < basis[0].size) and sorted(rotated.blocks) == sorted(want)
+
+    def test_unitaries_are_permutations_that_realize_the_blocks(self):
+        basis, _ = coordinate_tro([(2, 3), (1, 1), (3, 1)], (1, 2), 5, False)
+        decomp = alg.tro_block_decomposition(list(basis))
+        for u in (decomp.basis_change_out, decomp.basis_change_env):
+            assert np.array_equal(np.sort(u, axis=0)[-1], np.ones(len(u))) and np.count_nonzero(u) == len(u)
+        y = mc.dagger(decomp.basis_change_out) @ basis @ decomp.basis_change_env
+        assert np.array_equal(y, alg._block_form(y, decomp.blocks))
+
+    @pytest.mark.parametrize(
+        "make, answer",
+        [
+            (lambda: [e(0, 0) + e(1, 1)], ((1, 1, 2),)),
+            (lambda: [np.kron(e(i, j), np.eye(2)) for i in range(2) for j in range(2)], ((2, 2, 2),)),
+            (lambda: list(mc.random_complex(np.random.default_rng(4), (3, 2, 2))), NotTro),
+            (one_entry_outside, ((2, 2, 1), (1, 1, 1))),
+        ],
+        ids=["e00+e11", "X(x)1_2", "generic 3 of M_2", "1e-17 outside"],
+    )
+    def test_other_spans_fall_through(self, make, answer):
+        # the seeded attempt keeps the answers these spans had before the support check
+        mats = make()
+        v = np.array(alg.orthonormal_span(mats))
+        assert alg._support_blocks(v) is None
+        if answer is NotTro:
+            assert not alg.is_tro(mats).ok
+            with pytest.raises(NotTro):
+                alg.tro_block_decomposition(mats)
+        else:
+            assert alg.tro_block_decomposition(mats).blocks == answer
 
 
 def span_space(mats):

@@ -21,6 +21,10 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert {section for section, _ in curves} == {"structure", "closure", "verify", "optimizers"}
     small = curves[("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls")]
     assert sorted(size for size, _ in small) == [2, 4, 6, 8]
+    rotated = curves[("structure", "validate_symbol rotated dephasing(k) Schur kernel")]
+    assert sorted(size for size, _ in rotated) == [8, 16, 32]
+    # out of coordinates, the same structure: k blocks (1, 1, 1)
+    assert min(rotated)[1]()().certificate.blocks == ((1, 1, 1),) * 8
     built = curves[("structure", "group_random_unitary regular rep of cyclic(k), 100 calls")]
     assert sorted(size for size, _ in built) == [4, 8, 16]
     for cases in curves.values():

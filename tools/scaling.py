@@ -9,7 +9,12 @@ runs.  The size column is the variable of the case's curve:
     dimension k with the kernel of a seeded Schur multiplier of cyclic(k) (a
     Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48, and at
     small spans, k in 2, 4, 6, 8, the same call 100 times per run (one call
-    takes about a millisecond, too short to time alone); the
+    takes about a millisecond, too short to time alone); its rotated twin,
+    the same call, k in 8, 16, 32, on that channel with its output and Kraus
+    index rotated by seeded unitaries U and W and its kernel carried along
+    (W-bar f W^T): a span in coordinates is certified from its support, and
+    the rotated twin is the same structure out of coordinates, which takes
+    the seeded block attempt; the
     triple-product closure and block decomposition of the dilation range of
     the tensor square of the completely dephasing channel of dimension k, a
     span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
@@ -65,6 +70,14 @@ def schur_kernel(k: int) -> np.ndarray:
 def validate_case(k: int, calls: int = 1):
     ch, f = builders.completely_dephasing_channel(k), schur_kernel(k)
     return lambda: [algebra.validate_symbol(ch, f) for _ in range(calls)]
+
+
+def rotated_validate_case(k: int):
+    rng = np.random.default_rng(k)
+    u, w = (np.linalg.qr(matcore.random_complex(rng, (k, k)))[0] for _ in range(2))
+    kraus = np.einsum("ef,ij,fjk->eik", w, u, builders.completely_dephasing_channel(k).kraus)
+    ch, f = channel.Channel(kraus), w.conj() @ schur_kernel(k) @ w.T
+    return lambda: algebra.validate_symbol(ch, f)
 
 
 def construction_case(k: int, calls: int = 100):
@@ -154,6 +167,8 @@ CASES = [
       for k in (8, 16, 24, 32, 48)),
     *(("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls", k, partial(validate_case, k, 100))
       for k in (2, 4, 6, 8)),
+    *(("structure", "validate_symbol rotated dephasing(k) Schur kernel", k, partial(rotated_validate_case, k))
+      for k in (8, 16, 32)),
     *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k))
       for k in (4, 6, 8)),
     *(("structure", "group_random_unitary regular rep of cyclic(k), 100 calls", k, partial(construction_case, k))
