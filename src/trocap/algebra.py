@@ -8,21 +8,23 @@ A TRO is exactly U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, so blocks that account
 for a whole span prove it a TRO.  One routine, _structure, serves every TRO
 test, closure and decomposition: a block attempt (_attempt) reads a span in
 coordinates off its support, and any other span's U, n_i, l_i off seeded
-elements sum_s x_s y_s* of the left algebra and W, m_i off the span; a span
-close enough to its blocks is certified by that distance, else a witness scan
-decides, and closing extends a span exactly when the scan rejects it.  Both
-sides' algebras and conditional expectations are block compressions and
-partial traces in U and W; a *-algebra is the closure of its generators' words
-of length one and two (generate_star_algebra).  The HS conditional_expectation
-is a public reference no internal path uses.  Spans are HS orthonormal, cut at
-mc.RANK_RTOL; every block-structure cut is at STRUCTURE_RTOL.  Every N_f comes
-from _modified, which certifies f on the Stinespring space that it modifies.
+elements sum_s x_s y_s* of the left algebra and W, m_i off the span, with
+the summands of one shape as one stack; a span close enough to its blocks is
+certified by that distance, else a witness scan decides, and closing extends a
+span exactly when the scan rejects it.  Both sides' algebras and conditional
+expectations are block compressions and partial traces in U and W; a *-algebra
+is the closure of its generators' words of length one and two
+(generate_star_algebra).  The HS conditional_expectation is a public reference
+no internal path uses.  Spans are HS orthonormal, cut at mc.RANK_RTOL; every
+block-structure cut is at STRUCTURE_RTOL.  Every N_f comes from _modified,
+which certifies f on the Stinespring space that it modifies.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,12 +78,10 @@ class AlgebraBasis:
 
 
 def _make_algebra(dim: int, basis: Sequence[np.ndarray]) -> AlgebraBasis:
-    eye = np.eye(dim, dtype=complex)
-    unital = span_residual(eye, basis) <= 1e-8 * np.sqrt(dim)
-    frozen = tuple(np.array(b) for b in basis)
-    for b in frozen:
-        b.setflags(write=False)
-    return AlgebraBasis(dim=dim, basis=frozen, unital=unital)
+    frozen = np.array(basis, dtype=complex).reshape(-1, dim, dim)
+    frozen.setflags(write=False)
+    unital = span_residual(np.eye(dim, dtype=complex), basis) <= 1e-8 * np.sqrt(dim)
+    return AlgebraBasis(dim=dim, basis=tuple(frozen), unital=unital)
 
 
 def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
@@ -164,16 +164,16 @@ def _structure(
         if bound <= tol:
             return v, found, TroCheck(True, None, bound)
         flat, worst, witness, added = v.reshape(k, -1), 0.0, None, np.zeros((0, n * m), complex)
-        for i in range(k):  # every x_i x_j* x_l of one i at once
-            xy = v[i] @ v.conj().transpose(0, 2, 1)
-            t = (xy[:, None] @ v[None]).reshape(k * k, -1)
-            r = t - (t @ flat.conj().T) @ flat
-            res = np.linalg.norm(r, axis=1)
+        for i in range(k):  # every x_i x_j* x_l of one i at once, as k products (x_i x_j*)_j x_l, rows (l, j)
+            xy = (v[i] @ v.conj().transpose(0, 2, 1)).reshape(k * n, n)
+            r = (xy @ v).reshape(k * k, -1)
+            r = (r - (r @ flat.conj().T) @ flat).reshape(k, k, -1)
+            res = np.linalg.norm(r, axis=2).T.ravel()  # rows (j, l)
             jl = int(np.argmax(res))
             if res[jl] > worst:
                 worst, witness = float(res[jl]), (i, *divmod(jl, k))
-            for rows in (r[:k], r[k:]) if close else ():  # j = 0 often spans them all
-                rows = rows - (rows @ added.conj().T) @ added
+            for rows in (r[:, 0], r[:, 1:].transpose(1, 0, 2).reshape(-1, n * m)) if close else ():
+                rows = rows - (rows @ added.conj().T) @ added  # j = 0 first: it often spans them all
                 res = np.linalg.norm(rows, axis=1)
                 added = np.vstack([added, *orthonormal_span(rows[res > tol] / res[res > tol, None])])
         if worst <= tol or not close:
@@ -194,9 +194,7 @@ def conditional_expectation(m: AlgebraBasis, x: np.ndarray) -> np.ndarray:
     x = mc.asmatrix(x)
     if x.shape != (m.dim, m.dim):
         raise DimMismatch(f"operand shape {x.shape} does not match algebra dim {m.dim}")
-    basis = list(m.basis)
-    if not m.unital:
-        basis = orthonormal_span(basis + [np.eye(m.dim, dtype=complex)])
+    basis = list(m.basis) if m.unital else orthonormal_span([*m.basis, np.eye(m.dim, dtype=complex)])
     return project_span(x, basis)
 
 
@@ -236,6 +234,14 @@ def is_strongly_independent(f: np.ndarray, m: AlgebraBasis, tol: float = 1e-9) -
 
 # ---------------------------------------------------------------------------
 # block structure of algebras and TROs
+
+
+def _groups(keys: Sequence) -> dict:
+    """The positions of each distinct key, keys in order of first appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
 def _split_at_gaps(w: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -311,7 +317,7 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
+def _complete_frame(frames: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """The polar factor of the stacked column frames, completed to a unitary
     by an orthonormal basis of its complement."""
     u = _polar(np.concatenate(frames, axis=1))
@@ -321,17 +327,19 @@ def _complete_frame(frames: list[np.ndarray], dim: int) -> np.ndarray:
     return u
 
 
-def _right_frame(v: np.ndarray, frame: np.ndarray, l: int) -> tuple[int, np.ndarray]:
-    """m and the right frame G, columns (b, s), of the summand with left frame F,
-    columns (a, s), and multiplicity l, so n is F's width over l.  Rows (a, s)
-    of F* x are sum_b X[a, b] g_(b,s)*, so an SVD of the rows of copy s = 0 over
-    the stacked basis v gives m and g_(., 0), and g_(., s)* = X^+ rows_s."""
-    n = frame.shape[1] // l
-    rows = (mc.dagger(frame) @ v).reshape(len(v) * n, l, -1)
-    u, s, _ = np.linalg.svd(rows[:, 0], full_matrices=False)
-    m = int(np.count_nonzero(mc._rank_mask(s, STRUCTURE_RTOL)))
-    g = (mc.dagger(u[:, :m]) / s[:m, None]) @ rows.transpose(1, 0, 2)  # (s, b, env)
-    return m, mc.dagger(g.transpose(1, 0, 2).reshape(m * l, -1))
+def _right_frames(v: np.ndarray, frames: np.ndarray, l: int) -> Iterator[tuple[list[int], int, np.ndarray]]:
+    """(ps, m, G) per rank m of summands (F_p, l) of one width, stacked frames
+    (p, out, n l): G the right frames, columns (b, s), of the stack's members
+    ps of rank m.  Rows (a, s) of F* x are sum_b X[a, b] g_(b,s)*, so one SVD
+    of the stacked copy-0 rows over the basis v gives each m and g_(., 0), and
+    g_(., s)* = X^+ rows_s, one product per rank."""
+    n = frames.shape[2] // l
+    rows = (mc.dagger(frames)[:, None] @ v).reshape(len(frames), len(v) * n, l, -1)
+    u, s, _ = np.linalg.svd(rows[:, :, 0], full_matrices=False)
+    for m, ps in _groups(np.count_nonzero(mc._rank_mask(s, STRUCTURE_RTOL), axis=1).tolist()).items():
+        x_pinv = mc.dagger(u[ps, :, :m]) / s[ps, :m, None]
+        g = x_pinv[:, None] @ rows[ps].transpose(0, 2, 1, 3)  # (p, s, b, env)
+        yield ps, m, mc.dagger(g.transpose(0, 2, 1, 3).reshape(len(g), m * l, -1))
 
 
 def _support_blocks(v: np.ndarray) -> Optional[TroDecomposition]:
@@ -364,8 +372,9 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     support (_support_blocks).  For any other TRO, herm(sum_{s<n} x_s y_s*), x_s
     and y_s seeded Gaussian combinations of v, is a generic element of the left
     algebra: two such samples, on the unit's support at unit norm, give the
-    summands, and v their right frames.  The blocks come in a canonical order,
-    whatever the basis of v or the seed: a block-diagonal TRO's top to bottom."""
+    summands, and v their right frames, one stack per shape (_right_frames).
+    The blocks come in a canonical order, whatever the basis of v or the seed:
+    a block-diagonal TRO's top to bottom."""
     found = _support_blocks(v)
     if found is not None:
         return found, _distance(v, found)
@@ -386,22 +395,31 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
         return None
     # For a TRO, sum_k v_k G G* v_k* is m/l times the summand's output projection
     # and feels the error of the right frame G only to second order: it carries
-    # the left frames, whose noise a sample's small gaps amplify, onto the summands.
-    for i, (frame, l) in enumerate(summands):
-        vg = v @ _right_frame(v, frame, l)[1]
-        summands[i] = _polar(np.tensordot(vg, mc.dagger(vg) @ frame, axes=([0, 2], [0, 1]))), l
+    # the left frames, whose noise a sample's small gaps amplify, onto the summands,
+    # whose right frames are then read again.  refined[i] = (F, l, m, G).
+    refined = [None] * len(summands)
+    for (_, l), ids in _groups([(frame.shape[1], l) for frame, l in summands]).items():
+        stack = np.stack([summands[i][0] for i in ids])
+        a = np.empty_like(stack)
+        for ps, _, g in _right_frames(v, stack, l):
+            vg = v @ g[:, None]  # (p, k, n, m l)
+            vgf = (mc.dagger(vg) @ stack[ps, None]).reshape(len(g), -1, stack.shape[2])
+            a[ps] = vg.transpose(0, 2, 1, 3).reshape(len(g), n, -1) @ vgf
+        stack = _polar(a)
+        for ps, mi, g in _right_frames(v, stack, l):
+            for p, rframe in zip(ps, g):
+                refined[ids[p]] = stack[p], l, mi, rframe
     # Canonical order: by the entries of each summand's central projection
     # (row-major, real parts first) to 6 decimals, larger first.
-    projs = (frame @ mc.dagger(frame) for frame, _ in summands)
+    projs = (frame @ mc.dagger(frame) for frame, *_ in refined)
     keys = [np.round(np.concatenate([p.real, p.imag], axis=None), 6).tolist() for p in projs]
-    summands = [summands[i] for i in sorted(range(len(summands)), key=keys.__getitem__, reverse=True)]
-    ms, rframes = zip(*[_right_frame(v, frame, l) for frame, l in summands])
-    blocks = tuple((frame.shape[1] // l, mi, l) for (frame, l), mi in zip(summands, ms))
+    order = sorted(range(len(refined)), key=keys.__getitem__, reverse=True)
+    frames, ls, ms, rframes = zip(*[refined[i] for i in order])
+    blocks = tuple((frame.shape[1] // l, mi, l) for frame, l, mi in zip(frames, ls, ms))
     dims = np.array(blocks)
     if dims[:, 0] @ dims[:, 1] != k or dims[:, 1] @ dims[:, 2] > m:
         return None
-    u_out, u_env = _complete_frame([frame for frame, _ in summands], n), _complete_frame(list(rframes), m)
-    found = TroDecomposition(blocks, u_out, u_env)
+    found = TroDecomposition(blocks, _complete_frame(frames, n), _complete_frame(rframes, m))
     return found, _distance(v, found)
 
 
@@ -449,16 +467,32 @@ def _side_algebra(decomp: TroDecomposition, side: int) -> AlgebraBasis:
     return _make_algebra(len(q), basis)
 
 
+@functools.lru_cache(maxsize=256)
+def _rectangles(blocks: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int, int, tuple]]:
+    """(n, m, l, p, index) per shape of a block list: its p rectangles on the
+    diagonal from the top left, indexed as (..., p, n l, m l), a lone one by
+    slices, which cost less than index arrays."""
+    at = np.cumsum([(0, 0)] + [(n * l, m * l) for n, m, l in blocks], axis=0)[:, :, None]  # the corners
+    shapes = []
+    for (n, m, l), ids in _groups(blocks).items():
+        (r, c), rows, cols = at[ids[0], :, 0], at[ids, :1] + np.arange(n * l)[:, None], at[ids, 1:] + np.arange(m * l)
+        lone = (..., None, slice(r, r + n * l), slice(c, c + m * l))
+        shapes.append((n, m, l, len(ids), lone if len(ids) == 1 else (..., rows, cols)))
+    return shapes
+
+
 def _block_form(y: np.ndarray, blocks: Sequence[tuple[int, int, int]]) -> np.ndarray:
     """Projection of a matrix or a stack y onto (+)_i M_{n_i,m_i} (x) 1_{l_i}
     on the diagonal rectangles from the top left: each rectangle goes to X (x)
-    1_l, X the mean over its copies, and the rest to zero."""
-    out, ro, co, lead = np.zeros_like(y), 0, 0, y.shape[:-2]
-    for n, m, l in blocks:
-        r, c = slice(ro, ro + n * l), slice(co, co + m * l)
-        x = np.trace(y[..., r, c].reshape(*lead, n, l, m, l), axis1=-3, axis2=-1) / l
-        out[..., r, c] = (x[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, n * l, m * l)
-        ro, co = ro + n * l, co + m * l
+    1_l, X the mean over its copies, and the rest to zero.  The rectangles of
+    one shape go by one gather (_rectangles), into a copy with the rectangle
+    axis first so that each mean sums, bit for bit, as a lone rectangle's
+    does, and one scatter."""
+    out, lead, k = np.zeros_like(y), y.shape[:-2], y.ndim - 2
+    for n, m, l, p, idx in _rectangles(tuple(map(tuple, blocks))):
+        g = np.ascontiguousarray(y[idx].transpose(k, *range(k), k + 1, k + 2)).reshape(p, *lead, n, l, m, l)
+        x = np.trace(g, axis1=-3, axis2=-1).transpose(*range(1, k + 1), 0, k + 1, k + 2) / l
+        out[idx] = (x[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, p, n * l, m * l)
     return out
 
 

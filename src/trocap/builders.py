@@ -5,7 +5,8 @@ group representations, generalized dephasing channels (Schur multipliers
 of positive-definite functions), and the one-parameter 4-to-3 family
 ``phi_alpha`` whose capacity window is tight.  Each modified family is a
 base channel modified by its environment density f, built by algebra's one
-constructor of N_f, which certifies f as a symbol of the base first.
+constructor of N_f, which certifies f as a symbol of the base first; a
+private helper per family gives its base and f without that certificate.
 
 Groups are index tables: elements are 0..n-1, multiplication is an n x n
 Latin square, and an optional cocycle of unit scalars twists products.  A
@@ -33,6 +34,7 @@ from .errors import (
 )
 
 COCYCLE_TOL = 1e-12
+CHUNK_ENTRIES = 1 << 12  # entries of one chunk of a whole-table check: 64 KiB of complex
 
 
 @dataclass(frozen=True)
@@ -50,29 +52,23 @@ class FiniteGroup:
         idx = np.arange(n)
         if not (np.all(np.sort(table, axis=1) == idx) and np.all(np.sort(table, axis=0) == idx[:, None])):
             raise DimMismatch("multiplication table is not a Latin square")
-        # (ab)c = a(bc), one a at a time: rows [b, c] of both sides
-        if any(np.any(table[table[a]] != table[a, table]) for a in range(n)):
+        # (ab)c = a(bc) over [a, b, c], a chunk of a at a time
+        if any(np.any(table[table[a]] != table[a][:, table]) for a in _chunks(n, n * n)):
             raise DimMismatch("multiplication table is not associative")
-        cocycle = self.cocycle
-        if cocycle is None:
-            cocycle = np.ones((n, n), dtype=complex)
-        cocycle = np.asarray(cocycle, dtype=complex)
+        cocycle = np.array(np.ones((n, n)) if self.cocycle is None else self.cocycle, dtype=complex)
         if cocycle.shape != (n, n):
             raise DimMismatch("cocycle must match the group order")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         e = self.identity
-        if not np.max(np.abs(cocycle[:, e] - 1.0)) <= COCYCLE_TOL or not np.max(
-            np.abs(cocycle[e, :] - 1.0)
-        ) <= COCYCLE_TOL:
+        if not np.max(np.abs(np.concatenate([cocycle[:, e], cocycle[e]]) - 1.0)) <= COCYCLE_TOL:
             raise DimMismatch("cocycle must be 1 against the identity element")
-        # c(g, g') c(gg', g'') = c(g, g'g'') c(g', g''), one g at a time
-        for g in range(n):
-            lhs = cocycle[g, :, None] * cocycle[table[g], :]
-            rhs = cocycle[g, table] * cocycle
+        # c(g, g') c(gg', g'') = c(g, g'g'') c(g', g'') over [g, g', g''], a chunk of g at a time
+        for g in _chunks(n, n * n):
+            lhs = cocycle[g, :, None] * cocycle[table[g]]
+            rhs = cocycle[g][:, table] * cocycle
             if not np.max(np.abs(lhs - rhs)) <= COCYCLE_TOL:
                 raise DimMismatch("cocycle fails the 2-cocycle condition")
-        cocycle = cocycle.copy()
         cocycle.setflags(write=False)
         object.__setattr__(self, "cocycle", cocycle)
 
@@ -127,13 +123,13 @@ class ProjectiveRep:
     def __post_init__(self):
         u = _stack(self.unitaries, self.group.order)
         table, cocycle = self.group.table, self.group.cocycle
-        for x in u:
-            mc._require_identity(mc.dagger(x) @ x, DimMismatch, "representation matrices must be unitary")
-        for g in range(self.group.order):  # u(g) u(h) over all h at once
-            dev = np.abs(u[g] @ u - cocycle[g, :, None, None] * u[table[g]]).max(axis=(1, 2))
-            bad = np.flatnonzero(~(dev <= 1e-10))
+        mc._require_identity(mc.dagger(u) @ u, DimMismatch, "representation matrices must be unitary")
+        for g in _chunks(len(u), u.size):  # u(g) u(h) over all (g, h) of a chunk of g at once
+            dev = np.abs(u[g, None] @ u - cocycle[g, :, None, None] * u[table[g]]).max(axis=(2, 3))
+            bad = np.argwhere(~(dev <= 1e-10))
             if bad.size:
-                raise DimMismatch(f"u({g}) u({bad[0]}) != cocycle * u({g}{bad[0]})")
+                a, h = bad[0] + (g.start, 0)
+                raise DimMismatch(f"u({a}) u({h}) != cocycle * u({a}{h})")
         u.setflags(write=False)
         object.__setattr__(self, "unitaries", tuple(u))
 
@@ -151,15 +147,22 @@ class ProjectiveRep:
         """
         u, table = _stack(mats, group.order), group.table
         cocycle = np.ones(table.shape, dtype=complex)
-        for g in range(group.order):  # the phases of u(g) u(h) over all h at once
-            phase = np.trace(mc.dagger(u[table[g]]) @ u[g] @ u, axis1=1, axis2=2) / len(u[0])
-            bad = np.flatnonzero(~(np.abs(np.abs(phase) - 1.0) <= 1e-9))
+        for g in _chunks(len(u), u.size):  # the phases of u(g) u(h) over all (g, h) of a chunk of g at once
+            phase = np.trace(mc.dagger(u[table[g]]) @ u[g, None] @ u, axis1=2, axis2=3) / len(u[0])
+            bad = np.argwhere(~(np.abs(np.abs(phase) - 1.0) <= 1e-9))
             if bad.size:
-                h = bad[0]
-                raise DimMismatch(f"products of u({g}), u({h}) do not project onto u({table[g, h]})")
+                a, h = bad[0] + (g.start, 0)
+                raise DimMismatch(f"products of u({a}), u({h}) do not project onto u({table[a, h]})")
             cocycle[g] = phase / np.abs(phase)
         twisted = FiniteGroup(table=group.table, cocycle=cocycle)
         return cls(group=twisted, unitaries=tuple(u))
+
+
+def _chunks(n: int, per_row: int) -> list[slice]:
+    """Consecutive slices of range(n), each of at most CHUNK_ENTRIES // per_row
+    rows (at least one), so a check over whole rows holds a bounded array."""
+    step = max(1, CHUNK_ENTRIES // per_row)
+    return [slice(g, g + step) for g in range(0, n, step)]
 
 
 def _stack(mats: Sequence[np.ndarray], order: int) -> np.ndarray:
@@ -234,6 +237,11 @@ def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int =
     density f = |G| * diag(p), so its Kraus operators are sqrt(p(g)) u(g) and
     it carries the mixture's space and f's certificate as metadata.
     """
+    return alg._modified(*_random_unitary_base(rep, probs), seed)
+
+
+def _random_unitary_base(rep: ProjectiveRep, probs: Sequence[float]) -> tuple[Channel, np.ndarray]:
+    """group_random_unitary's uniform mixture and density |G| diag(p), once probs pass."""
     p = np.asarray(probs, dtype=float)
     n = rep.group.order
     if p.shape != (n,) or not np.all(p >= -1e-12):
@@ -241,7 +249,7 @@ def group_random_unitary(rep: ProjectiveRep, probs: Sequence[float], seed: int =
     if not abs(float(p.sum()) - 1.0) <= 1e-10:
         raise BadDistribution(f"probs sum to {float(p.sum()):.8f}, expected 1")
     base = Channel(np.stack([u / math.sqrt(n) for u in rep.unitaries]))
-    return alg._modified(base, np.diag(n * np.clip(p, 0.0, None)), seed)
+    return base, np.diag(n * np.clip(p, 0.0, None))
 
 
 def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]:
@@ -262,6 +270,11 @@ def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: i
     realized by modifying the completely dephasing channel with the kernel
     matrix of phi as environment density.
     """
+    return alg._modified(*_schur_multiplier_base(group, phi), seed)
+
+
+def _schur_multiplier_base(group: FiniteGroup, phi: Sequence[complex]) -> tuple[Channel, np.ndarray]:
+    """schur_multiplier_channel's dephasing channel and kernel matrix, once phi passes."""
     n = group.order
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (n,):
@@ -274,7 +287,7 @@ def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: i
     mc._require_psd(w, NotPositiveDefinite, "kernel matrix of phi is not PSD")
     unit = "phi(identity) must be 1 (unit kernel diagonal)"
     mc._require_identity(np.diag(np.diagonal(kernel)), NotPositiveDefinite, unit)
-    return alg._modified(completely_dephasing_channel(n), kernel, seed)
+    return completely_dephasing_channel(n), kernel
 
 
 def completely_dephasing_channel(dim: int) -> Channel:
@@ -307,13 +320,17 @@ def phi_alpha(alpha: float, seed: int = 0) -> PhiAlphaBundle:
     4-dim inputs that embed a qubit dephasing channel and achieve the upper
     edge.
     """
+    base, f, inputs = _phi_alpha_base(alpha)
+    ch = alg._modified(base, f, seed)
+    return PhiAlphaBundle(ch, ch.base_space, ch.symbol, inputs)
+
+
+def _phi_alpha_base(alpha: float) -> tuple[Channel, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """phi_alpha's alpha = 0 base, density 1 + alpha S and block_inputs, once alpha passes."""
     if not (-1.0 <= alpha <= 1.0):
         raise OutOfRange(f"alpha must lie in [-1, 1], got {alpha}")
     swap = np.zeros((4, 4), dtype=complex)
     swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
-    ch = alg._modified(partial_trace_sum_channel([(1, 2), (1, 1), (1, 1)]), np.eye(4) + alpha * swap, seed)
-    rho_a = np.zeros((4, 4), dtype=complex)
-    rho_a[0, 0] = rho_a[2, 2] = 0.5
-    rho_b = np.zeros((4, 4), dtype=complex)
-    rho_b[1, 1] = rho_b[3, 3] = 0.5
-    return PhiAlphaBundle(ch, ch.base_space, ch.symbol, (rho_a, rho_b))
+    rho_a, rho_b = np.zeros((2, 4, 4), dtype=complex)
+    rho_a[0, 0] = rho_a[2, 2] = rho_b[1, 1] = rho_b[3, 3] = 0.5
+    return partial_trace_sum_channel([(1, 2), (1, 1), (1, 1)]), np.eye(4) + alpha * swap, (rho_a, rho_b)

@@ -138,6 +138,7 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
         raise SpecError(f"seed must be a non-negative integer, got {seed!r}")
 
     init_states: tuple[np.ndarray, ...] = ()
+    f = None  # a modified kind's own environment density, which modifies its base channel ch
     if kind == "kraus":
         if "kraus" not in params:
             raise SpecError("params.kraus is required for kind 'kraus'")
@@ -157,28 +158,27 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
             dist = [1.0 / rep.group.order] * rep.group.order
         if not isinstance(dist, list) or not all(map(_is_number, dist)):
             raise SpecError("params.distribution must be a list of numbers")
-        ch = builders.group_random_unitary(rep, [float(v) for v in dist], seed=seed)
+        ch, f = builders._random_unitary_base(rep, [float(v) for v in dist])
     elif kind == "schur_multiplier":
         group = _parse_group(params.get("group"), "params.group")
         phi = params.get("phi")
         if not isinstance(phi, list):
             raise SpecError("params.phi must be a list of values over group elements")
         values = [_parse_scalar(v, f"params.phi[{i}]") for i, v in enumerate(phi)]
-        ch = builders.schur_multiplier_channel(group, values, seed=seed)
+        ch, f = builders._schur_multiplier_base(group, values)
     else:  # phi_alpha
         if "alpha" not in params:
             raise SpecError("params.alpha is required for kind 'phi_alpha'")
         if not _is_number(params["alpha"]):
             raise SpecError("params.alpha must be a number")
-        bundle = builders.phi_alpha(float(params["alpha"]), seed=seed)
-        ch, init_states = bundle.channel, bundle.block_inputs
+        ch, f, init_states = builders._phi_alpha_base(float(params["alpha"]))
 
     if "symbol" in doc:
-        # an explicit symbol re-modifies the kind's base channel, so the
-        # channel under study is always the f-modification of that base
-        f = _parse_matrix(doc["symbol"], "symbol")
-        ch = alg._modified(ch.base_space.source if ch.base_space else ch, f, seed)
-        init_states = ()
+        # an explicit symbol modifies the kind's base channel in place of the
+        # kind's own density, which is never certified
+        f, init_states = _parse_matrix(doc["symbol"], "symbol"), ()
+    if f is not None:
+        ch = alg._modified(ch, f, seed)
     return SpecBundle(kind, ch, ch.base_space or stinespring_space(ch), init_states, seed)
 
 
@@ -269,10 +269,10 @@ def cmd_region(args, bundle: SpecBundle) -> int:
     grid = np.meshgrid(lams, mus, indexing="ij")
     vertices = (capacity.cqe_region_vertices(blocks, *grid), capacity.rps_region_vertices(blocks, *grid))
     rhs = {name: v for vertex in vertices for name, v in vertex.constraints.items()}
-    rows = [["lambda", "mu", "constraint", "rhs"]]
-    for i, lam in enumerate(lams):
-        for j, mu in enumerate(mus):
-            rows += [[_fmt(lam), _fmt(mu), name, _fmt(v[i, j])] for name, v in rhs.items()]
+    rows, mu_texts = [["lambda", "mu", "constraint", "rhs"]], [_fmt(mu) for mu in mus]
+    for i, lam in enumerate(map(_fmt, lams)):
+        for j, mu in enumerate(mu_texts):
+            rows += [[lam, mu, name, _fmt(v[i, j])] for name, v in rhs.items()]
     # every row before the file opens: a failing vertex leaves no partial CSV
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)

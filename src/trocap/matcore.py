@@ -107,8 +107,8 @@ def _require_unit_trace(f: np.ndarray, error: type, message: str) -> None:
 
 
 def _require_identity(gram: np.ndarray, error: type, message: str, tol: float = IDENTITY_TOL) -> None:
-    """Raise error(message.format(dev)) unless dev = max |G - 1| is within tol (NaN is not)."""
-    dev = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    """Raise error(message.format(dev)) unless dev = max |G - 1| over a matrix or stack is within tol (NaN is not)."""
+    dev = float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
     if not dev <= tol:
         raise error(message.format(dev))
 

@@ -1199,3 +1199,61 @@ class TestStructureCarriedOnTheSymbol:
                 e.append(q @ alg._block_expectation(q, shapes, x) @ mc.dagger(q))
             for xi, a, b in zip(x, *e):
                 assert mc.frobenius(a - b) <= 1e-12 * mc.frobenius(xi)
+
+
+def block_form_loop(y, blocks):
+    """Reference for alg._block_form: each rectangle on its own, from the top left."""
+    out, ro, co, lead = np.zeros_like(y), 0, 0, y.shape[:-2]
+    for n, m, l in blocks:
+        r, c = slice(ro, ro + n * l), slice(co, co + m * l)
+        x = np.trace(y[..., r, c].reshape(*lead, n, l, m, l), axis1=-3, axis2=-1) / l
+        out[..., r, c] = (x[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, n * l, m * l)
+        ro, co = ro + n * l, co + m * l
+    return out
+
+
+def counting_reads(y):
+    """y as an array that records each indexing read made on it (not on arrays made from it)."""
+    reads = []
+
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            if self is counted:
+                reads.append(key)
+            return super().__getitem__(key)
+
+    counted = y.view(Reads)
+    return counted, reads
+
+
+class TestStackedBlockAttempt:
+    """The block attempt and the block form work on all summands or rectangles
+    of one shape at once."""
+
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_regular_representation_attempt_makes_at_most_six_svd_calls(self, k, monkeypatch):
+        # k summands of one shape (1, 1, 1): two right-frame SVDs, one polar and
+        # two completions, whatever k
+        v = np.array(alg.orthonormal_span(regular_representation(cyclic_group(k)).unitaries))
+        calls, real_svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a[0].shape) or real_svd(*a, **kw))
+        decomp, eps = alg._attempt(v, (0, 0))
+        assert decomp.blocks == ((1, 1, 1),) * k and eps <= alg.STRUCTURE_RTOL
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_block_form_matches_the_per_block_loop_with_one_read_per_shape(self, seed):
+        # bit for bit: at l >= 4 a copy's sum over complex entries runs pairwise,
+        # in an order that follows the layout of the array it reduces
+        rng = np.random.default_rng(seed)
+        pool = [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 3), (1, 3, 2), (1, 1, 4), (2, 1, 5), (1, 2, 6)]
+        blocks = [pool[i] for i in rng.integers(0, len(pool), rng.integers(1, 6))]
+        blocks.insert(int(rng.integers(0, len(blocks) + 1)), blocks[-1])  # a shape repeats
+        rows = sum(n * l for n, _, l in blocks) + int(rng.integers(0, 3))
+        cols = sum(m * l for _, m, l in blocks) + int(rng.integers(0, 3))
+        for lead in ((), (3,), (2, 5)):
+            y = mc.random_complex(rng, (*lead, rows, cols))
+            counted, reads = counting_reads(y)
+            got = np.asarray(alg._block_form(counted, blocks))
+            assert np.array_equal(got, block_form_loop(y, blocks))
+            assert len(reads) == len(set(blocks))

@@ -20,6 +20,14 @@ I2 = np.eye(2, dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+@pytest.fixture(params=[None, 1], ids=["one_chunk", "row_chunks"])
+def chunking(request, monkeypatch):
+    """The whole-table group checks as one chunk, or one row of g per chunk
+    (CHUNK_ENTRIES = 1), so that every chunk after the first has g.start > 0."""
+    if request.param is not None:
+        monkeypatch.setattr(bld, "CHUNK_ENTRIES", request.param)
+
+
 def relabeled(group, perm):
     """The same group with element a called perm[a]."""
     table, cocycle = np.empty_like(group.table), np.empty_like(group.cocycle)
@@ -66,7 +74,7 @@ class TestFiniteGroup:
         # (1, 1) * (1, 2) = (0, 0)
         assert g.mul(1 * 3 + 1, 1 * 3 + 2) == 0
 
-    def test_not_associative(self):
+    def test_not_associative(self, chunking):
         # a * b = a - b mod 5 is a Latin square but not associative
         idx = np.arange(5)
         with pytest.raises(DimMismatch, match="not associative"):
@@ -78,7 +86,7 @@ class TestFiniteGroup:
         g = bld.FiniteGroup(table=(idx[:, None] + idx[None, :] + 1) % 3)
         assert g.identity == 2 and g.inverse(0) == 1
 
-    def test_cocycle_checks(self):
+    def test_cocycle_checks(self, chunking):
         table = bld.cyclic_group(3).table
         bad_unit = np.ones((3, 3), dtype=complex)
         bad_unit[0, 1] = -1.0
@@ -133,6 +141,13 @@ class TestFiniteGroup:
 
 
 class TestProjectiveRep:
+    def test_cocycle_read_off_matches_loop(self, chunking):
+        # u(g) u(h) = c(g, h) u(gh) with c read off row by row: every row of the table must land at its own g
+        rep = bld.pauli_rep()
+        u, t = rep.unitaries, rep.group.table
+        loop = [[np.trace(mc.dagger(u[t[g, h]]) @ u[g] @ u[h]) / 2 for h in range(4)] for g in range(4)]
+        assert np.allclose(rep.group.cocycle, loop)
+
     def test_pauli_cocycle_read_off(self):
         rep = bld.pauli_rep()
         assert rep.dim == 2
@@ -587,7 +602,7 @@ class TestTableConstructionsMatchLoops:
         assert np.array_equal(kraus, loop_partial_trace_kraus(blocks))
 
     @pytest.mark.parametrize("corrupt", [(1, 1.0j), (2, -1.0), (3, 1.0j)])
-    def test_corrupted_rep_names_first_failing_pair(self, corrupt):
+    def test_corrupted_rep_names_first_failing_pair(self, corrupt, chunking):
         # one unitary of the regular representation of D3 scaled by a phase
         group = bld.dihedral_group(3)
         mats = list(loop_regular_unitaries(group))
@@ -598,7 +613,7 @@ class TestTableConstructionsMatchLoops:
             bld.ProjectiveRep(group=group, unitaries=tuple(mats))
         assert str(err.value) == f"u({g}) u({h}) != cocycle * u({g}{h})"
 
-    def test_phase_failure_names_first_pair(self):
+    def test_phase_failure_names_first_pair(self, chunking):
         # u(1) of a Z3 representation that does not close: the first bad product is u(1) u(1)
         u1 = np.diag([1.0, 1.0j, 1.0]).astype(complex)
         u2 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)

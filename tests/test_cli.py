@@ -457,6 +457,16 @@ class TestSpecBundle:
         else:
             assert (ch.symbol is None) == (doc["kind"] in ("kraus", "partial_trace_sum"))
 
+    @pytest.mark.parametrize("doc", KIND_SPECS[2:], ids=[doc["kind"] for doc in KIND_SPECS[2:]])
+    def test_explicit_symbol_load_certifies_only_that_symbol(self, tmp_path, monkeypatch, doc):
+        # the kind's own density is checked as a parameter, but never certified as a symbol
+        dim_env = load_spec(write_spec(tmp_path, doc), None).space.dim_env
+        calls, real = [], alg._certify
+        monkeypatch.setattr(alg, "_certify", lambda *args: calls.append(args[1]) or real(*args))
+        bundle = load_spec(write_spec(tmp_path, {**doc, "symbol": np.eye(dim_env).tolist()}), None)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.eye(dim_env))
+        assert np.array_equal(bundle.channel.symbol.f, np.eye(dim_env))
+
 
 class TestSeeds:
     def test_env_seed_used(self, tmp_path, capsys, monkeypatch):

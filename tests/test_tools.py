@@ -27,5 +27,9 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert min(rotated)[1]()().certificate.blocks == ((1, 1, 1),) * 8
     built = curves[("structure", "group_random_unitary regular rep of cyclic(k), 100 calls")]
     assert sorted(size for size, _ in built) == [4, 8, 16]
+    regular = curves[("structure", "tro_block_decomposition regular rep span of cyclic(k)")]
+    assert sorted(size for size, _ in regular) == [4, 8, 16, 32]
+    for k, setup in regular:  # k summands of one shape: k blocks (1, 1, 1)
+        assert setup()().blocks == ((1, 1, 1),) * k
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()

@@ -20,7 +20,9 @@ runs.  The size column is the variable of the case's curve:
     span of dimension k^2 in 16, 36, 64 (the tensor_symbol suite's structure);
     and the construction of N_f, group_random_unitary of the regular
     representation of cyclic(k) with a seeded distribution, k in 4, 8, 16,
-    100 calls per run;
+    100 calls per run; and tro_block_decomposition of the span of that
+    representation, k one-dimensional summands of one shape, k in 4, 8, 16,
+    32 (the seeded block attempt's stacked summands);
   - closure: generate_star_algebra of the cyclic shift of order k in 8, 16,
     32, and of one seeded random generator of M_d, d in 4, 6, 10; and
     commutant_blocks of the regular representation of the dihedral group of
@@ -84,6 +86,11 @@ def construction_case(k: int, calls: int = 100):
     rep = builders.regular_representation(builders.cyclic_group(k))
     p = np.random.default_rng(k).random(k)
     return lambda: [builders.group_random_unitary(rep, p / p.sum()) for _ in range(calls)]
+
+
+def regular_span_case(k: int):
+    span = algebra.orthonormal_span(builders.regular_representation(builders.cyclic_group(k)).unitaries)
+    return lambda: algebra.tro_block_decomposition(span)
 
 
 def closure_case(k: int):
@@ -173,6 +180,8 @@ CASES = [
       for k in (4, 6, 8)),
     *(("structure", "group_random_unitary regular rep of cyclic(k), 100 calls", k, partial(construction_case, k))
       for k in (4, 8, 16)),
+    *(("structure", "tro_block_decomposition regular rep span of cyclic(k)", k, partial(regular_span_case, k))
+      for k in (4, 8, 16, 32)),
     *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, "shift", k))
       for k in (8, 16, 32)),
     *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, "random", d))
