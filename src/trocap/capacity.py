@@ -42,6 +42,7 @@ QUANTITIES = (
 )
 CEILING_RTOL = 1e-13  # relative gap to a proven ceiling that counts as reaching it
 ASCENT_MAX_STEPS = 400  # accepted ascent steps after which a restart stops
+ASCENT_MARGIN = 1e-14  # rise in F that an ascent trial must exceed to be accepted
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,17 @@ def _ascent(
     restart's best, since F rises at every accepted step.
 
     The chain rule through G gives the ascent direction
-    (M - tr(M rho) I) G / tr(G G*).  Every restart keeps its own step size:
-    a trial that raises F by more than 1e-14 is accepted and the step grows
-    by 1.3 (at most 10), a rejected one halves it.  A restart stops at a
-    vanishing direction, a step of 1e-13 or less, or after ASCENT_MAX_STEPS
-    accepted steps; the others go on, one batched evaluation per round.
+    D = (M - tr(M rho) I) G / tr(G G*): dF = 2 Re tr(D* dG), so F's slope
+    along D is 2 |D|_F^2.  Every restart keeps its own step size eta: a trial
+    that raises F by more than ASCENT_MARGIN is accepted and eta grows by 1.3
+    (at most 10), a rejected one halves it.  A restart stops at a vanishing
+    direction, after ASCENT_MAX_STEPS accepted steps, or once a halving
+    leaves eta <= 1e-13 or not 2 eta |D|_F^2 > ASCENT_MARGIN (a nan slope
+    stops it); the others go on, one batched evaluation per round.  The last
+    stop is exact: with phi(s) = F(G + s D) - F(G), phi(eta) <= eta phi'(0)
+    <= ASCENT_MARGIN if phi is concave on [0, eta], and phi(eta) <=
+    phi(2 eta) / 2 <= ASCENT_MARGIN / 2 if convex on [0, 2 eta] (the trial at
+    2 eta was rejected), so this trial and every later halving would fail too.
     ``ceiling`` must be a proven upper bound on max F: before every round,
     the first included, all restarts stop once the best value reaches
     ceiling - CEILING_RTOL * |ceiling| (less than the last digit of a 12-digit
@@ -214,20 +221,22 @@ def _ascent(
     r, d = g.shape[:2]
     eta = np.full(r, 0.25)
     steps = np.zeros(r, dtype=int)
-    direction = np.empty_like(g)
+    direction, slope = np.empty_like(g), np.empty(r)
 
     def renew_direction(idx: np.ndarray) -> np.ndarray:
-        """Directions at the restarts ``idx``; returns those still moving."""
+        """Directions and slopes at the restarts ``idx``; returns those still moving."""
         c = np.trace(m[idx] @ rho[idx], axis1=1, axis2=2).real
         direction[idx] = ((m[idx] - c[:, None, None] * np.eye(d)) @ g[idx]) / t[idx, None, None]
-        return idx[~(np.linalg.norm(direction[idx], axis=(1, 2)) < 1e-12)]
+        norm = np.linalg.norm(direction[idx], axis=(1, 2))
+        slope[idx] = 2 * norm**2
+        return idx[~(norm < 1e-12)]
 
     active = renew_direction(np.arange(r))
     while active.size and not f.max() >= stop:
         g_new = g[active] + eta[active, None, None] * direction[active]
         t_new, rho_new = _densities(g_new)
         f_new, m_new = _value_and_grad(ch, rho_new, reverse)
-        up = f_new > f[active] + 1e-14
+        up = f_new > f[active] + ASCENT_MARGIN
         acc, rej = active[up], active[~up]
         g[acc], t[acc], rho[acc] = g_new[up], t_new[up], rho_new[up]
         f[acc], m[acc] = f_new[up], m_new[up]
@@ -235,7 +244,7 @@ def _ascent(
         steps[acc] += 1
         eta[rej] *= 0.5
         moving = renew_direction(acc[steps[acc] < ASCENT_MAX_STEPS])
-        active = np.concatenate([moving, rej[eta[rej] > 1e-13]])
+        active = np.concatenate([moving, rej[(eta[rej] > 1e-13) & (eta[rej] * slope[rej] > ASCENT_MARGIN)]])
     return f, rho
 
 

@@ -356,6 +356,79 @@ class TestBatchedAscentFence:
         cap._value_and_grad(ch, rho[[0, 2]], reverse=True)
 
 
+def _ascent_end_state(ch, pool, reverse):
+    """Run _ascent on the stack ``pool``; returns its local variables as it
+    returns (every restart's G, F, step eta, direction and slope)."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is cap._ascent.__code__:
+            seen.update(frame.f_locals)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        cap._ascent(ch, pool, reverse)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+class TestMarginStop:
+    """A restart ends once no halving of its step can clear ASCENT_MARGIN."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["one_shot_q", "negative_cb"])
+    @pytest.mark.parametrize("name", sorted(FENCE_CASES))
+    def test_no_skipped_halving_clears_the_margin(self, name, reverse, seed):
+        built = FENCE_CASES[name]()
+        ch = getattr(built, "channel", built)
+        inits = None if reverse else getattr(built, "block_inputs", None)
+        end = _ascent_end_state(ch, np.stack(cap._init_pool(ch, 16, seed, inits)).astype(complex), reverse)
+        g, f, eta, direction, slope = (end[key] for key in ("g", "f", "eta", "direction", "slope"))
+        norm = np.linalg.norm(direction, axis=(1, 2))
+        # the margin stop ended these; the others stopped at the step floor,
+        # a vanishing direction or ASCENT_MAX_STEPS, as before
+        stopped = np.flatnonzero(
+            (eta > 1e-13) & ~(eta * slope > cap.ASCENT_MARGIN) & ~(norm < 1e-12) & (end["steps"] < cap.ASCENT_MAX_STEPS)
+        )
+        assert stopped.size
+        trials, owners = [], []
+        for i in stopped:
+            step = eta[i]
+            while step > 1e-13:  # every step the floor alone would still try
+                trials.append(g[i] + step * direction[i])
+                owners.append(i)
+                step *= 0.5
+        f_trials = cap._value_and_grad(ch, cap._densities(np.stack(trials))[1], reverse)[0]
+        # the stop is exact in real arithmetic, but computed F carries its own
+        # rounding, above the margin near the Pauli and partial-trace optima:
+        # measured as the spread of F over the same densities written as G U
+        # for seeded unitaries U
+        rng = np.random.default_rng(seed)
+        us = [np.linalg.qr(mc.random_complex(rng, g.shape[1:]))[0] for _ in range(4)]
+        rotated = np.stack([g[i] @ u for i in stopped for u in us])
+        f_rotated = cap._value_and_grad(ch, cap._densities(rotated)[1], reverse)[0]
+        rounding = float(np.max(np.abs(f_rotated - np.repeat(f[stopped], len(us)))))
+        assert rounding < 10 * cap.ASCENT_MARGIN
+        assert np.all(~(f_trials - f[owners] > cap.ASCENT_MARGIN + rounding))
+
+    def test_pauli_table_ascent_evaluations(self, monkeypatch):
+        # the bounds table's Pauli ascent, its Q1 upper edge as the ceiling:
+        # 70 evaluations without the margin stop
+        ch = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        upper = cap.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        cap.one_shot_q(ch, restarts=4, seed=0, ceiling=upper)
+        assert len(calls) <= 35
+
+    def test_dephasing_negative_cb_evaluations(self, monkeypatch):
+        # 76 evaluations without the margin stop
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        cap.negative_cb_entropy(qubit_dephasing(0.7), "numeric", restarts=4, seed=0)
+        assert len(calls) <= 35
+
+
 def _full_entropy(mat):
     """-sum lam log2 lam over the whole clipped spectrum: no support cut."""
     lam = np.clip(np.linalg.eigvalsh(mc.hermitize(mat)), 0.0, None)

@@ -31,5 +31,7 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert sorted(size for size, _ in regular) == [4, 8, 16, 32]
     for k, setup in regular:  # k summands of one shape: k blocks (1, 1, 1)
         assert setup()().blocks == ((1, 1, 1),) * k
+    pauli = curves[("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)")]
+    assert sorted(size for size, _ in pauli) == [4, 16, 64]
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()

@@ -35,6 +35,10 @@ runs.  The size column is the variable of the case's curve:
     above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
+    the bounds table's Pauli ascent, one_shot_q on the Pauli mixture (0.4,
+    0.3, 0.2, 0.1) with its Q1 upper edge as the ceiling, at 4, 16 and 64
+    restarts (a window the ascent cannot close, so every restart runs to its
+    own stop);
     the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
     and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2, and on 16,
     64 and 256 seeded states on 2 x 3 whose B marginal has rank 2 at p = 2;
@@ -158,6 +162,12 @@ def one_shot_case(restarts: int):
     return lambda: capacity.one_shot_q(ch, restarts=restarts)
 
 
+def pauli_ascent_case(restarts: int):
+    ch = builders.group_random_unitary(builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    upper = capacity.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
+    return lambda: capacity.one_shot_q(ch, restarts=restarts, ceiling=upper)
+
+
 def negative_cb_case(restarts: int):
     ch = builders.phi_alpha(0.4).channel
     return lambda: capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
@@ -198,6 +208,8 @@ CASES = [
       for n in (16, 64, 256)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
     ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 16)),
+    *(("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)", r, partial(pauli_ascent_case, r))
+      for r in (4, 16, 64)),
     ("optimizers", "renyi_coherent_channel dephasing(0.3) p 2 (input dim)", 2,
      partial(renyi_channel_case, "dephasing(0.3)")),
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
