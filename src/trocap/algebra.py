@@ -8,16 +8,16 @@ A TRO is exactly U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, so blocks that account
 for a whole span prove it a TRO.  One routine, _structure, serves every TRO
 test, closure and decomposition: a block attempt (_attempt) reads a span in
 coordinates off its support, and any other span's U, n_i, l_i off seeded
-elements sum_s x_s y_s* of the left algebra and W, m_i off the span, with
-the summands of one shape as one stack; a span close enough to its blocks is
-certified by that distance, else a witness scan decides, and closing extends a
-span exactly when the scan rejects it.  Both sides' algebras and conditional
-expectations are block compressions and partial traces in U and W; a *-algebra
-is the closure of its generators' words of length one and two
-(generate_star_algebra).  The HS conditional_expectation is a public reference
-no internal path uses.  Spans are HS orthonormal, cut at mc.RANK_RTOL; every
-block-structure cut is at STRUCTURE_RTOL.  Every N_f comes from _modified,
-which certifies f on the Stinespring space that it modifies.
+elements sum_s x_s y_s* of the left algebra and its left frames alone, then
+W, m_i once off the span, one stack per summand shape; a span close enough to
+its blocks is certified by that distance, else a witness scan decides, and
+closing extends a span exactly when the scan rejects it.  Both sides' algebras
+and conditional expectations are block compressions and partial traces in U
+and W; a *-algebra is the closure of its generators' words of length one and
+two (generate_star_algebra).  The HS conditional_expectation is a public
+reference no internal path uses.  Spans are HS orthonormal, cut at
+mc.RANK_RTOL; every block-structure cut is at STRUCTURE_RTOL.  Every N_f comes
+from _modified, which certifies f on the Stinespring space that it modifies.
 """
 
 from __future__ import annotations
@@ -317,14 +317,11 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _complete_frame(frames: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """The polar factor of the stacked column frames, completed to a unitary
-    by an orthonormal basis of its complement."""
-    u = _polar(np.concatenate(frames, axis=1))
-    if u.shape[1] < dim:
-        w, v = np.linalg.eigh(mc.hermitize(np.eye(dim) - u @ mc.dagger(u)))
-        u = np.concatenate([u, v[:, w > 0.5]], axis=1)
-    return u
+def _complete_frame(frames: Sequence[np.ndarray]) -> np.ndarray:
+    """The polar factor u_r vh of the stacked column frames' full SVD, completed
+    to a unitary by the rest of u, a basis of its complement."""
+    u, _, vh = np.linalg.svd(np.concatenate(frames, axis=1))
+    return np.concatenate([u[:, : len(vh)] @ vh, u[:, len(vh) :]], axis=1)
 
 
 def _right_frames(v: np.ndarray, frames: np.ndarray, l: int) -> Iterator[tuple[list[int], int, np.ndarray]]:
@@ -393,19 +390,18 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     summands = _linked_summands([sup @ q[:, g] for g in _split_at_gaps(w, GAP_THRESHOLD)], b)
     if summands is None:
         return None
-    # For a TRO, sum_k v_k G G* v_k* is m/l times the summand's output projection
-    # and feels the error of the right frame G only to second order: it carries
-    # the left frames, whose noise a sample's small gaps amplify, onto the summands,
-    # whose right frames are then read again.  refined[i] = (F, l, m, G).
-    refined = [None] * len(summands)
+    # For a TRO and a summand's left frame F, R = sum_k v_k* F F* v_k is n/l times the
+    # summand's right projection and sum_k v_k R v_k* F is nm/l^2 F.  R is the same over
+    # every orthonormal basis of the span, so over one whose elements each lie in one
+    # block, where the first-order errors of F F*, between the summand and the rest,
+    # cancel: the pass carries the left frames, whose noise a sample's small gaps
+    # amplify, onto the summands, whose right frames are then read once.
+    refined = [None] * len(summands)  # (F, l, m, G)
+    v_cols = v.transpose(1, 0, 2).reshape(n, -1)  # columns (k, env)
     for (_, l), ids in _groups([(frame.shape[1], l) for frame, l in summands]).items():
-        stack = np.stack([summands[i][0] for i in ids])
-        a = np.empty_like(stack)
-        for ps, _, g in _right_frames(v, stack, l):
-            vg = v @ g[:, None]  # (p, k, n, m l)
-            vgf = (mc.dagger(vg) @ stack[ps, None]).reshape(len(g), -1, stack.shape[2])
-            a[ps] = vg.transpose(0, 2, 1, 3).reshape(len(g), n, -1) @ vgf
-        stack = _polar(a)
+        yh = mc.dagger(v) @ np.stack([summands[i][0] for i in ids])[:, None]  # v_k* F, (p, k, env, n l)
+        r = np.sum(yh @ mc.dagger(yh), axis=1)
+        stack = _polar(v_cols @ (r[:, None] @ yh).reshape(len(ids), k * m, -1))
         for ps, mi, g in _right_frames(v, stack, l):
             for p, rframe in zip(ps, g):
                 refined[ids[p]] = stack[p], l, mi, rframe
@@ -419,7 +415,7 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     dims = np.array(blocks)
     if dims[:, 0] @ dims[:, 1] != k or dims[:, 1] @ dims[:, 2] > m:
         return None
-    found = TroDecomposition(blocks, _complete_frame(frames, n), _complete_frame(rframes, m))
+    found = TroDecomposition(blocks, _complete_frame(frames), _complete_frame(rframes))
     return found, _distance(v, found)
 
 

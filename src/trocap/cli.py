@@ -67,6 +67,12 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _parse_matrices(obj, where: str) -> list[np.ndarray]:
+    if not isinstance(obj, list):
+        raise SpecError(f"{where}: expected an array of matrices, got {obj!r}")
+    return [_parse_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
+
+
 def _parse_group(obj, where: str) -> builders.FiniteGroup:
     if isinstance(obj, dict) and obj.get("kind") == "cyclic":
         order = obj.get("order")
@@ -91,8 +97,7 @@ def _parse_rep(obj, where: str) -> builders.ProjectiveRep:
         return builders.regular_representation(_parse_group(obj.get("group"), f"{where}.group"))
     if isinstance(obj, dict) and "unitaries" in obj:
         group = _parse_group(obj.get("group"), f"{where}.group")
-        mats = [_parse_matrix(u, f"{where}.unitaries[{k}]") for k, u in enumerate(obj["unitaries"])]
-        return builders.ProjectiveRep.from_unitaries(group, mats)
+        return builders.ProjectiveRep.from_unitaries(group, _parse_matrices(obj["unitaries"], f"{where}.unitaries"))
     raise SpecError(f"{where}: expected 'pauli', a regular-representation block, or unitaries")
 
 
@@ -140,10 +145,7 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
     init_states: tuple[np.ndarray, ...] = ()
     f = None  # a modified kind's own environment density, which modifies its base channel ch
     if kind == "kraus":
-        if "kraus" not in params:
-            raise SpecError("params.kraus is required for kind 'kraus'")
-        mats = [_parse_matrix(k, f"params.kraus[{i}]") for i, k in enumerate(params["kraus"])]
-        ch = from_kraus(mats)
+        ch = from_kraus(_parse_matrices(params.get("kraus"), "params.kraus"))
     elif kind == "partial_trace_sum":
         blocks = params.get("blocks")
         if not isinstance(blocks, list) or not all(
@@ -184,7 +186,8 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
 
 def cmd_bounds(args, bundle: SpecBundle) -> int:
     ch, space = bundle.channel, bundle.space
-    report = capacity.comparison_bounds(space, ch.symbol or alg.identity_symbol(space.source, seed=bundle.seed))
+    symbol = ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), bundle.seed)
+    report = capacity.comparison_bounds(space, symbol)
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
     if window.lower < window.upper:
         best = capacity.one_shot_q(

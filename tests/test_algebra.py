@@ -1231,15 +1231,44 @@ class TestStackedBlockAttempt:
     of one shape at once."""
 
     @pytest.mark.parametrize("k", [4, 8, 16])
-    def test_regular_representation_attempt_makes_at_most_six_svd_calls(self, k, monkeypatch):
-        # k summands of one shape (1, 1, 1): two right-frame SVDs, one polar and
-        # two completions, whatever k
+    def test_regular_representation_attempt_makes_four_svd_calls(self, k, monkeypatch):
+        # k summands of one shape (1, 1, 1): one polar of the central-element
+        # pass, one right-frame SVD after it and one SVD per completed unitary,
+        # whatever k
         v = np.array(alg.orthonormal_span(regular_representation(cyclic_group(k)).unitaries))
         calls, real_svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a[0].shape) or real_svd(*a, **kw))
         decomp, eps = alg._attempt(v, (0, 0))
         assert decomp.blocks == ((1, 1, 1),) * k and eps <= alg.STRUCTURE_RTOL
-        assert len(calls) <= 6
+        assert len(calls) == 4
+
+    def test_attempt_completes_both_unitaries_with_no_eigh(self, monkeypatch):
+        # blocks that leave two rows and one column free: the two eigh calls are
+        # the unit's support and the first sample's eigenspaces
+        rng = np.random.default_rng(4)
+        v = np.array(alg.orthonormal_span(block_tro(rng, [(2, 1, 2), (1, 2, 1)], pad=(2, 1))))
+        calls, real_eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a[0].shape) or real_eigh(*a, **kw))
+        decomp, eps = alg._attempt(v, (0, 0))
+        assert sorted(decomp.blocks) == [(1, 2, 1), (2, 1, 2)] and eps <= 1e-13
+        assert len(calls) == 2
+        for u in (decomp.basis_change_out, decomp.basis_change_env):
+            assert np.allclose(mc.dagger(u) @ u, np.eye(len(u)), atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "shapes", [[(2, 1, 2), (1, 3, 1)], [(1, 1, 3), (2, 2, 2)], [(3, 2, 1), (1, 1, 2), (1, 1, 2)]], ids=str
+    )
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-9])
+    def test_attempt_on_a_noisy_tro_with_multiplicity_stays_within_its_noise(self, shapes, delta):
+        # a rotated TRO basis plus delta times a complex Gaussian, made
+        # orthonormal again: its blocks, at a distance linear in delta
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            tro = np.stack(block_tro(rng, shapes))
+            flat = polar(tro.reshape(len(tro), -1))
+            v = polar(flat + delta * mc.random_complex(rng, flat.shape)).reshape(tro.shape)
+            decomp, eps = alg._attempt(v, (seed, 0))
+            assert sorted(decomp.blocks) == sorted(shapes) and eps <= 50 * delta + 1e-13, (seed, eps)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_block_form_matches_the_per_block_loop_with_one_read_per_shape(self, seed):

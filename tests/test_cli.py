@@ -544,6 +544,24 @@ class TestMalformedInput:
         assert main(["describe", spec] + flags) == 2
         assert capsys.readouterr().err.startswith("spec error:")
 
+    @pytest.mark.parametrize("command", ["describe", "verify"])
+    @pytest.mark.parametrize(
+        ("params", "field"),
+        [
+            ({"kraus": 5}, "params.kraus"),
+            ({"kraus": None}, "params.kraus"),
+            ({}, "params.kraus"),
+            ({"rep": {"group": {"kind": "cyclic", "order": 2}, "unitaries": 5}}, "params.rep.unitaries"),
+            ({"rep": {"group": {"kind": "cyclic", "order": 2}, "unitaries": None}}, "params.rep.unitaries"),
+        ],
+        ids=["kraus-number", "kraus-null", "kraus-missing", "unitaries-number", "unitaries-null"],
+    )
+    def test_matrix_list_that_is_not_an_array_exits_2_naming_it(self, tmp_path, capsys, command, params, field):
+        doc = {"kind": "group_random_unitary" if "rep" in params else "kraus", "params": params}
+        assert main([command, write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: {field}:") and "Traceback" not in err
+
     def test_nan_kraus_entry_not_trace_preserving(self, tmp_path, capsys):
         doc = {"kind": "kraus", "params": {"kraus": [[[1.0, 0.0], [0.0, math.nan]]]}}
         spec = write_spec(tmp_path, doc)

@@ -1,6 +1,8 @@
 import importlib.util
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -35,3 +37,15 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert sorted(size for size, _ in pauli) == [4, 16, 64]
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()
+
+
+def test_compare_outputs_tells_number_differences_from_text_differences():
+    compare = load_tool("compare_outputs")
+    before = {"rc": 0, "stdout": "Q1  0.5  1.25e-3  lower\nblocks [(1, 1, 2)]\n"}
+    after = {"rc": 0, "stdout": "Q1  0.5000000000001  1.5e-3  lower\nblocks [(1, 1, 2)]\n"}
+    absolute, relative = compare.number_difference(before, after)
+    assert absolute == pytest.approx(2.5e-4) and relative == pytest.approx(2.5e-4 / 1.5e-3)
+    assert compare.number_difference(before, before) == (0.0, 0.0)
+    assert compare.number_difference({"x": [1, -2.0]}, {"x": [1, 2]}) == (4.0, 2.0)
+    for other in ({**after, "stdout": "Q  0.5  1.25e-3  lower\nblocks [(1, 1, 2)]\n"}, {**before, "csv": "1"}, None):
+        assert compare.number_difference(before, other) is None

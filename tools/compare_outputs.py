@@ -9,7 +9,9 @@ runs every job of all four workloads, for each seed, at the pass counts of an
 checks each output with that tree's ``perfbench/workloads.py``.  Each pass
 gets a fresh Runner and work directory, so no spec file is keyed by the id of
 a job of an earlier pass.  Prints the ids whose outputs differ, each with the
-first line where the two trees' outputs part; exits 1 when any output fails
+first line where the two trees' outputs part and, when the outputs differ
+only in numbers, the largest absolute and relative difference between
+corresponding numbers (else ``text differs``); exits 1 when any output fails
 its check, else 0.
 """
 
@@ -18,9 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from typing import Optional
 
 PASS_SECONDS = 18.0  # the benchmark's run_seconds
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
@@ -78,6 +82,20 @@ def first_difference(before, after) -> tuple[str, str]:
     return tuple(lines[n] if n < len(lines) else "<end of output>" for lines in (a, b))
 
 
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def number_difference(before, after) -> Optional[tuple[float, float]]:
+    """(largest absolute, largest relative) difference between corresponding
+    numbers of two outputs whose text apart from its numbers is the same, else None."""
+    a, b = (NUMBER.split("\n".join(output_lines(x))) for x in (before, after))
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return None
+    pairs = [(float(x), float(y)) for x, y in zip(a[1::2], b[1::2])]
+    diffs = [(abs(x - y), abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0) for x, y in pairs]
+    return max((d[0] for d in diffs), default=0.0), max((d[1] for d in diffs), default=0.0)
+
+
 def run_tree(tree: str, seeds: list[int], out_path: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("TROCAP_")}
     cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_path, "--seeds", *map(str, seeds)]
@@ -112,10 +130,13 @@ def main(argv=None) -> int:
     differ = [k for k in after if k not in before or json.dumps(before[k][0], sort_keys=True) != json.dumps(after[k][0], sort_keys=True)]
     differ += [k for k in before if k not in after]
     for key in differ:
-        parent_line, change_line = first_difference(before.get(key, [None])[0], after.get(key, [None])[0])
+        outputs = before.get(key, [None])[0], after.get(key, [None])[0]
+        parent_line, change_line = first_difference(*outputs)
+        numbers = number_difference(*outputs)
         print(f"differs: {key}")
         print(f"  parent: {parent_line}")
         print(f"  change: {change_line}")
+        print("  text differs" if numbers is None else "  numbers only: max abs {:.3g}, max rel {:.3g}".format(*numbers))
     print(f"{len(after)} jobs; {len(differ)} outputs differ; {failed} check failures")
     return 1 if failed else 0
 
