@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import algebra as alg
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
@@ -27,6 +28,7 @@ from .errors import (
     HypothesisFailed,
     InvalidSymbol,
     OutOfRange,
+    RankDeficient,
 )
 
 QUANTITIES = (
@@ -284,24 +286,33 @@ def _multi_start(
     return AscentResult(float(f[best]), rho[best])
 
 
+def _own_bounds(ch: Channel, space: StinespringSpace, seed: int) -> BoundReport:
+    return comparison_bounds(space, ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), seed))
+
+
 def one_shot_q(
     ch: Channel,
     restarts: int = 32,
     seed: int = 0,
     init_states: Optional[Sequence[np.ndarray]] = None,
     max_workers: int = 1,
-    ceiling: float = math.inf,
+    ceiling: Optional[float] = None,
 ) -> AscentResult:
     """Best found coherent information max_rho H(N(rho)) - H(N^E(rho)).
 
     A certified lower bound on the one-shot quantum capacity; global
     optimality is not guaranteed.  Deterministic for a given seed; extra
     ``init_states`` join the restart pool ahead of random draws.  All
-    restarts ascend together as one batch; ``max_workers`` is accepted for
-    compatibility and has no effect.  A ``ceiling``, a proven upper bound on
-    Q1 such as the Q1 upper edge of :func:`comparison_bounds`, stops the
-    batch once its best value reaches it (see _ascent).
+    restarts ascend together as one batch; ``max_workers`` has no effect.  A
+    ``ceiling``, a proven upper bound on Q1, stops the batch at it (see
+    _ascent): by default the channel's Q1 edge over its symbol, else over the
+    identity certified with ``seed``; ``math.inf`` runs the full ascent.
     """
+    if ceiling is None:
+        try:
+            ceiling = _own_bounds(ch, ch.base_space or chn.stinespring_space(ch), seed).entries["Q1"].upper
+        except RankDeficient:  # a dilation that is not isometric has no structure to bound Q1
+            ceiling = math.inf
     return _multi_start(ch, False, restarts, seed, init_states, ceiling)
 
 
@@ -317,8 +328,8 @@ def negative_cb_entropy(
     ``formula`` mode uses the closed form log2(|in|/|env|) + tau(f log f),
     which requires channel metadata (a validated symbol over a reference
     space) and a complement that is unital up to the scalar |in|/|env|.
-    ``numeric`` mode is a multi-start lower bound from the same batched
-    ascent as :func:`one_shot_q`; ``max_workers`` has no effect.
+    ``numeric`` mode, the uncapped ascent of :func:`one_shot_q`, checks that
+    form (a ceiling would hide a wrong one); ``max_workers`` has no effect.
     """
     if mode == "numeric":
         return _multi_start(ch, True, restarts, seed, None).value

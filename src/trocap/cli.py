@@ -186,8 +186,7 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
 
 def cmd_bounds(args, bundle: SpecBundle) -> int:
     ch, space = bundle.channel, bundle.space
-    symbol = ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), bundle.seed)
-    report = capacity.comparison_bounds(space, symbol)
+    report = capacity._own_bounds(ch, space, bundle.seed)
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
     if window.lower < window.upper:
         best = capacity.one_shot_q(

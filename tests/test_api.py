@@ -73,7 +73,7 @@ EXPORTS = {  # name: str(inspect.signature(...))
     "one_shot_q": (
         "(ch: 'Channel', restarts: 'int' = 32, seed: 'int' = 0, "
         "init_states: 'Optional[Sequence[np.ndarray]]' = None, max_workers: 'int' = 1, "
-        "ceiling: 'float' = inf) -> 'AscentResult'"
+        "ceiling: 'Optional[float]' = None) -> 'AscentResult'"
     ),
     "partial_trace": "(m: 'np.ndarray', dims: 'tuple[int, int]', keep: 'str') -> 'np.ndarray'",
     "permute_systems": "(m: 'np.ndarray', dims: 'tuple[int, ...]', perm: 'tuple[int, ...]') -> 'np.ndarray'",

@@ -30,7 +30,10 @@ from trocap.errors import (
     InvalidSymbol,
     NotHermitian,
     OutOfRange,
+    RankDeficient,
 )
+
+from helpers import random_unitary
 
 LOG3 = math.log2(3.0)
 
@@ -318,7 +321,7 @@ class TestBatchedAscentFence:
         if reverse:
             best = cap.negative_cb_entropy(ch, "numeric", restarts=restarts, seed=seed)
         else:
-            best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits).value
+            best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits, ceiling=math.inf).value
         values = ends[0][0]
         assert np.max(np.abs(values - ref)) <= 1e-9
         assert int(np.argmax(values)) == int(np.argmax(ref))  # same winning restart
@@ -343,7 +346,7 @@ class TestBatchedAscentFence:
         if reverse:
             cap.negative_cb_entropy(ch, "numeric", restarts=8, seed=0)
         else:
-            cap.one_shot_q(ch, restarts=8, seed=0)
+            cap.one_shot_q(ch, restarts=8, seed=0, ceiling=math.inf)
         assert evals and len(eighs) == 2 * len(evals)
         assert evals[0] == 8 and all(len(shape) == 3 for shape in eighs)
 
@@ -456,7 +459,7 @@ class TestAscentHonesty:
         # Q1 = log2 max n = log2 3 exactly (tro_capacities); the ascent may
         # only reach it from below
         ch = partial_trace_sum_channel([(2, 2), (3, 1)])
-        assert cap.one_shot_q(ch, restarts=16, seed=seed).value <= LOG3 + 1e-12
+        assert cap.one_shot_q(ch, restarts=16, seed=seed, ceiling=math.inf).value <= LOG3 + 1e-12
 
 
 class TestCeiling:
@@ -486,7 +489,7 @@ class TestCeiling:
         # stopped batch is a prefix of the full one, so it cannot end higher
         ch = partial_trace_sum_channel([(2, 2), (3, 1)])
         calls = self.counted_evaluations(monkeypatch)
-        full = cap.one_shot_q(ch, restarts=8)
+        full = cap.one_shot_q(ch, restarts=8, ceiling=math.inf)
         n_full = len(calls)
         best = cap.one_shot_q(ch, restarts=8, ceiling=LOG3)
         assert 1 < len(calls) - n_full < n_full
@@ -505,7 +508,7 @@ class TestCeiling:
 
     def test_no_ceiling_is_the_full_ascent(self):
         ch = _schur_cyclic4()
-        plain = cap.one_shot_q(ch, restarts=4, seed=1)
+        plain = cap._multi_start(ch, False, 4, 1, None)
         again = cap.one_shot_q(ch, restarts=4, seed=1, ceiling=math.inf)
         assert again.value == plain.value
         np.testing.assert_array_equal(again.rho, plain.rho)
@@ -519,6 +522,74 @@ class TestCeiling:
     def test_nan_ceiling_raises(self):
         with pytest.raises(OutOfRange):
             cap.one_shot_q(qubit_dephasing(0.3), restarts=2, ceiling=float("nan"))
+
+
+def _random_kraus(seed, dim_in, dim_out, dim_env):
+    """Kraus family of a seeded Haar-random isometry C^in -> C^out (x) C^env."""
+    iso = random_unitary(np.random.default_rng(seed), dim_out * dim_env)[:, :dim_in]
+    return Channel(iso.reshape(dim_out, dim_env, dim_in).transpose(1, 0, 2))
+
+
+class TestOwnCeiling:
+    """one_shot_q with no ceiling stops at its channel's own Q1 upper edge."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["partial_trace_sum", "schur_cyclic4", "dephasing"])
+    def test_closed_window_stops_at_the_edge(self, monkeypatch, name, seed):
+        ch = FENCE_CASES[name]()
+        # the edge as the structure gives it: log2 max n of the blocks, or the
+        # Q1 window of the symbol that the channel carries
+        if name == "partial_trace_sum":
+            edge = LOG3
+        else:
+            edge = cap.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        best = cap.one_shot_q(ch, restarts=16, seed=seed)
+        n_own = len(calls)
+        cap.one_shot_q(ch, restarts=16, seed=seed, ceiling=math.inf)
+        assert edge * (1 - cap.CEILING_RTOL) <= best.value <= edge + 1e-12
+        assert 10 * n_own <= len(calls) - n_own
+
+    @pytest.mark.parametrize(
+        "build",
+        [FENCE_CASES["pauli"], lambda: _random_kraus(0, 3, 3, 2), lambda: _random_kraus(1, 2, 2, 3)],
+        ids=["pauli", "random_kraus_332", "random_kraus_223"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_open_window_is_the_full_ascent(self, build, seed):
+        ch = build()
+        own = cap.one_shot_q(ch, restarts=8, seed=seed)
+        full = cap.one_shot_q(ch, restarts=8, seed=seed, ceiling=math.inf)
+        assert own.value == full.value
+        np.testing.assert_array_equal(own.rho, full.rho)
+
+    @pytest.mark.parametrize(("name", "certified"), [("dephasing", []), ("pauli", []), ("partial_trace_sum", [5])])
+    def test_only_a_channel_without_symbol_is_certified(self, monkeypatch, name, certified):
+        # a carried symbol is used as it is; otherwise the identity is
+        # certified once, with the call's seed
+        ch = FENCE_CASES[name]()
+        seeds, real_certify = [], cap.alg._certify
+
+        def spy(space, f, seed, *args, **kwargs):
+            seeds.append(seed)
+            return real_certify(space, f, seed, *args, **kwargs)
+
+        monkeypatch.setattr(cap.alg, "_certify", spy)
+        cap.one_shot_q(ch, restarts=2, seed=5)
+        assert seeds == certified
+        assert (ch.symbol is None) == bool(certified)
+
+    def test_non_isometric_dilation_runs_uncapped(self):
+        # 0.9 times a unitary: not trace preserving, so stinespring_space
+        # rejects it; the ascent still runs, as with no ceiling
+        u = random_unitary(np.random.default_rng(3), 3)
+        ch = Channel(0.9 * u[None])
+        with pytest.raises(RankDeficient):
+            stinespring_space(ch)
+        own = cap.one_shot_q(ch, restarts=4, seed=0)
+        full = cap.one_shot_q(ch, restarts=4, seed=0, ceiling=math.inf)
+        assert own.value == full.value
+        np.testing.assert_array_equal(own.rho, full.rho)
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -569,6 +640,19 @@ class TestNegativeCbEntropy:
             numeric = cap.negative_cb_entropy(ch, "numeric", restarts=32, seed=1)
             formula = cap.negative_cb_entropy(ch, "formula")
             assert numeric <= formula + 1e-6
+
+    @pytest.mark.parametrize("name", ["dephasing", "partial_trace_sum", "phi_alpha"])
+    def test_numeric_is_the_uncapped_ascent(self, monkeypatch, name):
+        # the numeric value checks the closed form, so no ceiling may stop it:
+        # it runs every round of the uncapped ascent, though here one of the
+        # starts already attains the form
+        built = FENCE_CASES[name]()
+        ch = getattr(built, "channel", built)
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        value = cap.negative_cb_entropy(ch, "numeric", restarts=8, seed=0)
+        n_numeric = len(calls)
+        assert value == cap._multi_start(ch, True, 8, 0, None).value
+        assert n_numeric == len(calls) - n_numeric > 1
 
     def test_formula_needs_metadata(self):
         from trocap.channel import from_kraus

@@ -203,7 +203,7 @@ class TestBoundsCeiling:
         assert (q1[1] == q1[2]) == (name != "pauli")
 
         def without_ceiling(*args, ceiling=math.inf, **kwargs):
-            return real_one_shot_q(*args, **kwargs)
+            return real_one_shot_q(*args, ceiling=math.inf, **kwargs)
 
         monkeypatch.setattr(capacity, "one_shot_q", without_ceiling)
         assert main(argv) == 0
@@ -220,7 +220,7 @@ class TestBoundsCeiling:
         # the full ascent ends at the edge: its value is the coherent information
         # of a state, at most Q1, so it could not have raised the lower edge
         bundle = load_spec(spec, None)
-        full = real_one_shot_q(bundle.channel, restarts=8, seed=bundle.seed)
+        full = real_one_shot_q(bundle.channel, restarts=8, seed=bundle.seed, ceiling=math.inf)
         assert lower - 1e-6 < full.value <= upper + 1e-6
 
 
