@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import algebra as alg
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
-from .entropy import _RenyiStack, _density_search, entropy_defect
+from .entropy import _density_search, _evaluate, entropy_defect
 from .errors import (
     BadExponent,
     DimMismatch,
@@ -359,15 +360,12 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
     return float(m ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
 
 
-def _renyi_value_and_grad(extended: Channel, dims: tuple[int, int], p: float, rho: np.ndarray):
-    """Minus the Renyi coherent information, -inf_sigma D_p(omega || 1 (x)
-    sigma) with omega = (id (x) N)(rho), at input densities rho (1, d^2, d^2),
-    and its gradient: by Danskin's envelope theorem (id (x) N)* of the partial
-    one in omega at the inner minimizer (_RenyiStack.rho_gradients); id (x) N
-    preserves the trace, so omega's renormalization adds nothing."""
-    omega = mc.hermitize(chn.apply(extended, rho[0]))
-    stack = _RenyiStack((omega / np.trace(omega).real)[None], dims, p).minimize()
-    return -float(stack.value[0]), -chn.adjoint_apply(extended, stack.rho_gradients())
+def _dual_value_and_grads(extended: Channel, beta: float, densities: tuple) -> tuple[float, tuple]:
+    """D_beta(omega_AE || 1 (x) tau), omega_AE = extended(rho) = (id (x) N^c)(rho),
+    at a pair (rho, tau), and its gradients in rho (through extended's adjoint) and tau."""
+    omega, tau = mc.hermitize(chn.apply(extended, densities[0])), densities[1]
+    value, grad_omega, grad_tau = _evaluate(beta, omega, np.eye(omega.shape[-1] // tau.shape[-1])[None], tau, True)
+    return float(value[0]), (chn.adjoint_apply(extended, grad_omega), grad_tau)
 
 
 def renyi_coherent_channel(
@@ -377,35 +375,34 @@ def renyi_coherent_channel(
     seed: int = 0,
     init_states: Optional[Sequence[np.ndarray]] = None,
 ) -> float:
-    """Best found Renyi coherent information over purified channel inputs.
+    """Best found Renyi coherent information over purified channel inputs: a lower
+    bound on the one-shot Renyi quantum value at exponent p (finite, > 1).
 
-    Lower bound on the one-shot Renyi quantum value at exponent p (finite,
-    > 1): one L-BFGS-B search (entropy._density_search) per restart over the
-    amplitudes g of psi = vec g / |g|, each evaluation one inner minimization
-    over sigma (_renyi_value_and_grad).  Each inner value is D_p at a feasible
-    sigma: an upper estimate of inf_sigma, within the stop rule of
-    ``_RenyiStack.minimize``.  The starts are sqrt(d) times :func:`one_shot_q`'s;
-    fewer than one raises OutOfRange.  Each search runs from its start nudged
-    by a seeded relative step of 1e-3, and the value at the start counts.
+    With 1/p + 1/beta = 2 the sandwiched conditional entropy of a pure state is
+    self-dual (Mueller-Lennert, Dupuis, Szehr, Fehr & Tomamichel 2013; Beigi 2013):
+    inf_sigma D_p(omega_AB || 1 (x) sigma) = sup_tau -D_beta(omega_AE || 1 (x) tau),
+    omega_AE = (id (x) N^c)(psi psi*), N^c with Kraus operators ``ch.kraus.swapaxes(0, 1)``.
+    So each restart is one L-BFGS-B search (entropy._density_search) over pairs (psi, tau),
+    psi = vec g / |g|, with the exact gradient (_dual_value_and_grads) and no inner
+    minimization; each value, -D_beta at a feasible pair, is a lower bound up to rounding.
+    The starts are sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step
+    of 1e-3, each with tau at its E marginal (a factor of the norm of g); fewer than one
+    raises OutOfRange.  No start value counts apart: L-BFGS-B steps only lower the objective.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    d = ch.dim_in
-    extended = chn.tensor_channels(chn.identity_channel(d), ch)  # id_A (x) N
-
-    def fun(rho: np.ndarray) -> tuple[float, np.ndarray]:
-        return _renyi_value_and_grad(extended, (d, ch.dim_out), p, rho)
-
-    best = -math.inf
+    d, beta = ch.dim_in, p / (2.0 * p - 1.0)
+    extended = chn.tensor_channels(chn.identity_channel(d), Channel(ch.kraus.swapaxes(0, 1)))  # id_A (x) N^c
+    fun, best = partial(_dual_value_and_grads, extended, beta), -math.inf
     for k, g0 in enumerate(_init_pool(ch, restarts, seed, init_states)):
         g = (g0 * math.sqrt(d)).reshape(-1, 1)
-        best = max(best, -fun(_densities(g[None])[1])[0])
-        # The exact gradient keeps a symmetric start (the maximally entangled
-        # input is real and diagonal) in its symmetric subspace, where the
-        # search can end on a saddle; a seeded nudge of 1e-3 leaves it.
+        # A seeded nudge of 1e-3 takes a symmetric start (the maximally entangled input is real and
+        # diagonal) off the subspace the exact gradient keeps it in, where the search can end on a saddle.
         nudge = np.random.default_rng((seed, k, 1)).standard_normal((2, *g.shape))
         g = g + 1e-3 * np.linalg.norm(g) / math.sqrt(2 * g.size) * (nudge[0] + 1j * nudge[1])
-        best = max(best, -_density_search(fun, g, {"maxiter": 60})[0])
+        omega_e = mc.partial_trace(chn.apply(extended, _densities(g[None])[1]), (d, ch.dim_env), "B")
+        start = (g, np.linalg.norm(g) * mc.matrix_power(omega_e[0], 0.5))
+        best = max(best, -_density_search(fun, start, {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-10})[0])
     return best
 
 

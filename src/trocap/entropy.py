@@ -13,6 +13,7 @@ with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
 polish from their last iterate (``_density_search``), none from random starts.
 Every value, fixed-point target and gradient comes from one kernel, ``_evaluate``,
 on all of B; an optional ``project`` acts on all of B, after the cut to B's support.
+It also takes the dual search's exponents in [1/2, 1) (capacity.renyi_coherent_channel).
 """
 
 from __future__ import annotations
@@ -134,28 +135,76 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
-def _density_search(fun, m0: np.ndarray, options: dict) -> tuple[float, np.ndarray, bool]:
-    """L-BFGS-B from m0 over the densities rho = m m*/t, t = tr(m m*), m complex
-    of any shape (n x n for a sigma, d^2 x 1 for the amplitudes of a pure rho).
-    ``fun`` maps a (1, n, n) density to its value and hermitian gradient G; the
-    chain rule gives 2 (G m - tr(m* G m)/t m)/t, packed as real then imaginary
-    parts.  Returns the end value and density, and scipy's success flag."""
+def _density_search(fun, m0s: tuple, options: dict) -> tuple[float, tuple, bool]:
+    """L-BFGS-B from the blocks m0s over tuples of densities m m*/t, t = tr(m m*), each
+    m complex of any shape (n x n for a sigma or tau, d^2 x 1 for the amplitudes of a
+    pure rho).  ``fun`` maps the tuple of (1, n, n) densities to its value and tuple of
+    hermitian gradients G; each block's chain rule gives 2 (G m - tr(m* G m)/t m)/t, all
+    blocks' entries packed as real then imaginary parts.  Returns the end value and
+    densities, and scipy's success flag."""
     from scipy import optimize
 
-    def packed(x: np.ndarray) -> tuple[float, np.ndarray]:
-        m = (x[: m0.size] + 1j * x[m0.size :]).reshape(m0.shape)
-        t = float(np.vdot(m, m).real)
-        if not (t > 0 and np.isfinite(t)):
-            return 1e9, np.zeros_like(x)
-        value, grad = fun((m @ mc.dagger(m) / t)[None])
-        gm = grad[0] @ m
-        h = 2.0 * (gm - (np.vdot(m, gm).real / t) * m) / t
-        return value, np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
+    def blocks(x: np.ndarray) -> list[np.ndarray]:
+        z = np.split(x[: x.size // 2] + 1j * x[x.size // 2 :], np.cumsum([m.size for m in m0s])[:-1])
+        return [b.reshape(m.shape) for b, m in zip(z, m0s)]
 
-    x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-    res = optimize.minimize(packed, x0, method="L-BFGS-B", jac=True, options=options)
-    m = (res.x[: m0.size] + 1j * res.x[m0.size :]).reshape(m0.shape)
-    return float(res.fun), (m @ mc.dagger(m) / np.vdot(m, m).real)[None], bool(res.success)
+    def packed(x: np.ndarray) -> tuple[float, np.ndarray]:
+        ms = blocks(x)
+        ts = [float(np.vdot(m, m).real) for m in ms]
+        if not all(t > 0 and np.isfinite(t) for t in ts):
+            return 1e9, np.zeros_like(x)
+        value, grads = fun(tuple((m @ mc.dagger(m) / t)[None] for m, t in zip(ms, ts)))
+        gms = [grad[0] @ m for m, grad in zip(ms, grads)]
+        h = np.concatenate([2.0 * (gm - (np.vdot(m, gm).real / t) * m).ravel() / t for m, t, gm in zip(ms, ts, gms)])
+        return value, np.concatenate([h.real, h.imag])
+
+    z0 = np.concatenate([m.reshape(-1) for m in m0s])
+    res = optimize.minimize(packed, np.concatenate([z0.real, z0.imag]), method="L-BFGS-B", jac=True, options=options)
+    densities = tuple((m @ mc.dagger(m) / np.vdot(m, m).real)[None] for m in blocks(res.x))
+    return float(res.fun), densities, bool(res.success)
+
+
+def _evaluate(p: float, rho, k_pow, sigma: np.ndarray, grads: bool = False):
+    """D_p(rho || K (x) sigma) of each item, p > 1 or 1/2 <= p < 1, from one eigh of sigma
+    and one of s = a rho a, a = K^(-1/2p') (x) sigma^(-1/2p') on sigma's support: for p > 1
+    mc.support_mask's, with a large finite penalty for +inf where rho leaves the support of
+    1 (x) sigma; for p < 1 (D_p finite there) the positive spectrum, and s, of rho's rank, is
+    cut to its eigenvalues above 1e-15 times its largest.  Then the target tr_A[s^p] or, with
+    ``grads``, the gradients G in rho and in sigma (hermitian, dD = tr(G d.)), Q = tr s^p:
+    p' a s^(p-1) a / (Q ln 2) and p' V (Gamma o V* Y V) V* / (Q ln 2), Y = tr_A[(K^c (x) 1) Z],
+    Z = rho a s^(p-1) + h.c., sigma = V diag(w) V*, Gamma the divided differences of w^c, c = -1/2p'."""
+    p_conj = p / (p - 1.0)
+    c, da, db = -0.5 / p_conj, k_pow.shape[-1], sigma.shape[-1]
+    w, v = np.linalg.eigh(mc.hermitize(sigma))
+    mask = mc.support_mask(w) if p > 1.0 else w > 0
+    w = np.where(mask, w, 1.0)
+    a = mc.tensor(k_pow, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
+    ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
+    ws = np.clip(ws, 0.0, None)
+    if p < 1.0:
+        ws = ws * (ws > 1e-15 * ws.max(axis=-1, keepdims=True))  # below: eigh's rounding of a zero
+    q = np.sum(ws**p, axis=-1)
+    value = p_conj * np.log2(q ** (1 / p))
+    thin = np.flatnonzero(~mask.all(axis=-1) & (p > 1.0))
+    if thin.size:
+        off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
+        leak = np.trace(off @ mc.partial_trace(rho[thin], (da, db), "B"), axis1=1, axis2=2).real
+        value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
+    if not grads:
+        s_p = mc.hermitize((vs * (ws**p)[..., None, :]) @ mc.dagger(vs))
+        return value, mc.partial_trace(s_p, (da, db), "B")
+    scale = p_conj / (q * math.log(2.0))
+    s_pm1 = ws ** (p - 1) if p > 1.0 else np.power(ws, p - 1, out=np.zeros_like(ws), where=ws > 0)
+    x = a @ (vs * (scale[:, None] * s_pm1)[..., None, :]) @ mc.dagger(vs)
+    z = rho @ x
+    y = mc.partial_trace(mc.tensor(k_pow, np.eye(db)) @ (z + mc.dagger(z)), (da, db), "B")
+    # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
+    log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
+    den = np.expm1(log_ratio)
+    gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
+    gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
+    grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
+    return value, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
 
 
 class _RenyiStack:
@@ -164,10 +213,10 @@ class _RenyiStack:
     frame each, the full eigenbasis (n, dB, dB) of the item's B marginal:
     ``rho`` holds the states in it with the B rows and columns off the
     marginal's support set to zero (``keep`` marks the entries on it), and
-    ``k_pow`` the K^(-1/2p').  :meth:`_evaluate` is the one kernel.
+    ``k_pow`` the K^(-1/2p').  :func:`_evaluate` is the one kernel.
     :meth:`minimize` fills the per-item arrays ``value``, ``sigma``,
     ``converged``, ``fixed`` (the fixed point met its tolerance) and
-    ``iterations``; :meth:`rho_gradients` gives the gradients in rho."""
+    ``iterations``."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
@@ -183,44 +232,6 @@ class _RenyiStack:
         self.keep = on[:, :, None] & on[:, None, :]  # entries of sigma on the support
         embed = mc.tensor(np.eye(da), self.frame)
         self.rho = np.where(np.tile(self.keep, (da, da)), mc.dagger(embed) @ rhos @ embed, 0)
-
-    def _evaluate(self, rho, k_pow, sigma: np.ndarray, grads: bool = False):
-        """D_p(rho || K (x) sigma) of each item, a large finite penalty in place
-        of +inf where rho has mass off the support of 1 (x) sigma, from one eigh
-        of sigma and one of s = a rho a, a = K^(-1/2p') (x) sigma^(-1/2p'); then
-        the fixed-point target tr_A[s^p] or, with ``grads``, the gradients G in
-        rho and in sigma (hermitian, dD = tr(G d.)): with Q = tr s^p, p' a
-        s^(p-1) a / (Q ln 2) and p' V (Gamma o V* Y V) V* / (Q ln 2), where
-        Y = tr_A[(K^(-1/2p') (x) 1) Z], Z = rho a s^(p-1) + h.c., sigma = V
-        diag(w) V* and Gamma the divided differences of w^(-1/2p') on the support."""
-        c, da, db = -0.5 / self.p_conj, k_pow.shape[-1], sigma.shape[-1]
-        w, v = np.linalg.eigh(mc.hermitize(sigma))
-        mask = mc.support_mask(w)
-        w = np.where(mask, w, 1.0)
-        a = mc.tensor(k_pow, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
-        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
-        ws = np.clip(ws, 0.0, None)
-        q = np.sum(ws**self.p, axis=-1)
-        value = self.p_conj * np.log2(q ** (1 / self.p))
-        thin = np.flatnonzero(~mask.all(axis=-1))
-        if thin.size:
-            off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
-            leak = np.trace(off @ mc.partial_trace(rho[thin], (da, db), "B"), axis1=1, axis2=2).real
-            value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
-        if not grads:
-            s_p = mc.hermitize((vs * (ws**self.p)[..., None, :]) @ mc.dagger(vs))
-            return value, mc.partial_trace(s_p, (da, db), "B")
-        scale = self.p_conj / (q * math.log(2.0))
-        x = a @ (vs * (scale[:, None] * ws ** (self.p - 1))[..., None, :]) @ mc.dagger(vs)
-        z = rho @ x
-        y = mc.partial_trace(mc.tensor(k_pow, np.eye(db)) @ (z + mc.dagger(z)), (da, db), "B")
-        # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
-        log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
-        den = np.expm1(log_ratio)
-        gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
-        gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
-        grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
-        return value, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
 
     def _project(self, idx, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
         """``project`` on all of B for the items ``idx`` (f* project(f s f*) f, f
@@ -249,7 +260,7 @@ class _RenyiStack:
         rho, k_pow, frame, n = self.rho, self.k_pow, self.frame, len(self.rho)
         sigma = self._feasible(slice(None), mc.dagger(frame) @ self.rho_b @ frame)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
-        value, target = self._evaluate(rho, k_pow, sigma)
+        value, target = _evaluate(self.p, rho, k_pow, sigma)
         active, beta0 = np.arange(n), min(0.5, 0.9 / self.p)
         beta, last, self.iterations = np.full(n, beta0), np.full(n, np.inf), np.full(n, max_iter)
         self.fixed, was_flat, polished = np.zeros((3, n), dtype=bool)
@@ -263,7 +274,7 @@ class _RenyiStack:
             b = beta[active][:, None, None]
             new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
             cand = self._feasible(active, mc.hermitize(new))
-            cand_val, cand_target = self._evaluate(rho[active], k_pow[active], cand)
+            cand_val, cand_target = _evaluate(self.p, rho[active], k_pow[active], cand)
             rise = cand_val - value[active]
             up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
             drop, prev = np.maximum(-rise, 0.0), last[active]
@@ -282,30 +293,22 @@ class _RenyiStack:
 
     def _fallback(self, item: slice, value: float, sigma: np.ndarray):
         """One L-BFGS-B polish of one item from its accepted iterate, with the
-        exact gradient (:meth:`_evaluate`, taken back through ``project``);
+        exact gradient (:func:`_evaluate`, taken back through ``project``);
         returns it where it is lower by more than 1e-12, else the iterate, and
         whether the returned point is a polish that reported success."""
 
-        def fun(s: np.ndarray) -> tuple[float, np.ndarray]:
-            v, _, grad = self._evaluate(self.rho[item], self.k_pow[item], self._project(item, s), grads=True)
-            return float(v[0]), self._project(item, grad, normalize=False)
+        def fun(s: tuple) -> tuple[float, tuple]:
+            v, _, grad = _evaluate(self.p, self.rho[item], self.k_pow[item], self._project(item, s[0]), grads=True)
+            return float(v[0]), (self._project(item, grad, normalize=False),)
 
         m0 = mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5)
-        _, polish, success = _density_search(fun, m0, {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
-        polish_val = fun(polish)[0]  # the value of the returned sigma itself
+        _, (polish,), success = _density_search(fun, (m0,), {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
+        polish_val = fun((polish,))[0]  # the value of the returned sigma itself
         if polish_val < value - 1e-12:
             return polish_val, self._project(item, polish)[0], success
         if not np.isfinite(value):
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return value, sigma, False
-
-    def rho_gradients(self) -> np.ndarray:
-        """Each item's gradient in rho of D_p(rho || K (x) sigma) at its
-        ``sigma`` (set by :meth:`minimize`), embedded back on A (x) B."""
-        frame = self.frame
-        grad = self._evaluate(self.rho, self.k_pow, mc.dagger(frame) @ self.sigma @ frame, grads=True)[1]
-        embed = mc.tensor(np.eye(self.dims[0]), frame)
-        return embed @ grad @ mc.dagger(embed)
 
     def improve(self, sigmas: np.ndarray) -> None:
         """One candidate sigma on B per item with trace on the item's B
@@ -315,7 +318,7 @@ class _RenyiStack:
         tr = np.trace(np.where(self.keep, sc, 0), axis1=1, axis2=2).real  # on the B support
         idx = np.flatnonzero(tr > 0)
         f, sc = self.frame[idx], self._feasible(idx, mc.hermitize(sc[idx] / tr[idx, None, None]))
-        cv = self._evaluate(self.rho[idx], self.k_pow[idx], sc)[0]
+        cv = _evaluate(self.p, self.rho[idx], self.k_pow[idx], sc)[0]
         win = cv < self.value[idx]
         self.value[idx[win]], self.sigma[idx[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
         self.converged[idx[win]] = self.fixed[idx[win]]

@@ -345,14 +345,14 @@ class TestRenyiConvergedFlag:
 
 class TestMonotoneStepControl:
     def _run(self, monkeypatch, rho, p):
-        real, values = ent._RenyiStack._evaluate, []
+        real, values = ent._evaluate, []
 
-        def recording(self, rho, k_pow, sigma, grads=False):
-            out = real(self, rho, k_pow, sigma, grads)
+        def recording(p, rho, k_pow, sigma, grads=False):
+            out = real(p, rho, k_pow, sigma, grads)
             values.append(float(out[0][0]))
             return out
 
-        monkeypatch.setattr(ent._RenyiStack, "_evaluate", recording)
+        monkeypatch.setattr(ent, "_evaluate", recording)
         opt = ent._RenyiStack(rho[None], (2, 3), p).minimize()
         monkeypatch.undo()
         return opt, values
@@ -505,11 +505,67 @@ class TestLeakPenalty:
         sigma, off = (v[..., 1:] * w[:, None, 1:]) @ mc.dagger(v[..., 1:]), v[..., :1] @ mc.dagger(v[..., :1])
         on = np.diagonal(stack.keep[4])  # in its frame, the last state's B support
         sigma[4], off[4] = np.diag(on / 2), np.diag(~on)
-        value = stack._evaluate(stack.rho, stack.k_pow, sigma)[0]
+        value = ent._evaluate(p, stack.rho, stack.k_pow, sigma)[0]
         leak = np.trace(mc.tensor(np.eye(2), off) @ stack.rho, axis1=1, axis2=2).real
         assert leak[4] == 0 and leak[:4].min() > 1e-3
         assert np.allclose(value[:4], 1e3 + 1e6 * leak[:4], rtol=1e-12, atol=0)
         assert abs(value[4]) < 1e3
+
+
+class TestKernelBelowOne:
+    """_evaluate at the exponents beta in [1/2, 1) of the dual Renyi search."""
+
+    @staticmethod
+    def _reference(omega, tau, beta, rank):
+        """D_beta(omega || 1 (x) tau) = log2 tr (a omega a)^beta / (beta - 1), a = 1 (x)
+        tau^c, c = (1 - beta)/(2 beta), from plain eigendecompositions: tau^c over all
+        of tau's spectrum (0^c = 0), and the ``rank`` largest eigenvalues of a omega a."""
+        w, v = np.linalg.eigh(tau)
+        a = np.kron(np.eye(2), (v * np.clip(w, 0, None) ** ((1 - beta) / (2 * beta))) @ v.conj().T)
+        lam = np.linalg.eigvalsh(a @ omega @ a)[-rank:]
+        return math.log2(np.sum(lam**beta)) / (beta - 1)
+
+    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
+    @pytest.mark.parametrize("rank", [6, 3, 1])
+    def test_value_matches_plain_eigendecompositions(self, beta, rank):
+        # omega on 2 x 3 of full rank, of rank 3 (as (id (x) N^c)(psi psi*) has
+        # rank at most d_out) and pure: the rounding of the zeros of s must not count
+        rng = np.random.default_rng(31)
+        x = mc.random_complex(rng, (6, rank))
+        omega, tau = x @ x.conj().T / np.vdot(x, x).real, mc.random_density(rng, 3)
+        value = ent._evaluate(beta, omega[None], np.eye(2)[None], tau[None])[0][0]
+        assert value == pytest.approx(self._reference(omega, tau, beta, rank), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
+    def test_no_support_penalty_below_one(self, beta):
+        # tau of rank 2 of 3 (diagonal, so its zero is exact) against a
+        # full-rank omega: D_beta is finite there, and the kernel gives it, with
+        # no penalty
+        omega, tau = mc.random_density(np.random.default_rng(32), 6), np.diag([0.0, 0.3, 0.7])
+        value = ent._evaluate(beta, omega[None], np.eye(2)[None], tau[None])[0][0]
+        assert value == pytest.approx(self._reference(omega, tau, beta, 4), abs=1e-12)
+
+
+PRIVATE_EXPONENT_CALLS = {
+    "sandwiched_renyi": lambda p: ent.sandwiched_renyi(np.eye(4) / 4, np.eye(4) / 4, p),
+    "minimize_renyi_divergence": lambda p: ent.minimize_renyi_divergence(np.eye(4) / 4, (2, 2), p),
+    "conditional_renyi": lambda p: ent.conditional_renyi(np.eye(4) / 4, (2, 2), p),
+    "renyi_coherent_information": lambda p: ent.renyi_coherent_information(np.eye(4) / 4, (2, 2), p),
+    "renyi_mutual_information": lambda p: ent.renyi_mutual_information(np.eye(4) / 4, (2, 2), p),
+    "s1_sp_norm": lambda p: ent.s1_sp_norm(np.eye(4) / 4, (2, 2), p),
+    "renyi_coherent_channel": lambda p: __import__("trocap.capacity").capacity.renyi_coherent_channel(
+        qubit_dephasing(0.3), p
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 0.75, 0.5])
+@pytest.mark.parametrize("name", sorted(PRIVATE_EXPONENT_CALLS))
+def test_exponents_below_one_stay_private(name, p):
+    # the kernel takes 1/2 <= p < 1 for the dual search alone; no public
+    # function accepts p <= 1
+    with pytest.raises(BadExponent):
+        PRIVATE_EXPONENT_CALLS[name](p)
 
 
 class TestProjectOnAllOfB:
@@ -892,14 +948,14 @@ class TestRenyiGradient:
         rng = np.random.default_rng(25)
         rb = dims[1]
         sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
-        value, grad_rho, grad_sigma = stack._evaluate(rho_c, k_pow, sigma, grads=True)
-        assert value[0] == pytest.approx(stack._evaluate(rho_c, k_pow, sigma)[0][0], abs=1e-14)
+        value, grad_rho, grad_sigma = ent._evaluate(p, rho_c, k_pow, sigma, grads=True)
+        assert value[0] == pytest.approx(ent._evaluate(p, rho_c, k_pow, sigma)[0][0], abs=1e-14)
 
         def in_sigma(s):
-            return stack._evaluate(rho_c, k_pow, s)[0][0]
+            return ent._evaluate(p, rho_c, k_pow, s)[0][0]
 
         def in_rho(r):
-            return stack._evaluate(r, k_pow, sigma)[0][0]
+            return ent._evaluate(p, r, k_pow, sigma)[0][0]
 
         for f, x, grad in ((in_sigma, sigma, grad_sigma), (in_rho, rho_c, grad_rho)):
             e = mc.hermitize(mc.random_complex(rng, x.shape[1:]))[None]
@@ -915,7 +971,9 @@ class TestRenyiGradient:
         rhos = np.concatenate([_thin_outputs(), [mc.random_density(rng, 6) for _ in range(2)]])
         k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
         stack = ent._RenyiStack(rhos, dims, p, k_as).minimize()
-        grads = stack.rho_gradients()
+        frame, embed = stack.frame, mc.tensor(np.eye(2), stack.frame)
+        grads = ent._evaluate(p, stack.rho, stack.k_pow, mc.dagger(frame) @ stack.sigma @ frame, grads=True)[1]
+        grads = embed @ grads @ mc.dagger(embed)  # from each item's frame back to A (x) B
         for i, rho in enumerate(rhos):
             k = np.eye(2) if k_as is None else k_as[i]
             a = np.kron(mc.matrix_power(k, c), mc.matrix_power(stack.sigma[i], c))
@@ -963,10 +1021,11 @@ class TestRenyiGradient:
 class TestDensitySearch:
     @staticmethod
     def _objective(shape):
-        """fun for _density_search and m0: D_p(rho || 1 (x) sigma) in a pure
-        rho = psi psi* at a fixed full-rank sigma (m is d^2 x 1), or as the
-        fallback's function of sigma through a pinching ``project`` (m is
-        n x n)."""
+        """fun for _density_search and its blocks m0s: D_p(rho || 1 (x) sigma)
+        in a pure rho = psi psi* at a fixed full-rank sigma (one block, d^2 x
+        1), as the fallback's function of sigma through a pinching ``project``
+        (one block, n x n), or D_beta(rho || 1 (x) tau), beta = 2/3, as a
+        function of the pair (psi, tau), the dual search's two blocks."""
         rho, dims = _gradient_states()["dephasing"]
         rng = np.random.default_rng(27)
         if shape == "purification":
@@ -975,22 +1034,30 @@ class TestDensitySearch:
             sigma = (mc.random_density(rng, dims[1]) + np.eye(dims[1]) / dims[1])[None] / 2
 
             def fun(r):
-                value, grad, _ = stack._evaluate(r, k_pow, sigma, grads=True)
-                return float(value[0]), grad
+                value, grad, _ = ent._evaluate(2.0, r[0], k_pow, sigma, grads=True)
+                return float(value[0]), (grad,)
 
-            return fun, mc.random_complex(rng, (dims[0] * dims[1], 1))
+            return fun, (mc.random_complex(rng, (dims[0] * dims[1], 1)),)
+        if shape == "pair":
+            one = np.eye(dims[0], dtype=complex)[None]
+
+            def fun(pair):
+                value, grad, grad_tau = ent._evaluate(2 / 3, pair[0], one, pair[1], grads=True)
+                return float(value[0]), (grad, grad_tau)
+
+            return fun, (mc.random_complex(rng, (dims[0] * dims[1], 1)), mc.random_complex(rng, (dims[1],) * 2))
         stack = ent._RenyiStack(rho[None], dims, 4.0, project=lambda s: np.diag(np.diag(s)))
         every = slice(None)
 
         def fun(s):
-            value, _, grad = stack._evaluate(stack.rho, stack.k_pow, stack._project(every, s), grads=True)
-            return float(value[0]), stack._project(every, grad, normalize=False)
+            value, _, grad = ent._evaluate(4.0, stack.rho, stack.k_pow, stack._project(every, s[0]), grads=True)
+            return float(value[0]), (stack._project(every, grad, normalize=False),)
 
-        return fun, mc.random_complex(rng, (dims[1],) * 2)
+        return fun, (mc.random_complex(rng, (dims[1],) * 2),)
 
-    @pytest.mark.parametrize("shape", ["purification", "pinched_sigma"])
+    @pytest.mark.parametrize("shape", ["purification", "pinched_sigma", "pair"])
     def test_packed_gradient_matches_central_differences(self, monkeypatch, shape):
-        # the chain rule 2 (G m - tr(m* G m)/t m)/t through rho = m m*/t
+        # the chain rule 2 (G m - tr(m* G m)/t m)/t through rho = m m*/t, block by block
         import scipy.optimize
 
         real, seen = scipy.optimize.minimize, []
@@ -1000,10 +1067,11 @@ class TestDensitySearch:
             return real(packed, x0, *args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", recording)
-        fun, m0 = self._objective(shape)
-        value, rho, _ = ent._density_search(fun, m0, {"maxiter": 5})
+        fun, m0s = self._objective(shape)
+        value, densities, _ = ent._density_search(fun, m0s, {"maxiter": 5})
         ((packed, x0),) = seen
-        assert value == pytest.approx(fun(rho)[0], abs=1e-14)
+        assert x0.size == 2 * sum(m.size for m in m0s) and len(densities) == len(m0s)
+        assert value == pytest.approx(fun(densities)[0], abs=1e-14)
         rng = np.random.default_rng(28)
         for x in (x0, x0 + 0.3 * rng.normal(size=x0.size)):
             e = rng.normal(size=x.size)
@@ -1017,16 +1085,16 @@ class TestDensitySearch:
 
         real, shapes = ent._density_search, []
 
-        def counted(fun, m0, options):
-            shapes.append(m0.shape)
-            return real(fun, m0, options)
+        def counted(fun, m0s, options):
+            shapes.append(tuple(m.shape for m in m0s))
+            return real(fun, m0s, options)
 
         monkeypatch.setattr(ent, "_density_search", counted)
         monkeypatch.setattr(cap, "_density_search", counted)
         cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=3)
-        assert shapes.count((4, 1)) == 3
+        assert shapes == [((4, 1), (2, 2))] * 3  # one (psi, tau) search per restart
         shapes.clear()
         # the maximally mixed state is fixed after two rounds, the others not
         rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])
         opt = ent._RenyiStack(rhos, (2, 3), 2.0).minimize(max_iter=3)
-        assert opt.fixed.tolist() == [False, False, True] and len(shapes) == 2
+        assert opt.fixed.tolist() == [False, False, True] and shapes == [((3, 3),)] * 2

@@ -39,6 +39,13 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
         min(cases, key=lambda case: case[0])[1]()()
 
 
+def test_scaling_reports_the_median_and_spread_of_its_repeats():
+    scaling = load_tool("scaling")
+    calls = []
+    median, iqr = scaling.median_and_iqr(lambda: calls.append(1))
+    assert len(calls) == scaling.REPEAT == 5 and median >= 0 and iqr >= 0
+
+
 def test_compare_outputs_tells_number_differences_from_text_differences():
     compare = load_tool("compare_outputs")
     before = {"rc": 0, "stdout": "Q1  0.5  1.25e-3  lower\nblocks [(1, 1, 2)]\n"}

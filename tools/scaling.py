@@ -3,8 +3,10 @@
     python3 tools/scaling.py
 
 Run as a script, it sets one BLAS thread (the thread variables are set before
-numpy loads) and prints, for each case of CASES, the minimum wall time of 3
-runs.  The size column is the variable of the case's curve:
+numpy loads) and prints, for each case of CASES, the median wall time of 5
+runs in one process and their interquartile range (on a shared host a bare
+minimum hides how far runs spread; compare two checkouts by medians whose
+spreads do not overlap).  The size column is the variable of the case's curve:
   - structure: validate_symbol on the completely dephasing channel of
     dimension k with the kernel of a seeded Schur multiplier of cyclic(k) (a
     Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48, and at
@@ -42,8 +44,10 @@ runs.  The size column is the variable of the case's curve:
     the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
     and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2, and on 16,
     64 and 256 seeded states on 2 x 3 whose B marginal has rank 2 at p = 2;
-    and renyi_coherent_channel at p = 2, one restart, on the qubit dephasing
-    channel of parameter 0.3 and on phi_alpha(0.4) (size: input dimension).
+    and renyi_coherent_channel at p = 2, one restart (one L-BFGS-B search over
+    pairs (psi, tau) of the dual objective, with no inner minimization), on the
+    qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
+    dimension).
 
 Each case is (section, name, size, setup); setup() builds the inputs and
 returns the call to time.
@@ -64,7 +68,7 @@ import numpy as np  # noqa: E402
 
 from trocap import algebra, builders, capacity, channel, entropy, matcore, verify  # noqa: E402
 
-REPEAT = 3
+REPEAT = 5
 
 
 def schur_kernel(k: int) -> np.ndarray:
@@ -218,19 +222,22 @@ CASES = [
 ]
 
 
-def best_of(fn) -> float:
+def median_and_iqr(fn) -> tuple[float, float]:
+    """The median wall time of REPEAT calls of fn and the distance between their quartiles."""
     times = []
     for _ in range(REPEAT):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return min(times)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 def main() -> None:
-    print(f"{'section':<12}{'case':<60}{'size':>6}{'min s':>10}")
+    print(f"{'section':<12}{'case':<60}{'size':>6}{'median s':>10}{'iqr s':>10}")
     for section, name, size, setup in CASES:
-        print(f"{section:<12}{name:<60}{size:>6}{best_of(setup()):>10.4f}")
+        median, iqr = median_and_iqr(setup())
+        print(f"{section:<12}{name:<60}{size:>6}{median:>10.4f}{iqr:>10.4f}")
 
 
 if __name__ == "__main__":
