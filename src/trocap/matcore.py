@@ -162,13 +162,11 @@ def schatten_norm(a: np.ndarray, p: float) -> float | np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not (p >= 1.0):
         raise BadExponent(f"Schatten exponent must satisfy p >= 1, got {p}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if np.isinf(p):
-        v = np.max(s, axis=-1, initial=0.0)
-    elif p == 2.0:
-        v = np.sqrt(np.sum(s**2, axis=-1))
+    if p == 2.0:  # the Frobenius norm, from the entries: no SVD
+        v = np.linalg.norm(a, axis=(-2, -1))
     else:
-        v = np.sum(s**p, axis=-1) ** (1.0 / p)
+        s = np.linalg.svd(a, compute_uv=False)
+        v = np.max(s, axis=-1, initial=0.0) if np.isinf(p) else np.sum(s**p, axis=-1) ** (1.0 / p)
     return float(v) if a.ndim == 2 else v
 
 
@@ -182,9 +180,9 @@ def normalized_p_norm(f: np.ndarray, p: float) -> float:
         raise DimMismatch("normalized trace needs a square matrix")
     if not (p >= 1.0):
         raise BadExponent(f"exponent must satisfy p >= 1, got {p}")
-    if np.isinf(p):
-        return schatten_norm(f, np.inf)
     d = f.shape[0]
+    if np.isinf(p) or p == 2.0:  # no SVD at p = 2; d^(1/inf) = 1
+        return schatten_norm(f, p) / d ** (1.0 / p)
     s = np.linalg.svd(f, compute_uv=False)
     return float((np.sum(s**p) / d) ** (1.0 / p))
 

@@ -146,7 +146,9 @@ def verify_entropic(
     With omega = (id (x) N)(rho) and omega_f = (id (x) N_f)(rho), checks the
     six inequalities: H(AB) drops by at most tau(f log f) under the
     modification, coherent and mutual information rise by at most the same
-    gap; the Renyi analogs use gap p' log ||f||_{p,tau}.
+    gap; the Renyi analogs use gap p' log ||f||_{p,tau}.  Their values are stack minima
+    (entropy._RenyiStack), which drop each state's B part off the 1e-10 support of its B
+    marginal: there a value can lie below the infimum (1.6e-11 at p = 1.5 for a 4e-12 part).
     """
     report = VerificationReport("entropic", samples, seed, tolerance)
     defect = entropy_defect(symbol)

@@ -850,6 +850,29 @@ class TestRenyiExactGradient:
                     primal = ent._evaluate(p, omega[None], np.eye(d)[None], sigma)[0][0]
                     assert -objective - 1e-12 <= primal <= -objective + 1e-8, (name, p)
 
+    def test_stack_value_on_a_thin_marginal_lies_just_below_the_dual_value(self, monkeypatch):
+        # at the first restart's psi on phi_alpha, p = 1.5, omega_B has an eigenvalue
+        # of about 4e-12, below the 1e-10 support cut: the stack minimizes D_p of the
+        # state with that B direction zeroed, so its value lies below the certified
+        # dual value (a lower bound on inf_sigma D_p of the whole state), by about
+        # 1.6e-11; this records the side and bounds the size at 1e-10
+        searches, real = [], cap._density_search
+
+        def recording(fun, m0s, options):
+            searches.append(real(fun, m0s, options))
+            return searches[-1]
+
+        monkeypatch.setattr(cap, "_density_search", recording)
+        ch = renyi_channels(0)["phi_alpha"]
+        d, db = ch.dim_in, ch.dim_out
+        cap.renyi_coherent_channel(ch, 1.5, restarts=2)
+        objective, (rho, _), _ = searches[0]
+        omega = mc.hermitize(apply(tensor_channels(identity_channel(d), ch), rho[0]))
+        wb = np.linalg.eigvalsh(mc.partial_trace(omega, (d, db), "B"))
+        assert 0 < wb[0] < mc.SUPPORT_CUTOFF * wb[-1]
+        value = ent.minimize_renyi_divergence(omega, (d, db), 1.5).value
+        assert -1e-10 < value - (-objective) < 0
+
     def test_inner_minimizations_fenced_by_evaluations(self, monkeypatch):
         # one L-BFGS-B search over pairs (psi, tau) per restart and no inner
         # minimization at all: the dual objective has no inner loop

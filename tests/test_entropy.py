@@ -546,6 +546,83 @@ class TestKernelBelowOne:
         assert value == pytest.approx(self._reference(omega, tau, beta, 4), abs=1e-12)
 
 
+def _stack_at_two(kind, form, n=3):
+    """A seeded stack on 2 x 3 for the p = 2 kernel: (rho, k_pow, sigma).  ``kind``:
+    full-rank rho and sigma; pure rho (s of rank 1); or full-rank rho against a sigma of
+    rank 2 of 3, so the leak penalty fires.  ``form``: K = 1 or K = rho_A."""
+    rng = np.random.default_rng(41)
+    if kind == "pure":
+        psi = mc.random_complex(rng, (n, 6, 1))
+        rhos = psi @ mc.dagger(psi) / np.sum(np.abs(psi) ** 2, axis=(1, 2))[:, None, None]
+    else:
+        rhos = np.array([mc.random_density(rng, 6) for _ in range(n)])
+    sigma = np.array([mc.random_density(rng, 3) + np.eye(3) / 3 for _ in range(n)]) / 2  # eigenvalues >= 1/6
+    if kind == "thin_sigma":
+        w, v = np.linalg.eigh(sigma)
+        sigma = mc.hermitize((v[..., 1:] * w[:, None, 1:]) @ mc.dagger(v[..., 1:]))
+    k = np.broadcast_to(np.eye(2), (n, 2, 2)) if form == "K = 1" else mc.partial_trace(rhos, (2, 3), "A")
+    return rhos, mc.matrix_power(k, -0.25), sigma  # K^(-1/2p'), p' = 2
+
+
+class TestKernelAtTwo:
+    """_evaluate at p = 2, where s = a rho a enters by matrix products, against
+    the spectral formulas of every other exponent, written out item by item."""
+
+    @staticmethod
+    def _spectral(rho, k_pow, sigma):
+        """Value, target, grad_rho and grad_sigma of D_2(rho || K (x) sigma) from the
+        eigh of s: Q = sum w^2, the target tr_A[V diag(w^2) V*], x = a V diag(w) V* p'/(Q ln 2),
+        grad_sigma by the divided differences of sigma^c, c = -1/4, on sigma's support,
+        and the value 1e3 + 1e6 tr((1 (x) P_off) rho) where rho leaves that support."""
+        c, dims = -0.25, (2, 3)
+        w, v = np.linalg.eigh(sigma)
+        on = w > 1e-10 * w.max()
+        a = np.kron(k_pow, (v[:, on] * w[on] ** c) @ v[:, on].conj().T)
+        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
+        q = np.sum(ws**2)
+        leak = np.trace(np.kron(np.eye(2), v[:, ~on] @ v[:, ~on].conj().T) @ rho).real
+        value = 1e3 + 1e6 * leak if leak > 1e-12 else math.log2(q)
+        target = mc.partial_trace((vs * ws**2) @ vs.conj().T, dims, "B")
+        x = a @ (vs * ws) @ vs.conj().T * 2 / (q * math.log(2))
+        z = rho @ x
+        y = mc.partial_trace(np.kron(k_pow, np.eye(3)) @ (z + z.conj().T), dims, "B")
+        wi, wj = w[:, None], w[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = np.where(wi != wj, (wi**c - wj**c) / (wi - wj), c * wi ** (c - 1))
+        gamma = np.where(on[:, None] & on[None, :], gamma, 0)
+        grad_sigma = v @ (gamma * (v.conj().T @ y @ v)) @ v.conj().T
+        return value, target, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
+
+    @pytest.mark.parametrize("form", ["K = 1", "K = rho_A"])
+    @pytest.mark.parametrize("kind", ["full_rank", "pure", "thin_sigma"])
+    def test_products_match_the_spectral_formulas(self, kind, form):
+        rhos, k_pow, sigma = _stack_at_two(kind, form)
+        value, target = ent._evaluate(2.0, rhos, k_pow, sigma)
+        grad_value, grad_rho, grad_sigma = ent._evaluate(2.0, rhos, k_pow, sigma, grads=True)
+        assert np.array_equal(value, grad_value)
+        for i, (rho, kp, sg) in enumerate(zip(rhos, k_pow, sigma)):
+            ref = self._spectral(rho, kp, sg)
+            assert (ref[0] > 1e3) == (kind == "thin_sigma")
+            assert abs(value[i] - ref[0]) <= 1e-13 * abs(ref[0])
+            for got, want in zip((target[i], grad_rho[i], grad_sigma[i]), ref[1:]):
+                assert mc.frobenius(got - want) <= 1e-13 * mc.frobenius(want)
+
+    @pytest.mark.parametrize("grads", [False, True])
+    @pytest.mark.parametrize("p, calls", [(2.0, 1), (1.5, 2)])
+    def test_eigh_calls_per_evaluation(self, monkeypatch, p, calls, grads):
+        # sigma's eigh always; the sandwich's only off p = 2
+        rhos, k_pow, sigma = _stack_at_two("full_rank", "K = rho_A")
+        real, seen = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        ent._evaluate(p, rhos, k_pow, sigma, grads)
+        assert seen == [(3, 3, 3), (3, 6, 6)][:calls]
+
+
 PRIVATE_EXPONENT_CALLS = {
     "sandwiched_renyi": lambda p: ent.sandwiched_renyi(np.eye(4) / 4, np.eye(4) / 4, p),
     "minimize_renyi_divergence": lambda p: ent.minimize_renyi_divergence(np.eye(4) / 4, (2, 2), p),

@@ -118,6 +118,19 @@ class TestSchattenNorm:
             assert isinstance(single, float) and norms[idx] == pytest.approx(single, rel=1e-14)
         assert mc.schatten_norm(a[:0], p).shape == (0, 3)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 7), (3, 2, 6, 6), (2, 4, 3)])
+    def test_p2_is_the_svd_value_read_from_the_entries(self, monkeypatch, shape):
+        a = mc.random_complex(np.random.default_rng(9), shape)
+        ref = np.sqrt(np.sum(np.linalg.svd(a, compute_uv=False) ** 2, axis=-1))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD at p = 2")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.allclose(mc.schatten_norm(a, 2.0), ref, rtol=1e-14, atol=0)
+        if shape == (5, 5):  # normalized_p_norm takes one square matrix
+            assert mc.normalized_p_norm(a, 2.0) == pytest.approx(ref / np.sqrt(5), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
     def test_unitary_invariance(self, p):
         rng = np.random.default_rng(5)

@@ -56,3 +56,28 @@ def test_compare_outputs_tells_number_differences_from_text_differences():
     assert compare.number_difference({"x": [1, -2.0]}, {"x": [1, 2]}) == (4.0, 2.0)
     for other in ({**after, "stdout": "Q  0.5  1.25e-3  lower\nblocks [(1, 1, 2)]\n"}, {**before, "csv": "1"}, None):
         assert compare.number_difference(before, other) is None
+
+
+def test_compare_outputs_tallies_each_kind_of_job():
+    compare = load_tool("compare_outputs")
+    before = {
+        "verify:1:0:verify:dephasing:0": [{"stdout": "slack 0.25"}, None],
+        "verify:1:1:verify:dephasing:1": [{"stdout": "slack 0.5"}, None],
+        "verify:2:0:verify:phi_alpha": [{"stdout": "slack 0.125"}, None],
+        "optimizers:1:0:conditional_renyi:d4": [{"value": 1.0}, None],
+        "optimizers:1:0:conditional_renyi:d8": [{"value": 2.0}, None],
+        "optimizers:1:1:conditional_renyi:d8": [{"value": 2.0}, None],
+    }
+    after = {
+        **before,
+        "verify:1:0:verify:dephasing:0": [{"stdout": "slack 0.2500000000000001"}, None],
+        "verify:1:1:verify:dephasing:1": [{"stdout": "slack 0.5000000000000004"}, None],
+        "optimizers:1:0:conditional_renyi:d8": [{"value": 2.5}, None],
+        "optimizers:1:1:conditional_renyi:d8": [{"value": "nan"}, None],
+    }
+    keys = [k for k in after if after[k] != before[k]]
+    assert compare.tally(before, after, keys) == [
+        "kind optimizers conditional_renyi:d8: 2 differ, text differs",
+        "kind verify verify:dephasing: 2 differ, max abs 4.44e-16",
+    ]
+    assert compare.tally(before, before, []) == []

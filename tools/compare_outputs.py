@@ -11,8 +11,11 @@ gets a fresh Runner and work directory, so no spec file is keyed by the id of
 a job of an earlier pass.  Prints the ids whose outputs differ, each with the
 first line where the two trees' outputs part and, when the outputs differ
 only in numbers, the largest absolute and relative difference between
-corresponding numbers (else ``text differs``); exits 1 when any output fails
-its check, else 0.
+corresponding numbers (else ``text differs``); then one line per workload and
+job id without its trailing pass index (``bounds:phi_alpha:3`` counts as
+``bounds:phi_alpha``) with the number of its differing outputs and their
+largest absolute number difference, or ``text differs`` when any of them
+differs in text.  Exits 1 when any output fails its check, else 0.
 """
 
 from __future__ import annotations
@@ -96,6 +99,21 @@ def number_difference(before, after) -> Optional[tuple[float, float]]:
     return max((d[0] for d in diffs), default=0.0), max((d[1] for d in diffs), default=0.0)
 
 
+def tally(before: dict, after: dict, keys: list[str]) -> list[str]:
+    """The per-kind lines for the differing result keys (workload:seed:index:job id)."""
+    kinds = {}
+    for key in keys:
+        workload, _, _, job = key.split(":", 3)
+        kind = workload, re.sub(r":\d+$", "", job)
+        numbers = number_difference(before.get(key, [None])[0], after.get(key, [None])[0])
+        count, worst = kinds.get(kind, (0, 0.0))
+        kinds[kind] = count + 1, None if numbers is None or worst is None else max(worst, numbers[0])
+    return [
+        f"kind {workload} {job}: {count} differ, " + ("text differs" if worst is None else f"max abs {worst:.3g}")
+        for (workload, job), (count, worst) in sorted(kinds.items())
+    ]
+
+
 def run_tree(tree: str, seeds: list[int], out_path: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH" and not k.startswith("TROCAP_")}
     cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_path, "--seeds", *map(str, seeds)]
@@ -137,6 +155,8 @@ def main(argv=None) -> int:
         print(f"  parent: {parent_line}")
         print(f"  change: {change_line}")
         print("  text differs" if numbers is None else "  numbers only: max abs {:.3g}, max rel {:.3g}".format(*numbers))
+    for line in tally(before, after, differ):
+        print(line)
     print(f"{len(after)} jobs; {len(differ)} outputs differ; {failed} check failures")
     return 1 if failed else 0
 

@@ -42,8 +42,10 @@ spreads do not overlap).  The size column is the variable of the case's curve:
     restarts (a window the ascent cannot close, so every restart runs to its
     own stop);
     the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
-    and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2, and on 16,
-    64 and 256 seeded states on 2 x 3 whose B marginal has rank 2 at p = 2;
+    and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2 (the kernel
+    takes no eigendecomposition of the sandwich there) and at p = 1.5 (it
+    does), and on 16, 64 and 256 seeded states on 2 x 3 whose B marginal has
+    rank 2 at p = 2;
     and renyi_coherent_channel at p = 2, one restart (one L-BFGS-B search over
     pairs (psi, tau) of the dual objective, with no inner minimization), on the
     qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
@@ -147,12 +149,12 @@ def schur_tensor_case(k: int):
     return lambda: verify.verify_tensor_symbol(ch.base_space, ch.symbol, ch.base_space, ch.symbol, samples=20)
 
 
-def renyi_stack_case(n: int):
+def renyi_stack_case(n: int, p: float):
     ch = builders.phi_alpha(0.4).channel
     d = ch.dim_in
     rhos = np.array([matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
     omegas = verify._apply_ancilla(ch, rhos, d)
-    return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), 2.0).minimize()
+    return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), p).minimize()
 
 
 def thin_stack_case(n: int):
@@ -207,7 +209,9 @@ CASES = [
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
     *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself, 20 samples", k, partial(schur_tensor_case, k))
       for k in (4, 6, 8)),
-    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n))
+    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n, 2.0))
+      for n in (16, 64, 256)),
+    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 1.5", n, partial(renyi_stack_case, n, 1.5))
       for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
       for n in (16, 64, 256)),
