@@ -201,8 +201,10 @@ def _ascent(
     The chain rule through G gives the ascent direction
     D = (M - tr(M rho) I) G / tr(G G*): dF = 2 Re tr(D* dG), so F's slope
     along D is 2 |D|_F^2.  Every restart keeps its own step size eta: a trial
-    that raises F by more than ASCENT_MARGIN is accepted and eta grows by 1.3
-    (at most 10), a rejected one halves it.  A restart stops at a vanishing
+    that raises F by more than ASCENT_MARGIN is accepted, and the next eta is
+    the short Barzilai-Borwein step -Re<s, y> / |y|_F^2 from the step s = eta D
+    and the change y of D (where that is not positive, eta grows by 1.3, at
+    most 10); a rejected trial halves it.  A restart stops at a vanishing
     direction, after ASCENT_MAX_STEPS accepted steps, or once a halving
     leaves eta <= 1e-13 or not 2 eta |D|_F^2 > ASCENT_MARGIN (a nan slope
     stops it); the others go on, one batched evaluation per round.  The last
@@ -243,10 +245,15 @@ def _ascent(
         acc, rej = active[up], active[~up]
         g[acc], t[acc], rho[acc] = g_new[up], t_new[up], rho_new[up]
         f[acc], m[acc] = f_new[up], m_new[up]
-        eta[acc] = np.minimum(eta[acc] * 1.3, 10.0)
         steps[acc] += 1
         eta[rej] *= 0.5
-        moving = renew_direction(acc[steps[acc] < ASCENT_MAX_STEPS])
+        acc = acc[steps[acc] < ASCENT_MAX_STEPS]
+        old = direction[acc]
+        moving = renew_direction(acc)
+        y = direction[acc] - old
+        sy, yy = -np.einsum("rij,rij->r", old.conj(), y).real, np.einsum("rij,rij->r", y.conj(), y).real
+        bb = (sy > 0) & (yy > 0)
+        eta[acc] = np.where(bb, eta[acc] * sy / np.where(bb, yy, 1.0), np.minimum(eta[acc] * 1.3, 10.0))
         active = np.concatenate([moving, rej[(eta[rej] > 1e-13) & (eta[rej] * slope[rej] > ASCENT_MARGIN)]])
     return f, rho
 

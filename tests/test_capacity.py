@@ -220,7 +220,9 @@ class TestOneShotQ:
 
 
 def _loop_ascent(g0, value_and_grad, max_iter=400):
-    """Sequential reference: one restart, step halving on rejection."""
+    """Sequential reference: one restart, step halving on rejection, and after
+    an accepted step s = eta D the short Barzilai-Borwein step -Re<s, y>/|y|^2,
+    y the change of D (1.3 eta, at most 10, where that is not positive)."""
     g = g0.astype(complex)
     t = float(np.trace(g @ mc.dagger(g)).real)
     rho = (g @ mc.dagger(g)) / t
@@ -228,12 +230,17 @@ def _loop_ascent(g0, value_and_grad, max_iter=400):
     best = cap.AscentResult(f, rho)
     eta = 0.25
     eye = np.eye(g.shape[0])
+    accepted = False
     for _ in range(max_iter):
         c = float(np.trace(m @ rho).real)
         direction = ((m - c * eye) @ g) / t
         if mc.frobenius(direction) < 1e-12:
             break
-        accepted = False
+        if accepted:
+            y = direction - last
+            sy, yy = -eta * float(np.vdot(last, y).real), float(np.vdot(y, y).real)
+            eta = sy / yy if sy > 0 and yy > 0 else min(eta * 1.3, 10.0)
+        accepted, last = False, direction
         while eta > 1e-13:
             g_new = g + eta * direction
             t_new = float(np.trace(g_new @ mc.dagger(g_new)).real)
@@ -241,7 +248,6 @@ def _loop_ascent(g0, value_and_grad, max_iter=400):
             f_new, m_new = value_and_grad(rho_new)
             if f_new > f + 1e-14:
                 g, t, rho, f, m = g_new, t_new, rho_new, f_new, m_new
-                eta = min(eta * 1.3, 10.0)
                 accepted = True
                 break
             eta *= 0.5
@@ -324,7 +330,9 @@ class TestBatchedAscentFence:
             best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits, ceiling=math.inf).value
         values = ends[0][0]
         assert np.max(np.abs(values - ref)) <= 1e-9
-        assert int(np.argmax(values)) == int(np.argmax(ref))  # same winning restart
+        # the same winning restart, or where the reference's best ties others
+        # within 1e-12 (rounding picks among them) one of those
+        assert int(np.argmax(values)) in np.flatnonzero(ref >= np.max(ref) - 1e-12)
         assert best == pytest.approx(float(np.max(ref)), abs=1e-9)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -423,13 +431,13 @@ class TestMarginStop:
         upper = cap.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
         calls = TestCeiling.counted_evaluations(monkeypatch)
         cap.one_shot_q(ch, restarts=4, seed=0, ceiling=upper)
-        assert len(calls) <= 35
+        assert len(calls) <= 24  # 17; 30 with the 1.3x step growth
 
     def test_dephasing_negative_cb_evaluations(self, monkeypatch):
         # 76 evaluations without the margin stop
         calls = TestCeiling.counted_evaluations(monkeypatch)
         cap.negative_cb_entropy(qubit_dephasing(0.7), "numeric", restarts=4, seed=0)
-        assert len(calls) <= 35
+        assert len(calls) <= 20  # 13; 31 with the 1.3x step growth
 
 
 def _full_entropy(mat):
@@ -653,6 +661,16 @@ class TestNegativeCbEntropy:
         n_numeric = len(calls)
         assert value == cap._multi_start(ch, True, 8, 0, None).value
         assert n_numeric == len(calls) - n_numeric > 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phi_alpha_ends_before_the_step_cap(self, seed):
+        # with the step grown by 1.3 (at most 10) after each accepted trial,
+        # some restart ran to ASCENT_MAX_STEPS on each of these seeds
+        ch = phi_alpha(0.1).channel
+        end = _ascent_end_state(ch, np.stack(cap._init_pool(ch, 16, seed, None)).astype(complex), True)
+        assert np.max(end["steps"]) < cap.ASCENT_MAX_STEPS
+        numeric = cap.negative_cb_entropy(ch, "numeric", restarts=16, seed=seed)
+        assert numeric == pytest.approx(cap.negative_cb_entropy(ch, "formula"), abs=1e-12)
 
     def test_formula_needs_metadata(self):
         from trocap.channel import from_kraus

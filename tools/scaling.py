@@ -5,8 +5,10 @@
 Run as a script, it sets one BLAS thread (the thread variables are set before
 numpy loads) and prints, for each case of CASES, the median wall time of 5
 runs in one process and their interquartile range (on a shared host a bare
-minimum hides how far runs spread; compare two checkouts by medians whose
-spreads do not overlap).  The size column is the variable of the case's curve:
+minimum hides how far runs spread).  That range is far narrower than the
+spread between runs of the same code, so compare two checkouts in alternating
+runs, not by one run of each.  The size column is the variable of the case's
+curve:
   - structure: validate_symbol on the completely dephasing channel of
     dimension k with the kernel of a seeded Schur multiplier of cyclic(k) (a
     Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48, and at
@@ -37,6 +39,9 @@ spreads do not overlap).  The size column is the variable of the case's curve:
     above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
+    numeric negative_cb_entropy on phi_alpha(0.1), whose restarts ran to
+    ASCENT_MAX_STEPS before the ascent took Barzilai-Borwein steps, at 4, 16
+    and 64 restarts;
     the bounds table's Pauli ascent, one_shot_q on the Pauli mixture (0.4,
     0.3, 0.2, 0.1) with its Q1 upper edge as the ceiling, at 4, 16 and 64
     restarts (a window the ascent cannot close, so every restart runs to its
@@ -175,8 +180,8 @@ def pauli_ascent_case(restarts: int):
     return lambda: capacity.one_shot_q(ch, restarts=restarts, ceiling=upper)
 
 
-def negative_cb_case(restarts: int):
-    ch = builders.phi_alpha(0.4).channel
+def negative_cb_case(alpha: float, restarts: int):
+    ch = builders.phi_alpha(alpha).channel
     return lambda: capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
 
 
@@ -216,7 +221,9 @@ CASES = [
     *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
       for n in (16, 64, 256)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
-    ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 16)),
+    ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 0.4, 16)),
+    *(("optimizers", "negative_cb_entropy numeric phi_alpha(0.1) (restarts)", r, partial(negative_cb_case, 0.1, r))
+      for r in (4, 16, 64)),
     *(("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)", r, partial(pauli_ascent_case, r))
       for r in (4, 16, 64)),
     ("optimizers", "renyi_coherent_channel dephasing(0.3) p 2 (input dim)", 2,
