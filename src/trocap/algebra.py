@@ -45,6 +45,8 @@ def orthonormal_span(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     if not mats:
         return []
     shape = mats[0].shape
+    if any(m.shape != shape for m in mats):
+        raise DimMismatch(f"matrices of shapes {sorted({m.shape for m in mats})} span no one space")
     rows = np.stack([m.reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     return list(vh[mc._rank_mask(s)].reshape(-1, *shape)) if s.size else []

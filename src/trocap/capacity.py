@@ -371,7 +371,7 @@ def _dual_value_and_grads(extended: Channel, beta: float, densities: tuple) -> t
     """D_beta(omega_AE || 1 (x) tau), omega_AE = extended(rho) = (id (x) N^c)(rho),
     at a pair (rho, tau), and its gradients in rho (through extended's adjoint) and tau."""
     omega, tau = mc.hermitize(chn.apply(extended, densities[0])), densities[1]
-    value, grad_omega, grad_tau = _evaluate(beta, omega, np.eye(omega.shape[-1] // tau.shape[-1])[None], tau, True)
+    value, grad_omega, grad_tau = _evaluate(beta, omega, tau, True)
     return float(value[0]), (chn.adjoint_apply(extended, grad_omega), grad_tau)
 
 

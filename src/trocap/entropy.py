@@ -11,9 +11,10 @@ once, each item with its own step, halved whenever an update would raise the
 value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
 with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
 polish from their last iterate (``_density_search``), none from random starts.
-Every value, fixed-point target and gradient comes from one kernel, ``_evaluate``,
-on all of B; an optional ``project`` acts on all of B, after the cut to B's support.
-It also takes the dual search's exponents in [1/2, 1) (capacity.renyi_coherent_channel).
+Each stack folds K into its states once, D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma)
+for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value, fixed-point target and
+gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); it also takes
+the dual search's exponents in [1/2, 1) (capacity.renyi_coherent_channel).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import matcore as mc
-from .errors import BadExponent, NotNormalized, NotState, OptimizerFailed, OutOfRange
+from .errors import BadExponent, DimMismatch, NotNormalized, NotState, OptimizerFailed, OutOfRange
 
 STATE_TOL = 1e-8
 
@@ -69,6 +70,8 @@ def von_neumann_entropy(rho: np.ndarray, check: bool = True) -> float:
 
 def _leaves_support(rho: np.ndarray, sigma: np.ndarray) -> bool:
     """Whether |rho - P rho P| > 1e-8 max(1, |rho|), P the support projection of sigma."""
+    if rho.shape != sigma.shape:
+        raise DimMismatch(f"rho has shape {rho.shape}, sigma {sigma.shape}")
     proj = mc.support_projector(sigma)
     return mc.frobenius(rho - proj @ rho @ proj) > 1e-8 * max(1.0, mc.frobenius(rho))
 
@@ -164,49 +167,41 @@ def _density_search(fun, m0s: tuple, options: dict) -> tuple[float, tuple, bool]
     return float(res.fun), densities, bool(res.success)
 
 
-def _evaluate(p: float, rho, k_pow, sigma: np.ndarray, grads: bool = False):
-    """D_p(rho || K (x) sigma) of each item, p > 1 or 1/2 <= p < 1, from one eigh of sigma
-    and one of s = a rho a, a = K^(-1/2p') (x) sigma^(-1/2p') on sigma's support: for p > 1
+def _evaluate(p: float, rho, sigma: np.ndarray, grads: bool = False):
+    """D_p(rho || 1 (x) sigma) of each item, p > 1 or 1/2 <= p < 1, from one eigh of sigma
+    and s = a rho a, a = 1 (x) sigma^c, c = -1/2p', sigma^c on sigma's support: for p > 1
     mc.support_mask's, with a large finite penalty for +inf where rho leaves the support of
-    1 (x) sigma; for p < 1 (D_p finite there) the positive spectrum, and s, of rho's rank, is
-    cut to its eigenvalues above 1e-15 times its largest.  At p = 2 s is used directly, with
-    no eigh of it: s^(p-1) = s, and Q = tr(s s) and s^p = s s are products.  Then the target
-    tr_A[s^p] or, with ``grads``, the gradients G in rho and in sigma (hermitian, dD =
-    tr(G d.)), Q = tr s^p: p' a s^(p-1) a / (Q ln 2) and p' V (Gamma o V* Y V) V* / (Q ln 2),
-    Y = tr_A[(K^c (x) 1) Z], Z = rho a s^(p-1) + h.c., sigma = V diag(w) V*, Gamma the
-    divided differences of w^c, c = -1/2p'."""
+    1 (x) sigma; for p < 1 (D_p finite there) the positive spectrum.  The one intermediate
+    is s^(p-1): s itself at p = 2, with no eigh; else V w^(p-1) V* from the eigh of s, for
+    p < 1 (s of rho's rank) over its eigenvalues above 1e-15 times its largest.  Q =
+    tr(s^(p-1) s); then the target tr_A[s^(p-1) s] or, with ``grads``, the gradients G in rho
+    and in sigma (hermitian, dD = tr(G d.)): a X a and V (Gamma o V* Y V) V*, X = p' s^(p-1) /
+    (Q ln 2), Y = tr_A[Z + Z*], Z = rho a X, sigma = V diag(w) V*, Gamma the divided
+    differences of w^c."""
     p_conj = p / (p - 1.0)
-    c, da, db = -0.5 / p_conj, k_pow.shape[-1], sigma.shape[-1]
+    c, dims = -0.5 / p_conj, (rho.shape[-1] // sigma.shape[-1], sigma.shape[-1])
     w, v = np.linalg.eigh(mc.hermitize(sigma))
     mask = mc.support_mask(w) if p > 1.0 else w > 0
     w = np.where(mask, w, 1.0)
-    a = mc.tensor(k_pow, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
-    s = mc.hermitize(a @ rho @ a)
-    if p == 2.0:  # s^(p-1) = s: Q = tr(s s), the sum of |s_ij|^2
-        q = np.sum(s.real**2 + s.imag**2, axis=(-2, -1))
-    else:
+    a = mc.tensor(np.eye(dims[0]), (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
+    s = s_pm1 = mc.hermitize(a @ rho @ a)
+    if p != 2.0:
         ws, vs = np.linalg.eigh(s)
         ws = np.clip(ws, 0.0, None)
         if p < 1.0:
             ws = ws * (ws > 1e-15 * ws.max(axis=-1, keepdims=True))  # below: eigh's rounding of a zero
-        q = np.sum(ws**p, axis=-1)
+        s_pm1 = (vs * np.power(ws, p - 1, out=np.zeros_like(ws), where=ws > 0)[..., None, :]) @ mc.dagger(vs)
+    q = np.sum(s_pm1.real * s.real + s_pm1.imag * s.imag, axis=(-2, -1))  # tr(s^(p-1) s)
     value = p_conj * np.log2(q ** (1 / p))
     thin = np.flatnonzero(~mask.all(axis=-1) & (p > 1.0))
     if thin.size:
         off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
-        leak = np.trace(off @ mc.partial_trace(rho[thin], (da, db), "B"), axis1=1, axis2=2).real
+        leak = np.trace(off @ mc.partial_trace(rho[thin], dims, "B"), axis1=1, axis2=2).real
         value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
     if not grads:
-        s_p = mc.hermitize(s @ s if p == 2.0 else (vs * (ws**p)[..., None, :]) @ mc.dagger(vs))
-        return value, mc.partial_trace(s_p, (da, db), "B")
-    scale = p_conj / (q * math.log(2.0))
-    if p == 2.0:
-        x = a @ (scale[:, None, None] * s)
-    else:
-        s_pm1 = ws ** (p - 1) if p > 1.0 else np.power(ws, p - 1, out=np.zeros_like(ws), where=ws > 0)
-        x = a @ (vs * (scale[:, None] * s_pm1)[..., None, :]) @ mc.dagger(vs)
-    z = rho @ x
-    y = mc.partial_trace(mc.tensor(k_pow, np.eye(db)) @ (z + mc.dagger(z)), (da, db), "B")
+        return value, mc.partial_trace(mc.hermitize(s_pm1 @ s), dims, "B")
+    x = a @ ((p_conj / (q * math.log(2.0)))[:, None, None] * s_pm1)
+    y = mc.partial_trace(2.0 * mc.hermitize(rho @ x), dims, "B")
     # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
     log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
     den = np.expm1(log_ratio)
@@ -217,59 +212,55 @@ def _evaluate(p: float, rho, k_pow, sigma: np.ndarray, grads: bool = False):
 
 
 class _RenyiStack:
-    """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a
-    stack of states rho_i on A (x) B, all items advancing together in one
-    frame each, the full eigenbasis (n, dB, dB) of the item's B marginal:
-    ``rho`` holds the states in it with the B rows and columns off the
-    marginal's support set to zero (``keep`` marks the entries on it), and
-    ``k_pow`` the K^(-1/2p').  :func:`_evaluate` is the one kernel.
-    :meth:`minimize` fills the per-item arrays ``value``, ``sigma``,
-    ``converged``, ``fixed`` (the fixed point met its tolerance) and
-    ``iterations``."""
+    """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a stack of states
+    rho_i on A (x) B, all items advancing together.  ``rho`` holds each state folded once,
+    (K^c (x) P) rho_i (K^c (x) P), c = -1/2p', P (``proj``) the projector onto the
+    mc.support_mask support of its B marginal; :func:`_evaluate`, the one kernel, takes
+    D_p(. || 1 (x) sigma) of it.  Its leak penalty reads the folded B marginal: K^c is
+    invertible on supp rho_A wherever a stack is built (minimize_renyi_divergence returns
+    +inf first otherwise; verify's K is the A marginal), so that marginal has the support of
+    P rho_B P and only the penalty's size depends on K.  :meth:`minimize` fills the per-item
+    arrays ``value``, ``sigma``, ``converged``, ``fixed`` (the fixed point met its tolerance)
+    and ``iterations``."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
             raise BadExponent(f"optimizer needs finite p > 1, got {p}")
         rhos = np.asarray(rhos, dtype=complex)
-        da, n = dims[0], len(rhos)
-        self.p, self.p_conj, self.project, self.dims = p, p / (p - 1.0), project, dims
-        k = np.eye(da, dtype=complex) if k_as is None else k_as
-        self.k_pow = np.broadcast_to(mc.matrix_power(k, -1.0 / (2.0 * self.p_conj)), (n, da, da))
+        self.p, self.project = p, project
         self.rho_b = mc.partial_trace(rhos, dims, "B")
-        wb, self.frame = mc.herm_eig(self.rho_b)
-        on = mc.support_mask(wb)
-        self.keep = on[:, :, None] & on[:, None, :]  # entries of sigma on the support
-        embed = mc.tensor(np.eye(da), self.frame)
-        self.rho = np.where(np.tile(self.keep, (da, da)), mc.dagger(embed) @ rhos @ embed, 0)
+        wb, vb = mc.herm_eig(self.rho_b)
+        self.proj = (vb * mc.support_mask(wb)[:, None, :]) @ mc.dagger(vb)
+        k = np.eye(dims[0], dtype=complex) if k_as is None else k_as
+        fold = mc.tensor(mc.matrix_power(k, (1.0 - p) / (2.0 * p)), self.proj)
+        self.rho = fold @ rhos @ fold
 
-    def _project(self, idx, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
-        """``project`` on all of B for the items ``idx`` (f* project(f s f*) f, f
-        the item's frame), renormalized unless not ``normalize``; sigma as is without one."""
+    def _project(self, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
+        """``project`` on each sigma, renormalized unless not ``normalize``; sigma as is without one."""
         if self.project is None or not len(sigma):
             return sigma
-        f = self.frame[idx]
-        s = mc.hermitize(mc.dagger(f) @ np.array([self.project(x) for x in f @ sigma @ mc.dagger(f)]) @ f)
+        s = mc.hermitize(np.array([self.project(x) for x in sigma]))
         return s / np.trace(s, axis1=1, axis2=2).real[:, None, None] if normalize else s
 
     def _feasible(self, idx, sigma: np.ndarray) -> np.ndarray:
-        """A start or candidate sigma of the items ``idx`` (in their frames) cut
-        to each item's B support, then :meth:`_project`: no cut follows ``project``."""
-        return self._project(idx, np.where(self.keep[idx], sigma, 0))
+        """A start or candidate sigma of the items ``idx`` cut to each item's B support,
+        P sigma P, then :meth:`_project`: no cut follows ``project``."""
+        return self._project(self.proj[idx] @ sigma @ self.proj[idx])
 
     def minimize(self, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
         """Monotone damped fixed point: each round every active item tries
-        the :meth:`_feasible` (1-b) sigma + b T/tr T, T = tr_A[s^p] at its
-        sigma, and keeps it unless the value rises, which halves b (from b0 =
+        the :meth:`_feasible` (1-b) sigma + b T/tr T, T = tr_A[s^(p-1) s] at
+        its sigma, and keeps it unless the value rises, which halves b (from b0 =
         min(1/2, 0.9/p)).  Two rounds in a row that move the value by less
         than tol b/b0 fix an item when the second is a rise or a decrease d
         with d/(1-r) < tol, r = d over the decrease before (the tail of a
         geometric series).  An item whose T has no trace, whose b falls below
         1e-10 or that is not fixed after ``max_iter`` rounds (``iterations``
         counts rounds) gets one L-BFGS-B polish."""
-        rho, k_pow, frame, n = self.rho, self.k_pow, self.frame, len(self.rho)
-        sigma = self._feasible(slice(None), mc.dagger(frame) @ self.rho_b @ frame)
+        rho, n = self.rho, len(self.rho)
+        sigma = self._feasible(slice(None), self.rho_b)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
-        value, target = _evaluate(self.p, rho, k_pow, sigma)
+        value, target = _evaluate(self.p, rho, sigma)
         active, beta0 = np.arange(n), min(0.5, 0.9 / self.p)
         beta, last, self.iterations = np.full(n, beta0), np.full(n, np.inf), np.full(n, max_iter)
         self.fixed, was_flat, polished = np.zeros((3, n), dtype=bool)
@@ -283,7 +274,7 @@ class _RenyiStack:
             b = beta[active][:, None, None]
             new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
             cand = self._feasible(active, mc.hermitize(new))
-            cand_val, cand_target = _evaluate(self.p, rho[active], k_pow[active], cand)
+            cand_val, cand_target = _evaluate(self.p, rho[active], cand)
             rise = cand_val - value[active]
             up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
             drop, prev = np.maximum(-rise, 0.0), last[active]
@@ -297,7 +288,7 @@ class _RenyiStack:
             active = active[~met]
         for i in np.flatnonzero(~self.fixed):
             value[i], sigma[i], polished[i] = self._fallback(slice(i, i + 1), value[i], sigma[i])
-        self.value, self.sigma, self.converged = value, frame @ sigma @ mc.dagger(frame), self.fixed | polished
+        self.value, self.sigma, self.converged = value, sigma, self.fixed | polished
         return self
 
     def _fallback(self, item: slice, value: float, sigma: np.ndarray):
@@ -307,14 +298,14 @@ class _RenyiStack:
         whether the returned point is a polish that reported success."""
 
         def fun(s: tuple) -> tuple[float, tuple]:
-            v, _, grad = _evaluate(self.p, self.rho[item], self.k_pow[item], self._project(item, s[0]), grads=True)
-            return float(v[0]), (self._project(item, grad, normalize=False),)
+            v, _, grad = _evaluate(self.p, self.rho[item], self._project(s[0]), grads=True)
+            return float(v[0]), (self._project(grad, normalize=False),)
 
         m0 = mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5)
         _, (polish,), success = _density_search(fun, (m0,), {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
         polish_val = fun((polish,))[0]  # the value of the returned sigma itself
         if polish_val < value - 1e-12:
-            return polish_val, self._project(item, polish)[0], success
+            return polish_val, self._project(polish)[0], success
         if not np.isfinite(value):
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return value, sigma, False
@@ -323,13 +314,12 @@ class _RenyiStack:
         """One candidate sigma on B per item with trace on the item's B
         support, normalized there and made :meth:`_feasible`, replaces the
         item's optimum where its value is lower."""
-        sc = mc.dagger(self.frame) @ sigmas @ self.frame
-        tr = np.trace(np.where(self.keep, sc, 0), axis1=1, axis2=2).real  # on the B support
+        tr = np.trace(self.proj @ sigmas, axis1=1, axis2=2).real  # on the B support
         idx = np.flatnonzero(tr > 0)
-        f, sc = self.frame[idx], self._feasible(idx, mc.hermitize(sc[idx] / tr[idx, None, None]))
-        cv = _evaluate(self.p, self.rho[idx], self.k_pow[idx], sc)[0]
+        sc = self._feasible(idx, mc.hermitize(sigmas[idx] / tr[idx, None, None]))
+        cv = _evaluate(self.p, self.rho[idx], sc)[0]
         win = cv < self.value[idx]
-        self.value[idx[win]], self.sigma[idx[win]] = cv[win], (f @ sc @ mc.dagger(f))[win]
+        self.value[idx[win]], self.sigma[idx[win]] = cv[win], sc[win]
         self.converged[idx[win]] = self.fixed[idx[win]]
 
 
@@ -360,10 +350,9 @@ def minimize_renyi_divergence(
     into account (the infimum can only improve).  ``converged`` is True only
     when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
     the returned sigma is an L-BFGS-B polish that reported success;
-    ``iterations`` counts the fixed-point rounds.  The state is minimized with its B rows
-    and columns off the 1e-10 support of rho_B set to zero, so on a thin B marginal the
-    value can lie below the infimum for the whole state, by about the weight cut off
-    (1.6e-11 at p = 1.5 where rho_B has an eigenvalue 4e-12).
+    ``iterations`` counts the fixed-point rounds.  The state's B part off the 1e-10
+    support of rho_B is cut, so on a thin B marginal the value can lie below the infimum
+    for the whole state by about the weight cut off (1.6e-11 at p = 1.5 for a 4e-12 eigenvalue).
     """
     rho, k = mc.asmatrix(rho_ab)[None], None if k_a is None else mc.asmatrix(k_a)[None]
     if k is not None and _leaves_support(mc.partial_trace(rho[0], dims, "A"), k[0]):
@@ -436,6 +425,6 @@ def entropy_defect(f) -> float:
     in [0, log2 d] and is the width of every comparison window downstream.
     """
     arr = mc.asmatrix(getattr(f, "f", f))
+    w, _ = mc.herm_eig(arr)  # first, so a mis-shaped f raises DimMismatch
     mc._require_unit_trace(arr, NotNormalized, "normalized trace is {:.8f}, expected 1")
-    w, _ = mc.herm_eig(arr)
     return -float(spectral_entropy(w)) / arr.shape[0]

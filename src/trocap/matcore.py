@@ -71,8 +71,8 @@ def herm_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     any matrix exceeds ``tol * (1 + max|A|)``.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2:
-        raise DimMismatch(f"expected a matrix, got ndim={a.ndim}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     dev, ok = _asymmetry(a, tol)
     if not ok.all():
         raise NotHermitian(f"matrix deviates from its adjoint by {float(np.max(dev[~ok])):.3e}")
@@ -160,6 +160,8 @@ def schatten_norm(a: np.ndarray, p: float) -> float | np.ndarray:
     ``p = inf`` returns the operator norm.
     """
     a = np.asarray(a, dtype=complex)
+    if a.ndim < 2:
+        raise DimMismatch(f"expected a matrix, got ndim={a.ndim}")
     if not (p >= 1.0):
         raise BadExponent(f"Schatten exponent must satisfy p >= 1, got {p}")
     if p == 2.0:  # the Frobenius norm, from the entries: no SVD
@@ -178,13 +180,7 @@ def normalized_p_norm(f: np.ndarray, p: float) -> float:
     f = asmatrix(f)
     if f.shape[0] != f.shape[1]:
         raise DimMismatch("normalized trace needs a square matrix")
-    if not (p >= 1.0):
-        raise BadExponent(f"exponent must satisfy p >= 1, got {p}")
-    d = f.shape[0]
-    if np.isinf(p) or p == 2.0:  # no SVD at p = 2; d^(1/inf) = 1
-        return schatten_norm(f, p) / d ** (1.0 / p)
-    s = np.linalg.svd(f, compute_uv=False)
-    return float((np.sum(s**p) / d) ** (1.0 / p))
+    return schatten_norm(f, p) / f.shape[0] ** (1.0 / p)  # d^(1/inf) = 1
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,6 +190,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A broadcast product, so its entries carry the bits of np.kron's."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimMismatch(f"expected matrices, got ndim {a.ndim} and {b.ndim}")
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     shape = (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
     return out.reshape(out.shape[:-4] + shape)

@@ -865,7 +865,7 @@ class TestRenyiExactGradient:
                     # the maximally mixed state its sigma covers all of omega_B,
                     # so D_p there is an upper value on the whole state
                     sigma = (1 - 1e-9) * sigma + 1e-9 * np.eye(db) / db
-                    primal = ent._evaluate(p, omega[None], np.eye(d)[None], sigma)[0][0]
+                    primal = ent._evaluate(p, omega[None], sigma)[0][0]
                     assert -objective - 1e-12 <= primal <= -objective + 1e-8, (name, p)
 
     def test_stack_value_on_a_thin_marginal_lies_just_below_the_dual_value(self, monkeypatch):

@@ -347,8 +347,8 @@ class TestMonotoneStepControl:
     def _run(self, monkeypatch, rho, p):
         real, values = ent._evaluate, []
 
-        def recording(p, rho, k_pow, sigma, grads=False):
-            out = real(p, rho, k_pow, sigma, grads)
+        def recording(p, rho, sigma, grads=False):
+            out = real(p, rho, sigma, grads)
             values.append(float(out[0][0]))
             return out
 
@@ -367,8 +367,7 @@ class TestMonotoneStepControl:
             if v <= accepted[-1]:
                 accepted.append(v)
         assert opt.value[0] == accepted[-1] == min(values)
-        start = mc.dagger(opt.frame[0]) @ opt.sigma[0] @ opt.frame[0]
-        polish = opt._fallback(slice(0, 1), np.inf, start)[0]
+        polish = opt._fallback(slice(0, 1), np.inf, opt.sigma[0])[0]
         assert opt.value[0] - polish < 1e-9
 
     def test_state_at_its_optimum_is_fixed_after_two_flat_rounds(self, monkeypatch):
@@ -503,9 +502,9 @@ class TestLeakPenalty:
         sigma = np.array([mc.random_density(rng, 3) for _ in range(5)])
         w, v = np.linalg.eigh(sigma)
         sigma, off = (v[..., 1:] * w[:, None, 1:]) @ mc.dagger(v[..., 1:]), v[..., :1] @ mc.dagger(v[..., :1])
-        on = np.diagonal(stack.keep[4])  # in its frame, the last state's B support
+        on = np.arange(3) < 2  # the last state's B support (thin_draw)
         sigma[4], off[4] = np.diag(on / 2), np.diag(~on)
-        value = ent._evaluate(p, stack.rho, stack.k_pow, sigma)[0]
+        value = ent._evaluate(p, stack.rho, sigma)[0]
         leak = np.trace(mc.tensor(np.eye(2), off) @ stack.rho, axis1=1, axis2=2).real
         assert leak[4] == 0 and leak[:4].min() > 1e-3
         assert np.allclose(value[:4], 1e3 + 1e6 * leak[:4], rtol=1e-12, atol=0)
@@ -533,7 +532,7 @@ class TestKernelBelowOne:
         rng = np.random.default_rng(31)
         x = mc.random_complex(rng, (6, rank))
         omega, tau = x @ x.conj().T / np.vdot(x, x).real, mc.random_density(rng, 3)
-        value = ent._evaluate(beta, omega[None], np.eye(2)[None], tau[None])[0][0]
+        value = ent._evaluate(beta, omega[None], tau[None])[0][0]
         assert value == pytest.approx(self._reference(omega, tau, beta, rank), abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
@@ -542,7 +541,7 @@ class TestKernelBelowOne:
         # full-rank omega: D_beta is finite there, and the kernel gives it, with
         # no penalty
         omega, tau = mc.random_density(np.random.default_rng(32), 6), np.diag([0.0, 0.3, 0.7])
-        value = ent._evaluate(beta, omega[None], np.eye(2)[None], tau[None])[0][0]
+        value = ent._evaluate(beta, omega[None], tau[None])[0][0]
         assert value == pytest.approx(self._reference(omega, tau, beta, 4), abs=1e-12)
 
 
@@ -564,23 +563,30 @@ def _stack_at_two(kind, form, n=3):
     return rhos, mc.matrix_power(k, -0.25), sigma  # K^(-1/2p'), p' = 2
 
 
+def _folded(rhos, k_pow):
+    """(K^c (x) 1) rho (K^c (x) 1) on 2 x 3, the state the kernel takes for D_p(rho || K (x) sigma)."""
+    fold = mc.tensor(k_pow, np.eye(3))
+    return fold @ rhos @ fold
+
+
 class TestKernelAtTwo:
-    """_evaluate at p = 2, where s = a rho a enters by matrix products, against
-    the spectral formulas of every other exponent, written out item by item."""
+    """_evaluate at p = 2, where s = a rho a enters by matrix products, on the folded
+    state, against the spectral formulas of every other exponent with K explicit,
+    written out item by item."""
 
     @staticmethod
     def _spectral(rho, k_pow, sigma):
         """Value, target, grad_rho and grad_sigma of D_2(rho || K (x) sigma) from the
         eigh of s: Q = sum w^2, the target tr_A[V diag(w^2) V*], x = a V diag(w) V* p'/(Q ln 2),
         grad_sigma by the divided differences of sigma^c, c = -1/4, on sigma's support,
-        and the value 1e3 + 1e6 tr((1 (x) P_off) rho) where rho leaves that support."""
+        and the value 1e3 + 1e6 tr((K^2c (x) P_off) rho) where rho leaves that support."""
         c, dims = -0.25, (2, 3)
         w, v = np.linalg.eigh(sigma)
         on = w > 1e-10 * w.max()
         a = np.kron(k_pow, (v[:, on] * w[on] ** c) @ v[:, on].conj().T)
         ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
         q = np.sum(ws**2)
-        leak = np.trace(np.kron(np.eye(2), v[:, ~on] @ v[:, ~on].conj().T) @ rho).real
+        leak = np.trace(np.kron(k_pow @ k_pow, v[:, ~on] @ v[:, ~on].conj().T) @ rho).real
         value = 1e3 + 1e6 * leak if leak > 1e-12 else math.log2(q)
         target = mc.partial_trace((vs * ws**2) @ vs.conj().T, dims, "B")
         x = a @ (vs * ws) @ vs.conj().T * 2 / (q * math.log(2))
@@ -597,9 +603,10 @@ class TestKernelAtTwo:
     @pytest.mark.parametrize("kind", ["full_rank", "pure", "thin_sigma"])
     def test_products_match_the_spectral_formulas(self, kind, form):
         rhos, k_pow, sigma = _stack_at_two(kind, form)
-        value, target = ent._evaluate(2.0, rhos, k_pow, sigma)
-        grad_value, grad_rho, grad_sigma = ent._evaluate(2.0, rhos, k_pow, sigma, grads=True)
+        value, target = ent._evaluate(2.0, _folded(rhos, k_pow), sigma)
+        grad_value, grad_rho, grad_sigma = ent._evaluate(2.0, _folded(rhos, k_pow), sigma, grads=True)
         assert np.array_equal(value, grad_value)
+        grad_rho = _folded(grad_rho, k_pow)  # the chain rule through the fold: the gradient in rho
         for i, (rho, kp, sg) in enumerate(zip(rhos, k_pow, sigma)):
             ref = self._spectral(rho, kp, sg)
             assert (ref[0] > 1e3) == (kind == "thin_sigma")
@@ -612,6 +619,7 @@ class TestKernelAtTwo:
     def test_eigh_calls_per_evaluation(self, monkeypatch, p, calls, grads):
         # sigma's eigh always; the sandwich's only off p = 2
         rhos, k_pow, sigma = _stack_at_two("full_rank", "K = rho_A")
+        rhos = _folded(rhos, k_pow)
         real, seen = np.linalg.eigh, []
 
         def counting(a, *args, **kwargs):
@@ -619,7 +627,7 @@ class TestKernelAtTwo:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        ent._evaluate(p, rhos, k_pow, sigma, grads)
+        ent._evaluate(p, rhos, sigma, grads)
         assert seen == [(3, 3, 3), (3, 6, 6)][:calls]
 
 
@@ -1021,18 +1029,18 @@ class TestRenyiGradient:
         rho, dims = _gradient_states()[name]
         k = None if form == "I_cp" else mc.partial_trace(rho, dims, "A")[None]
         stack = ent._RenyiStack(rho[None], dims, p, k)
-        rho_c, k_pow = stack.rho, stack.k_pow
+        rho_c = stack.rho
         rng = np.random.default_rng(25)
         rb = dims[1]
         sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
-        value, grad_rho, grad_sigma = ent._evaluate(p, rho_c, k_pow, sigma, grads=True)
-        assert value[0] == pytest.approx(ent._evaluate(p, rho_c, k_pow, sigma)[0][0], abs=1e-14)
+        value, grad_rho, grad_sigma = ent._evaluate(p, rho_c, sigma, grads=True)
+        assert value[0] == pytest.approx(ent._evaluate(p, rho_c, sigma)[0][0], abs=1e-14)
 
         def in_sigma(s):
-            return ent._evaluate(p, rho_c, k_pow, s)[0][0]
+            return ent._evaluate(p, rho_c, s)[0][0]
 
         def in_rho(r):
-            return ent._evaluate(p, r, k_pow, sigma)[0][0]
+            return ent._evaluate(p, r, sigma)[0][0]
 
         for f, x, grad in ((in_sigma, sigma, grad_sigma), (in_rho, rho_c, grad_rho)):
             e = mc.hermitize(mc.random_complex(rng, x.shape[1:]))[None]
@@ -1048,11 +1056,10 @@ class TestRenyiGradient:
         rhos = np.concatenate([_thin_outputs(), [mc.random_density(rng, 6) for _ in range(2)]])
         k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
         stack = ent._RenyiStack(rhos, dims, p, k_as).minimize()
-        frame, embed = stack.frame, mc.tensor(np.eye(2), stack.frame)
-        grads = ent._evaluate(p, stack.rho, stack.k_pow, mc.dagger(frame) @ stack.sigma @ frame, grads=True)[1]
-        grads = embed @ grads @ mc.dagger(embed)  # from each item's frame back to A (x) B
+        grads = ent._evaluate(p, stack.rho, stack.sigma, grads=True)[1]  # in the folded states
         for i, rho in enumerate(rhos):
             k = np.eye(2) if k_as is None else k_as[i]
+            fold = np.kron(mc.matrix_power(k, c), stack.proj[i])  # the gradient in rho is fold G fold
             a = np.kron(mc.matrix_power(k, c), mc.matrix_power(stack.sigma[i], c))
             proj = np.kron(np.eye(2), mc.support_projector(stack.sigma[i]))
 
@@ -1062,7 +1069,7 @@ class TestRenyiGradient:
 
             assert value(rho) == pytest.approx(stack.value[i], abs=1e-12)
             e = proj @ mc.hermitize(mc.random_complex(rng, (6, 6))) @ proj
-            coarse, fine = _central_errors(value, rho, grads[i], e / mc.frobenius(e))
+            coarse, fine = _central_errors(value, rho, fold @ grads[i] @ fold, e / mc.frobenius(e))
             assert fine < max(coarse / 20, 1e-9)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -1106,29 +1113,24 @@ class TestDensitySearch:
         rho, dims = _gradient_states()["dephasing"]
         rng = np.random.default_rng(27)
         if shape == "purification":
-            stack = ent._RenyiStack(rho[None], dims, 2.0)
-            k_pow = stack.k_pow
             sigma = (mc.random_density(rng, dims[1]) + np.eye(dims[1]) / dims[1])[None] / 2
 
             def fun(r):
-                value, grad, _ = ent._evaluate(2.0, r[0], k_pow, sigma, grads=True)
+                value, grad, _ = ent._evaluate(2.0, r[0], sigma, grads=True)
                 return float(value[0]), (grad,)
 
             return fun, (mc.random_complex(rng, (dims[0] * dims[1], 1)),)
         if shape == "pair":
-            one = np.eye(dims[0], dtype=complex)[None]
-
             def fun(pair):
-                value, grad, grad_tau = ent._evaluate(2 / 3, pair[0], one, pair[1], grads=True)
+                value, grad, grad_tau = ent._evaluate(2 / 3, pair[0], pair[1], grads=True)
                 return float(value[0]), (grad, grad_tau)
 
             return fun, (mc.random_complex(rng, (dims[0] * dims[1], 1)), mc.random_complex(rng, (dims[1],) * 2))
         stack = ent._RenyiStack(rho[None], dims, 4.0, project=lambda s: np.diag(np.diag(s)))
-        every = slice(None)
 
         def fun(s):
-            value, _, grad = ent._evaluate(4.0, stack.rho, stack.k_pow, stack._project(every, s[0]), grads=True)
-            return float(value[0]), (stack._project(every, grad, normalize=False),)
+            value, _, grad = ent._evaluate(4.0, stack.rho, stack._project(s[0]), grads=True)
+            return float(value[0]), (stack._project(grad, normalize=False),)
 
         return fun, (mc.random_complex(rng, (dims[1],) * 2),)
 

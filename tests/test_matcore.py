@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from trocap import algebra as alg
+from trocap import entropy as ent
 from trocap import matcore as mc
 from trocap.errors import BadExponent, DimMismatch, NotHermitian, NotPSD
 
@@ -168,6 +170,13 @@ class TestNormalizedPNorm:
         rhs = mc.normalized_p_norm(f, p) * mc.normalized_p_norm(g, p)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 3.0, 4.0])
+    def test_schatten_norm_over_the_dimension(self, p):
+        # (sum s^p / d)^(1/p) from the singular values, the direct formula
+        f = mc.random_complex(np.random.default_rng(15), (5, 5))
+        s = np.linalg.svd(f, compute_uv=False)
+        assert mc.normalized_p_norm(f, p) == pytest.approx((np.sum(s**p) / 5) ** (1 / p), rel=1e-14, abs=0)
+
 
 class TestPartialTrace:
     def test_maximally_entangled(self):
@@ -240,3 +249,24 @@ class TestPermuteSystems:
         once = mc.permute_systems(m, (2, 3, 2), (2, 0, 1))
         back = mc.permute_systems(once, (2, 2, 3), (1, 2, 0))
         assert np.allclose(back, m)
+
+
+MIS_SHAPED_CALLS = {
+    "herm_eig": lambda: mc.herm_eig(np.ones((2, 3))),
+    "matrix_power": lambda: mc.matrix_power(np.ones((2, 3)), 0.5),
+    "matrix_log2": lambda: mc.matrix_log2(np.ones((2, 3))),
+    "von_neumann_entropy": lambda: ent.von_neumann_entropy(np.ones((2, 3)) / 2),
+    "entropy_defect": lambda: ent.entropy_defect(np.ones((2, 3)) * 3),  # and not normalized
+    "sandwiched_renyi": lambda: ent.sandwiched_renyi(np.eye(2) / 2, np.eye(3) / 3, 2.0),
+    "relative_entropy": lambda: ent.relative_entropy(np.eye(2) / 2, np.eye(3) / 3),
+    "schatten_norm": lambda: mc.schatten_norm(np.ones(3), 2.0),
+    "tensor": lambda: mc.tensor(np.ones(3), np.ones(2)),
+    "is_tro": lambda: alg.is_tro([np.eye(2), np.eye(3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIS_SHAPED_CALLS))
+def test_mis_shaped_input_raises_dim_mismatch(name):
+    # the package's error, not numpy's ValueError, IndexError or AxisError
+    with pytest.raises(DimMismatch):
+        MIS_SHAPED_CALLS[name]()

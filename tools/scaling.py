@@ -49,8 +49,9 @@ curve:
     the stacked Renyi minimizer behind minimize_renyi_divergence on 16, 64
     and 256 seeded outputs (id (x) phi_alpha(0.4))(rho) at p = 2 (the kernel
     takes no eigendecomposition of the sandwich there) and at p = 1.5 (it
-    does), and on 16, 64 and 256 seeded states on 2 x 3 whose B marginal has
-    rank 2 at p = 2;
+    does), each with K = 1 (I_cp) and with K = rho_A, the outputs' A marginal
+    (I_p: half of every verify entropic stack), and on 16, 64 and 256 seeded
+    states on 2 x 3 whose B marginal has rank 2 at p = 2;
     and renyi_coherent_channel at p = 2, one restart (one L-BFGS-B search over
     pairs (psi, tau) of the dual objective, with no inner minimization), on the
     qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
@@ -154,12 +155,13 @@ def schur_tensor_case(k: int):
     return lambda: verify.verify_tensor_symbol(ch.base_space, ch.symbol, ch.base_space, ch.symbol, samples=20)
 
 
-def renyi_stack_case(n: int, p: float):
+def renyi_stack_case(n: int, p: float, mutual: bool = False):
     ch = builders.phi_alpha(0.4).channel
     d = ch.dim_in
     rhos = np.array([matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
     omegas = verify._apply_ancilla(ch, rhos, d)
-    return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), p).minimize()
+    k_as = matcore.partial_trace(omegas, (d, ch.dim_out), "A") if mutual else None  # I_p, else I_cp
+    return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), p, k_as).minimize()
 
 
 def thin_stack_case(n: int):
@@ -218,6 +220,9 @@ CASES = [
       for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 1.5", n, partial(renyi_stack_case, n, 1.5))
       for n in (16, 64, 256)),
+    *(("optimizers", f"Renyi minimizer stack, phi_alpha(0.4) outputs, K = rho_A, p {p:g}", n,
+       partial(renyi_stack_case, n, p, True))
+      for p in (2.0, 1.5) for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
       for n in (16, 64, 256)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
