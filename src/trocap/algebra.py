@@ -8,16 +8,16 @@ A TRO is exactly U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, so blocks that account
 for a whole span prove it a TRO.  One routine, _structure, serves every TRO
 test, closure and decomposition: a block attempt (_attempt) reads a span in
 coordinates off its support, and any other span's U, n_i, l_i off seeded
-elements sum_s x_s y_s* of the left algebra and its left frames alone, then
-W, m_i once off the span, one stack per summand shape; a span close enough to
-its blocks is certified by that distance, else a witness scan decides, and
-closing extends a span exactly when the scan rejects it.  Both sides' algebras
-and conditional expectations are block compressions and partial traces in U
-and W; a *-algebra is the closure of its generators' words of length one and
-two (generate_star_algebra).  The HS conditional_expectation is a public
-reference no internal path uses.  Spans are HS orthonormal, cut at
-mc.RANK_RTOL; every block-structure cut is at STRUCTURE_RTOL.  Every N_f comes
-from _modified, which certifies f on the Stinespring space that it modifies.
+elements sum_s x_s y_s* of the left algebra and its left frames alone, then W,
+m_i once off the span, one stack per summand shape; a span close enough to its
+blocks is certified by that distance, else a witness scan decides.  Closing
+adds, when the scan rejects, the directions above tol of one SVD of unnormalized
+residuals (so rounding can still enter below about 100 tol).  Both sides'
+algebras and conditional expectations are block compressions and partial traces
+in U and W; generate_star_algebra closes its generators' words of length one and
+two.  The HS conditional_expectation is a reference no internal path uses.
+Spans are HS orthonormal, cut at mc.RANK_RTOL, block structures at
+STRUCTURE_RTOL; _modified certifies each N_f's f on the space it modifies.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def _structure(
 ) -> tuple[np.ndarray, Optional[tuple[TroDecomposition, float]], TroCheck]:
     """Stacked orthonormal basis v of span(mats) (with close, of the smallest
     TRO containing it), the block attempt on v seeded (seed, 0), and is_tro of
-    v at tol.  A closing round extends v exactly when is_tro rejects it: each
-    i's residuals (j = 0 first), off what the round added, that stay above tol
-    are normalized and their span added, so the round adds a dimension.
+    v at tol.  Closing extends v exactly when is_tro rejects it: per i, rows of
+    j = 0, then the rest, off what the round added and above tol, add the
+    directions above tol of one SVD, each known to about eps/r at residual r.
     All of M_{n,m} is a TRO, so closing it takes no round and no attempt."""
     if not len(mats):  # no shape, so no stack: accepted as a TRO, never decomposed
         return np.zeros((0, 0, 0), complex), None, TroCheck(True, None, 0.0)
@@ -176,8 +176,8 @@ def _structure(
                 worst, witness = float(res[jl]), (i, *divmod(jl, k))
             for rows in (r[:, 0], r[:, 1:].transpose(1, 0, 2).reshape(-1, n * m)) if close else ():
                 rows = rows - (rows @ added.conj().T) @ added  # j = 0 first: it often spans them all
-                res = np.linalg.norm(rows, axis=1)
-                added = np.vstack([added, *orthonormal_span(rows[res > tol] / res[res > tol, None])])
+                _, s, vh = np.linalg.svd(rows[np.linalg.norm(rows, axis=1) > tol], full_matrices=False)
+                added = np.vstack([added, vh[s > tol]])
         if worst <= tol or not close:
             return v, found, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
         v = np.array(orthonormal_span([*v, *added.reshape(-1, n, m)]))

@@ -264,8 +264,8 @@ def _init_pool(
     """Square roots of the restart densities (at least one; init states are
     d_in x d_in): structured inits first, then the maximally mixed state,
     then seeded random fills."""
-    if restarts < 1:
-        raise OutOfRange(f"restarts must be >= 1, got {restarts}")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise OutOfRange(f"restarts must be an integer >= 1, got {restarts!r}")
     d = ch.dim_in
     pool: list[np.ndarray] = []
     for s in map(mc.asmatrix, list(init_states or [])[:restarts]):
@@ -363,7 +363,7 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
         raise BadExponent(f"fidelity bound needs p > 1, got {p}")
     if m < 1:
         raise OutOfRange(f"code size must be >= 1, got {m}")
-    p_conj = 1.0 if np.isinf(p) else p / (p - 1.0)
+    p_conj = mc.conjugate_exponent(p)
     return float(m ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
 
 

@@ -98,7 +98,7 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     sigma = mc.asmatrix(sigma)
     if _leaves_support(rho, sigma):
         return math.inf
-    p_conj = 1.0 if np.isinf(p) else p / (p - 1.0)
+    p_conj = mc.conjugate_exponent(p)
     a = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
     w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ rho @ a)), 0.0, None)
     norm = float(np.max(w)) if np.isinf(p) else float(np.sum(w**p) ** (1.0 / p))  # Schatten p-norm

@@ -132,6 +132,11 @@ def _on_support(a: np.ndarray, fun) -> np.ndarray:
     return (v * fw[..., None, :]) @ dagger(v)
 
 
+def conjugate_exponent(p: float) -> float:
+    """The Hoelder conjugate p' of p >= 1, 1/p + 1/p' = 1: inf at p = 1, 1 at p = inf."""
+    return np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0)
+
+
 def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
     """Support-restricted power of a PSD matrix (or of each of a stack).
 

@@ -123,7 +123,7 @@ def verify_local_comparison(
     out, out_f = apply(n, rho), apply(nf, rho)
     named = []
     for p in ps:
-        p_conj = 1.0 if math.isinf(p) else p / (p - 1.0)
+        p_conj = mc.conjugate_exponent(p)
         w = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
         a, b, c, d = (np.log2(mc.schatten_norm(y, p)) for y in (out, out_f, w @ out @ w, w @ out_f @ w))
         named += [(f"norm_lower@p={p}", b - a), (f"norm_upper@p={p}", fnorms[p] + a - b)]
@@ -168,7 +168,7 @@ def verify_entropic(
         k_a = mc.partial_trace(omega, dims, keep="A")
         ks = np.concatenate([np.broadcast_to(np.eye(da, dtype=complex), (2 * samples, da, da)), k_a, k_a])
         for p in ps:
-            gap = (p / (p - 1.0)) * math.log2(mc.normalized_p_norm(symbol.f, p))
+            gap = mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(symbol.f, p))
             values = _RenyiStack(np.concatenate([omega, omega_f] * 2), dims, p, ks).minimize().value
             for name, (v, vf) in zip(("I_cp", "I_p"), values.reshape(2, 2, samples)):
                 slacks += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]

@@ -31,6 +31,49 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def block_tro(rng, shapes, pad=(0, 0)):
+    """Basis of (+)_i M_{n_i, m_i} (x) 1_{l_i} (shapes (n, m), where l = 1,
+    or (n, m, l)) with pad = (rows, columns) of zeros appended, disguised by
+    random unitaries (U, W), or block diagonal when rng is None."""
+    shapes = [(tuple(s) + (1,))[:3] for s in shapes]
+    rows = sum(n * l for n, _, l in shapes) + pad[0]
+    cols = sum(m * l for _, m, l in shapes) + pad[1]
+    if rng is None:  # not disguised
+        u, w = np.eye(rows), np.eye(cols)
+    else:
+        u, w = random_unitary(rng, rows), random_unitary(rng, cols)
+    mats, ro, co = [], 0, 0
+    for n, m, l in shapes:
+        for i in range(n):
+            for j in range(m):
+                x = np.zeros((rows, cols), dtype=complex)
+                x[ro : ro + n * l, co : co + m * l] = np.kron(np.outer(np.eye(n)[i], np.eye(m)[j]), np.eye(l))
+                mats.append(u @ x @ mc.dagger(w))
+        ro += n * l
+        co += m * l
+    return mats
+
+
+def mix(rng, mats, count=None):
+    """`count` random combinations of mats with random scales (all of them
+    when count is None: a rescaled basis of the same span)."""
+    count = len(mats) if count is None else count
+    coeffs = mc.random_complex(rng, (count, len(mats))) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    return [sum(c * m for c, m in zip(row, mats)) for row in coeffs]
+
+
+def tro_subspace(seed, shapes, pad, delta, mixed=False):
+    """A TRO t = block_tro(default_rng(seed), shapes, pad) of dimension d and
+    d - 1 elements t_i + delta c_i t_(d-1), c = mc.random_complex(rng, d),
+    spanning a subspace whose closure is t; with mixed, the elements of
+    mix(default_rng(70 + seed), .), a rescaled basis of the same span."""
+    rng = np.random.default_rng(seed)
+    t = block_tro(rng, shapes, pad)
+    c = mc.random_complex(rng, len(t))
+    mats = [t[i] + delta * c[i] * t[-1] for i in range(len(t) - 1)]
+    return t, mix(np.random.default_rng(70 + seed), mats) if mixed else mats
+
+
 def star_algebra_loop(generators) -> alg.AlgebraBasis:
     """The *-algebra of the generators by span <- span + span span from
     span(G + G*) until the rank stabilizes: the reference for

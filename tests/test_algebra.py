@@ -32,7 +32,7 @@ from trocap.entropy import entropy_defect
 from trocap.errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 from trocap.verify import verify_local_comparison
 
-from helpers import hs_inner, random_unitary, star_algebra_loop
+from helpers import block_tro, hs_inner, mix, random_unitary, star_algebra_loop, tro_subspace
 
 
 def e(i, j, d=2):
@@ -497,37 +497,6 @@ def ref_smallest_containing_tro(mats):
         basis = new_basis
 
 
-def block_tro(rng, shapes, pad=(0, 0)):
-    """Basis of (+)_i M_{n_i, m_i} (x) 1_{l_i} (shapes (n, m), where l = 1,
-    or (n, m, l)) with pad = (rows, columns) of zeros appended, disguised by
-    random unitaries (U, W), or block diagonal when rng is None."""
-    shapes = [(tuple(s) + (1,))[:3] for s in shapes]
-    rows = sum(n * l for n, _, l in shapes) + pad[0]
-    cols = sum(m * l for _, m, l in shapes) + pad[1]
-    if rng is None:  # not disguised
-        u, w = np.eye(rows), np.eye(cols)
-    else:
-        u, w = random_unitary(rng, rows), random_unitary(rng, cols)
-    mats, ro, co = [], 0, 0
-    for n, m, l in shapes:
-        for i in range(n):
-            for j in range(m):
-                x = np.zeros((rows, cols), dtype=complex)
-                x[ro : ro + n * l, co : co + m * l] = np.kron(e(i, j, max(n, m))[:n, :m], np.eye(l))
-                mats.append(u @ x @ mc.dagger(w))
-        ro += n * l
-        co += m * l
-    return mats
-
-
-def mix(rng, mats, count=None):
-    """`count` random combinations of mats with random scales (all of them
-    when count is None: a rescaled basis of the same span)."""
-    count = len(mats) if count is None else count
-    coeffs = mc.random_complex(rng, (count, len(mats))) * 10.0 ** rng.uniform(-3, 3, (count, 1))
-    return [sum(c * m for c, m in zip(row, mats)) for row in coeffs]
-
-
 def polar(a):
     """The isometric factor u vh of a matrix's SVD."""
     u, _, vh = np.linalg.svd(a, full_matrices=False)
@@ -850,14 +819,16 @@ class TestOneAcceptanceDecision:
         assert seeds == [(7, t) for t in range(1, alg.BLOCK_TRIES)]
 
     def test_each_closing_round_adds_a_dimension(self, monkeypatch):
-        # a TRO with one element pushed out of it closes in more than one round
+        # a TRO with one element pushed out of it closes in more than one round:
+        # v and all its triples have 21 singular values above 1e-8 (the next is
+        # 2.0e-16), so the first round reaches 21 directions, and the second
+        # all of M_{5,5}, which takes no attempt
         rng = np.random.default_rng(0)
         mats = block_tro(rng, [(2, 2), (1, 1)], pad=(2, 2))[:-1]
         mats[0] = mats[0] + 1e-3 * mc.random_complex(rng, mats[0].shape)
         spans = count_attempts(monkeypatch)
         closure = alg.smallest_containing_tro(mats)
-        assert len(spans) >= 2 and spans[0] == len(mats)
-        assert all(a < b for a, b in zip(spans, spans[1:]))
+        assert spans == [4, 21]
         assert len(closure) > spans[-1] and alg.is_tro(closure).ok
 
     def test_cyclic_words_close_in_growing_rounds(self, monkeypatch):
@@ -867,6 +838,55 @@ class TestOneAcceptanceDecision:
         spans = count_attempts(monkeypatch)
         closure = alg.smallest_containing_tro(s + [a @ b for a in s for b in s])
         assert len(closure) == 16 and spans == [5, 13, 16]
+
+
+SUBSPACE_SHAPES = [([(2, 2), (1, 1)], (2, 2)), ([(2, 3), (1, 1)], (1, 1)), ([(1, 2), (2, 1), (1, 1)], (2, 2)), ([(3, 3)], (2, 2))]
+
+
+def deflated_triple_singular_values(mats):
+    """Singular values of every triple x_i x_j* x_l of an orthonormal basis x
+    of span(mats), taken off that span: one SVD of all k^3 of them."""
+    v = np.array(alg.orthonormal_span(mats))
+    flat = v.reshape(len(v), -1)
+    triples = np.einsum("iab,jcb,lcd->ijlad", v, v.conj(), v).reshape(len(v) ** 3, -1)
+    return np.linalg.svd(triples - (triples @ flat.conj().T) @ flat, compute_uv=False)
+
+
+class TestClosingRoundCut:
+    # A closing round takes its new directions from one SVD of the residuals,
+    # cut at tol, so that rounding in residuals of 1e-6 adds no direction that
+    # exact arithmetic does not add.
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("shape", range(len(SUBSPACE_SHAPES)))
+    def test_subspace_of_a_tro_closes_to_that_tro(self, shape, delta):
+        shapes, pad = SUBSPACE_SHAPES[shape]
+        want = sorted((n, m, 1) for n, m in shapes)
+        for seed in range(4):
+            for mixed in (False, True):
+                t, mats = tro_subspace(seed, shapes, pad, delta, mixed)
+                closure = alg.smallest_containing_tro(mats)
+                assert len(closure) == len(t), (seed, mixed)
+                assert sorted(alg.tro_block_decomposition(closure).blocks) == want, (seed, mixed)
+
+    @pytest.mark.parametrize("shape", range(len(SUBSPACE_SHAPES)))
+    def test_first_round_adds_the_directions_of_one_svd(self, monkeypatch, shape):
+        # where no singular value of the deflated triples lies within a factor
+        # of 30 of tol, the first round adds one direction per value above tol
+        shapes, pad = SUBSPACE_SHAPES[shape]
+        checked, spans = 0, count_attempts(monkeypatch)
+        for delta in np.logspace(-3, -6, 6):
+            for seed in range(4):
+                _, mats = tro_subspace(seed, shapes, pad, delta)
+                s = deflated_triple_singular_values(mats)
+                if np.any((s > alg.TRO_TOL / 30) & (s < 30 * alg.TRO_TOL)):
+                    continue
+                spans.clear()
+                closure = alg.smallest_containing_tro(mats)
+                first = spans[1] if len(spans) > 1 else len(closure)  # all of M_{n,m} takes no attempt
+                assert first == len(mats) + np.count_nonzero(s > alg.TRO_TOL), (delta, seed)
+                checked += 1
+        assert checked >= 12
 
 
 class TestCanonicalBlockOrder:

@@ -688,6 +688,27 @@ class TestNegativeCbEntropy:
             cap.negative_cb_entropy(tagged, "formula")
 
 
+RESTART_RUNS = {
+    "one_shot_q": lambda ch, r: cap.one_shot_q(ch, restarts=r).value,
+    "negative_cb_entropy": lambda ch, r: cap.negative_cb_entropy(ch, "numeric", restarts=r),
+    "renyi_coherent_channel": lambda ch, r: cap.renyi_coherent_channel(ch, 2.0, restarts=r),
+}
+
+
+class TestRestartCount:
+    @pytest.mark.parametrize("restarts", [2.5, 2.0, True, 0], ids=repr)
+    @pytest.mark.parametrize("name", sorted(RESTART_RUNS))
+    def test_anything_but_an_integer_of_at_least_one_raises(self, name, restarts):
+        # a float would reach the pool's slice as an index, and True would run as one restart
+        with pytest.raises(OutOfRange, match="integer"):
+            RESTART_RUNS[name](qubit_dephasing(0.3), restarts)
+
+    @pytest.mark.parametrize("name", sorted(RESTART_RUNS))
+    def test_numpy_integer_counts_as_its_value(self, name):
+        ch = qubit_dephasing(0.3)
+        assert RESTART_RUNS[name](ch, np.int64(2)) == RESTART_RUNS[name](ch, 2)
+
+
 class TestFidelityBound:
     def test_rate_at_renyi_value_gives_one(self):
         for p in (1.5, 2.0, 4.0):

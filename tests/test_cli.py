@@ -12,6 +12,8 @@ from trocap import capacity
 from trocap.cli import MAX_GRID_POINTS, SpecBundle, _parse_grid, load_spec, main
 from trocap.entropy import binary_entropy
 
+from helpers import tro_subspace
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -92,6 +94,20 @@ class TestBounds:
         out = capsys.readouterr().out
         row = next(l for l in out.splitlines() if l.startswith("Q "))
         assert float(row.split()[2]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_kraus_range_inside_a_tro_reads_that_tros_blocks(self, tmp_path, capsys):
+        # a 4-dimensional subspace of M_{2,2} (+) M_{1,1} padded to 5 x 5, each
+        # element mixed with the missing one at 1e-6, as a Stinespring basis:
+        # the smallest TRO containing it has blocks (2, 2) and (1, 1), so the
+        # Q window closes at log2 2 = 1, not at log2 5 of all of M_{5,5}
+        _, mats = tro_subspace(1, [(2, 2), (1, 1)], (2, 2), 1e-6)
+        kraus = np.stack(alg.orthonormal_span(mats)).transpose(2, 1, 0)  # [env, out, in]
+        assert kraus.shape == (5, 5, 4)
+        pairs = [[[[z.real, z.imag] for z in row] for row in k] for k in kraus]
+        spec = write_spec(tmp_path, {"kind": "kraus", "params": {"kraus": pairs}, "seed": 0})
+        assert main(["bounds", spec, "--restarts", "4"]) == 0
+        row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q "))
+        assert row.split()[2] == "1"
 
     def test_neg_cb_entry_when_formula_applies(self, tmp_path, capsys):
         doc = {

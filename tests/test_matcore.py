@@ -93,6 +93,11 @@ class TestMatrixFunctions:
         assert np.max(np.abs(product - mc.support_projector(a))) < 1e-8
 
 
+@pytest.mark.parametrize("p, conj", [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0), (4.0, 4.0 / 3.0), (np.inf, 1.0)])
+def test_conjugate_exponent(p, conj):
+    assert mc.conjugate_exponent(p) == conj
+
+
 class TestSchattenNorm:
     def test_identity(self):
         assert mc.schatten_norm(np.eye(3), 2.0) == pytest.approx(np.sqrt(3))

@@ -33,6 +33,9 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert sorted(size for size, _ in regular) == [4, 8, 16, 32]
     for k, setup in regular:  # k summands of one shape: k blocks (1, 1, 1)
         assert setup()().blocks == ((1, 1, 1),) * k
+    closure = curves[("closure", "smallest_containing_tro subspace of [(n, n), (1, 1)] pad (2, 2), 1e-6")]
+    assert sorted(size for size, _ in closure) == [5, 17, 37]
+    assert len(min(closure)[1]()()) == 5  # the closure is the TRO itself, of dimension n^2 + 1
     pauli = curves[("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)")]
     assert sorted(size for size, _ in pauli) == [4, 16, 64]
     for cases in curves.values():

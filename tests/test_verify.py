@@ -15,7 +15,7 @@ from trocap.builders import (
     qubit_dephasing,
 )
 from trocap.channel import stinespring_space
-from trocap.errors import DimMismatch, NotIndependent
+from trocap.errors import BadExponent, DimMismatch, NotIndependent
 
 
 def dephasing_pair(q):
@@ -97,6 +97,39 @@ class TestEntropic:
         omega_f = _apply_ancilla(ch, np.outer(psi, psi.conj()), 2)
         ic = coherent_information(omega_f, (2, 2))
         assert ic == pytest.approx(cap.negative_cb_entropy(ch, "formula"), abs=1e-8)
+
+
+def pauli_pair():
+    ch = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    return ch.base_space, ch.symbol
+
+
+def phi_alpha_pair(alpha):
+    bundle = phi_alpha(alpha)
+    return bundle.space, bundle.symbol
+
+
+TRACE_NORM_PAIRS = {
+    "phi_alpha(0.4)": lambda: phi_alpha_pair(0.4),
+    "dephasing(0.3)": lambda: dephasing_pair(0.3),
+    "pauli": pauli_pair,
+}
+
+
+class TestTraceNormExponent:
+    # p = 1 is the trace norm: p' = inf, so sigma^(-1/2p') is sigma's support projector
+
+    @pytest.mark.parametrize("name", sorted(TRACE_NORM_PAIRS))
+    def test_local_suite_at_p_one(self, name):
+        space, symbol = TRACE_NORM_PAIRS[name]()
+        rep = verify.verify_local_comparison(space, symbol, samples=20, seed=0, ps=(1.0,))
+        assert rep.passed and rep.worst_slack >= -1e-12
+
+    @pytest.mark.parametrize("name", sorted(TRACE_NORM_PAIRS))
+    def test_entropic_suite_at_p_one_is_a_bad_exponent(self, name):
+        space, symbol = TRACE_NORM_PAIRS[name]()
+        with pytest.raises(BadExponent):
+            verify.verify_entropic(space, symbol, samples=2, ps=(1.0,))
 
 
 class TestTensorSymbol:

@@ -31,6 +31,11 @@ curve:
     32, and of one seeded random generator of M_d, d in 4, 6, 10; and
     commutant_blocks of the regular representation of the dihedral group of
     order 2k, k in 4, 6, 8 (size: the order, the representation's dimension);
+    and smallest_containing_tro of a (d - 1)-dimensional subspace of a seeded,
+    rotated M_{n,n} (+) M_{1,1} padded by (2, 2), each element carrying 1e-6 of
+    the missing one, n in 2, 4, 6 (size: d = n^2 + 1, the closure's dimension).
+    No benchmark job reaches a closing round, so these curves and the star and
+    commutant curves are the ones that time it;
   - verify: each of the three suites with the arguments `trocap verify`
     passes (the channel's own space and symbol, that pair twice for the
     tensor suite) on phi_alpha(0.4) and the Pauli mixture (0.4, 0.3, 0.2,
@@ -124,6 +129,19 @@ def star_case(name: str, d: int):
     return lambda: algebra.generate_star_algebra([gen])
 
 
+def subspace_closure_case(n: int):
+    """smallest_containing_tro of t_i + 1e-6 c_i t_(d-1), i < d - 1: t the unit-matrix
+    basis of M_{n,n} (+) M_{1,1}, padded by (2, 2) and rotated by seeded unitaries, d = n^2 + 1."""
+    rng, size = np.random.default_rng(n), n + 3
+    t = np.zeros((n * n + 1, size, size), dtype=complex)
+    t[np.arange(n * n), np.repeat(np.arange(n), n), np.tile(np.arange(n), n)] = 1.0
+    t[-1, n, n] = 1.0
+    u, w = (np.linalg.qr(matcore.random_complex(rng, (size, size)))[0] for _ in range(2))
+    t = u @ t @ w.conj().T
+    mats = list(t[:-1] + 1e-6 * matcore.random_complex(rng, n * n)[:, None, None] * t[-1])
+    return lambda: algebra.smallest_containing_tro(mats)
+
+
 def commutant_case(k: int):
     rep = builders.regular_representation(builders.dihedral_group(k))
     return lambda: builders.commutant_blocks(rep)
@@ -212,6 +230,9 @@ CASES = [
       for d in (4, 6, 10)),
     *(("closure", "commutant_blocks regular representation of dihedral(k)", 2 * k, partial(commutant_case, k))
       for k in (4, 6, 8)),
+    *(("closure", "smallest_containing_tro subspace of [(n, n), (1, 1)] pad (2, 2), 1e-6", n * n + 1,
+       partial(subspace_closure_case, n))
+      for n in (2, 4, 6)),
     *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
     *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself, 20 samples", k, partial(schur_tensor_case, k))
