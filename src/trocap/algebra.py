@@ -176,7 +176,8 @@ def _structure(
                 worst, witness = float(res[jl]), (i, *divmod(jl, k))
             for rows in (r[:, 0], r[:, 1:].transpose(1, 0, 2).reshape(-1, n * m)) if close else ():
                 rows = rows - (rows @ added.conj().T) @ added  # j = 0 first: it often spans them all
-                _, s, vh = np.linalg.svd(rows[np.linalg.norm(rows, axis=1) > tol], full_matrices=False)
+                on = np.linalg.norm(rows, axis=1) > tol  # a group with no row left takes no SVD
+                _, s, vh = np.linalg.svd(rows[on], full_matrices=False) if on.any() else (None, np.zeros(0), rows[:0])
                 added = np.vstack([added, vh[s > tol]])
         if worst <= tol or not close:
             return v, found, TroCheck(worst <= tol, None if worst <= tol else witness, worst)

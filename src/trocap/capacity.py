@@ -21,7 +21,7 @@ from . import algebra as alg
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
-from .entropy import _density_search, _evaluate, entropy_defect
+from .entropy import _density_search, _support_power, _support_power_grad, entropy_defect
 from .errors import (
     BadExponent,
     DimMismatch,
@@ -361,18 +361,29 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
     """
     if not (p > 1.0):
         raise BadExponent(f"fidelity bound needs p > 1, got {p}")
-    if m < 1:
-        raise OutOfRange(f"code size must be >= 1, got {m}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:  # as _init_pool's restarts
+        raise OutOfRange(f"code size must be an integer >= 1, got {m!r}")
     p_conj = mc.conjugate_exponent(p)
     return float(m ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
 
 
-def _dual_value_and_grads(extended: Channel, beta: float, densities: tuple) -> tuple[float, tuple]:
-    """D_beta(omega_AE || 1 (x) tau), omega_AE = extended(rho) = (id (x) N^c)(rho),
-    at a pair (rho, tau), and its gradients in rho (through extended's adjoint) and tau."""
-    omega, tau = mc.hermitize(chn.apply(extended, densities[0])), densities[1]
-    value, grad_omega, grad_tau = _evaluate(beta, omega, tau, True)
-    return float(value[0]), (chn.adjoint_apply(extended, grad_omega), grad_tau)
+def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple[float, tuple]:
+    """D_beta(omega_AE || 1 (x) tau), 1/2 <= beta < 1, at unit blocks (psi, u), tau = u u*, and the products G psi
+    and G_tau u, from the factor U = Psi K (d, E, d_out) of omega_AE = (id (x) N^c)(psi psi*) = U U*, Psi = psi as
+    d x d_in, K the Kraus stack.  W = (1 (x) tau^c) U, c = (1 - beta)/2 beta; Q = tr M^beta, M = W* W, over M's
+    eigenvalues above 1e-15 of its largest; with X = kappa M^(beta-1), kappa = beta'/(Q ln 2), G_omega U = (1 (x)
+    tau^c) W X goes back through K*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad)."""
+    (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
+    w, v, mask, power = _support_power(u @ mc.dagger(u), c)
+    big_u = np.tensordot(psi.reshape(-1, kraus.shape[2]), kraus, (1, 2))
+    big_w = power @ big_u
+    lam, vm = np.linalg.eigh(np.tensordot(big_w.conj(), big_w, ([0, 1], [0, 1])))
+    lam_pm1 = np.power(lam, beta - 1, out=np.zeros_like(lam), where=lam > 1e-15 * lam.max())  # below: a rounded 0
+    q = np.sum(lam * lam_pm1)
+    x = (vm * lam_pm1 * (beta / ((beta - 1.0) * q * math.log(2.0)))) @ mc.dagger(vm)
+    z = np.tensordot(big_u @ x, big_w.conj(), ([0, 2], [0, 2]))
+    grad_psi = np.tensordot(power @ (big_w @ x), kraus.conj(), 2).reshape(psi.shape)
+    return float(np.log2(q)) / (beta - 1.0), (grad_psi, _support_power_grad(w, v, mask, c, z + mc.dagger(z)) @ u)
 
 
 def renyi_coherent_channel(
@@ -388,27 +399,25 @@ def renyi_coherent_channel(
     With 1/p + 1/beta = 2 the sandwiched conditional entropy of a pure state is
     self-dual (Mueller-Lennert, Dupuis, Szehr, Fehr & Tomamichel 2013; Beigi 2013):
     inf_sigma D_p(omega_AB || 1 (x) sigma) = sup_tau -D_beta(omega_AE || 1 (x) tau),
-    omega_AE = (id (x) N^c)(psi psi*), N^c with Kraus operators ``ch.kraus.swapaxes(0, 1)``.
-    So each restart is one L-BFGS-B search (entropy._density_search) over pairs (psi, tau),
-    psi = vec g / |g|, with the exact gradient (_dual_value_and_grads) and no inner
-    minimization; each value, -D_beta at a feasible pair, is a lower bound up to rounding.
-    The starts are sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step
-    of 1e-3, each with tau at its E marginal (a factor of the norm of g); fewer than one
-    raises OutOfRange.  No start value counts apart: L-BFGS-B steps only lower the objective.
+    omega_AE = (id (x) N^c)(psi psi*).  So each restart is one L-BFGS-B search
+    (entropy._density_search) over pairs (psi, tau), psi = vec g / |g|, with no inner
+    minimization and the exact gradient from a factor of omega_AE (_dual_value_and_grads);
+    each value, -D_beta at a feasible pair, is a lower bound up to rounding.  The starts are
+    sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step of 1e-3, each with tau at
+    its E marginal tr_A[U U*] (block: the root of complement_apply's transpose at tr_A g g*);
+    fewer than one raises OutOfRange.  No start value counts apart: L-BFGS-B only lowers it.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
     d, beta = ch.dim_in, p / (2.0 * p - 1.0)
-    extended = chn.tensor_channels(chn.identity_channel(d), Channel(ch.kraus.swapaxes(0, 1)))  # id_A (x) N^c
-    fun, best = partial(_dual_value_and_grads, extended, beta), -math.inf
+    fun, best = partial(_dual_value_and_grads, ch.kraus, beta), -math.inf
     for k, g0 in enumerate(_init_pool(ch, restarts, seed, init_states)):
-        g = (g0 * math.sqrt(d)).reshape(-1, 1)
+        g = g0 * math.sqrt(d)
         # A seeded nudge of 1e-3 takes a symmetric start (the maximally entangled input is real and
         # diagonal) off the subspace the exact gradient keeps it in, where the search can end on a saddle.
         nudge = np.random.default_rng((seed, k, 1)).standard_normal((2, *g.shape))
         g = g + 1e-3 * np.linalg.norm(g) / math.sqrt(2 * g.size) * (nudge[0] + 1j * nudge[1])
-        omega_e = mc.partial_trace(chn.apply(extended, _densities(g[None])[1]), (d, ch.dim_env), "B")
-        start = (g, np.linalg.norm(g) * mc.matrix_power(omega_e[0], 0.5))
+        start = (g.reshape(-1, 1), mc.matrix_power(chn.complement_apply(ch, g.T @ g.conj()).T, 0.5))
         best = max(best, -_density_search(fun, start, {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-10})[0])
     return best
 

@@ -13,8 +13,8 @@ with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
 polish from their last iterate (``_density_search``), none from random starts.
 Each stack folds K into its states once, D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma)
 for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value, fixed-point target and
-gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); it also takes
-the dual search's exponents in [1/2, 1) (capacity.renyi_coherent_channel).
+gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); its sigma side
+(_support_power) also serves capacity.renyi_coherent_channel's dual kernel, 1/2 <= beta < 1.
 """
 
 from __future__ import annotations
@@ -139,12 +139,10 @@ class RenyiOptimum(NamedTuple):
 
 
 def _density_search(fun, m0s: tuple, options: dict) -> tuple[float, tuple, bool]:
-    """L-BFGS-B from the blocks m0s over tuples of densities m m*/t, t = tr(m m*), each
-    m complex of any shape (n x n for a sigma or tau, d^2 x 1 for the amplitudes of a
-    pure rho).  ``fun`` maps the tuple of (1, n, n) densities to its value and tuple of
-    hermitian gradients G; each block's chain rule gives 2 (G m - tr(m* G m)/t m)/t, all
-    blocks' entries packed as real then imaginary parts.  Returns the end value and
-    densities, and scipy's success flag."""
+    """L-BFGS-B from the blocks m0s over tuples of unit blocks u = m/|m|, m complex of any shape (n x n for a density
+    u u*; d^2 x 1 for a pure input's amplitudes).  ``fun`` maps the tuple of unit blocks to its value and the products
+    G u, G the hermitian gradient in u u*; the chain rule gives 2 (G u - Re<u, G u> u)/|m| per block, all entries
+    packed as real then imaginary parts.  Returns the end value and unit blocks, and scipy's success flag."""
     from scipy import optimize
 
     def blocks(x: np.ndarray) -> list[np.ndarray]:
@@ -153,47 +151,54 @@ def _density_search(fun, m0s: tuple, options: dict) -> tuple[float, tuple, bool]
 
     def packed(x: np.ndarray) -> tuple[float, np.ndarray]:
         ms = blocks(x)
-        ts = [float(np.vdot(m, m).real) for m in ms]
-        if not all(t > 0 and np.isfinite(t) for t in ts):
+        ns = [math.sqrt(np.vdot(m, m).real) for m in ms]
+        if not all(n > 0 and np.isfinite(n) for n in ns):
             return 1e9, np.zeros_like(x)
-        value, grads = fun(tuple((m @ mc.dagger(m) / t)[None] for m, t in zip(ms, ts)))
-        gms = [grad[0] @ m for m, grad in zip(ms, grads)]
-        h = np.concatenate([2.0 * (gm - (np.vdot(m, gm).real / t) * m).ravel() / t for m, t, gm in zip(ms, ts, gms)])
+        us = tuple(m / n for m, n in zip(ms, ns))
+        value, gus = fun(us)
+        h = np.concatenate([2.0 * (gu - np.vdot(u, gu).real * u).ravel() / n for u, n, gu in zip(us, ns, gus)])
         return value, np.concatenate([h.real, h.imag])
 
     z0 = np.concatenate([m.reshape(-1) for m in m0s])
     res = optimize.minimize(packed, np.concatenate([z0.real, z0.imag]), method="L-BFGS-B", jac=True, options=options)
-    densities = tuple((m @ mc.dagger(m) / np.vdot(m, m).real)[None] for m in blocks(res.x))
-    return float(res.fun), densities, bool(res.success)
+    return float(res.fun), tuple(m / np.linalg.norm(m) for m in blocks(res.x)), bool(res.success)
+
+
+def _support_power(sigma: np.ndarray, c: float):
+    """(w, V, mask, sigma^c) of each sigma = V diag(w) V*, sigma^c on the support ``mask`` (w reads 1
+    off it): mc.support_mask's for c < 0 (p > 1), the positive spectrum for c > 0 (0^c = 0)."""
+    w, v = np.linalg.eigh(mc.hermitize(sigma))
+    mask = mc.support_mask(w) if c < 0 else w > 0
+    w = np.where(mask, w, 1.0)
+    return w, v, mask, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v)
+
+
+def _support_power_grad(w: np.ndarray, v: np.ndarray, mask: np.ndarray, c: float, y: np.ndarray) -> np.ndarray:
+    """The gradient V (Gamma o V* Y V) V* in sigma of tr(Y sigma^c), Y hermitian, Gamma the divided differences
+    of w^c on the support (_support_power): w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)."""
+    log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
+    den = np.expm1(log_ratio)
+    gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
+    gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
+    return mc.hermitize(v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v))
 
 
 def _evaluate(p: float, rho, sigma: np.ndarray, grads: bool = False):
-    """D_p(rho || 1 (x) sigma) of each item, p > 1 or 1/2 <= p < 1, from one eigh of sigma
-    and s = a rho a, a = 1 (x) sigma^c, c = -1/2p', sigma^c on sigma's support: for p > 1
-    mc.support_mask's, with a large finite penalty for +inf where rho leaves the support of
-    1 (x) sigma; for p < 1 (D_p finite there) the positive spectrum.  The one intermediate
-    is s^(p-1): s itself at p = 2, with no eigh; else V w^(p-1) V* from the eigh of s, for
-    p < 1 (s of rho's rank) over its eigenvalues above 1e-15 times its largest.  Q =
-    tr(s^(p-1) s); then the target tr_A[s^(p-1) s] or, with ``grads``, the gradients G in rho
-    and in sigma (hermitian, dD = tr(G d.)): a X a and V (Gamma o V* Y V) V*, X = p' s^(p-1) /
-    (Q ln 2), Y = tr_A[Z + Z*], Z = rho a X, sigma = V diag(w) V*, Gamma the divided
-    differences of w^c."""
+    """D_p(rho || 1 (x) sigma) of each item, p > 1, from s = a rho a, a = 1 (x) sigma^c, c = -1/2p', sigma^c on
+    mc.support_mask's support (_support_power), with a large finite penalty for +inf where rho leaves the support
+    of 1 (x) sigma; s^(p-1) is s at p = 2, else from one eigh of s, and Q = tr(s^(p-1) s).  Returns the target
+    tr_A[s^(p-1) s] or, with ``grads``, the gradient in sigma from Y = tr_A[Z + Z*], Z = rho a p' s^(p-1) / (Q ln 2)."""
     p_conj = p / (p - 1.0)
     c, dims = -0.5 / p_conj, (rho.shape[-1] // sigma.shape[-1], sigma.shape[-1])
-    w, v = np.linalg.eigh(mc.hermitize(sigma))
-    mask = mc.support_mask(w) if p > 1.0 else w > 0
-    w = np.where(mask, w, 1.0)
-    a = mc.tensor(np.eye(dims[0]), (v * (w**c * mask)[..., None, :]) @ mc.dagger(v))
+    w, v, mask, power = _support_power(sigma, c)
+    a = mc.tensor(np.eye(dims[0]), power)
     s = s_pm1 = mc.hermitize(a @ rho @ a)
     if p != 2.0:
         ws, vs = np.linalg.eigh(s)
-        ws = np.clip(ws, 0.0, None)
-        if p < 1.0:
-            ws = ws * (ws > 1e-15 * ws.max(axis=-1, keepdims=True))  # below: eigh's rounding of a zero
-        s_pm1 = (vs * np.power(ws, p - 1, out=np.zeros_like(ws), where=ws > 0)[..., None, :]) @ mc.dagger(vs)
+        s_pm1 = (vs * np.clip(ws, 0.0, None)[..., None, :] ** (p - 1)) @ mc.dagger(vs)
     q = np.sum(s_pm1.real * s.real + s_pm1.imag * s.imag, axis=(-2, -1))  # tr(s^(p-1) s)
     value = p_conj * np.log2(q ** (1 / p))
-    thin = np.flatnonzero(~mask.all(axis=-1) & (p > 1.0))
+    thin = np.flatnonzero(~mask.all(axis=-1))
     if thin.size:
         off = (v[thin] * (~mask[thin])[..., None, :]) @ mc.dagger(v[thin])
         leak = np.trace(off @ mc.partial_trace(rho[thin], dims, "B"), axis1=1, axis2=2).real
@@ -201,14 +206,7 @@ def _evaluate(p: float, rho, sigma: np.ndarray, grads: bool = False):
     if not grads:
         return value, mc.partial_trace(mc.hermitize(s_pm1 @ s), dims, "B")
     x = a @ ((p_conj / (q * math.log(2.0)))[:, None, None] * s_pm1)
-    y = mc.partial_trace(2.0 * mc.hermitize(rho @ x), dims, "B")
-    # (w_i^c - w_j^c) / (w_i - w_j) = w_j^(c-1) expm1(c L) / expm1(L), L = ln(w_i / w_j)
-    log_ratio = np.log(w)[..., :, None] - np.log(w)[..., None, :]
-    den = np.expm1(log_ratio)
-    gamma = np.divide(np.expm1(c * log_ratio), den, out=np.full_like(den, c), where=den != 0)
-    gamma *= w[..., None, :] ** (c - 1) * (mask[..., :, None] & mask[..., None, :])
-    grad_sigma = v @ (gamma * (mc.dagger(v) @ y @ v)) @ mc.dagger(v)
-    return value, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
+    return value, _support_power_grad(w, v, mask, c, mc.partial_trace(2.0 * mc.hermitize(rho @ x), dims, "B"))
 
 
 class _RenyiStack:
@@ -297,15 +295,15 @@ class _RenyiStack:
         returns it where it is lower by more than 1e-12, else the iterate, and
         whether the returned point is a polish that reported success."""
 
-        def fun(s: tuple) -> tuple[float, tuple]:
-            v, _, grad = _evaluate(self.p, self.rho[item], self._project(s[0]), grads=True)
-            return float(v[0]), (self._project(grad, normalize=False),)
+        def fun(u: tuple) -> tuple[float, tuple]:
+            v, grad = _evaluate(self.p, self.rho[item], self._project((u[0] @ mc.dagger(u[0]))[None]), grads=True)
+            return float(v[0]), (self._project(grad, normalize=False)[0] @ u[0],)
 
-        m0 = mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5)
-        _, (polish,), success = _density_search(fun, (m0,), {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
-        polish_val = fun((polish,))[0]  # the value of the returned sigma itself
+        m0 = (mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5),)
+        _, (u,), success = _density_search(fun, m0, {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
+        polish_val = fun((u,))[0]  # the value of the returned sigma itself
         if polish_val < value - 1e-12:
-            return polish_val, self._project(polish)[0], success
+            return polish_val, self._project((u @ mc.dagger(u))[None])[0], success
         if not np.isfinite(value):
             raise OptimizerFailed("no sigma-minimization strategy converged")
         return value, sigma, False
@@ -354,6 +352,9 @@ def minimize_renyi_divergence(
     support of rho_B is cut, so on a thin B marginal the value can lie below the infimum
     for the whole state by about the weight cut off (1.6e-11 at p = 1.5 for a 4e-12 eigenvalue).
     """
+    for s in map(mc.asmatrix, sigma_candidates):  # before the search, which a mis-shaped one would only end
+        if s.shape != (dims[1], dims[1]):
+            raise DimMismatch(f"sigma candidate is {s.shape[0]} x {s.shape[1]}, expected {dims[1]} x {dims[1]}")
     rho, k = mc.asmatrix(rho_ab)[None], None if k_a is None else mc.asmatrix(k_a)[None]
     if k is not None and _leaves_support(mc.partial_trace(rho[0], dims, "A"), k[0]):
         return RenyiOptimum(math.inf, mc.partial_trace(rho, dims, "B")[0], True, 0)

@@ -888,6 +888,21 @@ class TestClosingRoundCut:
                 checked += 1
         assert checked >= 12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_svd_of_an_empty_group(self, monkeypatch, seed):
+        # on the n = 4 subspace closure most groups of a closing round keep no residual row
+        # above tol once the round's first directions are in; such a group takes no SVD
+        _, mats = tro_subspace(seed, [(4, 4), (1, 1)], (2, 2), 1e-6)
+        shapes, real_svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert len(alg.smallest_containing_tro(mats)) == 17
+        assert shapes and min(shape[0] for shape in shapes) > 0
+
 
 class TestCanonicalBlockOrder:
     SHAPES = [(1, 3), (2, 2), (2, 1)]

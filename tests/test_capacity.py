@@ -726,6 +726,15 @@ class TestFidelityBound:
         with pytest.raises(BadExponent):
             cap.fidelity_bound(4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, np.float64(4.0), 0, np.int64(0)], ids=repr)
+    def test_anything_but_an_integer_of_at_least_one_raises(self, m):
+        # a code has a whole number of codewords; 2.5 and True gave numbers, as for restarts
+        with pytest.raises(OutOfRange, match="code size must be an integer >= 1"):
+            cap.fidelity_bound(m, 0.1, 2.0)
+
+    def test_numpy_integer_counts_as_its_value(self):
+        assert cap.fidelity_bound(np.int64(4), 0.1, 2.0) == cap.fidelity_bound(4, 0.1, 2.0)
+
 
 class TestRenyiCoherentChannel:
     def test_complete_dephasing_zero(self):
@@ -808,45 +817,99 @@ def fd_renyi_coherent_channel(ch, p, restarts, seed):
     return best
 
 
+class TestKernelBelowOne:
+    """The dual kernel (_dual_value_and_grads) at the exponents beta in [1/2, 1), from the
+    factor of omega_AE, against D_beta of the explicit omega_AE = (id (x) N^c)(psi psi*)."""
+
+    @staticmethod
+    def _reference(omega, tau, beta, rank):
+        """D_beta(omega || 1 (x) tau) = log2 tr (a omega a)^beta / (beta - 1), a = 1 (x)
+        tau^c, c = (1 - beta)/(2 beta), from plain eigendecompositions: tau^c over all
+        of tau's spectrum (0^c = 0), and the ``rank`` largest eigenvalues of a omega a."""
+        w, v = np.linalg.eigh(tau)
+        tau_c = (v * np.clip(w, 0, None) ** ((1 - beta) / (2 * beta))) @ v.conj().T
+        a = np.kron(np.eye(len(omega) // len(tau)), tau_c)
+        lam = np.linalg.eigvalsh(a @ omega @ a)[-rank:]
+        return math.log2(np.sum(lam**beta)) / (beta - 1)
+
+    @staticmethod
+    def _kernel_and_dense(ch, psi, u, beta):
+        """The kernel's value at unit blocks (psi, u), the dense omega_AE and tau = u u*."""
+        extended = tensor_channels(identity_channel(ch.dim_in), Channel(ch.kraus.swapaxes(0, 1)))  # id (x) N^c
+        omega = mc.hermitize(apply(extended, psi @ psi.conj().T))
+        return cap._dual_value_and_grads(ch.kraus, beta, (psi, u))[0], omega, u @ u.conj().T
+
+    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
+    @pytest.mark.parametrize("name", sorted(renyi_channels()))
+    def test_value_matches_plain_eigendecompositions(self, name, beta):
+        # omega_AE has rank d_out, the factor's column count, and tau full rank
+        ch = renyi_channels()[name]
+        rng = np.random.default_rng(31)
+        psi, u = mc.random_complex(rng, (ch.dim_in**2, 1)), mc.random_complex(rng, (ch.dim_env,) * 2)
+        value, omega, tau = self._kernel_and_dense(ch, psi / np.linalg.norm(psi), u / np.linalg.norm(u), beta)
+        assert np.linalg.matrix_rank(omega) == ch.dim_out
+        assert value == pytest.approx(self._reference(omega, tau, beta, ch.dim_out), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
+    def test_product_input_gives_a_rank_one_factor(self, beta):
+        # psi = a (x) |0> on the dephasing qubit (a Schur multiplier, diagonal Kraus operators):
+        # one column of U is zero, so M has one nonzero eigenvalue and the rounding of its
+        # zero must not count
+        ch = renyi_channels()["dephasing"]
+        rng = np.random.default_rng(32)
+        a, u = mc.random_complex(rng, (2,)), mc.random_complex(rng, (2, 2))
+        psi = np.kron(a / np.linalg.norm(a), [1.0, 0.0])[:, None]
+        value, omega, tau = self._kernel_and_dense(ch, psi, u / np.linalg.norm(u), beta)
+        assert np.linalg.matrix_rank(omega) == 1
+        assert value == pytest.approx(self._reference(omega, tau, beta, 1), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
+    def test_no_support_penalty_below_one(self, beta):
+        # tau of rank 3 of 4 (diagonal, so its zero is exact) on the Schur multiplier of
+        # Z_4: D_beta is finite there, and the kernel gives it, with no penalty
+        ch = renyi_channels()["schur_k4"]
+        psi = mc.random_complex(np.random.default_rng(33), (16, 1))
+        u = np.diag(np.sqrt([0.0, 0.2, 0.3, 0.5]))
+        value, omega, tau = self._kernel_and_dense(ch, psi / np.linalg.norm(psi), u, beta)
+        assert value == pytest.approx(self._reference(omega, tau, beta, 4), abs=1e-12)
+
+
 class TestRenyiExactGradient:
     @staticmethod
     def _dual_errors(name, p, block, hs):
         """|central difference - exact directional derivative| of the dual
         objective D_beta(omega_AE || 1 (x) tau) (_dual_value_and_grads) at a
-        seeded pure input psi psi* and a seeded full-rank tau, for each step in
-        ``hs``: along a seeded direction u of the amplitudes (psi renormalized,
-        so the input stays pure: d(psi psi*) = u psi* + psi u* - 2 Re<psi, u>
-        psi psi*), or along a seeded hermitian direction of tau."""
+        seeded unit psi and a seeded u, tau = u u* of full rank and trace 1, for
+        each step in ``hs``: along a seeded direction z of the amplitudes (psi
+        renormalized, so the input stays pure: psi moves by z' = z - Re<psi, z>
+        psi, and the slope is 2 Re<z', G psi>), or along a seeded direction z of
+        u (tau moves by z u* + u z*, and the slope is 2 Re<z, G_tau u>)."""
         ch = renyi_channels()[name]
         d, e, beta = ch.dim_in, ch.dim_env, p / (2 * p - 1)
-        extended = tensor_channels(identity_channel(d), Channel(ch.kraus.swapaxes(0, 1)))
         rng = np.random.default_rng(7)
-        psi = mc.random_complex(rng, (d * d,))
+        psi = mc.random_complex(rng, (d * d, 1))
         psi /= np.linalg.norm(psi)
-        tau = (mc.random_density(rng, e) + np.eye(e) / e) / 2
+        u = mc.matrix_power((mc.random_density(rng, e) + np.eye(e) / e) / 2, 0.5)
 
-        def f(amplitudes, t):
-            unit = amplitudes / np.linalg.norm(amplitudes)
-            return cap._dual_value_and_grads(extended, beta, (np.outer(unit, unit.conj())[None], t[None]))
+        def f(amplitudes, factor):
+            return cap._dual_value_and_grads(ch.kraus, beta, (amplitudes / np.linalg.norm(amplitudes), factor))
 
-        _, (grad_rho, grad_tau) = f(psi, tau)
+        _, (grad_psi, grad_u) = f(psi, u)
         if block == "psi":
-            u = mc.random_complex(rng, (d * d,))
-            u /= np.linalg.norm(u)
-            drho = np.outer(u, psi.conj()) + np.outer(psi, u.conj())
-            drho -= 2 * np.vdot(psi, u).real * np.outer(psi, psi.conj())
-            slope = float(np.vdot(drho, grad_rho[0]).real)  # tr(G dRho) for hermitian G
+            z = mc.random_complex(rng, psi.shape)
+            z /= np.linalg.norm(z)
+            slope = 2 * np.vdot(z - np.vdot(psi, z).real * psi, grad_psi).real
 
             def moved(h):
-                return f(psi + h * u, tau)[0]
+                return f(psi + h * z, u)[0]
 
         else:
-            t = mc.hermitize(mc.random_complex(rng, (e, e)))
-            t /= mc.frobenius(t)
-            slope = float(np.vdot(t, grad_tau[0]).real)
+            z = mc.random_complex(rng, (e, e))
+            z /= np.linalg.norm(z)
+            slope = 2 * np.vdot(z, grad_u).real
 
             def moved(h):
-                return f(psi, tau + h * t)[0]
+                return f(psi, u + h * z)[0]
 
         return [abs((moved(h) - moved(-h)) / (2 * h) - slope) for h in hs]
 
@@ -879,8 +942,8 @@ class TestRenyiExactGradient:
                 searches.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
                 assert len(searches) == 2
-                for objective, (rho, _), _ in searches:
-                    omega = mc.hermitize(apply(extended, rho[0]))
+                for objective, (psi, _), _ in searches:
+                    omega = mc.hermitize(apply(extended, psi @ psi.conj().T))
                     sigma = ent._RenyiStack(omega[None], (d, db), p).minimize(1e-15, 5000).sigma
                     # the fixed point cuts omega_B to its support; with 1e-9 of
                     # the maximally mixed state its sigma covers all of omega_B,
@@ -905,8 +968,8 @@ class TestRenyiExactGradient:
         ch = renyi_channels(0)["phi_alpha"]
         d, db = ch.dim_in, ch.dim_out
         cap.renyi_coherent_channel(ch, 1.5, restarts=2)
-        objective, (rho, _), _ = searches[0]
-        omega = mc.hermitize(apply(tensor_channels(identity_channel(d), ch), rho[0]))
+        objective, (psi, _), _ = searches[0]
+        omega = mc.hermitize(apply(tensor_channels(identity_channel(d), ch), psi @ psi.conj().T))
         wb = np.linalg.eigvalsh(mc.partial_trace(omega, (d, db), "B"))
         assert 0 < wb[0] < mc.SUPPORT_CUTOFF * wb[-1]
         value = ent.minimize_renyi_divergence(omega, (d, db), 1.5).value
@@ -934,6 +997,21 @@ class TestRenyiExactGradient:
             sizes.clear()
             cap.renyi_coherent_channel(ch, 2.0, restarts=restarts, seed=0)
             assert sizes == [2 * (ch.dim_in**2 + ch.dim_env**2)] * restarts and not inner
+
+    def test_forms_no_dense_state(self, monkeypatch):
+        # the dual objective runs on the factor of omega_AE: no channel is applied to a
+        # d^2 x d^2 input or tensored with the identity, and the stack's kernel never runs
+        import trocap.channel as chn
+
+        def never(*args, **kwargs):
+            raise AssertionError("a dense step ran")
+
+        for module, name in ((chn, "apply"), (chn, "adjoint_apply"), (chn, "tensor_channels"), (ent, "_evaluate")):
+            monkeypatch.setattr(module, name, never)
+        monkeypatch.setattr(cap, "_evaluate", never, raising=False)
+        for ch in renyi_channels().values():
+            for p in (1.5, 2.0):
+                assert math.isfinite(cap.renyi_coherent_channel(ch, p, restarts=2))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_or_beats_finite_differences(self, seed):

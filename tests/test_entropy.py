@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import trocap.entropy as ent
 from trocap import matcore as mc
 from trocap.builders import qubit_dephasing
-from trocap.errors import BadExponent, NotNormalized, NotState, OutOfRange
+from trocap.errors import BadExponent, DimMismatch, NotNormalized, NotState, OutOfRange
 
 from helpers import random_pure_state, random_unitary
 
@@ -511,40 +512,6 @@ class TestLeakPenalty:
         assert abs(value[4]) < 1e3
 
 
-class TestKernelBelowOne:
-    """_evaluate at the exponents beta in [1/2, 1) of the dual Renyi search."""
-
-    @staticmethod
-    def _reference(omega, tau, beta, rank):
-        """D_beta(omega || 1 (x) tau) = log2 tr (a omega a)^beta / (beta - 1), a = 1 (x)
-        tau^c, c = (1 - beta)/(2 beta), from plain eigendecompositions: tau^c over all
-        of tau's spectrum (0^c = 0), and the ``rank`` largest eigenvalues of a omega a."""
-        w, v = np.linalg.eigh(tau)
-        a = np.kron(np.eye(2), (v * np.clip(w, 0, None) ** ((1 - beta) / (2 * beta))) @ v.conj().T)
-        lam = np.linalg.eigvalsh(a @ omega @ a)[-rank:]
-        return math.log2(np.sum(lam**beta)) / (beta - 1)
-
-    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
-    @pytest.mark.parametrize("rank", [6, 3, 1])
-    def test_value_matches_plain_eigendecompositions(self, beta, rank):
-        # omega on 2 x 3 of full rank, of rank 3 (as (id (x) N^c)(psi psi*) has
-        # rank at most d_out) and pure: the rounding of the zeros of s must not count
-        rng = np.random.default_rng(31)
-        x = mc.random_complex(rng, (6, rank))
-        omega, tau = x @ x.conj().T / np.vdot(x, x).real, mc.random_density(rng, 3)
-        value = ent._evaluate(beta, omega[None], tau[None])[0][0]
-        assert value == pytest.approx(self._reference(omega, tau, beta, rank), abs=1e-12)
-
-    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
-    def test_no_support_penalty_below_one(self, beta):
-        # tau of rank 2 of 3 (diagonal, so its zero is exact) against a
-        # full-rank omega: D_beta is finite there, and the kernel gives it, with
-        # no penalty
-        omega, tau = mc.random_density(np.random.default_rng(32), 6), np.diag([0.0, 0.3, 0.7])
-        value = ent._evaluate(beta, omega[None], tau[None])[0][0]
-        assert value == pytest.approx(self._reference(omega, tau, beta, 4), abs=1e-12)
-
-
 def _stack_at_two(kind, form, n=3):
     """A seeded stack on 2 x 3 for the p = 2 kernel: (rho, k_pow, sigma).  ``kind``:
     full-rank rho and sigma; pure rho (s of rank 1); or full-rank rho against a sigma of
@@ -576,10 +543,10 @@ class TestKernelAtTwo:
 
     @staticmethod
     def _spectral(rho, k_pow, sigma):
-        """Value, target, grad_rho and grad_sigma of D_2(rho || K (x) sigma) from the
-        eigh of s: Q = sum w^2, the target tr_A[V diag(w^2) V*], x = a V diag(w) V* p'/(Q ln 2),
-        grad_sigma by the divided differences of sigma^c, c = -1/4, on sigma's support,
-        and the value 1e3 + 1e6 tr((K^2c (x) P_off) rho) where rho leaves that support."""
+        """Value, target and grad_sigma of D_2(rho || K (x) sigma) from the eigh of s: Q =
+        sum w^2, the target tr_A[V diag(w^2) V*], x = a V diag(w) V* p'/(Q ln 2), grad_sigma
+        by the divided differences of sigma^c, c = -1/4, on sigma's support, and the value
+        1e3 + 1e6 tr((K^2c (x) P_off) rho) where rho leaves that support."""
         c, dims = -0.25, (2, 3)
         w, v = np.linalg.eigh(sigma)
         on = w > 1e-10 * w.max()
@@ -597,21 +564,20 @@ class TestKernelAtTwo:
             gamma = np.where(wi != wj, (wi**c - wj**c) / (wi - wj), c * wi ** (c - 1))
         gamma = np.where(on[:, None] & on[None, :], gamma, 0)
         grad_sigma = v @ (gamma * (v.conj().T @ y @ v)) @ v.conj().T
-        return value, target, mc.hermitize(x @ a), mc.hermitize(grad_sigma)
+        return value, target, mc.hermitize(grad_sigma)
 
     @pytest.mark.parametrize("form", ["K = 1", "K = rho_A"])
     @pytest.mark.parametrize("kind", ["full_rank", "pure", "thin_sigma"])
     def test_products_match_the_spectral_formulas(self, kind, form):
         rhos, k_pow, sigma = _stack_at_two(kind, form)
         value, target = ent._evaluate(2.0, _folded(rhos, k_pow), sigma)
-        grad_value, grad_rho, grad_sigma = ent._evaluate(2.0, _folded(rhos, k_pow), sigma, grads=True)
+        grad_value, grad_sigma = ent._evaluate(2.0, _folded(rhos, k_pow), sigma, grads=True)
         assert np.array_equal(value, grad_value)
-        grad_rho = _folded(grad_rho, k_pow)  # the chain rule through the fold: the gradient in rho
         for i, (rho, kp, sg) in enumerate(zip(rhos, k_pow, sigma)):
             ref = self._spectral(rho, kp, sg)
             assert (ref[0] > 1e3) == (kind == "thin_sigma")
             assert abs(value[i] - ref[0]) <= 1e-13 * abs(ref[0])
-            for got, want in zip((target[i], grad_rho[i], grad_sigma[i]), ref[1:]):
+            for got, want in zip((target[i], grad_sigma[i]), ref[1:]):
                 assert mc.frobenius(got - want) <= 1e-13 * mc.frobenius(want)
 
     @pytest.mark.parametrize("grads", [False, True])
@@ -647,8 +613,8 @@ PRIVATE_EXPONENT_CALLS = {
 @pytest.mark.parametrize("p", [1.0, 0.75, 0.5])
 @pytest.mark.parametrize("name", sorted(PRIVATE_EXPONENT_CALLS))
 def test_exponents_below_one_stay_private(name, p):
-    # the kernel takes 1/2 <= p < 1 for the dual search alone; no public
-    # function accepts p <= 1
+    # only the dual kernel of renyi_coherent_channel takes exponents in
+    # [1/2, 1); no public function accepts p <= 1
     with pytest.raises(BadExponent):
         PRIVATE_EXPONENT_CALLS[name](p)
 
@@ -692,6 +658,13 @@ class TestSigmaCandidates:
         one = ent.minimize_renyi_divergence(rho, (2, 3), 2.0, max_iter=1, sigma_candidates=(full.sigma,))
         assert len(calls) == 1 and np.array_equal(calls[0][0], full.sigma)
         assert one.value <= full.value + 1e-12
+
+    @pytest.mark.parametrize("call", ["conditional_renyi", "renyi_coherent_information", "renyi_mutual_information"])
+    def test_mis_shaped_candidate_raises_dim_mismatch(self, call):
+        # a 2 x 2 candidate for B = C^3 reached numpy's matmul and raised its ValueError
+        rho = mc.random_density(np.random.default_rng(18), 6)
+        with pytest.raises(DimMismatch, match="sigma candidate is 2 x 2, expected 3 x 3"):
+            getattr(ent, call)(rho, (2, 3), 2.0, sigma_candidates=(np.eye(2) / 2,))
 
 
 class TestNormSandwichPattern:
@@ -1033,43 +1006,39 @@ class TestRenyiGradient:
         rng = np.random.default_rng(25)
         rb = dims[1]
         sigma = (mc.random_density(rng, rb) + np.eye(rb) / rb)[None] / 2
-        value, grad_rho, grad_sigma = ent._evaluate(p, rho_c, sigma, grads=True)
+        value, grad_sigma = ent._evaluate(p, rho_c, sigma, grads=True)
         assert value[0] == pytest.approx(ent._evaluate(p, rho_c, sigma)[0][0], abs=1e-14)
 
         def in_sigma(s):
             return ent._evaluate(p, rho_c, s)[0][0]
 
-        def in_rho(r):
-            return ent._evaluate(p, r, sigma)[0][0]
-
-        for f, x, grad in ((in_sigma, sigma, grad_sigma), (in_rho, rho_c, grad_rho)):
-            e = mc.hermitize(mc.random_complex(rng, x.shape[1:]))[None]
-            coarse, fine = _central_errors(f, x, grad, e / mc.frobenius(e[0]))
-            assert fine < max(coarse / 20, 1e-9)
+        e = mc.hermitize(mc.random_complex(rng, sigma.shape[1:]))[None]
+        coarse, fine = _central_errors(in_sigma, sigma, grad_sigma, e / mc.frobenius(e[0]))
+        assert fine < max(coarse / 20, 1e-9)
 
     @pytest.mark.parametrize("form", ["I_cp", "I_p"])
-    def test_rho_gradients_of_a_mixed_rank_stack(self, form):
-        # B marginals of rank 2 and 3 of 3: each item's gradient on A (x) B against
-        # central differences of D_p(rho || K (x) sigma) at its sigma, along
-        # directions inside the support of 1 (x) sigma (off it D_p is +inf)
+    def test_sigma_gradients_of_a_mixed_rank_stack(self, form):
+        # B marginals of rank 2 and 3 of 3: each item's gradient in sigma, at the stack's
+        # sigma of the same rank, against central differences of D_p(rho || K (x) sigma)
+        # of the unfolded state, along directions inside the support of sigma
         rng, dims, p, c = np.random.default_rng(29), (2, 3), 2.0, -1 / 4  # c = -1/2p'
         rhos = np.concatenate([_thin_outputs(), [mc.random_density(rng, 6) for _ in range(2)]])
         k_as = None if form == "I_cp" else mc.partial_trace(rhos, dims, "A")
         stack = ent._RenyiStack(rhos, dims, p, k_as).minimize()
-        grads = ent._evaluate(p, stack.rho, stack.sigma, grads=True)[1]  # in the folded states
+        grads = ent._evaluate(p, stack.rho, stack.sigma, grads=True)[1]
         for i, rho in enumerate(rhos):
             k = np.eye(2) if k_as is None else k_as[i]
-            fold = np.kron(mc.matrix_power(k, c), stack.proj[i])  # the gradient in rho is fold G fold
-            a = np.kron(mc.matrix_power(k, c), mc.matrix_power(stack.sigma[i], c))
-            proj = np.kron(np.eye(2), mc.support_projector(stack.sigma[i]))
+            proj = mc.support_projector(stack.sigma[i])
+            assert np.linalg.matrix_rank(proj) == np.linalg.matrix_rank(stack.proj[i])
 
-            def value(r):
-                w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ r @ a)), 0.0, None)
+            def value(s):
+                a = np.kron(mc.matrix_power(k, c), mc.matrix_power(s, c))
+                w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ rho @ a)), 0.0, None)
                 return math.log2(np.sum(w**p)) / (p - 1)
 
-            assert value(rho) == pytest.approx(stack.value[i], abs=1e-12)
-            e = proj @ mc.hermitize(mc.random_complex(rng, (6, 6))) @ proj
-            coarse, fine = _central_errors(value, rho, fold @ grads[i] @ fold, e / mc.frobenius(e))
+            assert value(stack.sigma[i]) == pytest.approx(stack.value[i], abs=1e-12)
+            e = proj @ mc.hermitize(mc.random_complex(rng, (3, 3))) @ proj
+            coarse, fine = _central_errors(value, stack.sigma[i], grads[i], e / mc.frobenius(e))
             assert fine < max(coarse / 20, 1e-9)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -1105,38 +1074,41 @@ class TestRenyiGradient:
 class TestDensitySearch:
     @staticmethod
     def _objective(shape):
-        """fun for _density_search and its blocks m0s: D_p(rho || 1 (x) sigma)
-        in a pure rho = psi psi* at a fixed full-rank sigma (one block, d^2 x
-        1), as the fallback's function of sigma through a pinching ``project``
-        (one block, n x n), or D_beta(rho || 1 (x) tau), beta = 2/3, as a
-        function of the pair (psi, tau), the dual search's two blocks."""
+        """fun for _density_search and its blocks m0s: the dual objective D_beta(omega_AE ||
+        1 (x) tau), beta = 2/3, of the dephasing qubit (capacity._dual_value_and_grads) in the
+        amplitudes psi of a pure input at a fixed full-rank tau (one block, d^2 x 1) or as a
+        function of the pair (psi, tau), the dual search's two blocks; or the fallback's
+        D_4(rho || 1 (x) sigma) through a pinching ``project`` (one block, n x n)."""
+        import trocap.capacity as cap
+
         rho, dims = _gradient_states()["dephasing"]
         rng = np.random.default_rng(27)
+        kraus, d = qubit_dephasing(0.3).kraus, dims[0]
         if shape == "purification":
-            sigma = (mc.random_density(rng, dims[1]) + np.eye(dims[1]) / dims[1])[None] / 2
+            u = mc.matrix_power((mc.random_density(rng, d) + np.eye(d) / d) / 2, 0.5)  # tau = u u*, trace 1
 
-            def fun(r):
-                value, grad, _ = ent._evaluate(2.0, r[0], sigma, grads=True)
-                return float(value[0]), (grad,)
+            def fun(units):
+                value, (grad_psi, _) = cap._dual_value_and_grads(kraus, 2 / 3, (units[0], u))
+                return value, (grad_psi,)
 
-            return fun, (mc.random_complex(rng, (dims[0] * dims[1], 1)),)
+            return fun, (mc.random_complex(rng, (d * d, 1)),)
         if shape == "pair":
-            def fun(pair):
-                value, grad, grad_tau = ent._evaluate(2 / 3, pair[0], pair[1], grads=True)
-                return float(value[0]), (grad, grad_tau)
-
-            return fun, (mc.random_complex(rng, (dims[0] * dims[1], 1)), mc.random_complex(rng, (dims[1],) * 2))
+            return partial(cap._dual_value_and_grads, kraus, 2 / 3), (
+                mc.random_complex(rng, (d * d, 1)),
+                mc.random_complex(rng, (d, d)),
+            )
         stack = ent._RenyiStack(rho[None], dims, 4.0, project=lambda s: np.diag(np.diag(s)))
 
-        def fun(s):
-            value, _, grad = ent._evaluate(4.0, stack.rho, stack._project(s[0]), grads=True)
-            return float(value[0]), (stack._project(grad, normalize=False),)
+        def fun(units):
+            sigma = stack._project((units[0] @ units[0].conj().T)[None])
+            value, grad = ent._evaluate(4.0, stack.rho, sigma, grads=True)
+            return float(value[0]), (stack._project(grad, normalize=False)[0] @ units[0],)
 
         return fun, (mc.random_complex(rng, (dims[1],) * 2),)
 
     @pytest.mark.parametrize("shape", ["purification", "pinched_sigma", "pair"])
     def test_packed_gradient_matches_central_differences(self, monkeypatch, shape):
-        # the chain rule 2 (G m - tr(m* G m)/t m)/t through rho = m m*/t, block by block
+        # the chain rule 2 (G u - Re<u, G u> u)/|m| through u u*, u = m/|m|, block by block
         import scipy.optimize
 
         real, seen = scipy.optimize.minimize, []
@@ -1147,10 +1119,12 @@ class TestDensitySearch:
 
         monkeypatch.setattr(scipy.optimize, "minimize", recording)
         fun, m0s = self._objective(shape)
-        value, densities, _ = ent._density_search(fun, m0s, {"maxiter": 5})
+        value, units, _ = ent._density_search(fun, m0s, {"maxiter": 5})
         ((packed, x0),) = seen
-        assert x0.size == 2 * sum(m.size for m in m0s) and len(densities) == len(m0s)
-        assert value == pytest.approx(fun(densities)[0], abs=1e-14)
+        assert x0.size == 2 * sum(m.size for m in m0s) and len(units) == len(m0s)
+        for u, m in zip(units, m0s):
+            assert u.shape == m.shape and np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+        assert value == pytest.approx(fun(units)[0], abs=1e-14)
         rng = np.random.default_rng(28)
         for x in (x0, x0 + 0.3 * rng.normal(size=x0.size)):
             e = rng.normal(size=x.size)

@@ -38,6 +38,8 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert len(min(closure)[1]()()) == 5  # the closure is the TRO itself, of dimension n^2 + 1
     pauli = curves[("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)")]
     assert sorted(size for size, _ in pauli) == [4, 16, 64]
+    schur = curves[("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2")]
+    assert sorted(size for size, _ in schur) == [4, 6, 8]  # k = 4 runs below
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()
 

@@ -60,7 +60,9 @@ curve:
     and renyi_coherent_channel at p = 2, one restart (one L-BFGS-B search over
     pairs (psi, tau) of the dual objective, with no inner minimization), on the
     qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
-    dimension).
+    dimension), and on the Schur cyclic(k) channel of the seeded kernel above,
+    k in 4, 6, 8 (input, output and environment dimension k, so omega_AE's
+    factor has k columns against the k^2 x k^2 input state).
 
 Each case is (section, name, size, setup); setup() builds the inputs and
 returns the call to time.
@@ -210,6 +212,11 @@ def renyi_channel_case(name: str):
     return lambda: capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
 
 
+def renyi_schur_case(k: int):
+    ch = builders.schur_multiplier_channel(builders.cyclic_group(k), schur_kernel(k)[:, 0])
+    return lambda: capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
+
+
 VERIFY_CHANNELS = ("phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)")
 CASES = [
     *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k))
@@ -256,6 +263,8 @@ CASES = [
      partial(renyi_channel_case, "dephasing(0.3)")),
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
      partial(renyi_channel_case, "phi_alpha(0.4)")),
+    *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k, partial(renyi_schur_case, k))
+      for k in (4, 6, 8)),
 ]
 
 
