@@ -264,9 +264,7 @@ def _init_pool(
     """Square roots of the restart densities (at least one; init states are
     d_in x d_in): structured inits first, then the maximally mixed state,
     then seeded random fills."""
-    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
-        raise OutOfRange(f"restarts must be an integer >= 1, got {restarts!r}")
-    d = ch.dim_in
+    d, restarts = ch.dim_in, mc._count(restarts, "restarts")
     pool: list[np.ndarray] = []
     for s in map(mc.asmatrix, list(init_states or [])[:restarts]):
         if s.shape != (d, d):
@@ -361,10 +359,8 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
     """
     if not (p > 1.0):
         raise BadExponent(f"fidelity bound needs p > 1, got {p}")
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:  # as _init_pool's restarts
-        raise OutOfRange(f"code size must be an integer >= 1, got {m!r}")
     p_conj = mc.conjugate_exponent(p)
-    return float(m ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
+    return float(mc._count(m, "code size") ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
 
 
 def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple[float, tuple]:
@@ -418,7 +414,7 @@ def renyi_coherent_channel(
         nudge = np.random.default_rng((seed, k, 1)).standard_normal((2, *g.shape))
         g = g + 1e-3 * np.linalg.norm(g) / math.sqrt(2 * g.size) * (nudge[0] + 1j * nudge[1])
         start = (g.reshape(-1, 1), mc.matrix_power(chn.complement_apply(ch, g.T @ g.conj()).T, 0.5))
-        best = max(best, -_density_search(fun, start, {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-10})[0])
+        best = max(best, -_density_search(fun, start, 200)[0])
     return best
 
 

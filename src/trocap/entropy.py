@@ -9,8 +9,8 @@ The minimization over sigma runs a damped fixed-point iteration (the
 stationarity condition sigma ~ tr_A[(sandwich)^p]) on a stack of states at
 once, each item with its own step, halved whenever an update would raise the
 value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
-with no 2-cycle.  Items that do not settle get one exact-gradient L-BFGS-B
-polish from their last iterate (``_density_search``), none from random starts.
+with no 2-cycle.  An item that does not settle gets one exact-gradient L-BFGS-B polish from its
+last iterate (``_density_search``), none from random starts, and is not ``converged``.
 Each stack folds K into its states once, D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma)
 for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value, fixed-point target and
 gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); its sigma side
@@ -138,11 +138,11 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
-def _density_search(fun, m0s: tuple, options: dict) -> tuple[float, tuple, bool]:
+def _density_search(fun, m0s: tuple, maxiter: int) -> tuple[float, tuple]:
     """L-BFGS-B from the blocks m0s over tuples of unit blocks u = m/|m|, m complex of any shape (n x n for a density
     u u*; d^2 x 1 for a pure input's amplitudes).  ``fun`` maps the tuple of unit blocks to its value and the products
     G u, G the hermitian gradient in u u*; the chain rule gives 2 (G u - Re<u, G u> u)/|m| per block, all entries
-    packed as real then imaginary parts.  Returns the end value and unit blocks, and scipy's success flag."""
+    packed as real then imaginary parts; ftol 1e-13, gtol 1e-10.  Returns the end value and unit blocks."""
     from scipy import optimize
 
     def blocks(x: np.ndarray) -> list[np.ndarray]:
@@ -160,8 +160,9 @@ def _density_search(fun, m0s: tuple, options: dict) -> tuple[float, tuple, bool]
         return value, np.concatenate([h.real, h.imag])
 
     z0 = np.concatenate([m.reshape(-1) for m in m0s])
+    options = {"maxiter": maxiter, "ftol": 1e-13, "gtol": 1e-10}
     res = optimize.minimize(packed, np.concatenate([z0.real, z0.imag]), method="L-BFGS-B", jac=True, options=options)
-    return float(res.fun), tuple(m / np.linalg.norm(m) for m in blocks(res.x)), bool(res.success)
+    return float(res.fun), tuple(m / np.linalg.norm(m) for m in blocks(res.x))
 
 
 def _support_power(sigma: np.ndarray, c: float):
@@ -218,8 +219,8 @@ class _RenyiStack:
     invertible on supp rho_A wherever a stack is built (minimize_renyi_divergence returns
     +inf first otherwise; verify's K is the A marginal), so that marginal has the support of
     P rho_B P and only the penalty's size depends on K.  :meth:`minimize` fills the per-item
-    arrays ``value``, ``sigma``, ``converged``, ``fixed`` (the fixed point met its tolerance)
-    and ``iterations``."""
+    arrays ``value``, ``sigma``, ``converged`` (the fixed point met its tolerance; False for an
+    item that fell back to the polish, whatever the polish gives) and ``iterations``."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
@@ -254,14 +255,14 @@ class _RenyiStack:
         with d/(1-r) < tol, r = d over the decrease before (the tail of a
         geometric series).  An item whose T has no trace, whose b falls below
         1e-10 or that is not fixed after ``max_iter`` rounds (``iterations``
-        counts rounds) gets one L-BFGS-B polish."""
+        counts rounds) gets one L-BFGS-B polish and stays not ``converged``."""
         rho, n = self.rho, len(self.rho)
         sigma = self._feasible(slice(None), self.rho_b)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
         value, target = _evaluate(self.p, rho, sigma)
         active, beta0 = np.arange(n), min(0.5, 0.9 / self.p)
         beta, last, self.iterations = np.full(n, beta0), np.full(n, np.inf), np.full(n, max_iter)
-        self.fixed, was_flat, polished = np.zeros((3, n), dtype=bool)
+        self.converged, was_flat = np.zeros((2, n), dtype=bool)
         for j in range(max_iter):
             tr = np.trace(target[active], axis1=1, axis2=2).real
             ok = np.isfinite(tr) & (tr > 0) & (beta[active] >= 1e-10)
@@ -282,31 +283,30 @@ class _RenyiStack:
             win = active[~up]
             value[win], sigma[win], target[win] = cand_val[~up], cand[~up], cand_target[~up]
             beta[active[up]] /= 2
-            self.fixed[active[met]], self.iterations[active[met]] = True, j + 1
+            self.converged[active[met]], self.iterations[active[met]] = True, j + 1
             active = active[~met]
-        for i in np.flatnonzero(~self.fixed):
-            value[i], sigma[i], polished[i] = self._fallback(slice(i, i + 1), value[i], sigma[i])
-        self.value, self.sigma, self.converged = value, sigma, self.fixed | polished
+        for i in np.flatnonzero(~self.converged):
+            value[i], sigma[i] = self._fallback(slice(i, i + 1), value[i], sigma[i])
+        self.value, self.sigma = value, sigma
         return self
 
     def _fallback(self, item: slice, value: float, sigma: np.ndarray):
         """One L-BFGS-B polish of one item from its accepted iterate, with the
         exact gradient (:func:`_evaluate`, taken back through ``project``);
-        returns it where it is lower by more than 1e-12, else the iterate, and
-        whether the returned point is a polish that reported success."""
+        returns its (value, sigma) where it is lower by more than 1e-12, else the iterate's."""
 
         def fun(u: tuple) -> tuple[float, tuple]:
             v, grad = _evaluate(self.p, self.rho[item], self._project((u[0] @ mc.dagger(u[0]))[None]), grads=True)
             return float(v[0]), (self._project(grad, normalize=False)[0] @ u[0],)
 
         m0 = (mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5),)
-        _, (u,), success = _density_search(fun, m0, {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10})
+        _, (u,) = _density_search(fun, m0, 120)
         polish_val = fun((u,))[0]  # the value of the returned sigma itself
         if polish_val < value - 1e-12:
-            return polish_val, self._project((u @ mc.dagger(u))[None])[0], success
+            return polish_val, self._project((u @ mc.dagger(u))[None])[0]
         if not np.isfinite(value):
             raise OptimizerFailed("no sigma-minimization strategy converged")
-        return value, sigma, False
+        return value, sigma
 
     def improve(self, sigmas: np.ndarray) -> None:
         """One candidate sigma on B per item with trace on the item's B
@@ -318,7 +318,6 @@ class _RenyiStack:
         cv = _evaluate(self.p, self.rho[idx], sc)[0]
         win = cv < self.value[idx]
         self.value[idx[win]], self.sigma[idx[win]] = cv[win], sc[win]
-        self.converged[idx[win]] = self.fixed[idx[win]]
 
 
 def minimize_renyi_divergence(
@@ -345,9 +344,8 @@ def minimize_renyi_divergence(
     HS-self-adjoint and preserves the trace, as a conditional expectation
     does; any other map still gives feasible values, with a weaker polish.
     ``sigma_candidates`` are extra feasible points whose values are taken
-    into account (the infimum can only improve).  ``converged`` is True only
-    when the monotone fixed point met ``tol`` (``_RenyiStack.minimize``) or
-    the returned sigma is an L-BFGS-B polish that reported success;
+    into account (the infimum can only improve) and leave ``converged`` as it is: True only when the
+    monotone fixed point met ``tol`` (``_RenyiStack.minimize``), False after the L-BFGS-B polish;
     ``iterations`` counts the fixed-point rounds.  The state's B part off the 1e-10
     support of rho_B is cut, so on a thin B marginal the value can lie below the infimum
     for the whole state by about the weight cut off (1.6e-11 at p = 1.5 for a 4e-12 eigenvalue).
@@ -422,10 +420,11 @@ def s1_sp_norm(rho_ab: np.ndarray, dims: tuple[int, int], p: float, seed: int = 
 def entropy_defect(f) -> float:
     """Normalized entropy defect tau(f log2 f) = log2(d) - H(f / d).
 
-    ``f`` is a normalized density (unit normalized trace); the value lies
-    in [0, log2 d] and is the width of every comparison window downstream.
+    ``f`` is a normalized density (PSD, unit normalized trace, else NotNormalized); the value
+    lies in [0, log2 d] and is the width of every comparison window downstream.
     """
     arr = mc.asmatrix(getattr(f, "f", f))
     w, _ = mc.herm_eig(arr)  # first, so a mis-shaped f raises DimMismatch
+    mc._require_psd(w, NotNormalized, "symbol must be positive semidefinite")  # as algebra._certify
     mc._require_unit_trace(arr, NotNormalized, "normalized trace is {:.8f}, expected 1")
     return -float(spectral_entropy(w)) / arr.shape[0]

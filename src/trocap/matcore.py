@@ -11,7 +11,7 @@ _rank_mask, _require_psd, _require_unit_trace, _require_identity), to which
 callers pass their own exception type and message.  Cuts are relative to the
 largest value, the PSD test to max(1, lambda_max).  A threshold that one
 function applies (step rules, CEILING_RTOL, TRO_TOL, ...) stays beside the code it tunes.
-Block sizes, read by the builders and the capacity formulas, pass one rule (_block_size).
+Block sizes, read by the builders and the capacity formulas, pass one rule (_block_size), counts another (_count).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadExponent, DimMismatch, EmptyBlocks, NotHermitian, NotPSD
+from .errors import BadExponent, DimMismatch, EmptyBlocks, NotHermitian, NotPSD, OutOfRange
 
 SUPPORT_CUTOFF = 1e-10  # eigenvalues below this times lambda_max are off the support
 HERMITIAN_TOL = 1e-12  # A is hermitian when max |A - A*| <= HERMITIAN_TOL * (1 + max |A|)
@@ -119,6 +119,13 @@ def _block_size(n) -> int:
         raise DimMismatch(f"block sizes must be integers, got {n!r}")
     if n < 1:
         raise EmptyBlocks(f"block sizes must be >= 1, got {n}")
+    return int(n)
+
+
+def _count(n, name: str) -> int:
+    """n as a count: a Python or NumPy integer, not a bool, of at least 1 (else OutOfRange)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise OutOfRange(f"{name} must be an integer >= 1, got {n!r}")
     return int(n)
 
 

@@ -4,8 +4,8 @@ Samples channels inputs, reference marginals, and norm exponents, then
 asserts the comparison inequalities that the rest of the package relies on:
 the two-sided norm sandwiches (plain and sandwiched by a reference
 marginal), the entropic windows with gap tau(f log f) and their Renyi
-analogs, and coherence of tensor-product symbols.  Failures are report
-content, not exceptions, and every report is seed-reproducible.
+analogs, and coherence of tensor-product symbols.  Failures are report content, not exceptions,
+and every report is seed-reproducible; a sample count below 1 or not an integer raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def verify_local_comparison(
     the space's channel: the left algebra's block basis U is read from its
     certificate, and DimMismatch is raised when it does not fit the space.
     """
-    report = VerificationReport("local_comparison", samples, seed, tolerance)
+    report = VerificationReport("local_comparison", mc._count(samples, "samples"), seed, tolerance)
     n = base_channel(space)
     nf = modified_channel(space, symbol)  # InvalidSymbol unless f acts on the environment
     decomp = symbol.certificate.decomposition
@@ -116,9 +116,8 @@ def verify_local_comparison(
         raise DimMismatch(f"symbol's structure has output dim {len(u)}, space {space.dim_out}")
     fnorms = {p: math.log2(mc.normalized_p_norm(symbol.f, p)) for p in ps}
     rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
-    draws = [(mc.random_density(rng, space.dim), mc.random_psd(rng, space.dim_out)) for rng in rngs]
-    rho = np.array([r for r, _ in draws]).reshape(samples, space.dim, space.dim)
-    e = alg._block_expectation(u, shapes, np.array([x for _, x in draws]).reshape(samples, len(u), len(u)))
+    rho, x = map(np.array, zip(*[(mc.random_density(r, space.dim), mc.random_psd(r, space.dim_out)) for r in rngs]))
+    e = alg._block_expectation(u, shapes, x)
     sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e, axis1=-2, axis2=-1).real[:, None, None]
     out, out_f = apply(n, rho), apply(nf, rho)
     named = []
@@ -147,16 +146,14 @@ def verify_entropic(
     six inequalities: H(AB) drops by at most tau(f log f) under the
     modification, coherent and mutual information rise by at most the same
     gap; the Renyi analogs use gap p' log ||f||_{p,tau}.  Their values are stack minima
-    (entropy._RenyiStack), which drop each state's B part off the 1e-10 support of its B
-    marginal: there a value can lie below the infimum (1.6e-11 at p = 1.5 for a 4e-12 part).
+    (entropy._RenyiStack, whose ``converged`` flags go unread), which drop each state's B part off the 1e-10
+    support of its B marginal: there a value can lie below the infimum (1.6e-11 at p = 1.5 for a 4e-12 part).
     """
-    report = VerificationReport("entropic", samples, seed, tolerance)
+    report = VerificationReport("entropic", mc._count(samples, "samples"), seed, tolerance)
     defect = entropy_defect(symbol)
     da = space.dim
     dims = (da, space.dim_out)
-    rho = np.array(
-        [mc.random_density(np.random.default_rng((seed, i)), da * da) for i in range(samples)]
-    ).reshape(samples, da * da, da * da)
+    rho = np.array([mc.random_density(np.random.default_rng((seed, i)), da * da) for i in range(samples)])
     chans = (base_channel(space), modified_channel(space, symbol))
     omega, omega_f = (_apply_ancilla(ch, rho, da) for ch in chans)
     (h, ha, hb), (hf, haf, hbf) = (bipartite_entropies(w, dims) for w in (omega, omega_f))
@@ -193,7 +190,7 @@ def verify_tensor_symbol(
     families, so no Choi matrix is formed), checks additivity of the entropy
     defect, and spot-checks equality on random inputs.
     """
-    report = VerificationReport("tensor_symbol", samples, seed, tolerance)
+    report = VerificationReport("tensor_symbol", mc._count(samples, "samples"), seed, tolerance)
     nm = tensor_channels(base_channel(space_a), base_channel(space_b))
     f_tensor = mc.tensor(symbol_a.f, symbol_b.f)
     joint = alg._modified(nm, f_tensor, seed)

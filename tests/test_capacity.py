@@ -930,8 +930,8 @@ class TestRenyiExactGradient:
         # has converged in tau, within 1e-8 of it
         searches, real = [], cap._density_search
 
-        def recording(fun, m0s, options):
-            searches.append(real(fun, m0s, options))
+        def recording(fun, m0s, maxiter):
+            searches.append(real(fun, m0s, maxiter))
             return searches[-1]
 
         monkeypatch.setattr(cap, "_density_search", recording)
@@ -942,7 +942,7 @@ class TestRenyiExactGradient:
                 searches.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
                 assert len(searches) == 2
-                for objective, (psi, _), _ in searches:
+                for objective, (psi, _) in searches:
                     omega = mc.hermitize(apply(extended, psi @ psi.conj().T))
                     sigma = ent._RenyiStack(omega[None], (d, db), p).minimize(1e-15, 5000).sigma
                     # the fixed point cuts omega_B to its support; with 1e-9 of
@@ -960,15 +960,15 @@ class TestRenyiExactGradient:
         # 1.6e-11; this records the side and bounds the size at 1e-10
         searches, real = [], cap._density_search
 
-        def recording(fun, m0s, options):
-            searches.append(real(fun, m0s, options))
+        def recording(fun, m0s, maxiter):
+            searches.append(real(fun, m0s, maxiter))
             return searches[-1]
 
         monkeypatch.setattr(cap, "_density_search", recording)
         ch = renyi_channels(0)["phi_alpha"]
         d, db = ch.dim_in, ch.dim_out
         cap.renyi_coherent_channel(ch, 1.5, restarts=2)
-        objective, (psi, _), _ = searches[0]
+        objective, (psi, _) = searches[0]
         omega = mc.hermitize(apply(tensor_channels(identity_channel(d), ch), psi @ psi.conj().T))
         wb = np.linalg.eigvalsh(mc.partial_trace(omega, (d, db), "B"))
         assert 0 < wb[0] < mc.SUPPORT_CUTOFF * wb[-1]

@@ -318,24 +318,28 @@ class TestRenyiConvergedFlag:
         opt = ent.minimize_renyi_divergence(np.eye(6) / 6, (2, 3), 2.0)
         assert opt.converged and opt.iterations < 400
 
-    def test_fallback_reports_the_returned_polish(self, monkeypatch):
+    def test_returned_polish_is_not_converged(self, monkeypatch):
+        # the polish lowers the value and its sigma is returned, yet only the
+        # fixed point's own stop test sets the flag, and it did not pass
         opt, results = self._run(monkeypatch)
         assert opt.iterations == 400 and len(results) == 1  # the fallback ran
-        winner = [r for r in results if r.fun == opt.value]
-        assert len(winner) == 1 and opt.converged == bool(winner[0].success)
+        assert results[0].success and results[0].fun == opt.value and not opt.converged
 
-    def test_failed_polish_is_not_converged(self, monkeypatch):
+    @pytest.mark.parametrize("success", [False, True])
+    def test_scipy_status_is_not_read(self, monkeypatch, success):
+        # whatever scipy reports, the value, sigma and flag stay the same
         reference, _ = self._run(monkeypatch)
 
-        def fail(res, args):
-            res.success = False
+        def report(res, args):
+            res.success, res.message = success, "patched"
 
-        opt, _ = self._run(monkeypatch, fail)
-        assert opt.value == reference.value and not opt.converged
+        opt, _ = self._run(monkeypatch, report)
+        assert opt.value == reference.value and np.array_equal(opt.sigma, reference.sigma)
+        assert opt.converged is reference.converged is False
 
     def test_fallback_that_improves_nothing_is_not_converged(self, monkeypatch):
         # the polish stays at its start, so the fixed point's iterate is
-        # returned although the "polish" reports success
+        # returned, not converged, whatever the "polish" reports
         def stay(res, args):
             res.x, res.success = args[1], True
 
@@ -362,7 +366,7 @@ class TestMonotoneStepControl:
         # a fixed step of 0.225 reported converged after 138 iterations here,
         # 2.6e-4 above the minimum
         opt, values = self._run(monkeypatch, third_thin_draw(1e-2), 4.0)
-        assert opt.fixed[0] and opt.iterations[0] == len(values) - 1  # one step per round
+        assert opt.converged[0] and opt.iterations[0] == len(values) - 1  # one step per round
         accepted = values[:1]
         for v in values[1:]:
             if v <= accepted[-1]:
@@ -375,7 +379,7 @@ class TestMonotoneStepControl:
         # the maximally mixed state starts at its minimizer 1/3: every
         # candidate is flat, and the second flat round fixes the item
         opt, values = self._run(monkeypatch, np.eye(6, dtype=complex) / 6, 2.0)
-        assert opt.fixed[0] and opt.iterations[0] == 2 and len(values) == 3
+        assert opt.converged[0] and opt.iterations[0] == 2 and len(values) == 3
         assert opt.value[0] == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -700,6 +704,15 @@ class TestEntropyDefect:
         with pytest.raises(NotNormalized):
             ent.entropy_defect(np.eye(2) * 1.5)
 
+    def test_significantly_negative_eigenvalue_raises(self):
+        # unit normalized trace but not PSD: this f read 1.652, above log2 d = 1
+        with pytest.raises(NotNormalized, match="symbol must be positive semidefinite"):
+            ent.entropy_defect(np.diag([2.5, -0.5]))
+
+    def test_rounding_level_negative_eigenvalue_is_clipped(self):
+        # within the PSD rule's 1e-10 max(1, lambda_max): the eigenvalue counts as 0
+        assert ent.entropy_defect(np.diag([2.0, -1e-12])) == pytest.approx(1.0, abs=1e-12)
+
     def test_range(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -766,7 +779,8 @@ def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
     L-BFGS-B polish from the last iterate as the fallback (exact gradient,
     _loop_grad) and candidates for one state, with two eigh of sigma, two
     np.kron and an eigvalsh per round;
-    returns (value, sigma, converged, iterations)."""
+    returns (value, sigma, converged, iterations), converged only when the
+    fixed point met its tolerance."""
     from scipy import optimize
 
     da, tol, max_iter = dims[0], 1e-9, 400
@@ -838,13 +852,12 @@ def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
         )
         g = root(res.x) @ mc.dagger(root(res.x))
         g = g / np.trace(g).real
-        return val(g), g, bool(res.success)
+        return val(g), g
 
-    polished = False
     if not converged:
-        pv, ps, ok = polish(best_sigma)
+        pv, ps = polish(best_sigma)
         if pv < best_val - 1e-12:
-            best_val, best_sigma, polished = pv, ps, ok
+            best_val, best_sigma = pv, ps
     for cand in sigma_candidates:
         sc = mc.dagger(frame) @ cand @ frame
         tr = float(np.trace(sc).real)
@@ -852,8 +865,8 @@ def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
             sc = mc.hermitize(sc / tr)
             cv = val(sc)
             if cv < best_val:
-                best_val, best_sigma, polished = cv, sc, False
-    return best_val, frame @ best_sigma @ mc.dagger(frame), converged or polished, iters
+                best_val, best_sigma = cv, sc
+    return best_val, frame @ best_sigma @ mc.dagger(frame), converged, iters
 
 
 def _qubit_outputs():
@@ -903,7 +916,7 @@ def assert_matches_loop(rhos, dims, p, k_as):
         assert opt.value[i] == pytest.approx(value, abs=1e-12)
         assert bool(opt.converged[i]) == converged
         assert opt.iterations[i] == iters
-        if opt.fixed[i]:  # a polish's sigma is only as sharp as its value
+        if opt.converged[i]:  # a polish's sigma is only as sharp as its value
             assert np.allclose(opt.sigma[i], sigma, atol=1e-9)
     return opt
 
@@ -921,7 +934,7 @@ class TestRenyiStack:
     def test_fallback_inside_a_stack_matches_loop(self):
         rhos = np.concatenate([crawling_state()[None], _thin_outputs()])
         opt = assert_matches_loop(rhos, (2, 3), 4.0, None)
-        assert opt.iterations[0] == 400 and not opt.fixed[0] and opt.fixed[1:].all()
+        assert opt.iterations[0] == 400 and not opt.converged[0] and opt.converged[1:].all()
 
     @pytest.mark.parametrize("name", ["qubit", "rank2of3"])
     def test_candidates_match_sequential_loop(self, name):
@@ -1119,7 +1132,7 @@ class TestDensitySearch:
 
         monkeypatch.setattr(scipy.optimize, "minimize", recording)
         fun, m0s = self._objective(shape)
-        value, units, _ = ent._density_search(fun, m0s, {"maxiter": 5})
+        value, units = ent._density_search(fun, m0s, 5)
         ((packed, x0),) = seen
         assert x0.size == 2 * sum(m.size for m in m0s) and len(units) == len(m0s)
         for u, m in zip(units, m0s):
@@ -1138,9 +1151,9 @@ class TestDensitySearch:
 
         real, shapes = ent._density_search, []
 
-        def counted(fun, m0s, options):
+        def counted(fun, m0s, maxiter):
             shapes.append(tuple(m.shape for m in m0s))
-            return real(fun, m0s, options)
+            return real(fun, m0s, maxiter)
 
         monkeypatch.setattr(ent, "_density_search", counted)
         monkeypatch.setattr(cap, "_density_search", counted)
@@ -1150,4 +1163,4 @@ class TestDensitySearch:
         # the maximally mixed state is fixed after two rounds, the others not
         rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])
         opt = ent._RenyiStack(rhos, (2, 3), 2.0).minimize(max_iter=3)
-        assert opt.fixed.tolist() == [False, False, True] and shapes == [((3, 3),)] * 2
+        assert opt.converged.tolist() == [False, False, True] and shapes == [((3, 3),)] * 2

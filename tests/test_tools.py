@@ -38,6 +38,11 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert len(min(closure)[1]()()) == 5  # the closure is the TRO itself, of dimension n^2 + 1
     pauli = curves[("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)")]
     assert sorted(size for size, _ in pauli) == [4, 16, 64]
+    polish = curves[("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4")]
+    assert sorted(size for size, _ in polish) == [1, 4, 16]
+    # every item runs all 400 rounds, then the polish, which sets no convergence flag
+    opt = min(polish)[1]()()
+    assert opt.iterations.tolist() == [400] and opt.converged.tolist() == [False]
     schur = curves[("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2")]
     assert sorted(size for size, _ in schur) == [4, 6, 8]  # k = 4 runs below
     for cases in curves.values():

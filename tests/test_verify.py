@@ -15,7 +15,7 @@ from trocap.builders import (
     qubit_dephasing,
 )
 from trocap.channel import stinespring_space
-from trocap.errors import BadExponent, DimMismatch, NotIndependent
+from trocap.errors import BadExponent, DimMismatch, NotIndependent, OutOfRange
 
 
 def dephasing_pair(q):
@@ -184,6 +184,30 @@ class TestTensorSymbol:
         chp = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         rep = verify.verify_tensor_symbol(sa, fa, chp.base_space, chp.symbol, samples=3, seed=1)
         assert rep.passed and rep.worst_slack >= -1e-12
+
+
+SUITE_CALLS = {
+    "local_comparison": lambda sp, sy, n: verify.verify_local_comparison(sp, sy, samples=n),
+    "entropic": lambda sp, sy, n: verify.verify_entropic(sp, sy, samples=n),
+    "tensor_symbol": lambda sp, sy, n: verify.verify_tensor_symbol(sp, sy, sp, sy, samples=n),
+}
+
+
+class TestSampleCount:
+    # what --samples already requires: a count of at least 1; a negative or zero count
+    # passed with no check run, and 2.5 raised a bare TypeError
+    @pytest.mark.parametrize("samples", [-1, 0, 2.5, np.float64(2.0), True, "3", None, np.int64(0)])
+    @pytest.mark.parametrize("suite", sorted(SUITE_CALLS))
+    def test_anything_but_an_integer_of_at_least_one_raises(self, suite, samples):
+        space, sym = dephasing_pair(0.3)
+        with pytest.raises(OutOfRange, match="samples must be an integer >= 1"):
+            SUITE_CALLS[suite](space, sym, samples)
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_CALLS))
+    def test_numpy_integer_counts_as_its_value(self, suite):
+        space, sym = dephasing_pair(0.3)
+        plain, numpy = (SUITE_CALLS[suite](space, sym, n).to_dict() for n in (2, np.int64(2)))
+        assert numpy == plain and type(numpy["samples"]) is int
 
 
 class TestAggregate:
@@ -387,6 +411,7 @@ class TestLocalComparisonStack:
             assert slack == pytest.approx(expected, abs=1e-12), name
 
     def test_no_samples(self):
+        # a report over no samples would pass with no check run
         space, sym = dephasing_pair(0.3)
-        rep = verify.verify_local_comparison(space, sym, samples=0)
-        assert rep.passed and rep.failures == []
+        with pytest.raises(OutOfRange, match="samples must be an integer >= 1, got 0"):
+            verify.verify_local_comparison(space, sym, samples=0)

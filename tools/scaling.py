@@ -56,7 +56,10 @@ curve:
     takes no eigendecomposition of the sandwich there) and at p = 1.5 (it
     does), each with K = 1 (I_cp) and with K = rho_A, the outputs' A marginal
     (I_p: half of every verify entropic stack), and on 16, 64 and 256 seeded
-    states on 2 x 3 whose B marginal has rank 2 at p = 2;
+    states on 2 x 3 whose B marginal has rank 2 at p = 2; and at p = 4 on 1, 4
+    and 16 seeded states (1 - 1e-8) rho0 + 1e-8 g on 2 x 3, rho0 the state g
+    cut to B rank 2 and normalized, whose every item runs all 400 rounds and
+    then takes the L-BFGS-B polish (no benchmark job reaches the polish);
     and renyi_coherent_channel at p = 2, one restart (one L-BFGS-B search over
     pairs (psi, tau) of the dual objective, with no inner minimization), on the
     qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
@@ -191,6 +194,15 @@ def thin_stack_case(n: int):
     return lambda: entropy._RenyiStack(rhos, (2, 3), 2.0).minimize()
 
 
+def polish_stack_case(n: int):
+    keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+    gs = np.array([matcore.random_density(np.random.default_rng((2, i)), 6) for i in range(n)])
+    rho0 = keep @ gs @ keep
+    rho0 /= np.trace(rho0, axis1=1, axis2=2).real[:, None, None]
+    rhos = (1 - 1e-8) * rho0 + 1e-8 * gs
+    return lambda: entropy._RenyiStack(rhos, (2, 3), 4.0).minimize()
+
+
 def one_shot_case(restarts: int):
     ch = builders.partial_trace_sum_channel([(2, 2), (3, 1)])
     return lambda: capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)  # the full ascent, as before
@@ -253,6 +265,8 @@ CASES = [
       for p in (2.0, 1.5) for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
       for n in (16, 64, 256)),
+    *(("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4", n, partial(polish_stack_case, n))
+      for n in (1, 4, 16)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
     ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 0.4, 16)),
     *(("optimizers", "negative_cb_entropy numeric phi_alpha(0.1) (restarts)", r, partial(negative_cb_case, 0.1, r))
