@@ -366,19 +366,23 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
 def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple[float, tuple]:
     """D_beta(omega_AE || 1 (x) tau), 1/2 <= beta < 1, at unit blocks (psi, u), tau = u u*, and the products G psi
     and G_tau u, from the factor U = Psi K (d, E, d_out) of omega_AE = (id (x) N^c)(psi psi*) = U U*, Psi = psi as
-    d x d_in, K the Kraus stack.  W = (1 (x) tau^c) U, c = (1 - beta)/2 beta; Q = tr M^beta, M = W* W, over M's
-    eigenvalues above 1e-15 of its largest; with X = kappa M^(beta-1), kappa = beta'/(Q ln 2), G_omega U = (1 (x)
-    tau^c) W X goes back through K*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad)."""
+    d x d_in, K the Kraus stack (K2 as (E d_out) x d_in).  W = (1 (x) tau^c) U, c = (1 - beta)/2 beta; Q = tr M^beta,
+    M = W* W, over M's eigenvalues above 1e-15 of its largest; with X = kappa M^(beta-1), kappa = beta'/(Q ln 2),
+    G_omega U = (1 (x) tau^c) W X goes back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau
+    (_support_power_grad).  U, M, Z and G psi are each one 2-D product."""
     (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
+    n_env, d_out, d_in = kraus.shape
     w, v, mask, power = _support_power(u @ mc.dagger(u), c)
-    big_u = np.tensordot(psi.reshape(-1, kraus.shape[2]), kraus, (1, 2))
+    k2 = kraus.reshape(-1, d_in)
+    big_u = (psi.reshape(-1, d_in) @ k2.T).reshape(-1, n_env, d_out)
     big_w = power @ big_u
-    lam, vm = np.linalg.eigh(np.tensordot(big_w.conj(), big_w, ([0, 1], [0, 1])))
+    w2 = big_w.reshape(-1, d_out)
+    lam, vm = np.linalg.eigh(mc.dagger(w2) @ w2)
     lam_pm1 = np.power(lam, beta - 1, out=np.zeros_like(lam), where=lam > 1e-15 * lam.max())  # below: a rounded 0
     q = np.sum(lam * lam_pm1)
     x = (vm * lam_pm1 * (beta / ((beta - 1.0) * q * math.log(2.0)))) @ mc.dagger(vm)
-    z = np.tensordot(big_u @ x, big_w.conj(), ([0, 2], [0, 2]))
-    grad_psi = np.tensordot(power @ (big_w @ x), kraus.conj(), 2).reshape(psi.shape)
+    z = (big_u.swapaxes(0, 1) @ x).reshape(n_env, -1) @ mc.dagger(big_w.swapaxes(0, 1).reshape(n_env, -1))
+    grad_psi = ((power @ (w2 @ x).reshape(big_w.shape)).reshape(len(big_w), -1) @ k2.conj()).reshape(psi.shape)
     return float(np.log2(q)) / (beta - 1.0), (grad_psi, _support_power_grad(w, v, mask, c, z + mc.dagger(z)) @ u)
 
 

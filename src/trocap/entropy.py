@@ -140,14 +140,16 @@ class RenyiOptimum(NamedTuple):
 
 def _density_search(fun, m0s: tuple, maxiter: int) -> tuple[float, tuple]:
     """L-BFGS-B from the blocks m0s over tuples of unit blocks u = m/|m|, m complex of any shape (n x n for a density
-    u u*; d^2 x 1 for a pure input's amplitudes).  ``fun`` maps the tuple of unit blocks to its value and the products
-    G u, G the hermitian gradient in u u*; the chain rule gives 2 (G u - Re<u, G u> u)/|m| per block, all entries
-    packed as real then imaginary parts; ftol 1e-13, gtol 1e-10.  Returns the end value and unit blocks."""
+    u u*; d^2 x 1 for a pure input's amplitudes).  ``fun`` maps the unit blocks to the value and the products G u, G
+    the hermitian gradient in u u*; the chain rule gives 2 (G u - Re<u, G u> u)/|m| per block, packed as real then
+    imaginary parts at slices fixed up front; ftol 1e-13, gtol 1e-10.  Returns the end value and unit blocks."""
     from scipy import optimize
 
+    parts = [(slice(end - m.size, end), m.shape) for end, m in zip(np.cumsum([m.size for m in m0s]).tolist(), m0s)]
+
     def blocks(x: np.ndarray) -> list[np.ndarray]:
-        z = np.split(x[: x.size // 2] + 1j * x[x.size // 2 :], np.cumsum([m.size for m in m0s])[:-1])
-        return [b.reshape(m.shape) for b, m in zip(z, m0s)]
+        z = x[: x.size // 2] + 1j * x[x.size // 2 :]
+        return [z[cut].reshape(shape) for cut, shape in parts]
 
     def packed(x: np.ndarray) -> tuple[float, np.ndarray]:
         ms = blocks(x)
@@ -187,17 +189,17 @@ def _support_power_grad(w: np.ndarray, v: np.ndarray, mask: np.ndarray, c: float
 def _evaluate(p: float, rho, sigma: np.ndarray, grads: bool = False):
     """D_p(rho || 1 (x) sigma) of each item, p > 1, from s = a rho a, a = 1 (x) sigma^c, c = -1/2p', sigma^c on
     mc.support_mask's support (_support_power), with a large finite penalty for +inf where rho leaves the support
-    of 1 (x) sigma; s^(p-1) is s at p = 2, else from one eigh of s, and Q = tr(s^(p-1) s).  Returns the target
-    tr_A[s^(p-1) s] or, with ``grads``, the gradient in sigma from Y = tr_A[Z + Z*], Z = rho a p' s^(p-1) / (Q ln 2)."""
+    of 1 (x) sigma; Q = tr s^p and the target tr_A[s^p] by products at p = 2, else by one eigh s = V w V*, w >= 0.
+    Returns the target or, with ``grads``, the sigma gradient from Y = tr_A[Z + Z*], Z = rho a p' s^(p-1)/(Q ln 2)."""
     p_conj = p / (p - 1.0)
     c, dims = -0.5 / p_conj, (rho.shape[-1] // sigma.shape[-1], sigma.shape[-1])
     w, v, mask, power = _support_power(sigma, c)
     a = mc.tensor(np.eye(dims[0]), power)
-    s = s_pm1 = mc.hermitize(a @ rho @ a)
+    s = mc.hermitize(a @ rho @ a)
     if p != 2.0:
         ws, vs = np.linalg.eigh(s)
-        s_pm1 = (vs * np.clip(ws, 0.0, None)[..., None, :] ** (p - 1)) @ mc.dagger(vs)
-    q = np.sum(s_pm1.real * s.real + s_pm1.imag * s.imag, axis=(-2, -1))  # tr(s^(p-1) s)
+        ws = np.clip(ws, 0.0, None)[..., None, :]
+    q = np.sum(s.real * s.real + s.imag * s.imag, axis=(-2, -1)) if p == 2.0 else np.sum(ws**p, axis=(-2, -1))
     value = p_conj * np.log2(q ** (1 / p))
     thin = np.flatnonzero(~mask.all(axis=-1))
     if thin.size:
@@ -205,22 +207,22 @@ def _evaluate(p: float, rho, sigma: np.ndarray, grads: bool = False):
         leak = np.trace(off @ mc.partial_trace(rho[thin], dims, "B"), axis1=1, axis2=2).real
         value[thin] = np.where(leak > 1e-12, 1e3 + 1e6 * leak, value[thin])
     if not grads:
-        return value, mc.partial_trace(mc.hermitize(s_pm1 @ s), dims, "B")
+        return value, mc.partial_trace(mc.hermitize(s @ s) if p == 2.0 else (vs * ws**p) @ mc.dagger(vs), dims, "B")
+    s_pm1 = s if p == 2.0 else (vs * ws ** (p - 1)) @ mc.dagger(vs)
     x = a @ ((p_conj / (q * math.log(2.0)))[:, None, None] * s_pm1)
     return value, _support_power_grad(w, v, mask, c, mc.partial_trace(2.0 * mc.hermitize(rho @ x), dims, "B"))
 
 
 class _RenyiStack:
-    """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a stack of states
-    rho_i on A (x) B, all items advancing together.  ``rho`` holds each state folded once,
-    (K^c (x) P) rho_i (K^c (x) P), c = -1/2p', P (``proj``) the projector onto the
-    mc.support_mask support of its B marginal; :func:`_evaluate`, the one kernel, takes
-    D_p(. || 1 (x) sigma) of it.  Its leak penalty reads the folded B marginal: K^c is
-    invertible on supp rho_A wherever a stack is built (minimize_renyi_divergence returns
-    +inf first otherwise; verify's K is the A marginal), so that marginal has the support of
-    P rho_B P and only the penalty's size depends on K.  :meth:`minimize` fills the per-item
-    arrays ``value``, ``sigma``, ``converged`` (the fixed point met its tolerance; False for an
-    item that fell back to the polish, whatever the polish gives) and ``iterations``."""
+    """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a stack of states rho_i on A (x) B, all items
+    advancing together.  ``rho`` holds each state folded once, (K^c (x) P) rho_i (K^c (x) P), c = -1/2p', P (``proj``)
+    the projector onto the mc.support_mask support of its B marginal, the exact identity where that support is all of
+    B (``thin`` marks the other items); :func:`_evaluate`, the one kernel, takes D_p(. || 1 (x) sigma) of it.  Its
+    leak penalty reads the folded B marginal: K^c is invertible on supp rho_A wherever a stack is built
+    (minimize_renyi_divergence returns +inf first otherwise; verify's K is the A marginal), so that marginal has the
+    support of P rho_B P and only the penalty's size depends on K.  :meth:`minimize` fills the per-item arrays
+    ``value``, ``sigma``, ``converged`` (the fixed point met its tolerance; False for an item that fell back to the
+    polish, whatever the polish gives) and ``iterations``."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
@@ -229,7 +231,8 @@ class _RenyiStack:
         self.p, self.project = p, project
         self.rho_b = mc.partial_trace(rhos, dims, "B")
         wb, vb = mc.herm_eig(self.rho_b)
-        self.proj = (vb * mc.support_mask(wb)[:, None, :]) @ mc.dagger(vb)
+        self.thin = ~(mask := mc.support_mask(wb)).all(axis=-1)
+        self.proj = np.where(self.thin[:, None, None], (vb * mask[:, None, :]) @ mc.dagger(vb), np.eye(dims[1]))
         k = np.eye(dims[0], dtype=complex) if k_as is None else k_as
         fold = mc.tensor(mc.matrix_power(k, (1.0 - p) / (2.0 * p)), self.proj)
         self.rho = fold @ rhos @ fold
@@ -242,9 +245,12 @@ class _RenyiStack:
         return s / np.trace(s, axis1=1, axis2=2).real[:, None, None] if normalize else s
 
     def _feasible(self, idx, sigma: np.ndarray) -> np.ndarray:
-        """A start or candidate sigma of the items ``idx`` cut to each item's B support,
-        P sigma P, then :meth:`_project`: no cut follows ``project``."""
-        return self._project(self.proj[idx] @ sigma @ self.proj[idx])
+        """A start or candidate sigma of the items ``idx`` cut to each item's B support, P sigma P, then
+        :meth:`_project`: no cut follows ``project``.  Only ``thin`` items are cut; P = 1 keeps the others' bits."""
+        if (thin := self.thin[idx]).any():
+            sigma, proj = sigma.copy(), self.proj[idx][thin]
+            sigma[thin] = proj @ sigma[thin] @ proj
+        return self._project(sigma)
 
     def minimize(self, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
         """Monotone damped fixed point: each round every active item tries

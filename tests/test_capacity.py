@@ -790,6 +790,13 @@ def renyi_channels(seed=0):
     }
 
 
+def isometry_channel():
+    """A seeded random isometry channel with Kraus stack shape (E, d_out, d_in) = (5, 3, 2):
+    unlike the channels above, E != d_in, so a swap of those two axes cannot pass unseen."""
+    v = np.linalg.qr(mc.random_complex(np.random.default_rng(38), (15, 2)))[0]
+    return Channel(v.reshape(5, 3, 2))
+
+
 def fd_renyi_coherent_channel(ch, p, restarts, seed):
     """renyi_coherent_channel as it was with scipy's finite-difference
     gradient: the reference the exact gradient must match or beat."""
@@ -873,10 +880,20 @@ class TestKernelBelowOne:
         value, omega, tau = self._kernel_and_dense(ch, psi / np.linalg.norm(psi), u, beta)
         assert value == pytest.approx(self._reference(omega, tau, beta, 4), abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.55, 2 / 3, 0.8])
+    def test_value_when_the_environment_is_not_the_input(self, beta):
+        # (E, d_out, d_in) = (5, 3, 2): omega_AE on 2 x 5 of rank d_out = 3, tau full rank
+        ch = isometry_channel()
+        rng = np.random.default_rng(34)
+        psi, u = mc.random_complex(rng, (4, 1)), mc.random_complex(rng, (5, 5))
+        value, omega, tau = self._kernel_and_dense(ch, psi / np.linalg.norm(psi), u / np.linalg.norm(u), beta)
+        assert omega.shape == (10, 10) and np.linalg.matrix_rank(omega) == 3
+        assert value == pytest.approx(self._reference(omega, tau, beta, 3), abs=1e-12)
+
 
 class TestRenyiExactGradient:
     @staticmethod
-    def _dual_errors(name, p, block, hs):
+    def _dual_errors(ch, p, block, hs):
         """|central difference - exact directional derivative| of the dual
         objective D_beta(omega_AE || 1 (x) tau) (_dual_value_and_grads) at a
         seeded unit psi and a seeded u, tau = u u* of full rank and trace 1, for
@@ -884,7 +901,6 @@ class TestRenyiExactGradient:
         renormalized, so the input stays pure: psi moves by z' = z - Re<psi, z>
         psi, and the slope is 2 Re<z', G psi>), or along a seeded direction z of
         u (tau moves by z u* + u z*, and the slope is 2 Re<z, G_tau u>)."""
-        ch = renyi_channels()[name]
         d, e, beta = ch.dim_in, ch.dim_env, p / (2 * p - 1)
         rng = np.random.default_rng(7)
         psi = mc.random_complex(rng, (d * d, 1))
@@ -919,7 +935,14 @@ class TestRenyiExactGradient:
     def test_dual_gradient_matches_central_differences(self, block, name, p):
         # no inner minimization, so no inner tolerance: central differences
         # approach the exact gradient as O(h^2) in both blocks of the pair
-        coarse, fine = self._dual_errors(name, p, block, (1e-2, 1e-3))
+        coarse, fine = self._dual_errors(renyi_channels()[name], p, block, (1e-2, 1e-3))
+        assert fine < coarse / 20
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("block", ["psi", "tau"])
+    def test_dual_gradient_when_the_environment_is_not_the_input(self, block, p):
+        # (E, d_out, d_in) = (5, 3, 2), where no axis of the Kraus stack can stand in for another
+        coarse, fine = self._dual_errors(isometry_channel(), p, block, (1e-2, 1e-3))
         assert fine < coarse / 20
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -601,6 +601,56 @@ class TestKernelAtTwo:
         assert seen == [(3, 3, 3), (3, 6, 6)][:calls]
 
 
+class TestKernelOffTwo:
+    """_evaluate off p = 2, where Q and the target come from the spectrum of s = a rho a
+    (sum w^p, tr_A[V w^p V*]), against the s^(p-1) s forms of a dense eigh, item by item."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_spectral_power_matches_the_product_forms(self, p):
+        rhos, _, sigma = _stack_at_two("full_rank", "K = 1")
+        value, target = ent._evaluate(p, rhos, sigma)
+        for i, (rho, sg) in enumerate(zip(rhos, sigma)):
+            w, v = np.linalg.eigh(sg)
+            a = np.kron(np.eye(2), (v * w ** (-0.5 * (p - 1) / p)) @ v.conj().T)
+            s = mc.hermitize(a @ rho @ a)
+            ws, vs = np.linalg.eigh(s)
+            s_pm1 = (vs * np.clip(ws, 0, None) ** (p - 1)) @ vs.conj().T
+            q = np.trace(s_pm1 @ s).real
+            assert value[i] == pytest.approx(math.log2(q) / (p - 1), rel=0, abs=1e-13)
+            want = mc.partial_trace(s_pm1 @ s, (2, 3), "B")
+            assert mc.frobenius(target[i] - want) <= 1e-13 * mc.frobenius(want)
+
+
+class TestThinOnlyCut:
+    @staticmethod
+    def _mixed_stack():
+        # items 0 and 2 have a full-rank B marginal, item 1 one of rank 2 of 3
+        rng = np.random.default_rng(43)
+        rhos = np.array([mc.random_density(rng, 6), third_thin_draw(0.0), mc.random_density(rng, 6)])
+        sigma = mc.hermitize(mc.random_complex(rng, (3, 3, 3)))
+        return ent._RenyiStack(rhos, (2, 3), 2.0), sigma
+
+    def test_projector_is_the_exact_identity_on_full_support(self):
+        stack, _ = self._mixed_stack()
+        assert stack.thin.tolist() == [False, True, False]
+        assert np.array_equal(stack.proj[[0, 2]], np.broadcast_to(np.eye(3), (2, 3, 3)))
+        assert np.linalg.matrix_rank(stack.proj[1]) == 2
+
+    @pytest.mark.parametrize("idx", [slice(None), np.array([0, 1, 2]), np.array([1, 2])])
+    def test_feasible_cuts_only_the_thin_items(self, idx):
+        stack, sigma = self._mixed_stack()
+        before = sigma.copy()
+        got = stack._feasible(idx, sigma[idx])
+        assert np.array_equal(sigma, before)  # the caller's sigma is left as it was
+        for j, i in enumerate(np.arange(3)[idx]):
+            if i == 1:
+                p = stack.proj[1]
+                assert np.allclose(got[j], p @ sigma[1] @ p, rtol=0, atol=1e-15)
+                assert not np.allclose(got[j], sigma[1])
+            else:
+                assert np.array_equal(got[j], sigma[i])
+
+
 PRIVATE_EXPONENT_CALLS = {
     "sandwiched_renyi": lambda p: ent.sandwiched_renyi(np.eye(4) / 4, np.eye(4) / 4, p),
     "minimize_renyi_divergence": lambda p: ent.minimize_renyi_divergence(np.eye(4) / 4, (2, 2), p),

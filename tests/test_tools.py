@@ -1,5 +1,7 @@
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,8 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert opt.iterations.tolist() == [400] and opt.converged.tolist() == [False]
     schur = curves[("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2")]
     assert sorted(size for size, _ in schur) == [4, 6, 8]  # k = 4 runs below
+    dual = curves[("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls")]
+    assert sorted(size for size, _ in dual) == [2, 4, 8, 16]  # k = 2 runs below
     for cases in curves.values():
         min(cases, key=lambda case: case[0])[1]()()
 
@@ -91,3 +95,25 @@ def test_compare_outputs_tallies_each_kind_of_job():
         "kind verify verify:dephasing: 2 differ, max abs 4.44e-16",
     ]
     assert compare.tally(before, before, []) == []
+
+
+def test_abtest_runs_every_job_of_both_aliased_trees():
+    # the checkout against itself, one pass of one seed at one rep; PYTHONPATH stays as
+    # the suite sets it, so a bare `import trocap` would succeed and must be caught
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    n = len(workloads.make_pass("optimizers", 1, 0))
+    argv = ["--workload", "optimizers", "--seeds", "1", "--reps", "1", "--passes", "1"]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "abtest.py"), ROOT, ROOT, *argv],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for side in ("parent", "change"):
+        assert f"{side}: {os.path.join(ROOT, 'src', 'trocap')} as trocap_{side}" in lines
+        assert any(line.startswith(f"{side}: {n} of {n} jobs timed, 1 reps") for line in lines)
+    assert lines[-1] == f"{2 * n} outputs checked; 0 check failures; no bare trocap module imported"
+    kinds = [line.split()[1] for line in lines if line.startswith("optimizers ")]
+    assert "renyi_coherent_channel:dephasing" in kinds and "conditional_renyi:d4" in kinds

@@ -65,7 +65,10 @@ curve:
     qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
     dimension), and on the Schur cyclic(k) channel of the seeded kernel above,
     k in 4, 6, 8 (input, output and environment dimension k, so omega_AE's
-    factor has k columns against the k^2 x k^2 input state).
+    factor has k columns against the k^2 x k^2 input state); and that search's
+    kernel alone, capacity._dual_value_and_grads at beta = 2/3 (p = 2) on a
+    seeded random isometry channel with Kraus stack (k, k, k) and a seeded
+    pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run.
 
 Each case is (section, name, size, setup); setup() builds the inputs and
 returns the call to time.
@@ -229,6 +232,14 @@ def renyi_schur_case(k: int):
     return lambda: capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
 
 
+def dual_kernel_case(k: int, calls: int = 1000):
+    rng = np.random.default_rng(k)
+    kraus = np.linalg.qr(matcore.random_complex(rng, (k * k, k)))[0].reshape(k, k, k)
+    psi, u = matcore.random_complex(rng, (k * k, 1)), matcore.random_complex(rng, (k, k))
+    units = (psi / np.linalg.norm(psi), u / np.linalg.norm(u))
+    return lambda: [capacity._dual_value_and_grads(kraus, 2 / 3, units) for _ in range(calls)]
+
+
 VERIFY_CHANNELS = ("phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)")
 CASES = [
     *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k))
@@ -279,6 +290,8 @@ CASES = [
      partial(renyi_channel_case, "phi_alpha(0.4)")),
     *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k, partial(renyi_schur_case, k))
       for k in (4, 6, 8)),
+    *(("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls", k, partial(dual_kernel_case, k))
+      for k in (2, 4, 8, 16)),
 ]
 
 
