@@ -29,7 +29,7 @@ import numpy as np
 from . import algebra as alg
 from . import builders, capacity, verify
 from .channel import Channel, StinespringSpace, from_kraus, stinespring_space
-from .errors import TrocapError
+from .errors import HypothesisFailed, TrocapError
 
 FLOAT_FMT = "{:.12g}"
 MAX_GRID_POINTS = 100_000  # points of a region grid, and so of each of its axes
@@ -205,7 +205,7 @@ def cmd_bounds(args, bundle: SpecBundle) -> int:
         try:
             neg = capacity.negative_cb_entropy(ch, "formula")
             report.set("neg_S_cb", neg, neg, "closed form (proportionally unital complement)")
-        except TrocapError:
+        except HypothesisFailed:
             pass  # hypothesis fails for this channel; quantity omitted
     report.check()
 

@@ -24,6 +24,8 @@ from trocap.builders import (
 from trocap.channel import stinespring_space
 from trocap.entropy import binary_entropy, conditional_renyi, sandwiched_renyi
 
+from helpers import random_channel
+
 
 def report(num: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -142,8 +144,6 @@ def test_criterion_05_entropic_sandwich_suite():
 
 
 def test_criterion_06_tensor_symbol_coherence():
-    from tests.test_channel import random_channel
-
     rng = np.random.default_rng(7)
     deph = qubit_dephasing(0.45)
     other = random_channel(rng, 4, 4, 2)  # random two-qubit channel

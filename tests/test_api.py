@@ -1,13 +1,25 @@
-"""The two fixed contracts of the package, pinned as literals: the names that
-trocap/__init__.py exports with the signature of each, and every subcommand's
+"""The fixed contracts of the package, pinned as literals: the names that
+trocap/__init__.py exports with the signature of each, every subcommand's
 arguments (option strings, default and choices) as cli.build_parser() builds
-them.  A change to either is a change of contract and fails here."""
+them, and the exception type that each public entry point raises on a
+malformed argument.  A change to any of them is a change of contract and
+fails here."""
 
 import argparse
 import inspect
+import math
+
+import numpy as np
+import pytest
 
 import trocap
+from trocap import algebra as alg
+from trocap import builders as bld
+from trocap import capacity as cap
+from trocap import channel as chn
 from trocap import cli
+from trocap import matcore as mc
+from trocap.errors import BadExponent, DimMismatch, InvalidSymbol, NotPositiveDefinite, OutOfRange
 
 EXPORTS = {  # name: str(inspect.signature(...))
     "AlgebraBasis": "(dim: 'int', basis: 'tuple[np.ndarray, ...]', unital: 'bool') -> None",
@@ -166,3 +178,75 @@ def test_subcommand_arguments():
         for name, p in sub.choices.items()
     }
     assert got == OPTIONS
+
+
+def _dephasing():
+    return bld.qubit_dephasing(0.5)
+
+
+def _blocks_space():  # environment of dimension 3, where the dephasing symbol has 2
+    return chn.stinespring_space(bld.partial_trace_sum_channel([(2, 2), (3, 1)]))
+
+
+MALFORMED = {  # id: (call, exception type, message fragment)
+    "star-algebra-no-generators": (lambda: alg.generate_star_algebra([]), DimMismatch, "at least one generator"),
+    "star-algebra-non-square": (lambda: alg.generate_star_algebra([np.ones((2, 3))]), DimMismatch, "must be square"),
+    "conditional-expectation-shape": (
+        lambda: alg.conditional_expectation(alg.generate_star_algebra([np.eye(2)]), np.ones((3, 3))),
+        DimMismatch,
+        "does not match algebra dim",
+    ),
+    "validate-symbol-dim": (lambda: alg.validate_symbol(_dephasing(), np.eye(3) / 3), DimMismatch, "symbol dim 3"),
+    "group-cocycle-shape": (
+        lambda: bld.FiniteGroup(table=np.array([[0, 1], [1, 0]]), cocycle=np.ones((3, 3))),
+        DimMismatch,
+        "cocycle must match",
+    ),
+    "schur-phi-length": (
+        lambda: bld.schur_multiplier_channel(bld.cyclic_group(3), [1.0, 0.5]),
+        DimMismatch,
+        "one value per group element",
+    ),
+    "schur-kernel-not-hermitian": (
+        lambda: bld.schur_multiplier_channel(bld.cyclic_group(3), [1.0, 0.5, 0.2]),
+        NotPositiveDefinite,
+        "not PSD",
+    ),
+    "dephasing-weight": (lambda: bld.qubit_dephasing(1.5), OutOfRange, "must lie in"),
+    "report-unknown-quantity": (lambda: cap.BoundReport().set("X", 0.0, 1.0, "p"), KeyError, "unknown quantity"),
+    "comparison-bounds-symbol-dim": (
+        lambda: cap.comparison_bounds(_blocks_space(), _dephasing().symbol),
+        InvalidSymbol,
+        "symbol dim 2",
+    ),
+    "negative-cb-mode": (lambda: cap.negative_cb_entropy(_dephasing(), mode="x"), OutOfRange, "mode must be"),
+    "channel-2d-kraus": (lambda: chn.Channel(np.eye(2)), DimMismatch, "stacked"),
+    "from-kraus-empty": (lambda: chn.from_kraus([]), DimMismatch, "at least one Kraus"),
+    "from-kraus-shapes": (lambda: chn.from_kraus([np.eye(2), np.eye(3)]), DimMismatch, "common shape"),
+    "modified-channel-symbol-dim": (
+        lambda: chn.modified_channel(_blocks_space(), _dephasing().symbol),
+        InvalidSymbol,
+        "symbol dimension 2",
+    ),
+    "heralded-probability": (
+        lambda: chn.heralded_channel(_dephasing(), _dephasing(), 1.5),
+        OutOfRange,
+        r"must lie in \[0, 1\]",
+    ),
+    "asmatrix-3d": (lambda: mc.asmatrix(np.ones((2, 2, 2))), DimMismatch, "ndim=3"),
+    "matrix-power-infinite": (lambda: mc.matrix_power(np.eye(2), math.inf), BadExponent, "must be finite"),
+    "p-norm-non-square": (lambda: mc.normalized_p_norm(np.ones((2, 3)), 2), DimMismatch, "square"),
+    "partial-trace-keep": (lambda: mc.partial_trace(np.eye(4), (2, 2), keep="C"), DimMismatch, "keep must be"),
+    "permute-shape": (lambda: mc.permute_systems(np.eye(4), (2, 3), (1, 0)), DimMismatch, "does not match dims"),
+    "permute-not-a-permutation": (
+        lambda: mc.permute_systems(np.eye(4), (2, 2), (0, 0)),
+        DimMismatch,
+        "not a permutation",
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "error", "fragment"), MALFORMED.values(), ids=MALFORMED)
+def test_malformed_argument_raises_its_error(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

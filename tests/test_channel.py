@@ -15,17 +15,9 @@ from trocap.builders import (
 from trocap.entropy import von_neumann_entropy
 from trocap.errors import DimMismatch, InvalidSymbol, NotTracePreserving, RankDeficient
 
-from helpers import hs_inner, random_pure_state, random_unitary
+from helpers import hs_inner, random_channel, random_pure_state, random_unitary
 
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def random_channel(rng, dim_in, dim_out, dim_env):
-    """Haar-random isometry V: C^in -> C^out (x) C^env sliced into Kraus ops."""
-    u = random_unitary(rng, dim_out * dim_env)
-    iso = u[:, :dim_in]
-    kraus = iso.reshape(dim_out, dim_env, dim_in).transpose(1, 0, 2)
-    return chn.Channel(kraus)
 
 
 class TestFromKraus:

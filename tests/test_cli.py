@@ -11,6 +11,7 @@ from trocap import algebra as alg
 from trocap import capacity
 from trocap.cli import MAX_GRID_POINTS, SpecBundle, _parse_grid, load_spec, main
 from trocap.entropy import binary_entropy
+from trocap.errors import HypothesisFailed
 
 from helpers import tro_subspace
 
@@ -28,6 +29,8 @@ DEPHASING_Q1 = {
     "seed": 0,
 }
 BLOCKS_SPEC = {"kind": "partial_trace_sum", "params": {"blocks": [[2, 2], [3, 1]]}, "seed": 0}
+# the same channel modified by the identity on its 3-dimensional environment
+BLOCKS_IDENTITY_SPEC = {**BLOCKS_SPEC, "symbol": np.eye(3).tolist()}
 CLOSED_SPEC = {"kind": "partial_trace_sum", "params": {"blocks": [[2, 2], [1, 3]]}, "seed": 0}
 # amplitude damping: the dilation range is not triple-product closed
 GAMMA = 0.5
@@ -138,6 +141,14 @@ class TestBounds:
         target = 1.0 - binary_entropy((1.0 + q) / 2.0)
         assert float(row.split()[1]) == pytest.approx(target, abs=1e-3)
         assert float(row.split()[2]) == pytest.approx(target, abs=1e-9)
+
+    def test_neg_cb_row_omitted_when_the_complement_is_not_proportionally_unital(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, BLOCKS_IDENTITY_SPEC)
+        with pytest.raises(HypothesisFailed):
+            capacity.negative_cb_entropy(load_spec(spec).channel, "formula")
+        assert main(["bounds", spec, "--restarts", "4"]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert "Q" in rows and "neg_S_cb" not in rows
 
     def test_threads_match_serial(self, tmp_path, capsys):
         spec = write_spec(tmp_path, PHI_SPEC)
@@ -357,6 +368,19 @@ class TestRegion:
         with open(out, newline="", encoding="utf-8") as fh:
             assert list(csv.reader(fh)) == expected
 
+    def test_symbol_spec_reads_the_certificate_blocks(self, tmp_path, monkeypatch):
+        # the same rows as the channel without a symbol, with no block decomposition
+        out = tmp_path / "region.csv"
+        assert main(["region", write_spec(tmp_path, BLOCKS_SPEC), "--csv", str(out)]) == 0
+        plain = out.read_bytes()
+
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("tro_block_decomposition called")
+
+        monkeypatch.setattr(alg, "tro_block_decomposition", no_decomposition)
+        assert main(["region", write_spec(tmp_path, BLOCKS_IDENTITY_SPEC), "--csv", str(out)]) == 0
+        assert out.read_bytes() == plain
+
     def test_non_tro_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path, AMP_DAMP)
         out = tmp_path / "region.csv"
@@ -432,6 +456,17 @@ class TestDescribe:
         spec = write_spec(tmp_path, {"kind": "group_random_unitary", "params": {"rep": rep}})
         assert main(["describe", spec]) == 3
         assert "DimMismatch" in capsys.readouterr().err
+
+    def test_regular_rep_block_matches_its_unitaries(self, tmp_path, capsys):
+        from trocap.builders import cyclic_group, regular_representation
+
+        group = {"kind": "cyclic", "order": 3}
+        unitaries = [u.real.tolist() for u in regular_representation(cyclic_group(3)).unitaries]
+        regular = {"kind": "group_random_unitary", "params": {"rep": {"kind": "regular", "group": group}}}
+        explicit = {"kind": "group_random_unitary", "params": {"rep": {"group": group, "unitaries": unitaries}}}
+        out = self.describe(tmp_path, capsys, regular)
+        assert out == self.describe(tmp_path, capsys, explicit)
+        assert "blocks (n, m, multiplicity): [(1, 1, 1), (1, 1, 1), (1, 1, 1)]" in out
 
     def test_missing_distribution_is_uniform(self, tmp_path, capsys):
         uniform = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.25] * 4}}
@@ -559,6 +594,54 @@ class TestMalformedInput:
         spec = write_spec(tmp_path, doc)
         assert main(["describe", spec] + flags) == 2
         assert capsys.readouterr().err.startswith("spec error:")
+
+    @pytest.mark.parametrize(
+        ("doc", "flags", "env", "message"),
+        [
+            ({**PHI_SPEC, "symbol": 5}, [], None, "symbol: expected a nested array (row-major matrix)"),
+            ({**PHI_SPEC, "symbol": [[1, 0], [0]]}, [], None, "symbol: ragged rows"),
+            (
+                schur3({"kind": "dihedral", "order": 3}),
+                [],
+                None,
+                "params.group: expected {'kind': 'cyclic', 'order': n} or {'table': ...}",
+            ),
+            (
+                {"kind": "group_random_unitary", "params": {"rep": "bogus"}},
+                [],
+                None,
+                "params.rep: expected 'pauli', a regular-representation block, or unitaries",
+            ),
+            (None, [], None, "cannot read spec file: "),
+            ([PHI_SPEC], [], None, "top level must be an object"),
+            ({"kind": "phi_alpha", "params": [0.5]}, [], None, "field 'params' must be an object"),
+            ({"kind": "phi_alpha", "params": {"alpha": 0.5}}, [], "x", "TROCAP_SEED must be an integer: "),
+            (
+                {"kind": "schur_multiplier", "params": {"group": {"kind": "cyclic", "order": 2}, "phi": 1.0}},
+                [],
+                None,
+                "params.phi must be a list of values over group elements",
+            ),
+            ({"kind": "phi_alpha", "params": {}}, [], None, "params.alpha is required for kind 'phi_alpha'"),
+            (BLOCKS_SPEC, ["--lambda-grid", "0:1"], None, "--lambda-grid: expected a:b:step"),
+            (BLOCKS_SPEC, ["--mu-grid", "0:one:0.5"], None, "--mu-grid: non-numeric grid bounds"),
+        ],
+        ids=[
+            "matrix-not-array", "matrix-ragged", "group-unknown", "rep-unknown", "file-missing",
+            "top-not-object", "params-not-object", "env-seed-not-int", "phi-not-list", "alpha-missing",
+            "grid-not-three-parts", "grid-not-numeric",
+        ],
+    )
+    def test_spec_error_exits_2_with_its_message(self, tmp_path, capsys, monkeypatch, doc, flags, env, message):
+        if env is None:
+            monkeypatch.delenv("TROCAP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TROCAP_SEED", env)
+        spec = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
+        command = ["region", spec, "--csv", str(tmp_path / "r.csv")] if flags else ["describe", spec]
+        assert main(command + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["describe", "verify"])
     @pytest.mark.parametrize(

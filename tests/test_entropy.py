@@ -11,7 +11,7 @@ from trocap import matcore as mc
 from trocap.builders import qubit_dephasing
 from trocap.errors import BadExponent, DimMismatch, NotNormalized, NotState, OutOfRange
 
-from helpers import random_pure_state, random_unitary
+from helpers import loop_minimize, random_channel, random_pure_state, random_unitary
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -149,7 +149,6 @@ class TestSandwichedRenyi:
             assert all(b >= a - 1e-8 for a, b in zip(vals, vals[1:]))
 
     def test_data_processing(self):
-        from tests.test_channel import random_channel
         from trocap.channel import apply
 
         rng = np.random.default_rng(4)
@@ -783,140 +782,7 @@ class TestEntropyDefect:
 
 
 # ---------------------------------------------------------------------------
-# the stacked Renyi minimizer against the sequential one-state-at-a-time loop
-
-
-def _loop_value(rho, da, k_pow, sigma, p, p_conj):
-    """D_p(rho || K (x) sigma), with the leak penalty, one state at a time."""
-    w, v = np.linalg.eigh(mc.hermitize(sigma))
-    mask = w > mc.SUPPORT_CUTOFF * max(float(np.max(w)), 0.0)
-    if not mask.all():
-        proj = (v * (~mask).astype(float)) @ v.conj().T
-        leak = float(np.trace(np.kron(np.eye(da), proj) @ rho).real)
-        if leak > 1e-12:
-            return 1e3 + 1e6 * leak
-    s_pow = (v * np.where(mask, w ** (-1.0 / (2.0 * p_conj)), 0.0)) @ v.conj().T
-    a = np.kron(k_pow, s_pow)
-    w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ rho @ a)), 0.0, None)
-    return float(p_conj * np.log2(np.sum(w**p) ** (1.0 / p)))
-
-
-def _loop_grad(rho, da, k_pow, sigma, p, p_conj):
-    """Gradient in a full-rank sigma of D_p(rho || K (x) sigma), one state at
-    a time: D = log2 Q / (p - 1), Q = tr s^p, s = a rho a with a = K' (x)
-    sigma^c, c = -1/2p', and dQ = p tr(ds Y), Y = tr_A[(K' (x) 1) Z],
-    Z = rho a s^(p-1) + h.c.; ds = V (Gamma o V* d.sigma V) V* (Daleckii-Krein),
-    Gamma the divided differences of w^c, its derivative on near-ties."""
-    c, rb = -1.0 / (2.0 * p_conj), len(sigma)
-    w, v = np.linalg.eigh(mc.hermitize(sigma))
-    a = np.kron(k_pow, (v * w**c) @ v.conj().T)
-    ws, vs = np.linalg.eigh(mc.hermitize(a @ rho @ a))
-    ws = np.clip(ws, 0.0, None)
-    z = rho @ a @ (vs * ws ** (p - 1)) @ vs.conj().T
-    y = mc.partial_trace(np.kron(k_pow, np.eye(rb)) @ (z + z.conj().T), (da, rb), "B")
-    den = w[:, None] - w[None, :]
-    tie = np.abs(den) < 1e-6 * w[None, :]
-    mid = (w[:, None] + w[None, :]) / 2
-    gamma = np.where(tie, c * mid ** (c - 1), (w[:, None] ** c - w[None, :] ** c) / np.where(tie, 1.0, den))
-    ds = v @ (gamma * (v.conj().T @ y @ v)) @ v.conj().T
-    return p_conj * ds / (np.sum(ws**p) * math.log(2.0))
-
-
-def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
-    """Sequential reference: monotone fixed point (a candidate is kept when
-    its value does not rise, else the step halves; fixed after two flat
-    rounds whose last decrease also passes the geometric-tail test), one
-    L-BFGS-B polish from the last iterate as the fallback (exact gradient,
-    _loop_grad) and candidates for one state, with two eigh of sigma, two
-    np.kron and an eigvalsh per round;
-    returns (value, sigma, converged, iterations), converged only when the
-    fixed point met its tolerance."""
-    from scipy import optimize
-
-    da, tol, max_iter = dims[0], 1e-9, 400
-    p_conj = p / (p - 1.0)
-    k_a = np.eye(da, dtype=complex) if k_a is None else k_a
-    k_pow = mc.matrix_power(k_a, -1.0 / (2.0 * p_conj))
-    rho_b = mc.partial_trace(rho_ab, dims, "B")
-    wb, vb = mc.herm_eig(rho_b)
-    frame = vb[:, wb > mc.SUPPORT_CUTOFF * max(float(np.max(wb)), 0.0)]
-    rb = frame.shape[1]
-    embed = np.kron(np.eye(da), frame)
-    rho_c = mc.dagger(embed) @ rho_ab @ embed
-
-    def val(sigma_c):
-        return _loop_value(rho_c, da, k_pow, sigma_c, p, p_conj)
-
-    sigma = mc.dagger(frame) @ rho_b @ frame
-    sigma = sigma / np.trace(sigma).real
-    beta0 = min(0.5, 0.9 / p)
-    beta, best_val, best_sigma = beta0, val(sigma), sigma
-    converged, iters, was_flat, last = False, max_iter, False, math.inf
-    for j in range(max_iter):
-        wv, vv = np.linalg.eigh(mc.hermitize(best_sigma))
-        mask = wv > mc.SUPPORT_CUTOFF * max(float(np.max(wv)), 0.0)
-        s_pow = (vv * np.where(mask, wv ** (-1.0 / (2.0 * p_conj)), 0.0)) @ vv.conj().T
-        a = np.kron(k_pow, s_pow)
-        ws, vs = np.linalg.eigh(mc.hermitize(a @ rho_c @ a))
-        s_p = (vs * np.clip(ws, 0.0, None) ** p) @ vs.conj().T
-        update = mc.partial_trace(mc.hermitize(s_p), (da, rb), "B")
-        tr = float(np.trace(update).real)
-        if not np.isfinite(tr) or tr <= 0 or beta < 1e-10:
-            iters = j
-            break
-        cand = mc.hermitize((1.0 - beta) * best_sigma + beta * (update / tr))
-        cur = val(cand)
-        rise = cur - best_val
-        drop, flat = max(-rise, 0.0), abs(rise) < tol * beta / beta0
-        rate = drop / last if last > 0 else 0.0
-        met = flat and was_flat and (rise > 0 or drop < tol * (1.0 - rate))
-        was_flat, last = flat, (math.inf if rise > 0 else drop)
-        if rise > 0:
-            beta /= 2
-        else:
-            best_val, best_sigma = cur, cand
-        if met:
-            converged, iters = True, j + 1
-            break
-
-    def polish(start):
-        m0 = mc.matrix_power(start + 1e-12 * np.eye(rb), 0.5)
-
-        def root(x):
-            return x[: rb * rb].reshape(rb, rb) + 1j * x[rb * rb :].reshape(rb, rb)
-
-        def fun(x):
-            m = root(x)
-            g = m @ mc.dagger(m)
-            tr = float(np.trace(g).real)
-            if tr <= 0 or not np.isfinite(tr):
-                return 1e9, np.zeros_like(x)
-            grad = _loop_grad(rho_c, da, k_pow, g / tr, p, p_conj)
-            # chain rule through sigma = m m* / tr(m m*)
-            h = 2.0 * (grad - np.trace(grad @ g).real / tr * np.eye(rb)) @ m / tr
-            return val(g / tr), np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
-
-        x0 = np.concatenate([m0.real.reshape(-1), m0.imag.reshape(-1)])
-        res = optimize.minimize(
-            fun, x0, method="L-BFGS-B", jac=True, options={"maxiter": 120, "ftol": 1e-13, "gtol": 1e-10}
-        )
-        g = root(res.x) @ mc.dagger(root(res.x))
-        g = g / np.trace(g).real
-        return val(g), g
-
-    if not converged:
-        pv, ps = polish(best_sigma)
-        if pv < best_val - 1e-12:
-            best_val, best_sigma = pv, ps
-    for cand in sigma_candidates:
-        sc = mc.dagger(frame) @ cand @ frame
-        tr = float(np.trace(sc).real)
-        if tr > 0:
-            sc = mc.hermitize(sc / tr)
-            cv = val(sc)
-            if cv < best_val:
-                best_val, best_sigma = cv, sc
-    return best_val, frame @ best_sigma @ mc.dagger(frame), converged, iters
+# the stacked Renyi minimizer against the sequential one-state-at-a-time loop (helpers.loop_minimize)
 
 
 def _qubit_outputs():

@@ -60,8 +60,8 @@ def test_scaling_reports_the_median_and_spread_of_its_repeats():
     assert len(calls) == scaling.REPEAT == 5 and median >= 0 and iqr >= 0
 
 
-def test_compare_outputs_tells_number_differences_from_text_differences():
-    compare = load_tool("compare_outputs")
+def test_abtest_tells_number_differences_from_text_differences():
+    compare = load_tool("abtest")
     before = {"rc": 0, "stdout": "Q1  0.5  1.25e-3  lower\nblocks [(1, 1, 2)]\n"}
     after = {"rc": 0, "stdout": "Q1  0.5000000000001  1.5e-3  lower\nblocks [(1, 1, 2)]\n"}
     absolute, relative = compare.number_difference(before, after)
@@ -72,8 +72,8 @@ def test_compare_outputs_tells_number_differences_from_text_differences():
         assert compare.number_difference(before, other) is None
 
 
-def test_compare_outputs_tallies_each_kind_of_job():
-    compare = load_tool("compare_outputs")
+def test_abtest_tallies_each_kind_of_job():
+    compare = load_tool("abtest")
     before = {
         "verify:1:0:verify:dephasing:0": [{"stdout": "slack 0.25"}, None],
         "verify:1:1:verify:dephasing:1": [{"stdout": "slack 0.5"}, None],
@@ -97,14 +97,44 @@ def test_compare_outputs_tallies_each_kind_of_job():
     assert compare.tally(before, before, []) == []
 
 
+def test_abtest_reports_where_differing_outputs_part_and_tallies_them():
+    abtest = load_tool("abtest")
+    before = {
+        "bounds:1:0:bounds:phi_alpha:0": [{"rc": 0, "stdout": "kind phi\nQ1  0.5  0.75\n"}, None],
+        "structure:1:0:describe:schur:k4": [{"rc": 0, "stdout": "TRO: True\n"}, None],
+        "verify:2:1:verify:pauli:1": [{"rc": 0, "stdout": "slack 0.125\n"}, None],
+    }
+    after = {
+        **before,
+        "bounds:1:0:bounds:phi_alpha:0": [{"rc": 0, "stdout": "kind phi\nQ1  0.5  0.7500000001\n"}, None],
+        "verify:2:1:verify:pauli:1": [{"rc": 1, "stdout": "slack 0.125\nfailed\n"}, None],
+    }
+    differ, lines = abtest.report(before, after)
+    assert differ == ["bounds:1:0:bounds:phi_alpha:0", "verify:2:1:verify:pauli:1"]
+    assert lines == [
+        "differs: bounds:1:0:bounds:phi_alpha:0",
+        "  parent: stdout: Q1  0.5  0.75",
+        "  change: stdout: Q1  0.5  0.7500000001",
+        "  numbers only: max abs 1e-10, max rel 1.33e-10",
+        "differs: verify:2:1:verify:pauli:1",
+        "  parent: rc: 0",
+        "  change: rc: 1",
+        "  text differs",
+        "kind bounds bounds:phi_alpha: 1 differ, max abs 1e-10",
+        "kind verify verify:pauli: 1 differ, text differs",
+    ]
+    assert abtest.report(before, before) == ([], [])
+
+
 def test_abtest_runs_every_job_of_both_aliased_trees():
-    # the checkout against itself, one pass of one seed at one rep; PYTHONPATH stays as
-    # the suite sets it, so a bare `import trocap` would succeed and must be caught
+    # the checkout against itself, one pass of each workload (all four when none is
+    # named) at one seed and one rep; PYTHONPATH stays as the suite sets it, so a bare
+    # `import trocap` would succeed and must be caught
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    n = len(workloads.make_pass("optimizers", 1, 0))
-    argv = ["--workload", "optimizers", "--seeds", "1", "--reps", "1", "--passes", "1"]
+    n = sum(len(workloads.make_pass(workload, 1, 0)) for workload in workloads.WORKLOADS)
+    argv = ["--seeds", "1", "--reps", "1", "--passes", "1"]
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "abtest.py"), ROOT, ROOT, *argv],
         capture_output=True, text=True, timeout=600,
@@ -114,6 +144,7 @@ def test_abtest_runs_every_job_of_both_aliased_trees():
     for side in ("parent", "change"):
         assert f"{side}: {os.path.join(ROOT, 'src', 'trocap')} as trocap_{side}" in lines
         assert any(line.startswith(f"{side}: {n} of {n} jobs timed, 1 reps") for line in lines)
-    assert lines[-1] == f"{2 * n} outputs checked; 0 check failures; no bare trocap module imported"
-    kinds = [line.split()[1] for line in lines if line.startswith("optimizers ")]
-    assert "renyi_coherent_channel:dephasing" in kinds and "conditional_renyi:d4" in kinds
+    assert lines[-1] == f"{2 * n} outputs checked; 0 outputs differ; 0 check failures; no bare trocap module imported"
+    kinds = {tuple(line.split()[:2]) for line in lines if line.split()[0] in workloads.WORKLOADS}
+    assert {workload for workload, _ in kinds} == set(workloads.WORKLOADS)
+    assert ("optimizers", "renyi_coherent_channel:dephasing") in kinds and ("optimizers", "conditional_renyi:d4") in kinds

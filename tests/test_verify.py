@@ -17,6 +17,8 @@ from trocap.builders import (
 from trocap.channel import stinespring_space
 from trocap.errors import BadExponent, DimMismatch, NotIndependent, OutOfRange
 
+from helpers import loop_minimize
+
 
 def dephasing_pair(q):
     ch = qubit_dephasing(q)
@@ -262,7 +264,6 @@ class TestReportRecord:
 def loop_entropic_slacks(space, symbol, samples, seed, ps=(1.5, 2.0)):
     """(name, slack) of every record of verify_entropic, one sample at a
     time, with two sequential Renyi minimizations per (p, form)."""
-    from tests.test_entropy import loop_minimize
     from trocap import matcore as mc
     from trocap.channel import base_channel, modified_channel
     from trocap.entropy import (
