@@ -1,9 +1,15 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 
+import numpy as np
 import pytest
+
+import trocap.cli  # loads every submodule the curve cases read, as abtest.load_tree does
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,36 +34,58 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     rotated = curves[("structure", "validate_symbol rotated dephasing(k) Schur kernel")]
     assert sorted(size for size, _ in rotated) == [8, 16, 32]
     # out of coordinates, the same structure: k blocks (1, 1, 1)
-    assert min(rotated)[1]()().certificate.blocks == ((1, 1, 1),) * 8
+    assert min(rotated)[1](trocap)().certificate.blocks == ((1, 1, 1),) * 8
     built = curves[("structure", "group_random_unitary regular rep of cyclic(k), 100 calls")]
     assert sorted(size for size, _ in built) == [4, 8, 16]
     regular = curves[("structure", "tro_block_decomposition regular rep span of cyclic(k)")]
     assert sorted(size for size, _ in regular) == [4, 8, 16, 32]
     for k, setup in regular:  # k summands of one shape: k blocks (1, 1, 1)
-        assert setup()().blocks == ((1, 1, 1),) * k
+        assert setup(trocap)().blocks == ((1, 1, 1),) * k
     closure = curves[("closure", "smallest_containing_tro subspace of [(n, n), (1, 1)] pad (2, 2), 1e-6")]
     assert sorted(size for size, _ in closure) == [5, 17, 37]
-    assert len(min(closure)[1]()()) == 5  # the closure is the TRO itself, of dimension n^2 + 1
+    assert len(min(closure)[1](trocap)()) == 5  # the closure is the TRO itself, of dimension n^2 + 1
     pauli = curves[("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)")]
     assert sorted(size for size, _ in pauli) == [4, 16, 64]
     polish = curves[("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4")]
     assert sorted(size for size, _ in polish) == [1, 4, 16]
     # every item runs all 400 rounds, then the polish, which sets no convergence flag
-    opt = min(polish)[1]()()
+    opt = min(polish)[1](trocap)()
     assert opt.iterations.tolist() == [400] and opt.converged.tolist() == [False]
     schur = curves[("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2")]
     assert sorted(size for size, _ in schur) == [4, 6, 8]  # k = 4 runs below
     dual = curves[("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls")]
     assert sorted(size for size, _ in dual) == [2, 4, 8, 16]  # k = 2 runs below
     for cases in curves.values():
-        min(cases, key=lambda case: case[0])[1]()()
+        min(cases, key=lambda case: case[0])[1](trocap)()
 
 
-def test_scaling_reports_the_median_and_spread_of_its_repeats():
-    scaling = load_tool("scaling")
-    calls = []
-    median, iqr = scaling.median_and_iqr(lambda: calls.append(1))
-    assert len(calls) == scaling.REPEAT == 5 and median >= 0 and iqr >= 0
+def test_abtest_alternates_the_sides_and_reports_each_point_from_its_times():
+    abtest = load_tool("abtest")
+    log, keys, reps = [], ("a", "b", "c"), 4
+    items = [(key, {side: partial(log.append, (key, side)) for side in abtest.SIDES}) for key in keys]
+    times, first = abtest.alternate(items, reps)
+    assert Counter(log) == {(key, side): reps for key in keys for side in abtest.SIDES}
+    # the pairs run item by item, rep by rep; the parent goes first at even rep + item
+    assert log[::2] == [(key, abtest.SIDES[(rep + n) % 2]) for rep in range(reps) for n, key in enumerate(keys)]
+    assert [key for key, _ in log[1::2]] == [key for key, _ in log[::2]]
+    for side in abtest.SIDES:
+        assert first[side] == {key: [None, None] for key in keys}
+        assert all(len(times[side][key]) == reps and min(times[side][key]) > 0 for key in keys)
+    for key in keys:
+        fields = abtest.curve_line("closure", f"case {key}", 8, times["parent"][key], times["change"][key]).split()
+        (q0, m0, p0), (q1, m1, p1) = (1e3 * np.percentile(times[side][key], [25, 50, 75]) for side in abtest.SIDES)
+        won = sum(y < x for x, y in zip(times["parent"][key], times["change"][key]))
+        assert fields == ["closure", "case", key, "8"] + [f"{x:.3f}" for x in (m0, p0 - q0, m1, p1 - q1, m1 / m0)] + [
+            f"{won}/{reps}"
+        ]
+
+
+@pytest.mark.parametrize("option, value", [("--reps", "0"), ("--passes", "-1"), ("--passes", "0")])
+def test_abtest_rejects_counts_below_one_before_loading_a_tree(option, value, capsys):
+    missing = os.path.join(ROOT, "no such checkout")
+    with pytest.raises(SystemExit) as stop:
+        load_tool("abtest").main([missing, missing, option, value])
+    assert stop.value.code == 2 and f"argument {option}: {value} is below 1" in capsys.readouterr().err
 
 
 def test_abtest_tells_number_differences_from_text_differences():
@@ -148,3 +176,29 @@ def test_abtest_runs_every_job_of_both_aliased_trees():
     kinds = {tuple(line.split()[:2]) for line in lines if line.split()[0] in workloads.WORKLOADS}
     assert {workload for workload, _ in kinds} == set(workloads.WORKLOADS)
     assert ("optimizers", "renyi_coherent_channel:dephasing") in kinds and ("optimizers", "conditional_renyi:d4") in kinds
+
+
+def test_abtest_times_every_curve_point_on_both_aliased_trees():
+    # the smallest point of each curve, the checkout against itself, one rep; the
+    # case table is the scaling.py found beside abtest.py on sys.path
+    tools = os.path.join(ROOT, "tools")
+    code = (
+        f"import sys; sys.path.insert(0, {tools!r}); import abtest, scaling\n"
+        "curves = {}\n"
+        "for case in scaling.CASES:\n"
+        "    curves.setdefault(case[:2], []).append(case)\n"
+        "scaling.CASES = [min(cases, key=lambda case: case[2]) for cases in curves.values()]\n"
+        "print(len(scaling.CASES), 'points')\n"
+        f"sys.exit(abtest.main([{ROOT!r}, {ROOT!r}, '--workload', 'curves', '--reps', '1']))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "43 points"
+    for side in ("parent", "change"):
+        assert f"{side}: {os.path.join(ROOT, 'src', 'trocap')} as trocap_{side}" in lines
+    rows = [line for line in lines if line.split()[0] in ("structure", "closure", "verify", "optimizers")]
+    number = r" +\d+\.\d{3}"
+    assert len(rows) == 43 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
+    assert lines[-1] == "0 outputs checked; 0 outputs differ; 0 check failures; no bare trocap module imported"

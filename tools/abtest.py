@@ -1,4 +1,4 @@
-"""Compare two trocap checkouts in one process: every benchmark job's output and wall time.
+"""Compare two trocap checkouts in one process: every benchmark job's output and wall time, and the scaling curves.
 
     python3 tools/abtest.py PARENT CHANGE [--workload W ...] [--seeds 1 2 3] [--reps 7] [--passes N]
 
@@ -9,22 +9,24 @@ Runner and their checks come from PARENT's ``perfbench``.  For each workload
 (all four by default) and seed, the run takes passes 0 .. N-1 (by default
 those of a benchmark run of PARENT's ``BENCHMARK.json`` ``run_seconds``) and
 writes every job's spec for both trees up front, while all passes are alive,
-so no spec is keyed by the id of a job that is gone.  After one untimed
-warm-up per tree, each rep runs every job on both trees, and which tree goes
-first alternates from job to job and from rep to rep.  The first rep's
-outputs are checked and kept per side, keyed ``workload:seed:index:job id``.
+so no spec is keyed by the id of a job that is gone.  The workload ``curves``
+sets up every point of ``scaling.CASES`` (the ``scaling.py`` beside this
+script) on both trees.  After one untimed warm-up of the jobs per tree, each
+rep runs every job and point on both trees, and which tree goes first
+alternates from item to item and from rep to rep.  The first rep's outputs
+are checked and kept per side, keyed ``workload:seed:index:job id``.
 
 Prints, per job kind (workload and job id without its trailing pass index),
 the sum over its jobs of each job's minimum wall time over the reps on each
-side and their ratio, then the totals as jobs per second.  Then, for each
-output that differs between the trees, the first line where the two part and
-either the largest absolute and relative difference between corresponding
-numbers or ``text differs``, and per job kind the count of differing outputs
-and their largest absolute number difference (or ``text differs``).  Exits 1
-when any output fails its check and 2 if a bare ``trocap`` module was
-imported (a side did not run only its own tree); a difference alone is not a
-failure.  The gated end-to-end metrics come from alternating
-``perfbench/run.py`` processes.
+side and their ratio, then the totals as jobs per second; per curve point,
+each side's median and interquartile range over the reps in ms, the ratio of
+the medians and the reps the change won (ran faster in).  Then, for each
+output that differs, the first line where the two part and either the largest
+absolute and relative difference between corresponding numbers or ``text
+differs``, and the same per job kind.  Exits 1 when any output fails its check
+or any point raises, and 2 if a bare ``trocap`` module was imported (a side
+did not run only its own tree); a difference alone is not a failure.  The
+gated end-to-end metrics come from alternating ``perfbench/run.py`` processes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import sys
 import tempfile
 import time
 import traceback
+from functools import partial
 from typing import Optional
 
 SIDES = ("parent", "change")
@@ -46,6 +49,8 @@ SIDES = ("parent", "change")
 if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the thread variables)
 
 
 def load_tree(root: str, alias: str):
@@ -60,15 +65,53 @@ def load_tree(root: str, alias: str):
     return package, importlib.import_module(f"{alias}.cli")
 
 
-def run_checked(runner, job, check) -> tuple[float, object, object]:
-    """(wall seconds, output, check failure or None) of one job; an exception is a failure."""
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return int(text)
+
+
+def timed(call) -> tuple[float, object, Optional[str]]:
+    """(wall seconds, result, failure or None) of call(); an exception is a failure."""
     start = time.perf_counter()
     try:
-        output, why = runner.run(job), None
-    except Exception as exc:  # a job boundary, as in the worker
+        output, why = call(), None
+    except Exception as exc:  # an item boundary, as in the worker
         output, why = None, "raised " + traceback.format_exception_only(type(exc), exc)[-1].strip()[:300]
-    wall = time.perf_counter() - start
-    return wall, output, why or (check(job, output) if check else None)
+    return time.perf_counter() - start, output, why
+
+
+def built(setup, package):
+    """The call setup(package) returns, or one that raises what the set-up raised."""
+    try:
+        return setup(package)
+    except Exception as exc:  # a curve point's boundary: its calls raise, as a job would
+        def fail(exc=exc):
+            raise exc
+        return fail
+
+
+def alternate(items: list, reps: int) -> tuple[dict, dict]:
+    """Time every (key, {side: call}) item on both sides for reps rounds; which side
+    goes first alternates from item to item and from rep to rep.  Returns
+    ({side: {key: wall seconds per rep}}, {side: {key: [result, failure or None] of rep 0}})."""
+    times = {side: {key: [] for key, _ in items} for side in SIDES}
+    first = {side: {} for side in SIDES}
+    for rep in range(reps):
+        for n, (key, calls) in enumerate(items):
+            for side in SIDES if (rep + n) % 2 == 0 else SIDES[::-1]:
+                wall, output, why = timed(calls[side])
+                times[side][key].append(wall)
+                first[side].setdefault(key, [output, why])
+    return times, first
+
+
+def curve_line(section: str, name: str, size: int, before: list, after: list) -> str:
+    """A point's report: each side's median and IQR in ms, their ratio and the reps the change won."""
+    (q0, m0, p0), (q1, m1, p1) = (1e3 * np.percentile(times, [25, 50, 75]) for times in (before, after))
+    return (f"{section:<12}{name:<70}{size:>6}{m0:>11.3f}{p0 - q0:>9.3f}{m1:>11.3f}{p1 - q1:>9.3f}{m1 / m0:>8.3f}"
+            f"{sum(y < x for x, y in zip(before, after)):>5}/{len(after)}")
 
 
 def output_lines(output) -> list[str]:
@@ -140,73 +183,68 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", nargs="+", help="workloads to run (default: all four)")
+    ap.add_argument("--workload", nargs="+", help="workloads to run, or curves (default: the four benchmark workloads)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--reps", type=int, default=7)
-    ap.add_argument("--passes", type=int, help="passes per seed (default: those of one benchmark run)")
+    ap.add_argument("--reps", type=positive, default=7)
+    ap.add_argument("--passes", type=positive, help="passes per seed (default: those of one benchmark run)")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.parent), "perfbench"))
     import workloads
     from worker import Runner
 
     chosen = args.workload or list(workloads.WORKLOADS)
-    if not set(chosen) <= set(workloads.WORKLOADS):
-        ap.error(f"workloads must be among {', '.join(workloads.WORKLOADS)}")
+    if not set(chosen) <= {*workloads.WORKLOADS, "curves"}:
+        ap.error(f"workloads must be among {', '.join(workloads.WORKLOADS)} and curves")
     trees = {side: load_tree(root, f"trocap_{side}") for side, root in zip(SIDES, (args.parent, args.change))}
     for side, (package, _) in trees.items():
         print(f"{side}: {os.path.dirname(package.__file__)} as {package.__name__}")
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         run_seconds = json.load(fh)["run_seconds"]
+    cases = importlib.import_module("scaling").CASES if "curves" in chosen else []  # the scaling.py beside this file
+    points = {(section, name, size): setup for section, name, size, setup in cases}
+    chosen = [w for w in chosen if w != "curves"]
     counts = {w: args.passes or workloads.pass_count(w, run_seconds) for w in chosen}
     passes = {(w, s, i): workloads.make_pass(w, s, i) for w in chosen for s in args.seeds for i in range(counts[w])}
     jobs = [(f"{w}:{s}:{i}:{job['id']}", job) for (w, s, i), pass_jobs in passes.items() for job in pass_jobs]
-    best = {side: {} for side in SIDES}
-    results = {side: {} for side in SIDES}  # the first rep's {key: [output, check failure or None]}
     with tempfile.TemporaryDirectory() as tmp:
-        runners = {}
-        for side, (package, cli) in trees.items():
-            os.makedirs(os.path.join(tmp, side))
-            runners[side] = Runner(package, cli, os.path.join(tmp, side))
-            runners[side].write_specs([job for _, job in jobs])  # every pass alive: ids stay distinct
+        runners = {side: Runner(package, cli, tempfile.mkdtemp(dir=tmp)) for side, (package, cli) in trees.items()}
         for runner in runners.values():
+            runner.write_specs([job for _, job in jobs])  # every pass alive: ids stay distinct
             for workload in chosen:
                 for job in workloads.warmup_jobs(passes[workload, args.seeds[0], 0]):
-                    run_checked(runner, job, None)
-        for rep in range(args.reps):
-            for n, (key, job) in enumerate(jobs):
-                for side in SIDES if (rep + n) % 2 == 0 else SIDES[::-1]:
-                    wall, output, why = run_checked(runners[side], job, workloads.check if rep == 0 else None)
-                    best[side][key] = min(wall, best[side].get(key, wall))
-                    if rep == 0:
-                        results[side][key] = [output, why]
+                    timed(partial(runner.run, job))
+        items = [(key, {side: partial(runners[side].run, job) for side in SIDES}) for key, job in jobs]
+        items += [(point, {side: built(setup, trees[side][0]) for side in SIDES}) for point, setup in points.items()]
+        times, first = alternate(items, args.reps)
     if "trocap" in sys.modules:
         print("a bare trocap module was imported; the two sides did not run only their own trees", file=sys.stderr)
         return 2
-    kinds = {}
-    for key, job in jobs:
-        kinds.setdefault(key.split(":")[0] + " " + re.sub(r":\d+$", "", job["id"]), []).append(key)
-    print(f"{'kind':<52}{'parent s':>11}{'change s':>11}{'ratio':>8}")
-    for kind, keys in sorted(kinds.items()):
-        parent_s, change_s = (sum(best[side][key] for key in keys) for side in SIDES)
-        print(f"{kind:<52}{parent_s:>11.4f}{change_s:>11.4f}{change_s / parent_s:>8.3f}")
-    totals = [sum(best[side].values()) for side in SIDES]
-    for side, total in zip(SIDES, totals):
-        timed = len(best[side])
-        print(f"{side}: {timed} of {len(jobs)} jobs timed, {args.reps} reps, {timed / total:.2f} jobs/s")
-    print(f"change/parent time {totals[1] / totals[0]:.3f}")
-    failures = [
-        f"{side} check failed: {key}: {why}"
-        for side, table in results.items()
-        for key, (_, why) in table.items()
-        if why is not None
-    ]
-    differ, lines = report(*results.values())
+    if jobs:
+        kinds = {}
+        for key, job in jobs:
+            kinds.setdefault(key.split(":")[0] + " " + re.sub(r":\d+$", "", job["id"]), []).append(key)
+        print(f"{'kind':<52}{'parent s':>11}{'change s':>11}{'ratio':>8}")
+        for kind, keys in sorted(kinds.items()):
+            parent_s, change_s = (sum(min(times[side][key]) for key in keys) for side in SIDES)
+            print(f"{kind:<52}{parent_s:>11.4f}{change_s:>11.4f}{change_s / parent_s:>8.3f}")
+        totals = [sum(min(times[side][key]) for key, _ in jobs) for side in SIDES]
+        for side, total in zip(SIDES, totals):
+            print(f"{side}: {len(jobs)} of {len(jobs)} jobs timed, {args.reps} reps, {len(jobs) / total:.2f} jobs/s")
+        print(f"change/parent time {totals[1] / totals[0]:.3f}")
+    if points:
+        print(f"{'section':<12}{'case':<70}{'size':>6}  parent ms      iqr  change ms      iqr   ratio    won")
+    for point in points:
+        print(curve_line(*point, *(times[side][point] for side in SIDES)))
+    for table in first.values():  # check each job's first output
+        for key, job in jobs:
+            output, why = table[key]
+            table[key] = [output, why or workloads.check(job, output)]
+    failures = [f"{side} check failed: {key}: {why}" for side in SIDES for key, (_, why) in first[side].items() if why]
+    differ, lines = report(*({key: table[key] for key, _ in jobs} for table in first.values()))
     for line in failures + lines:
         print(line)
-    print(
-        f"{2 * len(jobs)} outputs checked; {len(differ)} outputs differ; {len(failures)} check failures; "
-        "no bare trocap module imported"
-    )
+    print(f"{2 * len(jobs)} outputs checked; {len(differ)} outputs differ; {len(failures)} check failures; "
+          "no bare trocap module imported")
     return 1 if failures else 0
 
 

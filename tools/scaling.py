@@ -1,14 +1,10 @@
-"""Print the scaling curves of the checkout holding this file.
+"""The scaling curves: a table of cases, each a call timed on a loaded trocap package.
 
-    python3 tools/scaling.py
+    python3 tools/abtest.py PARENT CHANGE --workload curves
 
-Run as a script, it sets one BLAS thread (the thread variables are set before
-numpy loads) and prints, for each case of CASES, the median wall time of 5
-runs in one process and their interquartile range (on a shared host a bare
-minimum hides how far runs spread).  That range is far narrower than the
-spread between runs of the same code, so compare two checkouts in alternating
-runs, not by one run of each.  The size column is the variable of the case's
-curve:
+times every case on two checkouts in one process, alternating them (a tree
+against itself gives one tree's curves and the noise floor).  The size column
+is the variable of the case's curve:
   - structure: validate_symbol on the completely dephasing channel of
     dimension k with the kernel of a seeded Schur multiplier of cyclic(k) (a
     Schur cyclic(k) spec's structure), span k in 8, 16, 24, 32, 48, and at
@@ -70,26 +66,15 @@ curve:
     seeded random isometry channel with Kraus stack (k, k, k) and a seeded
     pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run.
 
-Each case is (section, name, size, setup); setup() builds the inputs and
+Each case is (section, name, size, setup); setup(t) builds the inputs from the
+package t (its submodules read as ``t.algebra``, ``t.builders`` and so on) and
 returns the call to time.
 """
 
 import math
-import os
-import sys
-import time
 from functools import partial
 
-if __name__ == "__main__":
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
-
-import numpy as np  # noqa: E402
-
-from trocap import algebra, builders, capacity, channel, entropy, matcore, verify  # noqa: E402
-
-REPEAT = 5
+import numpy as np
 
 
 def schur_kernel(k: int) -> np.ndarray:
@@ -99,219 +84,196 @@ def schur_kernel(k: int) -> np.ndarray:
     return (four * (p / p.sum())) @ four.conj().T
 
 
-def validate_case(k: int, calls: int = 1):
-    ch, f = builders.completely_dephasing_channel(k), schur_kernel(k)
-    return lambda: [algebra.validate_symbol(ch, f) for _ in range(calls)]
+def validate_case(t, k: int, calls: int = 1):
+    ch, f = t.builders.completely_dephasing_channel(k), schur_kernel(k)
+    return lambda: [t.algebra.validate_symbol(ch, f) for _ in range(calls)]
 
 
-def rotated_validate_case(k: int):
+def rotated_validate_case(t, k: int):
     rng = np.random.default_rng(k)
-    u, w = (np.linalg.qr(matcore.random_complex(rng, (k, k)))[0] for _ in range(2))
-    kraus = np.einsum("ef,ij,fjk->eik", w, u, builders.completely_dephasing_channel(k).kraus)
-    ch, f = channel.Channel(kraus), w.conj() @ schur_kernel(k) @ w.T
-    return lambda: algebra.validate_symbol(ch, f)
+    u, w = (np.linalg.qr(t.matcore.random_complex(rng, (k, k)))[0] for _ in range(2))
+    kraus = np.einsum("ef,ij,fjk->eik", w, u, t.builders.completely_dephasing_channel(k).kraus)
+    ch, f = t.channel.Channel(kraus), w.conj() @ schur_kernel(k) @ w.T
+    return lambda: t.algebra.validate_symbol(ch, f)
 
 
-def construction_case(k: int, calls: int = 100):
-    rep = builders.regular_representation(builders.cyclic_group(k))
+def construction_case(t, k: int, calls: int = 100):
+    rep = t.builders.regular_representation(t.builders.cyclic_group(k))
     p = np.random.default_rng(k).random(k)
-    return lambda: [builders.group_random_unitary(rep, p / p.sum()) for _ in range(calls)]
+    return lambda: [t.builders.group_random_unitary(rep, p / p.sum()) for _ in range(calls)]
 
 
-def regular_span_case(k: int):
-    span = algebra.orthonormal_span(builders.regular_representation(builders.cyclic_group(k)).unitaries)
-    return lambda: algebra.tro_block_decomposition(span)
+def regular_span_case(t, k: int):
+    span = t.algebra.orthonormal_span(t.builders.regular_representation(t.builders.cyclic_group(k)).unitaries)
+    return lambda: t.algebra.tro_block_decomposition(span)
 
 
-def closure_case(k: int):
-    d = builders.completely_dephasing_channel(k)
-    basis = channel.stinespring_space(channel.tensor_channels(d, d)).basis
-    return lambda: algebra._closed_structure(basis, 0)
+def closure_case(t, k: int):
+    d = t.builders.completely_dephasing_channel(k)
+    basis = t.channel.stinespring_space(t.channel.tensor_channels(d, d)).basis
+    return lambda: t.algebra._closed_structure(basis, 0)
 
 
-def star_case(name: str, d: int):
+def star_case(t, name: str, d: int):
     if name == "shift":
         gen = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     else:
-        gen = matcore.random_complex(np.random.default_rng(d), (d, d))
-    return lambda: algebra.generate_star_algebra([gen])
+        gen = t.matcore.random_complex(np.random.default_rng(d), (d, d))
+    return lambda: t.algebra.generate_star_algebra([gen])
 
 
-def subspace_closure_case(n: int):
-    """smallest_containing_tro of t_i + 1e-6 c_i t_(d-1), i < d - 1: t the unit-matrix
+def subspace_closure_case(t, n: int):
+    """smallest_containing_tro of e_i + 1e-6 c_i e_(d-1), i < d - 1: e the unit-matrix
     basis of M_{n,n} (+) M_{1,1}, padded by (2, 2) and rotated by seeded unitaries, d = n^2 + 1."""
     rng, size = np.random.default_rng(n), n + 3
-    t = np.zeros((n * n + 1, size, size), dtype=complex)
-    t[np.arange(n * n), np.repeat(np.arange(n), n), np.tile(np.arange(n), n)] = 1.0
-    t[-1, n, n] = 1.0
-    u, w = (np.linalg.qr(matcore.random_complex(rng, (size, size)))[0] for _ in range(2))
-    t = u @ t @ w.conj().T
-    mats = list(t[:-1] + 1e-6 * matcore.random_complex(rng, n * n)[:, None, None] * t[-1])
-    return lambda: algebra.smallest_containing_tro(mats)
+    e = np.zeros((n * n + 1, size, size), dtype=complex)
+    e[np.arange(n * n), np.repeat(np.arange(n), n), np.tile(np.arange(n), n)] = 1.0
+    e[-1, n, n] = 1.0
+    u, w = (np.linalg.qr(t.matcore.random_complex(rng, (size, size)))[0] for _ in range(2))
+    e = u @ e @ w.conj().T
+    mats = list(e[:-1] + 1e-6 * t.matcore.random_complex(rng, n * n)[:, None, None] * e[-1])
+    return lambda: t.algebra.smallest_containing_tro(mats)
 
 
-def commutant_case(k: int):
-    rep = builders.regular_representation(builders.dihedral_group(k))
-    return lambda: builders.commutant_blocks(rep)
-
-
-def verify_pair(name: str):
-    if name == "phi_alpha(0.4)":
-        bundle = builders.phi_alpha(0.4)
-        return bundle.space, bundle.symbol
-    pauli = builders.group_random_unitary(builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
-    return pauli.base_space, pauli.symbol
+def commutant_case(t, k: int):
+    rep = t.builders.regular_representation(t.builders.dihedral_group(k))
+    return lambda: t.builders.commutant_blocks(rep)
 
 
 SUITES = {
-    "local_comparison": lambda sp, sy, n: verify.verify_local_comparison(sp, sy, samples=n),
-    "entropic": lambda sp, sy, n: verify.verify_entropic(sp, sy, samples=n),
-    "tensor_symbol": lambda sp, sy, n: verify.verify_tensor_symbol(sp, sy, sp, sy, samples=n),
+    "local_comparison": lambda t, sp, sy, n: t.verify.verify_local_comparison(sp, sy, samples=n),
+    "entropic": lambda t, sp, sy, n: t.verify.verify_entropic(sp, sy, samples=n),
+    "tensor_symbol": lambda t, sp, sy, n: t.verify.verify_tensor_symbol(sp, sy, sp, sy, samples=n),
 }
 
 
-def verify_case(name: str, suite: str, n: int):
-    space, symbol = verify_pair(name)
-    return lambda: SUITES[suite](space, symbol, n)
+def verify_case(t, name: str, suite: str, n: int):
+    if name == "phi_alpha(0.4)":
+        ch = t.builders.phi_alpha(0.4).channel  # its bundle's space and symbol are the channel's
+    else:
+        ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    space, symbol = ch.base_space, ch.symbol
+    return lambda: SUITES[suite](t, space, symbol, n)
 
 
-def schur_tensor_case(k: int):
+def schur_tensor_case(t, k: int):
     phi = schur_kernel(k)[:, 0]  # kernel[g, g'] = phi(g - g')
-    ch = builders.schur_multiplier_channel(builders.cyclic_group(k), phi)
-    return lambda: verify.verify_tensor_symbol(ch.base_space, ch.symbol, ch.base_space, ch.symbol, samples=20)
+    ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(k), phi)
+    return lambda: t.verify.verify_tensor_symbol(ch.base_space, ch.symbol, ch.base_space, ch.symbol, samples=20)
 
 
-def renyi_stack_case(n: int, p: float, mutual: bool = False):
-    ch = builders.phi_alpha(0.4).channel
+def renyi_stack_case(t, n: int, p: float, mutual: bool = False):
+    ch = t.builders.phi_alpha(0.4).channel
     d = ch.dim_in
-    rhos = np.array([matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
-    omegas = verify._apply_ancilla(ch, rhos, d)
-    k_as = matcore.partial_trace(omegas, (d, ch.dim_out), "A") if mutual else None  # I_p, else I_cp
-    return lambda: entropy._RenyiStack(omegas, (d, ch.dim_out), p, k_as).minimize()
+    rhos = np.array([t.matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
+    omegas = t.verify._apply_ancilla(ch, rhos, d)
+    k_as = t.matcore.partial_trace(omegas, (d, ch.dim_out), "A") if mutual else None  # I_p, else I_cp
+    return lambda: t.entropy._RenyiStack(omegas, (d, ch.dim_out), p, k_as).minimize()
 
 
-def thin_stack_case(n: int):
+def thin_stack_case(t, n: int):
     keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
-    rhos = np.array([keep @ matcore.random_density(np.random.default_rng((1, i)), 6) @ keep for i in range(n)])
+    rhos = np.array([keep @ t.matcore.random_density(np.random.default_rng((1, i)), 6) @ keep for i in range(n)])
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    return lambda: entropy._RenyiStack(rhos, (2, 3), 2.0).minimize()
+    return lambda: t.entropy._RenyiStack(rhos, (2, 3), 2.0).minimize()
 
 
-def polish_stack_case(n: int):
+def polish_stack_case(t, n: int):
     keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
-    gs = np.array([matcore.random_density(np.random.default_rng((2, i)), 6) for i in range(n)])
+    gs = np.array([t.matcore.random_density(np.random.default_rng((2, i)), 6) for i in range(n)])
     rho0 = keep @ gs @ keep
     rho0 /= np.trace(rho0, axis1=1, axis2=2).real[:, None, None]
     rhos = (1 - 1e-8) * rho0 + 1e-8 * gs
-    return lambda: entropy._RenyiStack(rhos, (2, 3), 4.0).minimize()
+    return lambda: t.entropy._RenyiStack(rhos, (2, 3), 4.0).minimize()
 
 
-def one_shot_case(restarts: int):
-    ch = builders.partial_trace_sum_channel([(2, 2), (3, 1)])
-    return lambda: capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)  # the full ascent, as before
+def one_shot_case(t, restarts: int):
+    ch = t.builders.partial_trace_sum_channel([(2, 2), (3, 1)])
+    return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)  # the full ascent, as before
 
 
-def pauli_ascent_case(restarts: int):
-    ch = builders.group_random_unitary(builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
-    upper = capacity.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
-    return lambda: capacity.one_shot_q(ch, restarts=restarts, ceiling=upper)
+def pauli_ascent_case(t, restarts: int):
+    ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    upper = t.capacity.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
+    return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=upper)
 
 
-def negative_cb_case(alpha: float, restarts: int):
-    ch = builders.phi_alpha(alpha).channel
-    return lambda: capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
+def negative_cb_case(t, alpha: float, restarts: int):
+    ch = t.builders.phi_alpha(alpha).channel
+    return lambda: t.capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
 
 
-def renyi_channel_case(name: str):
-    ch = builders.qubit_dephasing(0.3) if name == "dephasing(0.3)" else builders.phi_alpha(0.4).channel
-    return lambda: capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
+def renyi_channel_case(t, name: str):
+    ch = t.builders.qubit_dephasing(0.3) if name == "dephasing(0.3)" else t.builders.phi_alpha(0.4).channel
+    return lambda: t.capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
 
 
-def renyi_schur_case(k: int):
-    ch = builders.schur_multiplier_channel(builders.cyclic_group(k), schur_kernel(k)[:, 0])
-    return lambda: capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
+def renyi_schur_case(t, k: int):
+    ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(k), schur_kernel(k)[:, 0])
+    return lambda: t.capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
 
 
-def dual_kernel_case(k: int, calls: int = 1000):
+def dual_kernel_case(t, k: int, calls: int = 1000):
     rng = np.random.default_rng(k)
-    kraus = np.linalg.qr(matcore.random_complex(rng, (k * k, k)))[0].reshape(k, k, k)
-    psi, u = matcore.random_complex(rng, (k * k, 1)), matcore.random_complex(rng, (k, k))
+    kraus = np.linalg.qr(t.matcore.random_complex(rng, (k * k, k)))[0].reshape(k, k, k)
+    psi, u = t.matcore.random_complex(rng, (k * k, 1)), t.matcore.random_complex(rng, (k, k))
     units = (psi / np.linalg.norm(psi), u / np.linalg.norm(u))
-    return lambda: [capacity._dual_value_and_grads(kraus, 2 / 3, units) for _ in range(calls)]
+    return lambda: [t.capacity._dual_value_and_grads(kraus, 2 / 3, units) for _ in range(calls)]
 
 
 VERIFY_CHANNELS = ("phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)")
 CASES = [
-    *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k))
+    *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k=k))
       for k in (8, 16, 24, 32, 48)),
-    *(("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls", k, partial(validate_case, k, 100))
+    *(("structure", "validate_symbol dephasing(k) Schur kernel, 100 calls", k, partial(validate_case, k=k, calls=100))
       for k in (2, 4, 6, 8)),
-    *(("structure", "validate_symbol rotated dephasing(k) Schur kernel", k, partial(rotated_validate_case, k))
+    *(("structure", "validate_symbol rotated dephasing(k) Schur kernel", k, partial(rotated_validate_case, k=k))
       for k in (8, 16, 32)),
-    *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k))
+    *(("structure", f"closure + blocks of dephasing({k}) (x) itself", k * k, partial(closure_case, k=k))
       for k in (4, 6, 8)),
-    *(("structure", "group_random_unitary regular rep of cyclic(k), 100 calls", k, partial(construction_case, k))
+    *(("structure", "group_random_unitary regular rep of cyclic(k), 100 calls", k, partial(construction_case, k=k))
       for k in (4, 8, 16)),
-    *(("structure", "tro_block_decomposition regular rep span of cyclic(k)", k, partial(regular_span_case, k))
+    *(("structure", "tro_block_decomposition regular rep span of cyclic(k)", k, partial(regular_span_case, k=k))
       for k in (4, 8, 16, 32)),
-    *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, "shift", k))
+    *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, name="shift", d=k))
       for k in (8, 16, 32)),
-    *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, "random", d))
+    *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, name="random", d=d))
       for d in (4, 6, 10)),
-    *(("closure", "commutant_blocks regular representation of dihedral(k)", 2 * k, partial(commutant_case, k))
+    *(("closure", "commutant_blocks regular representation of dihedral(k)", 2 * k, partial(commutant_case, k=k))
       for k in (4, 6, 8)),
     *(("closure", "smallest_containing_tro subspace of [(n, n), (1, 1)] pad (2, 2), 1e-6", n * n + 1,
-       partial(subspace_closure_case, n))
+       partial(subspace_closure_case, n=n))
       for n in (2, 4, 6)),
-    *(("verify", f"{suite} {name}", n, partial(verify_case, name, suite, n))
+    *(("verify", f"{suite} {name}", n, partial(verify_case, name=name, suite=suite, n=n))
       for name in VERIFY_CHANNELS for suite in SUITES for n in (16, 64, 256)),
-    *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself, 20 samples", k, partial(schur_tensor_case, k))
+    *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself, 20 samples", k, partial(schur_tensor_case, k=k))
       for k in (4, 6, 8)),
-    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n, 2.0))
+    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n=n, p=2.0))
       for n in (16, 64, 256)),
-    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 1.5", n, partial(renyi_stack_case, n, 1.5))
+    *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 1.5", n, partial(renyi_stack_case, n=n, p=1.5))
       for n in (16, 64, 256)),
     *(("optimizers", f"Renyi minimizer stack, phi_alpha(0.4) outputs, K = rho_A, p {p:g}", n,
-       partial(renyi_stack_case, n, p, True))
+       partial(renyi_stack_case, n=n, p=p, mutual=True))
       for p in (2.0, 1.5) for n in (16, 64, 256)),
-    *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n))
+    *(("optimizers", "Renyi minimizer stack, B rank 2 of 3 states, p 2", n, partial(thin_stack_case, n=n))
       for n in (16, 64, 256)),
-    *(("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4", n, partial(polish_stack_case, n))
+    *(("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4", n, partial(polish_stack_case, n=n))
       for n in (1, 4, 16)),
-    ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, 16)),
-    ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16, partial(negative_cb_case, 0.4, 16)),
-    *(("optimizers", "negative_cb_entropy numeric phi_alpha(0.1) (restarts)", r, partial(negative_cb_case, 0.1, r))
+    ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, restarts=16)),
+    ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16,
+     partial(negative_cb_case, alpha=0.4, restarts=16)),
+    *(("optimizers", "negative_cb_entropy numeric phi_alpha(0.1) (restarts)", r,
+       partial(negative_cb_case, alpha=0.1, restarts=r))
       for r in (4, 16, 64)),
-    *(("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)", r, partial(pauli_ascent_case, r))
+    *(("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)", r,
+       partial(pauli_ascent_case, restarts=r))
       for r in (4, 16, 64)),
     ("optimizers", "renyi_coherent_channel dephasing(0.3) p 2 (input dim)", 2,
-     partial(renyi_channel_case, "dephasing(0.3)")),
+     partial(renyi_channel_case, name="dephasing(0.3)")),
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
-     partial(renyi_channel_case, "phi_alpha(0.4)")),
-    *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k, partial(renyi_schur_case, k))
+     partial(renyi_channel_case, name="phi_alpha(0.4)")),
+    *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k, partial(renyi_schur_case, k=k))
       for k in (4, 6, 8)),
-    *(("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls", k, partial(dual_kernel_case, k))
+    *(("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls", k, partial(dual_kernel_case, k=k))
       for k in (2, 4, 8, 16)),
 ]
-
-
-def median_and_iqr(fn) -> tuple[float, float]:
-    """The median wall time of REPEAT calls of fn and the distance between their quartiles."""
-    times = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return float(median), float(q3 - q1)
-
-
-def main() -> None:
-    print(f"{'section':<12}{'case':<60}{'size':>6}{'median s':>10}{'iqr s':>10}")
-    for section, name, size, setup in CASES:
-        median, iqr = median_and_iqr(setup())
-        print(f"{section:<12}{name:<60}{size:>6}{median:>10.4f}{iqr:>10.4f}")
-
-
-if __name__ == "__main__":
-    main()
