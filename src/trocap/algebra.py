@@ -5,17 +5,18 @@ compatible conditional expectations, ternary-ring detection, left/right
 algebras of an operator space, independence tests, and symbol validation.
 
 A TRO is exactly U ((+)_i M_{n_i,m_i} (x) 1_{l_i}) W*, so blocks that account
-for a whole span prove it a TRO.  One routine, _structure, serves every TRO
+for a whole span prove it a TRO.  One routine, _structure, settles every TRO
 test, closure and decomposition: a block attempt (_attempt) reads a span in
 coordinates off its support, and any other span's U, n_i, l_i off seeded
 elements sum_s x_s y_s* of the left algebra and its left frames alone, then W,
 m_i once off the span, one stack per summand shape; a span close enough to its
-blocks is certified by that distance, else a witness scan decides.  Closing
-adds, when the scan rejects, the directions above tol of one SVD of unnormalized
-residuals (so rounding can still enter below about 100 tol).  Both sides'
-algebras and conditional expectations are block compressions and partial traces
-in U and W; generate_star_algebra closes its generators' words of length one and
-two.  The HS conditional_expectation is a reference no internal path uses.
+blocks is certified by that distance, else a witness scan decides, and an
+accepted span with no attempt near it draws fresh seeds.  Closing adds, when the
+scan rejects, the directions above tol of one SVD of unnormalized residuals.
+Every algebra (generate_star_algebra closes its generators' words of length one
+and two), conditional expectation and certificate reads those blocks: block
+bases, compressions and partial traces in U and W.  The HS
+conditional_expectation is a reference no internal path uses.
 Spans are HS orthonormal, cut at mc.RANK_RTOL, block structures at
 STRUCTURE_RTOL; _modified certifies each N_f's f on the space it modifies.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,18 +81,12 @@ class AlgebraBasis:
         return len(self.basis)
 
 
-def _make_algebra(dim: int, basis: Sequence[np.ndarray]) -> AlgebraBasis:
-    frozen = np.array(basis, dtype=complex).reshape(-1, dim, dim)
-    frozen.setflags(write=False)
-    unital = span_residual(np.eye(dim, dtype=complex), basis) <= 1e-8 * np.sqrt(dim)
-    return AlgebraBasis(dim=dim, basis=tuple(frozen), unital=unital)
-
-
 def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
     """Smallest adjoint- and product-closed span containing the generators:
     the smallest TRO containing S + S S, S = span(G + G*).  A *-algebra is a
     TRO, and every word is a triple product, s_1 s_2 ... s_n = s_1 (s_2*)*
-    (s_3 ... s_n), so that TRO holds every word of S (see _structure)."""
+    (s_3 ... s_n), so that TRO holds every word of S.  The basis is the block
+    basis of the blocks _structure settles for it; NotTro when it settles none."""
     gens = [mc.asmatrix(g) for g in generators]
     if not gens:
         raise DimMismatch("at least one generator required")
@@ -98,20 +94,22 @@ def generate_star_algebra(generators: Sequence[np.ndarray]) -> AlgebraBasis:
     if any(g.shape != (dim, dim) for g in gens):
         raise DimMismatch("generators must be square with a common dimension")
     s = np.reshape(orthonormal_span(gens + [mc.dagger(g) for g in gens]), (-1, dim, dim))
-    words = _structure([*s, *(s[:, None] @ s[None]).reshape(-1, dim, dim)], TRO_TOL, close=True)[0]
-    return _make_algebra(dim, words)
+    if not len(s):  # the zero algebra: no span, so no blocks
+        return AlgebraBasis(dim, (), unital=False)
+    words = [*s, *(s[:, None] @ s[None]).reshape(-1, dim, dim)]
+    return _side_algebra(_decompose(*_structure(words, TRO_TOL, close=True)[1:]), 0)
 
 
 def left_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x y* over the space basis (acts on the output):
     span{t s*} over the smallest TRO containing the space."""
-    return _side_algebra(_closed_structure(space.basis, 0)[1], 0)
+    return _side_algebra(_decompose(*_structure(space.basis, TRO_TOL, close=True)[1:]), 0)
 
 
 def right_algebra(space: StinespringSpace) -> AlgebraBasis:
     """C*-algebra generated by x* y over the space basis (acts on the
     environment): span{t* s} over the smallest TRO containing the space."""
-    return _side_algebra(_closed_structure(space.basis, 0)[1], 1)
+    return _side_algebra(_decompose(*_structure(space.basis, TRO_TOL, close=True)[1:]), 1)
 
 
 class TroCheck(NamedTuple):
@@ -129,12 +127,12 @@ def is_tro(mats: Sequence[np.ndarray], tol: float = TRO_TOL) -> TroCheck:
     """Check closure of span(mats) under the triple product x y* z.
 
     When a block attempt (_attempt) declares a TRO T of the span's dimension k
-    within eps of each orthonormal basis element, every basis triple lies
-    within 3 eps of T and T within sqrt(k) eps of the span: if that block-form
-    bound (3 + sqrt(k)) eps is within tol, the span is accepted and
-    ``residual`` is the bound.  Otherwise every triple is scanned, O(k^2 n m)
-    numbers at a time: the witness of a failure is the first (i, j, k) with the
-    largest residual, and ``residual`` is the exact maximum."""
+    within eps of each orthonormal basis element, every basis triple lies within
+    3 eps of T and T within sqrt(k) eps of the span: if that bound (3 + sqrt(k))
+    eps is within tol, the span is accepted and ``residual`` is the bound.  Else
+    every triple is scanned, O(k^2 n m) numbers at a time: the witness of a
+    failure is the first (i, j, k) with the largest residual, ``residual`` the
+    exact maximum, and an accepted span no attempt lies near draws fresh seeds."""
     return _structure(mats, tol)[2]
 
 
@@ -146,13 +144,15 @@ def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _structure(
     mats: Sequence[np.ndarray], tol: float, close: bool = False, seed: int = 0
-) -> tuple[np.ndarray, Optional[tuple[TroDecomposition, float]], TroCheck]:
+) -> tuple[np.ndarray, Optional[TroDecomposition], TroCheck]:
     """Stacked orthonormal basis v of span(mats) (with close, of the smallest
-    TRO containing it), the block attempt on v seeded (seed, 0), and is_tro of
-    v at tol.  Closing extends v exactly when is_tro rejects it: per i, rows of
-    j = 0, then the rest, off what the round added and above tol, add the
-    directions above tol of one SVD, each known to about eps/r at residual r.
-    All of M_{n,m} is a TRO, so closing it takes no round and no attempt."""
+    TRO containing it), its blocks, and is_tro of v at tol.  The blocks are the
+    first attempt seeded (seed, t), t < BLOCK_TRIES, within STRUCTURE_RTOL of v,
+    t > 0 only for an accepted v (at TRO_TOL, after its witness scan); None for
+    a rejected v or none near.  Closing extends v exactly when is_tro rejects
+    it: per i, rows of j = 0, then the rest, off what the round added and above
+    tol, add the directions above tol of one SVD, each known to about eps/r at
+    residual r.  All of M_{n,m} is a TRO, so closing it takes no round or attempt."""
     if not len(mats):  # no shape, so no stack: accepted as a TRO, never decomposed
         return np.zeros((0, 0, 0), complex), None, TroCheck(True, None, 0.0)
     v = np.reshape(orthonormal_span(mats), (-1, *np.shape(mats[0])))
@@ -160,13 +160,12 @@ def _structure(
         k, n, m = v.shape
         if close and k == n * m:
             full = TroDecomposition(((n, m, 1),), np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-            return v, (full, 0.0), TroCheck(True, None, 0.0)
+            return v, full, TroCheck(True, None, 0.0)
         found = _attempt(v, (seed, 0))
         bound = np.inf if found is None else float((3 + np.sqrt(k)) * found[1])
-        if bound <= tol:
-            return v, found, TroCheck(True, None, bound)
-        flat, worst, witness, added = v.reshape(k, -1), 0.0, None, np.zeros((0, n * m), complex)
-        for i in range(k):  # every x_i x_j* x_l of one i at once, as k products (x_i x_j*)_j x_l, rows (l, j)
+        scan = bound > tol  # else the block-form bound is the residual
+        flat, worst, witness, added = v.reshape(k, n * m), 0.0 if scan else bound, None, np.zeros((0, n * m), complex)
+        for i in range(k) if scan else ():  # every x_i x_j* x_l of one i, as k products (x_i x_j*)_j x_l, rows (l, j)
             xy = (v[i] @ v.conj().transpose(0, 2, 1)).reshape(k * n, n)
             r = (xy @ v).reshape(k * k, -1)
             r = (r - (r @ flat.conj().T) @ flat).reshape(k, k, -1)
@@ -179,8 +178,11 @@ def _structure(
                 on = np.linalg.norm(rows, axis=1) > tol  # a group with no row left takes no SVD
                 _, s, vh = np.linalg.svd(rows[on], full_matrices=False) if on.any() else (None, np.zeros(0), rows[:0])
                 added = np.vstack([added, vh[s > tol]])
-        if worst <= tol or not close:
-            return v, found, TroCheck(worst <= tol, None if worst <= tol else witness, worst)
+        check = TroCheck(worst <= tol, None if worst <= tol else witness, worst)
+        if check.ok or not close:
+            tries = chain([found], (_attempt(v, (seed, t)) for t in range(1, BLOCK_TRIES)))  # drawn as next asks
+            near = (f[0] for f in tries if f is not None and f[1] <= STRUCTURE_RTOL)
+            return v, next(near, None) if check.ok else None, check
         v = np.array(orthonormal_span([*v, *added.reshape(-1, n, m)]))
 
 
@@ -403,8 +405,8 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     v_cols = v.transpose(1, 0, 2).reshape(n, -1)  # columns (k, env)
     for (_, l), ids in _groups([(frame.shape[1], l) for frame, l in summands]).items():
         yh = mc.dagger(v) @ np.stack([summands[i][0] for i in ids])[:, None]  # v_k* F, (p, k, env, n l)
-        r = np.sum(yh @ mc.dagger(yh), axis=1)
-        stack = _polar(v_cols @ (r[:, None] @ yh).reshape(len(ids), k * m, -1))
+        y = yh.transpose(0, 2, 1, 3).reshape(len(ids), m, -1)  # the v_k* F side by side: R = Y Y*
+        stack = _polar(v_cols @ ((y @ mc.dagger(y))[:, None] @ yh).reshape(len(ids), k * m, -1))
         for ps, mi, g in _right_frames(v, stack, l):
             for p, rframe in zip(ps, g):
                 refined[ids[p]] = stack[p], l, mi, rframe
@@ -422,48 +424,39 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     return found, _distance(v, found)
 
 
-def _decompose(v: np.ndarray, found, check: TroCheck, seed: int) -> TroDecomposition:
-    """Blocks of a span v that check accepted: of the attempt found by _structure or
-    the first fresh one seeded (seed, t) that lies within STRUCTURE_RTOL of v.
-    NotTro naming the witness of a rejected span, or when BLOCK_TRIES find none."""
+def _decompose(found: Optional[TroDecomposition], check: TroCheck) -> TroDecomposition:
+    """The blocks found by _structure, whose is_tro was check: NotTro naming the
+    witness of a rejected span, or when no attempt lay within STRUCTURE_RTOL of it."""
     if not check.ok:
         raise NotTro(f"triple product leaves the span (witness {check.witness}, residual {check.residual:.3e})")
-    for t in range(BLOCK_TRIES):
-        if t:
-            found = _attempt(v, (seed, t))
-        if found is not None and found[1] <= STRUCTURE_RTOL:
-            return found[0]
-    raise NotTro(f"no block decomposition within {STRUCTURE_RTOL:.0e} of the span in {BLOCK_TRIES} attempts")
+    if found is None:
+        raise NotTro(f"no block decomposition within {STRUCTURE_RTOL:.0e} of the span in {BLOCK_TRIES} attempts")
+    return found
 
 
 def tro_block_decomposition(space, seed: int = 0, tol: float = TRO_TOL) -> TroDecomposition:
     """Block decomposition of a verified TRO, given as a StinespringSpace or as
-    matrices spanning it: the seeded block attempt of is_tro(mats, tol), whose
-    block-form bound is the accepted ``residual`` when within tol (_decompose).
+    matrices spanning it: the blocks _structure settles from seed for is_tro(mats, tol).
     Raises NotTro, naming the witness of is_tro(mats), when it is not a TRO."""
     mats = space.basis if isinstance(space, StinespringSpace) else [mc.asmatrix(m) for m in space]
     if not len(mats):
         raise DimMismatch("no matrices: an empty list has no shape to decompose")
-    return _decompose(*_structure(mats, tol, seed=seed), seed)
-
-
-def _closed_structure(mats: Sequence[np.ndarray], seed: int) -> tuple[np.ndarray, TroDecomposition]:
-    """Stacked basis of the smallest TRO containing span(mats) and its block
-    decomposition, both from one _structure."""
-    v, found, check = _structure(mats, TRO_TOL, close=True, seed=seed)
-    return v, _decompose(v, found, check, seed)
+    return _decompose(*_structure(mats, tol, seed=seed)[1:])
 
 
 def _side_algebra(decomp: TroDecomposition, side: int) -> AlgebraBasis:
     """Orthonormal basis F (e_ab (x) 1_l) F* / sqrt(l), F each summand's columns of
-    the basis change, of a decomposed TRO's output (side 0) or environment algebra."""
+    the basis change, of a decomposed TRO's output (side 0) or environment algebra,
+    unital when the summands fill the space."""
     q, basis, edge = (decomp.basis_change_out, decomp.basis_change_env)[side], [], 0
     for blk in decomp.blocks:
         d, l = blk[side], blk[2]
-        f = q[:, edge : edge + d * l].reshape(len(q), d, l)
-        basis += [f[:, a] @ mc.dagger(f[:, b]) / np.sqrt(l) for a in range(d) for b in range(d)]
+        f = q[:, edge : edge + d * l].reshape(len(q), d, l).transpose(1, 0, 2)  # f[a, :, s]: copy s of F's column a
+        basis.append((f[:, None] @ mc.dagger(f)[None]).reshape(d * d, len(q), len(q)) / np.sqrt(l))
         edge += d * l
-    return _make_algebra(len(q), basis)
+    frozen = np.concatenate(basis)
+    frozen.setflags(write=False)
+    return AlgebraBasis(dim=len(q), basis=tuple(frozen), unital=edge == len(q))
 
 
 @functools.lru_cache(maxsize=256)
@@ -539,7 +532,8 @@ def _certify(space: StinespringSpace, f: np.ndarray, seed: int, tol: float = SYM
     mc._require_psd(eig.eigenvalues, NotNormalized, "symbol must be positive semidefinite")
     mc._require_unit_trace(f, NotNormalized, "normalized trace is {:.6f}, expected 1")
 
-    v, decomp = _closed_structure(space.basis, seed)
+    v, found, check = _structure(space.basis, TRO_TOL, close=True, seed=seed)
+    decomp = _decompose(found, check)
     resids = _block_residuals(eig, decomp)
     bad = [k for k, r in enumerate(resids) if r > tol]
     if bad:

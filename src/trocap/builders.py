@@ -281,7 +281,7 @@ def _schur_multiplier_base(group: FiniteGroup, phi: Sequence[complex]) -> tuple[
         raise DimMismatch("phi must assign one value per group element")
     # kernel[g, g'] = phi(g'^-1 g)
     kernel = phi[group.table[group.inverses[None, :], np.arange(n)[:, None]]]
-    if float(np.max(np.abs(kernel - mc.dagger(kernel)))) > 1e-10:
+    if not (np.isfinite(kernel).all() and float(np.max(np.abs(kernel - mc.dagger(kernel)))) <= 1e-10):
         raise NotPositiveDefinite("kernel matrix of phi is not PSD")
     w = np.linalg.eigvalsh(mc.hermitize(kernel))
     mc._require_psd(w, NotPositiveDefinite, "kernel matrix of phi is not PSD")

@@ -80,13 +80,16 @@ def tro_subspace(seed, shapes, pad, delta, mixed=False):
 def star_algebra_loop(generators) -> alg.AlgebraBasis:
     """The *-algebra of the generators by span <- span + span span from
     span(G + G*) until the rank stabilizes: the reference for
-    alg.generate_star_algebra."""
+    alg.generate_star_algebra, unital when the identity lies within 1e-8 sqrt(dim)
+    of the span."""
     gens = [mc.asmatrix(g) for g in generators]
+    dim = gens[0].shape[0]
     basis = alg.orthonormal_span(gens + [mc.dagger(g) for g in gens])
     while True:
         new_basis = alg.orthonormal_span(basis + [a @ b for a in basis for b in basis])
         if len(new_basis) == len(basis):
-            return alg._make_algebra(gens[0].shape[0], new_basis)
+            unital = alg.span_residual(np.eye(dim, dtype=complex), new_basis) <= 1e-8 * np.sqrt(dim)
+            return alg.AlgebraBasis(dim, tuple(new_basis), unital)
         basis = new_basis
 
 
@@ -101,6 +104,29 @@ def commutant_nullspace_blocks(rep, seed: int = 0) -> list[tuple[int, int]]:
     # the rank are an orthonormal basis of the nullspace
     _, s, vh = np.linalg.svd(np.concatenate(rows, axis=0), full_matrices=False)
     return sorted(alg.algebra_blocks(vh[~mc._rank_mask(s)].conj().reshape(-1, m, m), seed))
+
+
+def character_blocks(rep, seed: int = 0) -> list[tuple[int, int]]:
+    """(multiplicity, irrep dimension) of each isotypic component of rep,
+    sorted, from characters alone: the reference for the blocks of span u(G)
+    with no closure and no block attempt.  C = sum_g u(g) Y u(g)*, Y a seeded
+    hermitian element of span u(G), lies in its center, so C's eigenspaces
+    (split at gaps above 1e-8 max |eigenvalue|) are the components.  A component
+    with projector P of rank r carries tr(u(g) P) = m chi(g) for its irrep's
+    (projective) character chi, so m = sqrt(sum_g |tr(u(g) P)|^2 / |G|) by the
+    orthogonality of characters, and the irrep dimension is r / m.  Both must
+    be integers: two merged components would read m^2 = m_1^2 + m_2^2."""
+    u = np.stack(rep.unitaries)
+    x = np.tensordot(mc.random_complex(np.random.default_rng(seed), len(u)), u, axes=1)
+    w, q = np.linalg.eigh(mc.hermitize(np.sum(u @ (x + mc.dagger(x)) @ mc.dagger(u), axis=0)))
+    cuts = np.flatnonzero(np.diff(w) > 1e-8 * np.max(np.abs(w))) + 1
+    blocks = []
+    for cols in np.split(np.arange(len(w)), cuts):
+        p = q[:, cols] @ mc.dagger(q[:, cols])
+        m = math.sqrt(np.sum(np.abs(np.trace(u @ p, axis1=1, axis2=2)) ** 2) / len(u))
+        assert abs(m - round(m)) <= 1e-6 and len(cols) % round(m) == 0, (m, len(cols))
+        blocks.append((round(m), len(cols) // round(m)))
+    return sorted(blocks)
 
 
 def random_channel(rng, dim_in, dim_out, dim_env):

@@ -32,7 +32,7 @@ from trocap.entropy import entropy_defect
 from trocap.errors import DimMismatch, NotIndependent, NotNormalized, NotTro
 from trocap.verify import verify_local_comparison
 
-from helpers import block_tro, hs_inner, mix, random_unitary, star_algebra_loop, tro_subspace
+from helpers import block_tro, hs_inner, mix, random_channel, random_unitary, star_algebra_loop, tro_subspace
 
 
 def e(i, j, d=2):
@@ -350,7 +350,7 @@ class TestConditionalExpectation:
 
     def test_nonunital_algebra_adjoins_identity(self):
         # the span of e11 alone is nonunital in M_2
-        a = alg._make_algebra(2, alg.orthonormal_span([e(0, 0)]))
+        a = alg.generate_star_algebra([e(0, 0)])
         assert not a.unital
         out = alg.conditional_expectation(a, np.eye(2))
         assert np.allclose(out, np.eye(2), atol=1e-10)
@@ -668,7 +668,7 @@ class TestTroClosureAgainstLoops:
         # a span that is all of M_{n,m} from the start takes no attempt at all
         spans.clear()
         mats = list(mc.random_complex(np.random.default_rng(1), (6, 3, 2)))
-        v, decomp = alg._closed_structure(mats, 0)
+        v, decomp, _ = alg._structure(mats, alg.TRO_TOL, close=True)
         assert spans == [] and len(v) == 6 and decomp.blocks == ((3, 2, 1),)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -701,6 +701,24 @@ class TestTroClosureAgainstLoops:
             tracemalloc.stop()
         assert not check.ok
         assert peak < 16 * 2**20
+
+    def test_attempt_memory_on_the_order_8_square(self):
+        # the tensor suite's span on the square of the uniform mixture over the
+        # regular representation of cyclic(8): (k, n, m) = (64, 64, 64), 4 MiB,
+        # and 64 summands of one shape; their central pass sums over k inside one
+        # product, with no (p, k, m, m) stack of the v_k* F F* v_k (256 MiB)
+        import tracemalloc
+
+        base = base_channel(group_random_unitary(regular_representation(cyclic_group(8)), [1 / 8] * 8).base_space)
+        v = stinespring_space(tensor_channels(base, base)).stacked()
+        tracemalloc.start()
+        try:
+            decomp, eps = alg._attempt(v, (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decomp.blocks == ((1, 1, 1),) * 64 and eps <= 1e-13
+        assert peak <= 16 * v.nbytes
 
 
 NEAR_SHAPES = [[(2, 2), (1, 1)], [(2, 3), (3, 1), (1, 1)]]
@@ -750,8 +768,9 @@ class TestOneAcceptanceDecision:
         ok, _, worst, _ = ref_is_tro(mats)
         assert alg.is_tro(mats).ok == ok
         for attempt_seed in range(3):
-            v, found, check = alg._structure(mats, alg.TRO_TOL, seed=attempt_seed)
+            v, _, check = alg._structure(mats, alg.TRO_TOL, seed=attempt_seed)
             assert check.ok == ok
+            found = alg._attempt(v, (attempt_seed, 0))  # the attempt _structure bounds first
             bound = np.inf if found is None else (3 + np.sqrt(len(v))) * found[1]
             if bound <= alg.TRO_TOL:
                 assert check.residual == bound
@@ -799,24 +818,57 @@ class TestOneAcceptanceDecision:
         with pytest.raises(NotTro, match="witness"):
             alg.tro_block_decomposition(mats)
         v = np.array(alg.orthonormal_span(mats))
+        tries = [alg._attempt(v, (0, t)) for t in range(alg.BLOCK_TRIES)]
+        assert all(found is None or found[1] > alg.STRUCTURE_RTOL for found in tries)
         with pytest.raises(NotTro, match="no block decomposition"):
-            alg._decompose(v, None, alg.TroCheck(True, None, 0.0), 0)
+            alg._decompose(None, alg.TroCheck(True, None, 0.0))
 
-    def test_decompose_retries_until_an_attempt_lies_within_the_cut(self, monkeypatch):
-        # fresh attempts seeded (seed, 1), (seed, 2), ... until one lies within
-        # STRUCTURE_RTOL of the span; none for a rejected span, BLOCK_TRIES at most
-        seeds, results = [], iter([None, ("far", 2 * alg.STRUCTURE_RTOL), ("near", alg.STRUCTURE_RTOL)])
-        monkeypatch.setattr(alg, "_attempt", lambda v, seed: seeds.append(seed) or next(results))
-        accepted = alg.TroCheck(True, None, 0.0)
-        assert alg._decompose(None, ("first", 3 * alg.STRUCTURE_RTOL), accepted, 7) == "near"
-        assert seeds == [(7, 1), (7, 2), (7, 3)]
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (12, 5, 3)], ids=str)
+    def test_a_rejected_span_takes_one_attempt(self, monkeypatch, shape):
+        # the structure workload's non-TRO Kraus shapes (in, out, env): the scan
+        # rejects the span, and no fresh seed is drawn for it
+        d_in, d_out, n_env = shape
+        space = stinespring_space(random_channel(np.random.default_rng(d_in), d_in, d_out, n_env))
+        spans = count_attempts(monkeypatch)
+        assert not alg.is_tro(space.basis).ok
+        assert spans == [d_in]
+        spans.clear()
         with pytest.raises(NotTro, match="witness"):
-            alg._decompose(None, None, alg.TroCheck(False, (0, 1, 0), 1.0), 7)
-        monkeypatch.setattr(alg, "_attempt", lambda v, seed: seeds.append(seed))
-        seeds.clear()
+            alg.tro_block_decomposition(space, seed=5)
+        assert spans == [d_in]
+
+    def test_a_failed_first_attempt_is_retried_after_the_scan(self, monkeypatch):
+        # the (seed, 0) and (seed, 1) attempts on a rotated TRO forced to fail:
+        # the witness scan accepts the span, then (seed, 1) and (seed, 2) are
+        # drawn, and the blocks are (seed, 2)'s
+        rng = np.random.default_rng(4)
+        mats = mix(rng, block_tro(rng, [(2, 2), (1, 1)], pad=(1, 1)))
+        events, real_attempt, real_norm = [], alg._attempt, np.linalg.norm
+
+        def attempt(v, seed):
+            events.append(seed)
+            return None if seed[1] < 2 else real_attempt(v, seed)
+
+        def norm(a, *args, axis=None, **kwargs):
+            if axis == 2 and events[-1] != "scan":  # the witness scan's residual norms
+                events.append("scan")
+            return real_norm(a, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(alg, "_attempt", attempt)
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        v, found, check = alg._structure(mats, alg.TRO_TOL, seed=7)
+        assert events == [(7, 0), "scan", (7, 1), (7, 2)]
+        assert check.ok and check.residual <= alg.TRO_TOL
+        assert sorted(found.blocks) == [(1, 1, 1), (2, 2, 1)] and alg._distance(v, found) <= alg.STRUCTURE_RTOL
+        events.clear()
+        assert alg.tro_block_decomposition(mats, seed=7).blocks == found.blocks
+        assert events == [(7, 0), "scan", (7, 1), (7, 2)]
+        # with every attempt failing, an accepted span has BLOCK_TRIES of them
+        monkeypatch.setattr(alg, "_attempt", lambda v, seed: events.append(seed))
+        events.clear()
         with pytest.raises(NotTro, match="no block decomposition"):
-            alg._decompose(None, None, accepted, 7)
-        assert seeds == [(7, t) for t in range(1, alg.BLOCK_TRIES)]
+            alg.tro_block_decomposition(mats, seed=7)
+        assert events == [(7, 0), "scan", *((7, t) for t in range(1, alg.BLOCK_TRIES))]
 
     def test_each_closing_round_adds_a_dimension(self, monkeypatch):
         # a TRO with one element pushed out of it closes in more than one round:
@@ -1161,7 +1213,7 @@ class TestBlockBasisAgainstHsReference:
     @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
     def test_block_expectation_matches_hs_conditional_expectation(self, name):
         space = stinespring_space(reference_channel(name))
-        decomp = alg._closed_structure(space.basis, 0)[1]
+        decomp = alg._structure(space.basis, alg.TRO_TOL, close=True)[1]
         u, w = decomp.basis_change_out, decomp.basis_change_env
         sides = (
             (u, [(n, l) for n, _, l in decomp.blocks], alg.left_algebra(space)),
@@ -1181,7 +1233,7 @@ class TestBlockBasisAgainstHsReference:
         bundle = phi_alpha(0.5)
         calls = []
         hs_paths = ("generate_star_algebra", "left_algebra", "conditional_expectation")
-        for name in hs_paths + ("_make_algebra", "project_span"):
+        for name in hs_paths + ("_side_algebra", "project_span"):
             def counting(*args, _name=name, _real=getattr(alg, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -1195,7 +1247,7 @@ class TestBlockBasisAgainstHsReference:
         assert commutant_blocks(regular_representation(cyclic_group(3))) == [(1, 1)] * 3
         assert calls == []
         alg.left_algebra(bundle.space)  # the counters do count
-        assert calls[0] == "left_algebra" and "_make_algebra" in calls
+        assert calls[0] == "left_algebra" and "_side_algebra" in calls
 
 
 class TestStructureCarriedOnTheSymbol:
@@ -1219,7 +1271,7 @@ class TestStructureCarriedOnTheSymbol:
     def test_carried_block_expectation_matches_fresh_structure(self, name):
         ch = reference_channel(name)
         carried = alg.identity_symbol(ch, seed=3).certificate.decomposition
-        fresh = alg._closed_structure(stinespring_space(ch).basis, 0)[1]
+        fresh = alg._structure(stinespring_space(ch).basis, alg.TRO_TOL, close=True)[1]
         assert carried.blocks == fresh.blocks
         u, w = carried.basis_change_out, carried.basis_change_env
         assert not (u.flags.writeable or w.flags.writeable)

@@ -212,6 +212,16 @@ MALFORMED = {  # id: (call, exception type, message fragment)
         NotPositiveDefinite,
         "not PSD",
     ),
+    "schur-phi-nan": (
+        lambda: bld.schur_multiplier_channel(bld.cyclic_group(3), [1.0, math.nan, 0.3]),
+        NotPositiveDefinite,
+        "not PSD",
+    ),
+    "schur-phi-inf": (
+        lambda: bld.schur_multiplier_channel(bld.cyclic_group(3), [1.0, math.inf, math.inf]),
+        NotPositiveDefinite,
+        "not PSD",
+    ),
     "dephasing-weight": (lambda: bld.qubit_dephasing(1.5), OutOfRange, "must lie in"),
     "report-unknown-quantity": (lambda: cap.BoundReport().set("X", 0.0, 1.0, "p"), KeyError, "unknown quantity"),
     "comparison-bounds-symbol-dim": (

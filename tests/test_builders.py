@@ -1,8 +1,12 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
 from trocap import algebra as alg
 from trocap import builders as bld
+from trocap import capacity as cap
 from trocap import matcore as mc
 from trocap.channel import apply, stinespring_space
 from trocap.entropy import binary_entropy, entropy_defect
@@ -14,7 +18,7 @@ from trocap.errors import (
     OutOfRange,
 )
 
-from helpers import commutant_nullspace_blocks, random_unitary
+from helpers import character_blocks, commutant_nullspace_blocks, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -339,6 +343,34 @@ COMMUTANT_REPS = {
 }
 
 
+def _weyl_heisenberg(d):
+    """X^a Z^b on C^d over Z_d x Z_d, (a, b) -> a d + b: irreducible, so its commutant is (1, d)."""
+    x, z = np.roll(np.eye(d), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    mats = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) for a in range(d) for b in range(d)]
+    return bld.ProjectiveRep.from_unitaries(bld.direct_product(bld.cyclic_group(d), bld.cyclic_group(d)), mats)
+
+
+def _doubled(rep):
+    """rep (x) 1_2: every multiplicity doubled."""
+    return bld.ProjectiveRep(group=rep.group, unitaries=tuple(np.kron(u, np.eye(2)) for u in rep.unitaries))
+
+
+def _regular(make, *args):
+    return bld.regular_representation(make(*args))
+
+
+CHARACTER_REPS = {
+    **{f"cyclic({n})": partial(_regular, bld.cyclic_group, n) for n in (1, 2, 5, 12, 32)},
+    **{f"dihedral({n})": partial(_regular, bld.dihedral_group, n) for n in (3, 4, 7)},
+    "dihedral(3) x cyclic(2)": lambda: _regular(bld.direct_product, bld.dihedral_group(3), bld.cyclic_group(2)),
+    "pauli": bld.pauli_rep,
+    "weyl-heisenberg(3)": partial(_weyl_heisenberg, 3),
+    "weyl-heisenberg(5)": partial(_weyl_heisenberg, 5),
+    "dihedral(3) (x) 1_2": lambda: _doubled(bld.regular_representation(bld.dihedral_group(3))),
+    "pauli (x) 1_2": lambda: _doubled(bld.pauli_rep()),
+}
+
+
 class TestCommutantBlocks:
     def test_pauli_irreducible(self):
         assert bld.commutant_blocks(bld.pauli_rep()) == [(1, 2)]
@@ -382,9 +414,26 @@ class TestCommutantBlocks:
         assert bld.commutant_blocks(rep) == blocks
         assert shapes and max(shape[-2] for shape in shapes) <= rep.dim**2
 
-    def test_capacities_from_commutant(self):
-        import trocap.capacity as cap
+    @pytest.mark.parametrize("name", sorted(CHARACTER_REPS))
+    def test_blocks_match_the_characters(self, name):
+        # the character oracle reads the isotypic components with no closure and no
+        # block attempt; the commutant (the blocks of span u(G)), the uniform
+        # mixture's TRO, whose blocks (n, m, l) carry the multiplicity as n and
+        # the irrep dimension as l, its left algebra, the commutant itself, and
+        # that TRO's exact capacities all agree
+        rep = CHARACTER_REPS[name]()
+        want = character_blocks(rep, seed=1)
+        assert bld.commutant_blocks(rep) == want
+        order = rep.group.order
+        space = bld.group_random_unitary(rep, [1 / order] * order).base_space
+        blocks = alg.tro_block_decomposition(space).blocks
+        assert sorted((n, l) for n, _, l in blocks) == want
+        assert sorted(alg.algebra_blocks(alg.left_algebra(space).basis)) == want
+        report = cap.tro_capacities(blocks)
+        assert report.entries["Q"].lower == math.log2(max(m for m, _ in want))
+        assert report.entries["C"].lower == math.log2(sum(m for m, _ in want))
 
+    def test_capacities_from_commutant(self):
         blocks = bld.commutant_blocks(bld.pauli_rep())
         rep = cap.tro_capacities(blocks)
         assert rep.entries["Q"].lower == 0.0

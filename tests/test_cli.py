@@ -13,7 +13,7 @@ from trocap.cli import MAX_GRID_POINTS, SpecBundle, _parse_grid, load_spec, main
 from trocap.entropy import binary_entropy
 from trocap.errors import HypothesisFailed
 
-from helpers import tro_subspace
+from helpers import random_channel, tro_subspace
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -673,6 +673,14 @@ class TestMalformedInput:
         assert main(["describe", write_spec(tmp_path, doc)]) == 3
         assert "DimMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", [[1.0, math.nan, 0.3], [1.0, math.inf, math.inf]], ids=["nan", "inf"])
+    def test_non_finite_phi_entry_rejected(self, tmp_path, capsys, phi):
+        # json reads NaN and Infinity; the kernel's hermiticity test rejects them
+        doc = {"kind": "schur_multiplier", "params": {"group": {"kind": "cyclic", "order": 3}, "phi": phi}}
+        assert main(["describe", write_spec(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert "NotPositiveDefinite" in err and "Traceback" not in err
+
     def test_nan_distribution_entry_rejected(self, tmp_path, capsys):
         doc = {"kind": "group_random_unitary", "params": {"rep": "pauli", "distribution": [0.25, 0.25, 0.25, math.nan]}}
         assert main(["describe", write_spec(tmp_path, doc)]) == 3
@@ -742,7 +750,7 @@ class TestOneStructurePerCommand:
 
     def test_verify_all_builds_two_structures(self, tmp_path, capsys, monkeypatch):
         spec = write_spec(tmp_path, PHI_SPEC)
-        calls = self.count(monkeypatch, "_closed_structure")
+        calls = self.count(monkeypatch, "_structure")
         assert main(["verify", spec, "--suite", "all", "--samples", "2"]) == 0
         assert len(calls) == 2  # the spec's symbol and the tensor symbol
 
@@ -762,6 +770,18 @@ class TestOneStructurePerCommand:
         assert "dilation range is a TRO: True" in out
         assert "blocks (n, m, multiplicity): [(2, 2, 1), (3, 1, 1)]" in out
         assert len(structures) == len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (12, 5, 3)], ids=str)
+    def test_describe_of_a_non_tro_kraus_span_makes_one_attempt(self, tmp_path, capsys, monkeypatch, shape):
+        # the structure workload's non-TRO Kraus shapes (in, out, env): the
+        # witness scan rejects the span, and no fresh seed is drawn for it
+        kraus = random_channel(np.random.default_rng(shape[0]), *shape).kraus
+        pairs = [[[[z.real, z.imag] for z in row] for row in k] for k in kraus]
+        spec = write_spec(tmp_path, {"kind": "kraus", "params": {"kraus": pairs}, "seed": 3})
+        calls = self.count(monkeypatch, "_attempt")
+        assert main(["describe", spec]) == 0
+        assert "dilation range is a TRO: False" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestColdProcess:

@@ -23,7 +23,7 @@ def load_tool(name):
 
 def test_scaling_runs_the_smallest_case_of_each_curve():
     # every curve of every section, so a renamed or removed call (the
-    # structure section reaches the private algebra._closed_structure) fails here
+    # structure section reaches the private algebra._structure) fails here
     scaling = load_tool("scaling")
     curves = {}
     for section, name, size, setup in scaling.CASES:
@@ -65,8 +65,8 @@ def test_abtest_alternates_the_sides_and_reports_each_point_from_its_times():
     items = [(key, {side: partial(log.append, (key, side)) for side in abtest.SIDES}) for key in keys]
     times, first = abtest.alternate(items, reps)
     assert Counter(log) == {(key, side): reps for key in keys for side in abtest.SIDES}
-    # the pairs run item by item, rep by rep; the parent goes first at even rep + item
-    assert log[::2] == [(key, abtest.SIDES[(rep + n) % 2]) for rep in range(reps) for n, key in enumerate(keys)]
+    # each item runs all its reps back to back; the parent goes first at even rep + item
+    assert log[::2] == [(key, abtest.SIDES[(rep + n) % 2]) for n, key in enumerate(keys) for rep in range(reps)]
     assert [key for key, _ in log[1::2]] == [key for key, _ in log[::2]]
     for side in abtest.SIDES:
         assert first[side] == {key: [None, None] for key in keys}

@@ -12,9 +12,9 @@ writes every job's spec for both trees up front, while all passes are alive,
 so no spec is keyed by the id of a job that is gone.  The workload ``curves``
 sets up every point of ``scaling.CASES`` (the ``scaling.py`` beside this
 script) on both trees.  After one untimed warm-up of the jobs per tree, each
-rep runs every job and point on both trees, and which tree goes first
-alternates from item to item and from rep to rep.  The first rep's outputs
-are checked and kept per side, keyed ``workload:seed:index:job id``.
+job and point runs all its reps back to back on both trees, and which tree
+goes first alternates from rep to rep and from item to item.  The first rep's
+outputs are checked and kept per side, keyed ``workload:seed:index:job id``.
 
 Prints, per job kind (workload and job id without its trailing pass index),
 the sum over its jobs of each job's minimum wall time over the reps on each
@@ -93,13 +93,13 @@ def built(setup, package):
 
 
 def alternate(items: list, reps: int) -> tuple[dict, dict]:
-    """Time every (key, {side: call}) item on both sides for reps rounds; which side
-    goes first alternates from item to item and from rep to rep.  Returns
+    """Time every (key, {side: call}) item on both sides, all its reps back to back
+    (each call warm from the last); the side that goes first alternates by rep and item.  Returns
     ({side: {key: wall seconds per rep}}, {side: {key: [result, failure or None] of rep 0}})."""
     times = {side: {key: [] for key, _ in items} for side in SIDES}
     first = {side: {} for side in SIDES}
-    for rep in range(reps):
-        for n, (key, calls) in enumerate(items):
+    for n, (key, calls) in enumerate(items):
+        for rep in range(reps):
             for side in SIDES if (rep + n) % 2 == 0 else SIDES[::-1]:
                 wall, output, why = timed(calls[side])
                 times[side][key].append(wall)

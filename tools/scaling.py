@@ -111,7 +111,7 @@ def regular_span_case(t, k: int):
 def closure_case(t, k: int):
     d = t.builders.completely_dephasing_channel(k)
     basis = t.channel.stinespring_space(t.channel.tensor_channels(d, d)).basis
-    return lambda: t.algebra._closed_structure(basis, 0)
+    return lambda: t.algebra._structure(basis, t.algebra.TRO_TOL, close=True)
 
 
 def star_case(t, name: str, d: int):
