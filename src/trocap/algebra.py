@@ -10,9 +10,10 @@ test, closure and decomposition: a block attempt (_attempt) reads a span in
 coordinates off its support, and any other span's U, n_i, l_i off seeded
 elements sum_s x_s y_s* of the left algebra and its left frames alone, then W,
 m_i once off the span, one stack per summand shape; a span close enough to its
-blocks is certified by that distance, else a witness scan decides, and an
-accepted span with no attempt near it draws fresh seeds.  Closing adds, when the
-scan rejects, the directions above tol of one SVD of unnormalized residuals.
+blocks is certified by that distance, else a witness scan decides, and the
+blocks of an accepted span no attempt lies near come from fresh seeds, drawn
+only when they are asked for.  Closing adds, when the scan rejects, the
+directions above tol of one SVD of unnormalized residuals.
 Every algebra (generate_star_algebra closes its generators' words of length one
 and two), conditional expectation and certificate reads those blocks: block
 bases, compressions and partial traces in U and W.  The HS
@@ -131,8 +132,8 @@ def is_tro(mats: Sequence[np.ndarray], tol: float = TRO_TOL) -> TroCheck:
     3 eps of T and T within sqrt(k) eps of the span: if that bound (3 + sqrt(k))
     eps is within tol, the span is accepted and ``residual`` is the bound.  Else
     every triple is scanned, O(k^2 n m) numbers at a time: the witness of a
-    failure is the first (i, j, k) with the largest residual, ``residual`` the
-    exact maximum, and an accepted span no attempt lies near draws fresh seeds."""
+    failure is the first (i, j, k) with the largest residual, and ``residual``
+    is the exact maximum.  No fresh block attempt is drawn (see _structure)."""
     return _structure(mats, tol)[2]
 
 
@@ -144,45 +145,49 @@ def smallest_containing_tro(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _structure(
     mats: Sequence[np.ndarray], tol: float, close: bool = False, seed: int = 0
-) -> tuple[np.ndarray, Optional[TroDecomposition], TroCheck]:
+) -> tuple[np.ndarray, Iterator[TroDecomposition], TroCheck]:
     """Stacked orthonormal basis v of span(mats) (with close, of the smallest
-    TRO containing it), its blocks, and is_tro of v at tol.  The blocks are the
-    first attempt seeded (seed, t), t < BLOCK_TRIES, within STRUCTURE_RTOL of v,
-    t > 0 only for an accepted v (at TRO_TOL, after its witness scan); None for
-    a rejected v or none near.  Closing extends v exactly when is_tro rejects
-    it: per i, rows of j = 0, then the rest, off what the round added and above
-    tol, add the directions above tol of one SVD, each known to about eps/r at
-    residual r.  All of M_{n,m} is a TRO, so closing it takes no round or attempt."""
+    TRO containing it), its blocks, and is_tro of v at tol.  The blocks are a
+    lazy iterator of the attempts seeded (seed, t), t < BLOCK_TRIES, that lie
+    within STRUCTURE_RTOL of v: (seed, 0) is the attempt is_tro bounds, and a
+    fresh seed is drawn only when _decompose asks for the blocks of a v accepted
+    at tol (it never asks for a rejected v's), so is_tro and closing draw none.  Closing extends v exactly when
+    is_tro rejects it: per i, rows of j = 0, then the rest, off what the round
+    added and above tol, add the directions above tol of one SVD, each known to
+    about eps/r at residual r.  All of M_{n,m} is a TRO, so closing it takes no
+    round or attempt."""
     if not len(mats):  # no shape, so no stack: accepted as a TRO, never decomposed
-        return np.zeros((0, 0, 0), complex), None, TroCheck(True, None, 0.0)
+        return np.zeros((0, 0, 0), complex), iter(()), TroCheck(True, None, 0.0)
     v = np.reshape(orthonormal_span(mats), (-1, *np.shape(mats[0])))
     while True:
         k, n, m = v.shape
         if close and k == n * m:
             full = TroDecomposition(((n, m, 1),), np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-            return v, full, TroCheck(True, None, 0.0)
+            return v, iter([full]), TroCheck(True, None, 0.0)
         found = _attempt(v, (seed, 0))
         bound = np.inf if found is None else float((3 + np.sqrt(k)) * found[1])
-        scan = bound > tol  # else the block-form bound is the residual
-        flat, worst, witness, added = v.reshape(k, n * m), 0.0 if scan else bound, None, np.zeros((0, n * m), complex)
-        for i in range(k) if scan else ():  # every x_i x_j* x_l of one i, as k products (x_i x_j*)_j x_l, rows (l, j)
-            xy = (v[i] @ v.conj().transpose(0, 2, 1)).reshape(k * n, n)
-            r = (xy @ v).reshape(k * k, -1)
-            r = (r - (r @ flat.conj().T) @ flat).reshape(k, k, -1)
-            res = np.linalg.norm(r, axis=2).T.ravel()  # rows (j, l)
-            jl = int(np.argmax(res))
-            if res[jl] > worst:
-                worst, witness = float(res[jl]), (i, *divmod(jl, k))
-            for rows in (r[:, 0], r[:, 1:].transpose(1, 0, 2).reshape(-1, n * m)) if close else ():
-                rows = rows - (rows @ added.conj().T) @ added  # j = 0 first: it often spans them all
-                on = np.linalg.norm(rows, axis=1) > tol  # a group with no row left takes no SVD
-                _, s, vh = np.linalg.svd(rows[on], full_matrices=False) if on.any() else (None, np.zeros(0), rows[:0])
-                added = np.vstack([added, vh[s > tol]])
+        worst, witness = bound, None  # a bound within tol is the residual
+        added = np.zeros((0, n * m), complex)
+        if bound > tol:  # every x_i x_j* x_l of one i, as k products (x_i x_j*)_j x_l, rows (l, j)
+            flat, worst = v.reshape(k, n * m), 0.0
+            for i in range(k):
+                xy = (v[i] @ v.conj().transpose(0, 2, 1)).reshape(k * n, n)
+                r = (xy @ v).reshape(k * k, -1)
+                r = (r - (r @ flat.conj().T) @ flat).reshape(k, k, -1)
+                res = np.linalg.norm(r, axis=2).T.ravel()  # rows (j, l)
+                jl = int(np.argmax(res))
+                if res[jl] > worst:
+                    worst, witness = float(res[jl]), (i, *divmod(jl, k))
+                for rows in (r[:, 0], r[:, 1:].transpose(1, 0, 2).reshape(-1, n * m)) if close else ():
+                    rows = rows - (rows @ added.conj().T) @ added  # j = 0 first: it often spans them all
+                    on = np.linalg.norm(rows, axis=1) > tol  # a group with no row left takes no SVD
+                    if on.any():
+                        _, s, vh = np.linalg.svd(rows[on], full_matrices=False)
+                        added = np.vstack([added, vh[s > tol]])
         check = TroCheck(worst <= tol, None if worst <= tol else witness, worst)
         if check.ok or not close:
             tries = chain([found], (_attempt(v, (seed, t)) for t in range(1, BLOCK_TRIES)))  # drawn as next asks
-            near = (f[0] for f in tries if f is not None and f[1] <= STRUCTURE_RTOL)
-            return v, next(near, None) if check.ok else None, check
+            return v, (f[0] for f in tries if f is not None and f[1] <= STRUCTURE_RTOL), check
         v = np.array(orthonormal_span([*v, *added.reshape(-1, n, m)]))
 
 
@@ -424,11 +429,13 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     return found, _distance(v, found)
 
 
-def _decompose(found: Optional[TroDecomposition], check: TroCheck) -> TroDecomposition:
-    """The blocks found by _structure, whose is_tro was check: NotTro naming the
-    witness of a rejected span, or when no attempt lay within STRUCTURE_RTOL of it."""
+def _decompose(blocks: Iterator[TroDecomposition], check: TroCheck) -> TroDecomposition:
+    """The first of the blocks _structure found for a span whose is_tro was check:
+    NotTro naming the witness of a rejected span, or when no attempt lay within
+    STRUCTURE_RTOL of it."""
     if not check.ok:
         raise NotTro(f"triple product leaves the span (witness {check.witness}, residual {check.residual:.3e})")
+    found = next(blocks, None)
     if found is None:
         raise NotTro(f"no block decomposition within {STRUCTURE_RTOL:.0e} of the span in {BLOCK_TRIES} attempts")
     return found
@@ -436,7 +443,8 @@ def _decompose(found: Optional[TroDecomposition], check: TroCheck) -> TroDecompo
 
 def tro_block_decomposition(space, seed: int = 0, tol: float = TRO_TOL) -> TroDecomposition:
     """Block decomposition of a verified TRO, given as a StinespringSpace or as
-    matrices spanning it: the blocks _structure settles from seed for is_tro(mats, tol).
+    matrices spanning it: the first attempt seeded (seed, t), t < BLOCK_TRIES,
+    within STRUCTURE_RTOL of a span is_tro(mats, tol) accepts (see _structure).
     Raises NotTro, naming the witness of is_tro(mats), when it is not a TRO."""
     mats = space.basis if isinstance(space, StinespringSpace) else [mc.asmatrix(m) for m in space]
     if not len(mats):
@@ -532,8 +540,8 @@ def _certify(space: StinespringSpace, f: np.ndarray, seed: int, tol: float = SYM
     mc._require_psd(eig.eigenvalues, NotNormalized, "symbol must be positive semidefinite")
     mc._require_unit_trace(f, NotNormalized, "normalized trace is {:.6f}, expected 1")
 
-    v, found, check = _structure(space.basis, TRO_TOL, close=True, seed=seed)
-    decomp = _decompose(found, check)
+    v, blocks, check = _structure(space.basis, TRO_TOL, close=True, seed=seed)
+    decomp = _decompose(blocks, check)
     resids = _block_residuals(eig, decomp)
     bad = [k for k, r in enumerate(resids) if r > tol]
     if bad:

@@ -289,12 +289,12 @@ def cmd_describe(args, bundle: SpecBundle) -> int:
     if cert is not None and cert.space_is_tro:  # validate_symbol checked it as its own closure
         check = alg.TroCheck(True, None, 0.0)
     else:  # is_tro, for the witness; its block attempt also gives the blocks below
-        _, found, check = alg._structure(bundle.space.basis, alg.TRO_TOL, seed=bundle.seed)
+        _, blocks, check = alg._structure(bundle.space.basis, alg.TRO_TOL, seed=bundle.seed)
     print(f"dilation range is a TRO: {check.ok}")
     if not check.ok:
         print(f"  witness triple: {check.witness}  residual: {_fmt(check.residual)}")
     if cert is not None or check.ok:  # the certificate's blocks, else those _structure settled
-        print(f"blocks (n, m, multiplicity): {list((cert or alg._decompose(found, check)).blocks)}")
+        print(f"blocks (n, m, multiplicity): {list((cert or alg._decompose(blocks, check)).blocks)}")
     if cert is not None:
         print(f"symbol independence residuals: {[_fmt(r) for r in cert.residuals]}")
         print(f"right algebra dimension: {cert.right_algebra_dim}")

@@ -668,8 +668,9 @@ class TestTroClosureAgainstLoops:
         # a span that is all of M_{n,m} from the start takes no attempt at all
         spans.clear()
         mats = list(mc.random_complex(np.random.default_rng(1), (6, 3, 2)))
-        v, decomp, _ = alg._structure(mats, alg.TRO_TOL, close=True)
-        assert spans == [] and len(v) == 6 and decomp.blocks == ((3, 2, 1),)
+        v, blocks, check = alg._structure(mats, alg.TRO_TOL, close=True)
+        assert alg._decompose(blocks, check).blocks == ((3, 2, 1),)
+        assert spans == [] and len(v) == 6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_perturbed_isometry_is_accepted_without_extending(self, monkeypatch, seed):
@@ -809,19 +810,24 @@ class TestOneAcceptanceDecision:
                 assert alg.tro_block_decomposition(space).blocks == blocks, seed
 
     @pytest.mark.parametrize("push", [10, 100])
-    def test_basis_outside_its_rectangles_raises(self, push):
+    def test_basis_outside_its_rectangles_raises(self, monkeypatch, push):
         # (2,2)+(1,1) with one element pushed into the padding by push *
-        # STRUCTURE_RTOL: is_tro rejects it, and no attempt finds blocks within
-        # STRUCTURE_RTOL of it even when its triple-product check is bypassed
+        # STRUCTURE_RTOL: is_tro rejects it.  With its triple-product check
+        # bypassed (tol 1 accepts every orthonormal span), none of its own
+        # BLOCK_TRIES attempts, and none that report the unpushed TRO's blocks at
+        # their real distance from it, lies within STRUCTURE_RTOL of it
         mats = block_tro(None, [(2, 2), (1, 1)], pad=(1, 1))
-        mats[0] = mats[0] + push * alg.STRUCTURE_RTOL * e(3, 3, 4)
+        pushed = [mats[0] + push * alg.STRUCTURE_RTOL * e(3, 3, 4), *mats[1:]]
         with pytest.raises(NotTro, match="witness"):
-            alg.tro_block_decomposition(mats)
-        v = np.array(alg.orthonormal_span(mats))
-        tries = [alg._attempt(v, (0, t)) for t in range(alg.BLOCK_TRIES)]
-        assert all(found is None or found[1] > alg.STRUCTURE_RTOL for found in tries)
+            alg.tro_block_decomposition(pushed)
         with pytest.raises(NotTro, match="no block decomposition"):
-            alg._decompose(None, alg.TroCheck(True, None, 0.0))
+            alg.tro_block_decomposition(pushed, tol=1.0)
+        unpushed, seeds = alg.tro_block_decomposition(mats), []
+        assert alg._distance(np.array(alg.orthonormal_span(pushed)), unpushed) > alg.STRUCTURE_RTOL
+        monkeypatch.setattr(alg, "_attempt", lambda v, seed: seeds.append(seed) or (unpushed, alg._distance(v, unpushed)))
+        with pytest.raises(NotTro, match="no block decomposition"):
+            alg.tro_block_decomposition(pushed, tol=1.0)
+        assert seeds == [(0, t) for t in range(alg.BLOCK_TRIES)]
 
     @pytest.mark.parametrize("shape", [(6, 3, 3), (12, 5, 3)], ids=str)
     def test_a_rejected_span_takes_one_attempt(self, monkeypatch, shape):
@@ -837,17 +843,23 @@ class TestOneAcceptanceDecision:
             alg.tro_block_decomposition(space, seed=5)
         assert spans == [d_in]
 
-    def test_a_failed_first_attempt_is_retried_after_the_scan(self, monkeypatch):
-        # the (seed, 0) and (seed, 1) attempts on a rotated TRO forced to fail:
-        # the witness scan accepts the span, then (seed, 1) and (seed, 2) are
-        # drawn, and the blocks are (seed, 2)'s
+    @pytest.mark.parametrize("first", ["none", "far"])
+    def test_a_failed_first_attempt_is_retried_after_the_scan(self, monkeypatch, first):
+        # a rotated TRO whose (seed, 0) attempt is forced to fail (None, or its
+        # real blocks reported at 2 STRUCTURE_RTOL) and whose (seed, 1) attempt
+        # is forced far: is_tro and closing scan and accept the span and draw no
+        # fresh seed; asking for its blocks draws (seed, 1), which is skipped,
+        # and (seed, 2), reported at exactly STRUCTURE_RTOL, which is taken
         rng = np.random.default_rng(4)
         mats = mix(rng, block_tro(rng, [(2, 2), (1, 1)], pad=(1, 1)))
-        events, real_attempt, real_norm = [], alg._attempt, np.linalg.norm
+        events, made, real_attempt, real_norm = [], {}, alg._attempt, np.linalg.norm
 
         def attempt(v, seed):
             events.append(seed)
-            return None if seed[1] < 2 else real_attempt(v, seed)
+            made[seed] = real_attempt(v, seed)[0]
+            if first == "none" and seed[1] == 0:
+                return None
+            return made[seed], (2 if seed[1] < 2 else 1) * alg.STRUCTURE_RTOL
 
         def norm(a, *args, axis=None, **kwargs):
             if axis == 2 and events[-1] != "scan":  # the witness scan's residual norms
@@ -856,10 +868,16 @@ class TestOneAcceptanceDecision:
 
         monkeypatch.setattr(alg, "_attempt", attempt)
         monkeypatch.setattr(np.linalg, "norm", norm)
-        v, found, check = alg._structure(mats, alg.TRO_TOL, seed=7)
-        assert events == [(7, 0), "scan", (7, 1), (7, 2)]
+        assert alg.is_tro(mats).ok and events == [(0, 0), "scan"]
+        events.clear()
+        assert len(alg.smallest_containing_tro(mats)) == len(mats) and events == [(0, 0), "scan"]
+        events.clear()
+        v, blocks, check = alg._structure(mats, alg.TRO_TOL, seed=7)
         assert check.ok and check.residual <= alg.TRO_TOL
-        assert sorted(found.blocks) == [(1, 1, 1), (2, 2, 1)] and alg._distance(v, found) <= alg.STRUCTURE_RTOL
+        assert events == [(7, 0), "scan"]
+        found = alg._decompose(blocks, check)
+        assert events == [(7, 0), "scan", (7, 1), (7, 2)]
+        assert found is made[(7, 2)] and sorted(found.blocks) == [(1, 1, 1), (2, 2, 1)]
         events.clear()
         assert alg.tro_block_decomposition(mats, seed=7).blocks == found.blocks
         assert events == [(7, 0), "scan", (7, 1), (7, 2)]
@@ -1213,7 +1231,7 @@ class TestBlockBasisAgainstHsReference:
     @pytest.mark.parametrize("name", REFERENCE_CHANNELS)
     def test_block_expectation_matches_hs_conditional_expectation(self, name):
         space = stinespring_space(reference_channel(name))
-        decomp = alg._structure(space.basis, alg.TRO_TOL, close=True)[1]
+        decomp = alg._decompose(*alg._structure(space.basis, alg.TRO_TOL, close=True)[1:])
         u, w = decomp.basis_change_out, decomp.basis_change_env
         sides = (
             (u, [(n, l) for n, _, l in decomp.blocks], alg.left_algebra(space)),
@@ -1271,7 +1289,7 @@ class TestStructureCarriedOnTheSymbol:
     def test_carried_block_expectation_matches_fresh_structure(self, name):
         ch = reference_channel(name)
         carried = alg.identity_symbol(ch, seed=3).certificate.decomposition
-        fresh = alg._structure(stinespring_space(ch).basis, alg.TRO_TOL, close=True)[1]
+        fresh = alg._decompose(*alg._structure(stinespring_space(ch).basis, alg.TRO_TOL, close=True)[1:])
         assert carried.blocks == fresh.blocks
         u, w = carried.basis_change_out, carried.basis_change_env
         assert not (u.flags.writeable or w.flags.writeable)
