@@ -1,11 +1,11 @@
 """Randomized inequality-verification harness.
 
-Samples channels inputs, reference marginals, and norm exponents, then
-asserts the comparison inequalities that the rest of the package relies on:
-the two-sided norm sandwiches (plain and sandwiched by a reference
-marginal), the entropic windows with gap tau(f log f) and their Renyi
-analogs, and coherence of tensor-product symbols.  Failures are report content, not exceptions,
-and every report is seed-reproducible; a sample count below 1 or not an integer raises OutOfRange.
+Samples channel inputs, reference marginals, and norm exponents, then asserts the comparison
+inequalities that the rest of the package relies on: the two-sided norm sandwiches (plain and
+sandwiched by a reference marginal), the entropic windows with gap tau(f log f) and their Renyi
+analogs, and coherence of tensor-product symbols.  Each suite draws, checks and records its samples
+as one stack.  Failures are report content, not exceptions, and every report is seed-reproducible;
+a sample count below 1 or not an integer raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .channel import (
     tensor_channels,
 )
 from .entropy import _RenyiStack, bipartite_entropies, entropy_defect
-from .errors import DimMismatch
+from .errors import DimMismatch, NotPSD
 
 
 @dataclass
@@ -43,11 +43,13 @@ class VerificationReport:
     worst_slack: float = math.inf
     failures: list[tuple[str, str, float]] = field(default_factory=list)
 
-    def record(self, digest: str, name: str, slack: float) -> None:
-        if not (math.isnan(self.worst_slack) or slack >= self.worst_slack):  # a NaN is the worst, for good
-            self.worst_slack = slack
-        if not slack >= -self.tolerance:  # NaN fails too
-            self.failures.append((digest, name, slack))
+    def record(self, digests, names, slacks) -> None:
+        """Record slacks[i][j], sample i's slack on inequality j (NaN fails); a lone digest or name is a list of one."""
+        digests, names = ([x] if isinstance(x, str) else x for x in (digests, names))
+        s = np.asarray(slacks, dtype=float).reshape(len(digests), len(names))
+        w = np.append(self.worst_slack, s)  # argmin: the first NaN, the worst for good, else the first minimum
+        self.worst_slack = float(w[np.argmin(w)])
+        self.failures += [(digests[i], names[j], float(s[i, j])) for i, j in np.argwhere(~(s >= -self.tolerance))]
 
     @property
     def passed(self) -> bool:
@@ -79,14 +81,24 @@ def _apply_ancilla(ch: Channel, rho_aa: np.ndarray, dim_a: int) -> np.ndarray:
     return apply(tensor_channels(identity_channel(dim_a), ch), rho_aa)
 
 
-def _record(report: VerificationReport, digests: list[str], named_slacks) -> None:
-    """Record sample i's slack[i] of each (name, slack) pair, sample by sample."""
-    for i, digest in enumerate(digests):
-        for name, slack in named_slacks:
-            report.record(digest, name, float(slack[i]))
+def _draw(seed: int, samples: int, *dims: int) -> list[np.ndarray]:
+    """Sample i of a suite, stacked over i: random_density(rng_i, dims[0]), then random_psd(rng_i, d) for each
+    later d of dims, rng_i = default_rng((seed, i)), bit for bit as those one-sample calls draw them."""
+    rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
+    psd = [g @ mc.dagger(g) for g in (np.array([mc.random_complex(r, (d, d)) for r in rngs]) for d in dims)]
+    return [psd[0] / np.trace(psd[0], axis1=-2, axis2=-1).real[:, None, None], *psd[1:]]
+
+
+def _apply_product(a: Channel, b: Channel, rho: np.ndarray) -> np.ndarray:
+    """(N (x) M)(rho) for each rho of a stack, one contraction per factor: no product Kraus family."""
+    t = rho.reshape(len(rho), a.dim_in, b.dim_in, a.dim_in, b.dim_in)
+    for k, axis in ((a.kraus, 1), (b.kraus, 2)):  # (n, i, j, k, l) -> (i', n, j, l, k') -> (j', i', n, k', l')
+        t = np.tensordot(np.tensordot(k, t, ([2], [axis])), k.conj(), ([0, 4], [0, 2]))
+    return t.transpose(2, 1, 0, 3, 4).reshape(len(rho), a.dim_out * b.dim_out, -1)
 
 
 DEFAULT_PS = (1.3, 2.0, 4.0, math.inf)
+_APPLY_ENTRIES = 2**16  # bound on a chunk's samples x env x out x (in + out), the entries of its joint apply's products
 
 
 def verify_local_comparison(
@@ -115,19 +127,24 @@ def verify_local_comparison(
     if len(u) != space.dim_out:
         raise DimMismatch(f"symbol's structure has output dim {len(u)}, space {space.dim_out}")
     fnorms = {p: math.log2(mc.normalized_p_norm(symbol.f, p)) for p in ps}
-    rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
-    rho, x = map(np.array, zip(*[(mc.random_density(r, space.dim), mc.random_psd(r, space.dim_out)) for r in rngs]))
+    rho, x = _draw(seed, samples, space.dim, space.dim_out)
     e = alg._block_expectation(u, shapes, x)
     sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e, axis1=-2, axis2=-1).real[:, None, None]
-    out, out_f = apply(n, rho), apply(nf, rho)
+    outs = apply(n, rho), apply(nf, rho)
+    svals = [np.linalg.svd(y, compute_uv=False) for y in outs]  # one SVD each, read for every p but 2
+    lam, v = mc.herm_eig(sigma)  # one eigendecomposition for every p, checked as matrix_power checks it
+    mc._require_psd(lam, NotPSD, "eigenvalue {:.3e} is significantly negative")
+    on = mc.support_mask(lam)
     named = []
     for p in ps:
-        p_conj = mc.conjugate_exponent(p)
-        w = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
-        a, b, c, d = (np.log2(mc.schatten_norm(y, p)) for y in (out, out_f, w @ out @ w, w @ out_f @ w))
+        lam_p = np.power(lam, -1.0 / (2.0 * mc.conjugate_exponent(p)), out=np.zeros_like(lam), where=on)
+        w = (v * lam_p[..., None, :]) @ mc.dagger(v)
+        a, b = (np.log2(mc.schatten_norm(y, 2) if p == 2 else np.linalg.norm(sv, p, -1)) for y, sv in zip(outs, svals))
+        c, d = (np.log2(mc.schatten_norm(w @ y @ w, p)) for y in outs)
         named += [(f"norm_lower@p={p}", b - a), (f"norm_upper@p={p}", fnorms[p] + a - b)]
         named += [(f"sandwich_lower@p={p}", d - c), (f"sandwich_upper@p={p}", fnorms[p] + c - d)]
-    _record(report, [_digest(r, sg) for r, sg in zip(rho, sigma)], named)
+    names, cols = zip(*named)
+    report.record([_digest(r, sg) for r, sg in zip(rho, sigma)], names, np.transpose(cols))
     return report
 
 
@@ -153,7 +170,7 @@ def verify_entropic(
     defect = entropy_defect(symbol)
     da = space.dim
     dims = (da, space.dim_out)
-    rho = np.array([mc.random_density(np.random.default_rng((seed, i)), da * da) for i in range(samples)])
+    [rho] = _draw(seed, samples, da * da)
     chans = (base_channel(space), modified_channel(space, symbol))
     omega, omega_f = (_apply_ancilla(ch, rho, da) for ch in chans)
     (h, ha, hb), (hf, haf, hbf) = (bipartite_entropies(w, dims) for w in (omega, omega_f))
@@ -169,7 +186,8 @@ def verify_entropic(
             values = _RenyiStack(np.concatenate([omega, omega_f] * 2), dims, p, ks).minimize().value
             for name, (v, vf) in zip(("I_cp", "I_p"), values.reshape(2, 2, samples)):
                 slacks += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
-    _record(report, [_digest(r) for r in rho], slacks)
+    names, cols = zip(*slacks)
+    report.record([_digest(r) for r in rho], names, np.transpose(cols))
     return report
 
 
@@ -184,22 +202,23 @@ def verify_tensor_symbol(
 ) -> VerificationReport:
     """Tensor-product coherence of symbols.
 
-    Validates f (x) g as a symbol of the tensor channel, checks that
-    (N (x) M)_(f (x) g) and N_f (x) M_g share one Choi matrix (the gap is the
-    Frobenius norm of the difference, obtained by QR from the two Kraus
-    families, so no Choi matrix is formed), checks additivity of the entropy
-    defect, and spot-checks equality on random inputs.
+    Validates f (x) g as a symbol of the tensor channel, checks that (N (x) M)_(f (x) g) and
+    N_f (x) M_g share one Choi matrix (the gap is the Frobenius norm of the difference, obtained by
+    QR from the two Kraus families, so no Choi matrix is formed), checks additivity of the entropy
+    defect, and spot-checks equality on random inputs: the joint channel applied to chunks of samples
+    within _APPLY_ENTRIES, N_f (x) M_g factor by factor.
     """
     report = VerificationReport("tensor_symbol", mc._count(samples, "samples"), seed, tolerance)
     nm = tensor_channels(base_channel(space_a), base_channel(space_b))
     f_tensor = mc.tensor(symbol_a.f, symbol_b.f)
     joint = alg._modified(nm, f_tensor, seed)
-    split = tensor_channels(modified_channel(space_a, symbol_a), modified_channel(space_b, symbol_b))
+    nf, mg = modified_channel(space_a, symbol_a), modified_channel(space_b, symbol_b)
+    split = tensor_channels(nf, mg)
     add_gap = abs(entropy_defect(joint.symbol) - entropy_defect(symbol_a) - entropy_defect(symbol_b))
-    named = [("choi_equality", [-_choi_gap(joint, split)]), ("defect_additivity", [-add_gap])]
-    _record(report, [_digest(f_tensor)], named)
-    # one sample at a time: a stacked apply would hold samples x env^2 x out^4 entries
-    rhos = [mc.random_density(np.random.default_rng((seed, i)), nm.dim_in) for i in range(samples)]
-    slacks = [-float(np.max(np.abs(apply(joint, r) - apply(split, r)))) for r in rhos]
-    _record(report, [_digest(r) for r in rhos], [("apply_equality", slacks)])
+    report.record(_digest(f_tensor), ["choi_equality", "defect_additivity"], [[-_choi_gap(joint, split), -add_gap]])
+    [rho] = _draw(seed, samples, nm.dim_in)
+    step = max(1, _APPLY_ENTRIES // (joint.dim_env * joint.dim_out * (joint.dim_in + joint.dim_out)))
+    chunks = np.split(rho, range(step, samples, step))
+    gaps = [np.abs(apply(joint, r) - _apply_product(nf, mg, r)).max(axis=(-2, -1)) for r in chunks]
+    report.record([_digest(r) for r in rho], "apply_equality", -np.concatenate(gaps)[:, None])
     return report

@@ -308,8 +308,8 @@ class TestVerify:
 
         real_record = verify.VerificationReport.record
 
-        def record_nan(self, digest, name, slack):
-            real_record(self, digest, name, math.nan)
+        def record_nan(self, digests, names, slacks):
+            real_record(self, digests, names, np.full(np.shape(slacks), math.nan))
 
         monkeypatch.setattr(verify.VerificationReport, "record", record_nan)
         spec = write_spec(tmp_path, PHI_SPEC)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,18 +7,21 @@ import pytest
 import trocap
 from trocap import algebra as alg
 from trocap import channel as chn
+from trocap import matcore as mc
 from trocap import verify
 from trocap.builders import (
+    cyclic_group,
     group_random_unitary,
     partial_trace_sum_channel,
     pauli_rep,
     phi_alpha,
     qubit_dephasing,
+    schur_multiplier_channel,
 )
 from trocap.channel import stinespring_space
 from trocap.errors import BadExponent, DimMismatch, NotIndependent, OutOfRange
 
-from helpers import loop_minimize
+from helpers import loop_minimize, random_channel
 
 
 def dephasing_pair(q):
@@ -256,6 +260,15 @@ class TestReportRecord:
         assert (digest, name) == ("aaa", "undefined") and math.isnan(slack)
         assert math.isnan(report.worst_slack) and math.isnan(report.to_dict()["worst_slack"])
 
+    def test_one_stack_lists_failures_sample_major(self):
+        report = verify.VerificationReport("check", samples=2, seed=0, tolerance=1e-9)
+        report.record(["s0", "s1"], ["lower", "upper"], [[-1.0, 0.5], [math.nan, -2.0]])
+        assert [(d, n) for d, n, _ in report.failures] == [("s0", "lower"), ("s1", "lower"), ("s1", "upper")]
+        assert [s for _, _, s in report.failures][::2] == [-1.0, -2.0] and math.isnan(report.failures[1][2])
+        assert math.isnan(report.worst_slack)  # not -2.0, read after the NaN
+        report.record(["s2"], ["lower", "upper"], [[-5.0, 1.0]])
+        assert math.isnan(report.worst_slack) and report.failures[-1] == ("s2", "lower", -5.0)
+
 
 # ---------------------------------------------------------------------------
 # the stacked entropic suite against the sample-by-sample loop
@@ -309,9 +322,9 @@ def recorded_slacks(monkeypatch):
     seen = []
     record = verify.VerificationReport.record
 
-    def spy(self, digest, name, slack):
-        seen.append((name, slack))
-        record(self, digest, name, slack)
+    def spy(self, digests, names, slacks):
+        seen.extend((name, slack) for row in np.reshape(slacks, (len(digests), -1)) for name, slack in zip(names, row))
+        record(self, digests, names, slacks)
 
     monkeypatch.setattr(verify.VerificationReport, "record", spy)
     return seen
@@ -416,3 +429,77 @@ class TestLocalComparisonStack:
         space, sym = dephasing_pair(0.3)
         with pytest.raises(OutOfRange, match="samples must be an integer >= 1, got 0"):
             verify.verify_local_comparison(space, sym, samples=0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked draws and the chunked tensor suite against one sample at a time
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("dims", [(4,), (16,), (36,), (2, 2), (8, 4)])
+    def test_match_one_sample_draws_bit_for_bit(self, dims):
+        stacks = verify._draw(5, 7, *dims)
+        for i in range(7):
+            rng = np.random.default_rng((5, i))
+            ref = [mc.random_density(rng, dims[0])] + [mc.random_psd(rng, d) for d in dims[1:]]
+            assert all(np.array_equal(stack[i], r) for stack, r in zip(stacks, ref))
+
+    @pytest.mark.parametrize("suite, name", [("entropic", "H_AB_lower"), ("tensor_symbol", "apply_equality")])
+    def test_suites_digest_the_one_sample_draws(self, suite, name):
+        # tolerance -1 lists every record as a failure; TestLocalComparisonStack checks the local suite's digests
+        space, sym = dephasing_pair(0.3)
+        run = verify.verify_entropic if suite == "entropic" else verify.verify_tensor_symbol
+        args = (space, sym) if suite == "entropic" else (space, sym, space, sym)
+        rep = run(*args, samples=4, seed=2, tolerance=-1.0)
+        dim = space.dim**2  # the bipartite input and the tensor square's input alike
+        ref = [verify._digest(mc.random_density(np.random.default_rng((2, i)), dim)) for i in range(4)]
+        assert [d for d, n, _ in rep.failures if n == name] == ref
+
+
+def schur_tensor_pair(k):
+    p = np.random.default_rng(0).random(k)
+    ch = schur_multiplier_channel(cyclic_group(k), np.fft.fft(p / p.sum()))
+    return ch.base_space, ch.symbol
+
+
+class TestTensorSymbolStack:
+    # tracemalloc peak of verify_tensor_symbol on the Schur cyclic(6) tensor square at 20 samples,
+    # bytes, when the suite applied both channels one sample at a time (numpy 2.4)
+    ONE_SAMPLE_PEAK = 6_159_856
+
+    def test_peak_memory_stays_at_the_one_sample_loop(self):
+        space, sym = schur_tensor_pair(6)
+        verify.verify_tensor_symbol(space, sym, space, sym, samples=2)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            verify.verify_tensor_symbol(space, sym, space, sym, samples=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.ONE_SAMPLE_PEAK
+
+    def test_chunks_give_the_one_sample_report(self, monkeypatch):
+        ch = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        args = (ch.base_space, ch.symbol, ch.base_space, ch.symbol)
+        chunks, real_apply = [], verify.apply
+
+        def spy(channel, rho):  # the suite's one apply: the joint channel's, on a chunk
+            chunks.append(len(rho))
+            return real_apply(channel, rho)
+
+        monkeypatch.setattr(verify, "apply", spy)
+        reports = []
+        for budget in (verify._APPLY_ENTRIES, 1):
+            monkeypatch.setattr(verify, "_APPLY_ENTRIES", budget)
+            reports.append(verify.verify_tensor_symbol(*args, samples=256, seed=3, tolerance=-1.0).to_dict())
+        stacked, single = chunks[: -256], chunks[-256:]
+        assert len(stacked) > 1 and sum(stacked) == 256 and single == [1] * 256
+        assert reports[0] == reports[1] and len(reports[0]["failures"]) == 2 + 256
+
+    @pytest.mark.parametrize("dims_a, dims_b", [((2, 3, 2), (3, 2, 4)), ((4, 4, 1), (1, 2, 3))])
+    def test_factor_by_factor_apply_matches_the_product_channel(self, dims_a, dims_b):
+        rng = np.random.default_rng(11)
+        a, b = random_channel(rng, *dims_a), random_channel(rng, *dims_b)
+        rho = np.array([mc.random_density(rng, a.dim_in * b.dim_in) for _ in range(3)])
+        expected = chn.apply(chn.tensor_channels(a, b), rho)
+        np.testing.assert_allclose(verify._apply_product(a, b, rho), expected, rtol=0, atol=1e-14)
