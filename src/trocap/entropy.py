@@ -5,15 +5,14 @@ and mutual information, the conditional Renyi entropy obtained by minimizing
 over marginal densities, the derived S_1(S_p) vector-valued norm, and the
 normalized entropy defect of an environment density.
 
-The minimization over sigma runs a damped fixed-point iteration (the
-stationarity condition sigma ~ tr_A[(sandwich)^p]) on a stack of states at
-once, each item with its own step, halved whenever an update would raise the
-value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013),
-with no 2-cycle.  An item that does not settle gets one exact-gradient L-BFGS-B polish from its
-last iterate (``_density_search``), none from random starts, and is not ``converged``.
-Each stack folds K into its states once, D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma)
-for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value, fixed-point target and
-gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); its sigma side
+The minimization over sigma steps sigma <- (1 - b) sigma + b T/tr T, T = tr_A[(sandwich)^p] (the stationarity
+condition sigma ~ T), on a stack of states at once, each item from b0 = 1/p: for commuting states T ~ sigma^(1-p) R,
+so the step shrinks sigma's error by |1 - b p| per round, nothing to first order at b0.  An item's b halves whenever
+an update would raise the value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013), with no
+2-cycle.  An item that does not settle gets one exact-gradient L-BFGS-B polish from its last iterate
+(``_density_search``), none from random starts, and is not ``converged``.  Each stack folds K into its states once,
+D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma) for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value,
+fixed-point target and gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); its sigma side
 (_support_power) also serves capacity.renyi_coherent_channel's dual kernel, 1/2 <= beta < 1.
 """
 
@@ -221,8 +220,7 @@ class _RenyiStack:
     leak penalty reads the folded B marginal: K^c is invertible on supp rho_A wherever a stack is built
     (minimize_renyi_divergence returns +inf first otherwise; verify's K is the A marginal), so that marginal has the
     support of P rho_B P and only the penalty's size depends on K.  :meth:`minimize` fills the per-item arrays
-    ``value``, ``sigma``, ``converged`` (the fixed point met its tolerance; False for an item that fell back to the
-    polish, whatever the polish gives) and ``iterations``."""
+    ``value``, ``sigma``, ``converged`` and ``iterations``."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
@@ -253,20 +251,17 @@ class _RenyiStack:
         return self._project(sigma)
 
     def minimize(self, tol: float = 1e-9, max_iter: int = 400) -> "_RenyiStack":
-        """Monotone damped fixed point: each round every active item tries
-        the :meth:`_feasible` (1-b) sigma + b T/tr T, T = tr_A[s^(p-1) s] at
-        its sigma, and keeps it unless the value rises, which halves b (from b0 =
-        min(1/2, 0.9/p)).  Two rounds in a row that move the value by less
-        than tol b/b0 fix an item when the second is a rise or a decrease d
-        with d/(1-r) < tol, r = d over the decrease before (the tail of a
-        geometric series).  An item whose T has no trace, whose b falls below
-        1e-10 or that is not fixed after ``max_iter`` rounds (``iterations``
-        counts rounds) gets one L-BFGS-B polish and stays not ``converged``."""
+        """Monotone damped fixed point: each round every active item tries the :meth:`_feasible` (1-b) sigma +
+        b T/tr T, T = tr_A[s^(p-1) s] at its sigma, and keeps it unless the value rises, which halves b from b0 = 1/p
+        (where the rate |1 - b p| of commuting states is 0).  Two rounds in a row that move the value by less than
+        tol b/b0 fix an item when the second is a rise or a decrease d with d/(1-r) < tol, r = d over the decrease
+        before (the tail of a geometric series).  An item whose T has no trace, whose b falls below 1e-10 or that is
+        not fixed after ``max_iter`` rounds (``iterations`` counts them) gets one L-BFGS-B polish, not ``converged``."""
         rho, n = self.rho, len(self.rho)
         sigma = self._feasible(slice(None), self.rho_b)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
         value, target = _evaluate(self.p, rho, sigma)
-        active, beta0 = np.arange(n), min(0.5, 0.9 / self.p)
+        active, beta0 = np.arange(n), 1.0 / self.p
         beta, last, self.iterations = np.full(n, beta0), np.full(n, np.inf), np.full(n, max_iter)
         self.converged, was_flat = np.zeros((2, n), dtype=bool)
         for j in range(max_iter):

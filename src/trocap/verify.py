@@ -10,6 +10,7 @@ a sample count below 1 or not an integer raises OutOfRange.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -81,12 +82,16 @@ def _apply_ancilla(ch: Channel, rho_aa: np.ndarray, dim_a: int) -> np.ndarray:
     return apply(tensor_channels(identity_channel(dim_a), ch), rho_aa)
 
 
-def _draw(seed: int, samples: int, *dims: int) -> list[np.ndarray]:
-    """Sample i of a suite, stacked over i: random_density(rng_i, dims[0]), then random_psd(rng_i, d) for each
-    later d of dims, rng_i = default_rng((seed, i)), bit for bit as those one-sample calls draw them."""
+@functools.lru_cache(maxsize=1)  # a tensor square's tensor suite draws what its entropic suite drew
+def _draw(seed: int, samples: int, *dims: int) -> tuple[np.ndarray, ...]:
+    """Sample i of a suite, stacked over i: random_density(rng_i, dims[0]), then random_psd(rng_i, d) for each later
+    d of dims, rng_i = default_rng((seed, i)), bit for bit as one-sample calls; read-only: the last draw is reused."""
     rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
     psd = [g @ mc.dagger(g) for g in (np.array([mc.random_complex(r, (d, d)) for r in rngs]) for d in dims)]
-    return [psd[0] / np.trace(psd[0], axis1=-2, axis2=-1).real[:, None, None], *psd[1:]]
+    psd[0] = psd[0] / np.trace(psd[0], axis1=-2, axis2=-1).real[:, None, None]
+    for a in psd:
+        a.setflags(write=False)
+    return tuple(psd)
 
 
 def _apply_product(a: Channel, b: Channel, rho: np.ndarray) -> np.ndarray:

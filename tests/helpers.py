@@ -6,6 +6,7 @@ import numpy as np
 
 from trocap import algebra as alg
 from trocap import channel as chn
+from trocap import entropy as ent
 from trocap import matcore as mc
 
 
@@ -200,7 +201,7 @@ def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
 
     sigma = mc.dagger(frame) @ rho_b @ frame
     sigma = sigma / np.trace(sigma).real
-    beta0 = min(0.5, 0.9 / p)
+    beta0 = 1.0 / p
     beta, best_val, best_sigma = beta0, val(sigma), sigma
     converged, iters, was_flat, last = False, max_iter, False, math.inf
     for j in range(max_iter):
@@ -268,3 +269,42 @@ def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
             if cv < best_val:
                 best_val, best_sigma = cv, sc
     return best_val, frame @ best_sigma @ mc.dagger(frame), converged, iters
+
+
+def thin_draw(rng, dims, eps):
+    """(1 - eps) rho0 + eps rho1 with rho0 supported on A (x) (all of B but its
+    last basis vector) and rho1 full rank, so the B marginal has one
+    eigenvalue of order eps."""
+    da, db = dims
+    g = rng.standard_normal((da * db,) * 2) + 1j * rng.standard_normal((da * db,) * 2)
+    g = g @ g.conj().T
+    g /= np.trace(g).real
+    keep = np.kron(np.eye(da), np.diag([1.0] * (db - 1) + [0.0]))
+    rho0 = keep @ g @ keep
+    return (1 - eps) * rho0 / np.trace(rho0).real + eps * g
+
+
+def renyi_grid():
+    """The thin-state grid of the Renyi minimizer's flags, cell by cell: for dims 2x2, 2x3, 3x3 and 2x4 and eps 1e-2,
+    1e-3, 1e-4, 1e-6 and 1e-8, 8 thin_draw states from default_rng(hash((dims, eps)) % 2**32), each at p 1.5, 2, 3, 4
+    and 6 under K = 1 and K = rho_A; yields ((dims, eps, p, mutual), restart_gaps(...)), 1600 items in all."""
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        for eps in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
+            rng = np.random.default_rng(hash((dims, eps)) % 2**32)
+            rhos = np.array([thin_draw(rng, dims, eps) for _ in range(8)])
+            for p in (1.5, 2.0, 3.0, 4.0, 6.0):
+                for mutual in (False, True):
+                    yield (dims, eps, p, mutual), restart_gaps(rhos, dims, p, mutual)
+
+
+def restart_gaps(rhos, dims, p, mutual=False):
+    """(value, converged, iterations, gap) per item of one _RenyiStack minimization, K = 1 or, with
+    ``mutual``, K = rho_A.  The gap is the value less a reference, the lower of the value and that of a
+    tight restart (tol 1e-14, 5000 rounds) from the item's sigma: a lower bound on its true distance to
+    the infimum.  An item that reports converged more than tol 1e-9 above its reference is a false flag."""
+    k_as = mc.partial_trace(rhos, dims, "A") if mutual else None
+    opt = ent._RenyiStack(rhos, dims, p, k_as).minimize()
+    tight = ent._RenyiStack(rhos, dims, p, k_as)
+    tight.rho_b = opt.sigma  # minimize starts from rho_b
+    tight.minimize(tol=1e-14, max_iter=5000)
+    return opt.value, opt.converged, opt.iterations, opt.value - np.minimum(opt.value, tight.value)

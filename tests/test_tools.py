@@ -59,6 +59,19 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
         min(cases, key=lambda case: case[0])[1](trocap)()
 
 
+def test_verify_curve_points_draw_their_samples_on_every_call(monkeypatch):
+    # verify memoizes its last draw, so a point that repeats one call would time the draw once
+    scaling = load_tool("scaling")
+    [run] = [setup(trocap) for _, name, size, setup in scaling.CASES
+             if name == "tensor_symbol pauli(0.4, 0.3, 0.2, 0.1)" and size == 16]
+    real, built = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or real(*args))
+    for _ in range(2):
+        built.clear()
+        run()
+        assert built[-16:] == [((0, i),) for i in range(16)]  # after the joint channel's block attempt
+
+
 def test_abtest_alternates_the_sides_and_reports_each_point_from_its_times():
     abtest = load_tool("abtest")
     log, keys, reps = [], ("a", "b", "c"), 4

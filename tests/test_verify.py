@@ -455,6 +455,27 @@ class TestStackedDraws:
         ref = [verify._digest(mc.random_density(np.random.default_rng((2, i)), dim)) for i in range(4)]
         assert [d for d, n, _ in rep.failures if n == name] == ref
 
+    def test_tensor_square_reuses_the_entropic_suites_draw(self, monkeypatch):
+        # verify --suite all on a tensor square: both suites draw rho of dim d_in^2 from default_rng((seed, i))
+        space, sym = dephasing_pair(0.3)
+        entropic = verify.verify_entropic(space, sym, samples=4, seed=9, tolerance=-1.0)
+        real, built = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or real(*args))
+        tensor = verify.verify_tensor_symbol(space, sym, space, sym, samples=4, seed=9, tolerance=-1.0)
+        assert built == []
+        digests = [d for d, n, _ in entropic.failures if n == "H_AB_lower"]
+        assert [d for d, n, _ in tensor.failures if n == "apply_equality"] == digests
+        verify.verify_tensor_symbol(space, sym, space, sym, samples=4, seed=10)
+        assert built == [((10, i),) for i in range(4)]  # another seed draws afresh
+
+    def test_draws_are_read_only(self):
+        # the same arrays are handed to the next call with the same arguments, so no suite may write into them
+        first = verify._draw(3, 2, 4, 2)
+        assert all(a is b for a, b in zip(verify._draw(3, 2, 4, 2), first))
+        for a in first:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 1.0
+
 
 def schur_tensor_pair(k):
     p = np.random.default_rng(0).random(k)

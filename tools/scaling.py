@@ -37,7 +37,8 @@ is the variable of the case's curve:
     tensor suite) on phi_alpha(0.4) and the Pauli mixture (0.4, 0.3, 0.2,
     0.1), at 16, 64 and 256 samples; and the tensor suite, at 20 samples, on
     the tensor square of the Schur cyclic(k) channel of the seeded kernel
-    above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4);
+    above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4); every call
+    draws its samples afresh (``drawing``);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
     numeric negative_cb_entropy on phi_alpha(0.1), whose restarts ran to
@@ -147,19 +148,32 @@ SUITES = {
 }
 
 
+def drawing(t, call):
+    """``call`` after emptying verify's memo of its last draw, where the tree has one, so each rep draws its samples
+    as a lone suite call does; a rep that repeats the last call's arguments would otherwise skip the draw."""
+    clear = getattr(t.verify._draw, "cache_clear", lambda: None)
+
+    def run():
+        clear()
+        return call()
+
+    return run
+
+
 def verify_case(t, name: str, suite: str, n: int):
     if name == "phi_alpha(0.4)":
         ch = t.builders.phi_alpha(0.4).channel  # its bundle's space and symbol are the channel's
     else:
         ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
     space, symbol = ch.base_space, ch.symbol
-    return lambda: SUITES[suite](t, space, symbol, n)
+    return drawing(t, lambda: SUITES[suite](t, space, symbol, n))
 
 
 def schur_tensor_case(t, k: int):
     phi = schur_kernel(k)[:, 0]  # kernel[g, g'] = phi(g - g')
     ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(k), phi)
-    return lambda: t.verify.verify_tensor_symbol(ch.base_space, ch.symbol, ch.base_space, ch.symbol, samples=20)
+    sp, sy = ch.base_space, ch.symbol
+    return drawing(t, lambda: t.verify.verify_tensor_symbol(sp, sy, sp, sy, samples=20))
 
 
 def renyi_stack_case(t, n: int, p: float, mutual: bool = False):
