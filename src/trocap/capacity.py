@@ -367,18 +367,19 @@ def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple
     """D_beta(omega_AE || 1 (x) tau), 1/2 <= beta < 1, at unit blocks (psi, u), tau = u u*, and the products G psi
     and G_tau u, from the factor U = Psi K (d, E, d_out) of omega_AE = (id (x) N^c)(psi psi*) = U U*, Psi = psi as
     d x d_in, K the Kraus stack (K2 as (E d_out) x d_in).  W = (1 (x) tau^c) U, c = (1 - beta)/2 beta; Q = tr M^beta,
-    M = W* W, over M's eigenvalues above 1e-15 of its largest; with X = kappa M^(beta-1), kappa = beta'/(Q ln 2),
-    G_omega U = (1 (x) tau^c) W X goes back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau
-    (_support_power_grad).  U, M, Z and G psi are each one 2-D product."""
+    M = W* W by eigh, or as V s^2 V* by one SVD of W where an eigenvalue lies below 1e-4 of the largest (W* W rounds
+    it), over lam > 1e-30 lam_max; X = kappa M^(beta-1), kappa = beta'/(Q ln 2), G_omega U = (1 (x) tau^c) W X goes
+    back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad); U, Z, G psi: 2-D products."""
     (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
     n_env, d_out, d_in = kraus.shape
     w, v, mask, power = _support_power(u @ mc.dagger(u), c)
-    k2 = kraus.reshape(-1, d_in)
-    big_u = (psi.reshape(-1, d_in) @ k2.T).reshape(-1, n_env, d_out)
-    big_w = power @ big_u
-    w2 = big_w.reshape(-1, d_out)
+    big_u = (psi.reshape(-1, d_in) @ (k2 := kraus.reshape(-1, d_in)).T).reshape(-1, n_env, d_out)
+    w2 = (big_w := power @ big_u).reshape(-1, d_out)
     lam, vm = np.linalg.eigh(mc.dagger(w2) @ w2)
-    lam_pm1 = np.power(lam, beta - 1, out=np.zeros_like(lam), where=lam > 1e-15 * lam.max())  # below: a rounded 0
+    if lam[0] < 1e-4 * lam[-1]:  # W* W rounds small eigenvalues: M = V s^2 V* from one SVD of W instead
+        _, sv, vh = np.linalg.svd(w2, full_matrices=False)
+        lam, vm = sv * sv, mc.dagger(vh)
+    lam_pm1 = np.power(lam, beta - 1, out=np.zeros_like(lam), where=lam > 1e-30 * lam.max())  # below: a rounded 0
     q = np.sum(lam * lam_pm1)
     x = (vm * lam_pm1 * (beta / ((beta - 1.0) * q * math.log(2.0)))) @ mc.dagger(vm)
     z = (big_u.swapaxes(0, 1) @ x).reshape(n_env, -1) @ mc.dagger(big_w.swapaxes(0, 1).reshape(n_env, -1))
@@ -399,13 +400,13 @@ def renyi_coherent_channel(
     With 1/p + 1/beta = 2 the sandwiched conditional entropy of a pure state is
     self-dual (Mueller-Lennert, Dupuis, Szehr, Fehr & Tomamichel 2013; Beigi 2013):
     inf_sigma D_p(omega_AB || 1 (x) sigma) = sup_tau -D_beta(omega_AE || 1 (x) tau),
-    omega_AE = (id (x) N^c)(psi psi*).  So each restart is one L-BFGS-B search
+    omega_AE = (id (x) N^c)(psi psi*).  So each restart is one L-BFGS search
     (entropy._density_search) over pairs (psi, tau), psi = vec g / |g|, with no inner
     minimization and the exact gradient from a factor of omega_AE (_dual_value_and_grads);
     each value, -D_beta at a feasible pair, is a lower bound up to rounding.  The starts are
     sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step of 1e-3, each with tau at
     its E marginal tr_A[U U*] (block: the root of complement_apply's transpose at tr_A g g*);
-    fewer than one raises OutOfRange.  No start value counts apart: L-BFGS-B only lowers it.
+    fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")

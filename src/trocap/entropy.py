@@ -9,7 +9,7 @@ The minimization over sigma steps sigma <- (1 - b) sigma + b T/tr T, T = tr_A[(s
 condition sigma ~ T), on a stack of states at once, each item from b0 = 1/p: for commuting states T ~ sigma^(1-p) R,
 so the step shrinks sigma's error by |1 - b p| per round, nothing to first order at b0.  An item's b halves whenever
 an update would raise the value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013), with no
-2-cycle.  An item that does not settle gets one exact-gradient L-BFGS-B polish from its last iterate
+2-cycle.  An item that does not settle gets one exact-gradient L-BFGS polish from its last iterate
 (``_density_search``), none from random starts, and is not ``converged``.  Each stack folds K into its states once,
 D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma) for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value,
 fixed-point target and gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); its sigma side
@@ -137,33 +137,59 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
-def _density_search(fun, m0s: tuple, maxiter: int) -> tuple[float, tuple]:
-    """L-BFGS-B from the blocks m0s over tuples of unit blocks u = m/|m|, m complex of any shape (n x n for a density
-    u u*; d^2 x 1 for a pure input's amplitudes).  ``fun`` maps the unit blocks to the value and the products G u, G
-    the hermitian gradient in u u*; the chain rule gives 2 (G u - Re<u, G u> u)/|m| per block, packed as real then
-    imaginary parts at slices fixed up front; ftol 1e-13, gtol 1e-10.  Returns the end value and unit blocks."""
-    from scipy import optimize
+def _lbfgs(fun, x: np.ndarray, maxiter: int) -> tuple[float, np.ndarray]:
+    """L-BFGS (Liu & Nocedal 1989) of fun(x) -> (value, gradient), x real: the two-loop recursion over the last 10
+    pairs with s.y > 0, scaled by the newest s.y/y.y; backtracking Armijo (c1 1e-4, 20 trials of safeguarded cubic
+    steps) from 1, or min(1, 1/|d|) without pairs; L-BFGS-B's stops (relative reduction <= 1e-13, max |g| <= 1e-10,
+    ``maxiter``).  A failed search keeps the last accepted point: the value returned is the returned x's."""
+    (f, g), pairs, gamma, it, drop = fun(x), [], 1.0, 0, math.inf
+    while np.abs(g).max() > 1e-10 and drop > 0 and (it := it + 1) <= maxiter:  # L-BFGS-B's gtol, ftol, maxiter
+        d, alphas = -g, []
+        for s, y, r in reversed(pairs):
+            alphas.append(r * (s @ d))
+            d -= alphas[-1] * y
+        d *= gamma
+        for (s, y, r), a in zip(pairs, reversed(alphas)):
+            d += (a - r * (y @ d)) * s
+        if not (slope := g @ d) < 0:  # not a descent direction: steepest descent, memory cleared
+            pairs, gamma, d, slope = [], 1.0, -g, -(g @ g)
+        t = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(-slope))
+        for _ in range(20):
+            f_new, g_new = fun(x_new := x + t * d)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            z = 3.0 * (f - f_new) / t + slope + (slope_t := g_new @ d)
+            w = math.sqrt(max(z * z - slope * slope_t, 0.0))
+            t = max(0.1 * t, min(t - t * (slope_t + w - z) / (slope_t - slope + 2.0 * w), 0.5 * t))  # nan: 0.1 t
+        else:
+            break
+        if (sy := (s := x_new - x) @ (y := g_new - g)) > 0:
+            pairs, gamma = [*pairs[-9:], (s, y, 1.0 / sy)], sy / (y @ y)
+        drop = f - f_new - 1e-13 * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+    return f, x
 
-    parts = [(slice(end - m.size, end), m.shape) for end, m in zip(np.cumsum([m.size for m in m0s]).tolist(), m0s)]
+
+def _density_search(fun, m0s: tuple, maxiter: int) -> tuple[float, tuple]:
+    """:func:`_lbfgs` from the blocks m0s, x a real view of their entries, over tuples of unit blocks u = m/|m|, m
+    complex of any shape (n x n for a density u u*; d^2 x 1 for a pure input).  ``fun`` maps them to the value and the
+    products G u, G the hermitian gradient in u u*, whose chain rule gives 2 (G u - Re<u, G u> u)/|m| per block."""
+    ends = np.cumsum([0] + [m.size for m in m0s]).tolist()
 
     def blocks(x: np.ndarray) -> list[np.ndarray]:
-        z = x[: x.size // 2] + 1j * x[x.size // 2 :]
-        return [z[cut].reshape(shape) for cut, shape in parts]
+        return [x.view(complex)[a:b].reshape(m.shape) for a, b, m in zip(ends, ends[1:], m0s)]
 
     def packed(x: np.ndarray) -> tuple[float, np.ndarray]:
         ms = blocks(x)
         ns = [math.sqrt(np.vdot(m, m).real) for m in ms]
-        if not all(n > 0 and np.isfinite(n) for n in ns):
+        if not all(0 < n < math.inf for n in ns):
             return 1e9, np.zeros_like(x)
-        us = tuple(m / n for m, n in zip(ms, ns))
-        value, gus = fun(us)
-        h = np.concatenate([2.0 * (gu - np.vdot(u, gu).real * u).ravel() / n for u, n, gu in zip(us, ns, gus)])
-        return value, np.concatenate([h.real, h.imag])
+        value, gus = fun(us := tuple(m / n for m, n in zip(ms, ns)))
+        h = [((gu - np.vdot(u, gu).real * u) * (2.0 / n)).ravel() for u, n, gu in zip(us, ns, gus)]
+        return value, np.concatenate(h).view(float)
 
-    z0 = np.concatenate([m.reshape(-1) for m in m0s])
-    options = {"maxiter": maxiter, "ftol": 1e-13, "gtol": 1e-10}
-    res = optimize.minimize(packed, np.concatenate([z0.real, z0.imag]), method="L-BFGS-B", jac=True, options=options)
-    return float(res.fun), tuple(m / np.linalg.norm(m) for m in blocks(res.x))
+    value, x = _lbfgs(packed, np.concatenate([m.ravel() for m in m0s]).astype(complex).view(float), maxiter)
+    return float(value), tuple(m / math.sqrt(np.vdot(m, m).real) for m in blocks(x))
 
 
 def _support_power(sigma: np.ndarray, c: float):
@@ -256,7 +282,7 @@ class _RenyiStack:
         (where the rate |1 - b p| of commuting states is 0).  Two rounds in a row that move the value by less than
         tol b/b0 fix an item when the second is a rise or a decrease d with d/(1-r) < tol, r = d over the decrease
         before (the tail of a geometric series).  An item whose T has no trace, whose b falls below 1e-10 or that is
-        not fixed after ``max_iter`` rounds (``iterations`` counts them) gets one L-BFGS-B polish, not ``converged``."""
+        not fixed after ``max_iter`` rounds (``iterations`` counts them) gets one L-BFGS polish, not ``converged``."""
         rho, n = self.rho, len(self.rho)
         sigma = self._feasible(slice(None), self.rho_b)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
@@ -292,7 +318,7 @@ class _RenyiStack:
         return self
 
     def _fallback(self, item: slice, value: float, sigma: np.ndarray):
-        """One L-BFGS-B polish of one item from its accepted iterate, with the
+        """One L-BFGS polish of one item from its accepted iterate, with the
         exact gradient (:func:`_evaluate`, taken back through ``project``);
         returns its (value, sigma) where it is lower by more than 1e-12, else the iterate's."""
 
@@ -300,9 +326,7 @@ class _RenyiStack:
             v, grad = _evaluate(self.p, self.rho[item], self._project((u[0] @ mc.dagger(u[0]))[None]), grads=True)
             return float(v[0]), (self._project(grad, normalize=False)[0] @ u[0],)
 
-        m0 = (mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5),)
-        _, (u,) = _density_search(fun, m0, 120)
-        polish_val = fun((u,))[0]  # the value of the returned sigma itself
+        polish_val, (u,) = _density_search(fun, (mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5),), 120)
         if polish_val < value - 1e-12:
             return polish_val, self._project((u @ mc.dagger(u))[None])[0]
         if not np.isfinite(value):
@@ -339,17 +363,17 @@ def minimize_renyi_divergence(
     ``project`` optionally maps sigma into a restricted domain (e.g. a
     conditional expectation onto a subalgebra) and acts on all of B; the cut
     to the support of rho_B applies only to the start and to candidates,
-    before it, so every sigma returned is its output.  The L-BFGS-B fallback
+    before it, so every sigma returned is its output.  The L-BFGS fallback
     takes its exact gradient back through ``project`` as through its own
     adjoint, so the polish gradient is exact when ``project`` is linear and
     HS-self-adjoint and preserves the trace, as a conditional expectation
     does; any other map still gives feasible values, with a weaker polish.
     ``sigma_candidates`` are extra feasible points whose values are taken
     into account (the infimum can only improve) and leave ``converged`` as it is: True only when the
-    monotone fixed point met ``tol`` (``_RenyiStack.minimize``), False after the L-BFGS-B polish;
+    monotone fixed point met ``tol`` (``_RenyiStack.minimize``), False after the L-BFGS polish;
     ``iterations`` counts the fixed-point rounds.  The state's B part off the 1e-10
     support of rho_B is cut, so on a thin B marginal the value can lie below the infimum
-    for the whole state by about the weight cut off (1.6e-11 at p = 1.5 for a 4e-12 eigenvalue).
+    for the whole state by about the weight cut off (1.7e-11 at p = 1.5 for a 4e-12 eigenvalue).
     """
     for s in map(mc.asmatrix, sigma_candidates):  # before the search, which a mis-shaped one would only end
         if s.shape != (dims[1], dims[1]):

@@ -169,7 +169,7 @@ def verify_entropic(
     modification, coherent and mutual information rise by at most the same
     gap; the Renyi analogs use gap p' log ||f||_{p,tau}.  Their values are stack minima
     (entropy._RenyiStack, whose ``converged`` flags go unread), which drop each state's B part off the 1e-10
-    support of its B marginal: there a value can lie below the infimum (1.6e-11 at p = 1.5 for a 4e-12 part).
+    support of its B marginal: there a value can lie below the infimum (1.7e-11 at p = 1.5 for a 4e-12 part).
     """
     report = VerificationReport("entropic", mc._count(samples, "samples"), seed, tolerance)
     defect = entropy_defect(symbol)

@@ -271,6 +271,34 @@ def loop_minimize(rho_ab, dims, p, k_a=None, sigma_candidates=()):
     return best_val, frame @ best_sigma @ mc.dagger(frame), converged, iters
 
 
+def scipy_density_search(fun, m0s, maxiter):
+    """entropy._density_search with scipy's L-BFGS-B in place of the in-repo L-BFGS: the same blocks,
+    chain rule and stop rules (ftol 1e-13, gtol 1e-10, ``maxiter``), real and imaginary parts packed apart;
+    the reference the in-repo search must match.  Returns the end value and unit blocks."""
+    from scipy import optimize
+
+    parts = [(slice(end - m.size, end), m.shape) for end, m in zip(np.cumsum([m.size for m in m0s]).tolist(), m0s)]
+
+    def blocks(x):
+        z = x[: x.size // 2] + 1j * x[x.size // 2 :]
+        return [z[cut].reshape(shape) for cut, shape in parts]
+
+    def packed(x):
+        ms = blocks(x)
+        ns = [math.sqrt(np.vdot(m, m).real) for m in ms]
+        if not all(n > 0 and np.isfinite(n) for n in ns):
+            return 1e9, np.zeros_like(x)
+        us = tuple(m / n for m, n in zip(ms, ns))
+        value, gus = fun(us)
+        h = np.concatenate([2.0 * (gu - np.vdot(u, gu).real * u).ravel() / n for u, n, gu in zip(us, ns, gus)])
+        return value, np.concatenate([h.real, h.imag])
+
+    z0 = np.concatenate([m.reshape(-1) for m in m0s])
+    options = {"maxiter": maxiter, "ftol": 1e-13, "gtol": 1e-10}
+    res = optimize.minimize(packed, np.concatenate([z0.real, z0.imag]), method="L-BFGS-B", jac=True, options=options)
+    return float(res.fun), tuple(m / np.linalg.norm(m) for m in blocks(res.x))
+
+
 def thin_draw(rng, dims, eps):
     """(1 - eps) rho0 + eps rho1 with rho0 supported on A (x) (all of B but its
     last basis vector) and rho1 full rank, so the B marginal has one
@@ -282,6 +310,23 @@ def thin_draw(rng, dims, eps):
     keep = np.kron(np.eye(da), np.diag([1.0] * (db - 1) + [0.0]))
     rho0 = keep @ g @ keep
     return (1 - eps) * rho0 / np.trace(rho0).real + eps * g
+
+
+def third_thin_draw(eps):
+    rng = np.random.default_rng(7)
+    return [thin_draw(rng, (2, 3), eps) for _ in range(3)][-1]
+
+
+def crawling_state():
+    """At p = 4 the fixed point creeps along the thin B direction here, and
+    is fixed only after 336 rounds."""
+    return third_thin_draw(1e-6)
+
+
+def polish_state():
+    """At p = 4 the fixed point still moves after 400 rounds here, and hands
+    over to the L-BFGS fallback."""
+    return third_thin_draw(1e-7)
 
 
 def renyi_grid():

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import subprocess
@@ -33,7 +34,7 @@ from trocap.errors import (
     RankDeficient,
 )
 
-from helpers import random_unitary
+from helpers import random_unitary, scipy_density_search
 
 LOG3 = math.log2(3.0)
 
@@ -600,19 +601,40 @@ class TestOwnCeiling:
         np.testing.assert_array_equal(own.rho, full.rho)
 
 
-def test_import_leaves_scipy_optimize_out():
-    # only the L-BFGS-B call site (entropy._density_search) needs
-    # scipy.optimize; it imports it
+SCIPY_FREE_RUN = """
+import contextlib, io, sys
+import trocap
+from trocap import cli
+from trocap.builders import qubit_dephasing
+from trocap.entropy import minimize_renyi_divergence
+from helpers import polish_state
+ch = qubit_dephasing(0.3)
+trocap.one_shot_q(ch, restarts=2)
+trocap.negative_cb_entropy(ch, mode="numeric", restarts=2)
+trocap.renyi_coherent_channel(ch, 2.0, restarts=1)
+opt = minimize_renyi_divergence(polish_state(), (2, 3), 4.0)
+assert opt.iterations == 400 and not opt.converged  # the fixed point handed over to the polish
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", sys.argv[1], "--samples", "5"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_optimizers_and_verify_leave_scipy_out(tmp_path):
+    # trocap's runtime imports only numpy: after every public optimizer has run,
+    # the stack's polish included, and after a verify run, no scipy module is loaded
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "kraus", "params": {"kraus": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+                                "symbol": [[1.0, 0.6], [0.6, 1.0]], "seed": 0}))
     src = os.path.dirname(os.path.dirname(cap.__file__))
-    code = "import sys, trocap; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(spec)],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestNegativeCbEntropy:
@@ -891,6 +913,39 @@ class TestKernelBelowOne:
         assert value == pytest.approx(self._reference(omega, tau, beta, 3), abs=1e-12)
 
 
+    @staticmethod
+    def _reference_40_digits(kraus, beta, psi, u):
+        """D_beta(omega_AE || 1 (x) tau), tau = u u*, at 40 digits: log2 tr M^beta / (beta - 1) over all
+        of M = sum_a U_a* tau^2c U_a, U_a the E x d_out rows of the factor U = Psi K at each a."""
+        import mpmath
+
+        n_env, d_out, d_in = kraus.shape
+        with mpmath.workdps(40):
+            w, v = mpmath.eighe(mpmath.matrix(u.tolist()) * mpmath.matrix(u.tolist()).H)
+            two_c = (1 - mpmath.mpf(beta)) / mpmath.mpf(beta)
+            tau_2c = v * mpmath.diag([x**two_c if x > 0 else 0 for x in w]) * v.H
+            k2 = mpmath.matrix(kraus.reshape(-1, d_in).tolist()).T
+            m = mpmath.zeros(d_out, d_out)
+            for row in psi.reshape(-1, d_in):
+                u_a = mpmath.matrix([row.tolist()]) * k2
+                u_a = mpmath.matrix([[u_a[0, e * d_out + o] for o in range(d_out)] for e in range(n_env)])
+                m += u_a.H * tau_2c * u_a
+            return float(mpmath.log(sum(max(x, 0) ** beta for x in mpmath.eighe(m)[0]), 2) / (beta - 1))
+
+    @pytest.mark.parametrize("beta", [0.55, 4 / 7, 2 / 3])
+    def test_value_where_m_has_a_tiny_eigenvalue_matches_40_digits(self, beta):
+        # psi = a (x) |0> + 3e-8 b (x) |1> on the dephasing qubit: M = W* W has an eigenvalue
+        # about 1e-15 of its largest, which an eigh of W* W rounds or drops (1e-8 off at
+        # beta 0.55); the squared singular values of W keep it
+        ch = renyi_channels()["dephasing"]
+        rng = np.random.default_rng(5)
+        a, b, u = mc.random_complex(rng, (2,)), mc.random_complex(rng, (2,)), mc.random_complex(rng, (2, 2))
+        psi = (np.kron(a, [1, 0]) + 3e-8 * np.kron(b, [0, 1]))[:, None]
+        psi, u = psi / np.linalg.norm(psi), u / np.linalg.norm(u)
+        value = cap._dual_value_and_grads(ch.kraus, beta, (psi, u))[0]
+        assert value == pytest.approx(self._reference_40_digits(ch.kraus, beta, psi, u), abs=1e-14)
+
+
 class TestRenyiExactGradient:
     @staticmethod
     def _dual_errors(ch, p, block, hs):
@@ -975,46 +1030,55 @@ class TestRenyiExactGradient:
                     primal = ent._evaluate(p, omega[None], sigma)[0][0]
                     assert -objective - 1e-12 <= primal <= -objective + 1e-8, (name, p)
 
-    def test_stack_value_on_a_thin_marginal_lies_just_below_the_dual_value(self, monkeypatch):
-        # at the first restart's psi on phi_alpha, p = 1.5, omega_B has an eigenvalue
-        # of about 4e-12, below the 1e-10 support cut: the stack minimizes D_p of the
-        # state with that B direction zeroed, so its value lies below the certified
-        # dual value (a lower bound on inf_sigma D_p of the whole state), by about
-        # 1.6e-11; this records the side and bounds the size at 1e-10
-        searches, real = [], cap._density_search
-
-        def recording(fun, m0s, maxiter):
-            searches.append(real(fun, m0s, maxiter))
-            return searches[-1]
-
-        monkeypatch.setattr(cap, "_density_search", recording)
-        ch = renyi_channels(0)["phi_alpha"]
-        d, db = ch.dim_in, ch.dim_out
-        cap.renyi_coherent_channel(ch, 1.5, restarts=2)
-        objective, (psi, _) = searches[0]
-        omega = mc.hermitize(apply(tensor_channels(identity_channel(d), ch), psi @ psi.conj().T))
-        wb = np.linalg.eigvalsh(mc.partial_trace(omega, (d, db), "B"))
+    def test_stack_value_on_a_thin_marginal_lies_just_below_the_dual_value(self):
+        # a fixed pair on the completely dephasing qubit: psi = sqrt(1 - eps)|00> +
+        # sqrt(eps)|11>, eps = 4e-12, and tau = diag(1 - eps, eps), where -D_beta is 0,
+        # the whole-state infimum.  omega_B = tau has eps below the 1e-10 support cut:
+        # the stack minimizes D_p of the state with that B direction zeroed, so its
+        # value lies below the certified dual value, by p' eps/ln 2 = 1.7e-11 at
+        # p = 1.5; this records the side and bounds the size at 1e-10
+        ch, eps, p = qubit_dephasing(0.0), 4e-12, 1.5
+        psi = np.sqrt([1 - eps, 0, 0, eps]).astype(complex)[:, None]
+        objective = cap._dual_value_and_grads(ch.kraus, p / (2 * p - 1), (psi, np.diag(np.sqrt([1 - eps, eps]))))[0]
+        assert abs(objective) < 1e-14
+        omega = mc.hermitize(apply(tensor_channels(identity_channel(2), ch), psi @ psi.conj().T))
+        wb = np.linalg.eigvalsh(mc.partial_trace(omega, (2, 2), "B"))
         assert 0 < wb[0] < mc.SUPPORT_CUTOFF * wb[-1]
-        value = ent.minimize_renyi_divergence(omega, (d, db), 1.5).value
+        value = ent.minimize_renyi_divergence(omega, (2, 2), p).value
         assert -1e-10 < value - (-objective) < 0
+        assert value == pytest.approx(3 * math.log2(1 - eps), abs=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_searches_end_as_low_as_scipy(self, monkeypatch, seed):
+        # each (psi, tau) search against scipy's L-BFGS-B from the same start
+        # (helpers.scipy_density_search): no end value more than 1e-9 above scipy's
+        real, gaps = cap._density_search, []
+
+        def both(fun, m0s, maxiter):
+            gaps.append((out := real(fun, m0s, maxiter))[0] - scipy_density_search(fun, m0s, maxiter)[0])
+            return out
+
+        monkeypatch.setattr(cap, "_density_search", both)
+        for ch in renyi_channels(seed).values():
+            for p in (1.5, 2.0, 4.0):
+                cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
+        assert len(gaps) == 18 and max(gaps) <= 1e-9
 
     def test_inner_minimizations_fenced_by_evaluations(self, monkeypatch):
-        # one L-BFGS-B search over pairs (psi, tau) per restart and no inner
+        # one L-BFGS search over pairs (psi, tau) per restart and no inner
         # minimization at all: the dual objective has no inner loop
-        import scipy.optimize
-
-        real_minimize, real_inner = scipy.optimize.minimize, ent._RenyiStack.minimize
+        real_lbfgs, real_inner = ent._lbfgs, ent._RenyiStack.minimize
         sizes, inner = [], []
 
-        def recording(fun, x0, *args, **kwargs):
+        def recording(fun, x0, maxiter):
             sizes.append(x0.size)
-            return real_minimize(fun, x0, *args, **kwargs)
+            return real_lbfgs(fun, x0, maxiter)
 
         def counted(self, *args, **kwargs):
             inner.append(1)
             return real_inner(self, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(ent, "_lbfgs", recording)
         monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
         for ch, restarts in ((renyi_channels()["dephasing"], 2), (renyi_channels()["phi_alpha"], 1)):
             sizes.clear()

@@ -56,16 +56,19 @@ is the variable of the case's curve:
     states on 2 x 3 whose B marginal has rank 2 at p = 2; and at p = 4 on 1, 4
     and 16 seeded states (1 - 1e-8) rho0 + 1e-8 g on 2 x 3, rho0 the state g
     cut to B rank 2 and normalized, whose every item runs all 400 rounds and
-    then takes the L-BFGS-B polish (no benchmark job reaches the polish);
-    and renyi_coherent_channel at p = 2, one restart (one L-BFGS-B search over
-    pairs (psi, tau) of the dual objective, with no inner minimization), on the
-    qubit dephasing channel of parameter 0.3 and on phi_alpha(0.4) (size: input
-    dimension), and on the Schur cyclic(k) channel of the seeded kernel above,
+    then takes the L-BFGS polish (entropy._lbfgs; no benchmark job reaches
+    the polish); and renyi_coherent_channel at p = 2, one restart (one L-BFGS
+    search over pairs (psi, tau) of the dual objective, with no inner
+    minimization), on the qubit dephasing channel of parameter 0.3 and on
+    phi_alpha(0.4) (size: input dimension), and on the Schur cyclic(k) channel
+    of the seeded kernel above,
     k in 4, 6, 8 (input, output and environment dimension k, so omega_AE's
     factor has k columns against the k^2 x k^2 input state); and that search's
     kernel alone, capacity._dual_value_and_grads at beta = 2/3 (p = 2) on a
     seeded random isometry channel with Kraus stack (k, k, k) and a seeded
-    pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run.
+    pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run (M = W* W keeps its
+    smallest eigenvalue above 1e-4 of its largest there, so no call takes
+    the SVD of W).
 
 Each case is (section, name, size, setup); setup(t) builds the inputs from the
 package t (its submodules read as ``t.algebra``, ``t.builders`` and so on) and
