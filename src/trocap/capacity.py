@@ -292,8 +292,20 @@ def _multi_start(
     return AscentResult(float(f[best]), rho[best])
 
 
-def _own_bounds(ch: Channel, space: StinespringSpace, seed: int) -> BoundReport:
-    return comparison_bounds(space, ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), seed))
+def _own_symbol(ch: Channel, space: StinespringSpace, seed: int) -> Symbol:
+    """The channel's symbol, else the identity certified with ``seed`` on its Stinespring ``space``."""
+    return ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), seed)
+
+
+def _edge(ch: Channel, seed: int, p: float = 1.0) -> float:
+    """log2 max n_i + p' log2 |f|_{p,tau} over the blocks n_i of :func:`_own_symbol` f, or at p = 1 its limit, the Q1
+    edge log2 max n_i + tau(f log2 f); inf where a dilation that is not isometric (RankDeficient) has no structure."""
+    try:
+        f = _own_symbol(ch, ch.base_space or chn.stinespring_space(ch), seed)
+    except RankDeficient:
+        return math.inf
+    width = entropy_defect(f) if p == 1.0 else mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(f.f, p))
+    return math.log2(max(_block_ns(f.certificate.blocks))) + width
 
 
 def one_shot_q(
@@ -311,14 +323,10 @@ def one_shot_q(
     ``init_states`` join the restart pool ahead of random draws.  All
     restarts ascend together as one batch; ``max_workers`` has no effect.  A
     ``ceiling``, a proven upper bound on Q1, stops the batch at it (see
-    _ascent): by default the channel's Q1 edge over its symbol, else over the
-    identity certified with ``seed``; ``math.inf`` runs the full ascent.
+    _ascent): by default the channel's Q1 edge (_edge); ``math.inf`` runs the
+    full ascent.
     """
-    if ceiling is None:
-        try:
-            ceiling = _own_bounds(ch, ch.base_space or chn.stinespring_space(ch), seed).entries["Q1"].upper
-        except RankDeficient:  # a dilation that is not isometric has no structure to bound Q1
-            ceiling = math.inf
+    ceiling = _edge(ch, seed) if ceiling is None else ceiling
     return _multi_start(ch, False, restarts, seed, init_states, ceiling)
 
 
@@ -407,19 +415,29 @@ def renyi_coherent_channel(
     sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step of 1e-3, each with tau at
     its E marginal tr_A[U U*] (block: the root of complement_apply's transpose at tr_A g g*);
     fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
+
+    No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge; blocks n_i,
+    symbol f).  Per input, I_cp(omega_f) <= I_cp(omega) + p' log2 |f|_{p,tau}, the paper's Renyi
+    comparison (verify_entropic's I_cp_upper@p); and -H_p(A|B) <= log2 max_i n_i on the TRO
+    channel's block-diagonal output, whose inputs a dilation range strictly inside the TRO only
+    restricts.  So a search stops once its value reaches edge - CEILING_RTOL |edge| (a floor on
+    D_beta; one_shot_q's rule at the Q1 edge, this edge's limit as p -> 1), and no later restart runs.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    d, beta = ch.dim_in, p / (2.0 * p - 1.0)
+    d, beta, edge = ch.dim_in, p / (2.0 * p - 1.0), _edge(ch, seed, p)
+    stop = edge - CEILING_RTOL * abs(edge) if math.isfinite(edge) else edge
     fun, best = partial(_dual_value_and_grads, ch.kraus, beta), -math.inf
     for k, g0 in enumerate(_init_pool(ch, restarts, seed, init_states)):
+        if best >= stop:
+            break
         g = g0 * math.sqrt(d)
         # A seeded nudge of 1e-3 takes a symmetric start (the maximally entangled input is real and
         # diagonal) off the subspace the exact gradient keeps it in, where the search can end on a saddle.
         nudge = np.random.default_rng((seed, k, 1)).standard_normal((2, *g.shape))
         g = g + 1e-3 * np.linalg.norm(g) / math.sqrt(2 * g.size) * (nudge[0] + 1j * nudge[1])
         start = (g.reshape(-1, 1), mc.matrix_power(chn.complement_apply(ch, g.T @ g.conj()).T, 0.5))
-        best = max(best, -_density_search(fun, start, 200)[0])
+        best = max(best, -_density_search(fun, start, 200, -stop)[0])
     return best
 
 

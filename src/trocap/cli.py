@@ -186,7 +186,7 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
 
 def cmd_bounds(args, bundle: SpecBundle) -> int:
     ch, space = bundle.channel, bundle.space
-    report = capacity._own_bounds(ch, space, bundle.seed)
+    report = capacity.comparison_bounds(space, capacity._own_symbol(ch, space, bundle.seed))
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
     if window.lower < window.upper:
         best = capacity.one_shot_q(

@@ -29,14 +29,19 @@ from .errors import BadExponent, DimMismatch, NotNormalized, NotState, Optimizer
 STATE_TOL = 1e-8
 
 
-def check_state(rho: np.ndarray) -> np.ndarray:
-    """Validate a density operator (PSD, unit trace), or each of a stack, at STATE_TOL."""
+def _state_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A density operator (PSD, unit trace), or each of a stack, validated at STATE_TOL, with its eigenvalues."""
     rho = np.asarray(rho, dtype=complex)
-    mc._require_psd(mc.herm_eig(rho).eigenvalues, NotState, "negative eigenvalue {:.3e}", STATE_TOL)
+    mc._require_psd(w := mc.herm_eig(rho).eigenvalues, NotState, "negative eigenvalue {:.3e}", STATE_TOL)
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     if (np.abs(tr - 1.0) > STATE_TOL).any():
         raise NotState(f"trace is {float(tr[np.abs(tr - 1.0) > STATE_TOL].flat[0]):.8f}, expected 1")
-    return rho
+    return rho, w
+
+
+def check_state(rho: np.ndarray) -> np.ndarray:
+    """Validate a density operator (PSD, unit trace), or each of a stack, at STATE_TOL."""
+    return _state_spectrum(rho)[0]
 
 
 def binary_entropy(lam: float) -> float:
@@ -61,9 +66,7 @@ def spectral_entropy(w: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray, check: bool = True) -> float:
     """H(rho) = -tr(rho log2 rho) over the support."""
-    if check:
-        rho = check_state(rho)
-    w, _ = mc.herm_eig(rho)
+    w = _state_spectrum(rho)[1] if check else mc.herm_eig(rho).eigenvalues
     return float(spectral_entropy(w))
 
 
@@ -110,8 +113,8 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
 def bipartite_entropies(rho_ab: np.ndarray, dims: tuple[int, int]) -> list[np.ndarray]:
     """H(AB), H(A) and H(B) of a state, or of each state of a stack."""
-    mats = (check_state(rho_ab), *(mc.partial_trace(rho_ab, dims, k) for k in "AB"))
-    return [spectral_entropy(mc.herm_eig(m).eigenvalues) for m in mats]
+    marginals = (mc.herm_eig(mc.partial_trace(rho_ab, dims, k)).eigenvalues for k in "AB")
+    return [spectral_entropy(w) for w in (_state_spectrum(rho_ab)[1], *marginals)]
 
 
 def coherent_information(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
@@ -137,13 +140,14 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
-def _lbfgs(fun, x: np.ndarray, maxiter: int) -> tuple[float, np.ndarray]:
+def _lbfgs(fun, x: np.ndarray, maxiter: int, floor: float = -math.inf) -> tuple[float, np.ndarray]:
     """L-BFGS (Liu & Nocedal 1989) of fun(x) -> (value, gradient), x real: the two-loop recursion over the last 10
     pairs with s.y > 0, scaled by the newest s.y/y.y; backtracking Armijo (c1 1e-4, 20 trials of safeguarded cubic
     steps) from 1, or min(1, 1/|d|) without pairs; L-BFGS-B's stops (relative reduction <= 1e-13, max |g| <= 1e-10,
-    ``maxiter``).  A failed search keeps the last accepted point: the value returned is the returned x's."""
+    ``maxiter``) and the first accepted point (the start too) at or below ``floor``, a proven lower bound.  A failed
+    search keeps the last accepted point: the value returned is the returned x's."""
     (f, g), pairs, gamma, it, drop = fun(x), [], 1.0, 0, math.inf
-    while np.abs(g).max() > 1e-10 and drop > 0 and (it := it + 1) <= maxiter:  # L-BFGS-B's gtol, ftol, maxiter
+    while not f <= floor and np.abs(g).max() > 1e-10 and drop > 0 and (it := it + 1) <= maxiter:
         d, alphas = -g, []
         for s, y, r in reversed(pairs):
             alphas.append(r * (s @ d))
@@ -170,7 +174,7 @@ def _lbfgs(fun, x: np.ndarray, maxiter: int) -> tuple[float, np.ndarray]:
     return f, x
 
 
-def _density_search(fun, m0s: tuple, maxiter: int) -> tuple[float, tuple]:
+def _density_search(fun, m0s: tuple, maxiter: int, floor: float = -math.inf) -> tuple[float, tuple]:
     """:func:`_lbfgs` from the blocks m0s, x a real view of their entries, over tuples of unit blocks u = m/|m|, m
     complex of any shape (n x n for a density u u*; d^2 x 1 for a pure input).  ``fun`` maps them to the value and the
     products G u, G the hermitian gradient in u u*, whose chain rule gives 2 (G u - Re<u, G u> u)/|m| per block."""
@@ -188,7 +192,7 @@ def _density_search(fun, m0s: tuple, maxiter: int) -> tuple[float, tuple]:
         h = [((gu - np.vdot(u, gu).real * u) * (2.0 / n)).ravel() for u, n, gu in zip(us, ns, gus)]
         return value, np.concatenate(h).view(float)
 
-    value, x = _lbfgs(packed, np.concatenate([m.ravel() for m in m0s]).astype(complex).view(float), maxiter)
+    value, x = _lbfgs(packed, np.concatenate([m.ravel() for m in m0s]).astype(complex).view(float), maxiter, floor)
     return float(value), tuple(m / math.sqrt(np.vdot(m, m).real) for m in blocks(x))
 
 

@@ -18,6 +18,7 @@ from trocap.builders import (
     group_random_unitary,
     phi_alpha,
     qubit_dephasing,
+    regular_representation,
     schur_multiplier_channel,
 )
 import trocap.entropy as ent
@@ -34,7 +35,7 @@ from trocap.errors import (
     RankDeficient,
 )
 
-from helpers import random_unitary, scipy_density_search
+from helpers import polish_state, random_unitary, scipy_density_search
 
 LOG3 = math.log2(3.0)
 
@@ -819,6 +820,13 @@ def isometry_channel():
     return Channel(v.reshape(5, 3, 2))
 
 
+def searches_to_the_edge(searches, edge, restarts):
+    """How many (value, units) searches renyi_coherent_channel may run: through the first whose value
+    -D_beta reaches edge - CEILING_RTOL |edge|, else all ``restarts``."""
+    stop = edge - cap.CEILING_RTOL * abs(edge)
+    return next((i + 1 for i, (value, _) in enumerate(searches) if -value >= stop), restarts)
+
+
 def fd_renyi_coherent_channel(ch, p, restarts, seed):
     """renyi_coherent_channel as it was with scipy's finite-difference
     gradient: the reference the exact gradient must match or beat."""
@@ -1005,11 +1013,12 @@ class TestRenyiExactGradient:
         # weak duality: at each search's psi, any sigma's D_p is at least the
         # coherent value and any tau's -D_beta at most, so a tight primal lies
         # at or above the search's value (up to rounding) and, once the search
-        # has converged in tau, within 1e-8 of it
+        # has converged in tau (or reached the edge, which bounds the primal),
+        # within 1e-8 of it
         searches, real = [], cap._density_search
 
-        def recording(fun, m0s, maxiter):
-            searches.append(real(fun, m0s, maxiter))
+        def recording(fun, m0s, maxiter, floor):
+            searches.append(real(fun, m0s, maxiter, floor))
             return searches[-1]
 
         monkeypatch.setattr(cap, "_density_search", recording)
@@ -1019,7 +1028,7 @@ class TestRenyiExactGradient:
             for p in (1.5, 2.0, 4.0):
                 searches.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
-                assert len(searches) == 2
+                assert len(searches) == searches_to_the_edge(searches, cap._edge(ch, seed, p), 2)
                 for objective, (psi, _) in searches:
                     omega = mc.hermitize(apply(extended, psi @ psi.conj().T))
                     sigma = ent._RenyiStack(omega[None], (d, db), p).minimize(1e-15, 5000).sigma
@@ -1051,28 +1060,33 @@ class TestRenyiExactGradient:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_searches_end_as_low_as_scipy(self, monkeypatch, seed):
         # each (psi, tau) search against scipy's L-BFGS-B from the same start
-        # (helpers.scipy_density_search): no end value more than 1e-9 above scipy's
-        real, gaps = cap._density_search, []
+        # (helpers.scipy_density_search, which has no floor): no end value more than 1e-9 above
+        # scipy's, and each call runs its searches through the first that reaches the edge
+        real, gaps, outs = cap._density_search, [], []
 
-        def both(fun, m0s, maxiter):
-            gaps.append((out := real(fun, m0s, maxiter))[0] - scipy_density_search(fun, m0s, maxiter)[0])
+        def both(fun, m0s, maxiter, floor):
+            outs.append(out := real(fun, m0s, maxiter, floor))
+            gaps.append(out[0] - scipy_density_search(fun, m0s, maxiter)[0])
             return out
 
         monkeypatch.setattr(cap, "_density_search", both)
         for ch in renyi_channels(seed).values():
             for p in (1.5, 2.0, 4.0):
+                outs.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
-        assert len(gaps) == 18 and max(gaps) <= 1e-9
+                assert len(outs) == searches_to_the_edge(outs, cap._edge(ch, seed, p), 2)
+        assert max(gaps) <= 1e-9
 
     def test_inner_minimizations_fenced_by_evaluations(self, monkeypatch):
-        # one L-BFGS search over pairs (psi, tau) per restart and no inner
+        # one L-BFGS search over pairs (psi, tau) per restart that runs (dephasing
+        # reaches its edge on the first of 2, the isometry never) and no inner
         # minimization at all: the dual objective has no inner loop
         real_lbfgs, real_inner = ent._lbfgs, ent._RenyiStack.minimize
         sizes, inner = [], []
 
-        def recording(fun, x0, maxiter):
+        def recording(fun, x0, maxiter, floor):
             sizes.append(x0.size)
-            return real_lbfgs(fun, x0, maxiter)
+            return real_lbfgs(fun, x0, maxiter, floor)
 
         def counted(self, *args, **kwargs):
             inner.append(1)
@@ -1080,10 +1094,12 @@ class TestRenyiExactGradient:
 
         monkeypatch.setattr(ent, "_lbfgs", recording)
         monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
-        for ch, restarts in ((renyi_channels()["dephasing"], 2), (renyi_channels()["phi_alpha"], 1)):
+        channels = renyi_channels()
+        cases = ((channels["dephasing"], 2, 1), (channels["phi_alpha"], 1, 1), (isometry_channel(), 2, 2))
+        for ch, restarts, runs in cases:
             sizes.clear()
             cap.renyi_coherent_channel(ch, 2.0, restarts=restarts, seed=0)
-            assert sizes == [2 * (ch.dim_in**2 + ch.dim_env**2)] * restarts and not inner
+            assert sizes == [2 * (ch.dim_in**2 + ch.dim_env**2)] * runs and not inner
 
     def test_forms_no_dense_state(self, monkeypatch):
         # the dual objective runs on the factor of omega_AE: no channel is applied to a
@@ -1140,6 +1156,86 @@ class TestRenyiExactGradient:
         value = cap.renyi_coherent_channel(phi_alpha(alpha).channel, 2.0, restarts=1)
         assert value >= self.SLOW_ALPHAS[alpha] - 1e-9
         assert not inner  # finite differences: 1189 at alpha = 0.2
+
+
+def edge_channels():
+    """Channels at their Renyi edge (dephasing, phi_alpha, Schur cyclic(3) and cyclic(4) of a seeded kernel, a
+    random-unitary channel of the regular representation of cyclic(3), a partial-trace sum) and 12 seeded random
+    isometries, which carry no symbol (2 or 3 each of input, output and environment dimension, E up to 4)."""
+    w = np.random.default_rng(0).uniform(0.1, 1.0, size=4)
+    out = {f"dephasing({q})": qubit_dephasing(q) for q in (0.2, 0.6, 0.9)}
+    out.update({f"phi_alpha({a})": phi_alpha(a).channel for a in (-0.5, 0.3, 0.5, 0.9)})
+    out.update({f"schur cyclic({k})": schur_multiplier_channel(cyclic_group(k), np.fft.fft(w[:k] / w[:k].sum()))
+                for k in (3, 4)})
+    out["regular cyclic(3)"] = group_random_unitary(regular_representation(cyclic_group(3)), [0.5, 0.3, 0.2])
+    out["blocks [(2, 2), (3, 1)]"] = partial_trace_sum_channel([(2, 2), (3, 1)])
+    out.update({f"isometry {s}": _random_kraus(s, 2 + s % 2, 2 + s // 2 % 2, 2 + s // 4) for s in range(12)})
+    return out
+
+
+class TestRenyiEdge:
+    """renyi_coherent_channel stops at the channel's Renyi edge log2 max n_i + p' log2 |f|_{p,tau}."""
+
+    @pytest.mark.parametrize("name", list(edge_channels()))
+    def test_no_value_exceeds_the_edge(self, name):
+        # the edge from the certificate's blocks and the channel's symbol, else the certified identity
+        ch = edge_channels()[name]
+        symbol = ch.symbol or identity_symbol(ch)
+        for p in (1.5, 2.0, 4.0):
+            width = mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(symbol.f, p))
+            edge = math.log2(max(n for n, _, _ in symbol.certificate.blocks)) + width
+            assert cap._edge(ch, 0, p) == pytest.approx(edge, abs=1e-14)
+            assert cap.renyi_coherent_channel(ch, p, restarts=4) <= edge + 1e-12, p
+
+    def test_a_reached_edge_skips_the_later_restarts(self, monkeypatch):
+        # dephasing reaches its edge on the first search; the Pauli mixture's window is open
+        real, searches = cap._density_search, []
+
+        def counted(fun, m0s, maxiter, floor):
+            searches.append(floor)
+            return real(fun, m0s, maxiter, floor)
+
+        monkeypatch.setattr(cap, "_density_search", counted)
+        ch = qubit_dephasing(0.3)
+        value, edge = cap.renyi_coherent_channel(ch, 2.0, restarts=4), cap._edge(ch, 0, 2.0)
+        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] and 0 <= edge - value <= cap.CEILING_RTOL * abs(edge)
+        searches.clear()
+        pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        value, edge = cap.renyi_coherent_channel(pauli, 2.0, restarts=4), cap._edge(pauli, 0, 2.0)
+        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] * 4 and value < edge - 0.1
+
+    def test_lbfgs_floor_ends_at_the_first_accepted_point_at_or_below_it(self, monkeypatch):
+        # the polish of polish_state(), its objective and start recorded: a floor below every value
+        # evaluates the same points bit for bit as no floor; the floor at the value of the k-th
+        # accepted point (the end of a run capped at k iterations) ends the search there
+        real, seen = ent._lbfgs, []
+
+        def recording(fun, x0, maxiter, floor):
+            seen.append((fun, x0, maxiter))
+            return real(fun, x0, maxiter, floor)
+
+        monkeypatch.setattr(ent, "_lbfgs", recording)
+        ent.minimize_renyi_divergence(polish_state(), (2, 3), 4.0)
+        ((fun, x0, maxiter),) = seen
+
+        def run(maxiter, *floor):
+            points = []
+
+            def logged(x):
+                points.append(x.copy())
+                return fun(x)
+
+            return real(logged, x0, maxiter, *floor), np.array(points)
+
+        (value, x), points = run(maxiter)
+        for floor in (-math.inf, value - 1.0):
+            (v, y), again = run(maxiter, floor)
+            assert v == value and np.array_equal(y, x) and np.array_equal(again, points)
+        for k in (1, 3, 6):
+            (vk, xk), to_k = run(k)
+            assert vk > value and run(k - 1)[0][0] > vk
+            (v, y), floored = run(maxiter, vk)
+            assert v == vk and np.array_equal(y, xk) and np.array_equal(floored, to_k)
 
 
 class TestRegions:

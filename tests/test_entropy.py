@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import trocap.entropy as ent
 from trocap import matcore as mc
-from trocap.builders import qubit_dephasing
+from trocap.builders import group_random_unitary, pauli_rep, qubit_dephasing
 from trocap.errors import BadExponent, DimMismatch, NotNormalized, NotState, OutOfRange
 
 from helpers import (
@@ -198,6 +198,25 @@ class TestCoherentMutual:
         )
         assert ent.mutual_information(rho, (2, 3)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_each_matrix_is_decomposed_once(self, monkeypatch):
+        # the state check's spectrum of rho_AB is the one its entropy reads: three
+        # decompositions (AB, A, B) where there were four, with the same bits
+        rhos = np.array([mc.random_density(np.random.default_rng((5, i)), 6) for i in range(4)])
+        mats = (rhos, *(mc.partial_trace(rhos, (2, 3), k) for k in "AB"))
+        expected = [ent.spectral_entropy(mc.herm_eig(m).eigenvalues) for m in mats]
+        real, shapes = mc.herm_eig, []
+
+        def counted(a, *args):
+            shapes.append(np.shape(a))
+            return real(a, *args)
+
+        monkeypatch.setattr(mc, "herm_eig", counted)
+        got = ent.bipartite_entropies(rhos, (2, 3))
+        assert shapes == [(4, 6, 6), (4, 2, 2), (4, 3, 3)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        shapes.clear()
+        assert ent.von_neumann_entropy(rhos[0]) == ent.spectral_entropy(real(rhos[0]).eigenvalues) and len(shapes) == 1
+
     def test_classically_correlated(self):
         rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         assert ent.coherent_information(rho, (2, 2)) == pytest.approx(0.0, abs=1e-12)
@@ -314,8 +333,8 @@ class TestRenyiConvergedFlag:
         # is False either way, as only the fixed point's stop test sets it
         real, ends = ent._lbfgs, []
 
-        def capped(fun, x, _):
-            ends.append(real(fun, x, maxiter))
+        def capped(fun, x, _, floor):
+            ends.append(real(fun, x, maxiter, floor))
             return ends[-1]
 
         reference, _ = self._run(monkeypatch)
@@ -1022,9 +1041,9 @@ class TestRenyiGradient:
         # linear HS-self-adjoint trace-preserving project, through project
         real, seen = ent._lbfgs, []
 
-        def recording(fun, x0, maxiter):
+        def recording(fun, x0, maxiter, floor):
             seen.append((fun, x0))
-            return real(fun, x0, maxiter)
+            return real(fun, x0, maxiter, floor)
 
         monkeypatch.setattr(ent, "_lbfgs", recording)
         project = (lambda s: np.diag(np.diag(s))) if pinch else None
@@ -1083,9 +1102,9 @@ class TestDensitySearch:
         # the chain rule 2 (G u - Re<u, G u> u)/|m| through u u*, u = m/|m|, block by block
         real, seen = ent._lbfgs, []
 
-        def recording(packed, x0, maxiter):
+        def recording(packed, x0, maxiter, floor):
             seen.append((packed, x0))
-            return real(packed, x0, maxiter)
+            return real(packed, x0, maxiter, floor)
 
         monkeypatch.setattr(ent, "_lbfgs", recording)
         fun, m0s = self._objective(shape)
@@ -1130,14 +1149,18 @@ class TestDensitySearch:
 
         real, shapes = ent._density_search, []
 
-        def counted(fun, m0s, maxiter):
+        def counted(fun, m0s, *args):
             shapes.append(tuple(m.shape for m in m0s))
-            return real(fun, m0s, maxiter)
+            return real(fun, m0s, *args)
 
         monkeypatch.setattr(ent, "_density_search", counted)
         monkeypatch.setattr(cap, "_density_search", counted)
         cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=3)
-        assert shapes == [((4, 1), (2, 2))] * 3  # one (psi, tau) search per restart
+        assert shapes == [((4, 1), (2, 2))]  # the first (psi, tau) search reaches the Renyi edge
+        shapes.clear()
+        pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        cap.renyi_coherent_channel(pauli, 2.0, restarts=3)
+        assert shapes == [((4, 1), (4, 4))] * 3  # an open window: one search per restart
         shapes.clear()
         # the maximally mixed state is fixed after two rounds, the others not
         rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])

@@ -63,12 +63,15 @@ is the variable of the case's curve:
     phi_alpha(0.4) (size: input dimension), and on the Schur cyclic(k) channel
     of the seeded kernel above,
     k in 4, 6, 8 (input, output and environment dimension k, so omega_AE's
-    factor has k columns against the k^2 x k^2 input state); and that search's
-    kernel alone, capacity._dual_value_and_grads at beta = 2/3 (p = 2) on a
-    seeded random isometry channel with Kraus stack (k, k, k) and a seeded
-    pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run (M = W* W keeps its
-    smallest eigenvalue above 1e-4 of its largest there, so no call takes
-    the SVD of W).
+    factor has k columns against the k^2 x k^2 input state); and at restarts 2,
+    4 and 8 on that dephasing channel, whose first search reaches the
+    channel's Renyi edge so that no later restart runs, and on the Pauli
+    mixture (0.4, 0.3, 0.2, 0.1), an open window where every restart runs
+    (the control); and that search's kernel alone,
+    capacity._dual_value_and_grads at beta = 2/3 (p = 2) on a seeded random
+    isometry channel with Kraus stack (k, k, k) and a seeded pair (psi, u), k
+    in 2, 4, 8, 16, 1000 calls per run (M = W* W keeps its smallest eigenvalue
+    above 1e-4 of its largest there, so no call takes the SVD of W).
 
 Each case is (section, name, size, setup); setup(t) builds the inputs from the
 package t (its submodules read as ``t.algebra``, ``t.builders`` and so on) and
@@ -220,9 +223,14 @@ def negative_cb_case(t, alpha: float, restarts: int):
     return lambda: t.capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
 
 
-def renyi_channel_case(t, name: str):
-    ch = t.builders.qubit_dephasing(0.3) if name == "dephasing(0.3)" else t.builders.phi_alpha(0.4).channel
-    return lambda: t.capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
+def renyi_channel_case(t, name: str, restarts: int = 1):
+    if name == "dephasing(0.3)":
+        ch = t.builders.qubit_dephasing(0.3)
+    elif name == "phi_alpha(0.4)":
+        ch = t.builders.phi_alpha(0.4).channel
+    else:
+        ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    return lambda: t.capacity.renyi_coherent_channel(ch, 2.0, restarts=restarts)
 
 
 def renyi_schur_case(t, k: int):
@@ -289,6 +297,9 @@ CASES = [
      partial(renyi_channel_case, name="dephasing(0.3)")),
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
      partial(renyi_channel_case, name="phi_alpha(0.4)")),
+    *(("optimizers", f"renyi_coherent_channel {name} p 2 (restarts)", r,
+       partial(renyi_channel_case, name=name, restarts=r))
+      for name in ("dephasing(0.3)", "Pauli (0.4, 0.3, 0.2, 0.1)") for r in (2, 4, 8)),
     *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k, partial(renyi_schur_case, k=k))
       for k in (4, 6, 8)),
     *(("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls", k, partial(dual_kernel_case, k=k))
