@@ -44,8 +44,8 @@ QUANTITIES = (
     "neg_S_cb",
 )
 CEILING_RTOL = 1e-13  # relative gap to a proven ceiling that counts as reaching it
-ASCENT_MAX_STEPS = 400  # accepted ascent steps after which a restart stops
-ASCENT_MARGIN = 1e-14  # rise in F that an ascent trial must exceed to be accepted
+ASCENT_MAX_STEPS = 400  # accepted ascent steps after which a restart stops; _concave_max's trial cap
+ASCENT_MARGIN = 1e-14  # rise in F that an ascent trial must exceed to be accepted; the fall _concave_max forgives
 
 
 @dataclass(frozen=True)
@@ -171,18 +171,18 @@ def _entropy_and_log2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.sum(np.clip(w, 0.0, None) * log, axis=-1), (v * log[..., None, :]) @ mc.dagger(v)
 
 
-def _value_and_grad(ch: Channel, rho: np.ndarray, reverse: bool = False):
-    """F and its hermitian Euclidean gradient M at each density of a stack
-    (R, d, d): F = H(N(rho)) - H(N^E(rho)) and
-    M = N^E*(log N^E(rho)) - N*(log N(rho)), or with rho in place of N(rho)
-    when ``reverse``."""
+def _complement_term(ch: Channel, rho: np.ndarray):
+    """-H(N^E(rho)) and its gradient N^E*(log N^E(rho)) at a density, or at each of a stack (R, d, d)."""
     h_env, log_env = _entropy_and_log2(chn.complement_apply(ch, rho))
-    if reverse:
-        h_first, grad_first = _entropy_and_log2(rho)
-    else:
-        h_first, log_out = _entropy_and_log2(chn.apply(ch, rho))
-        grad_first = chn.adjoint_apply(ch, log_out)
-    return h_first - h_env, mc.hermitize(chn.complement_adjoint_apply(ch, log_env) - grad_first)
+    return -h_env, chn.complement_adjoint_apply(ch, log_env)
+
+
+def _value_and_grad(ch: Channel, rho: np.ndarray):
+    """F and its hermitian Euclidean gradient M at each density of a stack (R, d, d):
+    F = H(N(rho)) - H(N^E(rho)) and M = N^E*(log N^E(rho)) - N*(log N(rho))."""
+    f_env, grad_env = _complement_term(ch, rho)
+    h_out, log_out = _entropy_and_log2(chn.apply(ch, rho))
+    return h_out + f_env, mc.hermitize(grad_env - chn.adjoint_apply(ch, log_out))
 
 
 def _densities(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +191,7 @@ def _densities(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, gg / t[:, None, None]
 
 
-def _ascent(
-    ch: Channel, g0: np.ndarray, reverse: bool, ceiling: float = math.inf
-) -> tuple[np.ndarray, np.ndarray]:
+def _ascent(ch: Channel, g0: np.ndarray, ceiling: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Maximize F(rho) over densities rho = G G*/tr(G G*) from each start of
     a stack G0 (R, d, d); returns the end values (R,) and densities, each
     restart's best, since F rises at every accepted step.
@@ -222,7 +220,7 @@ def _ascent(
     stop = ceiling - CEILING_RTOL * abs(ceiling) if math.isfinite(ceiling) else ceiling
     g = g0.astype(complex)
     t, rho = _densities(g)
-    f, m = _value_and_grad(ch, rho, reverse)
+    f, m = _value_and_grad(ch, rho)
     r, d = g.shape[:2]
     eta = np.full(r, 0.25)
     steps = np.zeros(r, dtype=int)
@@ -240,7 +238,7 @@ def _ascent(
     while active.size and not f.max() >= stop:
         g_new = g[active] + eta[active, None, None] * direction[active]
         t_new, rho_new = _densities(g_new)
-        f_new, m_new = _value_and_grad(ch, rho_new, reverse)
+        f_new, m_new = _value_and_grad(ch, rho_new)
         up = f_new > f[active] + ASCENT_MARGIN
         acc, rej = active[up], active[~up]
         g[acc], t[acc], rho[acc] = g_new[up], t_new[up], rho_new[up]
@@ -278,18 +276,32 @@ def _init_pool(
     return pool[:restarts]
 
 
-def _multi_start(
-    ch: Channel,
-    reverse: bool,
-    restarts: int,
-    seed: int,
-    init_states: Optional[Sequence[np.ndarray]],
-    ceiling: float = math.inf,
-) -> AscentResult:
-    pool = np.stack(_init_pool(ch, restarts, seed, init_states))
-    f, rho = _ascent(ch, pool, reverse, ceiling=ceiling)
-    best = int(np.argmax(f))  # the first maximum
-    return AscentResult(float(f[best]), rho[best])
+def _concave_max(term, d: int) -> tuple[float, float, np.ndarray]:
+    """Certified max of a concave F = H(rho) + term(rho) over d x d densities: (F(rho), F(rho) + gap, rho).
+
+    ``term`` maps a density to its value and gradient T; F's gradient is M = T - log2 rho, and by concavity no density
+    beats F(rho) + gap, gap = lambda_max(M) - tr(M rho) (Frank-Wolfe).  The mirror step rho <- exp2(log2 rho + s M)/tr
+    from I/d (s = 1: Blahut-Arimoto, exp2(T)/tr; Ramakrishnan, Iten, Scholz & Berta 2021) is taken unless F falls by
+    over ASCENT_MARGIN (rounding), else s halves, until gap <= 1e-10 or after ASCENT_MAX_STEPS trials."""
+
+    def at(rho):
+        (h, log), (g, t) = _entropy_and_log2(rho), term(rho)
+        m = mc.hermitize(t - log)
+        return float(h + g), log, m, max(float(np.linalg.eigvalsh(m)[-1] - np.trace(m @ rho).real), 0.0)
+
+    rho, step = np.eye(d, dtype=complex) / d, 1.0
+    f, log, m, gap = at(rho)
+    for _ in range(ASCENT_MAX_STEPS):
+        if gap <= 1e-10:
+            break
+        w, v = mc.herm_eig(log + step * m)
+        e = np.exp2(w - w.max())
+        new = mc.hermitize((v * (e / e.sum())) @ mc.dagger(v))
+        if (trial := at(new))[0] >= f - ASCENT_MARGIN:  # F is flat to rounding while the gap still shrinks
+            rho, (f, log, m, gap) = new, trial
+        else:
+            step *= 0.5
+    return f, f + gap, rho
 
 
 def _own_symbol(ch: Channel, space: StinespringSpace, seed: int) -> Symbol:
@@ -327,7 +339,9 @@ def one_shot_q(
     full ascent.
     """
     ceiling = _edge(ch, seed) if ceiling is None else ceiling
-    return _multi_start(ch, False, restarts, seed, init_states, ceiling)
+    f, rho = _ascent(ch, np.stack(_init_pool(ch, restarts, seed, init_states)), ceiling)
+    best = int(np.argmax(f))  # the first maximum
+    return AscentResult(float(f[best]), rho[best])
 
 
 def negative_cb_entropy(
@@ -339,14 +353,15 @@ def negative_cb_entropy(
 ) -> float:
     """Negative cb-entropy sup_rho H(A) - H(AB) over purified inputs.
 
-    ``formula`` mode uses the closed form log2(|in|/|env|) + tau(f log f),
-    which requires channel metadata (a validated symbol over a reference
-    space) and a complement that is unital up to the scalar |in|/|env|.
-    ``numeric`` mode, the uncapped ascent of :func:`one_shot_q`, checks that
-    form (a ceiling would hide a wrong one); ``max_workers`` has no effect.
+    ``formula`` mode uses the closed form log2(|in|/|env|) + tau(f log f), which requires channel metadata (a
+    validated symbol over a reference space) and a complement that is unital up to the scalar |in|/|env|.
+    ``numeric`` mode checks that form: one run of :func:`_concave_max` on the concave H(rho) - H(N^E(rho))
+    (Garcia-Patron, Pirandola, Lloyd & Shapiro 2009) returns the lower end of an interval certified to hold the
+    maximum, to within its Frank-Wolfe gap.  ``restarts`` (an integer >= 1), ``seed`` and ``max_workers`` are unused.
     """
     if mode == "numeric":
-        return _multi_start(ch, True, restarts, seed, None).value
+        mc._count(restarts, "restarts")
+        return _concave_max(partial(_complement_term, ch), ch.dim_in)[0]
     if mode != "formula":
         raise OutOfRange(f"mode must be 'formula' or 'numeric', got {mode!r}")
     if ch.symbol is None or ch.base_space is None:
@@ -362,8 +377,8 @@ def negative_cb_entropy(
 def fidelity_bound(m: int, q1p: float, p: float) -> float:
     """Upper bound m^(-1/p') 2^(q1p/p') on quantum-code fidelity at size m.
 
-    ``q1p`` is a Renyi coherent-information value of the channel at the same
-    exponent p.
+    ``q1p`` must be an upper bound on the channel's Renyi coherent information at the same exponent p (Tomamichel,
+    Wilde & Winter 2017); the values of :func:`renyi_coherent_channel` are lower bounds and do not qualify.
     """
     if not (p > 1.0):
         raise BadExponent(f"fidelity bound needs p > 1, got {p}")

@@ -1,10 +1,12 @@
 """Matrix helpers that only the tests use."""
 
 import math
+from functools import partial
 
 import numpy as np
 
 from trocap import algebra as alg
+from trocap import capacity as cap
 from trocap import channel as chn
 from trocap import entropy as ent
 from trocap import matcore as mc
@@ -128,6 +130,14 @@ def character_blocks(rep, seed: int = 0) -> list[tuple[int, int]]:
         assert abs(m - round(m)) <= 1e-6 and len(cols) % round(m) == 0, (m, len(cols))
         blocks.append((round(m), len(cols) // round(m)))
     return sorted(blocks)
+
+
+def certified_cea(ch):
+    """Entanglement-assisted capacity C_EA = max_rho H(rho) + H(N(rho)) - H(N^E(rho)) (Bennett, Shor, Smolin &
+    Thapliyal), single-letter and concave in rho: the certified (lower, upper, rho) of capacity._concave_max with the
+    coherent information H(N(rho)) - H(N^E(rho)) as its term.  An independent check of comparison_bounds' C_EA
+    window."""
+    return cap._concave_max(partial(cap._value_and_grad, ch), ch.dim_in)
 
 
 def random_channel(rng, dim_in, dim_out, dim_env):

@@ -35,7 +35,7 @@ from trocap.errors import (
     RankDeficient,
 )
 
-from helpers import polish_state, random_unitary, scipy_density_search
+from helpers import certified_cea, polish_state, random_unitary, scipy_density_search
 
 LOG3 = math.log2(3.0)
 
@@ -197,13 +197,13 @@ class TestOneShotQ:
             assert rep.entries["Q"].lower - 1e-6 <= val <= rep.entries["Q"].upper + 1e-6
 
     def test_finite_difference_gradient(self):
-        # analytic gradient of the coherent information (and of the reverse
-        # objective H(rho) - H(N^E(rho))) at an interior point
+        # analytic gradient of the coherent information (and of the complement
+        # term -H(N^E(rho)) of the concave objectives) at an interior point
         ch = qubit_dephasing(0.5)
-        for reverse in (False, True):
+        for term in (cap._value_and_grad, cap._complement_term):
 
             def fun(rho):
-                f, m = cap._value_and_grad(ch, rho[None], reverse)
+                f, m = term(ch, rho[None])
                 return f[0], m[0]
 
             rng = np.random.default_rng(4)
@@ -260,8 +260,8 @@ def _loop_ascent(g0, value_and_grad, max_iter=400):
     return best
 
 
-def _loop_value_and_grad(ch, reverse):
-    """Per-matrix coherent information (or H(rho) - H(N^E(rho))) and gradient."""
+def _loop_value_and_grad(ch):
+    """Per-matrix coherent information and gradient."""
     k, kc = ch.kraus, ch.kraus.conj()
     rows = k.swapaxes(0, 1)  # rows[i, e, k] = K_e[i, k]
 
@@ -273,13 +273,9 @@ def _loop_value_and_grad(ch, reverse):
 
     def fun(rho):
         h_env, log_env = entropy_and_log2(np.einsum("bij,jk,aik->ab", k, rho, kc))
-        if reverse:
-            h_first, log_first = entropy_and_log2(rho)
-        else:
-            h_first, log_out = entropy_and_log2(np.einsum("eij,jk,elk->il", k, rho, kc))
-            log_first = np.einsum("eji,jk,ekl->il", kc, log_out, k)
-        m = (mc.dagger(rows) @ log_env.T @ rows).sum(axis=0) - log_first
-        return h_first - h_env, mc.hermitize(m)
+        h_out, log_out = entropy_and_log2(np.einsum("eij,jk,elk->il", k, rho, kc))
+        m = (mc.dagger(rows) @ log_env.T @ rows).sum(axis=0) - np.einsum("eji,jk,ekl->il", kc, log_out, k)
+        return h_out - h_env, mc.hermitize(m)
 
     return fun
 
@@ -298,26 +294,25 @@ FENCE_CASES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _fence_case(name, seed, reverse):
+def _fence_case(name, seed):
     """Channel, init states and the loop reference's end values of 16 restarts.
 
     Restart pools are nested (the first R of 16 are the pool of R), so one
     reference run serves every R <= 16."""
     built = FENCE_CASES[name]()
     ch = getattr(built, "channel", built)
-    inits = None if reverse else getattr(built, "block_inputs", None)
+    inits = getattr(built, "block_inputs", None)
     pool = cap._init_pool(ch, 16, seed, inits)
-    fun = _loop_value_and_grad(ch, reverse)
+    fun = _loop_value_and_grad(ch)
     return ch, inits, np.array([_loop_ascent(g0, fun).value for g0 in pool])
 
 
 class TestBatchedAscentFence:
     @pytest.mark.parametrize("restarts", [1, 4, 16])
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("reverse", [False, True], ids=["one_shot_q", "negative_cb"])
     @pytest.mark.parametrize("name", sorted(FENCE_CASES))
-    def test_matches_sequential_loop(self, monkeypatch, name, reverse, seed, restarts):
-        ch, inits, ref = _fence_case(name, seed, reverse)
+    def test_matches_sequential_loop(self, monkeypatch, name, seed, restarts):
+        ch, inits, ref = _fence_case(name, seed)
         ref = ref[:restarts]
         ends, real_ascent = [], cap._ascent
 
@@ -326,10 +321,7 @@ class TestBatchedAscentFence:
             return ends[-1]
 
         monkeypatch.setattr(cap, "_ascent", recording_ascent)
-        if reverse:
-            best = cap.negative_cb_entropy(ch, "numeric", restarts=restarts, seed=seed)
-        else:
-            best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits, ceiling=math.inf).value
+        best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits, ceiling=math.inf).value
         values = ends[0][0]
         assert np.max(np.abs(values - ref)) <= 1e-9
         # the same winning restart, or where the reference's best ties others
@@ -337,8 +329,7 @@ class TestBatchedAscentFence:
         assert int(np.argmax(values)) in np.flatnonzero(ref >= np.max(ref) - 1e-12)
         assert best == pytest.approx(float(np.max(ref)), abs=1e-9)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_two_batched_eigh_per_evaluation(self, monkeypatch, reverse):
+    def test_two_batched_eigh_per_evaluation(self, monkeypatch):
         ch = _schur_cyclic4()
         evals, eighs = [], []
         real_eigh, real_vg = np.linalg.eigh, cap._value_and_grad
@@ -347,16 +338,13 @@ class TestBatchedAscentFence:
             eighs.append(np.shape(a))
             return real_eigh(a, *args, **kwargs)
 
-        def counting_vg(ch, rho, reverse=False):
+        def counting_vg(ch, rho):
             evals.append(len(rho))
-            return real_vg(ch, rho, reverse)
+            return real_vg(ch, rho)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(cap, "_value_and_grad", counting_vg)
-        if reverse:
-            cap.negative_cb_entropy(ch, "numeric", restarts=8, seed=0)
-        else:
-            cap.one_shot_q(ch, restarts=8, seed=0, ceiling=math.inf)
+        cap.one_shot_q(ch, restarts=8, seed=0, ceiling=math.inf)
         assert evals and len(eighs) == 2 * len(evals)
         assert evals[0] == 8 and all(len(shape) == 3 for shape in eighs)
 
@@ -365,11 +353,11 @@ class TestBatchedAscentFence:
         rho = np.stack([np.eye(4) / 4] * 3).astype(complex)
         rho[1, 0, 1] = 1e-3  # one input of the stack is not hermitian
         with pytest.raises(NotHermitian):
-            cap._value_and_grad(ch, rho, reverse=True)
-        cap._value_and_grad(ch, rho[[0, 2]], reverse=True)
+            cap._value_and_grad(ch, rho)
+        cap._value_and_grad(ch, rho[[0, 2]])
 
 
-def _ascent_end_state(ch, pool, reverse):
+def _ascent_end_state(ch, pool):
     """Run _ascent on the stack ``pool``; returns its local variables as it
     returns (every restart's G, F, step eta, direction and slope)."""
     seen = {}
@@ -381,7 +369,7 @@ def _ascent_end_state(ch, pool, reverse):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        cap._ascent(ch, pool, reverse)
+        cap._ascent(ch, pool)
     finally:
         sys.setprofile(previous)
     return seen
@@ -391,13 +379,12 @@ class TestMarginStop:
     """A restart ends once no halving of its step can clear ASCENT_MARGIN."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("reverse", [False, True], ids=["one_shot_q", "negative_cb"])
     @pytest.mark.parametrize("name", sorted(FENCE_CASES))
-    def test_no_skipped_halving_clears_the_margin(self, name, reverse, seed):
+    def test_no_skipped_halving_clears_the_margin(self, name, seed):
         built = FENCE_CASES[name]()
         ch = getattr(built, "channel", built)
-        inits = None if reverse else getattr(built, "block_inputs", None)
-        end = _ascent_end_state(ch, np.stack(cap._init_pool(ch, 16, seed, inits)).astype(complex), reverse)
+        inits = getattr(built, "block_inputs", None)
+        end = _ascent_end_state(ch, np.stack(cap._init_pool(ch, 16, seed, inits)).astype(complex))
         g, f, eta, direction, slope = (end[key] for key in ("g", "f", "eta", "direction", "slope"))
         norm = np.linalg.norm(direction, axis=(1, 2))
         # the margin stop ended these; the others stopped at the step floor,
@@ -413,7 +400,7 @@ class TestMarginStop:
                 trials.append(g[i] + step * direction[i])
                 owners.append(i)
                 step *= 0.5
-        f_trials = cap._value_and_grad(ch, cap._densities(np.stack(trials))[1], reverse)[0]
+        f_trials = cap._value_and_grad(ch, cap._densities(np.stack(trials))[1])[0]
         # the stop is exact in real arithmetic, but computed F carries its own
         # rounding, above the margin near the Pauli and partial-trace optima:
         # measured as the spread of F over the same densities written as G U
@@ -421,7 +408,7 @@ class TestMarginStop:
         rng = np.random.default_rng(seed)
         us = [np.linalg.qr(mc.random_complex(rng, g.shape[1:]))[0] for _ in range(4)]
         rotated = np.stack([g[i] @ u for i in stopped for u in us])
-        f_rotated = cap._value_and_grad(ch, cap._densities(rotated)[1], reverse)[0]
+        f_rotated = cap._value_and_grad(ch, cap._densities(rotated)[1])[0]
         rounding = float(np.max(np.abs(f_rotated - np.repeat(f[stopped], len(us)))))
         assert rounding < 10 * cap.ASCENT_MARGIN
         assert np.all(~(f_trials - f[owners] > cap.ASCENT_MARGIN + rounding))
@@ -434,12 +421,6 @@ class TestMarginStop:
         calls = TestCeiling.counted_evaluations(monkeypatch)
         cap.one_shot_q(ch, restarts=4, seed=0, ceiling=upper)
         assert len(calls) <= 24  # 17; 30 with the 1.3x step growth
-
-    def test_dephasing_negative_cb_evaluations(self, monkeypatch):
-        # 76 evaluations without the margin stop
-        calls = TestCeiling.counted_evaluations(monkeypatch)
-        cap.negative_cb_entropy(qubit_dephasing(0.7), "numeric", restarts=4, seed=0)
-        assert len(calls) <= 20  # 13; 31 with the 1.3x step growth
 
 
 def _full_entropy(mat):
@@ -454,15 +435,13 @@ class TestAscentHonesty:
 
     @pytest.mark.parametrize("restarts", [1, 4, 16])
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("reverse", [False, True], ids=["one_shot_q", "negative_cb"])
     @pytest.mark.parametrize("name", sorted(FENCE_CASES))
-    def test_value_is_the_returned_states_objective(self, name, reverse, seed, restarts):
+    def test_value_is_the_returned_states_objective(self, name, seed, restarts):
         built = FENCE_CASES[name]()
         ch = getattr(built, "channel", built)
-        inits = None if reverse else getattr(built, "block_inputs", None)
-        best = cap._multi_start(ch, reverse, restarts, seed, inits)
-        first = best.rho if reverse else apply(ch, best.rho)
-        assert best.value <= _full_entropy(first) - _full_entropy(complement_apply(ch, best.rho)) + 1e-12
+        inits = getattr(built, "block_inputs", None)
+        best = cap.one_shot_q(ch, restarts=restarts, seed=seed, init_states=inits, ceiling=math.inf)
+        assert best.value <= _full_entropy(apply(ch, best.rho)) - _full_entropy(complement_apply(ch, best.rho)) + 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partial_trace_sum_stays_at_its_exact_q1(self, seed):
@@ -479,9 +458,9 @@ class TestCeiling:
     def counted_evaluations(monkeypatch):
         calls, real_vg = [], cap._value_and_grad
 
-        def counting_vg(ch, rho, reverse=False):
+        def counting_vg(ch, rho):
             calls.append(len(rho))
-            return real_vg(ch, rho, reverse)
+            return real_vg(ch, rho)
 
         monkeypatch.setattr(cap, "_value_and_grad", counting_vg)
         return calls
@@ -518,10 +497,10 @@ class TestCeiling:
 
     def test_no_ceiling_is_the_full_ascent(self):
         ch = _schur_cyclic4()
-        plain = cap._multi_start(ch, False, 4, 1, None)
+        f, rho = cap._ascent(ch, np.stack(cap._init_pool(ch, 4, 1, None)))  # no ceiling argument
         again = cap.one_shot_q(ch, restarts=4, seed=1, ceiling=math.inf)
-        assert again.value == plain.value
-        np.testing.assert_array_equal(again.rho, plain.rho)
+        assert again.value == f[np.argmax(f)]
+        np.testing.assert_array_equal(again.rho, rho[np.argmax(f)])
 
     def test_minus_infinity_stops_after_the_first_evaluation(self, monkeypatch):
         ch = _schur_cyclic4()
@@ -673,25 +652,23 @@ class TestNegativeCbEntropy:
             assert numeric <= formula + 1e-6
 
     @pytest.mark.parametrize("name", ["dephasing", "partial_trace_sum", "phi_alpha"])
-    def test_numeric_is_the_uncapped_ascent(self, monkeypatch, name):
-        # the numeric value checks the closed form, so no ceiling may stop it:
-        # it runs every round of the uncapped ascent, though here one of the
-        # starts already attains the form
+    def test_numeric_is_the_certified_lower_end(self, name):
+        # the numeric value checks the closed form, so it is the lower end of
+        # one certified run, whatever restarts and seed say
         built = FENCE_CASES[name]()
         ch = getattr(built, "channel", built)
-        calls = TestCeiling.counted_evaluations(monkeypatch)
-        value = cap.negative_cb_entropy(ch, "numeric", restarts=8, seed=0)
-        n_numeric = len(calls)
-        assert value == cap._multi_start(ch, True, 8, 0, None).value
-        assert n_numeric == len(calls) - n_numeric > 1
+        lower, upper, _ = _negative_cb_interval(ch)
+        assert upper - lower <= 1e-10
+        for restarts, seed in ((8, 0), (1, 5), (32, 1)):
+            assert cap.negative_cb_entropy(ch, "numeric", restarts=restarts, seed=seed) == lower
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_phi_alpha_ends_before_the_step_cap(self, seed):
-        # with the step grown by 1.3 (at most 10) after each accepted trial,
-        # some restart ran to ASCENT_MAX_STEPS on each of these seeds
+    def test_phi_alpha_certificate_holds_the_formula(self, seed):
+        # the complement is proportionally unital, so the maximally mixed start
+        # is optimal and the certified run closes its gap at once
         ch = phi_alpha(0.1).channel
-        end = _ascent_end_state(ch, np.stack(cap._init_pool(ch, 16, seed, None)).astype(complex), True)
-        assert np.max(end["steps"]) < cap.ASCENT_MAX_STEPS
+        lower, upper, _ = _negative_cb_interval(ch)
+        assert upper - lower <= 1e-10
         numeric = cap.negative_cb_entropy(ch, "numeric", restarts=16, seed=seed)
         assert numeric == pytest.approx(cap.negative_cb_entropy(ch, "formula"), abs=1e-12)
 
@@ -709,6 +686,128 @@ class TestNegativeCbEntropy:
         tagged = Channel(ch.kraus, base_space=stinespring_space(ch), symbol=sym)
         with pytest.raises(HypothesisFailed):
             cap.negative_cb_entropy(tagged, "formula")
+
+
+BLOCKS = "blocks [(2, 2), (3, 1)]"
+
+
+def concave_channels():
+    """The channels of the certified concave maximizations: each but the partial-trace sum BLOCKS carries a symbol
+    over a reference space whose complement is proportionally unital, so the closed form applies to it."""
+    base, w = identity_channel(2), np.random.default_rng(0).uniform(0.1, 1.0, size=8)
+    out = {f"dephasing({q})": qubit_dephasing(q) for q in (0.0, 0.3, 1.0)}
+    out["identity"] = modified_channel(stinespring_space(base), validate_symbol(base, np.eye(1)))
+    out["depolarizing"] = group_random_unitary(pauli_rep(), [0.25] * 4)
+    out["pauli"] = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    out.update({f"phi_alpha({a})": phi_alpha(a).channel for a in (-0.6, 0.0, 0.1, 0.4)})
+    out["schur cyclic(8)"] = schur_multiplier_channel(cyclic_group(8), np.fft.fft(w / w.sum()))
+    out["regular cyclic(3)"] = group_random_unitary(regular_representation(cyclic_group(3)), [0.5, 0.3, 0.2])
+    out[BLOCKS] = partial_trace_sum_channel([(2, 2), (3, 1)])
+    return out
+
+
+def _negative_cb_interval(ch):
+    return cap._concave_max(functools.partial(cap._complement_term, ch), ch.dim_in)
+
+
+class TestConcaveMax:
+    """Numeric negative cb-entropy and C_EA as certified maximizations of concave objectives."""
+
+    @pytest.mark.parametrize("name", list(concave_channels()))
+    def test_gap_closes_around_the_formula(self, name):
+        ch = concave_channels()[name]
+        lower, upper, _ = _negative_cb_interval(ch)
+        assert 0.0 <= upper - lower <= 1e-10
+        assert cap.negative_cb_entropy(ch, "numeric") == lower
+        if name != BLOCKS:
+            assert lower - 1e-12 <= cap.negative_cb_entropy(ch, "formula") <= upper + 1e-12
+
+    def test_partial_trace_sum_interval_holds_log2_3(self, monkeypatch):
+        # the one case whose maximally mixed start is not optimal: it iterates
+        calls = []
+        monkeypatch.setattr(cap.chn, "complement_apply", lambda *args: calls.append(1) or complement_apply(*args))
+        lower, upper, _ = _negative_cb_interval(concave_channels()[BLOCKS])
+        assert lower - 1e-12 <= LOG3 <= upper + 1e-12
+        assert len(calls) > 10
+
+    @pytest.mark.parametrize("name", [name for name in concave_channels() if name != BLOCKS])
+    def test_one_evaluation_on_a_proportionally_unital_complement(self, monkeypatch, name):
+        # N^E(1/d) is proportional to 1, so the maximally mixed start has gap 0
+        ch, calls = concave_channels()[name], []
+        monkeypatch.setattr(cap.chn, "complement_apply", lambda *args: calls.append(1) or complement_apply(*args))
+        cap.negative_cb_entropy(ch, "numeric")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cap_steps", [3, cap.ASCENT_MAX_STEPS])
+    @pytest.mark.parametrize("name", ["phi_alpha(0.4)", BLOCKS])
+    def test_lower_end_is_the_objective_of_the_returned_density(self, monkeypatch, name, cap_steps):
+        # also where the step cap, not the gap, stops the run: the interval is
+        # then wider, and still holds the maximum
+        ch = concave_channels()[name]
+        monkeypatch.setattr(cap, "ASCENT_MAX_STEPS", cap_steps)
+        lower, upper, rho = _negative_cb_interval(ch)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14) and np.linalg.eigvalsh(rho)[0] > 0
+        assert lower == pytest.approx(_full_entropy(rho) - _full_entropy(complement_apply(ch, rho)), abs=1e-13)
+        best = LOG3 if name == BLOCKS else cap.negative_cb_entropy(ch, "formula")
+        assert lower - 1e-12 <= best <= upper + 1e-12
+        assert (upper - lower > 1e-10) == (name == BLOCKS and cap_steps == 3)
+
+    @pytest.mark.parametrize("objective", ["negative_cb", "cea"])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_interval_holds_every_sampled_density_of_a_random_isometry(self, objective, seed):
+        # channels with no symbol (input 2-4, output 2-4, environment 1-4): the
+        # upper end bounds F at 64 seeded densities, and the lower end is F at
+        # the returned density; negative cb also closes its gap, while C_EA's
+        # step 1 can contract slowly (seeds 1 and 10 end at the step cap with
+        # gaps 4.4e-8 and 4.1e-7)
+        d_in, d_out, d_env = 2 + seed % 3, 2 + seed // 3 % 3, 1 + seed // 9 % 4
+        ch = _random_kraus(seed, d_in, d_out, max(d_env, -(-d_in // d_out)))
+
+        def objective_at(rho):
+            first = _full_entropy(apply(ch, rho)) if objective == "cea" else 0.0
+            return _full_entropy(rho) + first - _full_entropy(complement_apply(ch, rho))
+
+        term = cap._value_and_grad if objective == "cea" else cap._complement_term
+        lower, upper, rho = cap._concave_max(functools.partial(term, ch), d_in)
+        assert lower == pytest.approx(objective_at(rho), abs=1e-12)
+        rng = np.random.default_rng(seed)
+        assert max(objective_at(mc.random_density(rng, d_in)) for _ in range(64)) <= upper + 1e-12
+        assert objective == "cea" or upper - lower <= 1e-10
+
+    def test_a_fall_halves_the_step(self):
+        # H(rho) - 20 |rho - sigma|_F^2 is concave and curved enough that the
+        # Blahut-Arimoto step s = 1 overshoots: without the halving the value
+        # falls to about -20 and the gap stays above 75
+        sigma, values = np.diag([0.7, 0.2, 0.1]).astype(complex), []
+
+        def term(rho):
+            values.append(-20.0 * np.vdot(rho - sigma, rho - sigma).real)
+            return values[-1], -40.0 * (rho - sigma)
+
+        lower, upper, rho = cap._concave_max(term, 3)
+        assert upper - lower <= 1e-10 and len(values) < 50
+        assert lower == pytest.approx(_full_entropy(rho) - 20.0 * np.linalg.norm(rho - sigma) ** 2, abs=1e-13)
+
+    @pytest.mark.parametrize("name", list(concave_channels()))
+    def test_certified_cea_inside_the_comparison_window(self, name):
+        # C_EA is the maximum of the concave mutual information, so its interval
+        # checks the blocks and the entropy defect of comparison_bounds
+        ch = concave_channels()[name]
+        lower, upper, _ = certified_cea(ch)
+        if name == BLOCKS:
+            window = cap.tro_capacities([(2, 2), (3, 1)]).entries["C_EA"]
+        else:
+            window = cap.comparison_bounds(ch.base_space, ch.symbol).entries["C_EA"]
+        assert 0.0 <= upper - lower <= 1e-10
+        assert window.lower - 1e-12 <= lower and upper <= window.upper + 1e-12
+
+    def test_phi_alpha_cea_strictly_inside_its_window(self):
+        bundle = phi_alpha(0.4)
+        window = cap.comparison_bounds(bundle.space, bundle.symbol).entries["C_EA"]
+        lower, upper, _ = certified_cea(bundle.channel)
+        assert lower == pytest.approx(1.695485403795, abs=1e-12)
+        assert window.lower + 1e-3 < lower <= upper < window.upper - 1e-3
+        assert (window.lower, window.upper) == pytest.approx((LOG3, 1.704), abs=5e-4)
 
 
 RESTART_RUNS = {

@@ -40,10 +40,12 @@ is the variable of the case's curve:
     above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4); every call
     draws its samples afresh (``drawing``);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
-    and numeric negative_cb_entropy on phi_alpha(0.4), both at 16 restarts;
-    numeric negative_cb_entropy on phi_alpha(0.1), whose restarts ran to
-    ASCENT_MAX_STEPS before the ascent took Barzilai-Borwein steps, at 4, 16
-    and 64 restarts;
+    at 16 restarts; numeric negative_cb_entropy, one certified concave
+    maximization whatever its restarts, on channels of growing input
+    dimension: dephasing(0.3) (2), phi_alpha(0.4) (4), that partial-trace sum
+    (7, the one case whose maximally mixed start is not optimal, so the
+    mirror step iterates) and the Schur cyclic(8) channel of the seeded kernel
+    above (8);
     the bounds table's Pauli ascent, one_shot_q on the Pauli mixture (0.4,
     0.3, 0.2, 0.1) with its Q1 upper edge as the ceiling, at 4, 16 and 64
     restarts (a window the ascent cannot close, so every restart runs to its
@@ -218,9 +220,16 @@ def pauli_ascent_case(t, restarts: int):
     return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=upper)
 
 
-def negative_cb_case(t, alpha: float, restarts: int):
-    ch = t.builders.phi_alpha(alpha).channel
-    return lambda: t.capacity.negative_cb_entropy(ch, "numeric", restarts=restarts)
+def negative_cb_case(t, name: str):
+    if name == "dephasing(0.3)":
+        ch = t.builders.qubit_dephasing(0.3)
+    elif name == "phi_alpha(0.4)":
+        ch = t.builders.phi_alpha(0.4).channel
+    elif name == "blocks [[2, 2], [3, 1]]":
+        ch = t.builders.partial_trace_sum_channel([(2, 2), (3, 1)])
+    else:
+        ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(8), schur_kernel(8)[:, 0])
+    return lambda: t.capacity.negative_cb_entropy(ch, "numeric")
 
 
 def renyi_channel_case(t, name: str, restarts: int = 1):
@@ -285,11 +294,9 @@ CASES = [
     *(("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4", n, partial(polish_stack_case, n=n))
       for n in (1, 4, 16)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, restarts=16)),
-    ("optimizers", "negative_cb_entropy numeric phi_alpha(0.4) (restarts)", 16,
-     partial(negative_cb_case, alpha=0.4, restarts=16)),
-    *(("optimizers", "negative_cb_entropy numeric phi_alpha(0.1) (restarts)", r,
-       partial(negative_cb_case, alpha=0.1, restarts=r))
-      for r in (4, 16, 64)),
+    *(("optimizers", "negative_cb_entropy numeric (input dim)", d, partial(negative_cb_case, name=name))
+      for name, d in (("dephasing(0.3)", 2), ("phi_alpha(0.4)", 4), ("blocks [[2, 2], [3, 1]]", 7),
+                      ("Schur cyclic(8)", 8))),
     *(("optimizers", "one_shot_q Pauli (0.4, 0.3, 0.2, 0.1), Q1 ceiling (restarts)", r,
        partial(pauli_ascent_case, restarts=r))
       for r in (4, 16, 64)),
