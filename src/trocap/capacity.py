@@ -1,11 +1,11 @@
 """Capacity formulas, comparison windows, and one-shot optimizers.
 
-Channels whose dilation range is a direct sum of rectangular blocks
-(n_i, m_i) have exact single-letter capacities depending only on the n_i.
-Modifying such a channel by an environment density f shifts every capacity
-upward by at most the entropy defect tau(f log f), which yields two-sided
-windows; one-shot coherent-information ascent supplies certified lower
-bounds inside those windows.
+Channels whose dilation range is a direct sum of rectangular blocks (n_i, m_i) have exact single-letter capacities
+depending only on the n_i.  Modifying such a channel by an environment density f shifts every capacity upward by at
+most the entropy defect tau(f log f), which yields two-sided windows; one-shot coherent-information ascent supplies
+certified lower bounds inside those windows.  The searches here (_ascent, _concave_max, renyi_coherent_channel) climb
+kernels of the channel's maps; the Renyi search climbs entropy._dual_value_and_grads, the dual side of the sandwiched
+Renyi duality, which lives beside its primal in entropy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import algebra as alg
 from . import channel as chn
 from . import matcore as mc
 from .channel import Channel, StinespringSpace, Symbol
-from .entropy import _density_search, _support_power, _support_power_grad, entropy_defect
+from .entropy import _density_search, _dual_value_and_grads, entropy_defect
 from .errors import (
     BadExponent,
     DimMismatch,
@@ -386,30 +386,6 @@ def fidelity_bound(m: int, q1p: float, p: float) -> float:
     return float(mc._count(m, "code size") ** (-1.0 / p_conj) * 2.0 ** (q1p / p_conj))
 
 
-def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple[float, tuple]:
-    """D_beta(omega_AE || 1 (x) tau), 1/2 <= beta < 1, at unit blocks (psi, u), tau = u u*, and the products G psi
-    and G_tau u, from the factor U = Psi K (d, E, d_out) of omega_AE = (id (x) N^c)(psi psi*) = U U*, Psi = psi as
-    d x d_in, K the Kraus stack (K2 as (E d_out) x d_in).  W = (1 (x) tau^c) U, c = (1 - beta)/2 beta; Q = tr M^beta,
-    M = W* W by eigh, or as V s^2 V* by one SVD of W where an eigenvalue lies below 1e-4 of the largest (W* W rounds
-    it), over lam > 1e-30 lam_max; X = kappa M^(beta-1), kappa = beta'/(Q ln 2), G_omega U = (1 (x) tau^c) W X goes
-    back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad); U, Z, G psi: 2-D products."""
-    (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
-    n_env, d_out, d_in = kraus.shape
-    w, v, mask, power = _support_power(u @ mc.dagger(u), c)
-    big_u = (psi.reshape(-1, d_in) @ (k2 := kraus.reshape(-1, d_in)).T).reshape(-1, n_env, d_out)
-    w2 = (big_w := power @ big_u).reshape(-1, d_out)
-    lam, vm = np.linalg.eigh(mc.dagger(w2) @ w2)
-    if lam[0] < 1e-4 * lam[-1]:  # W* W rounds small eigenvalues: M = V s^2 V* from one SVD of W instead
-        _, sv, vh = np.linalg.svd(w2, full_matrices=False)
-        lam, vm = sv * sv, mc.dagger(vh)
-    lam_pm1 = np.power(lam, beta - 1, out=np.zeros_like(lam), where=lam > 1e-30 * lam.max())  # below: a rounded 0
-    q = np.sum(lam * lam_pm1)
-    x = (vm * lam_pm1 * (beta / ((beta - 1.0) * q * math.log(2.0)))) @ mc.dagger(vm)
-    z = (big_u.swapaxes(0, 1) @ x).reshape(n_env, -1) @ mc.dagger(big_w.swapaxes(0, 1).reshape(n_env, -1))
-    grad_psi = ((power @ (w2 @ x).reshape(big_w.shape)).reshape(len(big_w), -1) @ k2.conj()).reshape(psi.shape)
-    return float(np.log2(q)) / (beta - 1.0), (grad_psi, _support_power_grad(w, v, mask, c, z + mc.dagger(z)) @ u)
-
-
 def renyi_coherent_channel(
     ch: Channel,
     p: float,
@@ -420,15 +396,12 @@ def renyi_coherent_channel(
     """Best found Renyi coherent information over purified channel inputs: a lower
     bound on the one-shot Renyi quantum value at exponent p (finite, > 1).
 
-    With 1/p + 1/beta = 2 the sandwiched conditional entropy of a pure state is
-    self-dual (Mueller-Lennert, Dupuis, Szehr, Fehr & Tomamichel 2013; Beigi 2013):
-    inf_sigma D_p(omega_AB || 1 (x) sigma) = sup_tau -D_beta(omega_AE || 1 (x) tau),
-    omega_AE = (id (x) N^c)(psi psi*).  So each restart is one L-BFGS search
-    (entropy._density_search) over pairs (psi, tau), psi = vec g / |g|, with no inner
-    minimization and the exact gradient from a factor of omega_AE (_dual_value_and_grads);
-    each value, -D_beta at a feasible pair, is a lower bound up to rounding.  The starts are
-    sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step of 1e-3, each with tau at
-    its E marginal tr_A[U U*] (block: the root of complement_apply's transpose at tr_A g g*);
+    By the duality in :mod:`trocap.entropy`, inf_sigma D_p(omega_AB || 1 (x) sigma) = sup_tau -D_beta(omega_AE || 1 (x)
+    tau) for 1/p + 1/beta = 2 and omega_AE = (id (x) N^c)(psi psi*), so each restart is one L-BFGS search
+    (entropy._density_search) over pairs (psi, tau), psi = vec g / |g|, with no inner minimization and the exact
+    gradient from a factor of omega_AE (entropy._dual_value_and_grads); each value, -D_beta at a feasible pair, is a
+    lower bound up to rounding.  The starts are sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step of
+    1e-3, each with tau at its E marginal tr_A[U U*] (block: the root of complement_apply's transpose at tr_A g g*);
     fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
 
     No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge; blocks n_i,

@@ -1,9 +1,13 @@
 """Entropic quantities, all in bits.
 
-Von Neumann entropy, relative entropy, sandwiched Renyi divergence, coherent
-and mutual information, the conditional Renyi entropy obtained by minimizing
-over marginal densities, the derived S_1(S_p) vector-valued norm, and the
+Von Neumann entropy, relative entropy, sandwiched Renyi divergence, coherent and mutual information, the conditional
+Renyi entropy obtained by minimizing over marginal densities, the derived S_1(S_p) vector-valued norm, and the
 normalized entropy defect of an environment density.
+
+Both sides of the sandwiched Renyi duality live here, on one sigma side (_support_power, _support_power_grad): for a
+pure omega_ABE and 1/p + 1/beta = 2, inf_sigma D_p(omega_AB || 1 (x) sigma) = -inf_tau D_beta(omega_AE || 1 (x) tau)
+(Mueller-Lennert, Dupuis, Szehr, Fehr & Tomamichel 2013; Beigi 2013).  ``_evaluate`` takes D_p, p > 1, of a stack and
+``_dual_value_and_grads`` D_beta, 1/2 <= beta < 1, on a Kraus factor of omega_AE (capacity.renyi_coherent_channel).
 
 The minimization over sigma steps sigma <- (1 - b) sigma + b T/tr T, T = tr_A[(sandwich)^p] (the stationarity
 condition sigma ~ T), on a stack of states at once, each item from b0 = 1/p: for commuting states T ~ sigma^(1-p) R,
@@ -11,9 +15,8 @@ so the step shrinks sigma's error by |1 - b p| per round, nothing to first order
 an update would raise the value: a monotone descent of an objective convex in sigma (Frank & Lieb 2013), with no
 2-cycle.  An item that does not settle gets one exact-gradient L-BFGS polish from its last iterate
 (``_density_search``), none from random starts, and is not ``converged``.  Each stack folds K into its states once,
-D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma) for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every value,
-fixed-point target and gradient comes from one kernel, ``_evaluate``, of D_p(rho || 1 (x) sigma); its sigma side
-(_support_power) also serves capacity.renyi_coherent_channel's dual kernel, 1/2 <= beta < 1.
+D_p(rho || K (x) sigma) = D_p(rho' || 1 (x) sigma) for rho' = (K^c (x) 1) rho (K^c (x) 1), c = -1/2p', so every item
+is a K = 1 problem, self-dual once rho' is purified, and ``_evaluate`` gives its values, targets and gradients.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def mutual_information(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# minimization of D_p(rho_AB || K_A (x) sigma_B) over densities sigma_B
+# minimization of D_p(rho_AB || K_A (x) sigma_B) over densities sigma_B, and the dual kernel of D_beta
 
 
 class RenyiOptimum(NamedTuple):
@@ -240,6 +243,30 @@ def _evaluate(p: float, rho, sigma: np.ndarray, grads: bool = False):
     s_pm1 = s if p == 2.0 else (vs * ws ** (p - 1)) @ mc.dagger(vs)
     x = a @ ((p_conj / (q * math.log(2.0)))[:, None, None] * s_pm1)
     return value, _support_power_grad(w, v, mask, c, mc.partial_trace(2.0 * mc.hermitize(rho @ x), dims, "B"))
+
+
+def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple[float, tuple]:
+    """D_beta(omega_AE || 1 (x) tau), 1/2 <= beta < 1, at unit blocks (psi, u), tau = u u*, and the products G psi
+    and G_tau u, from the factor U = Psi K (d, E, d_out) of omega_AE = (id (x) N^c)(psi psi*) = U U*, Psi = psi as
+    d x d_in, K the Kraus stack (K2 as (E d_out) x d_in).  W = (1 (x) tau^c) U, c = (1 - beta)/2 beta; Q = tr M^beta,
+    M = W* W by eigh, or as V s^2 V* by one SVD of W where an eigenvalue lies below 1e-4 of the largest (W* W rounds
+    it), over lam > 1e-30 lam_max; X = kappa M^(beta-1), kappa = beta'/(Q ln 2), G_omega U = (1 (x) tau^c) W X goes
+    back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad); U, Z, G psi: 2-D products."""
+    (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
+    n_env, d_out, d_in = kraus.shape
+    w, v, mask, power = _support_power(u @ mc.dagger(u), c)
+    big_u = (psi.reshape(-1, d_in) @ (k2 := kraus.reshape(-1, d_in)).T).reshape(-1, n_env, d_out)
+    w2 = (big_w := power @ big_u).reshape(-1, d_out)
+    lam, vm = np.linalg.eigh(mc.dagger(w2) @ w2)
+    if lam[0] < 1e-4 * lam[-1]:  # W* W rounds small eigenvalues: M = V s^2 V* from one SVD of W instead
+        _, sv, vh = np.linalg.svd(w2, full_matrices=False)
+        lam, vm = sv * sv, mc.dagger(vh)
+    lam_pm1 = np.power(lam, beta - 1, out=np.zeros_like(lam), where=lam > 1e-30 * lam.max())  # below: a rounded 0
+    q = np.sum(lam * lam_pm1)
+    x = (vm * lam_pm1 * (beta / ((beta - 1.0) * q * math.log(2.0)))) @ mc.dagger(vm)
+    z = (big_u.swapaxes(0, 1) @ x).reshape(n_env, -1) @ mc.dagger(big_w.swapaxes(0, 1).reshape(n_env, -1))
+    grad_psi = ((power @ (w2 @ x).reshape(big_w.shape)).reshape(len(big_w), -1) @ k2.conj()).reshape(psi.shape)
+    return float(np.log2(q)) / (beta - 1.0), (grad_psi, _support_power_grad(w, v, mask, c, z + mc.dagger(z)) @ u)
 
 
 class _RenyiStack:

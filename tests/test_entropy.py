@@ -1066,12 +1066,10 @@ class TestDensitySearch:
     @staticmethod
     def _objective(shape):
         """fun for _density_search and its blocks m0s: the dual objective D_beta(omega_AE ||
-        1 (x) tau), beta = 2/3, of the dephasing qubit (capacity._dual_value_and_grads) in the
+        1 (x) tau), beta = 2/3, of the dephasing qubit (entropy._dual_value_and_grads) in the
         amplitudes psi of a pure input at a fixed full-rank tau (one block, d^2 x 1) or as a
         function of the pair (psi, tau), the dual search's two blocks; or the fallback's
         D_4(rho || 1 (x) sigma) through a pinching ``project`` (one block, n x n)."""
-        import trocap.capacity as cap
-
         rho, dims = _gradient_states()["dephasing"]
         rng = np.random.default_rng(27)
         kraus, d = qubit_dephasing(0.3).kraus, dims[0]
@@ -1079,12 +1077,12 @@ class TestDensitySearch:
             u = mc.matrix_power((mc.random_density(rng, d) + np.eye(d) / d) / 2, 0.5)  # tau = u u*, trace 1
 
             def fun(units):
-                value, (grad_psi, _) = cap._dual_value_and_grads(kraus, 2 / 3, (units[0], u))
+                value, (grad_psi, _) = ent._dual_value_and_grads(kraus, 2 / 3, (units[0], u))
                 return value, (grad_psi,)
 
             return fun, (mc.random_complex(rng, (d * d, 1)),)
         if shape == "pair":
-            return partial(cap._dual_value_and_grads, kraus, 2 / 3), (
+            return partial(ent._dual_value_and_grads, kraus, 2 / 3), (
                 mc.random_complex(rng, (d * d, 1)),
                 mc.random_complex(rng, (d, d)),
             )
@@ -1166,3 +1164,89 @@ class TestDensitySearch:
         rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])
         opt = ent._RenyiStack(rhos, (2, 3), 2.0).minimize(max_iter=3)
         assert opt.converged.tolist() == [False, False, True] and shapes == [((3, 3),)] * 2
+
+
+# ---------------------------------------------------------------------------
+# both sides of the sandwiched Renyi duality, and the module boundary around them
+
+
+def _purified_dual(stack: ent._RenyiStack, beta: float) -> float:
+    """-min over tau of D_beta(omega_AC || 1 (x) tau) (entropy._dual_value_and_grads) on a purification of the
+    stack's folded state rho' = stack.rho[0] on A (x) B: its eigenvectors above 1e-14 of the largest eigenvalue, C
+    of that rank r, through the partial trace (b, c) -> b (environment c) of builders.partial_trace_sum_channel.
+    One _density_search over tau alone from sqrt(omega_C^T) and one from the identity; the lower end is kept."""
+    from trocap.builders import partial_trace_sum_channel
+    from trocap.channel import complement_apply
+
+    rho = stack.rho[0]
+    d_b = stack.rho_b.shape[-1]
+    lam, vecs = np.linalg.eigh(rho)
+    keep = lam > 1e-14 * lam[-1]
+    psi = (vecs[:, keep] * np.sqrt(lam[keep])).reshape(-1, 1)  # sum_i sqrt(lam_i) v_i (x) |i>_C
+    r = int(keep.sum())
+    ch = partial_trace_sum_channel([(d_b, r)])
+    amplitudes = psi.reshape(-1, d_b * r)
+
+    def fun(units):
+        value, (_, grad_u) = ent._dual_value_and_grads(ch.kraus, beta, (psi, units[0]))
+        return value, (grad_u,)
+
+    omega_c = complement_apply(ch, amplitudes.T @ amplitudes.conj())
+    starts = (mc.matrix_power(omega_c.T, 0.5), np.eye(r, dtype=complex))
+    return -min(ent._density_search(fun, (u0,), 200)[0] for u0 in starts)
+
+
+class TestRenyiDuality:
+    @pytest.mark.parametrize("k_form", ["identity", "marginal"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_folded_stack_item_is_self_dual(self, dims, p, k_form):
+        # The fold rho' = (K^c (x) 1) rho (K^c (x) 1) makes every item, K = 1 and K = rho_A alike, a K = 1
+        # problem on a positive operator, self-dual once purified: for 1/p + 1/beta = 2 (Mueller-Lennert, Dupuis,
+        # Szehr, Fehr & Tomamichel 2013; Beigi 2013) inf_sigma D_p(rho' || 1 (x) sigma) = -inf_tau
+        # D_beta(omega_AC || 1 (x) tau), so a tight primal lies above the dual and the two meet.
+        rng = np.random.default_rng((dims[0], dims[1], int(2 * p), k_form == "marginal"))
+        rho = mc.random_density(rng, dims[0] * dims[1])
+        k = np.eye(dims[0], dtype=complex) if k_form == "identity" else mc.partial_trace(rho, dims, "A")
+        stack = ent._RenyiStack(rho[None], dims, p, k[None]).minimize(tol=1e-13, max_iter=5000)
+        primal, dual = stack.value[0], _purified_dual(stack, p / (2.0 * p - 1.0))
+        assert dual <= primal + 1e-12
+        assert primal - dual <= 1e-11
+
+
+class TestSafetyPaths:
+    def test_failed_line_search_keeps_the_last_accepted_point(self):
+        # 0 at x0 and 1 everywhere else: each of the 20 trials of the first line search fails, so the search
+        # stops at x0 with its value after 21 evaluations
+        x0, calls = np.array([0.3, -0.2, 0.5]), []
+
+        def fun(x):
+            calls.append(x.copy())
+            return (0.0 if np.array_equal(x, x0) else 1.0), np.ones_like(x)
+
+        value, x = ent._lbfgs(fun, x0.copy(), 100)
+        assert value == 0.0 and np.array_equal(x, x0) and len(calls) == 21
+
+    def test_fallback_raises_when_no_value_is_finite(self):
+        # a tiny diagonal operator: the fixed point's value is not finite and the polish does not improve it
+        from trocap.errors import OptimizerFailed
+
+        with np.errstate(all="ignore"), pytest.raises(OptimizerFailed):
+            ent.minimize_renyi_divergence(np.diag([1e-300, 0, 0, 0]), (2, 2), 2.0)
+
+
+def test_sandwiched_renyi_duality_has_one_home():
+    # both sides of the duality live in entropy: capacity imports the dual kernel, and no other module names
+    # the sigma side they share
+    import importlib
+    import inspect
+    import pkgutil
+
+    import trocap
+    import trocap.capacity as cap
+
+    assert cap._dual_value_and_grads is ent._dual_value_and_grads
+    others = [name for _, name, _ in pkgutil.iter_modules(trocap.__path__) if name != "entropy"]
+    assert "capacity" in others
+    for name in others:
+        assert "_support_power" not in inspect.getsource(importlib.import_module(f"trocap.{name}")), name

@@ -70,10 +70,12 @@ is the variable of the case's curve:
     channel's Renyi edge so that no later restart runs, and on the Pauli
     mixture (0.4, 0.3, 0.2, 0.1), an open window where every restart runs
     (the control); and that search's kernel alone,
-    capacity._dual_value_and_grads at beta = 2/3 (p = 2) on a seeded random
-    isometry channel with Kraus stack (k, k, k) and a seeded pair (psi, u), k
-    in 2, 4, 8, 16, 1000 calls per run (M = W* W keeps its smallest eigenvalue
-    above 1e-4 of its largest there, so no call takes the SVD of W).
+    entropy._dual_value_and_grads, called through capacity's import of it so
+    that older checkouts, where capacity defined it, run the same case, at
+    beta = 2/3 (p = 2) on a seeded random isometry channel with Kraus stack
+    (k, k, k) and a seeded pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run
+    (M = W* W keeps its smallest eigenvalue above 1e-4 of its largest there,
+    so no call takes the SVD of W).
 
 Each case is (section, name, size, setup); setup(t) builds the inputs from the
 package t (its submodules read as ``t.algebra``, ``t.builders`` and so on) and
