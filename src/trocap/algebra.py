@@ -120,7 +120,7 @@ class TroCheck(NamedTuple):
     witness: Optional[tuple[int, int, int]]
     residual: float
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
+    def __bool__(self) -> bool:
         return self.ok
 
 
@@ -151,19 +151,16 @@ def _structure(
     lazy iterator of the attempts seeded (seed, t), t < BLOCK_TRIES, that lie
     within STRUCTURE_RTOL of v: (seed, 0) is the attempt is_tro bounds, and a
     fresh seed is drawn only when _decompose asks for the blocks of a v accepted
-    at tol (it never asks for a rejected v's), so is_tro and closing draw none.  Closing extends v exactly when
-    is_tro rejects it: per i, rows of j = 0, then the rest, off what the round
-    added and above tol, add the directions above tol of one SVD, each known to
-    about eps/r at residual r.  All of M_{n,m} is a TRO, so closing it takes no
-    round or attempt."""
+    at tol (it never asks for a rejected v's), so is_tro and closing draw none.
+    Every span, all of M_{n,m} included, takes one flow: the attempt and its
+    bound, else the scan and, with close, a round that extends v: per i, rows of
+    j = 0, then the rest, off what the round added and above tol, add the
+    directions above tol of one SVD, each known to about eps/r at residual r."""
     if not len(mats):  # no shape, so no stack: accepted as a TRO, never decomposed
         return np.zeros((0, 0, 0), complex), iter(()), TroCheck(True, None, 0.0)
     v = np.reshape(orthonormal_span(mats), (-1, *np.shape(mats[0])))
     while True:
         k, n, m = v.shape
-        if close and k == n * m:
-            full = TroDecomposition(((n, m, 1),), np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-            return v, iter([full]), TroCheck(True, None, 0.0)
         found = _attempt(v, (seed, 0))
         bound = np.inf if found is None else float((3 + np.sqrt(k)) * found[1])
         worst, witness = bound, None  # a bound within tol is the residual
@@ -376,15 +373,16 @@ def _attempt(v: np.ndarray, seed: tuple[int, int]) -> Optional[tuple[TroDecompos
     """One try at the blocks of the span of an orthonormal stack v (k, n, m), and
     eps, the largest distance of a basis element from the TRO they declare; None
     when they do not account for k.  A span in coordinates is certified from its
-    support (_support_blocks).  For any other TRO, herm(sum_{s<n} x_s y_s*), x_s
-    and y_s seeded Gaussian combinations of v, is a generic element of the left
-    algebra: two such samples, on the unit's support at unit norm, give the
-    summands, and v their right frames, one stack per shape (_right_frames).
+    support (_support_blocks) at eps 0, its elements vanishing off the permuted
+    rectangles.  For any other TRO, herm(sum_{s<n} x_s y_s*), x_s and y_s seeded
+    Gaussian combinations of v, is a generic element of the left algebra: two
+    such samples, on the unit's support at unit norm, give the summands, and v
+    their right frames, one stack per shape (_right_frames).
     The blocks come in a canonical order, whatever the basis of v or the seed:
     a block-diagonal TRO's top to bottom."""
     found = _support_blocks(v)
     if found is not None:
-        return found, _distance(v, found)
+        return found, 0.0
     k, n, m = v.shape
     rng = np.random.default_rng(seed)
     w, q = mc.herm_eig(np.tensordot(v, v.conj(), axes=([0, 2], [0, 2])))

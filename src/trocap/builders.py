@@ -256,11 +256,11 @@ def commutant_blocks(rep: ProjectiveRep, seed: int = 0) -> list[tuple[int, int]]
     """Block structure (multiplicity, irrep dimension) of the commutant u(G)'.
 
     span u(G) is a *-algebra, (+)_i M_{d_i} (x) 1_{l_i} up to a unitary, whose
-    commutant is (+)_i M_{l_i} (x) 1_{d_i}: the commutant is read off the blocks
-    of the span (algebra_blocks) with d and l swapped.  The channel capacities
-    of the uniform mixture follow from the multiplicities.
+    commutant is (+)_i M_{l_i} (x) 1_{d_i}: read off the blocks of the span
+    (algebra_blocks, whose _structure orthonormalizes it once) with d and l
+    swapped.  The uniform mixture's capacities follow from the multiplicities.
     """
-    return sorted((l, d) for d, l in alg.algebra_blocks(alg.orthonormal_span(rep.unitaries), seed))
+    return sorted((l, d) for d, l in alg.algebra_blocks(rep.unitaries, seed))
 
 
 def schur_multiplier_channel(group: FiniteGroup, phi: Sequence[complex], seed: int = 0) -> Channel:

@@ -273,7 +273,7 @@ def _init_pool(
     while len(pool) < restarts:
         rng = np.random.default_rng((seed, len(pool)))
         pool.append(mc.random_complex(rng, (d, d)))
-    return pool[:restarts]
+    return pool
 
 
 def _concave_max(term, d: int) -> tuple[float, float, np.ndarray]:

@@ -194,7 +194,6 @@ def cmd_bounds(args, bundle: SpecBundle) -> int:
             restarts=args.restarts,
             seed=bundle.seed,
             init_states=bundle.init_states or None,
-            max_workers=args.threads,
             ceiling=window.upper,
         )
         for name in ("Q1", "Q", "P"):

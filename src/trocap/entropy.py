@@ -410,6 +410,8 @@ def minimize_renyi_divergence(
         if s.shape != (dims[1], dims[1]):
             raise DimMismatch(f"sigma candidate is {s.shape[0]} x {s.shape[1]}, expected {dims[1]} x {dims[1]}")
     rho, k = mc.asmatrix(rho_ab)[None], None if k_a is None else mc.asmatrix(k_a)[None]
+    if not (tr := float(np.trace(rho[0]).real)) > 0:  # sigma starts at rho_B / tr rho_B
+        raise NotState(f"trace is {tr:.8f}, expected a positive trace")
     if k is not None and _leaves_support(mc.partial_trace(rho[0], dims, "A"), k[0]):
         return RenyiOptimum(math.inf, mc.partial_trace(rho, dims, "B")[0], True, 0)
     opt = _RenyiStack(rho, dims, p, k, project).minimize(tol, max_iter)

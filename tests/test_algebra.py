@@ -125,6 +125,19 @@ class TestGenerateStarAlgebraAgainstLoop:
         assert (got.rank, got.unital) == (rank, unital)
         assert_matches_star_loop(got, gens)
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_full_matrix_algebra_is_support_certified(self, monkeypatch, d):
+        # a seeded generator of M_d closes to all of M_d, whose last span's one
+        # attempt is certified from its support: the basis is the matrix units
+        calls, real = [], alg._structure
+        monkeypatch.setattr(alg, "_structure", lambda *a, **kw: calls.append(real(*a, **kw)) or calls[-1])
+        attempts = record_attempts(monkeypatch)
+        a = alg.generate_star_algebra([mc.random_complex(np.random.default_rng(d), (d, d))])
+        assert [dim for dim, _ in attempts].count(d * d) == 1 and attempts[-1][0] == d * d
+        assert_certified_full_space(attempts[-1][1], d, d)
+        assert calls[0][2] == alg.TroCheck(True, None, 0.0)
+        assert a.unital and np.array_equal(np.array(a.basis), np.eye(d * d).reshape(-1, d, d))
+
     def test_closes_through_the_triple_closure(self, monkeypatch):
         calls, real = [], alg._structure
         monkeypatch.setattr(alg, "_structure", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
@@ -171,6 +184,26 @@ def count_attempts(monkeypatch):
 
     monkeypatch.setattr(alg, "_attempt", counting_attempt)
     return spans
+
+
+def record_attempts(monkeypatch):
+    """List that grows by one entry, (span dimension, result), per block attempt."""
+    attempts, real_attempt = [], alg._attempt
+
+    def recording_attempt(v, seed):
+        attempts.append((len(v), real_attempt(v, seed)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(alg, "_attempt", recording_attempt)
+    return attempts
+
+
+def assert_certified_full_space(found, n, m):
+    """found, a block attempt's result, is the support certificate of all of
+    M_{n,m}: the one rectangle (n, m, 1), identity unitaries and distance 0."""
+    decomp, eps = found
+    assert decomp.blocks == ((n, m, 1),) and eps == 0.0
+    assert np.array_equal(decomp.basis_change_out, np.eye(n)) and np.array_equal(decomp.basis_change_env, np.eye(m))
 
 
 class TestLeftRightAlgebras:
@@ -230,6 +263,11 @@ class TestIsTro:
         i, j, k = check.witness
         prod = basis[i] @ mc.dagger(basis[j]) @ basis[k]
         assert alg.span_residual(prod, basis) > 0.9
+
+    def test_truth_value_is_the_decision(self):
+        # a NamedTuple of three fields is always truthy; TroCheck's is its ok
+        assert not bool(alg.is_tro([e(0, 0), e(0, 1), e(1, 1)]))
+        assert bool(alg.is_tro([e(i, i, 4) for i in range(4)]))
 
 
 class TestTroBlockDecomposition:
@@ -654,23 +692,28 @@ class TestTroClosureAgainstLoops:
         assert all(rows <= k and cols <= k * k for rows, cols in shapes)
 
     @pytest.mark.parametrize("k", [6, 12])
-    def test_full_matrix_space_closure_takes_no_attempt(self, monkeypatch, k):
+    def test_full_matrix_space_closure_takes_one_support_certified_attempt(self, monkeypatch, k):
         # the identity symbol of a modified Schur cyclic(k) channel: the
-        # closure of its k-dimensional range is all of M_{k,k}, a TRO whose
-        # blocks need no attempt, so only the first, k-dimensional span takes one
+        # closure of its k-dimensional range is all of M_{k,k}, whose union
+        # support is the one rectangle (k, k, 1), so the closed span's one
+        # attempt is certified from its support at distance exactly 0
         p = np.random.default_rng(0).random(k)
         ch = schur_multiplier_channel(cyclic_group(k), np.fft.fft(p / p.sum()))
-        spans = count_attempts(monkeypatch)
+        attempts = record_attempts(monkeypatch)
+        v, blocks, check = alg._structure(stinespring_space(ch).basis, alg.TRO_TOL, close=True)
+        assert [dim for dim, _ in attempts] == [k, k * k] and len(v) == k * k
+        assert_certified_full_space(attempts[-1][1], k, k)
+        assert check == alg.TroCheck(True, None, 0.0) and next(blocks) is attempts[-1][1][0]
         cert = alg.identity_symbol(ch).certificate
-        assert spans == [k]
         assert cert.blocks == ((k, k, 1),) and cert.tro_dim == k * k
         assert max(cert.residuals) <= 1e-13
-        # a span that is all of M_{n,m} from the start takes no attempt at all
-        spans.clear()
+        # a span that is all of M_{n,m} from the start takes that one attempt alone
+        attempts.clear()
         mats = list(mc.random_complex(np.random.default_rng(1), (6, 3, 2)))
         v, blocks, check = alg._structure(mats, alg.TRO_TOL, close=True)
-        assert alg._decompose(blocks, check).blocks == ((3, 2, 1),)
-        assert spans == [] and len(v) == 6
+        assert [dim for dim, _ in attempts] == [6] and len(v) == 6
+        assert_certified_full_space(attempts[0][1], 3, 2)
+        assert check == alg.TroCheck(True, None, 0.0) and alg._decompose(blocks, check) is attempts[0][1][0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_perturbed_isometry_is_accepted_without_extending(self, monkeypatch, seed):
@@ -892,14 +935,16 @@ class TestOneAcceptanceDecision:
         # a TRO with one element pushed out of it closes in more than one round:
         # v and all its triples have 21 singular values above 1e-8 (the next is
         # 2.0e-16), so the first round reaches 21 directions, and the second
-        # all of M_{5,5}, which takes no attempt
+        # all of M_{5,5}, whose one attempt its support certifies
         rng = np.random.default_rng(0)
         mats = block_tro(rng, [(2, 2), (1, 1)], pad=(2, 2))[:-1]
         mats[0] = mats[0] + 1e-3 * mc.random_complex(rng, mats[0].shape)
-        spans = count_attempts(monkeypatch)
-        closure = alg.smallest_containing_tro(mats)
-        assert spans == [4, 21]
-        assert len(closure) > spans[-1] and alg.is_tro(closure).ok
+        attempts = record_attempts(monkeypatch)
+        closure, blocks, check = alg._structure(mats, alg.TRO_TOL, close=True)
+        assert [dim for dim, _ in attempts] == [4, 21, 25] and len(closure) == 25
+        assert_certified_full_space(attempts[-1][1], 5, 5)
+        assert check == alg.TroCheck(True, None, 0.0) and next(blocks) is attempts[-1][1][0]
+        assert np.array_equal(alg.smallest_containing_tro(mats), closure)
 
     def test_cyclic_words_close_in_growing_rounds(self, monkeypatch):
         # S + S S of the cyclic(16) shift spans P^-2..P^2; each round's
@@ -1070,7 +1115,7 @@ class TestCoordinateSpans:
             mp.setattr(mc, "random_complex", no_random_draw)
             v = np.array(alg.orthonormal_span(list(basis)))
             decomp, eps = alg._attempt(v, (seed, 0))
-            assert eps == 0.0 and decomp.blocks == want
+            assert eps == 0.0 == alg._distance(v, decomp) and decomp.blocks == want
             assert alg.is_tro(list(basis)) == alg.TroCheck(True, None, 0.0)
             assert alg.tro_block_decomposition(list(basis), seed=seed).blocks == want
         # a rotation U v W* of the same span takes the seeded path to the same

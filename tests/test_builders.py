@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -388,6 +389,21 @@ class TestCommutantBlocks:
     def test_matches_the_nullspace_of_the_commutators(self, name):
         rep = COMMUTANT_REPS[name]()
         assert bld.commutant_blocks(rep) == commutant_nullspace_blocks(rep)
+
+    def test_span_is_orthonormalized_once(self, monkeypatch):
+        # builders calls no orthonormal_span (its view of algebra raises on one);
+        # the unitaries themselves go to algebra_blocks, whose _structure
+        # orthonormalizes span u(G) once
+        rep = bld.regular_representation(bld.dihedral_group(4))
+        want, calls, real = commutant_nullspace_blocks(rep), [], alg.orthonormal_span
+
+        def raising(mats):
+            raise AssertionError("commutant_blocks orthonormalized span u(G) itself")
+
+        monkeypatch.setattr(bld, "alg", SimpleNamespace(**{**vars(alg), "orthonormal_span": raising}))
+        monkeypatch.setattr(alg, "orthonormal_span", lambda mats: calls.append(mats) or real(mats))
+        assert bld.commutant_blocks(rep) == want
+        assert len(calls) == 1 and np.array_equal(calls[0], rep.unitaries)
 
     @pytest.mark.parametrize(
         "group, blocks",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -1233,6 +1234,15 @@ class TestSafetyPaths:
 
         with np.errstate(all="ignore"), pytest.raises(OptimizerFailed):
             ent.minimize_renyi_divergence(np.diag([1e-300, 0, 0, 0]), (2, 2), 2.0)
+
+    @pytest.mark.parametrize("k_a", [None, np.eye(2)])
+    def test_zero_operator_names_its_trace(self, k_a):
+        # the stack's start sigma = rho_B / tr rho_B would be 0 / 0: the zero trace is named before the stack is built
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotState, match=r"^trace is 0\.00000000, expected a positive trace$"):
+                ent.minimize_renyi_divergence(np.zeros((4, 4)), (2, 2), 2.0, k_a=k_a)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sandwiched_renyi_duality_has_one_home():

@@ -95,6 +95,24 @@ def schur_kernel(k: int) -> np.ndarray:
     return (four * (p / p.sum())) @ four.conj().T
 
 
+def schur_channel(t, k: int):
+    """The Schur multiplier channel of cyclic(k) whose kernel is schur_kernel(k)."""
+    phi = schur_kernel(k)[:, 0]  # kernel[g, g'] = phi(g - g')
+    return t.builders.schur_multiplier_channel(t.builders.cyclic_group(k), phi)
+
+
+# The named curve channels, each built from the package t by one entry.
+CHANNELS = {
+    "dephasing(0.3)": lambda t: t.builders.qubit_dephasing(0.3),
+    "phi_alpha(0.4)": lambda t: t.builders.phi_alpha(0.4).channel,  # its bundle's space and symbol are the channel's
+    "Pauli (0.4, 0.3, 0.2, 0.1)": lambda t: t.builders.group_random_unitary(
+        t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1]
+    ),
+    "blocks [[2, 2], [3, 1]]": lambda t: t.builders.partial_trace_sum_channel([(2, 2), (3, 1)]),
+    **{f"Schur cyclic({k})": partial(schur_channel, k=k) for k in (4, 6, 8)},
+}
+
+
 def validate_case(t, k: int, calls: int = 1):
     ch, f = t.builders.completely_dephasing_channel(k), schur_kernel(k)
     return lambda: [t.algebra.validate_symbol(ch, f) for _ in range(calls)]
@@ -171,23 +189,19 @@ def drawing(t, call):
 
 
 def verify_case(t, name: str, suite: str, n: int):
-    if name == "phi_alpha(0.4)":
-        ch = t.builders.phi_alpha(0.4).channel  # its bundle's space and symbol are the channel's
-    else:
-        ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    ch = CHANNELS[VERIFY_CHANNELS[name]](t)
     space, symbol = ch.base_space, ch.symbol
     return drawing(t, lambda: SUITES[suite](t, space, symbol, n))
 
 
 def schur_tensor_case(t, k: int):
-    phi = schur_kernel(k)[:, 0]  # kernel[g, g'] = phi(g - g')
-    ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(k), phi)
+    ch = CHANNELS[f"Schur cyclic({k})"](t)
     sp, sy = ch.base_space, ch.symbol
     return drawing(t, lambda: t.verify.verify_tensor_symbol(sp, sy, sp, sy, samples=20))
 
 
 def renyi_stack_case(t, n: int, p: float, mutual: bool = False):
-    ch = t.builders.phi_alpha(0.4).channel
+    ch = CHANNELS["phi_alpha(0.4)"](t)
     d = ch.dim_in
     rhos = np.array([t.matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
     omegas = t.verify._apply_ancilla(ch, rhos, d)
@@ -212,41 +226,24 @@ def polish_stack_case(t, n: int):
 
 
 def one_shot_case(t, restarts: int):
-    ch = t.builders.partial_trace_sum_channel([(2, 2), (3, 1)])
+    ch = CHANNELS["blocks [[2, 2], [3, 1]]"](t)
     return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)  # the full ascent, as before
 
 
 def pauli_ascent_case(t, restarts: int):
-    ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    ch = CHANNELS["Pauli (0.4, 0.3, 0.2, 0.1)"](t)
     upper = t.capacity.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
     return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=upper)
 
 
 def negative_cb_case(t, name: str):
-    if name == "dephasing(0.3)":
-        ch = t.builders.qubit_dephasing(0.3)
-    elif name == "phi_alpha(0.4)":
-        ch = t.builders.phi_alpha(0.4).channel
-    elif name == "blocks [[2, 2], [3, 1]]":
-        ch = t.builders.partial_trace_sum_channel([(2, 2), (3, 1)])
-    else:
-        ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(8), schur_kernel(8)[:, 0])
+    ch = CHANNELS[name](t)
     return lambda: t.capacity.negative_cb_entropy(ch, "numeric")
 
 
 def renyi_channel_case(t, name: str, restarts: int = 1):
-    if name == "dephasing(0.3)":
-        ch = t.builders.qubit_dephasing(0.3)
-    elif name == "phi_alpha(0.4)":
-        ch = t.builders.phi_alpha(0.4).channel
-    else:
-        ch = t.builders.group_random_unitary(t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+    ch = CHANNELS[name](t)
     return lambda: t.capacity.renyi_coherent_channel(ch, 2.0, restarts=restarts)
-
-
-def renyi_schur_case(t, k: int):
-    ch = t.builders.schur_multiplier_channel(t.builders.cyclic_group(k), schur_kernel(k)[:, 0])
-    return lambda: t.capacity.renyi_coherent_channel(ch, 2.0, restarts=1)
 
 
 def dual_kernel_case(t, k: int, calls: int = 1000):
@@ -257,7 +254,8 @@ def dual_kernel_case(t, k: int, calls: int = 1000):
     return lambda: [t.capacity._dual_value_and_grads(kraus, 2 / 3, units) for _ in range(calls)]
 
 
-VERIFY_CHANNELS = ("phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)")
+# the verify curves' channel names, each with its CHANNELS entry
+VERIFY_CHANNELS = {"phi_alpha(0.4)": "phi_alpha(0.4)", "pauli(0.4, 0.3, 0.2, 0.1)": "Pauli (0.4, 0.3, 0.2, 0.1)"}
 CASES = [
     *(("structure", f"validate_symbol dephasing({k}) Schur kernel", k, partial(validate_case, k=k))
       for k in (8, 16, 24, 32, 48)),
@@ -309,7 +307,8 @@ CASES = [
     *(("optimizers", f"renyi_coherent_channel {name} p 2 (restarts)", r,
        partial(renyi_channel_case, name=name, restarts=r))
       for name in ("dephasing(0.3)", "Pauli (0.4, 0.3, 0.2, 0.1)") for r in (2, 4, 8)),
-    *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k, partial(renyi_schur_case, k=k))
+    *(("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2", k,
+       partial(renyi_channel_case, name=f"Schur cyclic({k})"))
       for k in (4, 6, 8)),
     *(("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls", k, partial(dual_kernel_case, k=k))
       for k in (2, 4, 8, 16)),
