@@ -244,10 +244,7 @@ def base_channel(space: StinespringSpace) -> Channel:
 
 def tensor_channels(a: Channel, b: Channel) -> Channel:
     """Tensor product channel with Kraus family {K_e (x) L_e'}."""
-    kraus = np.einsum("eij,fkl->efikjl", a.kraus, b.kraus).reshape(
-        a.dim_env * b.dim_env, a.dim_out * b.dim_out, a.dim_in * b.dim_in
-    )
-    return Channel(kraus)
+    return Channel(mc.tensor(a.kraus[:, None], b.kraus[None]).reshape(a.dim_env * b.dim_env, a.dim_out * b.dim_out, -1))
 
 
 def heralded_channel(a: Channel, b: Channel, lam: float) -> Channel:

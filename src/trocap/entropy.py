@@ -105,9 +105,7 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
         return math.inf
     p_conj = mc.conjugate_exponent(p)
     a = mc.matrix_power(sigma, -1.0 / (2.0 * p_conj))
-    w = np.clip(np.linalg.eigvalsh(mc.hermitize(a @ rho @ a)), 0.0, None)
-    norm = float(np.max(w)) if np.isinf(p) else float(np.sum(w**p) ** (1.0 / p))  # Schatten p-norm
-    return float(p_conj * np.log2(norm))
+    return float(p_conj * np.log2(mc.schatten_norm(a @ rho @ a, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def _count(n, name: str) -> int:
     return int(n)
 
 
-def _on_support(a: np.ndarray, fun) -> np.ndarray:
-    """V diag(fun(w)) V* for PSD A = V diag(w) V* (or each of a stack), zero off the support."""
-    w, v = herm_eig(a)
+def _on_support(eig: HermEig, fun) -> np.ndarray:
+    """V diag(fun(w)) V* for PSD A = V diag(w) V* (or each of a stack), given (w, V), zero off the support."""
+    w, v = eig
     _require_psd(w, NotPSD, "eigenvalue {:.3e} is significantly negative")
     mask = support_mask(w)
     fw = np.zeros_like(w)
@@ -152,17 +152,17 @@ def matrix_power(a: np.ndarray, alpha: float) -> np.ndarray:
     """
     if not np.isfinite(alpha):
         raise BadExponent(f"exponent must be finite, got {alpha}")
-    return _on_support(a, lambda w: w**alpha)
+    return _on_support(herm_eig(a), lambda w: w**alpha)
 
 
 def matrix_log2(a: np.ndarray) -> np.ndarray:
     """Support-restricted base-2 logarithm of a PSD matrix."""
-    return _on_support(a, np.log2)
+    return _on_support(herm_eig(a), np.log2)
 
 
 def support_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the support of a PSD matrix."""
-    return _on_support(a, np.ones_like)
+    return _on_support(herm_eig(a), np.ones_like)
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float | np.ndarray:

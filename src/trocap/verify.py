@@ -5,7 +5,7 @@ inequalities that the rest of the package relies on: the two-sided norm sandwich
 sandwiched by a reference marginal), the entropic windows with gap tau(f log f) and their Renyi
 analogs, and coherence of tensor-product symbols.  Each suite draws, checks and records its samples
 as one stack.  Failures are report content, not exceptions, and every report is seed-reproducible;
-a sample count below 1 or not an integer raises OutOfRange.
+a sample count below 1 or not an integer, or a local suite with no exponent, raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .channel import (
     tensor_channels,
 )
 from .entropy import _RenyiStack, bipartite_entropies, entropy_defect
-from .errors import DimMismatch, NotPSD
+from .errors import DimMismatch, OutOfRange
 
 
 @dataclass
@@ -77,11 +77,6 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:12]
 
 
-def _apply_ancilla(ch: Channel, rho_aa: np.ndarray, dim_a: int) -> np.ndarray:
-    """(id_A (x) N)(rho) for rho on H_A (x) H_in, or for each of a stack."""
-    return apply(tensor_channels(identity_channel(dim_a), ch), rho_aa)
-
-
 @functools.lru_cache(maxsize=1)  # a tensor square's tensor suite draws what its entropic suite drew
 def _draw(seed: int, samples: int, *dims: int) -> tuple[np.ndarray, ...]:
     """Sample i of a suite, stacked over i: random_density(rng_i, dims[0]), then random_psd(rng_i, d) for each later
@@ -125,6 +120,8 @@ def verify_local_comparison(
     certificate, and DimMismatch is raised when it does not fit the space.
     """
     report = VerificationReport("local_comparison", mc._count(samples, "samples"), seed, tolerance)
+    if len(ps) == 0:  # no inequality to check
+        raise OutOfRange("ps must name at least one exponent, got none")
     n = base_channel(space)
     nf = modified_channel(space, symbol)  # InvalidSymbol unless f acts on the environment
     decomp = symbol.certificate.decomposition
@@ -137,13 +134,10 @@ def verify_local_comparison(
     sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e, axis1=-2, axis2=-1).real[:, None, None]
     outs = apply(n, rho), apply(nf, rho)
     svals = [np.linalg.svd(y, compute_uv=False) for y in outs]  # one SVD each, read for every p but 2
-    lam, v = mc.herm_eig(sigma)  # one eigendecomposition for every p, checked as matrix_power checks it
-    mc._require_psd(lam, NotPSD, "eigenvalue {:.3e} is significantly negative")
-    on = mc.support_mask(lam)
+    eig = mc.herm_eig(sigma)  # one eigendecomposition for every p
     named = []
     for p in ps:
-        lam_p = np.power(lam, -1.0 / (2.0 * mc.conjugate_exponent(p)), out=np.zeros_like(lam), where=on)
-        w = (v * lam_p[..., None, :]) @ mc.dagger(v)
+        w = mc._on_support(eig, lambda lam: lam ** (-1.0 / (2.0 * mc.conjugate_exponent(p))))
         a, b = (np.log2(mc.schatten_norm(y, 2) if p == 2 else np.linalg.norm(sv, p, -1)) for y, sv in zip(outs, svals))
         c, d = (np.log2(mc.schatten_norm(w @ y @ w, p)) for y in outs)
         named += [(f"norm_lower@p={p}", b - a), (f"norm_upper@p={p}", fnorms[p] + a - b)]
@@ -177,7 +171,7 @@ def verify_entropic(
     dims = (da, space.dim_out)
     [rho] = _draw(seed, samples, da * da)
     chans = (base_channel(space), modified_channel(space, symbol))
-    omega, omega_f = (_apply_ancilla(ch, rho, da) for ch in chans)
+    omega, omega_f = (_apply_product(identity_channel(da), ch, rho) for ch in chans)
     (h, ha, hb), (hf, haf, hbf) = (bipartite_entropies(w, dims) for w in (omega, omega_f))
     ic, icf, mi, mif = hb - h, hbf - hf, ha + hb - h, haf + hbf - hf
     slacks = [("H_AB_lower", hf - (h - defect)), ("H_AB_upper", h - hf)]

@@ -140,6 +140,13 @@ def certified_cea(ch):
     return cap._concave_max(partial(cap._value_and_grad, ch), ch.dim_in)
 
 
+def ancilla_output(ch, rho: np.ndarray) -> np.ndarray:
+    """(id_A (x) N)(rho) for one state rho on H_A (x) H_in, A of N's input dimension, by the verify suites' kernel."""
+    from trocap.verify import _apply_product
+
+    return _apply_product(chn.identity_channel(ch.dim_in), ch, rho[None])[0]
+
+
 def random_channel(rng, dim_in, dim_out, dim_env):
     """Haar-random isometry V: C^in -> C^out (x) C^env sliced into Kraus ops."""
     u = random_unitary(rng, dim_out * dim_env)

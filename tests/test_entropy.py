@@ -13,6 +13,7 @@ from trocap.builders import group_random_unitary, pauli_rep, qubit_dephasing
 from trocap.errors import BadExponent, DimMismatch, NotNormalized, NotState, OutOfRange
 
 from helpers import (
+    ancilla_output,
     crawling_state,
     loop_minimize,
     polish_state,
@@ -274,14 +275,13 @@ class TestConditionalRenyi:
         from functools import partial
 
         from trocap import algebra as alg
-        from trocap.verify import _apply_ancilla
 
         ch = qubit_dephasing(0.0)
         space = ch.base_space
         lalg = alg.left_algebra(space)
         rng = np.random.default_rng(11)
         rho = mc.random_density(rng, 4)
-        omega = _apply_ancilla(ch, rho, 2)
+        omega = ancilla_output(ch, rho)
         free = ent.conditional_renyi(omega, (2, 2), 2.0).value
         restricted = ent.conditional_renyi(
             omega, (2, 2), 2.0, project=partial(alg.conditional_expectation, lalg)
@@ -733,7 +733,6 @@ class TestNormSandwichPattern:
     def test_s1_sp_sandwich_at_p2(self):
         # ||(N (x) id)(rho)|| <= ||(N_f (x) id)(rho)|| <= ||f|| ||(N (x) id)(rho)||
         from trocap.builders import completely_dephasing_channel
-        from trocap.verify import _apply_ancilla
 
         base = completely_dephasing_channel(2)
         ch = qubit_dephasing(0.45)
@@ -741,8 +740,8 @@ class TestNormSandwichPattern:
         rng = np.random.default_rng(16)
         for _ in range(25):
             rho = mc.random_density(rng, 4)
-            plain = ent.s1_sp_norm(_apply_ancilla(base, rho, 2), (2, 2), 2.0)
-            modified = ent.s1_sp_norm(_apply_ancilla(ch, rho, 2), (2, 2), 2.0)
+            plain = ent.s1_sp_norm(ancilla_output(base, rho), (2, 2), 2.0)
+            modified = ent.s1_sp_norm(ancilla_output(ch, rho), (2, 2), 2.0)
             assert plain <= modified + 1e-7
             assert modified <= fnorm * plain + 1e-7
 
@@ -798,24 +797,22 @@ def _qubit_outputs():
     """(id (x) N)(rho) for dephasing and Pauli channels on seeded inputs, and
     one state whose B marginal has rank 1."""
     from trocap.builders import group_random_unitary, pauli_rep
-    from trocap.verify import _apply_ancilla
 
     rng = np.random.default_rng(21)
     chans = [qubit_dephasing(0.3), qubit_dephasing(0.8)]
     weights = ([0.4, 0.3, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1])
     chans += [group_random_unitary(pauli_rep(), w) for w in weights]
-    out = [_apply_ancilla(ch, mc.random_density(rng, 4), 2) for ch in chans]
+    out = [ancilla_output(ch, mc.random_density(rng, 4)) for ch in chans]
     out.append(mc.tensor(mc.random_density(rng, 2), E00))
     return np.stack(out)
 
 
 def _phi_alpha_outputs():
     from trocap.builders import phi_alpha
-    from trocap.verify import _apply_ancilla
 
     rng = np.random.default_rng(22)
     return np.stack(
-        [_apply_ancilla(phi_alpha(a).channel, mc.random_density(rng, 16), 4) for a in (0.5, -0.3)]
+        [ancilla_output(phi_alpha(a).channel, mc.random_density(rng, 16)) for a in (0.5, -0.3)]
     )
 
 
@@ -968,7 +965,6 @@ def _gradient_states():
     """(id (x) N)(rho) on seeded inputs for a dephasing qubit, phi_alpha and
     a Schur multiplier on Z_4, with their dims."""
     from trocap.builders import cyclic_group, phi_alpha, schur_multiplier_channel
-    from trocap.verify import _apply_ancilla
 
     rng = np.random.default_rng(24)
     weights = np.array([0.4, 0.3, 0.2, 0.1])
@@ -978,7 +974,7 @@ def _gradient_states():
         "schur_k4": schur_multiplier_channel(cyclic_group(4), np.fft.fft(weights)),
     }
     return {
-        name: (_apply_ancilla(ch, mc.random_density(rng, ch.dim_in**2), ch.dim_in), (ch.dim_in, ch.dim_out))
+        name: (ancilla_output(ch, mc.random_density(rng, ch.dim_in**2)), (ch.dim_in, ch.dim_out))
         for name, ch in chans.items()
     }
 
@@ -1227,6 +1223,22 @@ class TestSafetyPaths:
 
         value, x = ent._lbfgs(fun, x0.copy(), 100)
         assert value == 0.0 and np.array_equal(x, x0) and len(calls) == 21
+
+    def test_nan_two_loop_slope_resets_to_steepest_descent(self):
+        # the first accepted step stores s.y = 1e-320, whose 1/(s.y) overflows, so the next two-loop direction is
+        # nan; the search clears its pairs and takes the unit steepest-descent step instead
+        grads, calls = [np.array([1.0, 1e-200]), np.array([1.0, -1e-120]), np.zeros(2)], []
+
+        def fun(x):
+            calls.append(x.copy())
+            k = min(len(calls), 3) - 1
+            return -float(k), grads[k]
+
+        with np.errstate(over="ignore", invalid="ignore"):  # 1/(s.y) = inf, then inf * 0 in the two-loop recursion
+            value, x = ent._lbfgs(fun, np.zeros(2), 100)
+        np.testing.assert_array_equal(calls[1], -grads[0])
+        np.testing.assert_array_equal(calls[2], calls[1] - grads[1])
+        assert len(calls) == 3 and value == -2.0 < -1.0 and np.array_equal(x, calls[2])
 
     def test_fallback_raises_when_no_value_is_finite(self):
         # a tiny diagonal operator: the fixed point's value is not finite and the polish does not improve it

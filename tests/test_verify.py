@@ -21,7 +21,7 @@ from trocap.builders import (
 from trocap.channel import stinespring_space
 from trocap.errors import BadExponent, DimMismatch, NotIndependent, OutOfRange
 
-from helpers import loop_minimize, random_channel
+from helpers import ancilla_output, loop_minimize, random_channel
 
 
 def dephasing_pair(q):
@@ -94,13 +94,12 @@ class TestEntropic:
         # the maximally entangled input, where H(A) = H(B)
         import trocap.capacity as cap
         from trocap.entropy import coherent_information
-        from trocap.verify import _apply_ancilla
 
         q = 0.3
         ch = qubit_dephasing(q)
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / np.sqrt(2)
-        omega_f = _apply_ancilla(ch, np.outer(psi, psi.conj()), 2)
+        omega_f = ancilla_output(ch, np.outer(psi, psi.conj()))
         ic = coherent_information(omega_f, (2, 2))
         assert ic == pytest.approx(cap.negative_cb_entropy(ch, "formula"), abs=1e-8)
 
@@ -430,6 +429,13 @@ class TestLocalComparisonStack:
         with pytest.raises(OutOfRange, match="samples must be an integer >= 1, got 0"):
             verify.verify_local_comparison(space, sym, samples=0)
 
+    def test_no_exponents(self, monkeypatch):
+        # with no exponent there is no inequality to check: the suite names ps before it draws a sample
+        space, sym = dephasing_pair(0.3)
+        monkeypatch.setattr(verify, "_draw", None)
+        with pytest.raises(OutOfRange, match="ps must name at least one exponent"):
+            verify.verify_local_comparison(space, sym, ps=())
+
 
 # ---------------------------------------------------------------------------
 # the stacked draws and the chunked tensor suite against one sample at a time
@@ -524,3 +530,22 @@ class TestTensorSymbolStack:
         rho = np.array([mc.random_density(rng, a.dim_in * b.dim_in) for _ in range(3)])
         expected = chn.apply(chn.tensor_channels(a, b), rho)
         np.testing.assert_allclose(verify._apply_product(a, b, rho), expected, rtol=0, atol=1e-14)
+
+
+def test_each_kernel_has_one_copy():
+    # id (x) N, the PSD check and the Kronecker product each have one home: verify applies id (x) N factor by
+    # factor, only matcore (and errors, which defines it) names NotPSD, and tensor_channels is matcore's product
+    import importlib
+    import inspect
+    import pkgutil
+
+    assert not hasattr(verify, "_apply_ancilla")
+    names = [name for _, name, _ in pkgutil.iter_modules(trocap.__path__) if name not in ("matcore", "errors")]
+    assert "verify" in names
+    for name in names:
+        assert "NotPSD" not in inspect.getsource(importlib.import_module(f"trocap.{name}")), name
+    rng = np.random.default_rng(12)
+    for dims_a, dims_b in [((2, 3, 2), (3, 2, 4)), ((4, 4, 1), (1, 2, 3))]:
+        a, b = random_channel(rng, *dims_a), random_channel(rng, *dims_b)
+        expected = np.array([np.kron(k, l) for k in a.kraus for l in b.kraus])
+        np.testing.assert_array_equal(chn.tensor_channels(a, b).kraus, expected)

@@ -70,10 +70,9 @@ is the variable of the case's curve:
     channel's Renyi edge so that no later restart runs, and on the Pauli
     mixture (0.4, 0.3, 0.2, 0.1), an open window where every restart runs
     (the control); and that search's kernel alone,
-    entropy._dual_value_and_grads, called through capacity's import of it so
-    that older checkouts, where capacity defined it, run the same case, at
-    beta = 2/3 (p = 2) on a seeded random isometry channel with Kraus stack
-    (k, k, k) and a seeded pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run
+    entropy._dual_value_and_grads, at beta = 2/3 (p = 2) on a seeded random
+    isometry channel with Kraus stack (k, k, k) and a seeded pair (psi, u),
+    k in 2, 4, 8, 16, 1000 calls per run
     (M = W* W keeps its smallest eigenvalue above 1e-4 of its largest there,
     so no call takes the SVD of W).
 
@@ -204,7 +203,7 @@ def renyi_stack_case(t, n: int, p: float, mutual: bool = False):
     ch = CHANNELS["phi_alpha(0.4)"](t)
     d = ch.dim_in
     rhos = np.array([t.matcore.random_density(np.random.default_rng((0, i)), d * d) for i in range(n)])
-    omegas = t.verify._apply_ancilla(ch, rhos, d)
+    omegas = t.verify._apply_product(t.channel.identity_channel(d), ch, rhos)
     k_as = t.matcore.partial_trace(omegas, (d, ch.dim_out), "A") if mutual else None  # I_p, else I_cp
     return lambda: t.entropy._RenyiStack(omegas, (d, ch.dim_out), p, k_as).minimize()
 
@@ -251,7 +250,7 @@ def dual_kernel_case(t, k: int, calls: int = 1000):
     kraus = np.linalg.qr(t.matcore.random_complex(rng, (k * k, k)))[0].reshape(k, k, k)
     psi, u = t.matcore.random_complex(rng, (k * k, 1)), t.matcore.random_complex(rng, (k, k))
     units = (psi / np.linalg.norm(psi), u / np.linalg.norm(u))
-    return lambda: [t.capacity._dual_value_and_grads(kraus, 2 / 3, units) for _ in range(calls)]
+    return lambda: [t.entropy._dual_value_and_grads(kraus, 2 / 3, units) for _ in range(calls)]
 
 
 # the verify curves' channel names, each with its CHANNELS entry
