@@ -257,11 +257,10 @@ def _ascent(ch: Channel, g0: np.ndarray, ceiling: float = math.inf) -> tuple[np.
 
 
 def _init_pool(
-    ch: Channel, restarts: int, seed: int, init_states: Optional[Sequence[np.ndarray]]
+    ch: Channel, restarts: int, seed: int, init_states: Optional[Sequence[np.ndarray]], start=None
 ) -> list[np.ndarray]:
-    """Square roots of the restart densities (at least one; init states are
-    d_in x d_in): structured inits first, then the maximally mixed state,
-    then seeded random fills."""
+    """Square roots of the restart densities (at least one; init states are d_in x d_in): structured inits
+    first, then ``start`` (the maximally mixed state where None), then seeded random fills."""
     d, restarts = ch.dim_in, mc._count(restarts, "restarts")
     pool: list[np.ndarray] = []
     for s in map(mc.asmatrix, list(init_states or [])[:restarts]):
@@ -269,7 +268,7 @@ def _init_pool(
             raise DimMismatch(f"init state is {s.shape[0]} x {s.shape[1]}, expected {d} x {d}")
         pool.append(mc.matrix_power(s, 0.5))
     if len(pool) < restarts:
-        pool.append(np.eye(d, dtype=complex) / math.sqrt(d))
+        pool.append(np.eye(d, dtype=complex) / math.sqrt(d) if start is None else start)
     while len(pool) < restarts:
         rng = np.random.default_rng((seed, len(pool)))
         pool.append(mc.random_complex(rng, (d, d)))
@@ -309,15 +308,24 @@ def _own_symbol(ch: Channel, space: StinespringSpace, seed: int) -> Symbol:
     return ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), seed)
 
 
-def _edge(ch: Channel, seed: int, p: float = 1.0) -> float:
-    """log2 max n_i + p' log2 |f|_{p,tau} over the blocks n_i of :func:`_own_symbol` f, or at p = 1 its limit, the Q1
-    edge log2 max n_i + tau(f log2 f); inf where a dilation that is not isometric (RankDeficient) has no structure."""
+def _edge_and_start(ch: Channel, seed: int, p: Optional[float] = 1.0) -> tuple[float, Optional[np.ndarray]]:
+    """The edge log2 max n_i + p' log2 |f|_{p,tau} over the blocks n_i of :func:`_own_symbol` f (at p = 1 its limit,
+    the Q1 edge log2 max n_i + tau(f log2 f)), inf without structure (RankDeficient), and the extremal start: the root
+    G/sqrt(tr G) of the maximally mixed input on the blocks of largest n_i, G_kj = <h_k, Q h_j> over representatives
+    h_k, Q the projector on those blocks' columns of U; I/sqrt(d) where all n_i agree, None off a TRO span.  A ``p``
+    of None skips the edge's width (nan) for a caller with a ceiling of its own."""
     try:
-        f = _own_symbol(ch, ch.base_space or chn.stinespring_space(ch), seed)
+        f = _own_symbol(ch, space := ch.base_space or chn.stinespring_space(ch), seed)
     except RankDeficient:
-        return math.inf
-    width = entropy_defect(f) if p == 1.0 else mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(f.f, p))
-    return math.log2(max(_block_ns(f.certificate.blocks))) + width
+        return math.inf, None
+    cert, ns, d = f.certificate, np.array(_block_ns(f.certificate.blocks)), ch.dim_in
+    edge = math.log2(ns.max()) + (math.nan if p is None else entropy_defect(f) if p == 1.0
+                                  else mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(f.f, p)))
+    if not cert.space_is_tro or ns.min() == ns.max():
+        return edge, np.eye(d, dtype=complex) / math.sqrt(d) if cert.space_is_tro else None
+    top = np.repeat(ns == ns.max(), [n * l for n, _, l in cert.blocks])  # the largest blocks' columns of U
+    z = (mc.dagger(cert.decomposition.basis_change_out[:, np.flatnonzero(top)]) @ space.stacked()).reshape(d, -1)
+    return edge, (g := z.conj() @ z.T) / math.sqrt(np.trace(g).real)
 
 
 def one_shot_q(
@@ -330,16 +338,15 @@ def one_shot_q(
 ) -> AscentResult:
     """Best found coherent information max_rho H(N(rho)) - H(N^E(rho)).
 
-    A certified lower bound on the one-shot quantum capacity; global
-    optimality is not guaranteed.  Deterministic for a given seed; extra
-    ``init_states`` join the restart pool ahead of random draws.  All
-    restarts ascend together as one batch; ``max_workers`` has no effect.  A
-    ``ceiling``, a proven upper bound on Q1, stops the batch at it (see
-    _ascent): by default the channel's Q1 edge (_edge); ``math.inf`` runs the
-    full ascent.
+    A certified lower bound on the one-shot quantum capacity; global optimality is not guaranteed.  Deterministic
+    for a given seed; extra ``init_states`` join the restart pool ahead of the extremal start of _edge_and_start, which
+    attains a closed window's edge at once, and of random draws.  All restarts ascend together as one batch;
+    ``max_workers`` has no effect.  A ``ceiling``, a proven upper bound on Q1, stops the batch at it (see _ascent): by
+    default the channel's Q1 edge; ``math.inf`` runs the full ascent.
     """
-    ceiling = _edge(ch, seed) if ceiling is None else ceiling
-    f, rho = _ascent(ch, np.stack(_init_pool(ch, restarts, seed, init_states)), ceiling)
+    edge, start = _edge_and_start(ch, seed, 1.0 if ceiling is None else None)
+    ceiling = edge if ceiling is None else ceiling
+    f, rho = _ascent(ch, np.stack(_init_pool(ch, restarts, seed, init_states, start)), ceiling)
     best = int(np.argmax(f))  # the first maximum
     return AscentResult(float(f[best]), rho[best])
 
@@ -398,34 +405,42 @@ def renyi_coherent_channel(
 
     By the duality in :mod:`trocap.entropy`, inf_sigma D_p(omega_AB || 1 (x) sigma) = sup_tau -D_beta(omega_AE || 1 (x)
     tau) for 1/p + 1/beta = 2 and omega_AE = (id (x) N^c)(psi psi*), so each restart is one L-BFGS search
-    (entropy._density_search) over pairs (psi, tau), psi = vec g / |g|, with no inner minimization and the exact
+    (entropy._density_search) over pairs (psi, tau) of unit vectors, with no inner minimization and the exact
     gradient from a factor of omega_AE (entropy._dual_value_and_grads); each value, -D_beta at a feasible pair, is a
-    lower bound up to rounding.  The starts are sqrt(d) times :func:`one_shot_q`'s, nudged by a seeded relative step of
-    1e-3, each with tau at its E marginal tr_A[U U*] (block: the root of complement_apply's transpose at tr_A g g*);
-    fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
+    lower bound up to rounding.  The first search is over tau alone at psi = vec s^T, s the extremal start of
+    :func:`_edge_and_start`, from tau_E^p, tau_E = tr_A[U U*] (the optimum where omega_AE is pure).  The restarts start
+    from :func:`one_shot_q`'s pool, psi = vec g^T / |g| (input marginal g g*), nudged by a seeded relative step of
+    1e-3, with tau at tau_E; fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
 
-    No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge; blocks n_i,
+    No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge_and_start; blocks n_i,
     symbol f).  Per input, I_cp(omega_f) <= I_cp(omega) + p' log2 |f|_{p,tau}, the paper's Renyi
     comparison (verify_entropic's I_cp_upper@p); and -H_p(A|B) <= log2 max_i n_i on the TRO
     channel's block-diagonal output, whose inputs a dilation range strictly inside the TRO only
     restricts.  So a search stops once its value reaches edge - CEILING_RTOL |edge| (a floor on
-    D_beta; one_shot_q's rule at the Q1 edge, this edge's limit as p -> 1), and no later restart runs.
+    D_beta; one_shot_q's rule at the Q1 edge, this edge's limit as p -> 1), and no later search runs.
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    d, beta, edge = ch.dim_in, p / (2.0 * p - 1.0), _edge(ch, seed, p)
+    d, beta, (edge, start) = ch.dim_in, p / (2.0 * p - 1.0), _edge_and_start(ch, seed, p)
     stop = edge - CEILING_RTOL * abs(edge) if math.isfinite(edge) else edge
-    fun, best = partial(_dual_value_and_grads, ch.kraus, beta), -math.inf
-    for k, g0 in enumerate(_init_pool(ch, restarts, seed, init_states)):
+    fun, pool = partial(_dual_value_and_grads, ch.kraus, beta), _init_pool(ch, restarts, seed, init_states, start)
+
+    def tau_only(units):  # the dual objective in tau at psi = vec start^T, whose input marginal is start start*
+        value, (_, grad_tau) = fun((start.T.reshape(-1, 1), *units))
+        return value, (grad_tau,)
+
+    tau = None if start is None else chn.complement_apply(ch, start @ mc.dagger(start)).T  # tau_E at that psi
+    best = -math.inf if tau is None else -_density_search(tau_only, (mc.matrix_power(tau, p / 2),), 200, -stop)[0]
+    for k, g0 in enumerate(pool):
         if best >= stop:
             break
-        g = g0 * math.sqrt(d)
+        g = g0.T * math.sqrt(d)
         # A seeded nudge of 1e-3 takes a symmetric start (the maximally entangled input is real and
         # diagonal) off the subspace the exact gradient keeps it in, where the search can end on a saddle.
         nudge = np.random.default_rng((seed, k, 1)).standard_normal((2, *g.shape))
         g = g + 1e-3 * np.linalg.norm(g) / math.sqrt(2 * g.size) * (nudge[0] + 1j * nudge[1])
-        start = (g.reshape(-1, 1), mc.matrix_power(chn.complement_apply(ch, g.T @ g.conj()).T, 0.5))
-        best = max(best, -_density_search(fun, start, 200, -stop)[0])
+        pair = (g.reshape(-1, 1), mc.matrix_power(chn.complement_apply(ch, g.T @ g.conj()).T, 0.5))
+        best = max(best, -_density_search(fun, pair, 200, -stop)[0])
     return best
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import builders, capacity, verify
-from .channel import Channel, StinespringSpace, from_kraus, stinespring_space
+from .channel import Channel, StinespringSpace, from_kraus, modified_channel, stinespring_space
 from .errors import HypothesisFailed, TrocapError
 
 FLOAT_FMT = "{:.12g}"
@@ -186,11 +186,11 @@ def load_spec(path: str, seed_override: Optional[int] = None) -> SpecBundle:
 
 def cmd_bounds(args, bundle: SpecBundle) -> int:
     ch, space = bundle.channel, bundle.space
-    report = capacity.comparison_bounds(space, capacity._own_symbol(ch, space, bundle.seed))
+    report = capacity.comparison_bounds(space, symbol := capacity._own_symbol(ch, space, bundle.seed))
     window = report.entries["Q1"]  # Q and P share it; the ascent cannot raise a closed one
     if window.lower < window.upper:
         best = capacity.one_shot_q(
-            ch,
+            ch if ch.symbol else modified_channel(space, symbol),  # the same Kraus family, certified once
             restarts=args.restarts,
             seed=bundle.seed,
             init_states=bundle.init_states or None,

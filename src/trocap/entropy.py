@@ -168,8 +168,8 @@ def _lbfgs(fun, x: np.ndarray, maxiter: int, floor: float = -math.inf) -> tuple[
             t = max(0.1 * t, min(t - t * (slope_t + w - z) / (slope_t - slope + 2.0 * w), 0.5 * t))  # nan: 0.1 t
         else:
             break
-        if (sy := (s := x_new - x) @ (y := g_new - g)) > 0:
-            pairs, gamma = [*pairs[-9:], (s, y, 1.0 / sy)], sy / (y @ y)
+        if (sy := (s := x_new - x) @ (y := g_new - g)) > 0:  # a pair whose 1/(s.y) overflows clears the pairs
+            pairs, gamma = ([*pairs[-9:], (s, y, r)], sy / (y @ y)) if (r := 1.0 / float(sy)) < math.inf else ([], 1.0)
         drop = f - f_new - 1e-13 * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
     return f, x

@@ -474,13 +474,15 @@ class TestCeiling:
         assert best.value >= upper * (1 - cap.CEILING_RTOL)
 
     def test_stop_within_a_relative_rtol_of_the_ceiling(self, monkeypatch):
-        # the partial-trace sum takes a few rounds to reach Q1 = log2(3); the
+        # from 8 seeded random inputs, a pool without the extremal start, the
+        # partial-trace sum takes a few rounds to reach Q1 = log2(3); the
         # stopped batch is a prefix of the full one, so it cannot end higher
         ch = partial_trace_sum_channel([(2, 2), (3, 1)])
+        inits = [mc.random_density(np.random.default_rng((9, i)), 7) for i in range(8)]
         calls = self.counted_evaluations(monkeypatch)
-        full = cap.one_shot_q(ch, restarts=8, ceiling=math.inf)
+        full = cap.one_shot_q(ch, restarts=8, init_states=inits, ceiling=math.inf)
         n_full = len(calls)
-        best = cap.one_shot_q(ch, restarts=8, ceiling=LOG3)
+        best = cap.one_shot_q(ch, restarts=8, init_states=inits, ceiling=LOG3)
         assert 1 < len(calls) - n_full < n_full
         assert LOG3 * (1 - cap.CEILING_RTOL) <= best.value <= full.value
 
@@ -920,10 +922,18 @@ def isometry_channel():
 
 
 def searches_to_the_edge(searches, edge, restarts):
-    """How many (value, units) searches renyi_coherent_channel may run: through the first whose value
-    -D_beta reaches edge - CEILING_RTOL |edge|, else all ``restarts``."""
+    """How many (value, units) searches renyi_coherent_channel may run on a channel with an extremal start:
+    the search over tau alone and the restarts, through the first whose value -D_beta reaches
+    edge - CEILING_RTOL |edge|, else all 1 + ``restarts``."""
     stop = edge - cap.CEILING_RTOL * abs(edge)
-    return next((i + 1 for i, (value, _) in enumerate(searches) if -value >= stop), restarts)
+    return next((i + 1 for i, (value, _) in enumerate(searches) if -value >= stop), 1 + restarts)
+
+
+def search_inputs(ch, seed, p, searches):
+    """The pure input psi of each recorded search: the extremal start's purification vec start^T
+    (_edge_and_start) for the search over tau alone, the search's own psi for each restart."""
+    start = cap._edge_and_start(ch, seed, p)[1]
+    return [start.T.reshape(-1, 1) if len(units) == 1 else units[0] for _, units in searches]
 
 
 def fd_renyi_coherent_channel(ch, p, restarts, seed):
@@ -1109,7 +1119,8 @@ class TestRenyiExactGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_restart_is_bracketed_by_the_primal(self, monkeypatch, seed):
-        # weak duality: at each search's psi, any sigma's D_p is at least the
+        # weak duality: at each search's psi (for the search over tau alone,
+        # the extremal input it holds fixed), any sigma's D_p is at least the
         # coherent value and any tau's -D_beta at most, so a tight primal lies
         # at or above the search's value (up to rounding) and, once the search
         # has converged in tau (or reached the edge, which bounds the primal),
@@ -1127,8 +1138,8 @@ class TestRenyiExactGradient:
             for p in (1.5, 2.0, 4.0):
                 searches.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
-                assert len(searches) == searches_to_the_edge(searches, cap._edge(ch, seed, p), 2)
-                for objective, (psi, _) in searches:
+                assert len(searches) == searches_to_the_edge(searches, cap._edge_and_start(ch, seed, p)[0], 2)
+                for (objective, _), psi in zip(searches, search_inputs(ch, seed, p, searches)):
                     omega = mc.hermitize(apply(extended, psi @ psi.conj().T))
                     sigma = ent._RenyiStack(omega[None], (d, db), p).minimize(1e-15, 5000).sigma
                     # the fixed point cuts omega_B to its support; with 1e-9 of
@@ -1158,9 +1169,9 @@ class TestRenyiExactGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_searches_end_as_low_as_scipy(self, monkeypatch, seed):
-        # each (psi, tau) search against scipy's L-BFGS-B from the same start
-        # (helpers.scipy_density_search, which has no floor): no end value more than 1e-9 above
-        # scipy's, and each call runs its searches through the first that reaches the edge
+        # each search, over tau alone or over (psi, tau), against scipy's L-BFGS-B from the same
+        # start (helpers.scipy_density_search, which has no floor): no end value more than 1e-9
+        # above scipy's, and each call runs its searches through the first that reaches the edge
         real, gaps, outs = cap._density_search, [], []
 
         def both(fun, m0s, maxiter, floor):
@@ -1173,13 +1184,16 @@ class TestRenyiExactGradient:
             for p in (1.5, 2.0, 4.0):
                 outs.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
-                assert len(outs) == searches_to_the_edge(outs, cap._edge(ch, seed, p), 2)
+                assert len(outs) == searches_to_the_edge(outs, cap._edge_and_start(ch, seed, p)[0], 2)
         assert max(gaps) <= 1e-9
 
     def test_inner_minimizations_fenced_by_evaluations(self, monkeypatch):
-        # one L-BFGS search over pairs (psi, tau) per restart that runs (dephasing
-        # reaches its edge on the first of 2, the isometry never) and no inner
-        # minimization at all: the dual objective has no inner loop
+        # one L-BFGS search over tau alone at the extremal input, then one over
+        # pairs (psi, tau) per restart that runs (dephasing reaches its edge in
+        # the search over tau, phi_alpha in none; the isometry's span lies
+        # strictly inside its TRO, so it has no extremal input and runs both
+        # restarts) and no inner minimization at all: the dual objective has no
+        # inner loop
         real_lbfgs, real_inner = ent._lbfgs, ent._RenyiStack.minimize
         sizes, inner = [], []
 
@@ -1194,11 +1208,12 @@ class TestRenyiExactGradient:
         monkeypatch.setattr(ent, "_lbfgs", recording)
         monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
         channels = renyi_channels()
-        cases = ((channels["dephasing"], 2, 1), (channels["phi_alpha"], 1, 1), (isometry_channel(), 2, 2))
-        for ch, restarts, runs in cases:
+        cases = ((channels["dephasing"], 2, 1, 0), (channels["phi_alpha"], 1, 1, 1), (isometry_channel(), 2, 0, 2))
+        for ch, restarts, tau_runs, runs in cases:
             sizes.clear()
             cap.renyi_coherent_channel(ch, 2.0, restarts=restarts, seed=0)
-            assert sizes == [2 * (ch.dim_in**2 + ch.dim_env**2)] * runs and not inner
+            tau, pair = 2 * ch.dim_env**2, 2 * (ch.dim_in**2 + ch.dim_env**2)
+            assert sizes == [tau] * tau_runs + [pair] * runs and not inner
 
     def test_forms_no_dense_state(self, monkeypatch):
         # the dual objective runs on the factor of omega_AE: no channel is applied to a
@@ -1283,11 +1298,12 @@ class TestRenyiEdge:
         for p in (1.5, 2.0, 4.0):
             width = mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(symbol.f, p))
             edge = math.log2(max(n for n, _, _ in symbol.certificate.blocks)) + width
-            assert cap._edge(ch, 0, p) == pytest.approx(edge, abs=1e-14)
+            assert cap._edge_and_start(ch, 0, p)[0] == pytest.approx(edge, abs=1e-14)
             assert cap.renyi_coherent_channel(ch, p, restarts=4) <= edge + 1e-12, p
 
     def test_a_reached_edge_skips_the_later_restarts(self, monkeypatch):
-        # dephasing reaches its edge on the first search; the Pauli mixture's window is open
+        # dephasing reaches its edge in the search over tau alone; the Pauli mixture's window is
+        # open, so that search and every restart run
         real, searches = cap._density_search, []
 
         def counted(fun, m0s, maxiter, floor):
@@ -1296,12 +1312,12 @@ class TestRenyiEdge:
 
         monkeypatch.setattr(cap, "_density_search", counted)
         ch = qubit_dephasing(0.3)
-        value, edge = cap.renyi_coherent_channel(ch, 2.0, restarts=4), cap._edge(ch, 0, 2.0)
+        value, edge = cap.renyi_coherent_channel(ch, 2.0, restarts=4), cap._edge_and_start(ch, 0, 2.0)[0]
         assert searches == [cap.CEILING_RTOL * abs(edge) - edge] and 0 <= edge - value <= cap.CEILING_RTOL * abs(edge)
         searches.clear()
         pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
-        value, edge = cap.renyi_coherent_channel(pauli, 2.0, restarts=4), cap._edge(pauli, 0, 2.0)
-        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] * 4 and value < edge - 0.1
+        value, edge = cap.renyi_coherent_channel(pauli, 2.0, restarts=4), cap._edge_and_start(pauli, 0, 2.0)[0]
+        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] * 5 and value < edge - 0.1
 
     def test_lbfgs_floor_ends_at_the_first_accepted_point_at_or_below_it(self, monkeypatch):
         # the polish of polish_state(), its objective and start recorded: a floor below every value
@@ -1335,6 +1351,115 @@ class TestRenyiEdge:
             assert vk > value and run(k - 1)[0][0] > vk
             (v, y), floored = run(maxiter, vk)
             assert v == vk and np.array_equal(y, xk) and np.array_equal(floored, to_k)
+
+
+def extremal_channels():
+    """The channels that attain their Renyi edge at the extremal input: dephasing(0.3), the Schur cyclic(4) and
+    regular cyclic(3) channels of edge_channels, and the partial-trace sum, whose largest block is not all of it."""
+    channels = edge_channels()
+    names = ("schur cyclic(4)", "regular cyclic(3)", "blocks [(2, 2), (3, 1)]")
+    return {"dephasing(0.3)": qubit_dephasing(0.3), **{name: channels[name] for name in names}}
+
+
+class TestExtremalStart:
+    """The input _edge_and_start reads off the certificate, where the searches start."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("name", list(extremal_channels()))
+    def test_renyi_edge_within_ten_evaluations(self, monkeypatch, name, p):
+        ch, calls, real = extremal_channels()[name], [], cap._dual_value_and_grads
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cap, "_dual_value_and_grads", counted)
+        value, edge = cap.renyi_coherent_channel(ch, p, restarts=4), cap._edge_and_start(ch, 0, p)[0]
+        assert len(calls) <= 10 and abs(edge - value) <= cap.CEILING_RTOL * abs(edge)
+
+    def test_open_window_runs_every_restart(self, monkeypatch):
+        # the Pauli mixture: the search over tau alone does not reach the edge, and all 4 restarts follow it
+        real, searches = cap._density_search, []
+
+        def counted(fun, m0s, *args):
+            searches.append(len(m0s))
+            return real(fun, m0s, *args)
+
+        monkeypatch.setattr(cap, "_density_search", counted)
+        pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        cap.renyi_coherent_channel(pauli, 2.0, restarts=4)
+        assert searches == [1, 2, 2, 2, 2]
+
+    def test_one_shot_q_reaches_log2_3_in_one_evaluation(self, monkeypatch):
+        # the maximally mixed input on the (3, 1) block: one batched evaluation of all 16 restarts
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        best = cap.one_shot_q(partial_trace_sum_channel([(2, 2), (3, 1)]), restarts=16)
+        assert calls == [16] and best.value == pytest.approx(LOG3, abs=1e-14)
+        assert best.value >= LOG3 * (1 - cap.CEILING_RTOL)
+
+    @pytest.mark.parametrize("name", ["dephasing(0.3)", "schur cyclic(4)", "regular cyclic(3)"])
+    def test_equal_blocks_start_at_the_maximally_mixed_input(self, name):
+        ch = extremal_channels()[name]
+        d = ch.dim_in
+        start = cap._edge_and_start(ch, 0)[1]
+        assert start.dtype == complex and np.array_equal(start, np.eye(d) / np.sqrt(d))
+        assert np.array_equal(cap._init_pool(ch, 3, 0, None, start)[0], cap._init_pool(ch, 3, 0, None)[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotated_partial_trace_sum_starts_on_its_largest_block(self, monkeypatch, seed):
+        # the partial-trace sum with its input rotated by a seeded unitary V: the start is the maximally
+        # mixed state on the 3 inputs V* e_k of the (3, 1) block, a complex projector over 3; each search
+        # reaches its edge at the first evaluation, the Renyi one only if psi's input marginal is that state
+        base = partial_trace_sum_channel([(2, 2), (3, 1)])
+        v = random_unitary(np.random.default_rng(seed), 7)
+        ch = Channel(base.kraus @ v)
+        edge, start = cap._edge_and_start(ch, seed)
+        rho = start @ start.conj().T
+        block = v.conj().T[:, 4:]  # columns V* e_k, k in the (3, 1) block
+        np.testing.assert_allclose(rho, block @ block.conj().T / 3, atol=1e-13)
+        assert edge == pytest.approx(LOG3, abs=1e-14) and np.abs(start.imag).max() > 0.1
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        assert cap.one_shot_q(ch, restarts=4, seed=seed).value >= LOG3 * (1 - cap.CEILING_RTOL) and calls == [4]
+        counts, real = [], cap._dual_value_and_grads
+
+        def counted(*args):
+            counts.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cap, "_dual_value_and_grads", counted)
+        for p in (1.5, 2.0, 4.0):
+            counts.clear()
+            value = cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
+            renyi_edge = cap._edge_and_start(ch, seed, p)[0]
+            assert counts == [1] and abs(renyi_edge - value) <= cap.CEILING_RTOL * abs(renyi_edge)
+
+    def test_renyi_restart_takes_its_start_as_input_marginal(self, monkeypatch):
+        # a complex init state rho on the Pauli mixture (an open window, so the restart runs): the restart's
+        # psi = vec g^T, g = sqrt(rho), has input marginal rho up to the 1e-3 nudge; vec g would give conj(rho)
+        real, starts = cap._density_search, []
+
+        def recording(fun, m0s, *args):
+            starts.append(m0s)
+            return real(fun, m0s, *args)
+
+        monkeypatch.setattr(cap, "_density_search", recording)
+        v = random_unitary(np.random.default_rng(11), 2)
+        rho = v @ np.diag([0.8, 0.2]) @ v.conj().T
+        assert np.linalg.norm(rho - rho.conj()) > 0.3
+        pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
+        cap.renyi_coherent_channel(pauli, 2.0, restarts=1, init_states=[rho])
+        assert [len(m0s) for m0s in starts] == [1, 2]
+        psi = starts[1][0].reshape(2, 2)
+        marginal = psi.T @ psi.conj() / np.vdot(psi, psi).real
+        np.testing.assert_allclose(marginal, rho, atol=1e-2)
+
+    def test_no_start_off_a_tro_span(self):
+        # a random isometry's span lies strictly inside its TRO; a dilation that is not isometric has no structure
+        assert cap._edge_and_start(isometry_channel(), 0)[1] is None
+        assert cap._edge_and_start(Channel(0.9 * random_unitary(np.random.default_rng(3), 3)[None]), 0) == (
+            math.inf,
+            None,
+        )
 
 
 class TestRegions:

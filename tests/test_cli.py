@@ -236,6 +236,28 @@ class TestBoundsCeiling:
         assert main(argv) == 0
         assert capsys.readouterr().out == stopped
 
+    def test_kraus_without_symbol_is_certified_once(self, tmp_path, capsys, monkeypatch):
+        # amplitude damping (an open window): the ascent gets the spec's own Kraus family, bit for bit, carrying
+        # the identity symbol that the table certified, so reading its extremal start certifies nothing again
+        spec = write_spec(tmp_path, AMP_DAMP)
+        certified, real_certify = [], alg._certify
+        ascents, real_one_shot_q = [], capacity.one_shot_q
+
+        def counted(*args, **kwargs):
+            certified.append(1)
+            return real_certify(*args, **kwargs)
+
+        def recorded(ch, *args, **kwargs):
+            ascents.append(ch)
+            return real_one_shot_q(ch, *args, **kwargs)
+
+        monkeypatch.setattr(alg, "_certify", counted)
+        monkeypatch.setattr(capacity, "one_shot_q", recorded)
+        assert main(["bounds", spec, "--restarts", "4"]) == 0
+        [ch] = ascents
+        assert certified == [1] and ch.symbol is not None
+        assert np.array_equal(ch.kraus, load_spec(spec, None).channel.kraus)
+
     def test_closed_window_skips_the_ascent(self, tmp_path, capsys, monkeypatch):
         spec = write_spec(tmp_path, BLOCKS_SPEC)
         seen, real_one_shot_q = self.record(monkeypatch)

@@ -1151,11 +1151,11 @@ class TestDensitySearch:
         monkeypatch.setattr(ent, "_density_search", counted)
         monkeypatch.setattr(cap, "_density_search", counted)
         cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=3)
-        assert shapes == [((4, 1), (2, 2))]  # the first (psi, tau) search reaches the Renyi edge
+        assert shapes == [((2, 2),)]  # the search over tau alone at the extremal input reaches the Renyi edge
         shapes.clear()
         pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         cap.renyi_coherent_channel(pauli, 2.0, restarts=3)
-        assert shapes == [((4, 1), (4, 4))] * 3  # an open window: one search per restart
+        assert shapes == [((4, 4),)] + [((4, 1), (4, 4))] * 3  # an open window: that search, then one per restart
         shapes.clear()
         # the maximally mixed state is fixed after two rounds, the others not
         rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])
@@ -1225,8 +1225,9 @@ class TestSafetyPaths:
         assert value == 0.0 and np.array_equal(x, x0) and len(calls) == 21
 
     def test_nan_two_loop_slope_resets_to_steepest_descent(self):
-        # the first accepted step stores s.y = 1e-320, whose 1/(s.y) overflows, so the next two-loop direction is
-        # nan; the search clears its pairs and takes the unit steepest-descent step instead
+        # the first accepted step gives s.y = 1e-320, whose 1/(s.y) overflows: the search keeps no such pair (a
+        # two-loop direction through it would be nan), clears its pairs and takes the unit steepest-descent step,
+        # with no RuntimeWarning on the way
         grads, calls = [np.array([1.0, 1e-200]), np.array([1.0, -1e-120]), np.zeros(2)], []
 
         def fun(x):
@@ -1234,8 +1235,10 @@ class TestSafetyPaths:
             k = min(len(calls), 3) - 1
             return -float(k), grads[k]
 
-        with np.errstate(over="ignore", invalid="ignore"):  # 1/(s.y) = inf, then inf * 0 in the two-loop recursion
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             value, x = ent._lbfgs(fun, np.zeros(2), 100)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         np.testing.assert_array_equal(calls[1], -grads[0])
         np.testing.assert_array_equal(calls[2], calls[1] - grads[1])
         assert len(calls) == 3 and value == -2.0 < -1.0 and np.array_equal(x, calls[2])

@@ -40,8 +40,10 @@ is the variable of the case's curve:
     above, k in 4, 6, 8 (its Choi matrices would be k^4 x k^4); every call
     draws its samples afresh (``drawing``);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
-    at 16 restarts; numeric negative_cb_entropy, one certified concave
-    maximization whatever its restarts, on channels of growing input
+    at 16 restarts with no ceiling (its extremal start is at Q1 from the
+    first round, the other restarts climb to their own stops); numeric
+    negative_cb_entropy, one certified concave maximization whatever its
+    restarts, on channels of growing input
     dimension: dephasing(0.3) (2), phi_alpha(0.4) (4), that partial-trace sum
     (7, the one case whose maximally mixed start is not optimal, so the
     mirror step iterates) and the Schur cyclic(8) channel of the seeded kernel
@@ -59,16 +61,20 @@ is the variable of the case's curve:
     and 16 seeded states (1 - 1e-8) rho0 + 1e-8 g on 2 x 3, rho0 the state g
     cut to B rank 2 and normalized, whose every item runs all 400 rounds and
     then takes the L-BFGS polish (entropy._lbfgs; no benchmark job reaches
-    the polish); and renyi_coherent_channel at p = 2, one restart (one L-BFGS
-    search over pairs (psi, tau) of the dual objective, with no inner
-    minimization), on the qubit dephasing channel of parameter 0.3 and on
-    phi_alpha(0.4) (size: input dimension), and on the Schur cyclic(k) channel
-    of the seeded kernel above,
-    k in 4, 6, 8 (input, output and environment dimension k, so omega_AE's
-    factor has k columns against the k^2 x k^2 input state); and at restarts 2,
-    4 and 8 on that dephasing channel, whose first search reaches the
-    channel's Renyi edge so that no later restart runs, and on the Pauli
-    mixture (0.4, 0.3, 0.2, 0.1), an open window where every restart runs
+    the polish); and renyi_coherent_channel at p = 2, one restart (an L-BFGS
+    search over tau alone at the extremal input, then, where that does not
+    reach the channel's Renyi edge, one over pairs (psi, tau) of the dual
+    objective, with no inner minimization), on the qubit dephasing channel of
+    parameter 0.3, on phi_alpha(0.4), on the random-unitary channel of the
+    regular representation of cyclic(3) with probabilities (0.5, 0.3, 0.2)
+    and on that partial-trace sum, whose extremal input is not the maximally
+    mixed one (size: input dimension; all but phi_alpha reach the edge in the
+    search over tau), and on the Schur cyclic(k) channel of the seeded kernel
+    above, k in 4, 6, 8 (input, output and environment dimension k, so
+    omega_AE's factor has k columns against the k^2 x k^2 input state); and
+    at restarts 2, 4 and 8 on that dephasing channel, which reaches its edge
+    before any restart runs, and on the Pauli mixture (0.4, 0.3, 0.2, 0.1),
+    an open window where every restart runs
     (the control); and that search's kernel alone,
     entropy._dual_value_and_grads, at beta = 2/3 (p = 2) on a seeded random
     isometry channel with Kraus stack (k, k, k) and a seeded pair (psi, u),
@@ -108,6 +114,9 @@ CHANNELS = {
         t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1]
     ),
     "blocks [[2, 2], [3, 1]]": lambda t: t.builders.partial_trace_sum_channel([(2, 2), (3, 1)]),
+    "regular cyclic(3)": lambda t: t.builders.group_random_unitary(
+        t.builders.regular_representation(t.builders.cyclic_group(3)), [0.5, 0.3, 0.2]
+    ),
     **{f"Schur cyclic({k})": partial(schur_channel, k=k) for k in (4, 6, 8)},
 }
 
@@ -226,7 +235,9 @@ def polish_stack_case(t, n: int):
 
 def one_shot_case(t, restarts: int):
     ch = CHANNELS["blocks [[2, 2], [3, 1]]"](t)
-    return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)  # the full ascent, as before
+    # uncapped: the extremal start is at Q1 from the first round, but the other restarts still climb to their own
+    # stops, so this times a batch with one restart parked; the Pauli curves time a long ascent
+    return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)
 
 
 def pauli_ascent_case(t, restarts: int):
@@ -303,6 +314,8 @@ CASES = [
      partial(renyi_channel_case, name="dephasing(0.3)")),
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
      partial(renyi_channel_case, name="phi_alpha(0.4)")),
+    *(("optimizers", f"renyi_coherent_channel {name} p 2 (input dim)", d, partial(renyi_channel_case, name=name))
+      for name, d in (("regular cyclic(3)", 3), ("blocks [[2, 2], [3, 1]]", 7))),
     *(("optimizers", f"renyi_coherent_channel {name} p 2 (restarts)", r,
        partial(renyi_channel_case, name=name, restarts=r))
       for name in ("dephasing(0.3)", "Pauli (0.4, 0.3, 0.2, 0.1)") for r in (2, 4, 8)),
