@@ -309,11 +309,12 @@ def _own_symbol(ch: Channel, space: StinespringSpace, seed: int) -> Symbol:
 
 
 def _edge_and_start(ch: Channel, seed: int, p: Optional[float] = 1.0) -> tuple[float, Optional[np.ndarray]]:
-    """The edge log2 max n_i + p' log2 |f|_{p,tau} over the blocks n_i of :func:`_own_symbol` f (at p = 1 its limit,
-    the Q1 edge log2 max n_i + tau(f log2 f)), inf without structure (RankDeficient), and the extremal start: the root
+    """The edge log2 max n_i + p' log2 |f|_{p,tau} over the blocks n_i of :func:`_own_symbol` f (at p = 1 its limit, the
+    Q1 edge log2 max n_i + tau(f log2 f)), inf without structure (RankDeficient), and the extremal start: the root
     G/sqrt(tr G) of the maximally mixed input on the blocks of largest n_i, G_kj = <h_k, Q h_j> over representatives
-    h_k, Q the projector on those blocks' columns of U; I/sqrt(d) where all n_i agree, None off a TRO span.  A ``p``
-    of None skips the edge's width (nan) for a caller with a ceiling of its own."""
+    h_k, Q the projector on those blocks' columns of U; I/sqrt(d) where all n_i agree, None off a TRO span.  On a block
+    M_{n,m} it has coherent information log2(n/m): it attains a closed window's edge only where m_i = 1.  A ``p`` of
+    None skips the edge's width (nan) for a caller with its own ceiling."""
     try:
         f = _own_symbol(ch, space := ch.base_space or chn.stinespring_space(ch), seed)
     except RankDeficient:
@@ -340,7 +341,7 @@ def one_shot_q(
 
     A certified lower bound on the one-shot quantum capacity; global optimality is not guaranteed.  Deterministic
     for a given seed; extra ``init_states`` join the restart pool ahead of the extremal start of _edge_and_start, which
-    attains a closed window's edge at once, and of random draws.  All restarts ascend together as one batch;
+    attains a closed window's edge at once where its largest blocks have m_i = 1, and of random draws.  All restarts ascend together as one batch;
     ``max_workers`` has no effect.  A ``ceiling``, a proven upper bound on Q1, stops the batch at it (see _ascent): by
     default the channel's Q1 edge; ``math.inf`` runs the full ascent.
     """
@@ -407,30 +408,24 @@ def renyi_coherent_channel(
     tau) for 1/p + 1/beta = 2 and omega_AE = (id (x) N^c)(psi psi*), so each restart is one L-BFGS search
     (entropy._density_search) over pairs (psi, tau) of unit vectors, with no inner minimization and the exact
     gradient from a factor of omega_AE (entropy._dual_value_and_grads); each value, -D_beta at a feasible pair, is a
-    lower bound up to rounding.  The first search is over tau alone at psi = vec s^T, s the extremal start of
-    :func:`_edge_and_start`, from tau_E^p, tau_E = tr_A[U U*] (the optimum where omega_AE is pure).  The restarts start
-    from :func:`one_shot_q`'s pool, psi = vec g^T / |g| (input marginal g g*), nudged by a seeded relative step of
+    lower bound up to rounding.  One evaluation comes first, at psi = vec s^T, s the extremal start of
+    :func:`_edge_and_start`, and tau ~ tau_E^p, tau_E = tr_A[U U*] (the optimum where omega_AE is pure).  The restarts
+    start from :func:`one_shot_q`'s pool, psi = vec g^T / |g| (input marginal g g*), nudged by a seeded relative step of
     1e-3, with tau at tau_E; fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
 
-    No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge_and_start; blocks n_i,
-    symbol f).  Per input, I_cp(omega_f) <= I_cp(omega) + p' log2 |f|_{p,tau}, the paper's Renyi
-    comparison (verify_entropic's I_cp_upper@p); and -H_p(A|B) <= log2 max_i n_i on the TRO
-    channel's block-diagonal output, whose inputs a dilation range strictly inside the TRO only
-    restricts.  So a search stops once its value reaches edge - CEILING_RTOL |edge| (a floor on
-    D_beta; one_shot_q's rule at the Q1 edge, this edge's limit as p -> 1), and no later search runs.
+    No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge_and_start; blocks n_i, symbol f).  Per
+    input, I_cp(omega_f) <= I_cp(omega) + p' log2 |f|_{p,tau}, the paper's Renyi comparison (verify_entropic's
+    I_cp_upper@p); and -H_p(A|B) <= log2 max_i n_i on the TRO channel's block-diagonal output, whose inputs a dilation
+    range strictly inside the TRO only restricts.  So no search runs after a value, the first evaluation's too, at or
+    above edge - CEILING_RTOL |edge| (a floor on D_beta; one_shot_q's rule at the Q1 edge, this edge's p -> 1 limit).
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
     d, beta, (edge, start) = ch.dim_in, p / (2.0 * p - 1.0), _edge_and_start(ch, seed, p)
     stop = edge - CEILING_RTOL * abs(edge) if math.isfinite(edge) else edge
     fun, pool = partial(_dual_value_and_grads, ch.kraus, beta), _init_pool(ch, restarts, seed, init_states, start)
-
-    def tau_only(units):  # the dual objective in tau at psi = vec start^T, whose input marginal is start start*
-        value, (_, grad_tau) = fun((start.T.reshape(-1, 1), *units))
-        return value, (grad_tau,)
-
-    tau = None if start is None else chn.complement_apply(ch, start @ mc.dagger(start)).T  # tau_E at that psi
-    best = -math.inf if tau is None else -_density_search(tau_only, (mc.matrix_power(tau, p / 2),), 200, -stop)[0]
+    u = None if start is None else mc.matrix_power(chn.complement_apply(ch, start @ mc.dagger(start)).T, p / 2)
+    best = -math.inf if u is None else -fun((start.T.reshape(-1, 1), u / math.sqrt(np.vdot(u, u).real)))[0]
     for k, g0 in enumerate(pool):
         if best >= stop:
             break

@@ -141,14 +141,16 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
+@np.errstate(over="ignore")  # an overflow ends the search through the guards on g, the slope and 1/(s.y)
 def _lbfgs(fun, x: np.ndarray, maxiter: int, floor: float = -math.inf) -> tuple[float, np.ndarray]:
     """L-BFGS (Liu & Nocedal 1989) of fun(x) -> (value, gradient), x real: the two-loop recursion over the last 10
-    pairs with s.y > 0, scaled by the newest s.y/y.y; backtracking Armijo (c1 1e-4, 20 trials of safeguarded cubic
-    steps) from 1, or min(1, 1/|d|) without pairs; L-BFGS-B's stops (relative reduction <= 1e-13, max |g| <= 1e-10,
-    ``maxiter``) and the first accepted point (the start too) at or below ``floor``, a proven lower bound.  A failed
-    search keeps the last accepted point: the value returned is the returned x's."""
+    pairs with s.y > eps y.y (L-BFGS-B's skip rule; Byrd, Lu, Nocedal & Zhu 1995), which an infinite 1/(s.y) clears,
+    scaled by the newest s.y/y.y; backtracking Armijo (c1 1e-4, 20 trials of safeguarded cubic steps) from 1, or
+    min(1, 1/|d|) without pairs; L-BFGS-B's stops (relative reduction <= 1e-13, max |g| <= 1e-10, ``maxiter``) and the
+    first accepted point (the start too) at or below ``floor``, a proven lower bound.  A failed search (its line search
+    fails, or its gradient or slope is not finite) keeps the last accepted point: the value returned is the x's."""
     (f, g), pairs, gamma, it, drop = fun(x), [], 1.0, 0, math.inf
-    while not f <= floor and np.abs(g).max() > 1e-10 and drop > 0 and (it := it + 1) <= maxiter:
+    while not f <= floor and 1e-10 < np.abs(g).max() < math.inf and drop > 0 and (it := it + 1) <= maxiter:
         d, alphas = -g, []
         for s, y, r in reversed(pairs):
             alphas.append(r * (s @ d))
@@ -158,6 +160,8 @@ def _lbfgs(fun, x: np.ndarray, maxiter: int, floor: float = -math.inf) -> tuple[
             d += (a - r * (y @ d)) * s
         if not (slope := g @ d) < 0:  # not a descent direction: steepest descent, memory cleared
             pairs, gamma, d, slope = [], 1.0, -g, -(g @ g)
+        if not slope > -math.inf:
+            break
         t = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(-slope))
         for _ in range(20):
             f_new, g_new = fun(x_new := x + t * d)
@@ -168,8 +172,8 @@ def _lbfgs(fun, x: np.ndarray, maxiter: int, floor: float = -math.inf) -> tuple[
             t = max(0.1 * t, min(t - t * (slope_t + w - z) / (slope_t - slope + 2.0 * w), 0.5 * t))  # nan: 0.1 t
         else:
             break
-        if (sy := (s := x_new - x) @ (y := g_new - g)) > 0:  # a pair whose 1/(s.y) overflows clears the pairs
-            pairs, gamma = ([*pairs[-9:], (s, y, r)], sy / (y @ y)) if (r := 1.0 / float(sy)) < math.inf else ([], 1.0)
+        if (sy := (s := x_new - x) @ (y := g_new - g)) > np.finfo(float).eps * (yy := y @ y):
+            pairs, gamma = ([*pairs[-9:], (s, y, r)], sy / yy) if (r := 1.0 / float(sy)) < math.inf else ([], 1.0)
         drop = f - f_new - 1e-13 * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
     return f, x

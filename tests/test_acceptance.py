@@ -268,3 +268,30 @@ def test_criterion_10b_region_monotonicity():
         "all region right-hand sides nondecreasing in lambda"
         + (f" (violated by {sorted(set(n for n, _ in failures))})" if failures else ""),
     )
+
+
+def test_region_right_hand_sides_move_with_the_sign_of_c_minus_beta():
+    # What 10b's comment proves, on a finer grid and several block lists: with p ~ n^beta, beta =
+    # (offset + lam + mu)/(1 + mu), H(p) + c*tbar has lambda-derivative (c - beta) * ln 2 * Var_p(log2 n) /
+    # (1 + mu).  So C+2Q (c = 2) and C+Q+E, R+P, R+P+S (c = 1) rise where c - beta > 0 over a whole step and fall
+    # where it is < 0 over it (steps that straddle beta = c are left out), and the expected logs Q+E and P+S
+    # (dtbar/dbeta = ln 2 * Var_p(log2 n)) never fall; C+2Q does both on this grid
+    lam, mu = np.linspace(0.0, 6.0, 121)[:, None], np.array([0.0, 0.25, 1.0, 3.0])[None, :]
+    cases = (
+        (cap.cqe_region_vertices, 2.0, {"C+2Q": 2.0, "C+Q+E": 1.0, "Q+E": None}),
+        (cap.rps_region_vertices, 1.0, {"R+P": 1.0, "R+P+S": 1.0, "P+S": None}),
+    )
+    signs = set()
+    for blocks in ([(2, 2), (3, 1)], [(1, 1), (2, 1), (4, 3)], [(2, 1), (2, 5), (3, 1)], [(5, 1), (1, 2)]):
+        for fn, offset, names in cases:
+            constraints = fn(blocks, lam, mu).constraints
+            for name, c in names.items():
+                step = np.diff(constraints[name], axis=0)
+                if c is None:
+                    assert step.min() >= -1e-12, (blocks, name)
+                    continue
+                ends = np.sign(c - (offset + lam + mu) / (1.0 + mu))
+                whole = ends[1:] == ends[:-1]
+                assert np.all(ends[1:][whole] * step[whole] >= -1e-12), (blocks, name)
+                signs.update((name, int(s)) for s in ends[1:][whole & (np.abs(step) > 1e-9)])
+    assert {("C+2Q", 1), ("C+2Q", -1)} <= signs and {("C+Q+E", -1), ("R+P", -1), ("R+P+S", -1)} <= signs

@@ -921,19 +921,36 @@ def isometry_channel():
     return Channel(v.reshape(5, 3, 2))
 
 
-def searches_to_the_edge(searches, edge, restarts):
-    """How many (value, units) searches renyi_coherent_channel may run on a channel with an extremal start:
-    the search over tau alone and the restarts, through the first whose value -D_beta reaches
-    edge - CEILING_RTOL |edge|, else all 1 + ``restarts``."""
+def renyi_trace(monkeypatch):
+    """Spies on renyi_coherent_channel's candidate values, in call order: each evaluation of _dual_value_and_grads
+    outside a search (the one at the extremal start) as ("evaluation", D_beta, units), and each _density_search as
+    ("search", its end value, its end units); returns the list, which fills as the calls run."""
+    trace, real_eval, real_search, searching = [], cap._dual_value_and_grads, cap._density_search, []
+
+    def evaluation(kraus, beta, units):
+        out = real_eval(kraus, beta, units)
+        if not searching:
+            trace.append(("evaluation", out[0], units))
+        return out
+
+    def search(*args):
+        searching.append(1)
+        out = real_search(*args)
+        searching.pop()
+        trace.append(("search", *out))
+        return out
+
+    monkeypatch.setattr(cap, "_dual_value_and_grads", evaluation)
+    monkeypatch.setattr(cap, "_density_search", search)
+    return trace
+
+
+def values_to_the_edge(trace, edge, restarts):
+    """How many candidate values renyi_coherent_channel may take on a channel with an extremal start: the evaluation
+    there and the restarts' searches, through the first whose value -D_beta reaches edge - CEILING_RTOL |edge|, else
+    all 1 + ``restarts``."""
     stop = edge - cap.CEILING_RTOL * abs(edge)
-    return next((i + 1 for i, (value, _) in enumerate(searches) if -value >= stop), 1 + restarts)
-
-
-def search_inputs(ch, seed, p, searches):
-    """The pure input psi of each recorded search: the extremal start's purification vec start^T
-    (_edge_and_start) for the search over tau alone, the search's own psi for each restart."""
-    start = cap._edge_and_start(ch, seed, p)[1]
-    return [start.T.reshape(-1, 1) if len(units) == 1 else units[0] for _, units in searches]
+    return next((i + 1 for i, (_, value, _) in enumerate(trace) if -value >= stop), 1 + restarts)
 
 
 def fd_renyi_coherent_channel(ch, p, restarts, seed):
@@ -1119,27 +1136,21 @@ class TestRenyiExactGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_restart_is_bracketed_by_the_primal(self, monkeypatch, seed):
-        # weak duality: at each search's psi (for the search over tau alone,
-        # the extremal input it holds fixed), any sigma's D_p is at least the
-        # coherent value and any tau's -D_beta at most, so a tight primal lies
-        # at or above the search's value (up to rounding) and, once the search
-        # has converged in tau (or reached the edge, which bounds the primal),
-        # within 1e-8 of it
-        searches, real = [], cap._density_search
-
-        def recording(fun, m0s, maxiter, floor):
-            searches.append(real(fun, m0s, maxiter, floor))
-            return searches[-1]
-
-        monkeypatch.setattr(cap, "_density_search", recording)
+        # weak duality: at each candidate's psi (the extremal input of the one evaluation, each
+        # search's end), any sigma's D_p is at least the coherent value and any tau's -D_beta at
+        # most, so a tight primal lies at or above the candidate's value (up to rounding) and,
+        # once a search has converged in tau or a value has reached the edge (which bounds the
+        # primal), within 1e-8 of it
+        trace = renyi_trace(monkeypatch)
         for name, ch in renyi_channels(seed).items():
             d, db = ch.dim_in, ch.dim_out
             extended = tensor_channels(identity_channel(d), ch)
             for p in (1.5, 2.0, 4.0):
-                searches.clear()
+                trace.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
-                assert len(searches) == searches_to_the_edge(searches, cap._edge_and_start(ch, seed, p)[0], 2)
-                for (objective, _), psi in zip(searches, search_inputs(ch, seed, p, searches)):
+                edge = cap._edge_and_start(ch, seed, p)[0]
+                assert len(trace) == values_to_the_edge(trace, edge, 2) and trace[0][0] == "evaluation"
+                for kind, objective, (psi, _) in trace:
                     omega = mc.hermitize(apply(extended, psi @ psi.conj().T))
                     sigma = ent._RenyiStack(omega[None], (d, db), p).minimize(1e-15, 5000).sigma
                     # the fixed point cuts omega_B to its support; with 1e-9 of
@@ -1147,7 +1158,9 @@ class TestRenyiExactGradient:
                     # so D_p there is an upper value on the whole state
                     sigma = (1 - 1e-9) * sigma + 1e-9 * np.eye(db) / db
                     primal = ent._evaluate(p, omega[None], sigma)[0][0]
-                    assert -objective - 1e-12 <= primal <= -objective + 1e-8, (name, p)
+                    assert -objective - 1e-12 <= primal, (name, p)
+                    if kind == "search" or -objective >= edge - cap.CEILING_RTOL * abs(edge):
+                        assert primal <= -objective + 1e-8, (name, p)
 
     def test_stack_value_on_a_thin_marginal_lies_just_below_the_dual_value(self):
         # a fixed pair on the completely dephasing qubit: psi = sqrt(1 - eps)|00> +
@@ -1169,31 +1182,31 @@ class TestRenyiExactGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_searches_end_as_low_as_scipy(self, monkeypatch, seed):
-        # each search, over tau alone or over (psi, tau), against scipy's L-BFGS-B from the same
-        # start (helpers.scipy_density_search, which has no floor): no end value more than 1e-9
-        # above scipy's, and each call runs its searches through the first that reaches the edge
-        real, gaps, outs = cap._density_search, [], []
+        # each search over (psi, tau) against scipy's L-BFGS-B from the same start
+        # (helpers.scipy_density_search, which has no floor): no end value more than 1e-9 above
+        # scipy's, and each call takes its candidates through the first that reaches the edge
+        real, gaps = cap._density_search, []
 
         def both(fun, m0s, maxiter, floor):
-            outs.append(out := real(fun, m0s, maxiter, floor))
+            out = real(fun, m0s, maxiter, floor)
             gaps.append(out[0] - scipy_density_search(fun, m0s, maxiter)[0])
             return out
 
         monkeypatch.setattr(cap, "_density_search", both)
+        trace = renyi_trace(monkeypatch)
         for ch in renyi_channels(seed).values():
             for p in (1.5, 2.0, 4.0):
-                outs.clear()
+                trace.clear()
                 cap.renyi_coherent_channel(ch, p, restarts=2, seed=seed)
-                assert len(outs) == searches_to_the_edge(outs, cap._edge_and_start(ch, seed, p)[0], 2)
-        assert max(gaps) <= 1e-9
+                assert len(trace) == values_to_the_edge(trace, cap._edge_and_start(ch, seed, p)[0], 2)
+        assert gaps and max(gaps) <= 1e-9
 
     def test_inner_minimizations_fenced_by_evaluations(self, monkeypatch):
-        # one L-BFGS search over tau alone at the extremal input, then one over
-        # pairs (psi, tau) per restart that runs (dephasing reaches its edge in
-        # the search over tau, phi_alpha in none; the isometry's span lies
-        # strictly inside its TRO, so it has no extremal input and runs both
-        # restarts) and no inner minimization at all: the dual objective has no
-        # inner loop
+        # one evaluation at the extremal input, then one L-BFGS search over
+        # pairs (psi, tau) per restart that runs (dephasing reaches its edge at
+        # that evaluation, phi_alpha nowhere; the isometry's span lies strictly
+        # inside its TRO, so it has no extremal input and runs both restarts)
+        # and no inner minimization at all: the dual objective has no inner loop
         real_lbfgs, real_inner = ent._lbfgs, ent._RenyiStack.minimize
         sizes, inner = [], []
 
@@ -1208,12 +1221,11 @@ class TestRenyiExactGradient:
         monkeypatch.setattr(ent, "_lbfgs", recording)
         monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
         channels = renyi_channels()
-        cases = ((channels["dephasing"], 2, 1, 0), (channels["phi_alpha"], 1, 1, 1), (isometry_channel(), 2, 0, 2))
-        for ch, restarts, tau_runs, runs in cases:
+        cases = ((channels["dephasing"], 2, 0), (channels["phi_alpha"], 1, 1), (isometry_channel(), 2, 2))
+        for ch, restarts, runs in cases:
             sizes.clear()
             cap.renyi_coherent_channel(ch, 2.0, restarts=restarts, seed=0)
-            tau, pair = 2 * ch.dim_env**2, 2 * (ch.dim_in**2 + ch.dim_env**2)
-            assert sizes == [tau] * tau_runs + [pair] * runs and not inner
+            assert sizes == [2 * (ch.dim_in**2 + ch.dim_env**2)] * runs and not inner
 
     def test_forms_no_dense_state(self, monkeypatch):
         # the dual objective runs on the factor of omega_AE: no channel is applied to a
@@ -1302,8 +1314,8 @@ class TestRenyiEdge:
             assert cap.renyi_coherent_channel(ch, p, restarts=4) <= edge + 1e-12, p
 
     def test_a_reached_edge_skips_the_later_restarts(self, monkeypatch):
-        # dephasing reaches its edge in the search over tau alone; the Pauli mixture's window is
-        # open, so that search and every restart run
+        # dephasing reaches its edge at the one evaluation at its extremal input, so no search runs; the
+        # Pauli mixture's window is open, so that evaluation and every restart's search run
         real, searches = cap._density_search, []
 
         def counted(fun, m0s, maxiter, floor):
@@ -1311,13 +1323,16 @@ class TestRenyiEdge:
             return real(fun, m0s, maxiter, floor)
 
         monkeypatch.setattr(cap, "_density_search", counted)
+        trace = renyi_trace(monkeypatch)
         ch = qubit_dephasing(0.3)
         value, edge = cap.renyi_coherent_channel(ch, 2.0, restarts=4), cap._edge_and_start(ch, 0, 2.0)[0]
-        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] and 0 <= edge - value <= cap.CEILING_RTOL * abs(edge)
-        searches.clear()
+        assert not searches and [kind for kind, *_ in trace] == ["evaluation"]
+        assert 0 <= edge - value <= cap.CEILING_RTOL * abs(edge)
+        trace.clear()
         pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         value, edge = cap.renyi_coherent_channel(pauli, 2.0, restarts=4), cap._edge_and_start(pauli, 0, 2.0)[0]
-        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] * 5 and value < edge - 0.1
+        assert searches == [cap.CEILING_RTOL * abs(edge) - edge] * 4 and value < edge - 0.1
+        assert [kind for kind, *_ in trace] == ["evaluation"] + ["search"] * 4
 
     def test_lbfgs_floor_ends_at_the_first_accepted_point_at_or_below_it(self, monkeypatch):
         # the polish of polish_state(), its objective and start recorded: a floor below every value
@@ -1366,7 +1381,8 @@ class TestExtremalStart:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("name", list(extremal_channels()))
-    def test_renyi_edge_within_ten_evaluations(self, monkeypatch, name, p):
+    def test_renyi_edge_at_the_one_evaluation(self, monkeypatch, name, p):
+        # one call of the dual kernel, at the extremal input and tau_E^p, and no search
         ch, calls, real = extremal_channels()[name], [], cap._dual_value_and_grads
 
         def counted(*args):
@@ -1375,20 +1391,30 @@ class TestExtremalStart:
 
         monkeypatch.setattr(cap, "_dual_value_and_grads", counted)
         value, edge = cap.renyi_coherent_channel(ch, p, restarts=4), cap._edge_and_start(ch, 0, p)[0]
-        assert len(calls) <= 10 and abs(edge - value) <= cap.CEILING_RTOL * abs(edge)
+        assert calls == [1] and abs(edge - value) <= cap.CEILING_RTOL * abs(edge)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("blocks", [None, [(2, 3), (2, 1), (1, 2)]], ids=["phi_alpha(0.4)", "blocks"])
+    def test_start_below_the_edge_is_evaluated_once_before_the_restarts(self, monkeypatch, blocks, p):
+        # where the extremal input does not attain the edge (phi_alpha(0.4), whose symbol couples its blocks, and
+        # a partial-trace sum whose largest blocks have m > 1), its one evaluation comes first, below the edge:
+        # no search over tau alone, and the restarts' searches over (psi, tau) run after it, through the first
+        # that reaches the edge
+        ch = phi_alpha(0.4).channel if blocks is None else partial_trace_sum_channel(blocks)
+        trace = renyi_trace(monkeypatch)
+        value = cap.renyi_coherent_channel(ch, p, restarts=2)
+        edge, start = cap._edge_and_start(ch, 0, p)
+        runs = values_to_the_edge(trace, edge, 2) - 1
+        assert runs and [(kind, len(units)) for kind, _, units in trace] == [("evaluation", 2)] + [("search", 2)] * runs
+        assert np.array_equal(trace[0][2][0], start.T.reshape(-1, 1))
+        assert -trace[0][1] < edge - 0.1 and value >= -trace[0][1]
 
     def test_open_window_runs_every_restart(self, monkeypatch):
-        # the Pauli mixture: the search over tau alone does not reach the edge, and all 4 restarts follow it
-        real, searches = cap._density_search, []
-
-        def counted(fun, m0s, *args):
-            searches.append(len(m0s))
-            return real(fun, m0s, *args)
-
-        monkeypatch.setattr(cap, "_density_search", counted)
+        # the Pauli mixture: the evaluation at the extremal input does not reach the edge, and all 4 restarts follow it
+        trace = renyi_trace(monkeypatch)
         pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         cap.renyi_coherent_channel(pauli, 2.0, restarts=4)
-        assert searches == [1, 2, 2, 2, 2]
+        assert [(kind, len(units)) for kind, _, units in trace] == [("evaluation", 2)] + [("search", 2)] * 4
 
     def test_one_shot_q_reaches_log2_3_in_one_evaluation(self, monkeypatch):
         # the maximally mixed input on the (3, 1) block: one batched evaluation of all 16 restarts
@@ -1448,8 +1474,8 @@ class TestExtremalStart:
         assert np.linalg.norm(rho - rho.conj()) > 0.3
         pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         cap.renyi_coherent_channel(pauli, 2.0, restarts=1, init_states=[rho])
-        assert [len(m0s) for m0s in starts] == [1, 2]
-        psi = starts[1][0].reshape(2, 2)
+        assert [len(m0s) for m0s in starts] == [2]
+        psi = starts[0][0].reshape(2, 2)
         marginal = psi.T @ psi.conj() / np.vdot(psi, psi).real
         np.testing.assert_allclose(marginal, rho, atol=1e-2)
 

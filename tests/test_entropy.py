@@ -1151,11 +1151,10 @@ class TestDensitySearch:
         monkeypatch.setattr(ent, "_density_search", counted)
         monkeypatch.setattr(cap, "_density_search", counted)
         cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0, restarts=3)
-        assert shapes == [((2, 2),)]  # the search over tau alone at the extremal input reaches the Renyi edge
-        shapes.clear()
+        assert shapes == []  # the one evaluation at the extremal input reaches the Renyi edge
         pauli = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
         cap.renyi_coherent_channel(pauli, 2.0, restarts=3)
-        assert shapes == [((4, 4),)] + [((4, 1), (4, 4))] * 3  # an open window: that search, then one per restart
+        assert shapes == [((4, 1), (4, 4))] * 3  # an open window: one search per restart
         shapes.clear()
         # the maximally mixed state is fixed after two rounds, the others not
         rhos = np.concatenate([_thin_outputs(), np.eye(6)[None] / 6])
@@ -1224,11 +1223,11 @@ class TestSafetyPaths:
         value, x = ent._lbfgs(fun, x0.copy(), 100)
         assert value == 0.0 and np.array_equal(x, x0) and len(calls) == 21
 
-    def test_nan_two_loop_slope_resets_to_steepest_descent(self):
-        # the first accepted step gives s.y = 1e-320, whose 1/(s.y) overflows: the search keeps no such pair (a
-        # two-loop direction through it would be nan), clears its pairs and takes the unit steepest-descent step,
-        # with no RuntimeWarning on the way
-        grads, calls = [np.array([1.0, 1e-200]), np.array([1.0, -1e-120]), np.zeros(2)], []
+    @staticmethod
+    def _scripted(grads):
+        """_lbfgs from 0 on a scripted fun: its k-th call returns (-k, grads[k]), k capped at 2; returns the value,
+        the end point, the points evaluated and the RuntimeWarnings raised."""
+        grads, calls = [np.array(g, dtype=float) for g in grads], []
 
         def fun(x):
             calls.append(x.copy())
@@ -1238,10 +1237,35 @@ class TestSafetyPaths:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             value, x = ent._lbfgs(fun, np.zeros(2), 100)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        np.testing.assert_array_equal(calls[1], -grads[0])
-        np.testing.assert_array_equal(calls[2], calls[1] - grads[1])
-        assert len(calls) == 3 and value == -2.0 < -1.0 and np.array_equal(x, calls[2])
+        return value, x, calls, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("second", [[1.0, -1e-120], [1.0, -1e-100]])
+    def test_pair_below_the_curvature_rule_is_not_kept(self, second):
+        # the first accepted step gives s.y = 1e-320 (1/(s.y) overflows) or 1e-300 (finite), both below eps y.y
+        # (y.y = 1e-240 or 1e-200): no pair is kept, so the second step is the unit steepest-descent step, with no
+        # RuntimeWarning; a two-loop direction through the 1e-300 pair is about 2e300 long and fails every trial
+        grads = [[1.0, 1e-200], second, [0.0, 0.0]]
+        value, x, calls, caught = self._scripted(grads)
+        np.testing.assert_array_equal(calls[1], -np.array(grads[0]))
+        np.testing.assert_array_equal(calls[2], calls[1] - np.array(second))
+        assert len(calls) == 3 and value == -2.0 and np.array_equal(x, calls[2]) and not caught
+
+    def test_pair_whose_inverse_curvature_overflows_clears_the_pairs(self):
+        # s.y = 1e-310 passes the curvature rule (eps y.y underflows to 0, y.y = 1e-320), but 1/(s.y) overflows:
+        # the pairs are cleared, so the second step is the unit steepest-descent step
+        grads = [[1.0, 1e-150], [1.0, 1e-150 - 1e-160], [0.0, 0.0]]
+        value, x, calls, caught = self._scripted(grads)
+        s, y = calls[1] - calls[0], np.array(grads[1]) - np.array(grads[0])
+        assert 0 < s @ y < 1e-308 and np.finfo(float).eps * (y @ y) == 0.0
+        np.testing.assert_array_equal(calls[2], calls[1] - np.array(grads[1]))
+        assert len(calls) == 3 and value == -2.0 and np.array_equal(x, calls[2]) and not caught
+
+    @pytest.mark.parametrize("second", [[math.inf, 0.1], [1e308, -1e308]])
+    def test_non_finite_gradient_or_slope_ends_the_search_at_the_last_accepted_point(self, second):
+        # an infinite gradient, or a finite one whose slope g.d overflows: the search ends as a failed one, at the
+        # first accepted point, with no ZeroDivisionError from a zero step and no RuntimeWarning
+        value, x, calls, caught = self._scripted([[1.0, 0.5], second, [0.0, 0.0]])
+        assert len(calls) == 2 and value == -1.0 and np.array_equal(x, calls[1]) and not caught
 
     def test_fallback_raises_when_no_value_is_finite(self):
         # a tiny diagonal operator: the fixed point's value is not finite and the polish does not improve it

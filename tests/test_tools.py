@@ -210,10 +210,10 @@ def test_abtest_times_every_curve_point_on_both_aliased_trees():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "46 points"
+    assert lines[0] == "47 points"
     for side in ("parent", "change"):
         assert f"{side}: {os.path.join(ROOT, 'src', 'trocap')} as trocap_{side}" in lines
     rows = [line for line in lines if line.split()[0] in ("structure", "closure", "verify", "optimizers")]
     number = r" +\d+\.\d{3}"
-    assert len(rows) == 46 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
+    assert len(rows) == 47 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
     assert lines[-1] == "0 outputs checked; 0 outputs differ; 0 check failures; no bare trocap module imported"

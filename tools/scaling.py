@@ -61,17 +61,19 @@ is the variable of the case's curve:
     and 16 seeded states (1 - 1e-8) rho0 + 1e-8 g on 2 x 3, rho0 the state g
     cut to B rank 2 and normalized, whose every item runs all 400 rounds and
     then takes the L-BFGS polish (entropy._lbfgs; no benchmark job reaches
-    the polish); and renyi_coherent_channel at p = 2, one restart (an L-BFGS
-    search over tau alone at the extremal input, then, where that does not
-    reach the channel's Renyi edge, one over pairs (psi, tau) of the dual
-    objective, with no inner minimization), on the qubit dephasing channel of
+    the polish); and renyi_coherent_channel at p = 2, one restart (one
+    evaluation of the dual objective at the extremal input, then, where that
+    does not reach the channel's Renyi edge, an L-BFGS search over pairs
+    (psi, tau), with no inner minimization), on the qubit dephasing channel of
     parameter 0.3, on phi_alpha(0.4), on the random-unitary channel of the
-    regular representation of cyclic(3) with probabilities (0.5, 0.3, 0.2)
-    and on that partial-trace sum, whose extremal input is not the maximally
-    mixed one (size: input dimension; all but phi_alpha reach the edge in the
-    search over tau), and on the Schur cyclic(k) channel of the seeded kernel
-    above, k in 4, 6, 8 (input, output and environment dimension k, so
-    omega_AE's factor has k columns against the k^2 x k^2 input state); and
+    regular representation of cyclic(3) with probabilities (0.5, 0.3, 0.2),
+    on that partial-trace sum, whose extremal input is not the maximally
+    mixed one, and on the partial-trace sum of blocks [[2, 3], [2, 1], [1, 2]],
+    whose largest blocks have m > 1 (size: input dimension; all but phi_alpha
+    and the second sum reach the edge at that evaluation), and on the Schur
+    cyclic(k) channel of the seeded kernel above, k in 4, 6, 8 (input,
+    output and environment dimension k, so omega_AE's factor has k columns
+    against the k^2 x k^2 input state); and
     at restarts 2, 4 and 8 on that dephasing channel, which reaches its edge
     before any restart runs, and on the Pauli mixture (0.4, 0.3, 0.2, 0.1),
     an open window where every restart runs
@@ -114,6 +116,7 @@ CHANNELS = {
         t.builders.pauli_rep(), [0.4, 0.3, 0.2, 0.1]
     ),
     "blocks [[2, 2], [3, 1]]": lambda t: t.builders.partial_trace_sum_channel([(2, 2), (3, 1)]),
+    "blocks [[2, 3], [2, 1], [1, 2]]": lambda t: t.builders.partial_trace_sum_channel([(2, 3), (2, 1), (1, 2)]),
     "regular cyclic(3)": lambda t: t.builders.group_random_unitary(
         t.builders.regular_representation(t.builders.cyclic_group(3)), [0.5, 0.3, 0.2]
     ),
@@ -315,7 +318,8 @@ CASES = [
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
      partial(renyi_channel_case, name="phi_alpha(0.4)")),
     *(("optimizers", f"renyi_coherent_channel {name} p 2 (input dim)", d, partial(renyi_channel_case, name=name))
-      for name, d in (("regular cyclic(3)", 3), ("blocks [[2, 2], [3, 1]]", 7))),
+      for name, d in (("regular cyclic(3)", 3), ("blocks [[2, 2], [3, 1]]", 7),
+                      ("blocks [[2, 3], [2, 1], [1, 2]]", 10))),
     *(("optimizers", f"renyi_coherent_channel {name} p 2 (restarts)", r,
        partial(renyi_channel_case, name=name, restarts=r))
       for name in ("dephasing(0.3)", "Pauli (0.4, 0.3, 0.2, 0.1)") for r in (2, 4, 8)),
