@@ -161,6 +161,14 @@ class AscentResult(NamedTuple):
     rho: np.ndarray
 
 
+def _stop(ceiling: float) -> float:
+    """Where a search below a proven upper bound ``ceiling`` (nan raises) stops: ceiling - CEILING_RTOL max(|ceiling|,
+    1), above the rounding of values at inputs that attain small edges; an infinite ceiling as it is."""
+    if math.isnan(ceiling):
+        raise OutOfRange("ceiling must be a proven upper bound, got nan")
+    return ceiling - CEILING_RTOL * max(abs(ceiling), 1.0) if math.isfinite(ceiling) else ceiling
+
+
 def _entropy_and_log2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy -sum w+ log2 max(w, 1e-18) and log2 max(., 1e-18) of each matrix
     of a hermitian stack, from one batched decomposition.  No support cut: the
@@ -212,12 +220,10 @@ def _ascent(ch: Channel, g0: np.ndarray, ceiling: float = math.inf) -> tuple[np.
     2 eta was rejected), so this trial and every later halving would fail too.
     ``ceiling`` must be a proven upper bound on max F: before every round,
     the first included, all restarts stop once the best value reaches
-    ceiling - CEILING_RTOL * |ceiling| (less than the last digit of a 12-digit
-    print), since no restart can beat it.
+    _stop(ceiling) (less than the last digit of a 12-digit print), since no
+    restart can beat it.
     """
-    if math.isnan(ceiling):
-        raise OutOfRange("ceiling must be a proven upper bound, got nan")
-    stop = ceiling - CEILING_RTOL * abs(ceiling) if math.isfinite(ceiling) else ceiling
+    stop = _stop(ceiling)
     g = g0.astype(complex)
     t, rho = _densities(g)
     f, m = _value_and_grad(ch, rho)
@@ -308,25 +314,48 @@ def _own_symbol(ch: Channel, space: StinespringSpace, seed: int) -> Symbol:
     return ch.symbol or alg._certify(space, np.eye(space.dim_env, dtype=complex), seed)
 
 
-def _edge_and_start(ch: Channel, seed: int, p: Optional[float] = 1.0) -> tuple[float, Optional[np.ndarray]]:
-    """The edge log2 max n_i + p' log2 |f|_{p,tau} over the blocks n_i of :func:`_own_symbol` f (at p = 1 its limit, the
-    Q1 edge log2 max n_i + tau(f log2 f)), inf without structure (RankDeficient), and the extremal start: the root
+def _edge_and_start(ch: Channel, seed: int, p: Optional[float] = 1.0) -> tuple:
+    """(edge, extremal start, attaining start) from one certificate, of :func:`_own_symbol` f.  The edge is log2 max n_i
+    + p' log2 |f|_{p,tau} over its blocks n_i (at p = 1 its limit, the Q1 edge log2 max n_i + tau(f log2 f); width nan
+    for a ``p`` of None), inf without structure (RankDeficient).  The extremal start, None off a TRO span, is the root
     G/sqrt(tr G) of the maximally mixed input on the blocks of largest n_i, G_kj = <h_k, Q h_j> over representatives
-    h_k, Q the projector on those blocks' columns of U; I/sqrt(d) where all n_i agree, None off a TRO span.  On a block
-    M_{n,m} it has coherent information log2(n/m): it attains a closed window's edge only where m_i = 1.  A ``p`` of
-    None skips the edge's width (nan) for a caller with its own ceiling."""
+    h_k, Q the projector on those blocks' columns of U (I/sqrt(d) where all n_i agree); on M_{n,m} its coherent
+    information is log2(n/m).  The attaining start is :func:`_attaining_start` on f, to be called where needed."""
     try:
         f = _own_symbol(ch, space := ch.base_space or chn.stinespring_space(ch), seed)
     except RankDeficient:
-        return math.inf, None
+        return math.inf, None, None
     cert, ns, d = f.certificate, np.array(_block_ns(f.certificate.blocks)), ch.dim_in
     edge = math.log2(ns.max()) + (math.nan if p is None else entropy_defect(f) if p == 1.0
                                   else mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(f.f, p)))
+    attaining = partial(_attaining_start, space, f)
     if not cert.space_is_tro or ns.min() == ns.max():
-        return edge, np.eye(d, dtype=complex) / math.sqrt(d) if cert.space_is_tro else None
+        return edge, np.eye(d, dtype=complex) / math.sqrt(d) if cert.space_is_tro else None, attaining
     top = np.repeat(ns == ns.max(), [n * l for n, _, l in cert.blocks])  # the largest blocks' columns of U
     z = (mc.dagger(cert.decomposition.basis_change_out[:, np.flatnonzero(top)]) @ space.stacked()).reshape(d, -1)
-    return edge, (g := z.conj() @ z.T) / math.sqrt(np.trace(g).real)
+    return edge, (g := z.conj() @ z.T) / math.sqrt(np.trace(g).real), attaining
+
+
+def _attaining_start(space: StinespringSpace, f: Symbol) -> Optional[np.ndarray]:
+    """The unit root conj(z), zero padded to d x d, z_k = U_T* h_k W_T u, U_T and W_T the columns in U and W of the
+    blocks T of largest n with l = 1 (None without them, or off a TRO span).  Its coherent information is log2 n +
+    H(diag s) - H(s), s = C* f_T C, C the pieces u_i of the unit u as columns, f_T = W_T* f W_T: one _density_search
+    from the top eigenvector of f_T takes u to the Q1 edge's stop, on H(s) - H(diag s) with gradient -G u, G[a, c] =
+    Gamma[seg c, seg a] f_T[a, c], Gamma = log2 s - diag(log2 diag s)."""
+    (ns, ms, ls), dec = np.array(f.certificate.blocks).T, f.certificate.decomposition
+    if not ((top := (ns == ns.max()) & (ls == 1)).any() and f.certificate.space_is_tro):
+        return None
+    w_t, seg = dec.basis_change_env[:, np.repeat(top, ms * ls)], np.repeat(np.arange(top.sum()), ms[top])
+    f_t, log_n = mc.dagger(w_t) @ f.f @ w_t, math.log2(ns.max())
+
+    def fun(units: tuple) -> tuple[float, tuple]:
+        s = mc.dagger(c := (seg[:, None] == np.arange(top.sum())) * units[0]) @ f_t @ c
+        h, log = _entropy_and_log2(np.stack([s, np.diag(s.diagonal())]))
+        return float(h[0] - h[1]), (-((log[0] - log[1])[seg][:, seg].T * f_t) @ units[0],)
+
+    u = _density_search(fun, (np.linalg.eigh(f_t)[1][:, -1:],), 200, log_n - _stop(log_n + entropy_defect(f)))[1][0]
+    z = (mc.dagger(dec.basis_change_out[:, np.repeat(top, ns * ls)]) @ space.stacked() @ (w_t @ u))[..., 0]
+    return np.pad(z.conj(), ((0, 0), (0, space.dim - z.shape[1]))) / np.linalg.norm(z)
 
 
 def one_shot_q(
@@ -339,15 +368,25 @@ def one_shot_q(
 ) -> AscentResult:
     """Best found coherent information max_rho H(N(rho)) - H(N^E(rho)).
 
-    A certified lower bound on the one-shot quantum capacity; global optimality is not guaranteed.  Deterministic
-    for a given seed; extra ``init_states`` join the restart pool ahead of the extremal start of _edge_and_start, which
-    attains a closed window's edge at once where its largest blocks have m_i = 1, and of random draws.  All restarts ascend together as one batch;
-    ``max_workers`` has no effect.  A ``ceiling``, a proven upper bound on Q1, stops the batch at it (see _ascent): by
-    default the channel's Q1 edge; ``math.inf`` runs the full ascent.
+    A certified lower bound on the one-shot quantum capacity; global optimality is not guaranteed.  Deterministic for
+    a given seed.  A ``ceiling``, a proven upper bound on Q1 (by default the channel's Q1 edge), stops the search at
+    _stop(ceiling).  Below a finite one, the pool's head (``init_states``, then the extremal start of _edge_and_start)
+    and then the attaining start are evaluated once each, the first maximum to reach the stop returning; else all
+    restarts ascend as one batch (_ascent), the attaining start in place of the last random fill, or after the head
+    where there is none (with ``math.inf``, the pool without it).  ``max_workers`` has no effect.
     """
-    edge, start = _edge_and_start(ch, seed, 1.0 if ceiling is None else None)
-    ceiling = edge if ceiling is None else ceiling
-    f, rho = _ascent(ch, np.stack(_init_pool(ch, restarts, seed, init_states, start)), ceiling)
+    restarts = mc._count(restarts, "restarts")
+    edge, start, attaining = _edge_and_start(ch, seed, 1.0 if ceiling is None else None)
+    stop, extra = _stop(ceiling := edge if ceiling is None else ceiling), []
+    head = _init_pool(ch, min(restarts, len(init_states or []) + 1), seed, init_states, start)
+    while stop < math.inf:  # the head, then the attaining start: one evaluation each
+        f = _value_and_grad(ch, rho := _densities(np.stack(extra or head))[1])[0]
+        if f.max() >= stop or extra or attaining is None or (a := attaining()) is None:
+            break
+        extra = [a]
+    if not (stop < math.inf and f.max() >= stop):
+        pool = [*head, *extra, *_init_pool(ch, restarts, seed, init_states, start)[len(head) : restarts - len(extra)]]
+        f, rho = _ascent(ch, np.stack(pool), ceiling)
     best = int(np.argmax(f))  # the first maximum
     return AscentResult(float(f[best]), rho[best])
 
@@ -408,24 +447,27 @@ def renyi_coherent_channel(
     tau) for 1/p + 1/beta = 2 and omega_AE = (id (x) N^c)(psi psi*), so each restart is one L-BFGS search
     (entropy._density_search) over pairs (psi, tau) of unit vectors, with no inner minimization and the exact
     gradient from a factor of omega_AE (entropy._dual_value_and_grads); each value, -D_beta at a feasible pair, is a
-    lower bound up to rounding.  One evaluation comes first, at psi = vec s^T, s the extremal start of
-    :func:`_edge_and_start`, and tau ~ tau_E^p, tau_E = tr_A[U U*] (the optimum where omega_AE is pure).  The restarts
-    start from :func:`one_shot_q`'s pool, psi = vec g^T / |g| (input marginal g g*), nudged by a seeded relative step of
-    1e-3, with tau at tau_E; fewer than one raises OutOfRange.  No start value counts apart: the search only lowers it.
+    lower bound up to rounding.  One evaluation comes first at each start of :func:`_edge_and_start`, the extremal one,
+    then the attaining one, built only if the first stays below the stop: psi = vec s^T and tau ~ tau_E^p, tau_E =
+    tr_A[U U*] (the optimum where omega_AE is pure).  The restarts start from :func:`one_shot_q`'s pool, psi = vec g^T /
+    |g| (input marginal g g*), nudged by a seeded relative step of 1e-3, with tau at tau_E; fewer than one raises
+    OutOfRange.  No start value counts apart: the search only lowers it.
 
     No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge_and_start; blocks n_i, symbol f).  Per
     input, I_cp(omega_f) <= I_cp(omega) + p' log2 |f|_{p,tau}, the paper's Renyi comparison (verify_entropic's
     I_cp_upper@p); and -H_p(A|B) <= log2 max_i n_i on the TRO channel's block-diagonal output, whose inputs a dilation
-    range strictly inside the TRO only restricts.  So no search runs after a value, the first evaluation's too, at or
-    above edge - CEILING_RTOL |edge| (a floor on D_beta; one_shot_q's rule at the Q1 edge, this edge's p -> 1 limit).
+    range strictly inside the TRO only restricts.  So nothing runs after a value at or above _stop(edge) (a floor on
+    D_beta; one_shot_q's rule at the Q1 edge, this edge's p -> 1 limit).
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    d, beta, (edge, start) = ch.dim_in, p / (2.0 * p - 1.0), _edge_and_start(ch, seed, p)
-    stop = edge - CEILING_RTOL * abs(edge) if math.isfinite(edge) else edge
+    d, beta, (edge, start, attaining) = ch.dim_in, p / (2.0 * p - 1.0), _edge_and_start(ch, seed, p)
+    stop, best = _stop(edge), -math.inf
     fun, pool = partial(_dual_value_and_grads, ch.kraus, beta), _init_pool(ch, restarts, seed, init_states, start)
-    u = None if start is None else mc.matrix_power(chn.complement_apply(ch, start @ mc.dagger(start)).T, p / 2)
-    best = -math.inf if u is None else -fun((start.T.reshape(-1, 1), u / math.sqrt(np.vdot(u, u).real)))[0]
+    for s in (start, attaining):  # one evaluation at each start, the attaining one built only if still below
+        if best < stop and (s := s() if callable(s) else s) is not None:
+            u = mc.matrix_power(chn.complement_apply(ch, s @ mc.dagger(s)).T, p / 2)
+            best = max(best, -fun((s.T.reshape(-1, 1), u / math.sqrt(np.vdot(u, u).real)))[0])
     for k, g0 in enumerate(pool):
         if best >= stop:
             break

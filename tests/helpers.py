@@ -2,6 +2,7 @@
 
 import math
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from trocap import capacity as cap
 from trocap import channel as chn
 from trocap import entropy as ent
 from trocap import matcore as mc
+from trocap.builders import partial_trace_sum_channel
 
 
 def is_hermitian(a: np.ndarray, tol: float = mc.HERMITIAN_TOL) -> bool:
@@ -153,6 +155,50 @@ def random_channel(rng, dim_in, dim_out, dim_env):
     iso = u[:, :dim_in]
     kraus = iso.reshape(dim_out, dim_env, dim_in).transpose(1, 0, 2)
     return chn.Channel(kraus)
+
+
+class ModifiedTro(NamedTuple):
+    channel: chn.Channel
+    blocks: list[tuple[int, int]]
+    a: float
+
+    def edge(self, p: float = 1.0) -> float:
+        """The Q1 edge (p = 1) or the Renyi edge at p > 1: log2 max n plus the width of f's spectrum 1 +- a,
+        tau(f log2 f) = 1 - h((1 + a)/2), or p' log2 |f|_{p,tau}."""
+        a, log_n = self.a, math.log2(max(n for n, _ in self.blocks))
+        if p == 1.0:
+            return log_n + 1.0 + sum(x / 2 * math.log2(x / 2) for x in (1 + a, 1 - a) if x > 0)
+        return log_n + p / (p - 1) * math.log2((((1 + a) ** p + (1 - a) ** p) / 2) ** (1 / p))
+
+
+def rotated_modified(base: chn.Channel, f: np.ndarray, rng) -> chn.Channel:
+    """The base channel modified by the environment density f (certified with seed 0), after Haar rotations from rng
+    of its input, output and environment: Kraus operators sum_e' A[e, e'] V_out K_e' V_in, and f -> conj(A) f A^T, so
+    that the rotated representatives h A^T carry the same x f y*."""
+    v_in, v_out, v_env = (random_unitary(rng, n) for n in (base.dim_in, base.dim_out, base.dim_env))
+    kraus = np.tensordot(v_env, v_out @ base.kraus @ v_in, axes=1)
+    return alg._modified(chn.Channel(kraus), v_env.conj() @ f @ v_env.T, 0)
+
+
+def random_modified_tro(rng, shapes=None) -> ModifiedTro:
+    """A modified TRO channel N_f drawn from rng, with its blocks (n, m), l = 1, and the coupling a of its symbol.
+    The blocks are ``shapes``, else 2-3 drawn with n, m in {1, 2} until their environment columns pair across blocks
+    (an even count, no block over half).  f = 1 + a D S D*, a uniform in [-0.9, 0.9], S the swap of column k with k +
+    M/2 of the M block-ordered columns (always in another block, so every spectral projection (1 +- D S D*)/2
+    compresses to 1/2 on each block), D a block-diagonal Haar unitary; the base partial-trace sum and f are then
+    rotated (rotated_modified)."""
+    while shapes is None:
+        shapes = [tuple(int(x) for x in rng.integers(1, 3, 2)) for _ in range(int(rng.integers(2, 4)))]
+        ms = [m for _, m in shapes]
+        shapes = shapes if sum(ms) % 2 == 0 and 2 * max(ms) <= sum(ms) else None
+    ms = [m for _, m in shapes]
+    half = sum(ms) // 2
+    d_mix = np.zeros((2 * half, 2 * half), dtype=complex)
+    for k, m in zip(np.cumsum([0] + ms), ms):
+        d_mix[k : k + m, k : k + m] = random_unitary(rng, m)
+    a = float(rng.uniform(-0.9, 0.9))
+    f = np.eye(2 * half) + a * d_mix @ np.roll(np.eye(2 * half), half, axis=0) @ mc.dagger(d_mix)
+    return ModifiedTro(rotated_modified(partial_trace_sum_channel(shapes), f, rng), list(shapes), a)
 
 
 def _loop_value(rho, da, k_pow, sigma, p, p_conj):

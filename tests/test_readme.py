@@ -22,3 +22,5 @@ def test_python_quick_tour_runs_and_keeps_its_claims(capsys):
     assert tour["best"].value == pytest.approx(edge, rel=1e-13, abs=0)  # stops at that upper edge
     assert tour["i2"] == pytest.approx(math.log2(1.09), rel=1e-13, abs=0)  # stops at its Renyi edge
     assert tour["decomp"].blocks == ((1, 2, 1), (1, 1, 1), (1, 1, 1))
+    phi_edge = 1.0 - binary_entropy(0.75)
+    assert phi_edge * (1 - 1e-13) <= tour["phi"].value <= phi_edge + 1e-14  # reaches its Q1 edge

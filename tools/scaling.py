@@ -41,7 +41,10 @@ is the variable of the case's curve:
     draws its samples afresh (``drawing``);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     at 16 restarts with no ceiling (its extremal start is at Q1 from the
-    first round, the other restarts climb to their own stops); numeric
+    first round, the other restarts climb to their own stops); one_shot_q on
+    phi_alpha(0.4) with no init states and its own Q1 edge as the ceiling
+    (size: input dimension; the extremal start, the maximally mixed input,
+    falls short of the edge, the attaining start reaches it); numeric
     negative_cb_entropy, one certified concave maximization whatever its
     restarts, on channels of growing input
     dimension: dephasing(0.3) (2), phi_alpha(0.4) (4), that partial-trace sum
@@ -63,14 +66,17 @@ is the variable of the case's curve:
     then takes the L-BFGS polish (entropy._lbfgs; no benchmark job reaches
     the polish); and renyi_coherent_channel at p = 2, one restart (one
     evaluation of the dual objective at the extremal input, then, where that
-    does not reach the channel's Renyi edge, an L-BFGS search over pairs
-    (psi, tau), with no inner minimization), on the qubit dephasing channel of
-    parameter 0.3, on phi_alpha(0.4), on the random-unitary channel of the
-    regular representation of cyclic(3) with probabilities (0.5, 0.3, 0.2),
-    on that partial-trace sum, whose extremal input is not the maximally
-    mixed one, and on the partial-trace sum of blocks [[2, 3], [2, 1], [1, 2]],
-    whose largest blocks have m > 1 (size: input dimension; all but phi_alpha
-    and the second sum reach the edge at that evaluation), and on the Schur
+    does not reach the channel's Renyi edge, one at the attaining input, then
+    an L-BFGS search over pairs (psi, tau), with no inner minimization), on
+    the qubit dephasing channel of parameter 0.3, on phi_alpha(0.4), on
+    phi_alpha(0.4) with its input, output and environment rotated by seeded
+    unitaries (its symbol carried along), on the random-unitary channel
+    of the regular representation of cyclic(3) with probabilities (0.5, 0.3,
+    0.2), on that partial-trace sum, whose extremal input is not the
+    maximally mixed one, and on the partial-trace sum of blocks [[2, 3], [2,
+    1], [1, 2]], whose largest blocks have m > 1 (size: input dimension; all
+    but phi_alpha, its rotation and the second sum reach the edge at the
+    extremal input, those three at the attaining one), and on the Schur
     cyclic(k) channel of the seeded kernel above, k in 4, 6, 8 (input,
     output and environment dimension k, so omega_AE's factor has k columns
     against the k^2 x k^2 input state); and
@@ -102,6 +108,16 @@ def schur_kernel(k: int) -> np.ndarray:
     return (four * (p / p.sum())) @ four.conj().T
 
 
+def rotated_phi_alpha(t, alpha: float):
+    """phi_alpha(alpha) with its input, output and environment rotated by seeded unitaries V_in, V_out and A (QR
+    factors of complex Gaussian matrices): Kraus operators sum_e' A[e, e'] V_out K_e' V_in, symbol conj(A) f A^T."""
+    base, f, _ = t.builders._phi_alpha_base(alpha)
+    rng = np.random.default_rng(0)
+    v_in, v_out, v_env = (np.linalg.qr(t.matcore.random_complex(rng, (n, n)))[0] for n in (4, 3, 4))
+    kraus = np.tensordot(v_env, v_out @ base.kraus @ v_in, axes=1)
+    return t.algebra._modified(t.channel.Channel(kraus), v_env.conj() @ f @ v_env.T, 0)
+
+
 def schur_channel(t, k: int):
     """The Schur multiplier channel of cyclic(k) whose kernel is schur_kernel(k)."""
     phi = schur_kernel(k)[:, 0]  # kernel[g, g'] = phi(g - g')
@@ -120,6 +136,7 @@ CHANNELS = {
     "regular cyclic(3)": lambda t: t.builders.group_random_unitary(
         t.builders.regular_representation(t.builders.cyclic_group(3)), [0.5, 0.3, 0.2]
     ),
+    "rotated phi_alpha(0.4)": lambda t: rotated_phi_alpha(t, 0.4),
     **{f"Schur cyclic({k})": partial(schur_channel, k=k) for k in (4, 6, 8)},
 }
 
@@ -243,6 +260,11 @@ def one_shot_case(t, restarts: int):
     return lambda: t.capacity.one_shot_q(ch, restarts=restarts, ceiling=math.inf)
 
 
+def own_edge_case(t, name: str):
+    ch = CHANNELS[name](t)
+    return lambda: t.capacity.one_shot_q(ch)
+
+
 def pauli_ascent_case(t, restarts: int):
     ch = CHANNELS["Pauli (0.4, 0.3, 0.2, 0.1)"](t)
     upper = t.capacity.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"].upper
@@ -307,6 +329,8 @@ CASES = [
     *(("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4", n, partial(polish_stack_case, n=n))
       for n in (1, 4, 16)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, restarts=16)),
+    ("optimizers", "one_shot_q phi_alpha(0.4), own Q1 edge (input dim)", 4,
+     partial(own_edge_case, name="phi_alpha(0.4)")),
     *(("optimizers", "negative_cb_entropy numeric (input dim)", d, partial(negative_cb_case, name=name))
       for name, d in (("dephasing(0.3)", 2), ("phi_alpha(0.4)", 4), ("blocks [[2, 2], [3, 1]]", 7),
                       ("Schur cyclic(8)", 8))),
@@ -317,6 +341,8 @@ CASES = [
      partial(renyi_channel_case, name="dephasing(0.3)")),
     ("optimizers", "renyi_coherent_channel phi_alpha(0.4) p 2 (input dim)", 4,
      partial(renyi_channel_case, name="phi_alpha(0.4)")),
+    ("optimizers", "renyi_coherent_channel rotated phi_alpha(0.4) p 2 (input dim)", 4,
+     partial(renyi_channel_case, name="rotated phi_alpha(0.4)")),
     *(("optimizers", f"renyi_coherent_channel {name} p 2 (input dim)", d, partial(renyi_channel_case, name=name))
       for name, d in (("regular cyclic(3)", 3), ("blocks [[2, 2], [3, 1]]", 7),
                       ("blocks [[2, 3], [2, 1], [1, 2]]", 10))),
