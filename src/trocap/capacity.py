@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -162,8 +163,7 @@ class AscentResult(NamedTuple):
 
 
 def _stop(ceiling: float) -> float:
-    """Where a search below a proven upper bound ``ceiling`` (nan raises) stops: ceiling - CEILING_RTOL max(|ceiling|,
-    1), above the rounding of values at inputs that attain small edges; an infinite ceiling as it is."""
+    """Where a search below the proven upper bound ``ceiling`` stops, above the rounding at small edges; nan raises."""
     if math.isnan(ceiling):
         raise OutOfRange("ceiling must be a proven upper bound, got nan")
     return ceiling - CEILING_RTOL * max(abs(ceiling), 1.0) if math.isfinite(ceiling) else ceiling
@@ -264,21 +264,19 @@ def _ascent(ch: Channel, g0: np.ndarray, ceiling: float = math.inf) -> tuple[np.
 
 def _init_pool(
     ch: Channel, restarts: int, seed: int, init_states: Optional[Sequence[np.ndarray]], start=None
-) -> list[np.ndarray]:
-    """Square roots of the restart densities (at least one; init states are d_in x d_in): structured inits
-    first, then ``start`` (the maximally mixed state where None), then seeded random fills."""
+) -> Iterator[np.ndarray]:
+    """Square roots of the restart densities (at least one; init states are d_in x d_in, checked at once): structured
+    inits first, then ``start`` (the maximally mixed state where None), then seeded random fills, drawn when read."""
     d, restarts = ch.dim_in, mc._count(restarts, "restarts")
-    pool: list[np.ndarray] = []
+    head: list[np.ndarray] = []
     for s in map(mc.asmatrix, list(init_states or [])[:restarts]):
         if s.shape != (d, d):
             raise DimMismatch(f"init state is {s.shape[0]} x {s.shape[1]}, expected {d} x {d}")
-        pool.append(mc.matrix_power(s, 0.5))
-    if len(pool) < restarts:
-        pool.append(np.eye(d, dtype=complex) / math.sqrt(d) if start is None else start)
-    while len(pool) < restarts:
-        rng = np.random.default_rng((seed, len(pool)))
-        pool.append(mc.random_complex(rng, (d, d)))
-    return pool
+        head.append(mc.matrix_power(s, 0.5))
+    if len(head) < restarts:
+        head.append(np.eye(d, dtype=complex) / math.sqrt(d) if start is None else start)
+    fills = (mc.random_complex(np.random.default_rng((seed, k)), (d, d)) for k in range(len(head), restarts))
+    return chain(head, fills)
 
 
 def _concave_max(term, d: int) -> tuple[float, float, np.ndarray]:
@@ -315,12 +313,12 @@ def _own_symbol(ch: Channel, space: StinespringSpace, seed: int) -> Symbol:
 
 
 def _edge_and_start(ch: Channel, seed: int, p: Optional[float] = 1.0) -> tuple:
-    """(edge, extremal start, attaining start) from one certificate, of :func:`_own_symbol` f.  The edge is log2 max n_i
-    + p' log2 |f|_{p,tau} over its blocks n_i (at p = 1 its limit, the Q1 edge log2 max n_i + tau(f log2 f); width nan
-    for a ``p`` of None), inf without structure (RankDeficient).  The extremal start, None off a TRO span, is the root
-    G/sqrt(tr G) of the maximally mixed input on the blocks of largest n_i, G_kj = <h_k, Q h_j> over representatives
-    h_k, Q the projector on those blocks' columns of U (I/sqrt(d) where all n_i agree); on M_{n,m} its coherent
-    information is log2(n/m).  The attaining start is :func:`_attaining_start` on f, to be called where needed."""
+    """(edge, extremal start, (space, f)) from one certificate: f of :func:`_own_symbol` on the Stinespring space.  The
+    edge is log2 max n_i + p' log2 |f|_{p,tau} over its blocks n_i (at p = 1 its limit, the Q1 edge log2 max n_i +
+    tau(f log2 f); width nan for a ``p`` of None), inf without structure (RankDeficient; the pair is then None).  The
+    extremal start, None off a TRO span, is the root G/sqrt(tr G) of the maximally mixed input on the blocks of largest
+    n_i, G_kj = <h_k, Q h_j> over representatives h_k, Q the projector on those blocks' columns of U (I/sqrt(d) where
+    all n_i agree); on M_{n,m} its coherent information is log2(n/m).  The pair is :func:`_attaining_start`'s input."""
     try:
         f = _own_symbol(ch, space := ch.base_space or chn.stinespring_space(ch), seed)
     except RankDeficient:
@@ -328,33 +326,34 @@ def _edge_and_start(ch: Channel, seed: int, p: Optional[float] = 1.0) -> tuple:
     cert, ns, d = f.certificate, np.array(_block_ns(f.certificate.blocks)), ch.dim_in
     edge = math.log2(ns.max()) + (math.nan if p is None else entropy_defect(f) if p == 1.0
                                   else mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(f.f, p)))
-    attaining = partial(_attaining_start, space, f)
     if not cert.space_is_tro or ns.min() == ns.max():
-        return edge, np.eye(d, dtype=complex) / math.sqrt(d) if cert.space_is_tro else None, attaining
+        return edge, np.eye(d, dtype=complex) / math.sqrt(d) if cert.space_is_tro else None, (space, f)
     top = np.repeat(ns == ns.max(), [n * l for n, _, l in cert.blocks])  # the largest blocks' columns of U
     z = (mc.dagger(cert.decomposition.basis_change_out[:, np.flatnonzero(top)]) @ space.stacked()).reshape(d, -1)
-    return edge, (g := z.conj() @ z.T) / math.sqrt(np.trace(g).real), attaining
+    return edge, (g := z.conj() @ z.T) / math.sqrt(np.trace(g).real), (space, f)
 
 
-def _attaining_start(space: StinespringSpace, f: Symbol) -> Optional[np.ndarray]:
-    """The unit root conj(z), zero padded to d x d, z_k = U_T* h_k W_T u, U_T and W_T the columns in U and W of the
-    blocks T of largest n with l = 1 (None without them, or off a TRO span).  Its coherent information is log2 n +
-    H(diag s) - H(s), s = C* f_T C, C the pieces u_i of the unit u as columns, f_T = W_T* f W_T: one _density_search
-    from the top eigenvector of f_T takes u to the Q1 edge's stop, on H(s) - H(diag s) with gradient -G u, G[a, c] =
-    Gamma[seg c, seg a] f_T[a, c], Gamma = log2 s - diag(log2 diag s)."""
+def _attaining_start(space: StinespringSpace, f: Symbol, stop: Optional[float] = None) -> Optional[np.ndarray]:
+    """The root conj(z)/|z|, zero padded to d x d, z_k = U_T* h_k W_T u, U_T, W_T the columns in U, W of the blocks T of
+    largest n with l = 1 (None without them, or off a TRO span): its Q1 is log2 n + H(diag s) - H(s), s = C* f_T C, C
+    the pieces of u as columns, f_T = W_T* f W_T.  One _density_search from f_T's top eigenvector takes the unit u to
+    ``stop`` (by default the Q1 edge's); its gradient is -G u, G[a, c] = Gamma[seg c, seg a] f_T[a, c], Gamma = log2 s
+    - diag(log2 diag s)."""
     (ns, ms, ls), dec = np.array(f.certificate.blocks).T, f.certificate.decomposition
     if not ((top := (ns == ns.max()) & (ls == 1)).any() and f.certificate.space_is_tro):
         return None
-    w_t, seg = dec.basis_change_env[:, np.repeat(top, ms * ls)], np.repeat(np.arange(top.sum()), ms[top])
-    f_t, log_n = mc.dagger(w_t) @ f.f @ w_t, math.log2(ns.max())
+    u_t, w_t = (basis[:, np.flatnonzero(np.repeat(top, k * ls))]  # unused rows and columns follow the blocks'
+                for basis, k in ((dec.basis_change_out, ns), (dec.basis_change_env, ms)))
+    f_t, log_n, seg = mc.dagger(w_t) @ f.f @ w_t, math.log2(ns.max()), np.repeat(np.arange(top.sum()), ms[top])
 
     def fun(units: tuple) -> tuple[float, tuple]:
         s = mc.dagger(c := (seg[:, None] == np.arange(top.sum())) * units[0]) @ f_t @ c
         h, log = _entropy_and_log2(np.stack([s, np.diag(s.diagonal())]))
         return float(h[0] - h[1]), (-((log[0] - log[1])[seg][:, seg].T * f_t) @ units[0],)
 
-    u = _density_search(fun, (np.linalg.eigh(f_t)[1][:, -1:],), 200, log_n - _stop(log_n + entropy_defect(f)))[1][0]
-    z = (mc.dagger(dec.basis_change_out[:, np.repeat(top, ns * ls)]) @ space.stacked() @ (w_t @ u))[..., 0]
+    stop = _stop(log_n + entropy_defect(f)) if stop is None else stop
+    u = _density_search(fun, (np.linalg.eigh(f_t)[1][:, -1:],), 200, log_n - stop)[1][0]
+    z = (mc.dagger(u_t) @ space.stacked() @ (w_t @ u))[..., 0]
     return np.pad(z.conj(), ((0, 0), (0, space.dim - z.shape[1]))) / np.linalg.norm(z)
 
 
@@ -369,24 +368,22 @@ def one_shot_q(
     """Best found coherent information max_rho H(N(rho)) - H(N^E(rho)).
 
     A certified lower bound on the one-shot quantum capacity; global optimality is not guaranteed.  Deterministic for
-    a given seed.  A ``ceiling``, a proven upper bound on Q1 (by default the channel's Q1 edge), stops the search at
-    _stop(ceiling).  Below a finite one, the pool's head (``init_states``, then the extremal start of _edge_and_start)
-    and then the attaining start are evaluated once each, the first maximum to reach the stop returning; else all
-    restarts ascend as one batch (_ascent), the attaining start in place of the last random fill, or after the head
-    where there is none (with ``math.inf``, the pool without it).  ``max_workers`` has no effect.
+    a given seed.  A ``ceiling``, a proven upper bound on Q1 (by default the Q1 edge), stops the search at its _stop:
+    below a finite one, ``init_states`` and the extremal start of _edge_and_start, then the attaining start, are
+    evaluated once; else the pool ascends as one batch (_ascent), the attaining start in place of its last random fill
+    (with ``math.inf``, the pool alone).  ``max_workers`` has no effect.
     """
-    restarts = mc._count(restarts, "restarts")
-    edge, start, attaining = _edge_and_start(ch, seed, 1.0 if ceiling is None else None)
-    stop, extra = _stop(ceiling := edge if ceiling is None else ceiling), []
-    head = _init_pool(ch, min(restarts, len(init_states or []) + 1), seed, init_states, start)
-    while stop < math.inf:  # the head, then the attaining start: one evaluation each
-        f = _value_and_grad(ch, rho := _densities(np.stack(extra or head))[1])[0]
-        if f.max() >= stop or extra or attaining is None or (a := attaining()) is None:
-            break
-        extra = [a]
-    if not (stop < math.inf and f.max() >= stop):
-        pool = [*head, *extra, *_init_pool(ch, restarts, seed, init_states, start)[len(head) : restarts - len(extra)]]
-        f, rho = _ascent(ch, np.stack(pool), ceiling)
+    edge, start, sym = _edge_and_start(ch, seed, 1.0 if ceiling is None else None)
+    stop = _stop(ceiling := edge if ceiling is None else ceiling)
+    pool = _init_pool(ch, restarts, seed, init_states, start)
+    head, f = list(islice(pool, len(init_states or []) + 1)), np.array([-math.inf])
+    if stop < math.inf:  # one evaluation of the head, then one of the attaining start; no random fill is drawn
+        f = _value_and_grad(ch, rho := _densities(np.stack(head))[1])[0]
+        if f.max() < stop and sym and (a := _attaining_start(*sym, stop)) is not None:
+            head.append(a)
+            f = _value_and_grad(ch, rho := _densities(a[None])[1])[0]
+    if f.max() < stop:
+        f, rho = _ascent(ch, np.stack([*head, *pool][: max(restarts, len(head))]), ceiling)
     best = int(np.argmax(f))  # the first maximum
     return AscentResult(float(f[best]), rho[best])
 
@@ -447,11 +444,10 @@ def renyi_coherent_channel(
     tau) for 1/p + 1/beta = 2 and omega_AE = (id (x) N^c)(psi psi*), so each restart is one L-BFGS search
     (entropy._density_search) over pairs (psi, tau) of unit vectors, with no inner minimization and the exact
     gradient from a factor of omega_AE (entropy._dual_value_and_grads); each value, -D_beta at a feasible pair, is a
-    lower bound up to rounding.  One evaluation comes first at each start of :func:`_edge_and_start`, the extremal one,
-    then the attaining one, built only if the first stays below the stop: psi = vec s^T and tau ~ tau_E^p, tau_E =
-    tr_A[U U*] (the optimum where omega_AE is pure).  The restarts start from :func:`one_shot_q`'s pool, psi = vec g^T /
-    |g| (input marginal g g*), nudged by a seeded relative step of 1e-3, with tau at tau_E; fewer than one raises
-    OutOfRange.  No start value counts apart: the search only lowers it.
+    lower bound up to rounding.  One evaluation comes first at the extremal start s, then at the attaining one (both of
+    :func:`_edge_and_start`): psi = vec s^T and tau ~ tau_E^p, tau_E = tr_A[U U*] (the optimum where omega_AE is pure).
+    The restarts start from :func:`one_shot_q`'s pool, psi = vec g^T / |g| (input marginal g g*), nudged by a seeded
+    relative step of 1e-3, with tau at tau_E; fewer than one raises OutOfRange.  No start value counts apart.
 
     No value exceeds the Renyi edge log2 max_i n_i + p' log2 |f|_{p,tau} (_edge_and_start; blocks n_i, symbol f).  Per
     input, I_cp(omega_f) <= I_cp(omega) + p' log2 |f|_{p,tau}, the paper's Renyi comparison (verify_entropic's
@@ -461,11 +457,11 @@ def renyi_coherent_channel(
     """
     if not (np.isfinite(p) and p > 1.0):
         raise BadExponent(f"optimizer needs finite p > 1, got {p}")
-    d, beta, (edge, start, attaining) = ch.dim_in, p / (2.0 * p - 1.0), _edge_and_start(ch, seed, p)
+    d, beta, (edge, start, sym) = ch.dim_in, p / (2.0 * p - 1.0), _edge_and_start(ch, seed, p)
     stop, best = _stop(edge), -math.inf
     fun, pool = partial(_dual_value_and_grads, ch.kraus, beta), _init_pool(ch, restarts, seed, init_states, start)
-    for s in (start, attaining):  # one evaluation at each start, the attaining one built only if still below
-        if best < stop and (s := s() if callable(s) else s) is not None:
+    for s in (lambda: start, lambda: sym and _attaining_start(*sym)):  # each start built only while still below
+        if best < stop and (s := s()) is not None:
             u = mc.matrix_power(chn.complement_apply(ch, s @ mc.dagger(s)).T, p / 2)
             best = max(best, -fun((s.T.reshape(-1, 1), u / math.sqrt(np.vdot(u, u).real)))[0])
     for k, g0 in enumerate(pool):

@@ -1,17 +1,32 @@
 """Matrix helpers that only the tests use."""
 
+import importlib.util
 import math
+import os
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+import trocap
 from trocap import algebra as alg
 from trocap import capacity as cap
 from trocap import channel as chn
 from trocap import entropy as ent
 from trocap import matcore as mc
 from trocap.builders import partial_trace_sum_channel
+
+
+def load_tool(name: str):
+    """The module tools/<name>.py of this checkout, loaded from its file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(name, os.path.join(root, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SCALING = load_tool("scaling")
 
 
 def is_hermitian(a: np.ndarray, tol: float = mc.HERMITIAN_TOL) -> bool:
@@ -172,12 +187,10 @@ class ModifiedTro(NamedTuple):
 
 
 def rotated_modified(base: chn.Channel, f: np.ndarray, rng) -> chn.Channel:
-    """The base channel modified by the environment density f (certified with seed 0), after Haar rotations from rng
-    of its input, output and environment: Kraus operators sum_e' A[e, e'] V_out K_e' V_in, and f -> conj(A) f A^T, so
-    that the rotated representatives h A^T carry the same x f y*."""
-    v_in, v_out, v_env = (random_unitary(rng, n) for n in (base.dim_in, base.dim_out, base.dim_env))
-    kraus = np.tensordot(v_env, v_out @ base.kraus @ v_in, axes=1)
-    return alg._modified(chn.Channel(kraus), v_env.conj() @ f @ v_env.T, 0)
+    """The base channel modified by the environment density f after Haar rotations from rng of its input, output and
+    environment (tools/scaling.rotated_modified)."""
+    dims = (base.dim_in, base.dim_out, base.dim_env)
+    return SCALING.rotated_modified(trocap, base, f, *(random_unitary(rng, n) for n in dims))
 
 
 def random_modified_tro(rng, shapes=None) -> ModifiedTro:

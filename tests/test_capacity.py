@@ -392,7 +392,7 @@ class TestMarginStop:
         built = FENCE_CASES[name]()
         ch = getattr(built, "channel", built)
         inits = getattr(built, "block_inputs", None)
-        end = _ascent_end_state(ch, np.stack(cap._init_pool(ch, 16, seed, inits)).astype(complex))
+        end = _ascent_end_state(ch, np.stack(list(cap._init_pool(ch, 16, seed, inits))).astype(complex))
         g, f, eta, direction, slope = (end[key] for key in ("g", "f", "eta", "direction", "slope"))
         norm = np.linalg.norm(direction, axis=(1, 2))
         # the margin stop ended these; the others stopped at the step floor,
@@ -488,7 +488,7 @@ class TestCeiling:
         # so it cannot end higher
         ch = partial_trace_sum_channel([(2, 2), (3, 1)])
         inits = [mc.random_density(np.random.default_rng((9, i)), 7) for i in range(8)]
-        pool = np.stack(cap._init_pool(ch, 8, 0, inits))
+        pool = np.stack(list(cap._init_pool(ch, 8, 0, inits)))
         calls = self.counted_evaluations(monkeypatch)
         full = cap._ascent(ch, pool, math.inf)[0].max()
         n_full = len(calls)
@@ -504,7 +504,7 @@ class TestCeiling:
         # the head of the pool of 8: three seeded init states and the extremal start, I/2
         ch = _schur_cyclic4()
         inits = [mc.random_density(np.random.default_rng((5, i)), 4) for i in range(3)]
-        rho = cap._densities(np.stack(cap._init_pool(ch, 4, 0, inits)).astype(complex))[1]
+        rho = cap._densities(np.stack(list(cap._init_pool(ch, 4, 0, inits))).astype(complex))[1]
         f = cap._value_and_grad(ch, rho)[0]
         calls = self.counted_evaluations(monkeypatch)
         best = cap.one_shot_q(ch, restarts=8, seed=0, init_states=inits, ceiling=float(f.min()) - 1.0)
@@ -515,7 +515,7 @@ class TestCeiling:
 
     def test_no_ceiling_is_the_full_ascent(self):
         ch = _schur_cyclic4()
-        f, rho = cap._ascent(ch, np.stack(cap._init_pool(ch, 4, 1, None)))  # no ceiling argument
+        f, rho = cap._ascent(ch, np.stack(list(cap._init_pool(ch, 4, 1, None))))  # no ceiling argument
         again = cap.one_shot_q(ch, restarts=4, seed=1, ceiling=math.inf)
         assert again.value == f[np.argmax(f)]
         np.testing.assert_array_equal(again.rho, rho[np.argmax(f)])
@@ -969,8 +969,8 @@ def values_to_the_edge(trace, ch, seed, p, restarts):
     """How many candidate values renyi_coherent_channel(ch, p, restarts, seed) may take: one evaluation at each start
     of _edge_and_start that exists, then the restarts' searches, through the first whose value -D_beta reaches
     _stop(edge), else all of them."""
-    edge, *starts = cap._edge_and_start(ch, seed, p)
-    count = sum((s() if callable(s) else s) is not None for s in starts)
+    edge, start, sym = cap._edge_and_start(ch, seed, p)
+    count = sum(s is not None for s in (start, sym and cap._attaining_start(*sym)))
     return next((i + 1 for i, (_, value, _) in enumerate(trace) if -value >= cap._stop(edge)), count + restarts)
 
 
@@ -1436,10 +1436,10 @@ class TestExtremalStart:
         ch = phi_alpha(0.4).channel if blocks is None else partial_trace_sum_channel(blocks)
         trace = renyi_trace(monkeypatch)
         value = cap.renyi_coherent_channel(ch, p, restarts=2)
-        edge, start, attaining = cap._edge_and_start(ch, 0, p)
+        edge, start, sym = cap._edge_and_start(ch, 0, p)
         assert [(kind, len(units)) for kind, _, units in trace] == [("evaluation", 2)] * 2
         assert np.array_equal(trace[0][2][0], start.T.reshape(-1, 1))
-        assert np.array_equal(trace[1][2][0], attaining().T.reshape(-1, 1))
+        assert np.array_equal(trace[1][2][0], cap._attaining_start(*sym).T.reshape(-1, 1))
         assert -trace[0][1] < edge - 0.1 and value == -trace[1][1] and cap._stop(edge) <= value <= edge + 1e-14
 
     def test_open_window_runs_every_restart(self, monkeypatch):
@@ -1462,7 +1462,7 @@ class TestExtremalStart:
         d = ch.dim_in
         start = cap._edge_and_start(ch, 0)[1]
         assert start.dtype == complex and np.array_equal(start, np.eye(d) / np.sqrt(d))
-        assert np.array_equal(cap._init_pool(ch, 3, 0, None, start)[0], cap._init_pool(ch, 3, 0, None)[0])
+        assert np.array_equal(next(cap._init_pool(ch, 3, 0, None, start)), next(cap._init_pool(ch, 3, 0, None)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rotated_partial_trace_sum_starts_on_its_largest_block(self, monkeypatch, seed):
@@ -1514,8 +1514,8 @@ class TestExtremalStart:
 
     def test_no_start_off_a_tro_span(self):
         # a random isometry's span lies strictly inside its TRO; a dilation that is not isometric has no structure
-        _, start, attaining = cap._edge_and_start(isometry_channel(), 0)
-        assert start is None and attaining() is None
+        _, start, sym = cap._edge_and_start(isometry_channel(), 0)
+        assert start is None and cap._attaining_start(*sym) is None
         assert cap._edge_and_start(Channel(0.9 * random_unitary(np.random.default_rng(3), 3)[None]), 0) == (
             math.inf,
             None,
@@ -1551,8 +1551,8 @@ def attaining_search(monkeypatch, ch, seed=0):
         return out
 
     monkeypatch.setattr(cap, "_density_search", spy)
-    edge, _, attaining = cap._edge_and_start(ch, seed)
-    root = attaining()
+    edge, _, sym = cap._edge_and_start(ch, seed)
+    root = cap._attaining_start(*sym)
     monkeypatch.setattr(cap, "_density_search", real)
     ((fun, u0, end),) = seen
     return edge, root, fun, u0, end
@@ -1638,7 +1638,7 @@ class TestAttainingStart:
         assert sorted(ch.symbol.certificate.blocks) == sorted((n, m, 1) for n, m in inst.blocks)
         assert cap._edge_and_start(ch, 0)[0] == pytest.approx(edge, abs=1e-12)
         assert cap._edge_and_start(ch, 0, 2.0)[0] == pytest.approx(inst.edge(2.0), abs=1e-12)
-        value = q1_at(ch, cap._edge_and_start(ch, 0)[2]())
+        value = q1_at(ch, cap._attaining_start(*cap._edge_and_start(ch, 0)[2]))
         reached = value >= cap._stop(edge)
         assert value <= edge + 1e-14
         if len({n for n, _ in inst.blocks}) == 1:
@@ -1671,12 +1671,44 @@ class TestAttainingStart:
         real, built = cap._attaining_start, []
         monkeypatch.setattr(cap, "_attaining_start", lambda *args: built.append(real(*args)) or built[-1])
         edge, start, _ = cap._edge_and_start(pauli, 0)
-        f, rho = cap._ascent(pauli, np.stack(cap._init_pool(pauli, 8, 0, None, start)), edge)
+        f, rho = cap._ascent(pauli, np.stack(list(cap._init_pool(pauli, 8, 0, None, start))), edge)
         best = cap.one_shot_q(pauli, restarts=8)
         assert built == [None] and best.value == f.max() and np.array_equal(best.rho, rho[np.argmax(f)])
         trace = renyi_trace(monkeypatch)
         cap.renyi_coherent_channel(pauli, 2.0, restarts=2)
         assert built == [None, None] and [kind for kind, *_ in trace] == ["evaluation", "search", "search"]
+
+    @pytest.mark.parametrize("pad", [(0, 1, 0), (1, 0, 0), (1, 1, 0)], ids=["output row", "zero Kraus", "both"])
+    @pytest.mark.parametrize("blocks", [[(2, 2)], [(2, 3), (2, 1), (1, 2)]])
+    def test_padded_sums_reach_the_edge(self, monkeypatch, blocks, pad):
+        # a TRO that leaves output rows or environment columns unused: the decomposition's square U and W carry them
+        # after the blocks' columns, which the attaining start skips; one evaluation at it reaches each edge
+        ch = Channel(np.pad(partial_trace_sum_channel(blocks).kraus, [(0, k) for k in pad]))
+        edge = cap._edge_and_start(ch, 0)[0]
+        calls = TestCeiling.counted_evaluations(monkeypatch)
+        best = cap.one_shot_q(ch, restarts=4)
+        assert calls == [1, 1] and cap._stop(edge) <= best.value <= edge + 1e-14
+        calls = counted_dual_evaluations(monkeypatch)
+        value, renyi_edge = cap.renyi_coherent_channel(ch, 2.0, restarts=2), cap._edge_and_start(ch, 0, 2.0)[0]
+        assert calls == [1, 1] and cap._stop(renyi_edge) <= value <= renyi_edge + 1e-14
+
+    def test_closed_window_draws_no_random_fill(self, monkeypatch):
+        # phi_alpha(0.4) closes at its attaining start, so none of the 7 random fills is drawn; with no ceiling, all are
+        real, drawn = mc.random_complex, []
+        monkeypatch.setattr(mc, "random_complex", lambda *args: drawn.append(1) or real(*args))
+        cap.one_shot_q(phi_alpha(0.4).channel, restarts=8)
+        assert drawn == []
+        cap.one_shot_q(phi_alpha(0.4).channel, restarts=8, ceiling=math.inf)
+        assert len(drawn) == 7
+
+    def test_a_given_ceiling_sets_its_stop(self, monkeypatch):
+        # the search for the attaining start stops at the caller's stop, so no entropy defect is computed for it
+        def never(*args):
+            raise AssertionError("the entropy defect was computed")
+
+        ch = partial_trace_sum_channel([(2, 2)])
+        monkeypatch.setattr(cap, "entropy_defect", never)
+        assert cap.one_shot_q(ch, restarts=4, ceiling=1.0).value >= cap._stop(1.0)
 
     @pytest.mark.parametrize("run", ["one_shot_q", "renyi_coherent_channel"])
     def test_no_ceiling_never_builds_it(self, monkeypatch, run):

@@ -10,15 +10,9 @@ import numpy as np
 import pytest
 
 import trocap.cli  # loads every submodule the curve cases read, as abtest.load_tree does
+from helpers import load_tool
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_scaling_runs_the_smallest_case_of_each_curve():

@@ -108,14 +108,20 @@ def schur_kernel(k: int) -> np.ndarray:
     return (four * (p / p.sum())) @ four.conj().T
 
 
-def rotated_phi_alpha(t, alpha: float):
-    """phi_alpha(alpha) with its input, output and environment rotated by seeded unitaries V_in, V_out and A (QR
-    factors of complex Gaussian matrices): Kraus operators sum_e' A[e, e'] V_out K_e' V_in, symbol conj(A) f A^T."""
-    base, f, _ = t.builders._phi_alpha_base(alpha)
-    rng = np.random.default_rng(0)
-    v_in, v_out, v_env = (np.linalg.qr(t.matcore.random_complex(rng, (n, n)))[0] for n in (4, 3, 4))
+def rotated_modified(t, base, f: np.ndarray, v_in: np.ndarray, v_out: np.ndarray, v_env: np.ndarray):
+    """The channel ``base`` of the package t modified by the environment density f (certified with seed 0), after
+    unitaries rotate its input, output and environment: Kraus operators sum_e' A[e, e'] V_out K_e' V_in, A = v_env,
+    and f -> conj(A) f A^T, so that the rotated representatives h A^T carry the same x f y*.  The tests' Haar-rotated
+    channels are built with it too."""
     kraus = np.tensordot(v_env, v_out @ base.kraus @ v_in, axes=1)
     return t.algebra._modified(t.channel.Channel(kraus), v_env.conj() @ f @ v_env.T, 0)
+
+
+def rotated_phi_alpha(t, alpha: float):
+    """phi_alpha(alpha) rotated (rotated_modified) by the QR factors of seeded complex Gaussian matrices."""
+    rng = np.random.default_rng(0)
+    unitaries = (np.linalg.qr(t.matcore.random_complex(rng, (n, n)))[0] for n in (4, 3, 4))
+    return rotated_modified(t, *t.builders._phi_alpha_base(alpha)[:2], *unitaries)
 
 
 def schur_channel(t, k: int):
