@@ -466,31 +466,26 @@ def _side_algebra(decomp: TroDecomposition, side: int) -> AlgebraBasis:
 
 
 @functools.lru_cache(maxsize=256)
-def _rectangles(blocks: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int, int, tuple]]:
-    """(n, m, l, p, index) per shape of a block list: its p rectangles on the
-    diagonal from the top left, indexed as (..., p, n l, m l), a lone one by
-    slices, which cost less than index arrays."""
+def _rectangles(blocks: tuple[tuple[int, int, int], ...]) -> list[tuple[int, int, int, tuple]]:
+    """(n, m, l, index) per shape of a block list: its p rectangles on the diagonal
+    from the top left, one index (..., rows, cols) that reads them as (..., p, n l, m l)."""
     at = np.cumsum([(0, 0)] + [(n * l, m * l) for n, m, l in blocks], axis=0)[:, :, None]  # the corners
-    shapes = []
-    for (n, m, l), ids in _groups(blocks).items():
-        (r, c), rows, cols = at[ids[0], :, 0], at[ids, :1] + np.arange(n * l)[:, None], at[ids, 1:] + np.arange(m * l)
-        lone = (..., None, slice(r, r + n * l), slice(c, c + m * l))
-        shapes.append((n, m, l, len(ids), lone if len(ids) == 1 else (..., rows, cols)))
-    return shapes
+    return [(n, m, l, (..., at[ids, :1] + np.arange(n * l)[:, None], at[ids, 1:] + np.arange(m * l)))
+            for (n, m, l), ids in _groups(blocks).items()]
 
 
 def _block_form(y: np.ndarray, blocks: Sequence[tuple[int, int, int]]) -> np.ndarray:
-    """Projection of a matrix or a stack y onto (+)_i M_{n_i,m_i} (x) 1_{l_i}
-    on the diagonal rectangles from the top left: each rectangle goes to X (x)
-    1_l, X the mean over its copies, and the rest to zero.  The rectangles of
-    one shape go by one gather (_rectangles), into a copy with the rectangle
-    axis first so that each mean sums, bit for bit, as a lone rectangle's
-    does, and one scatter."""
+    """Projection of a matrix or a stack y onto (+)_i M_{n_i,m_i} (x) 1_{l_i} on the
+    diagonal rectangles from the top left: each rectangle goes to X (x) 1_l, X the mean
+    over its copies, and the rest to zero.  Each shape's rectangles go by one gather
+    (_rectangles) into a copy with the rectangle axis first, so that each mean sums bit
+    for bit as one rectangle's slice would, and one scatter."""
     out, lead, k = np.zeros_like(y), y.shape[:-2], y.ndim - 2
-    for n, m, l, p, idx in _rectangles(tuple(map(tuple, blocks))):
-        g = np.ascontiguousarray(y[idx].transpose(k, *range(k), k + 1, k + 2)).reshape(p, *lead, n, l, m, l)
-        x = np.trace(g, axis1=-3, axis2=-1).transpose(*range(1, k + 1), 0, k + 1, k + 2) / l
-        out[idx] = (x[..., None, :, None] * np.eye(l)[:, None]).reshape(*lead, p, n * l, m * l)
+    for n, m, l, idx in _rectangles(tuple(map(tuple, blocks))):
+        g = y[idx]  # (..., p, n l, m l)
+        c = np.ascontiguousarray(g.transpose(k, *range(k), k + 1, k + 2)).reshape(g.shape[k], *lead, n, l, m, l)
+        x = np.trace(c, axis1=-3, axis2=-1).transpose(*range(1, k + 1), 0, k + 1, k + 2) / l
+        out[idx] = (x[..., None, :, None] * np.eye(l)[:, None]).reshape(g.shape)
     return out
 
 

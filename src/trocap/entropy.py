@@ -141,7 +141,7 @@ class RenyiOptimum(NamedTuple):
     iterations: int
 
 
-@np.errstate(over="ignore")  # an overflow ends the search through the guards on g, the slope and 1/(s.y)
+@np.errstate(over="ignore", invalid="ignore")  # overflows and their nans end the search through the guards
 def _lbfgs(fun, x: np.ndarray, maxiter: int, floor: float = -math.inf) -> tuple[float, np.ndarray]:
     """L-BFGS (Liu & Nocedal 1989) of fun(x) -> (value, gradient), x real: the two-loop recursion over the last 10
     pairs with s.y > eps y.y (L-BFGS-B's skip rule; Byrd, Lu, Nocedal & Zhu 1995), which an infinite 1/(s.y) clears,

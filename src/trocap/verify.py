@@ -133,12 +133,12 @@ def verify_local_comparison(
     e = alg._block_expectation(u, shapes, x)
     sigma = mc.hermitize(u @ e @ mc.dagger(u)) / np.trace(e, axis1=-2, axis2=-1).real[:, None, None]
     outs = apply(n, rho), apply(nf, rho)
-    svals = [np.linalg.svd(y, compute_uv=False) for y in outs]  # one SVD each, read for every p but 2
+    svals = [np.linalg.svd(y, compute_uv=False) for y in outs]  # one SVD each, read for every p
     eig = mc.herm_eig(sigma)  # one eigendecomposition for every p
     named = []
     for p in ps:
         w = mc._on_support(eig, lambda lam: lam ** (-1.0 / (2.0 * mc.conjugate_exponent(p))))
-        a, b = (np.log2(mc.schatten_norm(y, 2) if p == 2 else np.linalg.norm(sv, p, -1)) for y, sv in zip(outs, svals))
+        a, b = (np.log2(np.linalg.norm(sv, p, -1)) for sv in svals)
         c, d = (np.log2(mc.schatten_norm(w @ y @ w, p)) for y in outs)
         named += [(f"norm_lower@p={p}", b - a), (f"norm_upper@p={p}", fnorms[p] + a - b)]
         named += [(f"sandwich_lower@p={p}", d - c), (f"sandwich_upper@p={p}", fnorms[p] + c - d)]

@@ -14,7 +14,6 @@ from trocap import capacity as cap
 from trocap import channel as chn
 from trocap import entropy as ent
 from trocap import matcore as mc
-from trocap.builders import partial_trace_sum_channel
 
 
 def load_tool(name: str):
@@ -174,16 +173,16 @@ def random_channel(rng, dim_in, dim_out, dim_env):
 
 class ModifiedTro(NamedTuple):
     channel: chn.Channel
-    blocks: list[tuple[int, int]]
-    a: float
+    blocks: list[tuple[int, int, int]]
+    spectrum: np.ndarray  # f's eigenvalues, with mean 1 (its normalized trace)
 
     def edge(self, p: float = 1.0) -> float:
-        """The Q1 edge (p = 1) or the Renyi edge at p > 1: log2 max n plus the width of f's spectrum 1 +- a,
-        tau(f log2 f) = 1 - h((1 + a)/2), or p' log2 |f|_{p,tau}."""
-        a, log_n = self.a, math.log2(max(n for n, _ in self.blocks))
+        """The Q1 edge (p = 1) or the Renyi edge at p > 1: log2 max n plus tau(f log2 f) or p' log2 |f|_{p,tau},
+        both read off f's spectrum."""
+        w, log_n = self.spectrum, math.log2(max(n for n, _, _ in self.blocks))
         if p == 1.0:
-            return log_n + 1.0 + sum(x / 2 * math.log2(x / 2) for x in (1 + a, 1 - a) if x > 0)
-        return log_n + p / (p - 1) * math.log2((((1 + a) ** p + (1 - a) ** p) / 2) ** (1 / p))
+            return log_n + sum(x * math.log2(x) for x in w if x > 0) / len(w)
+        return log_n + p / (p - 1) * math.log2(np.mean(w**p) ** (1 / p))
 
 
 def rotated_modified(base: chn.Channel, f: np.ndarray, rng) -> chn.Channel:
@@ -193,25 +192,51 @@ def rotated_modified(base: chn.Channel, f: np.ndarray, rng) -> chn.Channel:
     return SCALING.rotated_modified(trocap, base, f, *(random_unitary(rng, n) for n in dims))
 
 
-def random_modified_tro(rng, shapes=None) -> ModifiedTro:
-    """A modified TRO channel N_f drawn from rng, with its blocks (n, m), l = 1, and the coupling a of its symbol.
-    The blocks are ``shapes``, else 2-3 drawn with n, m in {1, 2} until their environment columns pair across blocks
-    (an even count, no block over half).  f = 1 + a D S D*, a uniform in [-0.9, 0.9], S the swap of column k with k +
-    M/2 of the M block-ordered columns (always in another block, so every spectral projection (1 +- D S D*)/2
-    compresses to 1/2 on each block), D a block-diagonal Haar unitary; the base partial-trace sum and f are then
-    rotated (rotated_modified)."""
-    while shapes is None:
-        shapes = [tuple(int(x) for x in rng.integers(1, 3, 2)) for _ in range(int(rng.integers(2, 4)))]
+def block_tro_channel(shapes) -> chn.Channel:
+    """The channel whose dilation range is (+)_i M_{n_i,m_i} (x) 1_{l_i} in coordinates, shapes (n, m, l): the
+    representative of input k is the k-th matrix of block_tro(None, shapes) over sqrt(l), so that they are orthonormal
+    (at l = 1, partial_trace_sum_channel)."""
+    mats = np.array(block_tro(None, shapes))
+    scale = np.repeat([math.sqrt(l) for _, _, l in shapes], [n * m for n, m, _ in shapes])
+    return chn.Channel((mats / scale[:, None, None]).transpose(2, 1, 0))
+
+
+SYMBOL_FORMS = ("swap", "multiplicity", "identity")
+
+
+def random_modified_tro(rng, shapes=None, form: str = "swap") -> ModifiedTro:
+    """A modified TRO channel N_f drawn from rng, with its blocks (n, m, l) and f's spectrum, in one of three forms:
+      - swap: blocks ``shapes`` (pairs (n, m), l = 1), else 2-3 drawn with n, m in {1, 2} until their environment
+        columns pair across blocks (an even count, no block over half).  f = 1 + a D S D*, a uniform in [-0.9, 0.9], S
+        the swap of column k with k + M/2 of the M block-ordered columns (always in another block, so every spectral
+        projection (1 +- D S D*)/2 compresses to 1/2 on each block), D a block-diagonal Haar unitary;
+      - multiplicity: 1-3 blocks drawn with n, m in {1, 2} and l = 2 for all, and f = 1_M (x) g on the environment
+        C^M (x) C^2, g = 2 times a random density: each spectral projection 1_M (x) P compresses to tau(P) 1;
+      - identity: 1-3 blocks drawn with n, m, l in {1, 2}, and f = 1.
+    The base (block_tro_channel) and f are then rotated (rotated_modified)."""
+    if form == "swap":
+        while shapes is None:
+            shapes = [tuple(int(x) for x in rng.integers(1, 3, 2)) for _ in range(int(rng.integers(2, 4)))]
+            ms = [m for _, m in shapes]
+            shapes = shapes if sum(ms) % 2 == 0 and 2 * max(ms) <= sum(ms) else None
         ms = [m for _, m in shapes]
-        shapes = shapes if sum(ms) % 2 == 0 and 2 * max(ms) <= sum(ms) else None
-    ms = [m for _, m in shapes]
-    half = sum(ms) // 2
-    d_mix = np.zeros((2 * half, 2 * half), dtype=complex)
-    for k, m in zip(np.cumsum([0] + ms), ms):
-        d_mix[k : k + m, k : k + m] = random_unitary(rng, m)
-    a = float(rng.uniform(-0.9, 0.9))
-    f = np.eye(2 * half) + a * d_mix @ np.roll(np.eye(2 * half), half, axis=0) @ mc.dagger(d_mix)
-    return ModifiedTro(rotated_modified(partial_trace_sum_channel(shapes), f, rng), list(shapes), a)
+        half = sum(ms) // 2
+        d_mix = np.zeros((2 * half, 2 * half), dtype=complex)
+        for k, m in zip(np.cumsum([0] + ms), ms):
+            d_mix[k : k + m, k : k + m] = random_unitary(rng, m)
+        a = float(rng.uniform(-0.9, 0.9))
+        f = np.eye(2 * half) + a * d_mix @ np.roll(np.eye(2 * half), half, axis=0) @ mc.dagger(d_mix)
+        blocks, spectrum = [(n, m, 1) for n, m in shapes], np.array([1 + a, 1 - a])
+    else:
+        sizes = rng.integers(1, 3, (int(rng.integers(1, 4)), 3))
+        blocks = [(int(n), int(m), 2 if form == "multiplicity" else int(l)) for n, m, l in sizes]
+        dim_env = sum(m * l for _, m, l in blocks)
+        if form == "multiplicity":
+            g = 2 * mc.random_density(rng, 2)
+            f, spectrum = np.kron(np.eye(dim_env // 2), g), np.linalg.eigvalsh(g)
+        else:
+            f, spectrum = np.eye(dim_env, dtype=complex), np.ones(1)
+    return ModifiedTro(rotated_modified(block_tro_channel(blocks), f, rng), blocks, spectrum)
 
 
 def _loop_value(rho, da, k_pow, sigma, p, p_conj):

@@ -1436,3 +1436,18 @@ class TestStackedBlockAttempt:
             got = np.asarray(alg._block_form(counted, blocks))
             assert np.array_equal(got, block_form_loop(y, blocks))
             assert len(reads) == len(set(blocks))
+
+    def test_linked_eigenspaces_of_unequal_size_give_no_summands(self):
+        # frames of widths 1 and 2 that b links give no summands; b = 1 links none, so each frame is its own
+        e = np.eye(3)
+        assert alg._linked_summands([e[:, [2]], e[:, :2]], np.outer(e[0], e[2]) + np.outer(e[2], e[0])) is None
+        summands = alg._linked_summands([e[:, [2]], e[:, :2]], e)
+        assert [(frame.tolist(), l) for frame, l in summands] == [(e[:, [2]].tolist(), 1), (e[:, :2].tolist(), 2)]
+
+    def test_attempt_whose_sample_splits_into_linked_clusters_of_unequal_size_returns_none(self, monkeypatch):
+        # a rotated M_3 padded by a row and a column, its first sample's three eigenvalues split as [0] and [1, 2]:
+        # the second sample links the two clusters, so the attempt returns None where it finds (3, 3, 1) unscripted
+        v = np.array(alg.orthonormal_span(block_tro(np.random.default_rng(0), [(3, 3)], pad=(1, 1))))
+        assert alg._attempt(v, (0, 0))[0].blocks == ((3, 3, 1),)
+        monkeypatch.setattr(alg, "_split_at_gaps", lambda w, gap: [np.arange(1), np.arange(1, len(w))])
+        assert alg._attempt(v, (0, 0)) is None

@@ -43,6 +43,7 @@ from helpers import (
     random_unitary,
     rotated_modified,
     scipy_density_search,
+    SYMBOL_FORMS,
 )
 
 LOG3 = math.log2(3.0)
@@ -1635,13 +1636,13 @@ class TestAttainingStart:
         # stays below the edge (one_shot_q may also stop at its head).  No Renyi value at p 2 passes its edge.
         inst = random_modified_tro(np.random.default_rng(seed))
         ch, edge = inst.channel, inst.edge()
-        assert sorted(ch.symbol.certificate.blocks) == sorted((n, m, 1) for n, m in inst.blocks)
+        assert sorted(ch.symbol.certificate.blocks) == sorted(inst.blocks)
         assert cap._edge_and_start(ch, 0)[0] == pytest.approx(edge, abs=1e-12)
         assert cap._edge_and_start(ch, 0, 2.0)[0] == pytest.approx(inst.edge(2.0), abs=1e-12)
         value = q1_at(ch, cap._attaining_start(*cap._edge_and_start(ch, 0)[2]))
         reached = value >= cap._stop(edge)
         assert value <= edge + 1e-14
-        if len({n for n, _ in inst.blocks}) == 1:
+        if len({n for n, _, _ in inst.blocks}) == 1:
             assert reached == (seed not in RANDOM_TRO_MISSES)
         calls = TestCeiling.counted_evaluations(monkeypatch)
         best = cap.one_shot_q(ch, restarts=8).value
@@ -1721,6 +1722,35 @@ class TestAttainingStart:
             cap.one_shot_q(phi_alpha(0.4).channel, restarts=4, ceiling=math.inf)
         else:
             cap.renyi_coherent_channel(qubit_dephasing(0.3), 2.0)
+
+
+# (form, seed) of random_modified_tro whose one_shot_q(restarts=2) ends below the stop of its Q1 window's lower edge
+# log2 max n: multiplicity seed 4, blocks [(2, 2, 2), (2, 2, 2), (1, 1, 2)], ends 1.5e-13 below 1.  A multiplicity
+# symbol 1_M (x) g puts g/l on the multiplicity factor of both B and E, so Q1 of N_f is the lower edge; no attaining
+# start exists at l > 1, and the ascent, whose ceiling is the unreached upper edge, ends on its own rule
+RANDOM_FORM_MISSES = {("multiplicity", 4)}
+
+
+class TestRandomSymbolForms:
+    """random_modified_tro in each of its three symbol forms, 14 seeded instances per form."""
+
+    @pytest.mark.parametrize("seed", range(14))
+    @pytest.mark.parametrize("form", SYMBOL_FORMS)
+    def test_certificate_edges_and_values(self, form, seed):
+        # the certificate recovers the drawn (n, m, l); the Q1 and Renyi p 2 edges of the rotated channel equal the
+        # closed forms read off f's spectrum, which the rotations leave alone; one_shot_q lies in comparison_bounds'
+        # Q1 window, from the stop of its lower edge (bar RANDOM_FORM_MISSES) to its upper edge; and the Renyi value
+        # at p 2 stays at or under its edge plus 1e-14
+        inst = random_modified_tro(np.random.default_rng(seed), form=form)
+        ch = inst.channel
+        assert sorted(ch.symbol.certificate.blocks) == sorted(inst.blocks)
+        for p in (1.0, 2.0):
+            assert cap._edge_and_start(ch, 0, p)[0] == pytest.approx(inst.edge(p), abs=1e-12)
+        window = cap.comparison_bounds(ch.base_space, ch.symbol).entries["Q1"]
+        value = cap.one_shot_q(ch, restarts=2).value
+        assert value <= window.upper + 1e-14
+        assert (value >= cap._stop(window.lower)) == ((form, seed) not in RANDOM_FORM_MISSES)
+        assert cap.renyi_coherent_channel(ch, 2.0, restarts=1) <= inst.edge(2.0) + 1e-14
 
 
 class TestRegions:

@@ -1267,6 +1267,21 @@ class TestSafetyPaths:
         value, x, calls, caught = self._scripted([[1.0, 0.5], second, [0.0, 0.0]])
         assert len(calls) == 2 and value == -1.0 and np.array_equal(x, calls[1]) and not caught
 
+    def test_direction_that_is_not_a_descent_is_replaced_by_steepest_descent(self):
+        # the first step's pair, s = (-1, -1e-154) and y = (0, -1e-154), passes the curvature rule with 1/(s.y) =
+        # 1e308; at g = (1, 0) the two-loop direction overflows to (-inf, -inf), whose slope is nan: the memory is
+        # cleared and the second step is the unit steepest-descent step, with no RuntimeWarning
+        value, x, calls, caught = self._scripted([[1.0, 1e-154], [1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(calls[1], [-1.0, -1e-154])
+        np.testing.assert_array_equal(calls[2], calls[1] - np.array([1.0, 0.0]))
+        assert len(calls) == 3 and value == -2.0 and np.array_equal(x, calls[2]) and not caught
+
+    def test_block_whose_norm_overflows_is_never_handed_to_fun(self):
+        # |m|^2 = 2e400 is not finite: the guard's value 1e9 and zero gradient stop the search at its start
+        seen = []
+        value, (u,) = ent._density_search(lambda us: seen.append(us) or (0.0, us), (np.full((2, 1), 1e200 + 0j),), 10)
+        assert value == 1e9 and seen == [] and not u.any()
+
     def test_fallback_raises_when_no_value_is_finite(self):
         # a tiny diagonal operator: the fixed point's value is not finite and the polish does not improve it
         from trocap.errors import OptimizerFailed

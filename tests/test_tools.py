@@ -35,6 +35,9 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
     assert sorted(size for size, _ in regular) == [4, 8, 16, 32]
     for k, setup in regular:  # k summands of one shape: k blocks (1, 1, 1)
         assert setup(trocap)().blocks == ((1, 1, 1),) * k
+    for name in scaling.BLOCK_LISTS:
+        block_form = curves[("structure", f"_block_form {name} blocks (stack length), 100 calls")]
+        assert sorted(size for size, _ in block_form) == [1, 16, 256]
     closure = curves[("closure", "smallest_containing_tro subspace of [(n, n), (1, 1)] pad (2, 2), 1e-6")]
     assert sorted(size for size, _ in closure) == [5, 17, 37]
     assert len(min(closure)[1](trocap)()) == 5  # the closure is the TRO itself, of dimension n^2 + 1
@@ -204,10 +207,43 @@ def test_abtest_times_every_curve_point_on_both_aliased_trees():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "49 points"
+    assert lines[0] == "53 points"
     for side in ("parent", "change"):
         assert f"{side}: {os.path.join(ROOT, 'src', 'trocap')} as trocap_{side}" in lines
     rows = [line for line in lines if line.split()[0] in ("structure", "closure", "verify", "optimizers")]
     number = r" +\d+\.\d{3}"
-    assert len(rows) == 49 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
+    assert len(rows) == 53 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
     assert lines[-1] == "0 outputs checked; 0 outputs differ; 0 check failures; no bare trocap module imported"
+
+
+def test_traffic_splits_unrun_lines_at_run_lines_and_at_functions():
+    traffic = load_tool("traffic")
+    lines = {3: "f", 4: "f", 6: "f", 7: "f", 9: "f.<locals>.g", 10: "f", 12: "h"}
+    assert traffic.missed_ranges(lines, {7}) == [(3, 6, "f"), (9, 9, "f.<locals>.g"), (10, 10, "f"), (12, 12, "h")]
+    assert traffic.missed_ranges(lines, set(lines)) == []
+
+
+def test_traffic_traces_one_bounds_pass():
+    # one pass of the bounds workload at seed 1: every job passes its check; bounds never verifies, so no line of
+    # verify runs, while every bounds table certifies its symbol through the block form
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    n = len(workloads.make_pass("bounds", 1, 0))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "traffic.py"), "--workload", "bounds", "--seeds", "1",
+         "--passes", "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == f"{n} jobs run; 0 check failures"
+    heads = [line for line in lines if not line.startswith(" ")][:-1]
+    names = sorted(f for f in os.listdir(os.path.join(ROOT, "src", "trocap")) if f.endswith(".py"))
+    assert [head.split(":")[0] for head in heads] == names
+    [verify] = [head for head in heads if head.startswith("verify.py:")]
+    total = int(verify.split(" of ")[1].split()[0])
+    assert total > 0 and verify == f"verify.py: {total} of {total} executable lines not run"
+    missed = {line.split()[-1] for line in lines if line.startswith("  ")}
+    functions = set(load_tool("traffic").executable_lines(os.path.join(ROOT, "src", "trocap", "algebra.py")).values())
+    assert "_block_form" in functions and "_block_form" not in missed

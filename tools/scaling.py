@@ -22,7 +22,12 @@ is the variable of the case's curve:
     representation of cyclic(k) with a seeded distribution, k in 4, 8, 16,
     100 calls per run; and tro_block_decomposition of the span of that
     representation, k one-dimensional summands of one shape, k in 4, 8, 16,
-    32 (the seeded block attempt's stacked summands);
+    32 (the seeded block attempt's stacked summands); and algebra._block_form,
+    100 calls per run, on a seeded complex stack of s matrices (s = 1: one
+    matrix, no leading axis; 16; 256) sized to the certified block list of
+    phi_alpha(0.4), of the Pauli mixture (0.4, 0.3, 0.2, 0.1), of the
+    partial-trace sum [[2, 2], [3, 1]] and of the Schur cyclic(8) channel
+    (lone and repeated shapes, each shape's rectangles by one index);
   - closure: generate_star_algebra of the cyclic shift of order k in 8, 16,
     32, and of one seeded random generator of M_d, d in 4, 6, 10; and
     commutant_blocks of the regular representation of the dihedral group of
@@ -171,6 +176,22 @@ def regular_span_case(t, k: int):
     return lambda: t.algebra.tro_block_decomposition(span)
 
 
+# certified block lists (n, m, l) of curve channels, for the _block_form curves
+BLOCK_LISTS = {
+    "phi_alpha(0.4)": ((1, 2, 1), (1, 1, 1), (1, 1, 1)),
+    "Pauli (0.4, 0.3, 0.2, 0.1)": ((1, 2, 2),),
+    "blocks [[2, 2], [3, 1]]": ((2, 2, 1), (3, 1, 1)),
+    "Schur cyclic(8)": ((1, 1, 1),) * 8,
+}
+
+
+def block_form_case(t, name: str, s: int, calls: int = 100):
+    blocks = BLOCK_LISTS[name]
+    shape = (sum(n * l for n, _, l in blocks), sum(m * l for _, m, l in blocks))
+    y = t.matcore.random_complex(np.random.default_rng(s), (s, *shape) if s > 1 else shape)
+    return lambda: [t.algebra._block_form(y, blocks) for _ in range(calls)]
+
+
 def closure_case(t, k: int):
     d = t.builders.completely_dephasing_channel(k)
     basis = t.channel.stinespring_space(t.channel.tensor_channels(d, d)).basis
@@ -310,6 +331,9 @@ CASES = [
       for k in (4, 8, 16)),
     *(("structure", "tro_block_decomposition regular rep span of cyclic(k)", k, partial(regular_span_case, k=k))
       for k in (4, 8, 16, 32)),
+    *(("structure", f"_block_form {name} blocks (stack length), 100 calls", s,
+       partial(block_form_case, name=name, s=s))
+      for name in BLOCK_LISTS for s in (1, 16, 256)),
     *(("closure", f"generate_star_algebra cyclic({k}) shift", k, partial(star_case, name="shift", d=k))
       for k in (8, 16, 32)),
     *(("closure", f"generate_star_algebra random generator of M_{d}", d, partial(star_case, name="random", d=d))
