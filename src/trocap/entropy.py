@@ -202,9 +202,9 @@ def _density_search(fun, m0s: tuple, maxiter: int, floor: float = -math.inf) -> 
 
 
 def _support_power(sigma: np.ndarray, c: float):
-    """(w, V, mask, sigma^c) of each sigma = V diag(w) V*, sigma^c on the support ``mask`` (w reads 1
-    off it): mc.support_mask's for c < 0 (p > 1), the positive spectrum for c > 0 (0^c = 0)."""
-    w, v = np.linalg.eigh(mc.hermitize(sigma))
+    """(w, V, mask, sigma^c) of each sigma = V diag(w) V*, hermitized where it is made, sigma^c on the support
+    ``mask`` (w reads 1 off it): mc.support_mask's for c < 0 (p > 1), the positive spectrum for c > 0 (0^c = 0)."""
+    w, v = np.linalg.eigh(sigma)
     mask = mc.support_mask(w) if c < 0 else w > 0
     w = np.where(mask, w, 1.0)
     return w, v, mask, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v)
@@ -256,7 +256,7 @@ def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple
     back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad); U, Z, G psi: 2-D products."""
     (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
     n_env, d_out, d_in = kraus.shape
-    w, v, mask, power = _support_power(u @ mc.dagger(u), c)
+    w, v, mask, power = _support_power(mc.hermitize(u @ mc.dagger(u)), c)
     big_u = (psi.reshape(-1, d_in) @ (k2 := kraus.reshape(-1, d_in)).T).reshape(-1, n_env, d_out)
     w2 = (big_w := power @ big_u).reshape(-1, d_out)
     lam, vm = np.linalg.eigh(mc.dagger(w2) @ w2)
@@ -271,15 +271,22 @@ def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple
     return float(np.log2(q)) / (beta - 1.0), (grad_psi, _support_power_grad(w, v, mask, c, z + mc.dagger(z)) @ u)
 
 
+def _rounds(tol: float, max_iter: int) -> int:
+    """max_iter as a count (mc._count) once tol is finite and positive, else OutOfRange."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise OutOfRange(f"tol must be finite and positive, got {tol!r}")
+    return mc._count(max_iter, "max_iter")
+
+
 class _RenyiStack:
     """inf over densities sigma_B of D_p(rho_i || K_i (x) sigma_B) for a stack of states rho_i on A (x) B, all items
     advancing together.  ``rho`` holds each state folded once, (K^c (x) P) rho_i (K^c (x) P), c = -1/2p', P (``proj``)
-    the projector onto the mc.support_mask support of its B marginal, the exact identity where that support is all of
-    B (``thin`` marks the other items); :func:`_evaluate`, the one kernel, takes D_p(. || 1 (x) sigma) of it.  Its
-    leak penalty reads the folded B marginal: K^c is invertible on supp rho_A wherever a stack is built
-    (minimize_renyi_divergence returns +inf first otherwise; verify's K is the A marginal), so that marginal has the
-    support of P rho_B P and only the penalty's size depends on K.  :meth:`minimize` fills the per-item arrays
-    ``value``, ``sigma``, ``converged`` and ``iterations``."""
+    the projector onto the mc.support_mask support of its B marginal, the exact identity where that support is all of B
+    (``thin`` marks the other items), so with K = 1 and no thin item the states themselves; :func:`_evaluate`, the one
+    kernel, takes D_p(. || 1 (x) sigma) of it.  Its leak penalty reads the folded B marginal: K^c is invertible on supp
+    rho_A wherever a stack is built (minimize_renyi_divergence returns +inf first otherwise; verify's K is the A
+    marginal), so that marginal has the support of P rho_B P and only the penalty's size depends on K.  :meth:`minimize`
+    fills the per-item arrays ``value``, ``sigma``, ``converged`` and ``iterations``."""
 
     def __init__(self, rhos, dims: tuple[int, int], p: float, k_as=None, project=None):
         if not (np.isfinite(p) and p > 1.0):
@@ -290,9 +297,10 @@ class _RenyiStack:
         wb, vb = mc.herm_eig(self.rho_b)
         self.thin = ~(mask := mc.support_mask(wb)).all(axis=-1)
         self.proj = np.where(self.thin[:, None, None], (vb * mask[:, None, :]) @ mc.dagger(vb), np.eye(dims[1]))
-        k = np.eye(dims[0], dtype=complex) if k_as is None else k_as
-        fold = mc.tensor(mc.matrix_power(k, (1.0 - p) / (2.0 * p)), self.proj)
-        self.rho = fold @ rhos @ fold
+        if k_as is not None or self.thin.any():  # else the fold is the exact identity
+            fold = mc.tensor(mc.matrix_power(np.eye(dims[0]) if k_as is None else k_as, (1 - p) / (2 * p)), self.proj)
+            rhos = fold @ rhos @ fold
+        self.rho = rhos
 
     def _project(self, sigma: np.ndarray, normalize: bool = True) -> np.ndarray:
         """``project`` on each sigma, renormalized unless not ``normalize``; sigma as is without one."""
@@ -315,39 +323,37 @@ class _RenyiStack:
         (where the rate |1 - b p| of commuting states is 0).  Two rounds in a row that move the value by less than
         tol b/b0 fix an item when the second is a rise or a decrease d with d/(1-r) < tol, r = d over the decrease
         before (the tail of a geometric series).  An item whose T has no trace, whose b falls below 1e-10 or that is
-        not fixed after ``max_iter`` rounds (``iterations`` counts them) gets one L-BFGS polish, not ``converged``."""
-        rho, n = self.rho, len(self.rho)
+        not fixed after ``max_iter`` rounds (``iterations`` counts them) gets one L-BFGS polish, not ``converged``.
+        The active items' state sits in contiguous arrays, compacted only in a round that an item leaves."""
+        max_iter, beta0, cut = _rounds(tol, max_iter), 1.0 / self.p, self.project is not None or self.thin.any()
         sigma = self._feasible(slice(None), self.rho_b)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
-        value, target = _evaluate(self.p, rho, sigma)
-        active, beta0 = np.arange(n), 1.0 / self.p
-        beta, last, self.iterations = np.full(n, beta0), np.full(n, np.inf), np.full(n, max_iter)
-        self.converged, was_flat = np.zeros((2, n), dtype=bool)
-        for j in range(max_iter):
-            tr = np.trace(target[active], axis1=1, axis2=2).real
-            ok = np.isfinite(tr) & (tr > 0) & (beta[active] >= 1e-10)
-            self.iterations[active[~ok]] = j
-            active, tr = active[ok], tr[ok]
-            if not active.size:
+        value, target = _evaluate(self.p, self.rho, mc.hermitize(sigma))
+        idx, rho, b, last = np.arange(n := len(value)), self.rho, np.full(n, beta0), np.full(n, np.inf)
+        self.value, self.sigma, self.iterations = value.copy(), sigma.copy(), np.zeros(n, dtype=int)
+        self.converged, was_flat, met = np.zeros((3, n), dtype=bool)
+        for j in range(max_iter + 1):  # an item fixed in round j - 1 leaves in round j, as one that fails or runs out
+            tr = np.trace(target, axis1=1, axis2=2).real
+            if not (stay := ~met & np.isfinite(tr) & (tr > 0) & (b >= 1e-10) & (j < max_iter)).all():
+                i, go = idx[~stay], ~stay
+                self.value[i], self.sigma[i], self.iterations[i], self.converged[i] = value[go], sigma[go], j, met[go]
+                live = idx, rho, sigma, target, value, b, last, was_flat, met, tr
+                idx, rho, sigma, target, value, b, last, was_flat, met, tr = (a[stay] for a in live)
+            if not idx.size:
                 break
-            b = beta[active][:, None, None]
-            new = (1.0 - b) * sigma[active] + b * (target[active] / tr[:, None, None])
-            cand = self._feasible(active, mc.hermitize(new))
-            cand_val, cand_target = _evaluate(self.p, rho[active], cand)
-            rise = cand_val - value[active]
-            up, flat = rise > 0, np.abs(rise) < tol * beta[active] / beta0
-            drop, prev = np.maximum(-rise, 0.0), last[active]
-            rate = np.divide(drop, prev, out=np.zeros_like(drop), where=prev > 0)
-            met = flat & was_flat[active] & (up | (drop < tol * (1.0 - rate)))
-            was_flat[active], last[active] = flat, np.where(up, np.inf, drop)
-            win = active[~up]
-            value[win], sigma[win], target[win] = cand_val[~up], cand[~up], cand_target[~up]
-            beta[active[up]] /= 2
-            self.converged[active[met]], self.iterations[active[met]] = True, j + 1
-            active = active[~met]
+            cand = mc.hermitize((1.0 - b[:, None, None]) * sigma + b[:, None, None] * (target / tr[:, None, None]))
+            cand = self._feasible(idx, cand) if cut else cand  # a cut or a project is hermitized for eigh below
+            cand_val, cand_target = _evaluate(self.p, rho, mc.hermitize(cand) if cut else cand)
+            rise = cand_val - value
+            up, flat, drop = rise > 0, np.abs(rise) < tol * b / beta0, np.maximum(-rise, 0.0)
+            rate = np.divide(drop, last, out=np.zeros_like(drop), where=last > 0)
+            met = flat & was_flat & (up | (drop < tol * (1.0 - rate)))
+            was_flat, last = flat, np.where(up, np.inf, drop)
+            if up.any():  # a rise keeps the item's sigma, T and value and halves its b
+                cand_val[up], cand[up], cand_target[up], b = value[up], sigma[up], target[up], np.where(up, b / 2, b)
+            value, sigma, target = cand_val, cand, cand_target
         for i in np.flatnonzero(~self.converged):
-            value[i], sigma[i] = self._fallback(slice(i, i + 1), value[i], sigma[i])
-        self.value, self.sigma = value, sigma
+            self.value[i], self.sigma[i] = self._fallback(slice(i, i + 1), self.value[i], self.sigma[i])
         return self
 
     def _fallback(self, item: slice, value: float, sigma: np.ndarray):
@@ -356,7 +362,8 @@ class _RenyiStack:
         returns its (value, sigma) where it is lower by more than 1e-12, else the iterate's."""
 
         def fun(u: tuple) -> tuple[float, tuple]:
-            v, grad = _evaluate(self.p, self.rho[item], self._project((u[0] @ mc.dagger(u[0]))[None]), grads=True)
+            sigma = mc.hermitize(self._project((u[0] @ mc.dagger(u[0]))[None]))
+            v, grad = _evaluate(self.p, self.rho[item], sigma, grads=True)
             return float(v[0]), (self._project(grad, normalize=False)[0] @ u[0],)
 
         polish_val, (u,) = _density_search(fun, (mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5),), 120)
@@ -373,7 +380,7 @@ class _RenyiStack:
         tr = np.trace(self.proj @ sigmas, axis1=1, axis2=2).real  # on the B support
         idx = np.flatnonzero(tr > 0)
         sc = self._feasible(idx, mc.hermitize(sigmas[idx] / tr[idx, None, None]))
-        cv = _evaluate(self.p, self.rho[idx], sc)[0]
+        cv = _evaluate(self.p, self.rho[idx], mc.hermitize(sc))[0]
         win = cv < self.value[idx]
         self.value[idx[win]], self.sigma[idx[win]] = cv[win], sc[win]
 
@@ -408,6 +415,7 @@ def minimize_renyi_divergence(
     support of rho_B is cut, so on a thin B marginal the value can lie below the infimum
     for the whole state by about the weight cut off (1.7e-11 at p = 1.5 for a 4e-12 eigenvalue).
     """
+    _rounds(tol, max_iter)
     for s in map(mc.asmatrix, sigma_candidates):  # before the search, which a mis-shaped one would only end
         if s.shape != (dims[1], dims[1]):
             raise DimMismatch(f"sigma candidate is {s.shape[0]} x {s.shape[1]}, expected {dims[1]} x {dims[1]}")

@@ -430,17 +430,28 @@ def polish_state():
     return third_thin_draw(1e-7)
 
 
+# the cells (dims, eps, p, mutual) of renyi_grid, in its order
+RENYI_CELLS = [
+    (dims, eps, p, mutual)
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 4))
+    for eps in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
+    for p in (1.5, 2.0, 3.0, 4.0, 6.0)
+    for mutual in (False, True)
+]
+
+
+def renyi_cell(dims, eps, p, mutual):
+    """restart_gaps of one cell of renyi_grid: 8 thin_draw states from default_rng(hash((dims, eps)) % 2**32)."""
+    rng = np.random.default_rng(hash((dims, eps)) % 2**32)
+    return restart_gaps(np.array([thin_draw(rng, dims, eps) for _ in range(8)]), dims, p, mutual)
+
+
 def renyi_grid():
     """The thin-state grid of the Renyi minimizer's flags, cell by cell: for dims 2x2, 2x3, 3x3 and 2x4 and eps 1e-2,
-    1e-3, 1e-4, 1e-6 and 1e-8, 8 thin_draw states from default_rng(hash((dims, eps)) % 2**32), each at p 1.5, 2, 3, 4
-    and 6 under K = 1 and K = rho_A; yields ((dims, eps, p, mutual), restart_gaps(...)), 1600 items in all."""
-    for dims in ((2, 2), (2, 3), (3, 3), (2, 4)):
-        for eps in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
-            rng = np.random.default_rng(hash((dims, eps)) % 2**32)
-            rhos = np.array([thin_draw(rng, dims, eps) for _ in range(8)])
-            for p in (1.5, 2.0, 3.0, 4.0, 6.0):
-                for mutual in (False, True):
-                    yield (dims, eps, p, mutual), restart_gaps(rhos, dims, p, mutual)
+    1e-3, 1e-4, 1e-6 and 1e-8, 8 thin_draw states (renyi_cell), each at p 1.5, 2, 3, 4 and 6 under K = 1 and
+    K = rho_A; yields ((dims, eps, p, mutual), restart_gaps(...)), 1600 items in all."""
+    for cell in RENYI_CELLS:
+        yield cell, renyi_cell(*cell)
 
 
 def restart_gaps(rhos, dims, p, mutual=False):

@@ -20,6 +20,7 @@ from helpers import (
     random_channel,
     random_pure_state,
     random_unitary,
+    renyi_cell,
     restart_gaps,
     scipy_density_search,
     thin_draw,
@@ -901,6 +902,58 @@ class TestRenyiStack:
             assert single.value == opt.value[i] and single.iterations == opt.iterations[i]
 
 
+def _exit_stack():
+    """Ten states on 2 x 3: four of full rank, three of B rank 2 of 3, two thin_draw states (eps 1e-6 and 1e-3) whose
+    fixed point creeps, and, last, one of full rank that the scripted _evaluate of TestCompactedLoopExits fails."""
+    rng = np.random.default_rng(54)
+    keep = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+    full = [mc.random_density(rng, 6) for _ in range(4)]
+    cut = [keep @ mc.random_density(rng, 6) @ keep for _ in range(3)]
+    near = [thin_draw(rng, (2, 3), eps) for eps in (1e-6, 1e-3)]
+    return np.array(full + [g / np.trace(g).real for g in cut] + near + [mc.random_density(rng, 6)])
+
+
+class TestCompactedLoopExits:
+    @staticmethod
+    def _script(monkeypatch, real, marker, after=2):
+        """Patch _evaluate with ``real``, the unpatched one, except that the rows of rho within 1e-12 of ``marker``
+        get a nan T from their evaluation after + 1 on: that item leaves through the trace test once it accepts one."""
+        seen = []
+
+        def scripted(p, rho, sigma, grads=False):
+            value, out = real(p, rho, sigma, grads)
+            hit = np.abs(rho - marker).max(axis=(1, 2)) <= 1e-12
+            if not grads and hit.any():
+                seen.append(1)
+                if len(seen) > after:
+                    out = out.copy()
+                    out[hit] = np.nan
+            return value, out
+
+        monkeypatch.setattr(ent, "_evaluate", scripted)
+
+    @pytest.mark.parametrize("mutual", [False, True], ids=["K=1", "K=rho_A"])
+    @pytest.mark.parametrize("p, max_iter", [(1.5, 6), (2.0, 7), (4.0, 13)])
+    def test_each_item_gets_its_one_item_run(self, monkeypatch, p, max_iter, mutual):
+        # max_iter so small that some items run out and are polished while others are fixed (some in the last
+        # round), and one item fails its trace test: each item's value, sigma, flag and rounds are bit for bit
+        # those of its one-item minimize_renyi_divergence
+        rhos, dims = _exit_stack(), (2, 3)
+        k_as = mc.partial_trace(rhos, dims, "A") if mutual else None
+        marker = ent._RenyiStack(rhos[-1:], dims, p, None if k_as is None else k_as[-1:]).rho[0]
+        real = ent._evaluate
+        self._script(monkeypatch, real, marker)
+        opt = ent._RenyiStack(rhos, dims, p, k_as).minimize(max_iter=max_iter)
+        for i, rho in enumerate(rhos):
+            self._script(monkeypatch, real, marker)  # a fresh count
+            single = ent.minimize_renyi_divergence(rho, dims, p, None if k_as is None else k_as[i], max_iter=max_iter)
+            assert np.array_equal(single.value, opt.value[i]) and np.array_equal(single.sigma, opt.sigma[i])
+            assert single.converged == opt.converged[i] and single.iterations == opt.iterations[i]
+        fixed, ran_out = opt.converged[:-1], ~opt.converged[:-1] & (opt.iterations[:-1] == max_iter)
+        assert fixed.any() and ran_out.any() and (fixed | ran_out).all()
+        assert not opt.converged[-1] and opt.iterations[-1] < max_iter  # left through the trace test
+
+
 class TestRenyiFlags:
     # a converged item lies within tol 1e-9 of a tight restart from its sigma (helpers.restart_gaps)
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
@@ -914,6 +967,33 @@ class TestRenyiFlags:
     def test_crawling_state_converges_at_a_tight_restart(self):
         _, converged, iterations, gap = restart_gaps(crawling_state()[None], (2, 3), 4.0)
         assert converged[0] and iterations[0] < 400 and gap[0] <= 1e-9
+
+
+# (cell, draw) of tests/helpers.renyi_grid whose item reports converged more than tol 1e-9 above its reference (the
+# lower of its value and a tight restart's): the fixed point's stop rule reads two flat rounds as the geometric tail,
+# and on these thin states the decrease slows in bursts; the worst, ((2, 3), 1e-2, p 2, K = rho_A) draw 6, lies
+# 1.9e-6 above its reference, the others 1.1e-9 to 7.1e-9
+RENYI_FALSE_FLAGS = {
+    (((2, 2), 1e-6, 6.0, True), 6),
+    (((2, 2), 1e-8, 4.0, True), 6),
+    (((2, 3), 1e-2, 2.0, True), 6),
+    (((2, 3), 1e-4, 6.0, False), 3),
+    (((2, 3), 1e-8, 1.5, False), 1),
+    (((2, 3), 1e-8, 1.5, False), 4),
+    (((2, 3), 1e-8, 1.5, True), 4),
+    (((2, 4), 1e-6, 1.5, False), 1),
+    (((2, 4), 1e-6, 1.5, False), 3),
+    (((2, 4), 1e-6, 4.0, False), 1),
+}
+RENYI_PASSING_CELLS = [((2, 2), 1e-2, 1.5, False), ((3, 3), 1e-3, 3.0, True), ((2, 4), 1e-4, 2.0, False)]
+
+
+@pytest.mark.parametrize("cell", sorted({cell for cell, _ in RENYI_FALSE_FLAGS}) + RENYI_PASSING_CELLS, ids=str)
+def test_converged_items_of_the_grid_lie_within_tol_of_their_reference(cell):
+    # the cells of tests/helpers.renyi_grid that hold a false flag, and a few that hold none (the whole grid takes
+    # 15-23 s): no other item reports converged more than tol 1e-9 above its reference
+    _, converged, _, gap = renyi_cell(*cell)
+    assert set(np.flatnonzero(converged & (gap > 1e-9)).tolist()) == {i for c, i in RENYI_FALSE_FLAGS if c == cell}
 
 
 def classical_states(p, count=8):
@@ -1297,6 +1377,37 @@ class TestSafetyPaths:
             with pytest.raises(NotState, match=r"^trace is 0\.00000000, expected a positive trace$"):
                 ent.minimize_renyi_divergence(np.zeros((4, 4)), (2, 2), 2.0, k_a=k_a)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+STOP_RULE_CALLS = {
+    "minimize_renyi_divergence": lambda **kw: ent.minimize_renyi_divergence(np.eye(4) / 4, (2, 2), 2.0, **kw),
+    "_RenyiStack.minimize": lambda **kw: ent._RenyiStack(np.eye(4)[None] / 4, (2, 2), 2.0).minimize(**kw),
+    # K off the A marginal's support: +inf before any stack is built, and still no bad argument passes
+    "minimize_renyi_divergence, K missing rho_A": lambda **kw: ent.minimize_renyi_divergence(
+        np.eye(4) / 4, (2, 2), 2.0, k_a=np.diag([1.0, 0.0]), **kw
+    ),
+}
+
+
+class TestStopRuleArguments:
+    # max_iter is an integer of at least 1 and tol finite and positive; anything else raises OutOfRange before a
+    # round runs (2.5 raised a bare TypeError, -1 returned iterations -1, nan and -1 ran all 400 rounds)
+    @pytest.mark.parametrize("max_iter", [2.5, -1, 0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", sorted(STOP_RULE_CALLS))
+    def test_max_iter_that_is_no_count_raises(self, call, max_iter):
+        with pytest.raises(OutOfRange, match=r"^max_iter must be an integer >= 1, got "):
+            STOP_RULE_CALLS[call](max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("call", sorted(STOP_RULE_CALLS))
+    def test_tol_that_is_not_finite_and_positive_raises(self, call, tol):
+        with pytest.raises(OutOfRange, match=rf"^tol must be finite and positive, got {tol!r}$"):
+            STOP_RULE_CALLS[call](tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [1, np.int64(2)], ids=repr)
+    def test_a_numpy_count_and_a_single_round_run(self, max_iter):
+        opt = ent.minimize_renyi_divergence(np.eye(4) / 4, (2, 2), 2.0, max_iter=max_iter)
+        assert opt.iterations == max_iter and opt.converged == (max_iter == 2)
 
 
 def test_sandwiched_renyi_duality_has_one_home():

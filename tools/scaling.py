@@ -69,31 +69,32 @@ is the variable of the case's curve:
     and 16 seeded states (1 - 1e-8) rho0 + 1e-8 g on 2 x 3, rho0 the state g
     cut to B rank 2 and normalized, whose every item runs all 400 rounds and
     then takes the L-BFGS polish (entropy._lbfgs; no benchmark job reaches
-    the polish); and renyi_coherent_channel at p = 2, one restart (one
-    evaluation of the dual objective at the extremal input, then, where that
-    does not reach the channel's Renyi edge, one at the attaining input, then
-    an L-BFGS search over pairs (psi, tau), with no inner minimization), on
-    the qubit dephasing channel of parameter 0.3, on phi_alpha(0.4), on
+    the polish); conditional_renyi on one seeded full-rank state on A (x) B, A
+    a qubit and d = 4, 8, 16 the dimension of A (x) B, at p = 2 and 1.5, 100
+    calls per run (a stack of one, the shape in which each round's own
+    overhead weighs most); and renyi_coherent_channel at p = 2, one restart
+    (one evaluation of the dual objective at the extremal input, then, where
+    that does not reach the channel's Renyi edge, one at the attaining input,
+    then an L-BFGS search over pairs (psi, tau), with no inner minimization),
+    on the qubit dephasing channel of parameter 0.3, on phi_alpha(0.4), on
     phi_alpha(0.4) with its input, output and environment rotated by seeded
-    unitaries (its symbol carried along), on the random-unitary channel
-    of the regular representation of cyclic(3) with probabilities (0.5, 0.3,
-    0.2), on that partial-trace sum, whose extremal input is not the
-    maximally mixed one, and on the partial-trace sum of blocks [[2, 3], [2,
-    1], [1, 2]], whose largest blocks have m > 1 (size: input dimension; all
-    but phi_alpha, its rotation and the second sum reach the edge at the
-    extremal input, those three at the attaining one), and on the Schur
-    cyclic(k) channel of the seeded kernel above, k in 4, 6, 8 (input,
-    output and environment dimension k, so omega_AE's factor has k columns
-    against the k^2 x k^2 input state); and
-    at restarts 2, 4 and 8 on that dephasing channel, which reaches its edge
-    before any restart runs, and on the Pauli mixture (0.4, 0.3, 0.2, 0.1),
-    an open window where every restart runs
-    (the control); and that search's kernel alone,
-    entropy._dual_value_and_grads, at beta = 2/3 (p = 2) on a seeded random
-    isometry channel with Kraus stack (k, k, k) and a seeded pair (psi, u),
-    k in 2, 4, 8, 16, 1000 calls per run
-    (M = W* W keeps its smallest eigenvalue above 1e-4 of its largest there,
-    so no call takes the SVD of W).
+    unitaries (its symbol carried along), on the random-unitary channel of the
+    regular representation of cyclic(3) with probabilities (0.5, 0.3, 0.2), on
+    that partial-trace sum, whose extremal input is not the maximally mixed
+    one, and on the partial-trace sum of blocks [[2, 3], [2, 1], [1, 2]],
+    whose largest blocks have m > 1 (size: input dimension; all but phi_alpha,
+    its rotation and the second sum reach the edge at the extremal input,
+    those three at the attaining one), and on the Schur cyclic(k) channel of
+    the seeded kernel above, k in 4, 6, 8 (input, output and environment
+    dimension k, so omega_AE's factor has k columns against the k^2 x k^2
+    input state); and at restarts 2, 4 and 8 on that dephasing channel, which
+    reaches its edge before any restart runs, and on the Pauli mixture (0.4,
+    0.3, 0.2, 0.1), an open window where every restart runs (the control); and
+    that search's kernel alone, entropy._dual_value_and_grads, at beta = 2/3
+    (p = 2) on a seeded random isometry channel with Kraus stack (k, k, k) and
+    a seeded pair (psi, u), k in 2, 4, 8, 16, 1000 calls per run (M = W* W
+    keeps its smallest eigenvalue above 1e-4 of its largest there, so no call
+    takes the SVD of W).
 
 Each case is (section, name, size, setup); setup(t) builds the inputs from the
 package t (its submodules read as ``t.algebra``, ``t.builders`` and so on) and
@@ -280,6 +281,11 @@ def polish_stack_case(t, n: int):
     return lambda: t.entropy._RenyiStack(rhos, (2, 3), 4.0).minimize()
 
 
+def conditional_renyi_case(t, d: int, p: float, calls: int = 100):
+    rho = t.matcore.random_density(np.random.default_rng(d), d)
+    return lambda: [t.entropy.conditional_renyi(rho, (2, d // 2), p) for _ in range(calls)]
+
+
 def one_shot_case(t, restarts: int):
     ch = CHANNELS["blocks [[2, 2], [3, 1]]"](t)
     # uncapped: the extremal start is at Q1 from the first round, but the other restarts still climb to their own
@@ -358,6 +364,9 @@ CASES = [
       for n in (16, 64, 256)),
     *(("optimizers", "Renyi minimizer stack, thin states reaching the polish, p 4", n, partial(polish_stack_case, n=n))
       for n in (1, 4, 16)),
+    *(("optimizers", f"conditional_renyi seeded full-rank state (dim of A (x) B), p {p:g}, 100 calls", d,
+       partial(conditional_renyi_case, d=d, p=p))
+      for p in (2.0, 1.5) for d in (4, 8, 16)),
     ("optimizers", "one_shot_q blocks [[2, 2], [3, 1]] (restarts)", 16, partial(one_shot_case, restarts=16)),
     ("optimizers", "one_shot_q phi_alpha(0.4), own Q1 edge (input dim)", 4,
      partial(own_edge_case, name="phi_alpha(0.4)")),
