@@ -202,9 +202,9 @@ def _density_search(fun, m0s: tuple, maxiter: int, floor: float = -math.inf) -> 
 
 
 def _support_power(sigma: np.ndarray, c: float):
-    """(w, V, mask, sigma^c) of each sigma = V diag(w) V*, hermitized where it is made, sigma^c on the support
-    ``mask`` (w reads 1 off it): mc.support_mask's for c < 0 (p > 1), the positive spectrum for c > 0 (0^c = 0)."""
-    w, v = np.linalg.eigh(sigma)
+    """(w, V, mask, sigma^c) of each sigma = V diag(w) V*, sigma^c on the support ``mask`` (w reads 1
+    off it): mc.support_mask's for c < 0 (p > 1), the positive spectrum for c > 0 (0^c = 0)."""
+    w, v = np.linalg.eigh(mc.hermitize(sigma))
     mask = mc.support_mask(w) if c < 0 else w > 0
     w = np.where(mask, w, 1.0)
     return w, v, mask, (v * (w**c * mask)[..., None, :]) @ mc.dagger(v)
@@ -256,7 +256,7 @@ def _dual_value_and_grads(kraus: np.ndarray, beta: float, units: tuple) -> tuple
     back through K2*, and Y = tr_A[Z + Z*], Z = U X W*, gives G_tau (_support_power_grad); U, Z, G psi: 2-D products."""
     (psi, u), c = units, (1.0 - beta) / (2.0 * beta)
     n_env, d_out, d_in = kraus.shape
-    w, v, mask, power = _support_power(mc.hermitize(u @ mc.dagger(u)), c)
+    w, v, mask, power = _support_power(u @ mc.dagger(u), c)
     big_u = (psi.reshape(-1, d_in) @ (k2 := kraus.reshape(-1, d_in)).T).reshape(-1, n_env, d_out)
     w2 = (big_w := power @ big_u).reshape(-1, d_out)
     lam, vm = np.linalg.eigh(mc.dagger(w2) @ w2)
@@ -325,10 +325,10 @@ class _RenyiStack:
         before (the tail of a geometric series).  An item whose T has no trace, whose b falls below 1e-10 or that is
         not fixed after ``max_iter`` rounds (``iterations`` counts them) gets one L-BFGS polish, not ``converged``.
         The active items' state sits in contiguous arrays, compacted only in a round that an item leaves."""
-        max_iter, beta0, cut = _rounds(tol, max_iter), 1.0 / self.p, self.project is not None or self.thin.any()
+        max_iter, beta0 = _rounds(tol, max_iter), 1.0 / self.p
         sigma = self._feasible(slice(None), self.rho_b)
         sigma = sigma / np.trace(sigma, axis1=1, axis2=2).real[:, None, None]
-        value, target = _evaluate(self.p, self.rho, mc.hermitize(sigma))
+        value, target = _evaluate(self.p, self.rho, sigma)
         idx, rho, b, last = np.arange(n := len(value)), self.rho, np.full(n, beta0), np.full(n, np.inf)
         self.value, self.sigma, self.iterations = value.copy(), sigma.copy(), np.zeros(n, dtype=int)
         self.converged, was_flat, met = np.zeros((3, n), dtype=bool)
@@ -341,9 +341,9 @@ class _RenyiStack:
                 idx, rho, sigma, target, value, b, last, was_flat, met, tr = (a[stay] for a in live)
             if not idx.size:
                 break
-            cand = mc.hermitize((1.0 - b[:, None, None]) * sigma + b[:, None, None] * (target / tr[:, None, None]))
-            cand = self._feasible(idx, cand) if cut else cand  # a cut or a project is hermitized for eigh below
-            cand_val, cand_target = _evaluate(self.p, rho, mc.hermitize(cand) if cut else cand)
+            new = (1.0 - b[:, None, None]) * sigma + b[:, None, None] * (target / tr[:, None, None])
+            cand = self._feasible(idx, mc.hermitize(new))
+            cand_val, cand_target = _evaluate(self.p, rho, cand)
             rise = cand_val - value
             up, flat, drop = rise > 0, np.abs(rise) < tol * b / beta0, np.maximum(-rise, 0.0)
             rate = np.divide(drop, last, out=np.zeros_like(drop), where=last > 0)
@@ -362,8 +362,7 @@ class _RenyiStack:
         returns its (value, sigma) where it is lower by more than 1e-12, else the iterate's."""
 
         def fun(u: tuple) -> tuple[float, tuple]:
-            sigma = mc.hermitize(self._project((u[0] @ mc.dagger(u[0]))[None]))
-            v, grad = _evaluate(self.p, self.rho[item], sigma, grads=True)
+            v, grad = _evaluate(self.p, self.rho[item], self._project((u[0] @ mc.dagger(u[0]))[None]), grads=True)
             return float(v[0]), (self._project(grad, normalize=False)[0] @ u[0],)
 
         polish_val, (u,) = _density_search(fun, (mc.matrix_power(sigma + 1e-12 * np.eye(len(sigma)), 0.5),), 120)
@@ -380,7 +379,7 @@ class _RenyiStack:
         tr = np.trace(self.proj @ sigmas, axis1=1, axis2=2).real  # on the B support
         idx = np.flatnonzero(tr > 0)
         sc = self._feasible(idx, mc.hermitize(sigmas[idx] / tr[idx, None, None]))
-        cv = _evaluate(self.p, self.rho[idx], mc.hermitize(sc))[0]
+        cv = _evaluate(self.p, self.rho[idx], sc)[0]
         win = cv < self.value[idx]
         self.value[idx[win]], self.sigma[idx[win]] = cv[win], sc[win]
 
