@@ -157,10 +157,19 @@ def certified_cea(ch):
 
 
 def ancilla_output(ch, rho: np.ndarray) -> np.ndarray:
-    """(id_A (x) N)(rho) for one state rho on H_A (x) H_in, A of N's input dimension, by the verify suites' kernel."""
-    from trocap.verify import _apply_product
+    """(id_A (x) N)(rho) for one state rho on H_A (x) H_in, A of N's input dimension, by the entropic suite's kernel."""
+    from trocap.verify import _id_tensor
 
-    return _apply_product(chn.identity_channel(ch.dim_in), ch, rho[None])[0]
+    return _id_tensor(ch, rho[None])[0]
+
+
+def factorwise_apply(a, b, rho: np.ndarray) -> np.ndarray:
+    """(N (x) M)(rho) for each rho of a stack, one contraction per factor: no product Kraus family.  With N = id_A it
+    is the reference that verify._id_tensor matches bit for bit."""
+    t = rho.reshape(len(rho), a.dim_in, b.dim_in, a.dim_in, b.dim_in)
+    for k, axis in ((a.kraus, 1), (b.kraus, 2)):  # (n, i, j, k, l) -> (i', n, j, l, k') -> (j', i', n, k', l')
+        t = np.tensordot(np.tensordot(k, t, ([2], [axis])), k.conj(), ([0, 4], [0, 2]))
+    return t.transpose(2, 1, 0, 3, 4).reshape(len(rho), a.dim_out * b.dim_out, -1)
 
 
 def random_channel(rng, dim_in, dim_out, dim_env):

@@ -315,7 +315,7 @@ class TestVerify:
 
         def failing(space, symbol, samples, seed):
             report = verify.VerificationReport("local_comparison", samples, seed, 1e-9)
-            report.record("digest", "norm_lower@p=2.0", -1.0)
+            report.record(["digest"], ["norm_lower@p=2.0"], -1.0)
             return report
 
         monkeypatch.setattr(cli.verify, "verify_local_comparison", failing)

@@ -21,7 +21,7 @@ from trocap.builders import (
 from trocap.channel import stinespring_space
 from trocap.errors import BadExponent, DimMismatch, NotIndependent, OutOfRange
 
-from helpers import ancilla_output, loop_minimize, random_channel
+from helpers import ancilla_output, factorwise_apply, loop_minimize, random_channel
 
 
 def dephasing_pair(q):
@@ -190,6 +190,47 @@ class TestTensorSymbol:
         rep = verify.verify_tensor_symbol(sa, fa, chp.base_space, chp.symbol, samples=3, seed=1)
         assert rep.passed and rep.worst_slack >= -1e-12
 
+    def test_draws_no_sample(self, monkeypatch):
+        # both checks are exact, so samples is validated and reported but no input is drawn
+        def no_draw(*args):
+            raise AssertionError("the tensor suite drew a sample")
+
+        monkeypatch.setattr(verify, "_draw", no_draw)
+        sa, fa = dephasing_pair(0.3)
+        rep = verify.verify_tensor_symbol(sa, fa, sa, fa, samples=7, seed=0)
+        assert rep.passed and rep.samples == 7 and rep.to_dict()["samples"] == 7
+
+
+# pairs of seeded random channels of equal dimensions (Kraus shapes (E, out, in), the second E may differ)
+BOUND_PAIRS = [((2, 3, 2), (3, 3, 2)), ((4, 2, 4), (2, 2, 4)), ((3, 4, 3), (5, 4, 3)), ((6, 2, 3), (2, 2, 3))]
+
+
+class TestChoiGapBound:
+    # each entry of (N - M)(rho) is sum_ij rho_ij (C_N - C_M)_(ia, jb), so by Cauchy-Schwarz at most
+    # ||C_N - C_M||_F ||rho||_F: the tensor suite's Choi gap bounds what sampled inputs could show
+    @staticmethod
+    def assert_bounded(a, b, rng):
+        gap = chn._choi_gap(a, b)
+        for _ in range(8):
+            rho = mc.random_density(rng, a.dim_in)
+            diff = np.abs(chn.apply(a, rho) - chn.apply(b, rho)).max()
+            assert diff <= gap * np.linalg.norm(rho) + 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape_a, shape_b", BOUND_PAIRS)
+    def test_independent_pairs(self, shape_a, shape_b, seed):
+        rng = np.random.default_rng(seed)
+        (ea, oa, ia), (eb, ob, ib) = shape_a, shape_b
+        self.assert_bounded(random_channel(rng, ia, oa, ea), random_channel(rng, ib, ob, eb), rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_kraus_entry_moved_by_1e_6(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_channel(rng, 3, 3, 2)
+        kraus = a.kraus.copy()
+        kraus[0, 0, 0] += 1e-6
+        self.assert_bounded(a, chn.Channel(kraus), rng)
+
 
 SUITE_CALLS = {
     "local_comparison": lambda sp, sy, n: verify.verify_local_comparison(sp, sy, samples=n),
@@ -238,9 +279,9 @@ class TestAggregate:
 class TestReportRecord:
     def test_slack_below_the_tolerance_is_a_failure(self):
         report = verify.VerificationReport("check", samples=2, seed=0, tolerance=1e-9)
-        report.record("aaa", "within", -5e-10)
+        report.record(["aaa"], ["within"], -5e-10)
         assert report.passed and report.worst_slack == -5e-10
-        report.record("bbb", "beyond", -1e-6)
+        report.record(["bbb"], ["beyond"], -1e-6)
         assert not report.passed and report.worst_slack == -1e-6
         assert report.failures == [("bbb", "beyond", -1e-6)]
         failures = report.to_dict()["failures"]
@@ -253,7 +294,7 @@ class TestReportRecord:
         # then a failure whose worst slack read Infinity alone or 0.5 after 0.5
         report = verify.VerificationReport("check", samples=1, seed=0, tolerance=1e-9)
         for slack in slacks:
-            report.record("aaa", "undefined", slack)
+            report.record(["aaa"], ["undefined"], slack)
         assert not report.passed and report.to_dict()["passed"] is False
         [(digest, name, slack)] = report.failures
         assert (digest, name) == ("aaa", "undefined") and math.isnan(slack)
@@ -438,7 +479,7 @@ class TestLocalComparisonStack:
 
 
 # ---------------------------------------------------------------------------
-# the stacked draws and the chunked tensor suite against one sample at a time
+# the stacked draws against one sample at a time
 
 
 class TestStackedDraws:
@@ -450,37 +491,14 @@ class TestStackedDraws:
             ref = [mc.random_density(rng, dims[0])] + [mc.random_psd(rng, d) for d in dims[1:]]
             assert all(np.array_equal(stack[i], r) for stack, r in zip(stacks, ref))
 
-    @pytest.mark.parametrize("suite, name", [("entropic", "H_AB_lower"), ("tensor_symbol", "apply_equality")])
+    @pytest.mark.parametrize("suite, name", [("entropic", "H_AB_lower")])
     def test_suites_digest_the_one_sample_draws(self, suite, name):
         # tolerance -1 lists every record as a failure; TestLocalComparisonStack checks the local suite's digests
         space, sym = dephasing_pair(0.3)
-        run = verify.verify_entropic if suite == "entropic" else verify.verify_tensor_symbol
-        args = (space, sym) if suite == "entropic" else (space, sym, space, sym)
-        rep = run(*args, samples=4, seed=2, tolerance=-1.0)
-        dim = space.dim**2  # the bipartite input and the tensor square's input alike
+        rep = getattr(verify, f"verify_{suite}")(space, sym, samples=4, seed=2, tolerance=-1.0)
+        dim = space.dim**2  # the bipartite input
         ref = [verify._digest(mc.random_density(np.random.default_rng((2, i)), dim)) for i in range(4)]
         assert [d for d, n, _ in rep.failures if n == name] == ref
-
-    def test_tensor_square_reuses_the_entropic_suites_draw(self, monkeypatch):
-        # verify --suite all on a tensor square: both suites draw rho of dim d_in^2 from default_rng((seed, i))
-        space, sym = dephasing_pair(0.3)
-        entropic = verify.verify_entropic(space, sym, samples=4, seed=9, tolerance=-1.0)
-        real, built = np.random.default_rng, []
-        monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or real(*args))
-        tensor = verify.verify_tensor_symbol(space, sym, space, sym, samples=4, seed=9, tolerance=-1.0)
-        assert built == []
-        digests = [d for d, n, _ in entropic.failures if n == "H_AB_lower"]
-        assert [d for d, n, _ in tensor.failures if n == "apply_equality"] == digests
-        verify.verify_tensor_symbol(space, sym, space, sym, samples=4, seed=10)
-        assert built == [((10, i),) for i in range(4)]  # another seed draws afresh
-
-    def test_draws_are_read_only(self):
-        # the same arrays are handed to the next call with the same arguments, so no suite may write into them
-        first = verify._draw(3, 2, 4, 2)
-        assert all(a is b for a, b in zip(verify._draw(3, 2, 4, 2), first))
-        for a in first:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0, 0] = 1.0
 
 
 def schur_tensor_pair(k):
@@ -505,36 +523,35 @@ class TestTensorSymbolStack:
             tracemalloc.stop()
         assert peak <= 1.1 * self.ONE_SAMPLE_PEAK
 
-    def test_chunks_give_the_one_sample_report(self, monkeypatch):
-        ch = group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1])
-        args = (ch.base_space, ch.symbol, ch.base_space, ch.symbol)
-        chunks, real_apply = [], verify.apply
 
-        def spy(channel, rho):  # the suite's one apply: the joint channel's, on a chunk
-            chunks.append(len(rho))
-            return real_apply(channel, rho)
 
-        monkeypatch.setattr(verify, "apply", spy)
-        reports = []
-        for budget in (verify._APPLY_ENTRIES, 1):
-            monkeypatch.setattr(verify, "_APPLY_ENTRIES", budget)
-            reports.append(verify.verify_tensor_symbol(*args, samples=256, seed=3, tolerance=-1.0).to_dict())
-        stacked, single = chunks[: -256], chunks[-256:]
-        assert len(stacked) > 1 and sum(stacked) == 256 and single == [1] * 256
-        assert reports[0] == reports[1] and len(reports[0]["failures"]) == 2 + 256
+# Kraus shapes (E, out, in) of the channels id_A (x) N is taken of, A of N's input dimension
+ID_TENSOR_SHAPES = [(1, 1, 1), (2, 2, 2), (5, 3, 2), (3, 2, 4), (4, 3, 4), (8, 4, 4), (2, 6, 3), (16, 4, 4), (3, 8, 8)]
 
-    @pytest.mark.parametrize("dims_a, dims_b", [((2, 3, 2), (3, 2, 4)), ((4, 4, 1), (1, 2, 3))])
-    def test_factor_by_factor_apply_matches_the_product_channel(self, dims_a, dims_b):
+
+class TestIdTensor:
+    @pytest.mark.parametrize("samples", [1, 3, 16, 50])
+    @pytest.mark.parametrize("shape", ID_TENSOR_SHAPES)
+    def test_matches_the_factorwise_product_bit_for_bit(self, shape, samples):
+        e, o, i = shape
+        rng = np.random.default_rng(samples)
+        ch = random_channel(rng, i, o, e)
+        rho = np.array([mc.random_density(rng, i * i) for _ in range(samples)])
+        assert np.array_equal(verify._id_tensor(ch, rho), factorwise_apply(chn.identity_channel(i), ch, rho))
+
+    @pytest.mark.parametrize("shape", ID_TENSOR_SHAPES)
+    def test_matches_the_product_channel(self, shape):
+        e, o, i = shape
         rng = np.random.default_rng(11)
-        a, b = random_channel(rng, *dims_a), random_channel(rng, *dims_b)
-        rho = np.array([mc.random_density(rng, a.dim_in * b.dim_in) for _ in range(3)])
-        expected = chn.apply(chn.tensor_channels(a, b), rho)
-        np.testing.assert_allclose(verify._apply_product(a, b, rho), expected, rtol=0, atol=1e-14)
+        ch = random_channel(rng, i, o, e)
+        rho = np.array([mc.random_density(rng, i * i) for _ in range(3)])
+        expected = chn.apply(chn.tensor_channels(chn.identity_channel(i), ch), rho)
+        np.testing.assert_allclose(verify._id_tensor(ch, rho), expected, rtol=0, atol=1e-14)
 
 
 def test_each_kernel_has_one_copy():
-    # id (x) N, the PSD check and the Kronecker product each have one home: verify applies id (x) N factor by
-    # factor, only matcore (and errors, which defines it) names NotPSD, and tensor_channels is matcore's product
+    # id (x) N, the PSD check and the Kronecker product each have one home: verify applies id (x) N by one
+    # contraction, only matcore (and errors, which defines it) names NotPSD, and tensor_channels is matcore's product
     import importlib
     import inspect
     import pkgutil

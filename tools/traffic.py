@@ -46,7 +46,8 @@ def executable_lines(path: str) -> dict[int, str]:
     while stack:
         co, run_at_call = stack.pop()
         if run_at_call:
-            lines.update({line: co.co_qualname for _, _, line in co.co_lines() if line is not None})
+            name = getattr(co, "co_qualname", co.co_name)  # the bare name before Python 3.11
+            lines.update({line: name for _, _, line in co.co_lines() if line is not None})
         for const in co.co_consts:
             if inspect.iscode(const):  # CO_OPTIMIZED: a function frame, not a class body
                 stack.append((const, bool(const.co_flags & inspect.CO_OPTIMIZED)))
