@@ -332,6 +332,7 @@ class _RenyiStack:
         idx, rho, b, last = np.arange(n := len(value)), self.rho, np.full(n, beta0), np.full(n, np.inf)
         self.value, self.sigma, self.iterations = value.copy(), sigma.copy(), np.zeros(n, dtype=int)
         self.converged, was_flat, met = np.zeros((3, n), dtype=bool)
+        met[:] = self.rho_b.shape[-1] == 1  # a one-dimensional B has one density: each item is fixed at its start
         for j in range(max_iter + 1):  # an item fixed in round j - 1 leaves in round j, as one that fails or runs out
             tr = np.trace(target, axis1=1, axis2=2).real
             if not (stay := ~met & np.isfinite(tr) & (tr > 0) & (b >= 1e-10) & (j < max_iter)).all():

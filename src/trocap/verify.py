@@ -1,12 +1,13 @@
 """Randomized inequality-verification harness.
 
-Samples channel inputs, reference marginals, and norm exponents, then asserts the comparison
-inequalities that the rest of the package relies on: the two-sided norm sandwiches (plain and
-sandwiched by a reference marginal), the entropic windows with gap tau(f log f) and their Renyi
-analogs, and coherence of tensor-product symbols.  The local and entropic suites draw, check and
-record their samples as one stack; the tensor suite's checks are exact.  Failures are report content,
-not exceptions, and every report is seed-reproducible; a sample count below 1 or not an integer, or a
-local suite with no exponent, raises OutOfRange.
+Samples channel inputs, reference marginals, and norm exponents, then asserts the comparison inequalities that the
+rest of the package relies on: the two-sided norm sandwiches (plain and sandwiched by a reference marginal), the
+entropic windows with gap tau(f log f) and their Renyi analogs, and coherence of tensor-product symbols.  The local
+and entropic suites draw, check and record their samples as one stack; the tensor suite's checks are exact.  The
+entropic suite reads the TRO channel N off its blocks: E onto 1 (x) (+)_i M_{n_i} (x) 1_{l_i} fixes (id (x) N)(rho),
+so tr s^p = sum_i q_i^(1-p) Q_i, its Renyi values are p' log2 sum_i 2^(D_i/p') and its entropies sum_i [H(omega_i) +
+tr omega_i log2 l_i] (verify_entropic).  Failures are report content, not exceptions, and every report
+is seed-reproducible; a sample count below 1 or not an integer, or a local suite with no exponent, raises OutOfRange.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .channel import (
     modified_channel,
     tensor_channels,
 )
-from .entropy import _RenyiStack, bipartite_entropies, entropy_defect
+from .entropy import _RenyiStack, bipartite_entropies, entropy_defect, spectral_entropy
 from .errors import DimMismatch, OutOfRange
 
 
@@ -142,6 +143,19 @@ def verify_local_comparison(
     return report
 
 
+def _blocks(space: StinespringSpace, symbol: Symbol, rho: np.ndarray) -> dict:
+    """{n: (omega_i, l_i)} over the blocks of size n of omega = (id (x) N)(rho), stacked (samples, blocks, d_A n, ...):
+    omega_i is l_i times the copy-0 block of (1 (x) U*) omega (1 (x) U), U the certificate's (verify_entropic)."""
+    decomp, da, db = symbol.certificate.decomposition, space.dim, space.dim_out
+    if len(u := decomp.basis_change_out) != db:
+        raise DimMismatch(f"symbol's structure has output dim {len(u)}, space {db}")
+    w, out = _id_tensor(Channel(mc.dagger(u) @ base_channel(space).kraus), rho).reshape(len(rho), da, db, da, db), {}
+    for (n, _, l), c in zip(decomp.blocks, np.cumsum([0] + [n * l for n, _, l in decomp.blocks])):
+        i = c + l * np.arange(n)
+        out.setdefault(n, []).append((l * w[:, :, i][..., i].reshape(len(rho), da * n, -1), l))
+    return {n: (np.stack([x for x, _ in v], 1), np.array([l for _, l in v])) for n, v in out.items()}
+
+
 def verify_entropic(
     space: StinespringSpace,
     symbol: Symbol,
@@ -153,33 +167,39 @@ def verify_entropic(
 ) -> VerificationReport:
     """Entropic windows on random bipartite inputs.
 
-    With omega = (id (x) N)(rho) and omega_f = (id (x) N_f)(rho), checks the
-    six inequalities: H(AB) drops by at most tau(f log f) under the
-    modification, coherent and mutual information rise by at most the same
-    gap; the Renyi analogs use gap p' log ||f||_{p,tau}.  Their values are stack minima
-    (entropy._RenyiStack, whose ``converged`` flags go unread), which drop each state's B part off the 1e-10
-    support of its B marginal: there a value can lie below the infimum (1.7e-11 at p = 1.5 for a 4e-12 part).
+    With omega = (id (x) N)(rho) and omega_f = (id (x) N_f)(rho), checks the six inequalities: H(AB) drops by at most
+    tau(f log f) under the modification, coherent and mutual information rise by at most the same gap; the Renyi analogs
+    use gap p' log ||f||_{p,tau}.  The symbol must belong to the space's channel: N's values come from omega's blocks
+    omega_i on A (x) C^{n_i} (_blocks; DimMismatch when the certificate's U does not fit).  H(AB) and H(B) are sum_i
+    [H(omega_i) + tr omega_i log2 l_i] on unnormalized spectra, and I_cp and I_p are p' log2 sum_i 2^(D_i/p'), D_i block
+    i's own minimum: E onto 1 (x) (+)_i M_{n_i} (x) 1_{l_i} fixes omega, so sigma may be (+)_i q_i sigma_i (x) 1_{l_i} /
+    l_i, where tr s^p = sum_i q_i^(1-p) Q_i is least at q_i ~ Q_i^(1/p).  Each Renyi value is a stack minimum
+    (entropy._RenyiStack, whose ``converged`` flags go unread), which drops each state's B part off the 1e-10 support of
+    its B marginal: there a value can lie below the infimum (1.7e-11 at p = 1.5 for a 4e-12 part).
     """
     report = VerificationReport("entropic", mc._count(samples, "samples"), seed, tolerance)
     defect = entropy_defect(symbol)
-    da = space.dim
-    dims = (da, space.dim_out)
+    da, dims = space.dim, (space.dim, space.dim_out)
     [rho] = _draw(seed, samples, da * da)
-    chans = (base_channel(space), modified_channel(space, symbol))
-    omega, omega_f = (_id_tensor(ch, rho) for ch in chans)
-    (h, ha, hb), (hf, haf, hbf) = (bipartite_entropies(w, dims) for w in (omega, omega_f))
-    ic, icf, mi, mif = hb - h, hbf - hf, ha + hb - h, haf + hbf - hf
+    blocks, omega_f = _blocks(space, symbol, rho), _id_tensor(modified_channel(space, symbol), rho)
+    hf, ha, hbf = bipartite_entropies(omega_f, dims)  # omega's A marginal is omega_f's, rho_A
+    h = hb = 0.0  # a block omega_i / l_i (x) 1_{l_i} has entropy l_i H(omega_i / l_i)
+    for n, (w, l) in blocks.items():
+        h = h + np.sum(l * spectral_entropy(np.linalg.eigvalsh(w) / l[:, None]), 1)
+        hb = hb + np.sum(l * spectral_entropy(np.linalg.eigvalsh(mc.partial_trace(w, (da, n), "B")) / l[:, None]), 1)
+    ic, icf, mi, mif = hb - h, hbf - hf, ha + hb - h, ha + hbf - hf
     slacks = [("H_AB_lower", hf - (h - defect)), ("H_AB_upper", h - hf)]
     slacks += [("I_c_lower", icf - ic), ("I_c_upper", ic + defect - icf)]
     slacks += [("I_lower", mif - mi), ("I_upper", mi + defect - mif)]
-    if renyi:  # omega and omega_f under K = 1 (I_cp) and under K = omega_A (I_p), in one stack
-        k_a = mc.partial_trace(omega, dims, keep="A")
-        ks = np.concatenate([np.broadcast_to(np.eye(da, dtype=complex), (2 * samples, da, da)), k_a, k_a])
+    if renyi:  # omega_f, then omega's blocks by size, under K = 1 (I_cp) and under K = rho_A (I_p)
+        ks = np.concatenate([np.broadcast_to(np.eye(da), (samples, da, da)), mc.partial_trace(omega_f, dims, "A")])
         for p in ps:
-            gap = mc.conjugate_exponent(p) * math.log2(mc.normalized_p_norm(symbol.f, p))
-            values = _RenyiStack(np.concatenate([omega, omega_f] * 2), dims, p, ks).minimize().value
-            for name, (v, vf) in zip(("I_cp", "I_p"), values.reshape(2, 2, samples)):
-                slacks += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
+            gap = (pc := mc.conjugate_exponent(p)) * math.log2(mc.normalized_p_norm(symbol.f, p))
+            vf = _RenyiStack(np.concatenate([omega_f] * 2), dims, p, ks).minimize().value.reshape(2, samples)
+            d = [_RenyiStack(np.concatenate([w] * 2).reshape(-1, da * n, da * n), (da, n), p, np.repeat(ks, len(l), 0))
+                 .minimize().value.reshape(2, samples, -1) for n, (w, l) in blocks.items()]
+            for name, v, b in zip(("I_cp", "I_p"), pc * np.logaddexp2.reduce(np.concatenate(d, -1) / pc, -1), vf):
+                slacks += [(f"{name}_lower@p={p}", b - v), (f"{name}_upper@p={p}", v + gap - b)]
     names, cols = zip(*slacks)
     report.record([_digest(r) for r in rho], names, np.transpose(cols))
     return report

@@ -309,6 +309,22 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert payload[0]["check"] == "tensor_symbol"
 
+    def test_entropic_suite_on_the_regular_representation_of_dihedral_3(self, tmp_path, capsys, monkeypatch):
+        # the group, as a table, spans M_2 (x) 1_2 (+) M_1 (+) M_1 on C^6: per exponent, N_f's stack on B = C^6
+        # and N's stacks on the blocks of n = 2 and n = 1
+        from trocap import entropy
+
+        sizes, minimize = [], entropy._RenyiStack.minimize
+        monkeypatch.setattr(entropy._RenyiStack, "minimize", lambda s: sizes.append(s.rho_b.shape[-1]) or minimize(s))
+        table = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4], [3, 5, 4, 0, 2, 1], [4, 3, 5, 1, 0, 2],
+                 [5, 4, 3, 2, 1, 0]]
+        rep = {"kind": "regular", "group": {"table": table}}
+        doc = {"kind": "group_random_unitary", "params": {"rep": rep, "distribution": [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]}}
+        assert main(["verify", write_spec(tmp_path, doc), "--suite", "entropic", "--samples", "4"]) == 0
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["check"] == "entropic" and report["passed"] is True
+        assert sizes == [6, 2, 1] * 2
+
 
     def test_failing_suite_exits_1(self, tmp_path, capsys, monkeypatch):
         from trocap import cli, verify

@@ -1037,6 +1037,35 @@ class TestCommutingStates:
         assert np.abs(first - opt).max() <= delta**2  # 0.015-0.40 delta^2; a first-order rate of 0.1 gives 430
 
 
+class TestOneDimensionalB:
+    # on A (x) C^1 the only density is sigma = 1: every item is fixed at its start, with the value
+    # D_p(rho || K (x) 1) = p' log2 ||K^c rho K^c||_p, c = -1/2p', and no round is run
+    @staticmethod
+    def reference(rho, k, p):
+        w, v = np.linalg.eigh(k)
+        k_c = (v * w ** ((1.0 - p) / (2.0 * p))) @ v.conj().T
+        lam = np.clip(np.linalg.eigvalsh(k_c @ rho @ k_c), 0.0, None)
+        return p / (p - 1.0) * math.log2(np.sum(lam**p) ** (1.0 / p))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_items_end_at_their_start_converged(self, d, p):
+        rhos = np.array([mc.random_density(np.random.default_rng((d, i)), d) for i in range(5)])
+        ks = np.concatenate([np.broadcast_to(np.eye(d, dtype=complex), rhos.shape), rhos])  # K = 1, K = rho_A = rho
+        opt = ent._RenyiStack(np.concatenate([rhos, rhos]), (d, 1), p, ks).minimize()
+        assert opt.iterations.tolist() == [0] * 10 and opt.converged.all()
+        assert np.abs(opt.sigma - 1.0).max() <= 1e-15  # rho_B / tr rho_B, up to its rounded imaginary part
+        expected = [self.reference(rho, k, p) for rho, k in zip(np.concatenate([rhos, rhos]), ks)]
+        assert np.abs(opt.value - expected).max() <= 1e-14
+
+    def test_one_evaluation(self, monkeypatch):
+        calls, real = [], ent._evaluate
+        monkeypatch.setattr(ent, "_evaluate", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        rhos = np.array([mc.random_density(np.random.default_rng((3, i)), 3) for i in range(4)])
+        ent._RenyiStack(rhos, (3, 1), 1.5).minimize()
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the exact gradients of the Renyi searches against central differences
 

@@ -53,6 +53,8 @@ def test_scaling_runs_the_smallest_case_of_each_curve():
         assert sorted(size for size, _ in single) == [4, 8, 16]
     negative_cb = curves[("optimizers", "negative_cb_entropy numeric (input dim)")]
     assert sorted(size for size, _ in negative_cb) == [2, 4, 7, 8]  # d = 2 runs below
+    entropic = curves[("verify", "entropic Schur cyclic(k), 16 samples")]
+    assert sorted(size for size, _ in entropic) == [2, 4, 6]  # k = 2 runs below
     schur = curves[("optimizers", "renyi_coherent_channel Schur cyclic(k) p 2")]
     assert sorted(size for size, _ in schur) == [4, 6, 8]  # k = 4 runs below
     dual = curves[("optimizers", "dual Renyi kernel, seeded random Kraus (k, k, k), 1000 calls")]
@@ -197,12 +199,12 @@ def test_abtest_times_every_curve_point_on_both_aliased_trees():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "53 points"
+    assert lines[0] == "54 points"
     for side in ("parent", "change"):
         assert f"{side}: {os.path.join(ROOT, 'src', 'trocap')} as trocap_{side}" in lines
     rows = [line for line in lines if line.split()[0] in ("structure", "closure", "verify", "optimizers")]
     number = r" +\d+\.\d{3}"
-    assert len(rows) == 53 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
+    assert len(rows) == 54 and all(re.search(rf" \d+{number * 5} +[01]/1$", row) for row in rows), rows
     assert lines[-1] == "0 outputs checked; 0 outputs differ; 0 check failures; no bare trocap module imported"
 
 

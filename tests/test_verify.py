@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,17 +12,28 @@ from trocap import matcore as mc
 from trocap import verify
 from trocap.builders import (
     cyclic_group,
+    dihedral_group,
     group_random_unitary,
     partial_trace_sum_channel,
     pauli_rep,
     phi_alpha,
     qubit_dephasing,
+    regular_representation,
     schur_multiplier_channel,
 )
 from trocap.channel import stinespring_space
 from trocap.errors import BadExponent, DimMismatch, NotIndependent, OutOfRange
 
-from helpers import ancilla_output, factorwise_apply, loop_minimize, random_channel
+from helpers import (
+    SYMBOL_FORMS,
+    ancilla_output,
+    block_tro_channel,
+    factorwise_apply,
+    loop_minimize,
+    random_channel,
+    random_modified_tro,
+    rotated_modified,
+)
 
 
 def dephasing_pair(q):
@@ -404,7 +416,125 @@ class TestEntropicStack:
         monkeypatch.setattr(ent._RenyiStack, "minimize", counted)
         space, sym = dephasing_pair(0.7)
         verify.verify_entropic(space, sym, samples=samples, seed=0, ps=(1.5, 2.0, 4.0))
-        assert calls == [4 * samples] * 3  # omega and omega_f of every sample, under both K, at once
+        # per exponent, omega_f of every sample under both K, then the one stack of omega's two (1, 1, 1) blocks
+        assert calls == [2 * samples, 2 * 2 * samples] * 3
+
+
+# ---------------------------------------------------------------------------
+# N's side of the entropic suite, read off its blocks, against the whole state
+
+
+def whole_state_slacks(space, symbol, samples, seed, ps):
+    """(name, slack) of every record of verify_entropic, N's values taken from the whole state omega: its
+    bipartite_entropies and one _RenyiStack of omega and omega_f under K = 1 and K = omega_A."""
+    from trocap.entropy import _RenyiStack, bipartite_entropies, entropy_defect
+
+    da, dims = space.dim, (space.dim, space.dim_out)
+    [rho] = verify._draw(seed, samples, da * da)
+    chans = (chn.base_channel(space), chn.modified_channel(space, symbol))
+    omega, omega_f = (verify._id_tensor(ch, rho) for ch in chans)
+    (h, ha, hb), (hf, haf, hbf) = (bipartite_entropies(w, dims) for w in (omega, omega_f))
+    ic, icf, mi, mif, defect = hb - h, hbf - hf, ha + hb - h, haf + hbf - hf, entropy_defect(symbol)
+    cols = [("H_AB_lower", hf - (h - defect)), ("H_AB_upper", h - hf), ("I_c_lower", icf - ic)]
+    cols += [("I_c_upper", ic + defect - icf), ("I_lower", mif - mi), ("I_upper", mi + defect - mif)]
+    k_a = mc.partial_trace(omega, dims, "A")
+    ks = np.concatenate([np.broadcast_to(np.eye(da, dtype=complex), (2 * samples, da, da)), k_a, k_a])
+    for p in ps:
+        gap = p / (p - 1.0) * math.log2(mc.normalized_p_norm(symbol.f, p))
+        values = _RenyiStack(np.concatenate([omega, omega_f] * 2), dims, p, ks).minimize().value
+        for name, (v, vf) in zip(("I_cp", "I_p"), values.reshape(2, 2, samples)):
+            cols += [(f"{name}_lower@p={p}", vf - v), (f"{name}_upper@p={p}", v + gap - vf)]
+    return [(name, col[i]) for i in range(samples) for name, col in cols]
+
+
+def padded_tro(shapes, form, seed):
+    """A rotated modified TRO channel whose blocks leave one output dimension empty: block_tro_channel(shapes) with
+    a zero output row added, modified by the identity or, at l = 2, by 1 (x) g, g twice a random density."""
+    rng = np.random.default_rng(seed)
+    base = block_tro_channel(shapes)
+    kraus = np.concatenate([base.kraus, np.zeros((base.dim_env, 1, base.dim_in))], axis=1)
+    g = 2 * mc.random_density(rng, 2)
+    f = np.eye(base.dim_env) if form == "identity" else np.kron(np.eye(base.dim_env // 2), g)
+    return rotated_modified(chn.Channel(kraus), f, rng)
+
+
+def seeded_probs(k, seed=0):
+    return np.random.default_rng(seed).dirichlet(np.ones(k))
+
+
+BLOCK_CHANNELS = {
+    "dephasing(0.3)": lambda: qubit_dephasing(0.3),
+    "pauli": lambda: group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1]),  # one block (1, 2, 2)
+    "phi_alpha(0.4)": lambda: phi_alpha(0.4).channel,
+    "schur cyclic(4)": lambda: schur_multiplier_channel(cyclic_group(4), np.fft.fft(seeded_probs(4))),
+    # blocks (2, 2, 2), (1, 1, 1), (1, 1, 1)
+    "regular dihedral(3)": lambda: group_random_unitary(regular_representation(dihedral_group(3)), seeded_probs(6, 3)),
+    **{
+        f"random {form} {seed}": partial(lambda form, seed: random_modified_tro(np.random.default_rng(seed), form=form)
+                                         .channel, form, seed)
+        for form in SYMBOL_FORMS
+        for seed in range(6)
+    },
+    "padded identity": lambda: padded_tro([(2, 2, 1), (1, 1, 2)], "identity", 0),
+    "padded multiplicity": lambda: padded_tro([(2, 2, 2), (1, 1, 2)], "multiplicity", 1),
+}
+
+
+class TestEntropicBlocks:
+    def test_cases_cover_a_block_of_n_2_with_l_2_and_empty_outputs(self):
+        assert BLOCK_CHANNELS["regular dihedral(3)"]().symbol.certificate.decomposition.blocks[0] == (2, 2, 2)
+        for name in ("padded identity", "padded multiplicity"):
+            ch = BLOCK_CHANNELS[name]()
+            assert sum(n * l for n, _, l in ch.symbol.certificate.decomposition.blocks) == ch.dim_out - 1
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CHANNELS))
+    def test_blocks_rebuild_omega(self, name):
+        # (1 (x) U*) omega (1 (x) U) is (+)_i omega_i / l_i (x) 1_{l_i}, zero on any output the blocks leave empty
+        ch = BLOCK_CHANNELS[name]()
+        space, sym = ch.base_space, ch.symbol
+        decomp, da, db = sym.certificate.decomposition, space.dim, space.dim_out
+        [rho] = verify._draw(0, 3, da * da)
+        blocks = verify._blocks(space, sym, rho)
+        # every block has positive weight on these full-rank draws
+        assert all((np.trace(w, axis1=-2, axis2=-1).real > 0).all() for w, _ in blocks.values())
+        parts = {n: list(zip(np.moveaxis(w, 1, 0), ls)) for n, (w, ls) in blocks.items()}  # each size's, in order
+        rebuilt, edge = np.zeros((3, da, db, da, db), dtype=complex), 0
+        for n, _, l in decomp.blocks:
+            w, l_i = parts[n].pop(0)
+            assert l_i == l
+            y = np.einsum("sajbk,cd->sajcbkd", w.reshape(3, da, n, da, n) / l, np.eye(l))
+            rebuilt[:, :, edge : edge + n * l, :, edge : edge + n * l] = y.reshape(3, da, n * l, da, n * l)
+            edge += n * l
+        assert not any(parts.values())
+        u = np.kron(np.eye(da), decomp.basis_change_out)
+        omega = verify._id_tensor(chn.base_channel(space), rho)
+        assert np.abs(mc.dagger(u) @ omega @ u - rebuilt.reshape(omega.shape)).max() <= 1e-14
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["default-tol", "tol-1e-13"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_CHANNELS))
+    def test_values_match_the_whole_state(self, monkeypatch, name, tight):
+        # at the default tol the stack's stop leaves two minimizations of one value up to 1.5e-11 apart at p = 4 on
+        # these draws (and within 6e-14 at p 1.5 and 2), so p = 4 is compared with every stack run to tol 1e-13
+        import trocap.entropy as ent
+
+        ch = BLOCK_CHANNELS[name]()
+        ps = (1.5, 2.0, 4.0) if tight else (1.5, 2.0)
+        if tight:
+            minimize = ent._RenyiStack.minimize
+            monkeypatch.setattr(ent._RenyiStack, "minimize", lambda self: minimize(self, tol=1e-13))
+        seen = recorded_slacks(monkeypatch)
+        verify.verify_entropic(ch.base_space, ch.symbol, samples=3, seed=0, ps=ps)
+        ref = whole_state_slacks(ch.base_space, ch.symbol, 3, 0, ps)
+        assert [n for n, _ in seen] == [n for n, _ in ref]
+        for (name, slack), (_, expected) in zip(seen, ref):
+            assert slack == pytest.approx(expected, abs=1e-12), name
+
+    def test_symbol_of_another_space_rejected(self):
+        # same environment (2), output 3 against the symbol's 2: its U cannot cut the space's outputs
+        _, sym = dephasing_pair(0.6)
+        space = stinespring_space(partial_trace_sum_channel([(3, 2)]))
+        with pytest.raises(DimMismatch, match="output dim 2, space 3"):
+            verify.verify_entropic(space, sym, samples=1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,13 @@ is the variable of the case's curve:
     commutant curves are the ones that time it;
   - verify: the local and entropic suites with the arguments `trocap verify`
     passes (the channel's own space and symbol) on phi_alpha(0.4) and the
-    Pauli mixture (0.4, 0.3, 0.2, 0.1), at 16, 64 and 256 samples; and the
-    tensor suite, whose exact checks draw no sample, on the tensor square of
-    the Schur cyclic(k) channel of the seeded kernel above, k in 4, 6, 8 (its
-    Choi matrices would be k^4 x k^4);
+    Pauli mixture (0.4, 0.3, 0.2, 0.1), at 16, 64 and 256 samples; the
+    entropic suite at 16 samples on the Schur cyclic(k) channel of the seeded
+    kernel above, k in 2, 4, 6 (k blocks (1, 1, 1): N's side is one stack of
+    one-dimensional B, the k^2 x k^2 states of N_f take the whole-state
+    stack); and the tensor suite, whose exact checks draw no sample, on the
+    tensor square of that channel, k in 4, 6, 8 (its Choi matrices would be
+    k^4 x k^4);
   - optimizers: one_shot_q on the partial-trace sum of blocks [[2, 2], [3, 1]]
     at 16 restarts with no ceiling (its extremal start is at Q1 from the
     first round, the other restarts climb to their own stops); one_shot_q on
@@ -148,7 +151,7 @@ CHANNELS = {
         t.builders.regular_representation(t.builders.cyclic_group(3)), [0.5, 0.3, 0.2]
     ),
     "rotated phi_alpha(0.4)": lambda t: rotated_phi_alpha(t, 0.4),
-    **{f"Schur cyclic({k})": partial(schur_channel, k=k) for k in (4, 6, 8)},
+    **{f"Schur cyclic({k})": partial(schur_channel, k=k) for k in (2, 4, 6, 8)},
 }
 
 
@@ -228,6 +231,11 @@ def verify_case(t, name: str, suite: str, n: int):
     ch = CHANNELS[VERIFY_CHANNELS[name]](t)
     run = getattr(t.verify, f"verify_{suite}")
     return lambda: run(ch.base_space, ch.symbol, samples=n)
+
+
+def schur_entropic_case(t, k: int):
+    ch = CHANNELS[f"Schur cyclic({k})"](t)
+    return lambda: t.verify.verify_entropic(ch.base_space, ch.symbol, samples=16)
 
 
 def schur_tensor_case(t, k: int):
@@ -331,6 +339,7 @@ CASES = [
       for n in (2, 4, 6)),
     *(("verify", f"{suite} {name}", n, partial(verify_case, name=name, suite=suite, n=n))
       for name in VERIFY_CHANNELS for suite in ("local_comparison", "entropic") for n in (16, 64, 256)),
+    *(("verify", "entropic Schur cyclic(k), 16 samples", k, partial(schur_entropic_case, k=k)) for k in (2, 4, 6)),
     *(("verify", f"tensor_symbol Schur cyclic({k}) (x) itself", k, partial(schur_tensor_case, k=k))
       for k in (4, 6, 8)),
     *(("optimizers", "Renyi minimizer stack, phi_alpha(0.4) outputs, p 2", n, partial(renyi_stack_case, n=n, p=2.0))
