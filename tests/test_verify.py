@@ -462,6 +462,10 @@ def seeded_probs(k, seed=0):
     return np.random.default_rng(seed).dirichlet(np.ones(k))
 
 
+def random_form(form, seed):
+    return random_modified_tro(np.random.default_rng(seed), form=form).channel
+
+
 BLOCK_CHANNELS = {
     "dephasing(0.3)": lambda: qubit_dephasing(0.3),
     "pauli": lambda: group_random_unitary(pauli_rep(), [0.4, 0.3, 0.2, 0.1]),  # one block (1, 2, 2)
@@ -469,12 +473,7 @@ BLOCK_CHANNELS = {
     "schur cyclic(4)": lambda: schur_multiplier_channel(cyclic_group(4), np.fft.fft(seeded_probs(4))),
     # blocks (2, 2, 2), (1, 1, 1), (1, 1, 1)
     "regular dihedral(3)": lambda: group_random_unitary(regular_representation(dihedral_group(3)), seeded_probs(6, 3)),
-    **{
-        f"random {form} {seed}": partial(lambda form, seed: random_modified_tro(np.random.default_rng(seed), form=form)
-                                         .channel, form, seed)
-        for form in SYMBOL_FORMS
-        for seed in range(6)
-    },
+    **{f"random {form} {seed}": partial(random_form, form, seed) for form in SYMBOL_FORMS for seed in range(6)},
     "padded identity": lambda: padded_tro([(2, 2, 1), (1, 1, 2)], "identity", 0),
     "padded multiplicity": lambda: padded_tro([(2, 2, 2), (1, 1, 2)], "multiplicity", 1),
 }
