@@ -2,7 +2,7 @@
 
 Von Neumann entropy, relative entropy, sandwiched Renyi divergence, coherent and mutual information, the conditional
 Renyi entropy obtained by minimizing over marginal densities, the derived S_1(S_p) vector-valued norm, and the
-normalized entropy defect of an environment density.
+normalized entropy defect of an environment density.  conditional_renyi keeps its last minimum.
 
 Both sides of the sandwiched Renyi duality live here, on one sigma side (_support_power, _support_power_grad): for a
 pure omega_ABE and 1/p + 1/beta = 2, inf_sigma D_p(omega_AB || 1 (x) sigma) = -inf_tau D_beta(omega_AE || 1 (x) tau)
@@ -22,6 +22,7 @@ is a K = 1 problem, self-dual once rho' is purified, and ``_evaluate`` gives its
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ from . import matcore as mc
 from .errors import BadExponent, DimMismatch, NotNormalized, NotState, OptimizerFailed, OutOfRange
 
 STATE_TOL = 1e-8
+_LAST_MIN = ((), 0.0, None)  # conditional_renyi's one cached minimum: (problem, value, read-only sigma); () no problem
 
 
 def _state_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,6 +422,8 @@ def minimize_renyi_divergence(
         if s.shape != (dims[1], dims[1]):
             raise DimMismatch(f"sigma candidate is {s.shape[0]} x {s.shape[1]}, expected {dims[1]} x {dims[1]}")
     rho, k = mc.asmatrix(rho_ab)[None], None if k_a is None else mc.asmatrix(k_a)[None]
+    if k is not None and k.shape[1:] != (dims[0], dims[0]):  # before _leaves_support, which names rho and sigma
+        raise DimMismatch(f"k_a is {k.shape[1]} x {k.shape[2]}, expected {dims[0]} x {dims[0]}")
     if not (tr := float(np.trace(rho[0]).real)) > 0:  # sigma starts at rho_B / tr rho_B
         raise NotState(f"trace is {tr:.8f}, expected a positive trace")
     if k is not None and _leaves_support(mc.partial_trace(rho[0], dims, "A"), k[0]):
@@ -443,11 +447,19 @@ def conditional_renyi(
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     sigma_candidates: tuple[np.ndarray, ...] = (),
 ) -> ConditionalRenyi:
-    """H_p(A|B) = -inf_sigma D_p(rho_AB || 1_A (x) sigma_B), with minimizer;
-    ``project`` (on all of B) as in :func:`minimize_renyi_divergence`; ``seed``
-    is accepted for compatibility; the minimization is deterministic."""
-    rho_ab = check_state(rho_ab)
+    """H_p(A|B) = -inf_sigma D_p(rho_AB || 1_A (x) sigma_B), with minimizer; ``project`` (on all of B) as in
+    :func:`minimize_renyi_divergence`; ``seed`` is accepted for compatibility; the minimization is deterministic.
+    One entry caches the last minimum, keyed on the validated state's bytes and shape, int dims and float(p): a
+    repeat returns it with a fresh sigma, minimizing nothing.  Calls with ``project`` or candidates skip the cache."""
+    global _LAST_MIN
+    rho_ab, last = check_state(rho_ab), _LAST_MIN
+    no_cache = project is not None or len(sigma_candidates)
+    key = None if no_cache else (rho_ab.shape, rho_ab.tobytes(), tuple(map(operator.index, dims)), float(p))
+    if last[0] == key:
+        return ConditionalRenyi(last[1], last[2].copy())
     opt = minimize_renyi_divergence(rho_ab, dims, p, project=project, sigma_candidates=sigma_candidates)
+    if key is not None:  # sigma read back from bytes: a read-only copy
+        _LAST_MIN = (key, -opt.value, np.frombuffer(opt.sigma.tobytes(), complex).reshape(opt.sigma.shape))
     return ConditionalRenyi(-opt.value, opt.sigma)
 
 
@@ -458,8 +470,8 @@ def renyi_coherent_information(
     seed: int = 0,
     sigma_candidates: tuple[np.ndarray, ...] = (),
 ) -> float:
-    """I_cp(A>B) = -H_p(A|B); tends to the coherent information as p -> 1.
-    ``seed`` is accepted for compatibility; the minimization is deterministic."""
+    """I_cp(A>B) = -H_p(A|B); tends to the coherent information as p -> 1.  ``seed`` is accepted for compatibility;
+    the minimization is deterministic, and shares conditional_renyi's one-entry cache (without candidates)."""
     return -conditional_renyi(rho_ab, dims, p, seed=seed, sigma_candidates=sigma_candidates).value
 
 
@@ -478,8 +490,8 @@ def renyi_mutual_information(
 
 
 def s1_sp_norm(rho_ab: np.ndarray, dims: tuple[int, int], p: float, seed: int = 0) -> float:
-    """||rho||_{S_1(B, S_p(A))} for a density rho, via -p' log2 ||.|| = H_p(A|B).
-    ``seed`` is accepted for compatibility; the minimization is deterministic."""
+    """||rho||_{S_1(B, S_p(A))} for a density rho, via -p' log2 ||.|| = H_p(A|B), from conditional_renyi's cached
+    minimum (one entry).  ``seed`` is accepted for compatibility; the minimization is deterministic."""
     hp = conditional_renyi(rho_ab, dims, p, seed=seed).value
     p_conj = p / (p - 1.0)
     return float(2.0 ** (-hp / p_conj))

@@ -441,6 +441,99 @@ class TestS1SpNorm:
             assert h30 <= h15 + 1e-8
 
 
+class TestConditionalRenyiCache:
+    """conditional_renyi keeps its last minimum; s1_sp_norm and renyi_coherent_information read it.  Every case
+    draws its own states, so no earlier test's entry can serve them."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls, real = [], ent.minimize_renyi_divergence
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ent, "minimize_renyi_divergence", spy)
+        return calls
+
+    @staticmethod
+    def _state(*seed, d=4):
+        return mc.random_density(np.random.default_rng((7919, *seed)), d)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_s1_sp_norm_after_conditional_renyi_minimizes_once(self, monkeypatch, p):
+        calls, rho = self._count(monkeypatch), self._state(0, int(2 * p))
+        h = ent.conditional_renyi(rho, (2, 2), p).value
+        s1 = ent.s1_sp_norm(rho, (2, 2), p)
+        assert len(calls) == 1
+        assert s1 == float(2.0 ** (-h / (p / (p - 1.0))))
+
+    def test_repeat_returns_equal_values_in_fresh_arrays(self, monkeypatch):
+        calls, rho = self._count(monkeypatch), self._state(1)
+        first = ent.conditional_renyi(rho, (2, 2), 2.0)
+        second = ent.conditional_renyi(rho.copy(), (np.int64(2), 2), 2, seed=5)  # seed is not in the key
+        assert len(calls) == 1
+        assert second.value == first.value and np.array_equal(second.sigma, first.sigma)
+        assert not np.shares_memory(second.sigma, first.sigma)
+        assert not ent._LAST_MIN[2].flags.writeable
+        kept = first.sigma.copy()
+        first.sigma[:] = 0.0
+        second.sigma[:] = 1.0
+        third = ent.conditional_renyi(rho, (2, 2), 2.0)
+        assert len(calls) == 1 and third.value == first.value and np.array_equal(third.sigma, kept)
+
+    def test_renyi_coherent_information_reads_the_entry(self, monkeypatch):
+        calls, rho = self._count(monkeypatch), self._state(2, d=6)
+        h = ent.conditional_renyi(rho, (2, 3), 1.5).value
+        assert ent.renyi_coherent_information(rho, (2, 3), 1.5) == -h
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed, change", enumerate(["p", "factorization", "one ulp", "project", "candidate"]))
+    def test_another_problem_minimizes_again(self, monkeypatch, seed, change):
+        calls, rho = self._count(monkeypatch), self._state(3, seed, d=8)
+        ent.conditional_renyi(rho, (2, 4), 2.0)
+        if change == "p":
+            ent.conditional_renyi(rho, (2, 4), 2.5)
+        elif change == "factorization":
+            ent.conditional_renyi(rho, (4, 2), 2.0)
+        elif change == "one ulp":
+            nudged = rho.copy()
+            nudged[0, 0] = np.nextafter(nudged[0, 0].real, 1.0)
+            ent.conditional_renyi(nudged, (2, 4), 2.0)
+        elif change == "project":
+            ent.conditional_renyi(rho, (2, 4), 2.0, project=lambda s: s)
+        else:
+            ent.conditional_renyi(rho, (2, 4), 2.0, sigma_candidates=(np.eye(4) / 4,))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "seed, kwargs", enumerate([{"project": lambda s: s}, {"sigma_candidates": (np.eye(4) / 4,)}])
+    )
+    def test_project_or_candidates_leave_the_entry(self, monkeypatch, seed, kwargs):
+        calls, rho, other = self._count(monkeypatch), self._state(4, seed, d=8), self._state(5, seed, d=8)
+        ent.conditional_renyi(rho, (2, 4), 2.0)
+        ent.conditional_renyi(other, (2, 4), 2.0, **kwargs)
+        ent.conditional_renyi(other, (2, 4), 2.0, **kwargs)
+        ent.conditional_renyi(rho, (2, 4), 2.0)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("seed, bad, error", [(0, ((2, 2), 1.0), BadExponent), (1, ((2, 3), 2.0), DimMismatch)])
+    def test_a_call_that_raises_leaves_the_entry(self, monkeypatch, seed, bad, error):
+        calls, rho = self._count(monkeypatch), self._state(6, seed)
+        ent.conditional_renyi(rho, (2, 2), 2.0)
+        with pytest.raises(error):
+            ent.conditional_renyi(rho, *bad)
+        made = len(calls)  # the DimMismatch is raised inside the minimization
+        ent.s1_sp_norm(rho, (2, 2), 2.0)
+        assert made == len(calls)
+
+    def test_one_entry(self, monkeypatch):
+        calls, a, b = self._count(monkeypatch), self._state(7), self._state(8)
+        for rho in (a, b, a):
+            ent.conditional_renyi(rho, (2, 2), 2.0)
+        assert len(calls) == 3
+
+
 class TestRenyiCoherentInformation:
     def test_maximally_entangled(self):
         psi = np.zeros(4, dtype=complex)
@@ -498,6 +591,12 @@ class TestKernelSupport:
         monkeypatch.setattr(ent, "_RenyiStack", never)
         opt = ent.minimize_renyi_divergence(np.kron(E00, np.eye(2) / 2), (2, 2), 2.0, k_a=E11)
         assert opt.value == math.inf and np.array_equal(opt.sigma, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_mis_shaped_k_names_k(self, shape):
+        # _leaves_support named "rho has shape (2, 2), sigma (3, 3)", operands the caller never passed
+        with pytest.raises(DimMismatch, match=f"k_a is {shape[0]} x {shape[1]}, expected 2 x 2"):
+            ent.minimize_renyi_divergence(np.eye(4) / 4, (2, 2), 2.0, k_a=np.eye(*shape))
 
     def test_k_covering_the_a_marginal_is_finite(self):
         rho = np.kron(E00, np.eye(2) / 2)

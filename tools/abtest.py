@@ -15,6 +15,11 @@ script) on both trees.  After one untimed warm-up of the jobs per tree, each
 job and point runs all its reps back to back on both trees, and which tree
 goes first alternates from rep to rep and from item to item.  The first rep's
 outputs are checked and kept per side, keyed ``workload:seed:index:job id``.
+Back-to-back reps let a job that repeats a state count cache hits: entropy's
+conditional_renyi keeps its last minimum (one entry), so from the second rep
+on both minimizations of an optimizers ``conditional_renyi`` job are served
+from it, and that kind's per-job times are not a measure of the minimizer.
+Gains there come from alternating ``perfbench/run.py`` pairs.
 
 Prints, per job kind (workload and job id without its trailing pass index),
 the sum over its jobs of each job's minimum wall time over the reps on each

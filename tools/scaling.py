@@ -71,10 +71,11 @@ is the variable of the case's curve:
     and 16 seeded states (1 - 1e-8) rho0 + 1e-8 g on 2 x 3, rho0 the state g
     cut to B rank 2 and normalized, whose every item runs all 400 rounds and
     then takes the L-BFGS polish (entropy._lbfgs; no benchmark job reaches
-    the polish); conditional_renyi on one seeded full-rank state on A (x) B, A
+    the polish); conditional_renyi on seeded full-rank states on A (x) B, A
     a qubit and d = 4, 8, 16 the dimension of A (x) B, at p = 2 and 1.5, 100
-    calls per run (a stack of one, the shape in which each round's own
-    overhead weighs most); and renyi_coherent_channel at p = 2, one restart
+    calls per run, each call on its own state, so that conditional_renyi's
+    one-entry cache serves none of them (a stack of one, the shape in which
+    each round's own overhead weighs most); and renyi_coherent_channel at p = 2, one restart
     (one evaluation of the dual objective at the extremal input, then, where
     that does not reach the channel's Renyi edge, one at the attaining input,
     then an L-BFGS search over pairs (psi, tau), with no inner minimization),
@@ -270,8 +271,8 @@ def polish_stack_case(t, n: int):
 
 
 def conditional_renyi_case(t, d: int, p: float, calls: int = 100):
-    rho = t.matcore.random_density(np.random.default_rng(d), d)
-    return lambda: [t.entropy.conditional_renyi(rho, (2, d // 2), p) for _ in range(calls)]
+    rhos = [t.matcore.random_density(np.random.default_rng((d, i)), d) for i in range(calls)]
+    return lambda: [t.entropy.conditional_renyi(rho, (2, d // 2), p) for rho in rhos]
 
 
 def one_shot_case(t, restarts: int):
